@@ -283,13 +283,23 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     a1col = a1[:, None]
     a2col = a2[:, None]
 
+    # the ghost strips of the last evaluation time: stages with equal
+    # abscissae and the x/y halves of a flux split pad at the same t
+    ghost_t, ghosts = None, None
+
     def _padded(t, v):
+        nonlocal ghost_t, ghosts
+        if ghosts is None or t != ghost_t:
+            ghost_t = t
+            ghosts = [exact_point(X, Y, t) for X, Y in
+                      ((Xtop, Ytop), (Xbot, Ybot), (Xlft, Ylft), (Xrgt, Yrgt))]
+        top, bottom, left, right = ghosts
         w = np.empty((n + 6, n + 6))
         w[3:-3, 3:-3] = v
-        w[:3, :] = exact_point(Xtop, Ytop, t)
-        w[-3:, :] = exact_point(Xbot, Ybot, t)
-        w[3:-3, :3] = exact_point(Xlft, Ylft, t)
-        w[3:-3, -3:] = exact_point(Xrgt, Yrgt, t)
+        w[:3, :] = top
+        w[-3:, :] = bottom
+        w[3:-3, :3] = left
+        w[3:-3, -3:] = right
         return w
 
     def flux_x(t, v, w=None):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,8 +56,23 @@ class _StepPlan:
     update_terms: tuple
 
 
-@lru_cache(maxsize=None)
 def _plan(tab: PRKTableau) -> _StepPlan:
+    """The float step plan of ``tab``, built on first use and kept on it.
+
+    Looking it up costs one attribute read per step, where a cache keyed
+    by the tableau would hash all of its Fractions every step.
+    """
+    try:
+        return tab.__dict__["_step_plan"]
+    except KeyError:
+        plan = _build_plan(tab)
+        # derived data, not a field: the frozen dataclass compares and
+        # hashes as before
+        object.__setattr__(tab, "_step_plan", plan)
+        return plan
+
+
+def _build_plan(tab: PRKTableau) -> _StepPlan:
     A = [[[float(a) for a in row] for row in Ak] for Ak in tab.A]
     b = [[float(x) for x in bk] for bk in tab.b]
     c = [float(x) for x in tab.c]
@@ -166,9 +181,28 @@ class IntegrationResult:
     samples: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
+def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
+    """Reject a malformed run before its first step; returns ``u0`` as floats."""
+    if run.u0 is None:
+        raise ValueError("IntegrationRun.u0 is missing: give the initial state")
+    u0 = np.asarray(run.u0, dtype=float)
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("IntegrationRun.u0 holds non-finite values")
+    for name in ("t0", "t_end", "dt"):
+        value = getattr(run, name)
+        if not math.isfinite(value):
+            raise ValueError(f"IntegrationRun.{name} must be finite, got {value!r}")
+    if run.dt <= 0.0:
+        raise ValueError(f"IntegrationRun.dt must be positive, got {run.dt!r}")
+    if run.t_end <= run.t0:
+        raise ValueError(
+            f"IntegrationRun.t_end must be after t0, got t_end={run.t_end!r}, t0={run.t0!r}")
+    return u0
+
+
 def integrate(run: IntegrationRun) -> IntegrationResult:
     """March the scheme to ``t_end``; failures report the offending step."""
-    u = np.asarray(run.u0, dtype=float)
+    u = _checked_initial_state(run)
     t = run.t0
     n_steps = run.n_steps
     mass_trace: list[float] = []

@@ -3,6 +3,19 @@
 All kernels act on the last axis and expect arrays padded with three
 ghost cells on each side, so a line of ``m`` cells comes in with length
 ``m + 6`` and produces values at the ``m + 1`` interfaces.
+
+The kernels are bitwise equal to the textbook evaluation of the five-cell
+formula at every interface (Jiang & Shu's indicators, written out in
+``_edge``), and that equality is part of their contract.  They get there
+by computing each quantity of a padded line once and reading it back
+through slices: the multiples ``2w, 3w, 4w, 5w, 7w, 11w``, the curvature
+term ``13/12 ((a - 2b) + c)^2`` of every 3-cell window, which the three
+indicators of one bias read at three shifts, and the central term
+``0.25 (b - d)^2``, which both biases share because squaring removes the
+sign.  Floating-point operations are not associative, so each one keeps
+the textbook's operand order: ``(a - 2b) + c`` and ``(c - 2b) + a`` round
+differently, which is why the curvature terms of the two biases are not
+shared.
 """
 
 from __future__ import annotations
@@ -23,6 +36,12 @@ __all__ = [
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 _GAMMAS = (0.1, 0.6, 0.3)
 
+# Offsets of the cells (a, b, c, d, e) of interface k in the padded line,
+# relative to k: the left bias reads k..k+4 and the right bias is its
+# mirror image k+5..k+1.  The value is taken at the edge of c facing d.
+_LEFT = (0, 1, 2, 3, 4)
+_RIGHT = (5, 4, 3, 2, 1)
+
 
 def pad_periodic(u: np.ndarray, width: int = 3) -> np.ndarray:
     return np.concatenate([u[..., -width:], u, u[..., :width]], axis=-1)
@@ -36,20 +55,88 @@ def pad_dirichlet(u: np.ndarray, left, right, width: int = 3) -> np.ndarray:
     return np.concatenate([lg, u, rg], axis=-1)
 
 
-def _weighted_edge(a, b, c, d, e):
-    # Value at the downstream edge of the center cell c, biased to the
-    # (a, b, c) side; candidate stencils and Jiang-Shu indicators.
-    p0 = (2.0 * a - 7.0 * b + 11.0 * c) / 6.0
-    p1 = (-b + 5.0 * c + 2.0 * d) / 6.0
-    p2 = (2.0 * c + 5.0 * d - e) / 6.0
-    beta0 = 13.0 / 12.0 * (a - 2.0 * b + c) ** 2 + 0.25 * (a - 4.0 * b + 3.0 * c) ** 2
-    beta1 = 13.0 / 12.0 * (b - 2.0 * c + d) ** 2 + 0.25 * (b - d) ** 2
-    beta2 = 13.0 / 12.0 * (c - 2.0 * d + e) ** 2 + 0.25 * (3.0 * c - 4.0 * d + e) ** 2
-    a0 = _GAMMAS[0] / (WENO_EPS + beta0) ** 2
-    a1 = _GAMMAS[1] / (WENO_EPS + beta1) ** 2
-    a2 = _GAMMAS[2] / (WENO_EPS + beta2) ** 2
-    s = a0 + a1 + a2
-    return (a0 * p0 + a1 * p1 + a2 * p2) / s
+def _line(w):
+    """The quantities of a padded line that both biases share bit for bit.
+
+    Returns ``(w, (2w, 3w, 4w, 5w, 7w, 11w), central)`` with
+    ``central[j] = 0.25 (w[j] - w[j+2])^2``.
+    """
+    w = np.asarray(w, dtype=float)
+    multiples = tuple(k * w for k in (2.0, 3.0, 4.0, 5.0, 7.0, 11.0))
+    central = w[..., :-2] - w[..., 2:]
+    central *= central
+    central *= 0.25
+    return w, multiples, central
+
+
+def _edge(line, offsets) -> np.ndarray:
+    """WENO5 values at every interface of a line prepared by :func:`_line`.
+
+    With ``(a, b, c, d, e)`` the cells at ``offsets`` this evaluates
+
+        p0 = (2a - 7b + 11c) / 6
+        p1 = (-b + 5c + 2d) / 6
+        p2 = (2c + 5d - e) / 6
+        beta0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2
+        beta1 = 13/12 (b - 2c + d)^2 + 1/4 (b - d)^2
+        beta2 = 13/12 (c - 2d + e)^2 + 1/4 (3c - 4d + e)^2
+        alpha_k = gamma_k / (eps + beta_k)^2
+        value = (alpha0 p0 + alpha1 p1 + alpha2 p2) / (alpha0 + alpha1 + alpha2)
+
+    left to right, in place.  Commuting the two operands of one ``+`` or
+    ``*`` is exact, and ``-b + 5c`` is ``5c - b`` exactly.
+    """
+    w, (w2, w3, w4, w5, w7, w11), central = line
+    n = w.shape[-1] - 5
+    # a..e, and the windows centered on b, c and d in curv and central
+    a, b, c, d, e = ((..., slice(o, o + n)) for o in offsets)
+    cb, cc, cd = ((..., slice(o - 1, o - 1 + n)) for o in offsets[1:4])
+
+    # 13/12 (a - 2b + c)^2 on every 3-cell window, oriented from a to c;
+    # curv[j] belongs to the window centered on cell j + 1
+    lo, hi = w[..., :-2], w[..., 2:]
+    first, last = (lo, hi) if offsets[0] < offsets[2] else (hi, lo)
+    curv = first - w2[..., 1:-1]
+    curv += last
+    curv *= curv
+    curv *= 13.0 / 12.0
+
+    # the indicators beta_k, turned into the weights alpha_k in place
+    alpha0 = w[a] - w4[b]
+    alpha0 += w3[c]
+    alpha0 *= alpha0
+    alpha0 *= 0.25
+    alpha0 += curv[cb]
+    alpha1 = curv[cc] + central[cc]
+    alpha2 = w3[c] - w4[d]
+    alpha2 += w[e]
+    alpha2 *= alpha2
+    alpha2 *= 0.25
+    alpha2 += curv[cd]
+    for alpha, gamma in zip((alpha0, alpha1, alpha2), _GAMMAS):
+        alpha += WENO_EPS
+        alpha *= alpha
+        np.divide(gamma, alpha, out=alpha)
+
+    p0 = w2[a] - w7[b]
+    p0 += w11[c]
+    p0 /= 6.0
+    p1 = w5[c] - w[b]
+    p1 += w2[d]
+    p1 /= 6.0
+    p2 = w2[c] + w5[d]
+    p2 -= w[e]
+    p2 /= 6.0
+
+    p0 *= alpha0
+    p1 *= alpha1
+    p2 *= alpha2
+    p0 += p1
+    p0 += p2
+    alpha0 += alpha1
+    alpha0 += alpha2
+    p0 /= alpha0
+    return p0
 
 
 def edge_from_left(w: np.ndarray) -> np.ndarray:
@@ -59,27 +146,18 @@ def edge_from_left(w: np.ndarray) -> np.ndarray:
     the reconstruction at the right edge of cell ``i-1`` (the upwind value
     for positive wind).
     """
-    m = w.shape[-1] - 6
-    n = m + 1
-    return _weighted_edge(
-        w[..., 0:n], w[..., 1 : n + 1], w[..., 2 : n + 2],
-        w[..., 3 : n + 3], w[..., 4 : n + 4],
-    )
+    return _edge(_line(w), _LEFT)
 
 
 def edge_from_right(w: np.ndarray) -> np.ndarray:
     """Right-biased interface values (mirror image of :func:`edge_from_left`)."""
-    m = w.shape[-1] - 6
-    n = m + 1
-    return _weighted_edge(
-        w[..., 5 : n + 5], w[..., 4 : n + 4], w[..., 3 : n + 3],
-        w[..., 2 : n + 2], w[..., 1 : n + 1],
-    )
+    return _edge(_line(w), _RIGHT)
 
 
 def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstructed left/right states ``(u_minus, u_plus)`` at all interfaces."""
-    return edge_from_left(w), edge_from_right(w)
+    line = _line(w)
+    return _edge(line, _LEFT), _edge(line, _RIGHT)
 
 
 def weno5_flux(v: np.ndarray, windsign: int = 1, boundary="periodic") -> np.ndarray:
@@ -113,6 +191,11 @@ def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:
     against the padded line).  The split parts ``(phi +/- alpha u)/2``
     are reconstructed with opposite bias and summed.
     """
-    fplus = 0.5 * (phi_pad + alpha * u_pad)
-    fminus = 0.5 * (phi_pad - alpha * u_pad)
-    return edge_from_left(fplus) + edge_from_right(fminus)
+    spread = alpha * u_pad
+    fplus = phi_pad + spread
+    fplus *= 0.5
+    fminus = phi_pad - spread
+    fminus *= 0.5
+    out = _edge(_line(fplus), _LEFT)
+    out += _edge(_line(fminus), _RIGHT)
+    return out

@@ -1,0 +1,73 @@
+"""Byte identity of small experiment reports against stored CSVs.
+
+The files under ``tests/golden/`` were written by the WENO5 kernels in
+their textbook evaluation order, before any kernel was fused.  Every
+rerun must reproduce them byte for byte: a change in the last bit of a
+reconstruction, a stage time or a step plan shows up here, not only in
+the benchmark.
+
+Bytes can only be compared where numpy's transcendental functions (the
+exact solutions use sin, cos and exp) round as they did when the files
+were recorded; ``libm.sha256`` fingerprints them.  On a platform with a
+different fingerprint the reports are compared at round-off instead.
+
+To re-record after a deliberate change of the numbers, run
+``python tests/test_golden.py`` from the repository root (with ``src`` on
+``PYTHONPATH``) and say why in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prk.harness import run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "table1": dict(schemes=("SH2",), ms=(100, 200)),
+    "table2": dict(schemes=("SH2",), ms=(100, 200)),
+    "fig2": dict(m=400),
+    "adv2d-flux": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
+}
+
+
+def libm_fingerprint() -> str:
+    x = np.linspace(-10.0, 10.0, 4001)
+    bits = [np.__version__.encode()]
+    bits += [f(x).tobytes() for f in (np.sin, np.cos, np.exp)]
+    bits.append(np.log2(np.abs(x) + 0.5).tobytes())
+    return hashlib.sha256(b"".join(bits)).hexdigest()
+
+
+def _assert_round_off(got: str, want: str) -> None:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for gl, wl in zip(got_lines, want_lines):
+        gf, wf = gl.split(","), wl.split(",")
+        assert len(gf) == len(wf), (gl, wl)
+        for g, w in zip(gf, wf):
+            try:
+                g_val, w_val = float(g), float(w)
+            except ValueError:
+                assert g == w, (gl, wl)
+                continue
+            assert g_val == pytest.approx(w_val, rel=1e-9, abs=1e-12, nan_ok=True), (gl, wl)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name):
+    want = (GOLDEN / f"{name}.csv").read_text()
+    got = run_experiment(name, **CASES[name]).to_csv()
+    if (GOLDEN / "libm.sha256").read_text().strip() == libm_fingerprint():
+        assert got.encode() == want.encode()
+    else:
+        _assert_round_off(got, want)
+
+
+if __name__ == "__main__":
+    for name, kwargs in CASES.items():
+        (GOLDEN / f"{name}.csv").write_text(run_experiment(name, **kwargs).to_csv())
+    (GOLDEN / "libm.sha256").write_text(libm_fingerprint() + "\n")

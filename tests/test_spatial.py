@@ -176,6 +176,20 @@ def test_adv2d_velocity_zero_at_center():
 # norms
 # ----------------------------------------------------------------------
 
+def test_adv2d_ghost_data_follows_the_evaluation_time():
+    # ghost strips are reused only while t repeats exactly; every call must
+    # match a fresh problem evaluated at the same time
+    p = advection2d(12)
+    rng = np.random.default_rng(3)
+    v = rng.random((12, 12))
+    flux_x, flux_y = p.flux
+    for t in (0.1, 0.1, 0.25, 0.1, 0.0):
+        fresh = advection2d(12)
+        assert np.array_equal(p.rhs(t, v), fresh.rhs(t, v))
+        assert np.array_equal(flux_x(t, v), fresh.flux[0](t, v))
+        assert np.array_equal(flux_y(t, v), fresh.flux[1](t, v))
+
+
 def test_norms_examples():
     m = 8
     e1 = np.zeros(m)

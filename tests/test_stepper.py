@@ -19,7 +19,7 @@ from prk.stepper import (
     prk_step,
     reference_integrate,
 )
-from prk.tableau import builtin_names, builtin_tableau
+from prk.tableau import PRKTableau, builtin_names, builtin_tableau
 
 
 def _fe_steps(F, u, t, dt, n):
@@ -194,6 +194,53 @@ def test_run_validates_step_count():
                          t_end=1.0, u0=np.ones(1))
     with pytest.raises(ValueError):
         integrate(run)
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("u0", dict(u0=None)),
+    ("u0", dict(u0=np.array([1.0, np.nan]))),
+    ("dt", dict(dt=float("nan"))),
+    ("t_end", dict(t_end=float("nan"))),
+    ("dt", dict(dt=-0.1, t_end=-1.0)),
+    ("t_end", dict(t_end=-1.0)),
+])
+def test_run_rejects_bad_input_naming_the_field(field, overrides):
+    calls = []
+
+    def counting(t, v):
+        calls.append(t)
+        return -v
+
+    run = dict(tableau=builtin_tableau("FE1"), parts=[counting], dt=0.1, t_end=1.0,
+               u0=np.ones(2))
+    run.update(overrides)
+    with pytest.raises(ValueError, match=rf"IntegrationRun\.{field}\b"):
+        integrate(IntegrationRun(**run))
+    assert calls == []
+
+
+class _UnhashableTableau(PRKTableau):
+    def __hash__(self):
+        raise AssertionError("the stepper hashed the tableau")
+
+
+def test_step_plan_is_built_once_per_tableau_without_hashing():
+    tw2 = builtin_tableau("TW2")
+    tab = _UnhashableTableau(r=tw2.r, s=tw2.s, A=tw2.A, b=tw2.b, c=tw2.c, name="TW2")
+    assert "_step_plan" not in vars(tab)
+    prob = advection1d_weno5(20)
+    parts = cell_split(prob.rhs, CellPartition.two_region(prob.grid.x > 0.5))
+    res = integrate(IntegrationRun(tab, parts, dt=0.025, t_end=0.25, u0=prob.initial))
+    plan = vars(tab)["_step_plan"]
+    want = integrate(IntegrationRun(tw2, parts, dt=0.025, t_end=0.25, u0=prob.initial))
+    assert np.array_equal(res.u, want.u)
+    prk_step(tab, parts, 0.0, 0.025, prob.initial)
+    assert vars(tab)["_step_plan"] is plan
+    # the plan is not a field: equality and hash are those of the coefficients
+    plain = PRKTableau(r=tw2.r, s=tw2.s, A=tw2.A, b=tw2.b, c=tw2.c, name="TW2")
+    prk_step(plain, parts, 0.0, 0.025, prob.initial)
+    assert "_step_plan" in vars(plain)
+    assert plain == tw2 and hash(plain) == hash(tw2)
 
 
 def test_integrate_traces_mass_and_samples():

@@ -1,11 +1,16 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
-mirror symmetry and the split-flux path."""
+mirror symmetry, the split-flux path, and bitwise equality with the
+textbook evaluation order."""
 
 import numpy as np
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prk.weno import (
+    WENO_EPS,
     edge_from_left,
     edge_from_right,
     interface_states,
@@ -99,3 +104,96 @@ def test_kernels_broadcast_over_leading_axes():
     assert out.shape == (4, 31)
     for i in range(4):
         assert np.allclose(out[i], edge_from_left(w[i]))
+
+
+# ----------------------------------------------------------------------
+# bitwise oracle: the five-cell formula in its textbook evaluation order
+# ----------------------------------------------------------------------
+
+_GAMMAS = (0.1, 0.6, 0.3)
+
+
+def _weighted_edge(a, b, c, d, e):
+    # Value at the downstream edge of the center cell c, biased to the
+    # (a, b, c) side; candidate stencils and Jiang-Shu indicators.
+    p0 = (2.0 * a - 7.0 * b + 11.0 * c) / 6.0
+    p1 = (-b + 5.0 * c + 2.0 * d) / 6.0
+    p2 = (2.0 * c + 5.0 * d - e) / 6.0
+    beta0 = 13.0 / 12.0 * (a - 2.0 * b + c) ** 2 + 0.25 * (a - 4.0 * b + 3.0 * c) ** 2
+    beta1 = 13.0 / 12.0 * (b - 2.0 * c + d) ** 2 + 0.25 * (b - d) ** 2
+    beta2 = 13.0 / 12.0 * (c - 2.0 * d + e) ** 2 + 0.25 * (3.0 * c - 4.0 * d + e) ** 2
+    a0 = _GAMMAS[0] / (WENO_EPS + beta0) ** 2
+    a1 = _GAMMAS[1] / (WENO_EPS + beta1) ** 2
+    a2 = _GAMMAS[2] / (WENO_EPS + beta2) ** 2
+    s = a0 + a1 + a2
+    return (a0 * p0 + a1 * p1 + a2 * p2) / s
+
+
+def _oracle_left(w):
+    n = w.shape[-1] - 5
+    return _weighted_edge(*(w[..., o : o + n] for o in (0, 1, 2, 3, 4)))
+
+
+def _oracle_right(w):
+    n = w.shape[-1] - 5
+    return _weighted_edge(*(w[..., o : o + n] for o in (5, 4, 3, 2, 1)))
+
+
+# padded lines of m >= 6 cells, with up to two leading batch axes
+shapes = st.tuples(
+    st.lists(st.integers(1, 4), max_size=2), st.integers(12, 40)
+).map(lambda lead_len: tuple(lead_len[0]) + (lead_len[1],))
+
+
+@st.composite
+def lines(draw, shape):
+    """Smooth-ish, integer-valued or step data at scales 1e-8 to 1e8."""
+    kind = draw(st.sampled_from(["float", "integer", "step"]))
+    if kind == "integer":
+        return draw(arrays(np.int64, shape, elements=st.integers(-60, 60))).astype(float)
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    if kind == "float":
+        return scale * draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    low, high = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    cut = draw(st.integers(0, shape[-1]))
+    step = np.where(np.arange(shape[-1]) < cut, low, high)
+    return scale * np.broadcast_to(step, shape).copy()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_kernels_bitwise_equal_textbook_order(data):
+    w = data.draw(lines(data.draw(shapes)))
+    left, right = _oracle_left(w), _oracle_right(w)
+    assert np.array_equal(edge_from_left(w), left)
+    assert np.array_equal(edge_from_right(w), right)
+    um, up = interface_states(w)
+    assert np.array_equal(um, left)
+    assert np.array_equal(up, right)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_llf_split_flux_bitwise_equal_textbook_order(data):
+    shape = data.draw(shapes)
+    phi = data.draw(lines(shape))
+    u = data.draw(lines(shape))
+    # one dissipation speed per line, as the 2D rotation passes it
+    alpha = np.abs(data.draw(lines(shape[:-1] + (1,))))
+    fplus = 0.5 * (phi + alpha * u)
+    fminus = 0.5 * (phi - alpha * u)
+    want = _oracle_left(fplus) + _oracle_right(fminus)
+    assert np.array_equal(llf_split_flux(phi, u, alpha), want)
+
+
+def test_kernels_bitwise_equal_on_transposed_lines():
+    # the y-sweep of the 2D rotation hands in a transposed view
+    rng = np.random.default_rng(17)
+    w = rng.random((26, 26))
+    cols = w[:, 3:-3].T
+    a = rng.standard_normal((20, 1))
+    assert np.array_equal(edge_from_left(cols), _oracle_left(cols))
+    assert np.array_equal(edge_from_right(cols), _oracle_right(cols))
+    want = _oracle_left(0.5 * (a * cols + np.abs(a) * cols)) + _oracle_right(
+        0.5 * (a * cols - np.abs(a) * cols))
+    assert np.array_equal(llf_split_flux(a * cols, cols, np.abs(a)), want)
