@@ -45,7 +45,6 @@ from .spatial import (
     burgers_llf,
     advection2d,
     norms,
-    weno5_flux,
 )
 from .stepper import (
     IntegrationRun,

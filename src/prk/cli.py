@@ -9,18 +9,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .decomposition import (
-    DynamicCellSplit,
-    FluxPartition,
-    FluxPartition2D,
-    cell_split,
-    flux_split,
-    flux_split_2d,
-    parse_partition_spec,
+from .harness import (
+    EXPERIMENTS,
+    STANDARD_PARTITIONS,
+    make_parts,
+    run_case,
+    run_wnorm_study,
+    shock_position,
 )
-from .harness import EXPERIMENTS, run_wnorm_study, shock_position
-from .spatial import advection1d_weno5, advection2d, burgers_llf, norms
-from .stepper import IntegrationRun, integrate as run_integration
+from .spatial import advection1d_weno5, advection2d, burgers_llf
 from .tableau import (
     builtin_names,
     builtin_tableau,
@@ -136,16 +133,12 @@ def analyze_cmd(schemes, ms, nus, outfile):
         click.echo(text, nl=False)
 
 
-_PROBLEM_DEFAULTS = {
-    # problem: (t_end, default partition spec)
-    "adv1d": (1.0, "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)"),
-    "burgers": (0.5, "dynamic:burgers:threshold=0.125"),
-    "adv2d": (1.0 / 3.0, "coarse:abs(x-0.5)+abs(y-0.5)<=1/3"),
-}
+# final time of each problem's standard run
+_T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 
 
 @main.command("integrate")
-@click.option("--problem", type=click.Choice(sorted(_PROBLEM_DEFAULTS)), required=True)
+@click.option("--problem", type=click.Choice(sorted(_T_END)), required=True)
 @click.option("--m", "m", type=int, required=True,
               help="Cells (per direction for adv2d).")
 @click.option("--nu", type=float, default=0.5, show_default=True,
@@ -161,9 +154,8 @@ _PROBLEM_DEFAULTS = {
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
-    t_default, spec_default = _PROBLEM_DEFAULTS[problem]
-    t_end = t_default if t_end is None else t_end
-    spec = partition_spec or spec_default
+    t_end = _T_END[problem] if t_end is None else t_end
+    spec = partition_spec or STANDARD_PARTITIONS[problem]
 
     if problem == "adv1d":
         prob = advection1d_weno5(m)
@@ -177,45 +169,19 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
 
-    parsed = parse_partition_spec(spec, prob.grid)
-    if callable(parsed):
-        if kind == "flux":
-            raise click.ClickException("dynamic partitions support cell splitting only")
-        parts = DynamicCellSplit(prob.rhs, parsed)
-    elif kind == "cell":
-        parts = cell_split(prob.rhs, parsed)
-    elif problem == "adv2d":
-        # rebuild the region test on face midpoints from the partition
-        # spec, which must be geometric for 2D flux splitting
-        body = spec.split(":", 1)[1] if spec.startswith(("coarse:", "refined:")) else spec
-        coarse_sel = spec.startswith("coarse:")
-        from .decomposition import _eval_predicate  # shared safe evaluator
-
-        def coarse_pred(px, py):
-            sel = _eval_predicate(body, {"x": px, "y": py})
-            return sel if coarse_sel else ~sel
-
-        fp = FluxPartition2D.from_coarse_predicate(prob.grid, coarse_pred)
-        parts = flux_split_2d(prob.flux, fp)
-    else:
-        fp = FluxPartition.from_cells(parsed, prob.grid.dx, periodic=prob.grid.periodic)
-        parts = flux_split(prob.flux, fp)
-
-    weights = prob.grid.h ** 2 if problem == "adv2d" else prob.grid.dx
-    res = run_integration(IntegrationRun(
-        builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
-        u0=prob.initial, mass_weights=weights,
-    ))
-    drift = abs(res.mass_trace[-1] - res.mass_trace[0])
+    try:
+        parts = make_parts(prob, kind, spec)
+    except ValueError as exc:
+        raise click.ClickException(f"bad partition: {exc}") from None
+    case = run_case(prob, scheme, parts, dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "
                f"{n_steps} steps of dt={dt:.3e}")
-    click.echo(f"mass drift |m(T) - m(0)| = {drift:.3e}")
-    if prob.exact is not None:
-        err = res.u - prob.exact(t_end)
-        n = norms(err, weights)
-        click.echo(f"error vs exact: linf={n['linf']:.6e}  l1={n['l1']:.6e}")
+    click.echo(f"mass drift |m(T) - m(0)| = {case.mass_drift:.3e}")
+    if case.errors is not None:
+        click.echo(f"error vs exact: linf={case.errors['linf']:.6e}  "
+                   f"l1={case.errors['l1']:.6e}")
     if problem == "burgers":
-        pos = shock_position(prob.grid.x, res.u)
+        pos = shock_position(prob.grid.x, case.u)
         click.echo(f"shock position {pos:.6f} (target 0.75, "
                    f"{abs(pos - 0.75) * m:.1f} cells off)")
     if outfile:
@@ -224,10 +190,10 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
                 fh.write("x,y,u\n")
                 for iy, yv in enumerate(prob.grid.y):
                     for ix, xv in enumerate(prob.grid.x):
-                        fh.write(f"{xv!r},{yv!r},{res.u[iy, ix]!r}\n")
+                        fh.write(f"{xv!r},{yv!r},{case.u[iy, ix]!r}\n")
             else:
                 fh.write("x,u\n")
-                for xv, uv in zip(prob.grid.x, res.u):
+                for xv, uv in zip(prob.grid.x, case.u):
                     fh.write(f"{xv!r},{uv!r}\n")
         click.echo(f"wrote {outfile}")
 

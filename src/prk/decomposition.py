@@ -9,6 +9,9 @@ multirate method, region 2 the refined one.
 
 from __future__ import annotations
 
+import ast
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +28,7 @@ __all__ = [
     "DynamicCellSplit",
     "burgers_dynamic_partition",
     "mass",
-    "parse_partition_spec",
+    "PartitionSpec",
 ]
 
 
@@ -151,26 +154,13 @@ class FluxPartition2D:
 
 # ----------------------------------------------------------------------
 # split right-hand sides
+#
+# Every split has ``r`` parts and ``eval_parts(t, v, needed)``, the list
+# of part values at one stage (``None`` where ``needed`` is false); a
+# dynamic split also has ``begin_step(u)``.  The stepper uses nothing else.
 # ----------------------------------------------------------------------
 
-class _PartsBase:
-    """Sequence of per-region evaluators with shared-work stage evaluation."""
-
-    r: int
-
-    def __len__(self) -> int:
-        return self.r
-
-    def __getitem__(self, k: int):
-        if not 0 <= k < self.r:
-            raise IndexError(k)
-        return lambda t, v, _k=k: self.eval_parts(t, v, [i == _k for i in range(self.r)])[_k]
-
-    def eval_parts(self, t, v, needed=None):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CellSplitParts(_PartsBase):
+class CellSplitParts:
     """Component masking of a full right-hand side: ``F_k = I_k F``."""
 
     def __init__(self, F: Callable, partition: CellPartition):
@@ -195,7 +185,7 @@ def cell_split(F: Callable, partition: CellPartition) -> CellSplitParts:
     return CellSplitParts(F, partition)
 
 
-class FluxSplitParts(_PartsBase):
+class FluxSplitParts:
     """Interface masking of a conservative right-hand side.
 
     Each part divides the masked flux differences by the cell widths, so
@@ -232,7 +222,7 @@ def flux_split(flux: Callable, partition: FluxPartition) -> FluxSplitParts:
     return FluxSplitParts(flux, partition)
 
 
-class FluxSplit2DParts(_PartsBase):
+class FluxSplit2DParts:
     def __init__(self, fluxes, partition: FluxPartition2D):
         self.flux_x, self.flux_y = fluxes
         self.partition = partition
@@ -263,7 +253,7 @@ def flux_split_2d(fluxes, partition: FluxPartition2D) -> FluxSplit2DParts:
     return FluxSplit2DParts(fluxes, partition)
 
 
-class TrivialParts(_PartsBase):
+class TrivialParts:
     """The whole right-hand side as a single part (r = 1)."""
 
     def __init__(self, F: Callable):
@@ -280,7 +270,7 @@ def trivial_parts(F: Callable) -> TrivialParts:
     return TrivialParts(F)
 
 
-class DynamicCellSplit(_PartsBase):
+class DynamicCellSplit:
     """Cell split whose partition is rebuilt from the state once per step."""
 
     def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition], r: int = 2):
@@ -290,14 +280,19 @@ class DynamicCellSplit(_PartsBase):
         self.partition: CellPartition | None = None
 
     def begin_step(self, u: np.ndarray) -> None:
-        self.partition = self.rule(u)
-        if self.partition.r != self.r:
+        partition = self.rule(u)
+        if partition.r != self.r:
             raise ValueError("dynamic rule produced the wrong number of regions")
+        if partition.shape != np.shape(u):
+            raise ValueError(f"dynamic rule produced masks of shape {partition.shape} "
+                             f"for a state of shape {np.shape(u)}")
+        self.partition = partition
+        self._split = CellSplitParts(self.F, partition)
 
     def eval_parts(self, t, v, needed=None):
         if self.partition is None:
             self.begin_step(v)
-        return CellSplitParts(self.F, self.partition).eval_parts(t, v, needed)
+        return self._split.eval_parts(t, v, needed)
 
 
 def burgers_dynamic_partition(u: np.ndarray, threshold: float = 0.125) -> CellPartition:
@@ -320,70 +315,136 @@ def mass(h, v) -> float:
 # partition specification strings
 # ----------------------------------------------------------------------
 
-_SAFE_FUNCS = {"abs": np.abs, "min": np.minimum, "max": np.maximum}
+# the predicate grammar: operators by syntax node, functions by name with
+# their number of arguments
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
+    ast.USub: operator.neg, ast.Invert: operator.invert,
+    ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+    ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne,
+}
+_FUNCTIONS = {"abs": (np.abs, 1), "min": (np.minimum, 2), "max": (np.maximum, 2)}
 
 
-def _eval_predicate(expr: str, coords: dict) -> np.ndarray:
-    try:
-        out = eval(expr, {"__builtins__": {}}, {**_SAFE_FUNCS, **coords})
-    except Exception as exc:
-        raise ValueError(f"cannot evaluate predicate {expr!r}: {exc}") from None
-    return np.asarray(out, dtype=bool)
+def _compile(node: ast.AST, text: str) -> Callable[[dict], object]:
+    """Turn a predicate's syntax tree into a function of the coordinates,
+    rejecting every node outside the grammar of :class:`PartitionSpec`."""
+    if isinstance(node, ast.Name) and node.id in ("x", "y"):
+        return lambda coords, name=node.id: coords[name]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return lambda coords, value=node.value: value
+    fn, args = None, []
+    if isinstance(node, ast.BinOp):
+        fn, args = _OPERATORS.get(type(node.op)), [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp):
+        fn, args = _OPERATORS.get(type(node.op)), [node.operand]
+    elif isinstance(node, ast.Compare) and len(node.ops) == 1:
+        fn, args = _OPERATORS.get(type(node.ops[0])), [node.left, *node.comparators]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and not node.keywords and node.func.id in _FUNCTIONS
+          and len(node.args) == _FUNCTIONS[node.func.id][1]):
+        fn, args = _FUNCTIONS[node.func.id][0], node.args
+    if fn is None:
+        raise ValueError(f"predicate {text!r}: {type(node).__name__} at column "
+                         f"{node.col_offset + 1} is not allowed")
+    terms = [_compile(arg, text) for arg in args]
+    return lambda coords: fn(*(term(coords) for term in terms))
 
 
-def parse_partition_spec(spec: str, grid):
-    """Parse a textual partition specification.
+@dataclass(frozen=True)
+class PartitionSpec:
+    """A parsed textual partition specification.
 
-    Supported forms:
+    Forms:
 
-    * ``ranges:12-37,62-87`` -- inclusive 0-based index ranges (1D);
-    * a geometric predicate in ``x`` (and ``y`` in 2D), e.g.
-      ``abs(x-0.5)+abs(y-0.5)<=1/3``;
-    * ``dynamic:burgers:threshold=0.125`` -- shock-tracking rule.
+    * ``ranges:12-37,62-87`` -- inclusive 0-based cell index ranges (1D
+      grids only);
+    * a predicate in ``x`` (and ``y`` in 2D), e.g.
+      ``abs(x-0.5)+abs(y-0.5)<=1/3``, built from numbers, ``+ - * /``,
+      unary ``-`` and ``~``, ``&`` and ``|``, single (unchained)
+      comparisons and calls to ``abs``, ``min`` and ``max``;
+    * ``dynamic:burgers[:threshold=0.125]`` -- the shock-tracking rule.
 
-    Ranges and predicates select the refined region 2 by default; prefix
-    with ``coarse:`` to make the selection region 1 instead.  The dynamic
-    form returns a state-dependent rule; the others a
-    :class:`CellPartition`.
+    Ranges and predicates select the refined region 2; prefix with
+    ``coarse:`` to make the selection region 1 instead (``refined:``
+    states the default).  :meth:`cells` gives the cell partition on a
+    grid, :meth:`faces` the 2D face partition of a predicate, and
+    ``rule`` the state-dependent partition of a dynamic spec.
     """
-    spec = spec.strip()
-    if spec.startswith("dynamic:"):
-        _, kind, *opts = spec.split(":")
-        if kind != "burgers":
-            raise ValueError(f"unknown dynamic partition {kind!r}")
-        threshold = 0.125
-        for opt in opts:
-            key, _, val = opt.partition("=")
-            if key != "threshold":
-                raise ValueError(f"unknown dynamic option {key!r}")
-            threshold = float(val)
-        return lambda u: burgers_dynamic_partition(u, threshold)
 
-    selects_coarse = False
-    if spec.startswith("coarse:"):
-        selects_coarse = True
-        spec = spec[len("coarse:"):]
-    elif spec.startswith("refined:"):
-        spec = spec[len("refined:"):]
+    text: str
+    ranges: tuple[tuple[int, int], ...] = ()
+    predicate: Callable[[dict], object] | None = None
+    coarse: bool = False
+    rule: Callable[[np.ndarray], CellPartition] | None = None
 
-    if spec.startswith("ranges:"):
-        body = spec[len("ranges:"):]
-        m = grid.x.size if hasattr(grid, "x") and grid.x.ndim == 1 else None
-        if m is None:
-            raise ValueError("index ranges require a 1D grid")
-        sel = np.zeros(m, dtype=bool)
-        for chunk in body.split(","):
-            lo, _, hi = chunk.partition("-")
-            lo_i, hi_i = int(lo), int(hi) if hi else int(lo)
-            if not 0 <= lo_i <= hi_i < m:
-                raise ValueError(f"index range {chunk!r} outside 0..{m-1}")
-            sel[lo_i : hi_i + 1] = True
-    else:
-        if hasattr(grid, "h"):  # 2D
-            X, Y = np.meshgrid(grid.x, grid.y)
-            sel = _eval_predicate(spec, {"x": X, "y": Y})
+    @classmethod
+    def parse(cls, text: str) -> "PartitionSpec":
+        body = text.strip()
+        if body.startswith("dynamic:"):
+            _, kind, *opts = body.split(":")
+            if kind != "burgers":
+                raise ValueError(f"unknown dynamic partition {kind!r}")
+            kwargs = {}
+            for opt in opts:
+                key, _, val = opt.partition("=")
+                if key != "threshold":
+                    raise ValueError(f"unknown dynamic option {key!r}")
+                kwargs[key] = float(val)
+            return cls(text, rule=functools.partial(burgers_dynamic_partition, **kwargs))
+        coarse = body.startswith("coarse:")
+        if body.startswith(("coarse:", "refined:")):
+            body = body.split(":", 1)[1]
+        if body.startswith("ranges:"):
+            ranges = []
+            for chunk in body[len("ranges:"):].split(","):
+                lo, _, hi = chunk.partition("-")
+                try:
+                    ranges.append((int(lo), int(hi) if hi else int(lo)))
+                except ValueError:
+                    raise ValueError(f"bad index range {chunk!r} in {text!r}") from None
+            return cls(text, ranges=tuple(ranges), coarse=coarse)
+        try:
+            tree = ast.parse(body, mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"predicate {body!r}: {exc.msg} at column {exc.offset}") from None
+        return cls(text, predicate=_compile(tree.body, body), coarse=coarse)
+
+    def _select(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        try:
+            sel = np.asarray(self.predicate({"x": x, "y": y}), dtype=bool)
+        except (TypeError, ArithmeticError) as exc:
+            dims = "1D" if y is None else "2D"
+            raise ValueError(f"cannot evaluate {self.text!r} on a {dims} grid: {exc}") from None
+        if sel.shape != x.shape:
+            raise ValueError(f"partition {self.text!r} gives a mask of shape {sel.shape} "
+                             f"where the grid needs {x.shape}")
+        return sel
+
+    def cells(self, grid) -> CellPartition:
+        """The two-region cell partition on a 1D or 2D grid."""
+        if self.rule is not None:
+            raise ValueError(f"dynamic partition {self.text!r} has no fixed cells")
+        two_d = hasattr(grid, "y")
+        if self.predicate is not None:
+            sel = self._select(*np.meshgrid(grid.x, grid.y)) if two_d else self._select(grid.x)
+        elif two_d:
+            raise ValueError(f"index ranges ({self.text!r}) need a 1D grid")
         else:
-            sel = _eval_predicate(spec, {"x": grid.x})
+            sel = np.zeros(grid.x.size, dtype=bool)
+            for lo, hi in self.ranges:
+                if not 0 <= lo <= hi < sel.size:
+                    raise ValueError(f"index range {lo}-{hi} outside 0..{sel.size - 1}")
+                sel[lo : hi + 1] = True
+        return CellPartition.two_region(~sel if self.coarse else sel)
 
-    refined = ~sel if selects_coarse else sel
-    return CellPartition.two_region(refined)
+    def faces(self, grid) -> FluxPartition2D:
+        """The 2D face partition: each face joins the region of its midpoint."""
+        if self.predicate is None:
+            raise ValueError(f"a 2D flux partition needs a predicate, not {self.text!r}")
+
+        def coarse(x, y):
+            sel = self._select(x, y)
+            return sel if self.coarse else ~sel
+        return FluxPartition2D.from_coarse_predicate(grid, coarse)

@@ -19,8 +19,7 @@ from .decomposition import (
     CellPartition,
     DynamicCellSplit,
     FluxPartition,
-    FluxPartition2D,
-    burgers_dynamic_partition,
+    PartitionSpec,
     cell_split,
     flux_split,
     flux_split_2d,
@@ -46,15 +45,28 @@ __all__ = [
     "run_burgers_shock",
     "run_wnorm_study",
     "run_adv2d",
+    "STANDARD_PARTITIONS",
+    "make_parts",
+    "run_case",
     "EXPERIMENTS",
     "run_experiment",
 ]
 
-# refined region of the 1D smooth advection tests
-SMOOTH_INTERVALS = ((0.125, 0.375), (0.625, 0.875))
+# the standard partition of each problem, read by the experiments and by
+# ``prk integrate``; the headers name two of them in the reports
+STANDARD_PARTITIONS = {
+    "adv1d": "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)",
+    "burgers": "dynamic:burgers:threshold=0.125",
+    "adv2d": "coarse:abs(x-0.5)+abs(y-0.5)<=1/3",
+}
+_PARTITION_HEADERS = {
+    "adv1d": "x in [1/8,3/8] u [5/8,7/8]",
+    "adv2d": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse",
+}
 # single asymmetric interval for the conservation dichotomy; the
-# symmetric pair above makes the region boundary fluxes of the exact
-# sin^2 profile cancel to round-off, hiding the weight mismatch
+# symmetric pair of the adv1d partition above makes the region boundary
+# fluxes of the exact sin^2 profile cancel to round-off, hiding the
+# weight mismatch
 DICHOTOMY_INTERVALS = ((0.125, 0.375),)
 
 # published reference values (max norm, L1) per scheme and resolution
@@ -184,35 +196,60 @@ def shock_position(x: np.ndarray, u: np.ndarray, level: float = 0.5) -> float:
 
 
 # ----------------------------------------------------------------------
-# 1D smooth advection tables
+# one run path: parts from a partition spec, one timed integration
 # ----------------------------------------------------------------------
 
-def _smooth_parts(problem, kind: str, intervals):
-    part = CellPartition.from_intervals(problem.grid.x, intervals)
+def make_parts(problem, kind: str, spec: str):
+    """The ``kind`` (``"cell"`` or ``"flux"``) split of ``problem`` over the
+    partition ``spec`` (see :class:`~prk.decomposition.PartitionSpec`)."""
+    parsed = PartitionSpec.parse(spec)
+    if parsed.rule is not None:
+        if kind != "cell":
+            raise ValueError("dynamic partitions support cell splitting only")
+        return DynamicCellSplit(problem.rhs, parsed.rule)
     if kind == "cell":
-        return cell_split(problem.rhs, part)
-    if kind == "flux":
-        fp = FluxPartition.from_cells(part, problem.grid.dx, periodic=True)
-        return flux_split(problem.flux, fp)
-    raise ValueError(f"unknown decomposition kind {kind!r}")
+        return cell_split(problem.rhs, parsed.cells(problem.grid))
+    if kind != "flux":
+        raise ValueError(f"unknown decomposition kind {kind!r}")
+    grid = problem.grid
+    if isinstance(problem.flux, tuple):  # x- and y-face fluxes
+        return flux_split_2d(problem.flux, parsed.faces(grid))
+    fp = FluxPartition.from_cells(parsed.cells(grid), grid.dx, periodic=grid.periodic)
+    return flux_split(problem.flux, fp)
 
 
-def _run_smooth(scheme: str, m: int, nu: float, kind: str, t_end: float = 1.0):
-    problem = advection1d_weno5(m)
-    parts = _smooth_parts(problem, kind, SMOOTH_INTERVALS)
+@dataclass
+class CaseResult:
+    u: np.ndarray
+    runtime: float
+    mass_drift: float
+    # norms of u minus the reference, None without one
+    errors: dict | None
+
+
+def run_case(problem, scheme: str, parts, dt: float, t_end: float,
+             reference=None) -> CaseResult:
+    """Integrate ``problem`` from its initial state with ``scheme``.
+
+    Times the integration, traces the mass with the cell measures and
+    measures the final error against ``reference`` (default: the exact
+    solution, when the problem has one).
+    """
+    weights = problem.grid.h ** 2 if hasattr(problem.grid, "h") else problem.grid.dx
     t0 = time.perf_counter()
-    res = integrate(
-        IntegrationRun(
-            builtin_tableau(scheme), parts, dt=nu / m, t_end=t_end,
-            u0=problem.initial, mass_weights=problem.grid.dx,
-        )
-    )
+    res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
+                                   u0=problem.initial, mass_weights=weights))
     runtime = time.perf_counter() - t0
-    err = res.u - problem.exact(t_end)
-    n = norms(err, problem.grid.dx)
+    if reference is None and problem.exact is not None:
+        reference = problem.exact(t_end)
+    errors = None if reference is None else norms(res.u - reference, weights)
     drift = abs(res.mass_trace[-1] - res.mass_trace[0])
-    return n["linf"], n["l1"], drift, runtime, res
+    return CaseResult(res.u, runtime, drift, errors)
 
+
+# ----------------------------------------------------------------------
+# 1D smooth advection tables
+# ----------------------------------------------------------------------
 
 def _table_experiment(
     name: str,
@@ -233,7 +270,7 @@ def _table_experiment(
             "problem": "adv1d",
             "T": 1.0,
             "nu": nu,
-            "partition": "x in [1/8,3/8] u [5/8,7/8]",
+            "partition": _PARTITION_HEADERS["adv1d"],
             "decomposition": kind,
         },
     )
@@ -241,12 +278,15 @@ def _table_experiment(
         errs_linf, errs_l1 = {}, {}
         prev = None
         for m in ms:
-            linf, l1, drift, runtime, _ = _run_smooth(scheme, m, nu, kind)
+            problem = advection1d_weno5(m)
+            parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv1d"])
+            case = run_case(problem, scheme, parts, nu / m, 1.0)
+            linf, l1, drift = case.errors["linf"], case.errors["l1"], case.mass_drift
             errs_linf[m], errs_l1[m] = linf, l1
             row = {
                 "scheme": scheme, "decomposition": kind, "m": m, "nu": nu,
                 "err_linf": linf, "err_l1": l1, "order_linf": "",
-                "order_l1": "", "mass_drift": drift, "runtime": runtime,
+                "order_l1": "", "mass_drift": drift, "runtime": case.runtime,
             }
             if prev is not None:
                 pm, plinf, pl1 = prev
@@ -320,22 +360,22 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
         metadata={"problem": "adv1d", "T": 1.0, "m": m, "nu": nu,
                   "decomposition": kind},
     )
-    interface_points = [p for iv in SMOOTH_INTERVALS for p in iv]
+    spec = STANDARD_PARTITIONS["adv1d"]
     for scheme in schemes:
         problem = advection1d_weno5(m)
-        parts = _smooth_parts(problem, kind, SMOOTH_INTERVALS)
-        res = integrate(
-            IntegrationRun(builtin_tableau(scheme), parts, dt=nu / m,
-                           t_end=1.0, u0=problem.initial)
-        )
-        err = res.u - problem.exact(1.0)
-        for xj, ej in zip(problem.grid.x, err):
+        x = problem.grid.x
+        # the cell edges where the partition switches region
+        refined = PartitionSpec.parse(spec).cells(problem.grid).masks[1]
+        interface_points = problem.grid.edges[1:-1][refined[1:] != refined[:-1]]
+        u = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, 1.0).u
+        err = u - problem.exact(1.0)
+        for xj, ej in zip(x, err):
             report.add(scheme=scheme, x=float(xj), error=float(ej))
         abs_err = np.abs(err)
         if scheme == "CS2":
             worst = np.argsort(abs_err)[-4:]
             dist = [
-                min(abs(problem.grid.x[j] - p) for p in interface_points) * m
+                min(abs(x[j] - p) for p in interface_points) * m
                 for j in worst
             ]
             report.check(
@@ -357,40 +397,32 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
 # Burgers shock tracking
 # ----------------------------------------------------------------------
 
-def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=0.125,
+def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
                       include_reference=True, quick=False) -> ExperimentReport:
-    """Shock location at T = 1/2 with the dynamic (shock-tracking) partition."""
+    """Shock location at T = 1/2 with the dynamic (shock-tracking) partition
+    (the standard one unless ``threshold`` is given)."""
     if quick:
         m = m // 2
+    spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
+            else f"dynamic:burgers:threshold={threshold}")
     report = ExperimentReport(
         name="fig2",
         columns=["scheme", "m", "shock_position", "displacement_cells",
                  "mass_drift", "runtime"],
-        metadata={"problem": "burgers", "T": 0.5, "m": m,
-                  "partition": f"dynamic:burgers:threshold={threshold}"},
+        metadata={"problem": "burgers", "T": 0.5, "m": m, "partition": spec},
     )
 
-    def add_row(scheme, u, runtime, drift):
-        pos = shock_position(problem.grid.x, u)
+    def add_row(label, problem, scheme, parts, dt):
+        case = run_case(problem, scheme, parts, dt, 0.5)
+        pos = shock_position(problem.grid.x, case.u)
         cells = abs(pos - 0.75) * m
-        report.add(scheme=scheme, m=m, shock_position=pos,
-                   displacement_cells=cells, mass_drift=drift, runtime=runtime)
+        report.add(scheme=label, m=m, shock_position=pos, displacement_cells=cells,
+                   mass_drift=case.mass_drift, runtime=case.runtime)
         return cells
 
     for scheme in schemes:
         problem = burgers_llf(m)
-        parts = DynamicCellSplit(
-            problem.rhs, lambda u: burgers_dynamic_partition(u, threshold)
-        )
-        t0 = time.perf_counter()
-        res = integrate(
-            IntegrationRun(builtin_tableau(scheme), parts, dt=1.0 / m,
-                           t_end=0.5, u0=problem.initial,
-                           mass_weights=problem.grid.dx)
-        )
-        runtime = time.perf_counter() - t0
-        drift = abs(res.mass_trace[-1] - res.mass_trace[0])
-        cells = add_row(scheme, res.u, runtime, drift)
+        cells = add_row(scheme, problem, scheme, make_parts(problem, "cell", spec), 1.0 / m)
         if scheme == "CS2":
             report.check("CS2 shock within 5 cells of x = 3/4", cells <= 5.0,
                          f"{cells:.1f} cells")
@@ -402,15 +434,7 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=0.125,
                          off >= 0.005, f"{off:.4f} ({cells:.1f} cells)")
     if include_reference:
         problem = burgers_llf(m)
-        t0 = time.perf_counter()
-        res = integrate(
-            IntegrationRun(builtin_tableau("ETR2"), trivial_parts(problem.rhs),
-                           dt=0.5 / m, t_end=0.5, u0=problem.initial,
-                           mass_weights=problem.grid.dx)
-        )
-        runtime = time.perf_counter() - t0
-        drift = abs(res.mass_trace[-1] - res.mass_trace[0])
-        cells = add_row("single-rate", res.u, runtime, drift)
+        cells = add_row("single-rate", problem, "ETR2", trivial_parts(problem.rhs), 0.5 / m)
         report.check("single-rate shock within 3 cells of x = 3/4",
                      cells <= 3.0, f"{cells:.1f} cells")
     return report
@@ -484,23 +508,6 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
 # 2D rotation study
 # ----------------------------------------------------------------------
 
-def _adv2d_partition_cell(problem):
-    X, Y = np.meshgrid(problem.grid.x, problem.grid.y)
-    coarse = np.abs(X - 0.5) + np.abs(Y - 0.5) <= 1.0 / 3.0
-    return CellPartition.two_region(~coarse)
-
-
-def _adv2d_parts(problem, kind: str):
-    if kind == "cell":
-        return cell_split(problem.rhs, _adv2d_partition_cell(problem))
-    if kind == "flux":
-        fp = FluxPartition2D.from_coarse_predicate(
-            problem.grid, lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5) <= 1.0 / 3.0
-        )
-        return flux_split_2d(problem.flux, fp)
-    raise ValueError(f"unknown decomposition kind {kind!r}")
-
-
 def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
               schemes=("TW2", "CS2", "SH2"), reference_tol=1e-10,
               quick=False) -> ExperimentReport:
@@ -517,36 +524,29 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         columns=["scheme", "decomposition", "n", "nu", "dt", "err_linf",
                  "status", "mass_drift", "runtime"],
         metadata={"problem": "adv2d", "T": t_end, "decomposition": kind,
-                  "partition": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse"},
+                  "partition": _PARTITION_HEADERS["adv2d"]},
     )
     errs: dict[tuple[str, float, int], float] = {}
     for n in ns:
         problem = advection2d(n)
         uref = reference_integrate(problem, t_end, tol=reference_tol)
-        parts = _adv2d_parts(problem, kind)
-        area = problem.grid.h ** 2
+        parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv2d"])
         for scheme in ("ETR2x2",) + tuple(schemes):
             for nu in nus:
                 dt = nu * problem.grid.h / (2.0 * np.pi)
                 n_steps = max(1, int(np.ceil(t_end / dt)))
                 dt = t_end / n_steps
-                t0 = time.perf_counter()
+                if scheme == "ETR2x2":  # the base method, unsplit, at half the step
+                    tableau, split, step = "ETR2", trivial_parts(problem.rhs), 0.5 * dt
+                else:
+                    tableau, split, step = scheme, parts, dt
                 try:
-                    if scheme == "ETR2x2":
-                        res = integrate(IntegrationRun(
-                            builtin_tableau("ETR2"), trivial_parts(problem.rhs),
-                            dt=0.5 * dt, t_end=t_end, u0=problem.initial,
-                            mass_weights=area))
-                    else:
-                        res = integrate(IntegrationRun(
-                            builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
-                            u0=problem.initial, mass_weights=area))
-                    err = float(np.max(np.abs(res.u - uref)))
-                    drift = abs(res.mass_trace[-1] - res.mass_trace[0])
-                    status = "ok"
+                    case = run_case(problem, tableau, split, step, t_end, reference=uref)
+                    err, drift, status = case.errors["linf"], case.mass_drift, "ok"
+                    runtime = case.runtime
                 except IntegrationDiverged as exc:
                     err, drift, status = float("inf"), float("nan"), f"diverged@{exc.step}"
-                runtime = time.perf_counter() - t0
+                    runtime = float("nan")
                 errs[(scheme, nu, n)] = err
                 report.add(scheme=scheme, decomposition=kind, n=n, nu=float(nu),
                            dt=dt, err_linf=err, status=status,

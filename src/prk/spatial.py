@@ -17,7 +17,6 @@ from .weno import (
     interface_states,
     llf_split_flux,
     pad_periodic,
-    weno5_flux,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "burgers_llf",
     "advection2d",
     "norms",
-    "weno5_flux",
 ]
 
 

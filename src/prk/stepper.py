@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,19 +27,6 @@ class IntegrationDiverged(RuntimeError):
         super().__init__(message)
         self.step = step
         self.t = t
-
-
-class _ListParts:
-    """Adapter letting a plain list of evaluators act as a decomposition."""
-
-    def __init__(self, fns: Sequence[Callable]):
-        self.fns = list(fns)
-        self.r = len(self.fns)
-
-    def eval_parts(self, t, v, needed=None):
-        if needed is None:
-            needed = [True] * self.r
-        return [fn(t, v) if use else None for fn, use in zip(self.fns, needed)]
 
 
 @dataclass(frozen=True)
@@ -109,13 +95,11 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
 def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.ndarray:
     """One step of the partitioned scheme from ``t`` to ``t + dt``.
 
-    ``parts`` is either a decomposition object with ``eval_parts`` or a
-    plain sequence of per-part evaluators; each part is evaluated at most
-    once per stage, and stages whose coefficients are all zero for a part
-    skip that evaluation entirely.
+    ``parts`` is a decomposition with ``r`` and ``eval_parts`` (see
+    :mod:`prk.decomposition`); each part is evaluated at most once per
+    stage, and stages whose coefficients are all zero for a part skip
+    that evaluation entirely.
     """
-    if not hasattr(parts, "eval_parts"):
-        parts = _ListParts(parts)
     if parts.r != tab.r:
         raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
     plan = _plan(tab)
@@ -151,7 +135,7 @@ class IntegrationRun:
     ``dt`` must divide ``t_end - t0`` to an integer number of steps.  A
     dynamic decomposition (one with ``begin_step``) is rebuilt from the
     current state before every step.  ``mass_weights`` turns on the
-    conservation trace; ``store_every > 0`` samples the state.
+    conservation trace.
     """
 
     tableau: PRKTableau
@@ -161,7 +145,6 @@ class IntegrationRun:
     t0: float = 0.0
     u0: np.ndarray | None = None
     mass_weights: np.ndarray | float | None = None
-    store_every: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -178,7 +161,6 @@ class IntegrationResult:
     t: float
     n_steps: int
     mass_trace: list[float] = field(default_factory=list)
-    samples: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
@@ -206,7 +188,6 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
     t = run.t0
     n_steps = run.n_steps
     mass_trace: list[float] = []
-    samples: list[tuple[float, np.ndarray]] = []
     if run.mass_weights is not None:
         mass_trace.append(mass(run.mass_weights, u))
     dynamic = hasattr(run.parts, "begin_step")
@@ -224,9 +205,7 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
         t = run.t0 + (n + 1) * run.dt
         if run.mass_weights is not None:
             mass_trace.append(mass(run.mass_weights, u))
-        if run.store_every and (n + 1) % run.store_every == 0:
-            samples.append((t, u.copy()))
-    return IntegrationResult(u=u, t=t, n_steps=n_steps, mass_trace=mass_trace, samples=samples)
+    return IntegrationResult(u=u, t=t, n_steps=n_steps, mass_trace=mass_trace)
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,10 @@ import numpy as np
 __all__ = [
     "WENO_EPS",
     "pad_periodic",
-    "pad_dirichlet",
     "edge_from_left",
     "edge_from_right",
     "interface_states",
     "llf_split_flux",
-    "weno5_flux",
 ]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
@@ -45,14 +43,6 @@ _RIGHT = (5, 4, 3, 2, 1)
 
 def pad_periodic(u: np.ndarray, width: int = 3) -> np.ndarray:
     return np.concatenate([u[..., -width:], u, u[..., :width]], axis=-1)
-
-
-def pad_dirichlet(u: np.ndarray, left, right, width: int = 3) -> np.ndarray:
-    """Pad with given ghost values (scalars or arrays of shape (..., width))."""
-    shape = u.shape[:-1] + (width,)
-    lg = np.broadcast_to(np.asarray(left, dtype=float), shape)
-    rg = np.broadcast_to(np.asarray(right, dtype=float), shape)
-    return np.concatenate([lg, u, rg], axis=-1)
 
 
 def _line(w):
@@ -158,29 +148,6 @@ def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstructed left/right states ``(u_minus, u_plus)`` at all interfaces."""
     line = _line(w)
     return _edge(line, _LEFT), _edge(line, _RIGHT)
-
-
-def weno5_flux(v: np.ndarray, windsign: int = 1, boundary="periodic") -> np.ndarray:
-    """Upwind-biased interface fluxes for a line of point values.
-
-    ``windsign`` picks the bias (+1 takes the reconstruction from the
-    left, -1 from the right).  ``boundary`` is either ``"periodic"`` or a
-    pair ``(left, right)`` of ghost values (scalars or length-3 arrays).
-    Needs at least six cells for the interior stencils.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] < 6:
-        raise ValueError("WENO5 needs at least 6 cells")
-    if windsign not in (1, -1):
-        raise ValueError("windsign must be +1 or -1")
-    if isinstance(boundary, str):
-        if boundary != "periodic":
-            raise ValueError(f"unknown boundary rule {boundary!r}")
-        w = pad_periodic(v)
-    else:
-        left, right = boundary
-        w = pad_dirichlet(v, left, right)
-    return edge_from_left(w) if windsign > 0 else edge_from_right(w)
 
 
 def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:

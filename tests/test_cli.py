@@ -101,3 +101,19 @@ def test_integrate_adv1d_flux_partition_ranges(runner):
     assert out.exit_code == 0, out.output
     drift = float(out.output.split("mass drift |m(T) - m(0)| = ")[1].split()[0])
     assert drift < 1e-12
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "adv2d", "--partition", "ranges:2-4"], "need a 1D grid"),
+    (["--problem", "adv1d", "--partition", "0.5"], r"mask of shape ()"),
+    (["--problem", "adv2d", "--decomposition", "flux", "--partition", "ranges:2-4"],
+     "needs a predicate"),
+    (["--problem", "adv1d", "--partition", "bogus("], "was never closed"),
+    (["--problem", "adv1d", "--partition", "x.__class__"], "Attribute at column 1"),
+])
+def test_integrate_rejects_bad_partitions_without_a_traceback(runner, args, message):
+    out = runner.invoke(main, ["integrate", "--m", "12", *args])
+    assert out.exit_code == 1
+    assert isinstance(out.exception, SystemExit), out.exception
+    assert out.output.startswith("Error: bad partition: "), out.output
+    assert message in out.output

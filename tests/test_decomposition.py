@@ -12,11 +12,12 @@ from prk.decomposition import (
     cell_split,
     flux_split,
     flux_split_2d,
+    PartitionSpec,
     mass,
-    parse_partition_spec,
     trivial_parts,
 )
-from prk.spatial import advection1d_weno5, advection2d, upwind1d
+from prk.harness import STANDARD_PARTITIONS
+from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 
 
 def _two_region(m, lo, hi):
@@ -68,7 +69,7 @@ def test_cell_split_identity_partition():
     F = lambda t, v: np.sin(v) + t
     parts = cell_split(F, CellPartition.single((9,)))
     v = rng.standard_normal(9)
-    assert np.array_equal(parts[0](0.3, v), F(0.3, v))
+    assert np.array_equal(parts.eval_parts(0.3, v)[0], F(0.3, v))
 
 
 def test_cell_split_partition_of_unity_exact():
@@ -90,7 +91,7 @@ def test_cell_split_row_structure_on_upwind():
     parts = cell_split(lambda t, v: prob.linear_matrix @ v, part)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(m)
-    f1 = parts[0](0.0, v)
+    f1 = parts.eval_parts(0.0, v)[0]
     assert np.all(f1[part.masks[1]] == 0.0)
     assert np.allclose(f1[part.masks[0]], (prob.linear_matrix @ v)[part.masks[0]])
 
@@ -112,7 +113,7 @@ def test_flux_split_single_region_is_identity():
     parts = flux_split(p.flux, fp)
     rng = np.random.default_rng(3)
     v = rng.random(m)
-    assert np.allclose(parts[0](0.0, v), p.rhs(0.0, v), atol=1e-15)
+    assert np.allclose(parts.eval_parts(0.0, v)[0], p.rhs(0.0, v), atol=1e-15)
 
 
 def test_flux_split_interface_formulas_upwind():
@@ -211,6 +212,12 @@ def test_dynamic_split_rebuilds_once_per_step():
     assert len(calls) == 4  # one rebuild per step, none per stage
 
 
+def test_dynamic_split_rejects_masks_of_the_wrong_shape():
+    ds = DynamicCellSplit(lambda t, v: -v, lambda u: burgers_dynamic_partition(u[:-1]))
+    with pytest.raises(ValueError, match=r"shape \(2,\) for a state of shape \(3,\)"):
+        ds.begin_step(np.zeros(3))
+
+
 # ----------------------------------------------------------------------
 # mass and parsing
 # ----------------------------------------------------------------------
@@ -231,41 +238,117 @@ def test_mass_shape_mismatch():
 
 def test_parse_ranges_selects_refined():
     g = advection1d_weno5(16).grid
-    p = parse_partition_spec("ranges:4-7,12-13", g)
+    p = PartitionSpec.parse("ranges:4-7,12-13").cells(g)
     assert list(np.where(p.masks[1])[0]) == [4, 5, 6, 7, 12, 13]
 
 
 def test_parse_predicate_1d_and_coarse_prefix():
     g = advection1d_weno5(16).grid
-    p = parse_partition_spec("(x>=0.25)&(x<0.5)", g)
-    q = parse_partition_spec("coarse:(x>=0.25)&(x<0.5)", g)
+    p = PartitionSpec.parse("(x>=0.25)&(x<0.5)").cells(g)
+    q = PartitionSpec.parse("coarse:(x>=0.25)&(x<0.5)").cells(g)
     assert np.array_equal(p.masks[1], q.masks[0])
 
 
 def test_parse_predicate_2d():
     g = advection2d(10).grid
-    p = parse_partition_spec("coarse:abs(x-0.5)+abs(y-0.5)<=1/3", g)
+    p = PartitionSpec.parse("coarse:abs(x-0.5)+abs(y-0.5)<=1/3").cells(g)
     assert p.masks[0].shape == (10, 10)
     assert p.masks[0][5, 5]  # center is coarse
     assert not p.masks[0][0, 0]  # corner is refined
 
 
+def test_parse_predicate_grammar():
+    g = advection1d_weno5(16).grid
+    x = g.x
+    got = PartitionSpec.parse("~(min(x, 1-x) < 0.2) | (-x*2 > -0.5/1)").cells(g)
+    want = ~(np.minimum(x, 1 - x) < 0.2) | (-x * 2 > -0.5)
+    assert np.array_equal(got.masks[1], want)
+
+
 def test_parse_dynamic_spec():
     g = advection1d_weno5(8).grid
-    rule = parse_partition_spec("dynamic:burgers:threshold=0.25", g)
-    assert callable(rule)
-    p = rule(np.array([0.0, 0.3, 0.2, 0.26, 0.1, 0.0, 0.0, 0.0]))
+    spec = PartitionSpec.parse("dynamic:burgers:threshold=0.25")
+    p = spec.rule(np.array([0.0, 0.3, 0.2, 0.26, 0.1, 0.0, 0.0, 0.0]))
     assert list(np.where(p.masks[1])[0]) == [1, 3]
+    with pytest.raises(ValueError, match="dynamic"):
+        spec.cells(g)
 
 
 def test_parse_errors():
     g = advection1d_weno5(8).grid
     with pytest.raises(ValueError):
-        parse_partition_spec("dynamic:shock", g)
+        PartitionSpec.parse("dynamic:shock")
     with pytest.raises(ValueError):
-        parse_partition_spec("ranges:5-99", g)
+        PartitionSpec.parse("ranges:5-99").cells(g)
     with pytest.raises(ValueError):
-        parse_partition_spec("import os", g)
+        PartitionSpec.parse("import os")
+
+
+@pytest.mark.parametrize("text, node, column", [
+    ("x.__class__", "Attribute", 1),
+    ("(x).__class__.__mro__", "Attribute", 1),
+    ("x.sum()>0", "Call", 1),
+    ("x[0] > 0.5", "Subscript", 1),
+    ("(lambda: x)() > 0", "Call", 1),
+    ("abs(lambda: x) > 0", "Lambda", 5),
+    ("x > __import__('os')", "Call", 5),
+    ("z < 0.5", "Name", 1),
+    ("x < True", "Constant", 5),
+    ("x ** 2 < 0.5", "BinOp", 1),
+    ("x < 0.5 and x > 0.1", "BoolOp", 1),
+    ("abs(x, 2) < 0.5", "Call", 1),
+    ("min(x, x, x) < 0.5", "Call", 1),
+    ("0.25 <= x < 0.5", "Compare", 1),
+])
+def test_predicates_outside_the_grammar_are_rejected(text, node, column):
+    with pytest.raises(ValueError, match=rf"{node} at column {column} is not allowed"):
+        PartitionSpec.parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bogus(", "never closed"),
+    ("0.5", r"shape \(\)"),
+    ("y < 0.5", "on a 1D grid"),
+    ("~x < 1", "cannot evaluate"),
+    ("x < 1/0", "cannot evaluate"),
+])
+def test_predicates_that_cannot_give_a_mask_are_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
+        PartitionSpec.parse(text).cells(advection1d_weno5(8).grid)
+
+
+def test_ranges_and_2d_faces_need_their_grids():
+    g2 = advection2d(8).grid
+    with pytest.raises(ValueError, match="1D grid"):
+        PartitionSpec.parse("ranges:2-4").cells(g2)
+    with pytest.raises(ValueError, match="needs a predicate"):
+        PartitionSpec.parse("ranges:2-4").faces(g2)
+
+
+@pytest.mark.parametrize("m", [50, 100, 200, 400, 800])
+def test_standard_specs_reproduce_the_literal_partitions(m):
+    g = advection1d_weno5(m).grid
+    want = CellPartition.from_intervals(g.x, ((0.125, 0.375), (0.625, 0.875)))
+    got = PartitionSpec.parse(STANDARD_PARTITIONS["adv1d"]).cells(g)
+    assert all(np.array_equal(a, b) for a, b in zip(got.masks, want.masks))
+
+    grid = advection2d(m // 5).grid
+    spec = PartitionSpec.parse(STANDARD_PARTITIONS["adv2d"])
+    X, Y = np.meshgrid(grid.x, grid.y)
+    coarse = np.abs(X - 0.5) + np.abs(Y - 0.5) <= 1.0 / 3.0
+    cells = spec.cells(grid)
+    assert np.array_equal(cells.masks[0], coarse) and np.array_equal(cells.masks[1], ~coarse)
+    want_faces = FluxPartition2D.from_coarse_predicate(
+        grid, lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5) <= 1.0 / 3.0)
+    faces = spec.faces(grid)
+    for got_masks, want_masks in ((faces.xmasks, want_faces.xmasks),
+                                  (faces.ymasks, want_faces.ymasks)):
+        assert all(np.array_equal(a, b) for a, b in zip(got_masks, want_masks))
+
+    u = burgers_llf(m).initial
+    rule = PartitionSpec.parse(STANDARD_PARTITIONS["burgers"]).rule
+    assert all(np.array_equal(a, b) for a, b in
+               zip(rule(u).masks, burgers_dynamic_partition(u, 0.125).masks))
 
 
 def test_trivial_parts():

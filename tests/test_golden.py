@@ -11,6 +11,9 @@ exact solutions use sin, cos and exp) round as they did when the files
 were recorded; ``libm.sha256`` fingerprints them.  On a platform with a
 different fingerprint the reports are compared at round-off instead.
 
+The final states written by ``prk integrate --out`` are compared the
+same way, one file per problem and decomposition path of the command.
+
 To re-record after a deliberate change of the numbers, run
 ``python tests/test_golden.py`` from the repository root (with ``src`` on
 ``PYTHONPATH``) and say why in CHANGES.md.
@@ -22,6 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from click.testing import CliRunner
+
+from prk.cli import main
 from prk.harness import run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,8 +35,21 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "table1": dict(schemes=("SH2",), ms=(100, 200)),
     "table2": dict(schemes=("SH2",), ms=(100, 200)),
+    "fig1": dict(m=200),
     "fig2": dict(m=400),
+    "adv2d-cell": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
     "adv2d-flux": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
+}
+
+# ``prk integrate`` arguments per stored final state
+INTEGRATE_CASES = {
+    "adv1d-cell": ["--problem", "adv1d", "--m", "64", "--scheme", "TW2"],
+    "adv1d-flux-ranges": ["--problem", "adv1d", "--m", "64", "--scheme", "SH2",
+                          "--decomposition", "flux", "--partition", "ranges:16-31"],
+    "burgers-dynamic": ["--problem", "burgers", "--m", "100", "--scheme", "CS2"],
+    "adv2d-cell": ["--problem", "adv2d", "--m", "12", "--scheme", "TW2"],
+    "adv2d-flux": ["--problem", "adv2d", "--m", "12", "--scheme", "TW2",
+                   "--decomposition", "flux"],
 }
 
 
@@ -57,17 +76,36 @@ def _assert_round_off(got: str, want: str) -> None:
             assert g_val == pytest.approx(w_val, rel=1e-9, abs=1e-12, nan_ok=True), (gl, wl)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_report_is_byte_identical(name):
-    want = (GOLDEN / f"{name}.csv").read_text()
-    got = run_experiment(name, **CASES[name]).to_csv()
+def _assert_same(got: str, want: str) -> None:
     if (GOLDEN / "libm.sha256").read_text().strip() == libm_fingerprint():
         assert got.encode() == want.encode()
     else:
         _assert_round_off(got, want)
 
 
+def integrated_state(name: str, out_file: Path) -> str:
+    result = CliRunner().invoke(main, ["integrate", *INTEGRATE_CASES[name],
+                                       "--out", str(out_file)])
+    assert result.exit_code == 0, result.output
+    return out_file.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name):
+    want = (GOLDEN / f"{name}.csv").read_text()
+    _assert_same(run_experiment(name, **CASES[name]).to_csv(), want)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
+def test_integrated_state_is_byte_identical(name, tmp_path):
+    want = (GOLDEN / f"integrate-{name}.csv").read_text()
+    _assert_same(integrated_state(name, tmp_path / "state.csv"), want)
+
+
 if __name__ == "__main__":
     for name, kwargs in CASES.items():
         (GOLDEN / f"{name}.csv").write_text(run_experiment(name, **kwargs).to_csv())
+    for name in INTEGRATE_CASES:
+        path = GOLDEN / f"integrate-{name}.csv"
+        integrated_state(name, path)
     (GOLDEN / "libm.sha256").write_text(libm_fingerprint() + "\n")

@@ -46,7 +46,7 @@ BASE = {
 def test_forward_euler_scalar():
     lam = -0.7
     F = lambda t, v: lam * v
-    u1 = prk_step(builtin_tableau("FE1"), [F], 0.0, 0.1, np.array([2.0]))
+    u1 = prk_step(builtin_tableau("FE1"), trivial_parts(F), 0.0, 0.1, np.array([2.0]))
     assert np.isclose(u1[0], (1 + lam * 0.1) * 2.0, rtol=0, atol=1e-16)
 
 
@@ -175,7 +175,7 @@ def test_stage_times_use_shared_abscissae():
 
 def test_part_count_mismatch():
     with pytest.raises(ValueError, match="parts"):
-        prk_step(builtin_tableau("OS1"), [lambda t, v: v], 0.0, 0.1, np.ones(2))
+        prk_step(builtin_tableau("OS1"), trivial_parts(lambda t, v: v), 0.0, 0.1, np.ones(2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -190,7 +190,7 @@ def test_divergence_reports_step_index():
 
 
 def test_run_validates_step_count():
-    run = IntegrationRun(builtin_tableau("FE1"), [lambda t, v: v], dt=0.3,
+    run = IntegrationRun(builtin_tableau("FE1"), trivial_parts(lambda t, v: v), dt=0.3,
                          t_end=1.0, u0=np.ones(1))
     with pytest.raises(ValueError):
         integrate(run)
@@ -211,8 +211,8 @@ def test_run_rejects_bad_input_naming_the_field(field, overrides):
         calls.append(t)
         return -v
 
-    run = dict(tableau=builtin_tableau("FE1"), parts=[counting], dt=0.1, t_end=1.0,
-               u0=np.ones(2))
+    run = dict(tableau=builtin_tableau("FE1"), parts=trivial_parts(counting), dt=0.1,
+               t_end=1.0, u0=np.ones(2))
     run.update(overrides)
     with pytest.raises(ValueError, match=rf"IntegrationRun\.{field}\b"):
         integrate(IntegrationRun(**run))
@@ -243,19 +243,16 @@ def test_step_plan_is_built_once_per_tableau_without_hashing():
     assert plain == tw2 and hash(plain) == hash(tw2)
 
 
-def test_integrate_traces_mass_and_samples():
+def test_integrate_traces_mass():
     m = 20
     prob = advection1d_weno5(m)
     run = IntegrationRun(
         builtin_tableau("ETR2"), trivial_parts(prob.rhs), dt=0.5 / m,
-        t_end=10 * 0.5 / m, u0=prob.initial,
-        mass_weights=prob.grid.dx, store_every=5,
+        t_end=10 * 0.5 / m, u0=prob.initial, mass_weights=prob.grid.dx,
     )
     res = integrate(run)
     assert res.n_steps == 10
     assert len(res.mass_trace) == 11
-    assert len(res.samples) == 2
-    assert np.isclose(res.samples[-1][0], res.t)
 
 
 def test_reference_matches_matrix_exponential():

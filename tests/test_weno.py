@@ -3,8 +3,6 @@ mirror symmetry, the split-flux path, and bitwise equality with the
 textbook evaluation order."""
 
 import numpy as np
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,9 +13,7 @@ from prk.weno import (
     edge_from_right,
     interface_states,
     llf_split_flux,
-    pad_dirichlet,
     pad_periodic,
-    weno5_flux,
 )
 
 
@@ -53,13 +49,6 @@ def test_pad_periodic_wraps():
     assert list(w[-3:]) == [0.0, 1.0, 2.0]
 
 
-def test_pad_dirichlet_scalar_and_array():
-    u = np.ones(6)
-    w = pad_dirichlet(u, 2.0, np.array([3.0, 4.0, 5.0]))
-    assert list(w[:3]) == [2.0, 2.0, 2.0]
-    assert list(w[-3:]) == [3.0, 4.0, 5.0]
-
-
 def test_llf_split_reduces_to_upwind_for_positive_wind():
     # with alpha = |a| the downwind half of the splitting vanishes, so the
     # result is the left-biased reconstruction of the flux values
@@ -78,22 +67,6 @@ def test_llf_split_reduces_to_downwind_for_negative_wind():
     w = pad_periodic(u)
     split = llf_split_flux(a * w, w, abs(a))
     assert np.abs(split - edge_from_right(a * w)).max() < 1e-13
-
-
-def test_weno5_flux_wrapper():
-    rng = np.random.default_rng(21)
-    u = rng.random(16)
-    assert np.allclose(weno5_flux(u), edge_from_left(pad_periodic(u)))
-    assert np.allclose(weno5_flux(u, windsign=-1),
-                       edge_from_right(pad_periodic(u)))
-    ghost = weno5_flux(u, boundary=(0.0, u[-3:]))
-    assert ghost.shape == (17,)
-    with pytest.raises(ValueError):
-        weno5_flux(u[:4])
-    with pytest.raises(ValueError):
-        weno5_flux(u, windsign=0)
-    with pytest.raises(ValueError):
-        weno5_flux(u, boundary="outflow")
 
 
 def test_kernels_broadcast_over_leading_axes():
