@@ -58,6 +58,13 @@ def _load_config(path: str | None) -> dict:
     return overrides
 
 
+def _check_schemes(names) -> None:
+    unknown = [s for s in names if s not in builtin_names()]
+    if unknown:
+        raise click.ClickException(f"unknown scheme(s) {', '.join(unknown)}; "
+                                   f"choose from {', '.join(builtin_names())}")
+
+
 @click.group()
 def main():
     """Partitioned / multirate Runge-Kutta experiments."""
@@ -85,17 +92,11 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         kwargs["schemes"] = tuple(str(s).upper() for s in kwargs["schemes"])
     if schemes:
         kwargs["schemes"] = tuple(s.strip().upper() for s in schemes.split(","))
+    _check_schemes(kwargs.get("schemes", ()))
     if quick:
         kwargs["quick"] = True
     fn = EXPERIMENTS[experiment]
-    sig = inspect.signature(fn)
-    try:
-        has_var_kw = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-        )
-        unknown = [k for k in kwargs if k not in sig.parameters and not has_var_kw]
-    except (TypeError, ValueError):
-        unknown = []
+    unknown = [k for k in kwargs if k not in inspect.signature(fn).parameters]
     if unknown:
         raise click.ClickException(
             f"unknown option(s) for {experiment}: {', '.join(unknown)}"
@@ -122,6 +123,7 @@ def analyze_cmd(schemes, ms, nus, outfile):
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
     schemes_t = tuple(s.strip().upper() for s in schemes.split(","))
+    _check_schemes(schemes_t)
     ms_t = tuple(int(v) for v in ms.split(","))
     nus_t = tuple(float(v) for v in nus.split(","))
     report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
@@ -133,7 +135,8 @@ def analyze_cmd(schemes, ms, nus, outfile):
         click.echo(text, nl=False)
 
 
-# final time of each problem's standard run
+# builder and final time of each problem's standard run
+_BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advection2d}
 _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 
 
@@ -141,31 +144,29 @@ _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 @click.option("--problem", type=click.Choice(sorted(_T_END)), required=True)
 @click.option("--m", "m", type=int, required=True,
               help="Cells (per direction for adv2d).")
-@click.option("--nu", type=float, default=0.5, show_default=True,
-              help="Courant number fixing the step size.")
+@click.option("--nu", type=click.FloatRange(0.0, min_open=True), default=0.5,
+              show_default=True, help="Courant number fixing the step size.")
 @click.option("--scheme", default="TW2", show_default=True)
 @click.option("--decomposition", "kind", type=click.Choice(["cell", "flux"]),
               default="cell", show_default=True)
 @click.option("--partition", "partition_spec", default=None,
               help="Partition spec (see docs); defaults to the problem's standard one.")
-@click.option("--t-end", type=float, default=None,
+@click.option("--t-end", type=click.FloatRange(0.0, min_open=True), default=None,
               help="Final time (defaults to the problem's standard value).")
 @click.option("--out", "outfile", default=None,
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
+    scheme = scheme.strip().upper()
+    _check_schemes((scheme,))
     t_end = _T_END[problem] if t_end is None else t_end
     spec = partition_spec or STANDARD_PARTITIONS[problem]
 
-    if problem == "adv1d":
-        prob = advection1d_weno5(m)
-        dt = nu / m
-    elif problem == "burgers":
-        prob = burgers_llf(m)
-        dt = nu / m
-    else:
-        prob = advection2d(m)
-        dt = nu * prob.grid.h / (2.0 * np.pi)
+    try:
+        prob = _BUILDERS[problem](m)
+    except ValueError as exc:
+        raise click.ClickException(f"bad --m: {exc}") from None
+    dt = nu * prob.grid.h / (2.0 * np.pi) if problem == "adv2d" else nu / m
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
 
@@ -173,6 +174,10 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
         parts = make_parts(prob, kind, spec)
     except ValueError as exc:
         raise click.ClickException(f"bad partition: {exc}") from None
+    r = builtin_tableau(scheme).r
+    if r != parts.r:
+        raise click.ClickException(f"scheme {scheme} takes {r} part(s), "
+                                   f"the partition {spec!r} gives {parts.r}")
     case = run_case(prob, scheme, parts, dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "
                f"{n_steps} steps of dt={dt:.3e}")
@@ -185,16 +190,12 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
         click.echo(f"shock position {pos:.6f} (target 0.75, "
                    f"{abs(pos - 0.75) * m:.1f} cells off)")
     if outfile:
+        centres = prob.grid.centres
         with open(outfile, "w") as fh:
-            if problem == "adv2d":
-                fh.write("x,y,u\n")
-                for iy, yv in enumerate(prob.grid.y):
-                    for ix, xv in enumerate(prob.grid.x):
-                        fh.write(f"{xv!r},{yv!r},{case.u[iy, ix]!r}\n")
-            else:
-                fh.write("x,u\n")
-                for xv, uv in zip(prob.grid.x, case.u):
-                    fh.write(f"{xv!r},{uv!r}\n")
+            # one row per cell, x fastest: the [iy, ix] order of 2D states
+            fh.write(",".join("xy"[: len(centres)]) + ",u\n")
+            for row in zip(*(c.ravel() for c in centres), case.u.ravel()):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         click.echo(f"wrote {outfile}")
 
 

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .spatial import Grid1D, Grid2D
+
 __all__ = [
     "CellPartition",
     "FluxPartition",
@@ -91,14 +93,13 @@ class FluxPartition:
     """
 
     masks: tuple[np.ndarray, ...]
-    dx: np.ndarray
-    periodic: bool
+    grid: Grid1D
 
     def __post_init__(self):
         _check_masks(self.masks)
-        if self.masks[0].shape != (self.dx.size + 1,):
+        if self.masks[0].shape != (self.grid.m + 1,):
             raise ValueError("flux masks must have length m + 1")
-        if self.periodic:
+        if self.grid.periodic:
             for mk in self.masks:
                 if mk[0] != mk[-1]:
                     raise ValueError(
@@ -110,18 +111,13 @@ class FluxPartition:
         return len(self.masks)
 
     @classmethod
-    def from_cells(cls, cells: CellPartition, dx, periodic: bool) -> "FluxPartition":
-        dx = np.asarray(dx, dtype=float)
-        m = dx.size
+    def from_cells(cls, cells: CellPartition, grid: Grid1D) -> "FluxPartition":
         masks = []
         for mk in cells.masks:
-            if mk.shape != (m,):
+            if mk.shape != (grid.m,):
                 raise ValueError("cell masks must match the grid size")
-            jm = np.empty(m + 1, dtype=bool)
-            jm[:m] = mk
-            jm[m] = mk[0] if periodic else mk[m - 1]
-            masks.append(jm)
-        return cls(tuple(masks), dx=dx, periodic=periodic)
+            masks.append(np.append(mk, mk[0] if grid.periodic else mk[-1]))
+        return cls(tuple(masks), grid)
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ class FluxPartition2D:
 
     xmasks: tuple[np.ndarray, ...]
     ymasks: tuple[np.ndarray, ...]
-    h: float
+    grid: Grid2D
 
     def __post_init__(self):
         _check_masks(self.xmasks)
@@ -141,7 +137,7 @@ class FluxPartition2D:
         return len(self.xmasks)
 
     @classmethod
-    def from_coarse_predicate(cls, grid, predicate) -> "FluxPartition2D":
+    def from_coarse_predicate(cls, grid: Grid2D, predicate) -> "FluxPartition2D":
         """Two regions; a face joins region 1 when the predicate holds at
         its midpoint."""
         edges = grid.edges
@@ -149,7 +145,7 @@ class FluxPartition2D:
         xm1 = np.asarray(predicate(Xf, Yf), dtype=bool)
         Xg, Yg = np.meshgrid(grid.x, edges)
         ym1 = np.asarray(predicate(Xg, Yg), dtype=bool)
-        return cls((xm1, ~xm1), (ym1, ~ym1), h=grid.h)
+        return cls((xm1, ~xm1), (ym1, ~ym1), grid)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +184,8 @@ def cell_split(F: Callable, partition: CellPartition) -> CellSplitParts:
 class FluxSplitParts:
     """Interface masking of a conservative right-hand side.
 
-    Each part divides the masked flux differences by the cell widths, so
-    ``h^T F_k = 0`` telescopes on periodic grids for every region.
+    Each part is the grid's conservative difference of the masked fluxes,
+    so ``h^T F_k = 0`` telescopes on periodic grids for every region.
     """
 
     def __init__(self, flux: Callable, partition: FluxPartition):
@@ -203,19 +199,13 @@ class FluxSplitParts:
         if not any(needed):
             return [None] * self.r
         p = self.partition
-        if np.shape(v) != (p.dx.size,):
+        if np.shape(v) != (p.grid.m,):
             raise ValueError("state shape does not match the flux partition")
         phi = self.flux(t, v)
-        if np.shape(phi) != (p.dx.size + 1,):
+        if np.shape(phi) != (p.grid.m + 1,):
             raise ValueError("flux evaluator must return m + 1 interface values")
-        out = []
-        for mk, use in zip(p.masks, needed):
-            if not use:
-                out.append(None)
-                continue
-            masked = np.where(mk, phi, 0.0)
-            out.append((masked[:-1] - masked[1:]) / p.dx)
-        return out
+        return [p.grid.divergence(np.where(mk, phi, 0.0)) if use else None
+                for mk, use in zip(p.masks, needed)]
 
 
 def flux_split(flux: Callable, partition: FluxPartition) -> FluxSplitParts:
@@ -236,17 +226,8 @@ class FluxSplit2DParts:
         p = self.partition
         fx = self.flux_x(t, v)
         fy = self.flux_y(t, v)
-        out = []
-        for xm, ym, use in zip(p.xmasks, p.ymasks, needed):
-            if not use:
-                out.append(None)
-                continue
-            mfx = np.where(xm, fx, 0.0)
-            mfy = np.where(ym, fy, 0.0)
-            out.append(
-                (mfx[:, :-1] - mfx[:, 1:]) / p.h + (mfy[:-1, :] - mfy[1:, :]) / p.h
-            )
-        return out
+        return [p.grid.divergence((np.where(xm, fx, 0.0), np.where(ym, fy, 0.0)))
+                if use else None for xm, ym, use in zip(p.xmasks, p.ymasks, needed)]
 
 
 def flux_split_2d(fluxes, partition: FluxPartition2D) -> FluxSplit2DParts:
@@ -426,13 +407,13 @@ class PartitionSpec:
         """The two-region cell partition on a 1D or 2D grid."""
         if self.rule is not None:
             raise ValueError(f"dynamic partition {self.text!r} has no fixed cells")
-        two_d = hasattr(grid, "y")
+        centres = grid.centres
         if self.predicate is not None:
-            sel = self._select(*np.meshgrid(grid.x, grid.y)) if two_d else self._select(grid.x)
-        elif two_d:
+            sel = self._select(*centres)
+        elif len(centres) > 1:
             raise ValueError(f"index ranges ({self.text!r}) need a 1D grid")
         else:
-            sel = np.zeros(grid.x.size, dtype=bool)
+            sel = np.zeros(centres[0].size, dtype=bool)
             for lo, hi in self.ranges:
                 if not 0 <= lo <= hi < sel.size:
                     raise ValueError(f"index range {lo}-{hi} outside 0..{sel.size - 1}")

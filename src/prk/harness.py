@@ -7,6 +7,7 @@ Wall-clock timings are kept on the in-memory rows but never serialized.
 
 from __future__ import annotations
 
+import functools
 import io
 import time
 from dataclasses import dataclass, field
@@ -214,8 +215,7 @@ def make_parts(problem, kind: str, spec: str):
     grid = problem.grid
     if isinstance(problem.flux, tuple):  # x- and y-face fluxes
         return flux_split_2d(problem.flux, parsed.faces(grid))
-    fp = FluxPartition.from_cells(parsed.cells(grid), grid.dx, periodic=grid.periodic)
-    return flux_split(problem.flux, fp)
+    return flux_split(problem.flux, FluxPartition.from_cells(parsed.cells(grid), grid))
 
 
 @dataclass
@@ -235,7 +235,7 @@ def run_case(problem, scheme: str, parts, dt: float, t_end: float,
     measures the final error against ``reference`` (default: the exact
     solution, when the problem has one).
     """
-    weights = problem.grid.h ** 2 if hasattr(problem.grid, "h") else problem.grid.dx
+    weights = problem.grid.measure
     t0 = time.perf_counter()
     res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
                                    u0=problem.initial, mass_weights=weights))
@@ -375,7 +375,7 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
         if scheme == "CS2":
             worst = np.argsort(abs_err)[-4:]
             dist = [
-                min(abs(x[j] - p) for p in interface_points) * m
+                float(min(abs(x[j] - p) for p in interface_points) * m)
                 for j in worst
             ]
             report.check(
@@ -617,8 +617,8 @@ EXPERIMENTS = {
     "fig1": run_error_profile,
     "fig2": run_burgers_shock,
     "fig3": run_wnorm_study,
-    "adv2d-cell": lambda **kw: run_adv2d(kind="cell", **kw),
-    "adv2d-flux": lambda **kw: run_adv2d(kind="flux", **kw),
+    "adv2d-cell": functools.partial(run_adv2d, "cell"),
+    "adv2d-flux": functools.partial(run_adv2d, "flux"),
 }
 
 

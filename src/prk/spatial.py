@@ -1,8 +1,9 @@
 """Semi-discrete right-hand sides: upwind, WENO5 advection, Burgers, 2D rotation.
 
 Every builder returns a :class:`SemiDiscreteProblem` whose ``rhs`` is a
-pure function of ``(t, v)``; problems used with flux-based decompositions
-also expose the interface-flux evaluator.
+pure function of ``(t, v)``: the grid's ``divergence`` of the interface
+fluxes, which flux-based decompositions evaluate through ``flux``.  Both
+grids give ``centres``, ``measure`` (mass and norm weights), ``min_width``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,22 @@ class Grid1D:
     def m(self) -> int:
         return self.x.size
 
+    @property
+    def centres(self) -> tuple[np.ndarray]:
+        return (self.x,)
+
+    @property
+    def measure(self) -> np.ndarray:
+        return self.dx
+
+    @property
+    def min_width(self) -> float:
+        return float(np.min(self.dx))
+
+    def divergence(self, phi: np.ndarray) -> np.ndarray:
+        """Conservative difference of the ``m + 1`` interface fluxes."""
+        return (phi[:-1] - phi[1:]) / self.dx
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -57,6 +74,23 @@ class Grid2D:
     @property
     def edges(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n + 1)
+
+    @property
+    def centres(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.meshgrid(self.x, self.y))
+
+    @property
+    def measure(self) -> float:
+        return self.h ** 2
+
+    @property
+    def min_width(self) -> float:
+        return self.h
+
+    def divergence(self, phi) -> np.ndarray:
+        """Conservative difference of x-face and y-face fluxes ``(fx, fy)``."""
+        fx, fy = phi
+        return (fx[:, :-1] - fx[:, 1:]) / self.h + (fy[:-1, :] - fy[1:, :]) / self.h
 
 
 @dataclass
@@ -138,8 +172,7 @@ def upwind1d(
         return phi
 
     def rhs(t, v):
-        phi = flux(t, v)
-        return (phi[:-1] - phi[1:]) / dx
+        return grid.divergence(flux(t, v))
 
     forcing = None
     if not periodic:
@@ -172,14 +205,12 @@ def advection1d_weno5(m: int) -> SemiDiscreteProblem:
     if m < 6:
         raise ValueError("WENO5 needs at least 6 cells")
     grid = _uniform_grid(m, periodic=True)
-    dx = grid.dx
 
     def flux(t, v):
         return edge_from_left(pad_periodic(v))
 
     def rhs(t, v):
-        phi = flux(t, v)
-        return (phi[:-1] - phi[1:]) / dx
+        return grid.divergence(flux(t, v))
 
     def exact(t):
         return np.sin(np.pi * (grid.x - t)) ** 2
@@ -211,7 +242,6 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
     if m < 6:
         raise ValueError("WENO5 needs at least 6 cells")
     grid = _uniform_grid(m, periodic=True)
-    dx = grid.dx
 
     def flux(t, v):
         um, up = interface_states(pad_periodic(v))
@@ -219,8 +249,7 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
         return 0.5 * (0.5 * um**2 + 0.5 * up**2 + alpha * (um - up))
 
     def rhs(t, v):
-        phi = flux(t, v)
-        return (phi[:-1] - phi[1:]) / dx
+        return grid.divergence(flux(t, v))
 
     initial = (grid.x < 0.5).astype(float)
 
@@ -263,7 +292,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         y0 = 0.5 + eta * cs + xi * sn
         return np.exp(-10.0 * ((x0 - 0.5) ** 2 + (y0 - 0.25) ** 2))
 
-    X, Y = np.meshgrid(x, y)
+    X, Y = grid.centres
 
     def exact(t):
         return exact_point(X, Y, t)
@@ -314,9 +343,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
 
     def rhs(t, v):
         w = _padded(t, v)
-        fx = flux_x(t, v, w)
-        fy = flux_y(t, v, w)
-        return (fx[:, :-1] - fx[:, 1:]) / h + (fy[:-1, :] - fy[1:, :]) / h
+        return grid.divergence((flux_x(t, v, w), flux_y(t, v, w)))
 
     return SemiDiscreteProblem(
         grid=grid,

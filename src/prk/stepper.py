@@ -250,11 +250,7 @@ def reference_integrate(
         if callable(speed):
             speed = speed(u0)
         speed = float(speed or 1.0)
-        if hasattr(problem.grid, "dx"):
-            width = float(np.min(problem.grid.dx))
-        else:
-            width = problem.grid.h
-        dt0 = 0.4 * width / speed
+        dt0 = 0.4 * problem.grid.min_width / speed
     n = max(1, int(np.ceil((t_end - t0) / dt0)))
     coarse = _rk4(problem.rhs, u0, t0, t_end, n)
     for _ in range(max_rounds):

@@ -97,8 +97,7 @@ def test_criterion_04_flux_split_interface_identity():
     i = 30
     refined = np.zeros(m, dtype=bool)
     refined[i + 1:] = True
-    fp = FluxPartition.from_cells(CellPartition.two_region(refined),
-                                  prob.grid.dx, periodic=False)
+    fp = FluxPartition.from_cells(CellPartition.two_region(refined), prob.grid)
     parts = flux_split(prob.flux, fp)
     rng = np.random.default_rng(123)
     worst = 0.0
@@ -161,7 +160,7 @@ def test_criterion_07_conservation_dichotomy():
     m, nu, steps = 100, 0.5, 100
     prob = advection1d_weno5(m)
     part = CellPartition.from_intervals(prob.grid.x, DICHOTOMY_INTERVALS)
-    fp = FluxPartition.from_cells(part, prob.grid.dx, periodic=True)
+    fp = FluxPartition.from_cells(part, prob.grid)
     t_end = steps * nu / m
     drifts = {}
     for scheme in ("OS1", "TW1", "TW2", "CS2", "SH2"):

@@ -3,6 +3,8 @@
 import pytest
 from click.testing import CliRunner
 
+import prk.harness
+
 from prk.cli import main
 
 
@@ -59,6 +61,45 @@ def test_run_rejects_unknown_config_keys(runner, tmp_path):
     out = runner.invoke(main, ["run", "table1", "--config", str(cfg)])
     assert out.exit_code != 0
     assert "unknown option" in out.output
+
+
+@pytest.mark.parametrize("line", ["bogus=1", "kind=flux"])
+def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    out = runner.invoke(main, ["run", "adv2d-cell", "--config", str(cfg),
+                               "--out", str(tmp_path)])
+    assert out.exit_code == 1
+    key = line.split("=")[0]
+    assert out.output == f"Error: unknown option(s) for adv2d-cell: {key}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "table1", "--schemes", "TW2,XX"], "unknown scheme(s) XX; choose from"),
+    (["analyze", "--schemes", "TW2,XX"], "unknown scheme(s) XX; choose from"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", "BOGUS"],
+     "unknown scheme(s) BOGUS; choose from"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", "FE1"],
+     "scheme FE1 takes 1 part(s), the partition 'refined:"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "-1"],
+     "Invalid value for '--t-end'"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "0"],
+     "Invalid value for '--nu'"),
+    (["integrate", "--problem", "adv1d", "--m", "3"],
+     "bad --m: WENO5 needs at least 6 cells"),
+], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu", "m"])
+def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,
+                                                           args, message):
+    def no_steps(*_args, **_kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(prk.harness, "integrate", no_steps)
+    monkeypatch.setattr(prk.harness, "solve_W", no_steps)
+    out = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert isinstance(out.exception, SystemExit) and out.exit_code in (1, 2), out.output
+    last = out.output.strip().splitlines()[-1]
+    assert last.startswith("Error: ") and message in last, out.output
+    assert "Traceback" not in out.output
 
 
 def test_integrate_adv1d_reports_error_and_mass(runner, tmp_path):

@@ -47,17 +47,17 @@ def test_from_intervals_closed_bounds():
 def test_flux_partition_right_cell_rule():
     m = 6
     cells = _two_region(m, 3, 6)
-    fp = FluxPartition.from_cells(cells, np.full(m, 1.0 / m), periodic=False)
+    fp = FluxPartition.from_cells(cells, upwind1d(m=m, boundary="inflow").grid)
     # interface i belongs to the region of cell i; the last one falls back
     # to the final cell
     assert list(fp.masks[0]) == [True, True, True, False, False, False, False]
-    fp2 = FluxPartition.from_cells(cells, np.full(m, 1.0 / m), periodic=True)
+    fp2 = FluxPartition.from_cells(cells, upwind1d(m=m, boundary="periodic").grid)
     assert fp2.masks[0][6] == fp2.masks[0][0]
 
 
 def test_flux_partition_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        FluxPartition((np.ones(5, bool),), dx=np.ones(5), periodic=False)
+        FluxPartition((np.ones(5, bool),), grid=upwind1d(dx=np.ones(5)).grid)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_cell_split_dimension_mismatch():
 def test_flux_split_single_region_is_identity():
     m = 30
     p = advection1d_weno5(m)
-    fp = FluxPartition.from_cells(CellPartition.single((m,)), p.grid.dx, periodic=True)
+    fp = FluxPartition.from_cells(CellPartition.single((m,)), p.grid)
     parts = flux_split(p.flux, fp)
     rng = np.random.default_rng(3)
     v = rng.random(m)
@@ -123,7 +123,7 @@ def test_flux_split_interface_formulas_upwind():
     prob = upwind1d(m=m, boundary="inflow")
     i = 4
     cells = _two_region(m, i + 1, m)
-    fp = FluxPartition.from_cells(cells, prob.grid.dx, periodic=False)
+    fp = FluxPartition.from_cells(cells, prob.grid)
     parts = flux_split(prob.flux, fp)
     rng = np.random.default_rng(4)
     v = rng.random(m)
@@ -143,7 +143,7 @@ def test_flux_split_partition_of_unity():
     rng = np.random.default_rng(5)
     m = 64
     p = advection1d_weno5(m)
-    fp = FluxPartition.from_cells(_two_region(m, 16, 48), p.grid.dx, periodic=True)
+    fp = FluxPartition.from_cells(_two_region(m, 16, 48), p.grid)
     parts = flux_split(p.flux, fp)
     v = rng.random(m) + 0.5
     full = p.rhs(0.0, v)
@@ -156,7 +156,7 @@ def test_flux_split_regions_conserve_mass_periodic():
     rng = np.random.default_rng(6)
     m = 40
     p = advection1d_weno5(m)
-    fp = FluxPartition.from_cells(_two_region(m, 5, 25), p.grid.dx, periodic=True)
+    fp = FluxPartition.from_cells(_two_region(m, 5, 25), p.grid)
     parts = flux_split(p.flux, fp)
     v = rng.random(m)
     for fk in parts.eval_parts(0.0, v):
@@ -169,8 +169,7 @@ def test_flux_split_telescopes_to_boundary_fluxes():
     m = 12
     prob = upwind1d(m=m, boundary="inflow")
     i = 5
-    fp = FluxPartition.from_cells(_two_region(m, i + 1, m), prob.grid.dx,
-                                  periodic=False)
+    fp = FluxPartition.from_cells(_two_region(m, i + 1, m), prob.grid)
     parts = flux_split(prob.flux, fp)
     rng = np.random.default_rng(7)
     v = rng.random(m)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prk.spatial import (
     advection1d_weno5,
@@ -205,3 +208,61 @@ def test_norms_examples():
 def test_norms_shape_mismatch():
     with pytest.raises(ValueError):
         norms(np.ones(4), np.ones(5))
+
+
+# ----------------------------------------------------------------------
+# grid geometry: every rhs is the grid's conservative difference
+# ----------------------------------------------------------------------
+
+def test_grid_geometry_members():
+    g1 = upwind1d(dx=[0.5, 0.25, 0.25]).grid
+    assert len(g1.centres) == 1 and g1.centres[0] is g1.x
+    assert g1.measure is g1.dx and g1.min_width == 0.25
+    g2 = advection2d(8).grid
+    X, Y = g2.centres
+    assert X.shape == Y.shape == (8, 8)
+    assert X[3, 5] == g2.x[5] and Y[3, 5] == g2.y[3]
+    assert g2.measure == g2.h ** 2 and g2.min_width == g2.h == 1.0 / 8
+
+
+@pytest.mark.parametrize("build", [
+    lambda: upwind1d(dx=np.linspace(0.5, 1.5, 17) / 17, inflow=lambda t: 1.0 + t),
+    lambda: advection1d_weno5(32),
+    lambda: burgers_llf(32),
+    lambda: advection2d(12),
+], ids=["upwind1d", "adv1d", "burgers", "adv2d"])
+def test_rhs_is_the_divergence_of_the_flux(build):
+    p = build()
+    rng = np.random.default_rng(11)
+    v = rng.random(p.grid.centres[0].shape)
+    t = float(rng.random())
+    if isinstance(p.flux, tuple):
+        flux = tuple(f(t, v) for f in p.flux)
+    else:
+        flux = p.flux(t, v)
+    assert np.array_equal(p.rhs(t, v), p.grid.divergence(flux))
+
+
+_fluxes = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(widths=arrays(float, st.integers(2, 40), elements=st.floats(0.01, 1.0)),
+       data=st.data())
+def test_1d_divergence_telescopes_on_a_nonuniform_grid(widths, data):
+    grid = upwind1d(dx=widths).grid
+    phi = data.draw(arrays(float, grid.m + 1, elements=_fluxes))
+    total = np.sum(grid.measure * grid.divergence(phi))
+    assert abs(total - (phi[0] - phi[-1])) <= 1e-13 * (1.0 + np.abs(phi).sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(6, 16), data=st.data())
+def test_2d_divergence_telescopes(n, data):
+    grid = advection2d(n).grid
+    fx = data.draw(arrays(float, (n, n + 1), elements=_fluxes))
+    fy = data.draw(arrays(float, (n + 1, n), elements=_fluxes))
+    total = np.sum(grid.measure * grid.divergence((fx, fy)))
+    balance = grid.h * (np.sum(fx[:, 0] - fx[:, -1]) + np.sum(fy[0, :] - fy[-1, :]))
+    scale = 1.0 + np.abs(fx).sum() + np.abs(fy).sum()
+    assert abs(total - balance) <= 1e-13 * grid.h * scale

@@ -103,8 +103,7 @@ def test_interface_cell_update_for_two_stage_flux_split():
     i = 4
     refined = np.zeros(m, dtype=bool)
     refined[i + 1 :] = True
-    fp = FluxPartition.from_cells(CellPartition.two_region(refined),
-                                  prob.grid.dx, periodic=False)
+    fp = FluxPartition.from_cells(CellPartition.two_region(refined), prob.grid)
     parts = flux_split(prob.flux, fp)
     rng = np.random.default_rng(1)
     u0 = rng.random(m) + 0.5
@@ -269,8 +268,7 @@ def test_reference_matches_matrix_exponential():
         exact = None
         max_speed = 1.0
 
-        class grid:
-            dx = np.array([1.0])
+        grid = upwind1d(dx=[1.0, 1.0]).grid
 
     u = reference_integrate(P, 1.5, tol=1e-11)
     assert np.abs(u - expm(1.5 * L) @ u0).max() < 1e-9
@@ -283,8 +281,7 @@ def test_reference_raises_when_not_converging():
         exact = None
         max_speed = 1.0
 
-        class grid:
-            dx = np.array([1.0])
+        grid = upwind1d(dx=[1.0, 1.0]).grid
 
     with pytest.raises(RuntimeError):
         reference_integrate(P, 1.0, tol=1e-14, dt0=0.5, max_rounds=2)
