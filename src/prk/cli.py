@@ -27,10 +27,19 @@ from .tableau import (
 )
 
 
-def _parse_value(raw: str):
+# config keys whose values are names; every other value is a number or a flag
+_TEXT_KEYS = ("schemes", "kind")
+
+# every experiment splits its problem into two regions, one part each
+_EXPERIMENT_PARTS = 2
+
+
+def _parse_value(raw: str, key: str):
     raw = raw.strip()
     if "," in raw:
-        return tuple(_parse_value(v) for v in raw.split(","))
+        return tuple(_parse_value(v, key) for v in raw.split(","))
+    if key in _TEXT_KEYS:
+        return raw
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -39,7 +48,16 @@ def _parse_value(raw: str):
             return cast(raw)
         except ValueError:
             pass
-    return raw
+    raise click.ClickException(f"bad config value {key}={raw!r}: not a number")
+
+
+def _parse_list(text: str, cast, option: str) -> tuple:
+    """Comma-separated ``cast`` values of a command-line ``option``."""
+    try:
+        return tuple(cast(v) for v in text.split(","))
+    except ValueError:
+        raise click.ClickException(
+            f"bad {option} {text!r}: need comma-separated {cast.__name__} values") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -54,15 +72,22 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise click.ClickException(f"bad config line (need key=value): {line!r}")
         key, _, val = line.partition("=")
-        overrides[key.strip()] = _parse_value(val)
+        key = key.strip()
+        overrides[key] = _parse_value(val, key)
     return overrides
 
 
-def _check_schemes(names) -> None:
+def _check_schemes(names, r: int | None = None) -> None:
+    """Reject names that are not builtin tableaus and, given ``r``, tableaus
+    with another number of parts."""
     unknown = [s for s in names if s not in builtin_names()]
     if unknown:
         raise click.ClickException(f"unknown scheme(s) {', '.join(unknown)}; "
                                    f"choose from {', '.join(builtin_names())}")
+    wrong = [s for s in names if r is not None and builtin_tableau(s).r != r]
+    if wrong:
+        raise click.ClickException(f"scheme(s) {', '.join(wrong)} do not take {r} parts, "
+                                   f"one per region of the partition")
 
 
 @click.group()
@@ -92,7 +117,7 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         kwargs["schemes"] = tuple(str(s).upper() for s in kwargs["schemes"])
     if schemes:
         kwargs["schemes"] = tuple(s.strip().upper() for s in schemes.split(","))
-    _check_schemes(kwargs.get("schemes", ()))
+    _check_schemes(kwargs.get("schemes", ()), _EXPERIMENT_PARTS)
     if quick:
         kwargs["quick"] = True
     fn = EXPERIMENTS[experiment]
@@ -123,9 +148,9 @@ def analyze_cmd(schemes, ms, nus, outfile):
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
     schemes_t = tuple(s.strip().upper() for s in schemes.split(","))
-    _check_schemes(schemes_t)
-    ms_t = tuple(int(v) for v in ms.split(","))
-    nus_t = tuple(float(v) for v in nus.split(","))
+    _check_schemes(schemes_t, _EXPERIMENT_PARTS)
+    ms_t = _parse_list(ms, int, "--m")
+    nus_t = _parse_list(nus, float, "--nu")
     report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
     text = report.to_csv()
     if outfile:
@@ -221,7 +246,10 @@ def tableau_show(name):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def tableau_check(file):
     """Parse a tableau file and report its structural properties."""
-    t = tableau_from_text(Path(file).read_text(), name=Path(file).stem)
+    try:
+        t = tableau_from_text(Path(file).read_text(), name=Path(file).stem)
+    except ValueError as exc:
+        raise click.ClickException(f"bad tableau file {file}: {exc}") from None
     p = tableau_properties(t)
     click.echo(f"{t.name or 'tableau'}: r={t.r} s={t.s} order={p.classical_order} "
                f"stage_order={p.stage_order} conservative={p.conservative} "

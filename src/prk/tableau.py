@@ -381,18 +381,36 @@ def tableau_to_text(t: PRKTableau) -> str:
 
 
 def tableau_from_text(text: str, name: str = "") -> PRKTableau:
-    """Parse the format written by :func:`tableau_to_text`."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise ValueError("expected a header line 'r s'")
-    r, s = int(rows[0][0]), int(rows[0][1])
+    """Parse the format written by :func:`tableau_to_text`.
+
+    Blank lines are skipped.  A malformed file raises ``ValueError`` naming
+    the 1-based line, and the entry within it where one is at fault.
+    """
+    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    header = "expected a header line 'r s' of positive integers"
+    if not rows:
+        raise ValueError(header)
+    lineno, head = rows[0]
+    try:
+        r, s = (int(v) for v in head)
+    except ValueError:  # not two integers, reported below
+        r = s = 0
+    if r < 1 or s < 1:
+        raise ValueError(f"line {lineno}: {header}, got {' '.join(head)!r}")
     need = 1 + r * s + r
     if len(rows) != need:
         raise ValueError(f"expected {need} lines for r={r}, s={s}, got {len(rows)}")
-    pos = 1
-    A = []
-    for _ in range(r):
-        A.append([rows[pos + i] for i in range(s)])
-        pos += s
-    b = [rows[pos + k] for k in range(r)]
-    return PRKTableau.from_coeffs(A, b, name=name)
+    coeffs = []
+    for lineno, entries in rows[1:]:
+        if len(entries) != s:
+            raise ValueError(f"line {lineno}: expected {s} entries, got {len(entries)}")
+        row = []
+        for col, entry in enumerate(entries, 1):
+            try:
+                row.append(Fraction(entry))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"line {lineno}, entry {col}: "
+                                 f"{entry!r} is not a rational number") from None
+        coeffs.append(row)
+    A = [coeffs[k * s:(k + 1) * s] for k in range(r)]
+    return PRKTableau.from_coeffs(A, coeffs[r * s:], name=name)

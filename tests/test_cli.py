@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 import prk.harness
 
-from prk.cli import main
+from prk.cli import _load_config, main
 
 
 @pytest.fixture
@@ -87,7 +87,13 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
      "Invalid value for '--nu'"),
     (["integrate", "--problem", "adv1d", "--m", "3"],
      "bad --m: WENO5 needs at least 6 cells"),
-], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu", "m"])
+    (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
+    (["run", "adv2d-flux", "--schemes", "TW2,ETR2"], "scheme(s) ETR2 do not take 2 parts"),
+    (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
+    (["analyze", "--m", "20,abc"], "bad --m '20,abc': need comma-separated int values"),
+    (["analyze", "--nu", "0.5,fast"], "bad --nu '0.5,fast': need comma-separated float"),
+], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu", "m",
+        "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,
                                                            args, message):
     def no_steps(*_args, **_kwargs):
@@ -100,6 +106,55 @@ def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, mon
     last = out.output.strip().splitlines()[-1]
     assert last.startswith("Error: ") and message in last, out.output
     assert "Traceback" not in out.output
+
+
+@pytest.mark.parametrize("experiment, line", [
+    ("table1", "ms=abc"),
+    ("table1", "ms=100,2OO"),
+    ("fig2", "m=2000.0.0"),
+    ("adv2d-cell", "nus=0.5,x"),
+])
+def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
+                                               experiment, line):
+    def no_steps(*_args, **_kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(prk.harness, "integrate", no_steps)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    out = runner.invoke(main, ["run", experiment, "--config", str(cfg),
+                               "--out", str(tmp_path / "out")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    key = line.partition("=")[0]
+    assert out.output.strip().splitlines()[-1].startswith(f"Error: bad config value {key}=")
+
+
+def test_config_values_keep_their_types(tmp_path):
+    # the lines the benchmark writes, plus a name-valued key
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("ms=100,200,400,800\nnu=0.5\nm=2000\nns=50\nnus=0.5,2.0\n"
+                   "reference_tol=1e-9\nschemes=SH2,TW2,CS2\nkind=flux\nquick=true\n")
+    got = _load_config(str(cfg))
+    assert got == {"ms": (100, 200, 400, 800), "nu": 0.5, "m": 2000, "ns": 50,
+                   "nus": (0.5, 2.0), "reference_tol": 1e-9,
+                   "schemes": ("SH2", "TW2", "CS2"), "kind": "flux", "quick": True}
+    assert [type(v) for v in got["ms"] + got["nus"]] == [int] * 4 + [float] * 2
+    assert type(got["m"]) is int and type(got["nu"]) is float
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n0 0\n1/x 0\n1 0\n", "line 3, entry 1: '1/x' is not a rational number"),
+    ("1 2\n\n0 0\n1 0\n1 1/0\n", "line 5, entry 2: '1/0' is not a rational number"),
+    ("1 2\n0 0\n1 0 0\n1 0\n", "line 3: expected 2 entries, got 3"),
+    ("\n1 two\n", "line 2: expected a header line 'r s' of positive integers"),
+], ids=["entry", "zero-denominator", "row-length", "header"])
+def test_tableau_check_names_the_bad_line(runner, tmp_path, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    out = runner.invoke(main, ["tableau", "check", str(f)])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    lines = out.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: bad tableau file {f}: {message}")
 
 
 def test_integrate_adv1d_reports_error_and_mass(runner, tmp_path):

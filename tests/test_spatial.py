@@ -13,7 +13,9 @@ from prk.spatial import (
     norms,
     upwind1d,
 )
-from prk.stepper import reference_integrate
+from prk.harness import STANDARD_PARTITIONS, make_parts, run_case
+from prk.stepper import IntegrationDiverged, reference_integrate
+from test_weno import _oracle_left, _oracle_right
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +175,67 @@ def test_adv2d_velocity_zero_at_center():
     assert 2 * np.pi * (0.5 - 0.5) == 0.0
     p = advection2d(20)
     assert p.max_speed == pytest.approx(2 * np.pi)
+
+
+@st.composite
+def states2d(draw, n):
+    """Float states at scales 1e-8 to 1e8, integer-valued states or signed
+    zeros among +-1, with random entries replaced by -0.0."""
+    kind = draw(st.sampled_from(["float", "integer", "zeros"]))
+    if kind == "integer":
+        v = draw(arrays(np.int64, (n, n), elements=st.integers(-3, 3))).astype(float)
+    elif kind == "zeros":
+        # the kernel returns -0 only where the five cells read (-0, +0, -0, -0, +0)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        v = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, n), p=[0.4, 0.4, 0.1, 0.1])
+    else:
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        v = scale * draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    v[draw(arrays(np.bool_, (n, n)))] = -0.0
+    return v
+
+
+def _textbook_split(a, lines):
+    # Lax-Friedrichs splitting of a * u with alpha = |a|, one speed per line
+    a = a[:, None]
+    fplus = 0.5 * (a * lines + np.abs(a) * lines)
+    fminus = 0.5 * (a * lines - np.abs(a) * lines)
+    return _oracle_left(fplus) + _oracle_right(fminus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(6, 15), t=st.floats(0.0, 1.0), data=st.data())
+def test_adv2d_line_fluxes_equal_the_textbook_split(n, t, data):
+    # byte for byte, so the sign of every zero counts
+    p = advection2d(n)
+    v = data.draw(states2d(n))
+    g = (np.arange(-3, n + 3) + 0.5) * p.grid.h
+    w = p.exact_point(*np.meshgrid(g, g), t)
+    w[3:-3, 3:-3] = v
+    a1 = 2.0 * np.pi * (p.grid.y - 0.5)
+    a2 = -2.0 * np.pi * (p.grid.x - 0.5)
+    flux_x, flux_y = p.flux
+    fx, fy = flux_x(t, v), flux_y(t, v)
+    want_x = _textbook_split(a1, w[3:-3, :])
+    want_y = _textbook_split(a2, w[:, 3:-3].T).T
+    assert fx.shape == want_x.shape and fx.tobytes() == want_x.tobytes()
+    assert fy.shape == want_y.shape and fy.tobytes() == want_y.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("kind, scheme, nu, step", [
+    ("cell", "TW2", 4.0, 167),
+    ("flux", "CS2", 6.0, 61),
+])
+def test_adv2d_blow_up_step(kind, scheme, nu, step):
+    # two unstable Courant numbers at n = 20: the step where the state
+    # stops being finite pins the arithmetic of every evaluation before it
+    p = advection2d(20)
+    parts = make_parts(p, kind, STANDARD_PARTITIONS["adv2d"])
+    dt = nu * p.grid.h / (2.0 * np.pi)
+    with pytest.raises(IntegrationDiverged) as err:
+        run_case(p, scheme, parts, dt, 2500 * dt)
+    assert err.value.step == step
 
 
 # ----------------------------------------------------------------------

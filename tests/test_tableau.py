@@ -134,6 +134,8 @@ def test_text_parse_errors():
         tableau_from_text("")
     with pytest.raises(ValueError):
         tableau_from_text("2 2\n0 0\n1/2 0\n")  # truncated
+    with pytest.raises(ValueError, match="line 1: expected a header"):
+        tableau_from_text("0 2\n")  # no parts
 
 
 def test_float_coefficients_still_check_exactly():
