@@ -29,9 +29,9 @@ from .tableau import (
 from .decomposition import (
     CellPartition,
     FluxPartition,
-    cell_split,
-    flux_split,
-    trivial_parts,
+    CellSplitParts,
+    FluxSplitParts,
+    TrivialParts,
     burgers_dynamic_partition,
     DynamicCellSplit,
     mass,
@@ -60,8 +60,6 @@ from .analysis import (
     build_error_operators,
     solve_W,
     stability_check,
-    powerbound_check,
-    equal_A_coefficients,
     predicted_local_error,
 )
 

@@ -28,15 +28,12 @@ __all__ = [
     "solve_W",
     "StabilityReport",
     "stability_check",
-    "PowerBound",
-    "powerbound_check",
-    "equal_A_coefficients",
     "predicted_local_error",
     "linearize_parts",
-    "stage_response_rank",
 ]
 
 COND_LIMIT = 1e12  # beyond this the W norm is considered meaningless
+_STABILITY_TOL = 1e-12  # slack on the unit bounds of the stability check
 
 
 def _inf_norm(M: np.ndarray) -> float:
@@ -118,8 +115,7 @@ def build_error_operators(
         j_max = classical_order(tab) + 1
     m = ls.m
     s, r = tab.s, tab.r
-    A = tab.A_float()
-    b = tab.b_float()
+    A, b = tab.plan.A, tab.plan.b
     eye = np.eye(m)
 
     # x_j = B_j + sum_{i>j} x_i M_{ij},  B_j = sum_k b_j^(k) Z_k,
@@ -176,17 +172,12 @@ class WResult:
     q: int
 
 
-def solve_W(
-    tab: PRKTableau,
-    ls: LinearSplitting,
-    partition: CellPartition,
-    cond_limit: float = COND_LIMIT,
-) -> WResult:
+def solve_W(tab: PRKTableau, ls: LinearSplitting, partition: CellPartition) -> WResult:
     """Solve ``(r^T e) W = sum_k d_{q+1,k} I_k`` for the damping matrix W.
 
     A uniformly bounded ``W`` upgrades order-q consistency to order-(q+1)
     convergence in the maximum norm.  When ``r^T e`` is singular or its
-    condition estimate exceeds ``cond_limit`` the result is flagged
+    condition estimate exceeds ``COND_LIMIT`` the result is flagged
     unusable instead of raising.
     """
     q = stage_order(tab)
@@ -201,85 +192,36 @@ def solve_W(
         return WResult(W=None, norm_w=float("inf"), cond_rTe=float("inf"), ok=False, q=q)
     cond = _inf_norm(M) * _inf_norm(Minv)
     W = Minv @ B
-    return WResult(W=W, norm_w=_inf_norm(W), cond_rTe=cond, ok=bool(cond <= cond_limit), q=q)
+    return WResult(W=W, norm_w=_inf_norm(W), cond_rTe=cond, ok=bool(cond <= COND_LIMIT), q=q)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     norm_part1: float
     norm_part2: float
-    norm_Z2: float
     theta: float
     stab1: bool
     stab2: bool
-    theta_ok: bool
 
 
-def stability_check(ls: LinearSplitting, tol: float = 1e-12) -> StabilityReport:
+def stability_check(ls: LinearSplitting) -> StabilityReport:
     """Check the two-part multirate stability conditions.
 
-    ``|I + Z_1| <= 1`` and ``|I + Z_2/2| <= 1`` in the maximum norm, plus
-    the strengthened requirement ``|Z_2| = 4 theta < 4`` used for the
-    two-stage scheme's W bound.
+    ``|I + Z_1| <= 1`` and ``|I + Z_2/2| <= 1`` in the maximum norm, and
+    ``theta = |Z_2|/4``, which bounds the two-stage scheme's W when below 1.
     """
     if ls.r != 2:
         raise ValueError("stability conditions are stated for two parts")
     eye = np.eye(ls.m)
     n1 = _inf_norm(eye + ls.Zs[0])
     n2 = _inf_norm(eye + 0.5 * ls.Zs[1])
-    nz2 = _inf_norm(ls.Zs[1])
-    theta = nz2 / 4.0
     return StabilityReport(
         norm_part1=n1,
         norm_part2=n2,
-        norm_Z2=nz2,
-        theta=theta,
-        stab1=bool(n1 <= 1.0 + tol),
-        stab2=bool(n2 <= 1.0 + tol),
-        theta_ok=bool(theta < 1.0),
+        theta=_inf_norm(ls.Zs[1]) / 4.0,
+        stab1=bool(n1 <= 1.0 + _STABILITY_TOL),
+        stab2=bool(n2 <= 1.0 + _STABILITY_TOL),
     )
-
-
-@dataclass(frozen=True)
-class PowerBound:
-    max_norm: float
-    arg_n: int
-
-
-def powerbound_check(R: np.ndarray, n_max: int) -> PowerBound:
-    """Track ``max_n |R^n|_inf`` for ``n = 0..n_max`` (with ``|R^0| = 1``)."""
-    best, arg = 1.0, 0
-    P = np.eye(R.shape[0])
-    for n in range(1, n_max + 1):
-        P = P @ R
-        nn = _inf_norm(P)
-        if nn > best:
-            best, arg = nn, n
-    return PowerBound(max_norm=best, arg_n=arg)
-
-
-def equal_A_coefficients(tab: PRKTableau, j_max: int) -> dict[tuple[int, int], Fraction]:
-    """Scalar error coefficients ``q_{jk} = b_k^T A^(j-1) (c^2 - 2 A c)``.
-
-    Defined only when all parts share one coefficient matrix; a method of
-    order p has ``q_{jk} = 0`` for ``j <= p - 2``.  Keys are ``(j, k)``
-    with ``j`` starting at 1 and 0-based part ``k``.
-    """
-    A = tab.A[0]
-    if any(Ak != A for Ak in tab.A[1:]):
-        raise ValueError("parts have different coefficient matrices")
-    s = tab.s
-    c2 = [ci**2 for ci in tab.c]
-    Ac = [sum((A[i][l] * tab.c[l] for l in range(s)), Fraction(0)) for i in range(s)]
-    v = [c2[i] - 2 * Ac[i] for i in range(s)]
-    out: dict[tuple[int, int], Fraction] = {}
-    for j in range(1, j_max + 1):
-        for k in range(tab.r):
-            out[(j, k)] = sum(
-                (bi * vi for bi, vi in zip(tab.b[k], v)), Fraction(0)
-            )
-        v = [sum((A[i][l] * v[l] for l in range(s)), Fraction(0)) for i in range(s)]
-    return out
 
 
 def predicted_local_error(
@@ -321,23 +263,3 @@ def linearize_parts(parts, m: int, t: float = 0.0) -> list[np.ndarray]:
         for k in range(parts.r):
             mats[k][:, i] = vals[k] - zero[k]
     return mats
-
-
-def stage_response_rank(
-    tab: PRKTableau, m: int = 4, trials: int = 4, seed: int = 0, rtol: float = 1e-10
-) -> int:
-    """Numerical rank of the stacked stage blocks over random splittings.
-
-    Rank below ``s`` signals a reducible scheme: some stage perturbation
-    pattern can never influence the step result.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(trials):
-        Zs = [rng.standard_normal((m, m)) for _ in range(tab.r)]
-        ops = build_error_operators(tab, LinearSplitting.from_matrices(Zs), j_max=1)
-        rows.append(np.concatenate([blk.ravel() for blk in ops.r_blocks]))
-    stacked = np.array(rows).reshape(trials, tab.s, m * m)
-    stacked = np.swapaxes(stacked, 0, 1).reshape(tab.s, trials * m * m)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv > rtol * sv[0]))

@@ -11,6 +11,7 @@ import numpy as np
 
 from .harness import (
     EXPERIMENTS,
+    BadArgument,
     STANDARD_PARTITIONS,
     make_parts,
     run_case,
@@ -126,7 +127,10 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         raise click.ClickException(
             f"unknown option(s) for {experiment}: {', '.join(unknown)}"
         )
-    report = fn(**kwargs)
+    try:
+        report = fn(**kwargs)
+    except BadArgument as exc:  # raised before the first integration
+        raise click.ClickException(str(exc)) from None
     path = report.write(outdir)
     click.echo(report.summary())
     click.echo(f"wrote {path}")
@@ -151,7 +155,10 @@ def analyze_cmd(schemes, ms, nus, outfile):
     _check_schemes(schemes_t, _EXPERIMENT_PARTS)
     ms_t = _parse_list(ms, int, "--m")
     nus_t = _parse_list(nus, float, "--nu")
-    report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
+    try:
+        report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
+    except BadArgument as exc:  # raised before the first W solve
+        raise click.ClickException(str(exc)) from None
     text = report.to_csv()
     if outfile:
         Path(outfile).write_text(text)

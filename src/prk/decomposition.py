@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -23,10 +24,10 @@ __all__ = [
     "CellPartition",
     "FluxPartition",
     "FluxPartition2D",
-    "cell_split",
-    "flux_split",
-    "flux_split_2d",
-    "trivial_parts",
+    "CellSplitParts",
+    "FluxSplitParts",
+    "FluxSplit2DParts",
+    "TrivialParts",
     "DynamicCellSplit",
     "burgers_dynamic_partition",
     "mass",
@@ -176,11 +177,6 @@ class CellSplitParts:
         return [np.where(mk, f, 0.0) if use else None for mk, use in zip(masks, needed)]
 
 
-def cell_split(F: Callable, partition: CellPartition) -> CellSplitParts:
-    """Split ``F`` into per-region parts that vanish off their own cells."""
-    return CellSplitParts(F, partition)
-
-
 class FluxSplitParts:
     """Interface masking of a conservative right-hand side.
 
@@ -208,10 +204,6 @@ class FluxSplitParts:
                 for mk, use in zip(p.masks, needed)]
 
 
-def flux_split(flux: Callable, partition: FluxPartition) -> FluxSplitParts:
-    return FluxSplitParts(flux, partition)
-
-
 class FluxSplit2DParts:
     def __init__(self, fluxes, partition: FluxPartition2D):
         self.flux_x, self.flux_y = fluxes
@@ -230,10 +222,6 @@ class FluxSplit2DParts:
                 if use else None for xm, ym, use in zip(p.xmasks, p.ymasks, needed)]
 
 
-def flux_split_2d(fluxes, partition: FluxPartition2D) -> FluxSplit2DParts:
-    return FluxSplit2DParts(fluxes, partition)
-
-
 class TrivialParts:
     """The whole right-hand side as a single part (r = 1)."""
 
@@ -245,10 +233,6 @@ class TrivialParts:
         if needed is not None and not needed[0]:
             return [None]
         return [self.F(t, v)]
-
-
-def trivial_parts(F: Callable) -> TrivialParts:
-    return TrivialParts(F)
 
 
 class DynamicCellSplit:
@@ -306,11 +290,16 @@ _OPERATORS = {
     ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne,
 }
 _FUNCTIONS = {"abs": (np.abs, 1), "min": (np.minimum, 2), "max": (np.maximum, 2)}
+# compiling and evaluating recurse once per level of the syntax tree
+_MAX_NESTING = 100
+_TOO_DEEP = f"partition predicate nested deeper than {_MAX_NESTING} levels"
 
 
-def _compile(node: ast.AST, text: str) -> Callable[[dict], object]:
+def _compile(node: ast.AST, text: str, depth: int = 0) -> Callable[[dict], object]:
     """Turn a predicate's syntax tree into a function of the coordinates,
     rejecting every node outside the grammar of :class:`PartitionSpec`."""
+    if depth > _MAX_NESTING:
+        raise ValueError(_TOO_DEEP)
     if isinstance(node, ast.Name) and node.id in ("x", "y"):
         return lambda coords, name=node.id: coords[name]
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -329,7 +318,7 @@ def _compile(node: ast.AST, text: str) -> Callable[[dict], object]:
     if fn is None:
         raise ValueError(f"predicate {text!r}: {type(node).__name__} at column "
                          f"{node.col_offset + 1} is not allowed")
-    terms = [_compile(arg, text) for arg in args]
+    terms = [_compile(arg, text, depth + 1) for arg in args]
     return lambda coords: fn(*(term(coords) for term in terms))
 
 
@@ -373,6 +362,8 @@ class PartitionSpec:
                 if key != "threshold":
                     raise ValueError(f"unknown dynamic option {key!r}")
                 kwargs[key] = float(val)
+                if not math.isfinite(kwargs[key]):
+                    raise ValueError(f"dynamic option {key}={val} must be finite")
             return cls(text, rule=functools.partial(burgers_dynamic_partition, **kwargs))
         coarse = body.startswith("coarse:")
         if body.startswith(("coarse:", "refined:")):
@@ -390,6 +381,8 @@ class PartitionSpec:
             tree = ast.parse(body, mode="eval")
         except SyntaxError as exc:
             raise ValueError(f"predicate {body!r}: {exc.msg} at column {exc.offset}") from None
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
         return cls(text, predicate=_compile(tree.body, body), coarse=coarse)
 
     def _select(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:

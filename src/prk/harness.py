@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import io
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,13 +20,13 @@ import numpy as np
 from .analysis import LinearSplitting, solve_W, stability_check
 from .decomposition import (
     CellPartition,
+    CellSplitParts,
     DynamicCellSplit,
     FluxPartition,
+    FluxSplit2DParts,
+    FluxSplitParts,
     PartitionSpec,
-    cell_split,
-    flux_split,
-    flux_split_2d,
-    trivial_parts,
+    TrivialParts,
 )
 from .spatial import advection1d_weno5, advection2d, burgers_llf, norms, upwind1d
 from .stepper import (
@@ -36,6 +38,7 @@ from .stepper import (
 from .tableau import builtin_tableau
 
 __all__ = [
+    "BadArgument",
     "Check",
     "ExperimentReport",
     "estimate_order",
@@ -50,7 +53,6 @@ __all__ = [
     "make_parts",
     "run_case",
     "EXPERIMENTS",
-    "run_experiment",
 ]
 
 # the standard partition of each problem, read by the experiments and by
@@ -167,12 +169,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def estimate_order(errors) -> dict:
-    """Convergence orders from an error-versus-resolution table.
+def estimate_order(errors) -> float:
+    """Convergence order from an error-versus-resolution table.
 
     ``errors`` maps resolution to error (dict or pairs).  Returns the
-    pairwise ``log2`` ratios between consecutive resolutions and the
-    least-squares slope across all of them.
+    least-squares slope of ``-log2(error)`` against ``log2(resolution)``,
+    or 0 when an error is not positive.
     """
     items = sorted(errors.items() if isinstance(errors, dict) else errors)
     if len(items) < 2:
@@ -180,11 +182,8 @@ def estimate_order(errors) -> dict:
     ms = np.array([m for m, _ in items], dtype=float)
     es = np.array([e for _, e in items], dtype=float)
     if np.any(es <= 0):
-        pairwise = [0.0] * (len(items) - 1)
-        return {"pairwise": pairwise, "slope": 0.0}
-    pairwise = list(np.log2(es[:-1] / es[1:]) / np.log2(ms[1:] / ms[:-1]))
-    slope = float(-np.polyfit(np.log2(ms), np.log2(es), 1)[0])
-    return {"pairwise": [float(p) for p in pairwise], "slope": slope}
+        return 0.0
+    return float(-np.polyfit(np.log2(ms), np.log2(es), 1)[0])
 
 
 def shock_position(x: np.ndarray, u: np.ndarray, level: float = 0.5) -> float:
@@ -194,6 +193,35 @@ def shock_position(x: np.ndarray, u: np.ndarray, level: float = 0.5) -> float:
         raise ValueError("no downward crossing found")
     i = int(down[-1])
     return float(x[i] + (u[i] - level) * (x[i + 1] - x[i]) / (u[i] - u[i + 1]))
+
+
+class BadArgument(ValueError):
+    """An experiment argument the run cannot use, found before it starts."""
+
+
+def _require(ok: bool, key: str, value, need: str) -> None:
+    if not ok:
+        raise BadArgument(f"bad value {key}={value!r}: need {need}")
+
+
+def _check_cells(key: str, ms, least: int = 6) -> None:
+    for m in ms:
+        _require(isinstance(m, numbers.Integral) and m >= least, key, m,
+                 f"a whole number of at least {least} cells")
+
+
+def _check_positive(key: str, values) -> None:
+    for v in values:
+        _require(isinstance(v, numbers.Real) and 0 < v < math.inf, key, v, "a positive number")
+
+
+def _check_unit_steps(ms, nu) -> None:
+    """The 1D runs step ``dt = nu/m`` to T = 1, as a whole number of steps."""
+    _check_positive("nu", (nu,))
+    for m in ms:
+        n = round(m / nu)
+        _require(n >= 1 and abs(n * (nu / m) - 1.0) <= 1e-9, "nu", nu,
+                 f"m/nu to be a whole number of steps at m={m}")
 
 
 # ----------------------------------------------------------------------
@@ -209,13 +237,13 @@ def make_parts(problem, kind: str, spec: str):
             raise ValueError("dynamic partitions support cell splitting only")
         return DynamicCellSplit(problem.rhs, parsed.rule)
     if kind == "cell":
-        return cell_split(problem.rhs, parsed.cells(problem.grid))
+        return CellSplitParts(problem.rhs, parsed.cells(problem.grid))
     if kind != "flux":
         raise ValueError(f"unknown decomposition kind {kind!r}")
     grid = problem.grid
     if isinstance(problem.flux, tuple):  # x- and y-face fluxes
-        return flux_split_2d(problem.flux, parsed.faces(grid))
-    return flux_split(problem.flux, FluxPartition.from_cells(parsed.cells(grid), grid))
+        return FluxSplit2DParts(problem.flux, parsed.faces(grid))
+    return FluxSplitParts(problem.flux, FluxPartition.from_cells(parsed.cells(grid), grid))
 
 
 @dataclass
@@ -260,6 +288,8 @@ def _table_experiment(
     reference_errors,
     reference_orders,
 ) -> ExperimentReport:
+    _check_cells("ms", ms)
+    _check_unit_steps(ms, nu)
     report = ExperimentReport(
         name=name,
         columns=[
@@ -315,8 +345,8 @@ def _table_experiment(
         # runs covering fewer than three of them skip the check
         published = [m for m in errs_linf if m in reference_errors.get(scheme, {})]
         if scheme in reference_orders and len(published) >= 3:
-            slope_inf = estimate_order({m: errs_linf[m] for m in published})["slope"]
-            slope_l1 = estimate_order({m: errs_l1[m] for m in published})["slope"]
+            slope_inf = estimate_order({m: errs_linf[m] for m in published})
+            slope_l1 = estimate_order({m: errs_l1[m] for m in published})
             want = reference_orders[scheme]
             got = (round(slope_inf), round(slope_l1))
             report.check(
@@ -354,6 +384,9 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
     """Error versus position at the final time of the smooth test."""
     if quick:
         m = m // 2
+    _check_cells("m", (m,))
+    _check_unit_steps((m,), nu)
+    _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
     report = ExperimentReport(
         name="fig1",
         columns=["scheme", "x", "error"],
@@ -403,6 +436,9 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
     (the standard one unless ``threshold`` is given)."""
     if quick:
         m = m // 2
+    _check_cells("m", (m,))
+    _require(threshold is None or math.isfinite(threshold), "threshold", threshold,
+             "a finite number")
     spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
     report = ExperimentReport(
@@ -434,7 +470,7 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
                          off >= 0.005, f"{off:.4f} ({cells:.1f} cells)")
     if include_reference:
         problem = burgers_llf(m)
-        cells = add_row("single-rate", problem, "ETR2", trivial_parts(problem.rhs), 0.5 / m)
+        cells = add_row("single-rate", problem, "ETR2", TrivialParts(problem.rhs), 0.5 / m)
         report.check("single-rate shock within 3 cells of x = 3/4",
                      cells <= 3.0, f"{cells:.1f} cells")
     return report
@@ -468,6 +504,8 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
     """Norm of W versus resolution for several Courant numbers."""
     if quick:
         ms = tuple(m for m in ms if m <= max(ms) // 2)
+    _check_cells("ms", ms, least=2)
+    _check_positive("nus", nus)
     report = ExperimentReport(
         name="fig3",
         columns=["scheme", "m", "nu", "norm_W", "cond_rTe", "stab1", "stab2"],
@@ -518,6 +556,9 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         reference_tol = max(reference_tol, 1e-9)
     if nus is None:
         nus = tuple(np.linspace(0.5, 2.0, 8))
+    _check_cells("ns", ns)
+    _check_positive("nus", nus)
+    _check_positive("reference_tol", (reference_tol,))
     t_end = 1.0 / 3.0
     report = ExperimentReport(
         name=f"adv2d-{kind}",
@@ -537,7 +578,7 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
                 n_steps = max(1, int(np.ceil(t_end / dt)))
                 dt = t_end / n_steps
                 if scheme == "ETR2x2":  # the base method, unsplit, at half the step
-                    tableau, split, step = "ETR2", trivial_parts(problem.rhs), 0.5 * dt
+                    tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
                 else:
                     tableau, split, step = scheme, parts, dt
                 try:
@@ -620,9 +661,3 @@ EXPERIMENTS = {
     "adv2d-cell": functools.partial(run_adv2d, "cell"),
     "adv2d-flux": functools.partial(run_adv2d, "flux"),
 }
-
-
-def run_experiment(name: str, **kwargs) -> ExperimentReport:
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    return EXPERIMENTS[name](**kwargs)

@@ -29,69 +29,6 @@ class IntegrationDiverged(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class _StepPlan:
-    A: tuple
-    b: tuple
-    c: tuple
-    # per stage: which parts must be evaluated there at all
-    needed: tuple
-    # per stage i: nonzero couplings (j, k, a_ij^(k)) with j < i
-    stage_terms: tuple
-    # nonzero weights (j, k, b_j^(k))
-    update_terms: tuple
-
-
-def _plan(tab: PRKTableau) -> _StepPlan:
-    """The float step plan of ``tab``, built on first use and kept on it.
-
-    Looking it up costs one attribute read per step, where a cache keyed
-    by the tableau would hash all of its Fractions every step.
-    """
-    try:
-        return tab.__dict__["_step_plan"]
-    except KeyError:
-        plan = _build_plan(tab)
-        # derived data, not a field: the frozen dataclass compares and
-        # hashes as before
-        object.__setattr__(tab, "_step_plan", plan)
-        return plan
-
-
-def _build_plan(tab: PRKTableau) -> _StepPlan:
-    A = [[[float(a) for a in row] for row in Ak] for Ak in tab.A]
-    b = [[float(x) for x in bk] for bk in tab.b]
-    c = [float(x) for x in tab.c]
-    r, s = tab.r, tab.s
-    needed = [
-        [
-            b[k][j] != 0.0 or any(A[k][i][j] != 0.0 for i in range(j + 1, s))
-            for k in range(r)
-        ]
-        for j in range(s)
-    ]
-    stage_terms = [
-        [
-            (j, k, A[k][i][j])
-            for k in range(r)
-            for j in range(i)
-            if A[k][i][j] != 0.0
-        ]
-        for i in range(s)
-    ]
-    update_terms = [
-        (j, k, b[k][j]) for k in range(r) for j in range(s) if b[k][j] != 0.0
-    ]
-    return _StepPlan(
-        A=tuple(map(tuple, (tuple(map(tuple, Ak)) for Ak in A))),
-        b=tuple(map(tuple, b)),
-        c=tuple(c),
-        needed=tuple(map(tuple, needed)),
-        stage_terms=tuple(map(tuple, stage_terms)),
-        update_terms=tuple(update_terms),
-    )
-
-
 def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.ndarray:
     """One step of the partitioned scheme from ``t`` to ``t + dt``.
 
@@ -102,7 +39,7 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
     """
     if parts.r != tab.r:
         raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
-    plan = _plan(tab)
+    plan = tab.plan
     u = np.asarray(u, dtype=float)
     K: list[list] = [[None] * tab.r for _ in range(tab.s)]
     for i in range(tab.s):
@@ -132,25 +69,23 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
 class IntegrationRun:
     """A fixed-step integration job.
 
-    ``dt`` must divide ``t_end - t0`` to an integer number of steps.  A
-    dynamic decomposition (one with ``begin_step``) is rebuilt from the
-    current state before every step.  ``mass_weights`` turns on the
-    conservation trace.
+    The run starts at ``t = 0`` from ``u0``, and ``dt`` must divide
+    ``t_end`` to an integer number of steps.  A dynamic decomposition (one
+    with ``begin_step``) is rebuilt from the current state before every
+    step.  ``mass_weights`` turns on the conservation trace.
     """
 
     tableau: PRKTableau
     parts: object
     dt: float
     t_end: float
-    t0: float = 0.0
     u0: np.ndarray | None = None
     mass_weights: np.ndarray | float | None = None
 
     @property
     def n_steps(self) -> int:
-        span = self.t_end - self.t0
-        n = round(span / self.dt)
-        if n < 1 or abs(n * self.dt - span) > 1e-9 * max(abs(span), 1.0):
+        n = round(self.t_end / self.dt)
+        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(abs(self.t_end), 1.0):
             raise ValueError("dt must divide the time span into whole steps")
         return n
 
@@ -170,22 +105,19 @@ def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
     u0 = np.asarray(run.u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("IntegrationRun.u0 holds non-finite values")
-    for name in ("t0", "t_end", "dt"):
+    for name in ("dt", "t_end"):
         value = getattr(run, name)
         if not math.isfinite(value):
             raise ValueError(f"IntegrationRun.{name} must be finite, got {value!r}")
-    if run.dt <= 0.0:
-        raise ValueError(f"IntegrationRun.dt must be positive, got {run.dt!r}")
-    if run.t_end <= run.t0:
-        raise ValueError(
-            f"IntegrationRun.t_end must be after t0, got t_end={run.t_end!r}, t0={run.t0!r}")
+        if value <= 0.0:
+            raise ValueError(f"IntegrationRun.{name} must be positive, got {value!r}")
     return u0
 
 
 def integrate(run: IntegrationRun) -> IntegrationResult:
     """March the scheme to ``t_end``; failures report the offending step."""
     u = _checked_initial_state(run)
-    t = run.t0
+    t = 0.0
     n_steps = run.n_steps
     mass_trace: list[float] = []
     if run.mass_weights is not None:
@@ -202,7 +134,7 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
                 step=n + 1,
                 t=t,
             ) from exc
-        t = run.t0 + (n + 1) * run.dt
+        t = (n + 1) * run.dt
         if run.mass_weights is not None:
             mass_trace.append(mass(run.mass_weights, u))
     return IntegrationResult(u=u, t=t, n_steps=n_steps, mass_trace=mass_trace)
@@ -212,10 +144,10 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
 # reference integrator
 # ----------------------------------------------------------------------
 
-def _rk4(rhs, u0, t0, t_end, n_steps):
+def _rk4(rhs, u0, t_end, n_steps):
     u = np.asarray(u0, dtype=float)
-    dt = (t_end - t0) / n_steps
-    t = t0
+    dt = t_end / n_steps
+    t = 0.0
     for n in range(n_steps):
         k1 = rhs(t, u)
         k2 = rhs(t + 0.5 * dt, u + 0.5 * dt * k1)
@@ -224,38 +156,28 @@ def _rk4(rhs, u0, t0, t_end, n_steps):
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise IntegrationDiverged("reference integration diverged", step=n + 1, t=t)
-        t = t0 + (n + 1) * dt
+        t = (n + 1) * dt
     return u
 
 
-def reference_integrate(
-    problem,
-    t_end: float,
-    tol: float = 1e-10,
-    u0: np.ndarray | None = None,
-    t0: float = 0.0,
-    dt0: float | None = None,
-    max_rounds: int = 14,
-) -> np.ndarray:
+def reference_integrate(problem, t_end: float, tol: float = 1e-10) -> np.ndarray:
     """Temporal-error-free solution of the semi-discrete system.
 
-    Classical fourth-order integration with step halving until two
-    consecutive answers agree to ``tol`` in the maximum norm; the finer
-    one is returned.
+    Classical fourth-order integration from ``problem.initial`` at
+    ``t = 0``, with step halving until two consecutive answers agree to
+    ``tol`` in the maximum norm; the finer one is returned.  The first
+    step is 0.4 of the narrowest cell over ``problem.max_speed``.
     """
-    if u0 is None:
-        u0 = problem.initial if problem.initial is not None else problem.exact(t0)
-    if dt0 is None:
-        speed = problem.max_speed
-        if callable(speed):
-            speed = speed(u0)
-        speed = float(speed or 1.0)
-        dt0 = 0.4 * problem.grid.min_width / speed
-    n = max(1, int(np.ceil((t_end - t0) / dt0)))
-    coarse = _rk4(problem.rhs, u0, t0, t_end, n)
-    for _ in range(max_rounds):
+    u0 = problem.initial
+    speed = problem.max_speed
+    if callable(speed):
+        speed = speed(u0)
+    speed = float(speed or 1.0)
+    n = max(1, int(np.ceil(t_end / (0.4 * problem.grid.min_width / speed))))
+    coarse = _rk4(problem.rhs, u0, t_end, n)
+    for _ in range(14):  # halvings of the first step before giving up
         n *= 2
-        fine = _rk4(problem.rhs, u0, t0, t_end, n)
+        fine = _rk4(problem.rhs, u0, t_end, n)
         if float(np.max(np.abs(fine - coarse))) < tol:
             return fine
         coarse = fine

@@ -4,18 +4,16 @@ A partitioned (additive) tableau holds one coefficient matrix ``A_k`` and
 one weight vector ``b_k`` per operator part, all sharing the abscissae
 ``c`` taken as the row sums of the last (most refined) part.  Coefficients
 are stored as exact rationals so that order, stage-order, conservation and
-internal-consistency checks are decided exactly; float views are derived
-on demand for the numerical kernels.
+internal-consistency checks are decided exactly; one float view, the
+step plan, is derived on first use for the numerical kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "PRKTableau",
@@ -37,14 +35,6 @@ __all__ = [
 FLOAT_TOL = 1e-14
 
 MAX_ORDER_CONDITIONS = 3
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def _close(x: Fraction, target: Fraction) -> bool:
@@ -102,26 +92,69 @@ class PRKTableau:
         The abscissae are derived from the last matrix.
         """
         A_t = tuple(
-            tuple(tuple(_frac(a) for a in row) for row in Ak) for Ak in A
+            tuple(tuple(Fraction(a) for a in row) for row in Ak) for Ak in A
         )
-        b_t = tuple(tuple(_frac(x) for x in bk) for bk in b)
+        b_t = tuple(tuple(Fraction(x) for x in bk) for bk in b)
         c_t = _row_sums(A_t[-1])
         return cls(r=len(A_t), s=len(b_t[0]), A=A_t, b=b_t, c=c_t, name=name)
 
-    # -- float views -------------------------------------------------
-
-    def A_float(self) -> list[np.ndarray]:
-        return [np.array(Ak, dtype=float) for Ak in self.A]
-
-    def b_float(self) -> list[np.ndarray]:
-        return [np.array(bk, dtype=float) for bk in self.b]
-
-    def c_float(self) -> np.ndarray:
-        return np.array(self.c, dtype=float)
+    @cached_property
+    def plan(self) -> "_StepPlan":
+        """The float step plan, built on first use and kept in the instance
+        dict, not in a field: the tableau compares and hashes by its
+        coefficients alone, and no step hashes a Fraction."""
+        return _build_plan(self)
 
     def row_sums(self, k: int) -> tuple[Fraction, ...]:
         """Row sums of ``A_k`` (the per-part abscissae)."""
         return _row_sums(self.A[k])
+
+
+@dataclass(frozen=True)
+class _StepPlan:
+    A: tuple
+    b: tuple
+    c: tuple
+    # per stage: which parts must be evaluated there at all
+    needed: tuple
+    # per stage i: nonzero couplings (j, k, a_ij^(k)) with j < i
+    stage_terms: tuple
+    # nonzero weights (j, k, b_j^(k))
+    update_terms: tuple
+
+
+def _build_plan(tab: PRKTableau) -> _StepPlan:
+    A = [[[float(a) for a in row] for row in Ak] for Ak in tab.A]
+    b = [[float(x) for x in bk] for bk in tab.b]
+    c = [float(x) for x in tab.c]
+    r, s = tab.r, tab.s
+    needed = [
+        [
+            b[k][j] != 0.0 or any(A[k][i][j] != 0.0 for i in range(j + 1, s))
+            for k in range(r)
+        ]
+        for j in range(s)
+    ]
+    stage_terms = [
+        [
+            (j, k, A[k][i][j])
+            for k in range(r)
+            for j in range(i)
+            if A[k][i][j] != 0.0
+        ]
+        for i in range(s)
+    ]
+    update_terms = [
+        (j, k, b[k][j]) for k in range(r) for j in range(s) if b[k][j] != 0.0
+    ]
+    return _StepPlan(
+        A=tuple(map(tuple, (tuple(map(tuple, Ak)) for Ak in A))),
+        b=tuple(map(tuple, b)),
+        c=tuple(c),
+        needed=tuple(map(tuple, needed)),
+        stage_terms=tuple(map(tuple, stage_terms)),
+        update_terms=tuple(update_terms),
+    )
 
 
 def _row_sums(Ak) -> tuple[Fraction, ...]:
@@ -383,10 +416,13 @@ def tableau_to_text(t: PRKTableau) -> str:
 def tableau_from_text(text: str, name: str = "") -> PRKTableau:
     """Parse the format written by :func:`tableau_to_text`.
 
-    Blank lines are skipped.  A malformed file raises ``ValueError`` naming
-    the 1-based line, and the entry within it where one is at fault.
+    Blank lines and ``#`` comment lines (such as the properties line of
+    ``prk tableau show``) are skipped.  A malformed file raises
+    ``ValueError`` naming the 1-based line, and the entry within it where
+    one is at fault.
     """
-    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
     header = "expected a header line 'r s' of positive integers"
     if not rows:
         raise ValueError(header)

@@ -22,8 +22,8 @@ from prk.analysis import (
 from prk.decomposition import (
     CellPartition,
     FluxPartition,
-    cell_split,
-    flux_split,
+    CellSplitParts,
+    FluxSplitParts,
 )
 from prk.harness import (
     DICHOTOMY_INTERVALS,
@@ -98,7 +98,7 @@ def test_criterion_04_flux_split_interface_identity():
     refined = np.zeros(m, dtype=bool)
     refined[i + 1:] = True
     fp = FluxPartition.from_cells(CellPartition.two_region(refined), prob.grid)
-    parts = flux_split(prob.flux, fp)
+    parts = FluxSplitParts(prob.flux, fp)
     rng = np.random.default_rng(123)
     worst = 0.0
     for dt in (0.01, 0.004):
@@ -164,8 +164,8 @@ def test_criterion_07_conservation_dichotomy():
     t_end = steps * nu / m
     drifts = {}
     for scheme in ("OS1", "TW1", "TW2", "CS2", "SH2"):
-        for kind, parts in (("cell", cell_split(prob.rhs, part)),
-                            ("flux", flux_split(prob.flux, fp))):
+        for kind, parts in (("cell", CellSplitParts(prob.rhs, part)),
+                            ("flux", FluxSplitParts(prob.flux, fp))):
             res = integrate(IntegrationRun(
                 builtin_tableau(scheme), parts, dt=nu / m, t_end=t_end,
                 u0=prob.initial, mass_weights=prob.grid.dx))
@@ -215,7 +215,7 @@ def test_criterion_09_reduction_property():
             ("TW2", "etr", (1, 2)), ("CS2", "etr", (1, 2)), ("SH2", "etr", (1, 2)),
         ):
             for region, n_sub in zip((0, 1), subs):
-                parts = cell_split(F, CellPartition.two_region(
+                parts = CellSplitParts(F, CellPartition.two_region(
                     np.full(m, region == 1)))
                 got = prk_step(builtin_tableau(scheme), parts, 0.0, dt, u0)
                 w = u0.copy()
@@ -247,7 +247,7 @@ def test_criterion_10_local_error_oracle():
     uex = lambda t: s * np.exp(alpha * t)
     L = prob.linear_matrix
     F = lambda t, v: L @ v + (alpha * uex(t) - L @ uex(t))
-    parts = cell_split(F, part)
+    parts = CellSplitParts(F, part)
     t0 = 0.4
     results = []
     for scheme, level in (("OS1", 1), ("TW1", 1), ("CS2", 1), ("TW2", 2), ("SH2", 2)):

@@ -1,25 +1,20 @@
 """Amplification operator, local-error coefficients, W matrix, stability."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from prk.analysis import (
     LinearSplitting,
     build_error_operators,
-    equal_A_coefficients,
     linearize_parts,
-    powerbound_check,
     predicted_local_error,
     solve_W,
     stability_check,
-    stage_response_rank,
 )
-from prk.decomposition import CellPartition, cell_split
+from prk.decomposition import CellPartition, CellSplitParts
 from prk.spatial import upwind1d
 from prk.stepper import prk_step
-from prk.tableau import PRKTableau, builtin_names, builtin_tableau, stage_order
+from prk.tableau import builtin_names, builtin_tableau, stage_order
 
 
 def _upwind_splitting(m=20, nu=0.4, lo=None, hi=None):
@@ -109,12 +104,6 @@ def test_error_coefficients_scale_with_dt():
             normvals.append(max(np.abs(ops.d[(j, k)]).max() for k in range(2)))
         slope = np.polyfit(np.log2(dts), np.log2(normvals), 1)[0]
         assert abs(slope - (p + 1 - j)) < 0.3, (name, slope)
-
-
-def test_stage_blocks_have_full_rank():
-    for name in builtin_names():
-        tab = builtin_tableau(name)
-        assert stage_response_rank(tab) == tab.s, name
 
 
 # ----------------------------------------------------------------------
@@ -219,42 +208,15 @@ def test_stability_requires_two_parts():
         stability_check(LinearSplitting.from_matrices([np.zeros((3, 3))]))
 
 
-def test_powerbound_identity_and_contraction():
-    assert powerbound_check(np.eye(4), 10).max_norm == 1.0
-    res = powerbound_check(0.5 * np.eye(4), 10)
-    assert res.max_norm == 1.0 and res.arg_n == 0
-
-
 def test_powerbound_stable_multirate_step():
+    # max over n <= 200 of |R^n|_inf stays at most one
     _, part, ls, _ = _upwind_splitting(m=100, nu=0.5)
-    ops = build_error_operators(builtin_tableau("OS1"), ls)
-    res = powerbound_check(ops.R, 200)
-    assert res.max_norm <= 1.0 + 1e-10
-
-
-# ----------------------------------------------------------------------
-# equal-coefficient expansion
-# ----------------------------------------------------------------------
-
-def test_equal_A_second_order_coefficient():
-    q = equal_A_coefficients(builtin_tableau("ETR2"), j_max=2)
-    assert q[(1, 0)] == Fraction(1, 2)
-
-
-def test_equal_A_third_order_leading_term_vanishes():
-    ssprk3 = PRKTableau.from_coeffs(
-        [[[0, 0, 0], [1, 0, 0], ["1/4", "1/4", 0]]],
-        [["1/6", "1/6", "2/3"]],
-        name="SSPRK3",
-    )
-    q = equal_A_coefficients(ssprk3, j_max=2)
-    assert q[(1, 0)] == 0
-    assert q[(2, 0)] != 0
-
-
-def test_equal_A_rejects_distinct_matrices():
-    with pytest.raises(ValueError):
-        equal_A_coefficients(builtin_tableau("OS1"), j_max=1)
+    R = build_error_operators(builtin_tableau("OS1"), ls).R
+    P, worst = np.eye(ls.m), 1.0
+    for _ in range(200):
+        P = P @ R
+        worst = max(worst, np.abs(P).sum(axis=1).max())
+    assert worst <= 1.0 + 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +235,7 @@ def _manufactured(prob, alpha=0.7):
 def test_predicted_error_matches_one_step_defect():
     prob, part, ls, dt = _upwind_splitting(m=16, nu=0.3)
     uex, F, alpha = _manufactured(prob)
-    parts = cell_split(F, part)
+    parts = CellSplitParts(F, part)
     tab = builtin_tableau("OS1")
     t0 = 0.4
     defect = uex(t0 + dt) - prk_step(tab, parts, t0, dt, uex(t0))
@@ -298,7 +260,7 @@ def test_linear_in_time_solution_has_zero_defect_for_stage_order_one():
     F = lambda t, v: L @ v + (b - L @ uex(t))
     for name in ("TW1", "TW2", "SH2"):
         dt = 0.05
-        defect = uex(dt) - prk_step(builtin_tableau(name), cell_split(F, part),
+        defect = uex(dt) - prk_step(builtin_tableau(name), CellSplitParts(F, part),
                                     0.0, dt, uex(0.0))
         assert np.abs(defect).max() < 1e-13, name
 
@@ -309,7 +271,7 @@ def test_linearize_parts_recovers_masked_matrix():
     refined = np.zeros(m, dtype=bool)
     refined[5:] = True
     part = CellPartition.two_region(refined)
-    parts = cell_split(prob.rhs, part)
+    parts = CellSplitParts(prob.rhs, part)
     mats = linearize_parts(parts, m)
     L = prob.linear_matrix
     assert np.abs(mats[0] - np.where(part.masks[0][:, None], L, 0.0)).max() < 1e-12

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 import prk.harness
 
 from prk.cli import _load_config, main
+from prk.tableau import builtin_names
 
 
 @pytest.fixture
@@ -30,6 +31,19 @@ def test_tableau_check_round_trip(runner, tmp_path):
     out = runner.invoke(main, ["tableau", "check", str(f)])
     assert out.exit_code == 0
     assert "order=2" in out.output and "stage_order=1" in out.output
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_tableau_check_reads_show_output(runner, tmp_path, name):
+    shown = runner.invoke(main, ["tableau", "show", name])
+    assert shown.exit_code == 0, shown.output
+    f = tmp_path / f"{name}.txt"
+    f.write_text(shown.output)
+    out = runner.invoke(main, ["tableau", "check", str(f)])
+    assert out.exit_code == 0, out.output
+    # the properties read back are the ones show printed
+    properties = shown.output.splitlines()[-1].removeprefix("# ")
+    assert out.output.strip().endswith(properties), (shown.output, out.output)
 
 
 def test_analyze_emits_csv(runner):
@@ -92,8 +106,11 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
     (["analyze", "--m", "20,abc"], "bad --m '20,abc': need comma-separated int values"),
     (["analyze", "--nu", "0.5,fast"], "bad --nu '0.5,fast': need comma-separated float"),
+    (["analyze", "--m", "20,0"], "bad value ms=0: need a whole number of at least 2 cells"),
+    (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
 ], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu", "m",
-        "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu"])
+        "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu",
+        "analyze-m-zero", "analyze-nu-negative"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,
                                                            args, message):
     def no_steps(*_args, **_kwargs):
@@ -129,6 +146,32 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     assert out.output.strip().splitlines()[-1].startswith(f"Error: bad config value {key}=")
 
 
+@pytest.mark.parametrize("experiment, config, message", [
+    ("table1", "ms=50.5", "bad value ms=50.5: need a whole number of at least 6 cells"),
+    ("table1", "ms=0", "bad value ms=0: need a whole number of at least 6 cells"),
+    ("table1", "nu=-1", "bad value nu=-1: need a positive number"),
+    ("table1", "nu=0.3\nms=50", "bad value nu=0.3: need m/nu to be a whole number of steps "
+                                "at m=50"),
+    ("fig1", "kind=edge", "bad value kind='edge': need cell or flux"),
+    ("fig2", "threshold=nan", "bad value threshold=nan: need a finite number"),
+    ("adv2d-cell", "reference_tol=-1", "bad value reference_tol=-1: need a positive number"),
+], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
+        "reference-tol"])
+def test_run_checks_experiment_values_before_the_first_integration(
+        runner, tmp_path, monkeypatch, experiment, config, message):
+    def no_steps(*_args, **_kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(prk.harness, "integrate", no_steps)
+    monkeypatch.setattr(prk.harness, "reference_integrate", no_steps)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config + "\n")
+    out = runner.invoke(main, ["run", experiment, "--config", str(cfg),
+                               "--out", str(tmp_path / "out")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == f"Error: {message}\n"
+
+
 def test_config_values_keep_their_types(tmp_path):
     # the lines the benchmark writes, plus a name-valued key
     cfg = tmp_path / "cfg.txt"
@@ -147,7 +190,8 @@ def test_config_values_keep_their_types(tmp_path):
     ("1 2\n\n0 0\n1 0\n1 1/0\n", "line 5, entry 2: '1/0' is not a rational number"),
     ("1 2\n0 0\n1 0 0\n1 0\n", "line 3: expected 2 entries, got 3"),
     ("\n1 two\n", "line 2: expected a header line 'r s' of positive integers"),
-], ids=["entry", "zero-denominator", "row-length", "header"])
+    ("# order=1\n1 2\n\n0 0\n1/x 0\n1 0\n", "line 5, entry 1: '1/x' is not a rational number"),
+], ids=["entry", "zero-denominator", "row-length", "header", "after-comment"])
 def test_tableau_check_names_the_bad_line(runner, tmp_path, text, message):
     f = tmp_path / "bad.txt"
     f.write_text(text)
@@ -206,6 +250,10 @@ def test_integrate_adv1d_flux_partition_ranges(runner):
      "needs a predicate"),
     (["--problem", "adv1d", "--partition", "bogus("], "was never closed"),
     (["--problem", "adv1d", "--partition", "x.__class__"], "Attribute at column 1"),
+    (["--problem", "adv1d", "--partition", "x*" * 2000 + "x<1"], "nested deeper than 100"),
+    (["--problem", "adv1d", "--partition", "-" * 3000 + "x<1"], "nested deeper than 100"),
+    (["--problem", "burgers", "--partition", "dynamic:burgers:threshold=nan"],
+     "threshold=nan must be finite"),
 ])
 def test_integrate_rejects_bad_partitions_without_a_traceback(runner, args, message):
     out = runner.invoke(main, ["integrate", "--m", "12", *args])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prk.decomposition import (
     CellPartition,
@@ -9,12 +11,12 @@ from prk.decomposition import (
     FluxPartition,
     FluxPartition2D,
     burgers_dynamic_partition,
-    cell_split,
-    flux_split,
-    flux_split_2d,
+    CellSplitParts,
+    FluxSplitParts,
+    FluxSplit2DParts,
     PartitionSpec,
     mass,
-    trivial_parts,
+    TrivialParts,
 )
 from prk.harness import STANDARD_PARTITIONS
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
@@ -67,7 +69,7 @@ def test_flux_partition_rejects_bad_lengths():
 def test_cell_split_identity_partition():
     rng = np.random.default_rng(0)
     F = lambda t, v: np.sin(v) + t
-    parts = cell_split(F, CellPartition.single((9,)))
+    parts = CellSplitParts(F, CellPartition.single((9,)))
     v = rng.standard_normal(9)
     assert np.array_equal(parts.eval_parts(0.3, v)[0], F(0.3, v))
 
@@ -76,7 +78,7 @@ def test_cell_split_partition_of_unity_exact():
     rng = np.random.default_rng(1)
     m = 50
     p = advection1d_weno5(m)
-    parts = cell_split(p.rhs, _two_region(m, 10, 30))
+    parts = CellSplitParts(p.rhs, _two_region(m, 10, 30))
     for _ in range(5):
         v = rng.standard_normal(m)
         full = p.rhs(0.0, v)
@@ -88,7 +90,7 @@ def test_cell_split_row_structure_on_upwind():
     m = 8
     prob = upwind1d(m=m, boundary="inflow")
     part = _two_region(m, 4, 8)
-    parts = cell_split(lambda t, v: prob.linear_matrix @ v, part)
+    parts = CellSplitParts(lambda t, v: prob.linear_matrix @ v, part)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(m)
     f1 = parts.eval_parts(0.0, v)[0]
@@ -97,7 +99,7 @@ def test_cell_split_row_structure_on_upwind():
 
 
 def test_cell_split_dimension_mismatch():
-    parts = cell_split(lambda t, v: v, CellPartition.single((4,)))
+    parts = CellSplitParts(lambda t, v: v, CellPartition.single((4,)))
     with pytest.raises(ValueError):
         parts.eval_parts(0.0, np.zeros(5))
 
@@ -110,7 +112,7 @@ def test_flux_split_single_region_is_identity():
     m = 30
     p = advection1d_weno5(m)
     fp = FluxPartition.from_cells(CellPartition.single((m,)), p.grid)
-    parts = flux_split(p.flux, fp)
+    parts = FluxSplitParts(p.flux, fp)
     rng = np.random.default_rng(3)
     v = rng.random(m)
     assert np.allclose(parts.eval_parts(0.0, v)[0], p.rhs(0.0, v), atol=1e-15)
@@ -124,7 +126,7 @@ def test_flux_split_interface_formulas_upwind():
     i = 4
     cells = _two_region(m, i + 1, m)
     fp = FluxPartition.from_cells(cells, prob.grid)
-    parts = flux_split(prob.flux, fp)
+    parts = FluxSplitParts(prob.flux, fp)
     rng = np.random.default_rng(4)
     v = rng.random(m)
     f1, f2 = parts.eval_parts(0.0, v)
@@ -144,7 +146,7 @@ def test_flux_split_partition_of_unity():
     m = 64
     p = advection1d_weno5(m)
     fp = FluxPartition.from_cells(_two_region(m, 16, 48), p.grid)
-    parts = flux_split(p.flux, fp)
+    parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m) + 0.5
     full = p.rhs(0.0, v)
     f1, f2 = parts.eval_parts(0.0, v)
@@ -157,7 +159,7 @@ def test_flux_split_regions_conserve_mass_periodic():
     m = 40
     p = advection1d_weno5(m)
     fp = FluxPartition.from_cells(_two_region(m, 5, 25), p.grid)
-    parts = flux_split(p.flux, fp)
+    parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m)
     for fk in parts.eval_parts(0.0, v):
         assert abs(np.sum(p.grid.dx * fk)) < 1e-15
@@ -170,7 +172,7 @@ def test_flux_split_telescopes_to_boundary_fluxes():
     prob = upwind1d(m=m, boundary="inflow")
     i = 5
     fp = FluxPartition.from_cells(_two_region(m, i + 1, m), prob.grid)
-    parts = flux_split(prob.flux, fp)
+    parts = FluxSplitParts(prob.flux, fp)
     rng = np.random.default_rng(7)
     v = rng.random(m)
     phi = prob.flux(0.0, v)
@@ -310,10 +312,45 @@ def test_predicates_outside_the_grammar_are_rejected(text, node, column):
     ("y < 0.5", "on a 1D grid"),
     ("~x < 1", "cannot evaluate"),
     ("x < 1/0", "cannot evaluate"),
+    pytest.param("x*" * 2000 + "x<1", "nested deeper than 100 levels", id="deep-product"),
+    pytest.param("-" * 3000 + "x<1", "nested deeper than 100 levels", id="deep-minus"),
+    pytest.param("-" * 101 + "x<1", "nested deeper than 100 levels", id="minus-101"),
+    ("dynamic:burgers:threshold=nan", "threshold=nan must be finite"),
+    ("dynamic:burgers:threshold=-inf", "threshold=-inf must be finite"),
 ])
 def test_predicates_that_cannot_give_a_mask_are_rejected(text, message):
     with pytest.raises(ValueError, match=message):
         PartitionSpec.parse(text).cells(advection1d_weno5(8).grid)
+
+
+_SPEC_TOKENS = ["x", "y", "0.5", "1", "3", "1e400", " ", "+", "-", "*", "/", "<", "<=",
+                ">=", "==", "&", "|", "~", "(", ")", "abs(", "min(", "max(", ",", "**",
+                "coarse:", "refined:", "ranges:", "2-5", "dynamic:burgers",
+                ":threshold=", "nan", "0.125", "x.y", "'s'", "[0]", "lambda:"]
+spec_texts = st.one_of(st.text(max_size=30),
+                       st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join))
+
+
+@settings(deadline=None, max_examples=300)
+@given(spec_texts)
+def test_any_partition_text_gives_valid_masks_or_a_value_error(text):
+    grid1, grid2 = advection1d_weno5(8).grid, advection2d(6).grid
+    u = burgers_llf(8).initial
+    try:
+        spec = PartitionSpec.parse(text)
+    except ValueError:
+        return
+    if spec.rule is not None:
+        parts = [spec.rule(u)]
+    else:
+        parts = []
+        for make, grid in ((spec.cells, grid1), (spec.cells, grid2), (spec.faces, grid2)):
+            try:
+                parts.append(make(grid))
+            except ValueError:
+                pass
+    for part in parts:  # the constructors check that the masks cover disjointly
+        assert isinstance(part, (CellPartition, FluxPartition2D)) and part.r == 2
 
 
 def test_ranges_and_2d_faces_need_their_grids():
@@ -351,7 +388,7 @@ def test_standard_specs_reproduce_the_literal_partitions(m):
 
 
 def test_trivial_parts():
-    tp = trivial_parts(lambda t, v: 2 * v)
+    tp = TrivialParts(lambda t, v: 2 * v)
     assert tp.r == 1
     assert np.array_equal(tp.eval_parts(0.0, np.ones(3))[0], 2 * np.ones(3))
 
@@ -372,7 +409,7 @@ def test_flux_split_2d_partition_of_unity():
     fp = FluxPartition2D.from_coarse_predicate(
         prob.grid, lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5) <= 1.0 / 3.0
     )
-    parts = flux_split_2d(prob.flux, fp)
+    parts = FluxSplit2DParts(prob.flux, fp)
     full = prob.rhs(0.0, prob.initial)
     f1, f2 = parts.eval_parts(0.0, prob.initial)
     scale = np.abs(full).max()

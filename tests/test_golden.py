@@ -28,7 +28,7 @@ import pytest
 from click.testing import CliRunner
 
 from prk.cli import main
-from prk.harness import run_experiment
+from prk.harness import EXPERIMENTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +37,7 @@ CASES = {
     "table2": dict(schemes=("SH2",), ms=(100, 200)),
     "fig1": dict(m=200),
     "fig2": dict(m=400),
+    "fig3": dict(schemes=("TW2", "CS2"), ms=(20, 40, 80), nus=(0.5, 1.0)),
     "adv2d-cell": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
     "adv2d-flux": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
 }
@@ -93,7 +94,7 @@ def integrated_state(name: str, out_file: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name):
     want = (GOLDEN / f"{name}.csv").read_text()
-    _assert_same(run_experiment(name, **CASES[name]).to_csv(), want)
+    _assert_same(EXPERIMENTS[name](**CASES[name]).to_csv(), want)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
@@ -104,7 +105,7 @@ def test_integrated_state_is_byte_identical(name, tmp_path):
 
 if __name__ == "__main__":
     for name, kwargs in CASES.items():
-        (GOLDEN / f"{name}.csv").write_text(run_experiment(name, **kwargs).to_csv())
+        (GOLDEN / f"{name}.csv").write_text(EXPERIMENTS[name](**kwargs).to_csv())
     for name in INTEGRATE_CASES:
         path = GOLDEN / f"integrate-{name}.csv"
         integrated_state(name, path)

@@ -8,7 +8,6 @@ from prk.harness import (
     run_adv2d,
     run_burgers_shock,
     run_error_profile,
-    run_experiment,
     run_table1,
     run_table2,
     run_wnorm_study,
@@ -18,13 +17,12 @@ from prk.harness import (
 
 def test_estimate_order_geometric():
     est = estimate_order({100: 4e-4, 200: 1e-4, 400: 2.5e-5})
-    assert np.allclose(est["pairwise"], [2.0, 2.0])
-    assert np.isclose(est["slope"], 2.0)
+    assert np.isclose(est, 2.0)
 
 
 def test_estimate_order_constant_errors():
     est = estimate_order({100: 1e-3, 200: 1e-3})
-    assert np.isclose(est["slope"], 0.0)
+    assert np.isclose(est, 0.0)
 
 
 def test_estimate_order_single_point_rejected():
@@ -39,11 +37,6 @@ def test_shock_position_interpolates():
     assert np.isclose(shock_position(x, u), 0.2 + 0.1 * 0.5 / 0.8)
     with pytest.raises(ValueError):
         shock_position(x, np.zeros(4))
-
-
-def test_unknown_experiment():
-    with pytest.raises(KeyError):
-        run_experiment("table9")
 
 
 def test_report_csv_shape_and_determinism():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prk.tableau import (
     PRKTableau,
@@ -147,3 +149,25 @@ def test_float_coefficients_still_check_exactly():
     assert classical_order(t) == 1
     assert stage_order(t) == 1
     assert not is_conservative(t)
+
+
+coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@st.composite
+def explicit_tableaus(draw):
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    A = [[[draw(coefficients) if j < i else 0 for j in range(s)] for i in range(s)]
+         for _ in range(r)]
+    b = [[draw(coefficients) for _ in range(s)] for _ in range(r)]
+    return PRKTableau.from_coeffs(A, b)
+
+
+@settings(deadline=None, max_examples=150)
+@given(explicit_tableaus())
+def test_text_round_trip_keeps_the_tableau_and_its_properties(t):
+    # comment lines, like the properties line of ``prk tableau show``, are skipped
+    text = "# header comment\n" + tableau_to_text(t) + "  # order=?\n"
+    back = tableau_from_text(text)
+    assert back == t
+    assert tableau_properties(back) == tableau_properties(t)
