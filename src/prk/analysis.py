@@ -248,18 +248,20 @@ def predicted_local_error(
     return delta
 
 
-def linearize_parts(parts, m: int, t: float = 0.0) -> list[np.ndarray]:
-    """Extract the matrices of linear part evaluators by probing basis vectors.
+def linearize_parts(parts, m: int) -> list[np.ndarray]:
+    """Extract the matrices of linear part evaluators by probing basis
+    vectors at ``t = 0``.
 
     Subtracts the response at zero so affine boundary terms drop out.
     Intended for small systems in analysis and testing.
     """
-    zero = [np.zeros(m) if v is None else v for v in parts.eval_parts(t, np.zeros(m))]
+    needed = [True] * parts.r
+    zero = parts.eval_parts(0.0, np.zeros(m), needed)
     mats = [np.zeros((m, m)) for _ in range(parts.r)]
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
-        vals = parts.eval_parts(t, e)
+        vals = parts.eval_parts(0.0, e, needed)
         for k in range(parts.r):
             mats[k][:, i] = vals[k] - zero[k]
     return mats

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -76,6 +77,13 @@ def _load_config(path: str | None) -> dict:
         key = key.strip()
         overrides[key] = _parse_value(val, key)
     return overrides
+
+
+def _finite(_ctx, param, value):
+    """Option callback: click's float ranges let ``nan`` and ``inf`` through."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.", param=param)
+    return value
 
 
 def _check_schemes(names, r: int | None = None) -> None:
@@ -177,13 +185,15 @@ _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 @click.option("--m", "m", type=int, required=True,
               help="Cells (per direction for adv2d).")
 @click.option("--nu", type=click.FloatRange(0.0, min_open=True), default=0.5,
-              show_default=True, help="Courant number fixing the step size.")
+              callback=_finite, show_default=True,
+              help="Courant number fixing the step size.")
 @click.option("--scheme", default="TW2", show_default=True)
 @click.option("--decomposition", "kind", type=click.Choice(["cell", "flux"]),
               default="cell", show_default=True)
 @click.option("--partition", "partition_spec", default=None,
               help="Partition spec (see docs); defaults to the problem's standard one.")
 @click.option("--t-end", type=click.FloatRange(0.0, min_open=True), default=None,
+              callback=_finite,
               help="Final time (defaults to the problem's standard value).")
 @click.option("--out", "outfile", default=None,
               help="Write the final state as CSV.")

@@ -66,10 +66,6 @@ class CellPartition:
         return self.masks[0].shape
 
     @classmethod
-    def single(cls, shape) -> "CellPartition":
-        return cls((np.ones(shape, dtype=bool),))
-
-    @classmethod
     def two_region(cls, refined: np.ndarray) -> "CellPartition":
         """Coarse region 1 is the complement of the ``refined`` mask."""
         refined = np.asarray(refined, dtype=bool)
@@ -154,7 +150,8 @@ class FluxPartition2D:
 #
 # Every split has ``r`` parts and ``eval_parts(t, v, needed)``, the list
 # of part values at one stage (``None`` where ``needed`` is false); a
-# dynamic split also has ``begin_step(u)``.  The stepper uses nothing else.
+# dynamic split also has ``begin_step(u)``.  The stepper uses nothing else,
+# always passes ``needed`` and skips the call when no part is needed.
 # ----------------------------------------------------------------------
 
 class CellSplitParts:
@@ -165,14 +162,10 @@ class CellSplitParts:
         self.partition = partition
         self.r = partition.r
 
-    def eval_parts(self, t, v, needed=None):
+    def eval_parts(self, t, v, needed):
         masks = self.partition.masks
         if masks[0].shape != np.shape(v):
             raise ValueError("state shape does not match the partition masks")
-        if needed is None:
-            needed = [True] * self.r
-        if not any(needed):
-            return [None] * self.r
         f = self.F(t, v)
         return [np.where(mk, f, 0.0) if use else None for mk, use in zip(masks, needed)]
 
@@ -189,11 +182,7 @@ class FluxSplitParts:
         self.partition = partition
         self.r = partition.r
 
-    def eval_parts(self, t, v, needed=None):
-        if needed is None:
-            needed = [True] * self.r
-        if not any(needed):
-            return [None] * self.r
+    def eval_parts(self, t, v, needed):
         p = self.partition
         if np.shape(v) != (p.grid.m,):
             raise ValueError("state shape does not match the flux partition")
@@ -205,19 +194,14 @@ class FluxSplitParts:
 
 
 class FluxSplit2DParts:
-    def __init__(self, fluxes, partition: FluxPartition2D):
-        self.flux_x, self.flux_y = fluxes
+    def __init__(self, flux: Callable, partition: FluxPartition2D):
+        self.flux = flux
         self.partition = partition
         self.r = partition.r
 
-    def eval_parts(self, t, v, needed=None):
-        if needed is None:
-            needed = [True] * self.r
-        if not any(needed):
-            return [None] * self.r
+    def eval_parts(self, t, v, needed):
         p = self.partition
-        fx = self.flux_x(t, v)
-        fy = self.flux_y(t, v)
+        fx, fy = self.flux(t, v)
         return [p.grid.divergence((np.where(xm, fx, 0.0), np.where(ym, fy, 0.0)))
                 if use else None for xm, ym, use in zip(p.xmasks, p.ymasks, needed)]
 
@@ -229,19 +213,18 @@ class TrivialParts:
         self.F = F
         self.r = 1
 
-    def eval_parts(self, t, v, needed=None):
-        if needed is not None and not needed[0]:
-            return [None]
+    def eval_parts(self, t, v, needed):
         return [self.F(t, v)]
 
 
 class DynamicCellSplit:
-    """Cell split whose partition is rebuilt from the state once per step."""
+    """Two-region cell split whose partition is rebuilt from the state once
+    per step."""
 
-    def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition], r: int = 2):
+    def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition]):
         self.F = F
         self.rule = rule
-        self.r = r
+        self.r = 2
         self.partition: CellPartition | None = None
 
     def begin_step(self, u: np.ndarray) -> None:
@@ -254,7 +237,7 @@ class DynamicCellSplit:
         self.partition = partition
         self._split = CellSplitParts(self.F, partition)
 
-    def eval_parts(self, t, v, needed=None):
+    def eval_parts(self, t, v, needed):
         if self.partition is None:
             self.begin_step(v)
         return self._split.eval_parts(t, v, needed)
@@ -361,7 +344,10 @@ class PartitionSpec:
                 key, _, val = opt.partition("=")
                 if key != "threshold":
                     raise ValueError(f"unknown dynamic option {key!r}")
-                kwargs[key] = float(val)
+                try:
+                    kwargs[key] = float(val)
+                except ValueError:
+                    raise ValueError(f"dynamic option {key}={val!r} is not a number") from None
                 if not math.isfinite(kwargs[key]):
                     raise ValueError(f"dynamic option {key}={val} must be finite")
             return cls(text, rule=functools.partial(burgers_dynamic_partition, **kwargs))
@@ -376,11 +362,15 @@ class PartitionSpec:
                     ranges.append((int(lo), int(hi) if hi else int(lo)))
                 except ValueError:
                     raise ValueError(f"bad index range {chunk!r} in {text!r}") from None
+                if ranges[-1][0] > ranges[-1][1]:
+                    raise ValueError(f"index range {chunk!r} in {text!r} is reversed")
             return cls(text, ranges=tuple(ranges), coarse=coarse)
         try:
             tree = ast.parse(body, mode="eval")
         except SyntaxError as exc:
-            raise ValueError(f"predicate {body!r}: {exc.msg} at column {exc.offset}") from None
+            # offset 0 marks the end of the input
+            column = exc.offset or len(body) + 1
+            raise ValueError(f"predicate {body!r}: {exc.msg} at column {column}") from None
         except RecursionError:
             raise ValueError(_TOO_DEEP) from None
         return cls(text, predicate=_compile(tree.body, body), coarse=coarse)

@@ -172,11 +172,11 @@ def _fmt(x) -> str:
 def estimate_order(errors) -> float:
     """Convergence order from an error-versus-resolution table.
 
-    ``errors`` maps resolution to error (dict or pairs).  Returns the
-    least-squares slope of ``-log2(error)`` against ``log2(resolution)``,
-    or 0 when an error is not positive.
+    ``errors`` maps resolution to error.  Returns the least-squares slope
+    of ``-log2(error)`` against ``log2(resolution)``, or 0 when an error
+    is not positive.
     """
-    items = sorted(errors.items() if isinstance(errors, dict) else errors)
+    items = sorted(errors.items())
     if len(items) < 2:
         raise ValueError("order estimation needs at least two resolutions")
     ms = np.array([m for m, _ in items], dtype=float)
@@ -186,13 +186,13 @@ def estimate_order(errors) -> float:
     return float(-np.polyfit(np.log2(ms), np.log2(es), 1)[0])
 
 
-def shock_position(x: np.ndarray, u: np.ndarray, level: float = 0.5) -> float:
-    """Downward level crossing of the profile, linearly interpolated."""
-    down = np.where((u[:-1] >= level) & (u[1:] < level))[0]
+def shock_position(x: np.ndarray, u: np.ndarray) -> float:
+    """Downward crossing of the level 1/2, linearly interpolated."""
+    down = np.where((u[:-1] >= 0.5) & (u[1:] < 0.5))[0]
     if down.size == 0:
         raise ValueError("no downward crossing found")
     i = int(down[-1])
-    return float(x[i] + (u[i] - level) * (x[i + 1] - x[i]) / (u[i] - u[i + 1]))
+    return float(x[i] + (u[i] - 0.5) * (x[i + 1] - x[i]) / (u[i] - u[i + 1]))
 
 
 class BadArgument(ValueError):
@@ -241,7 +241,7 @@ def make_parts(problem, kind: str, spec: str):
     if kind != "flux":
         raise ValueError(f"unknown decomposition kind {kind!r}")
     grid = problem.grid
-    if isinstance(problem.flux, tuple):  # x- and y-face fluxes
+    if len(grid.centres) == 2:  # x- and y-faces
         return FluxSplit2DParts(problem.flux, parsed.faces(grid))
     return FluxSplitParts(problem.flux, FluxPartition.from_cells(parsed.cells(grid), grid))
 
@@ -596,46 +596,33 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
     # asymptotic and only hold from about n = 50 upward
     asym = [n for n in ns if n >= 50]
     for scheme in schemes:
-        if scheme in ("TW2", "SH2"):
-            if kind == "cell":
-                ratios = [
-                    errs[(scheme, nu, n)] / errs[("ETR2x2", nu, n)]
-                    for nu in nus for n in asym
-                    if np.isfinite(errs[(scheme, nu, n)])
-                    and np.isfinite(errs[("ETR2x2", nu, n)])
-                ]
-                if ratios:
-                    report.check(
-                        f"{scheme} tracks the global half-step baseline (<= 2.2)",
-                        max(ratios) <= 2.2,
-                        f"worst ratio {max(ratios):.2f}",
-                    )
-                else:
-                    report.check(
-                        f"{scheme} tracks the global half-step baseline (<= 2.2)",
-                        True, "skipped: all grids pre-asymptotic (n < 50)",
-                    )
-            else:
-                slopes = []
-                for nu in nus:
-                    for n1, n2 in zip(ns[:-1], ns[1:]):
-                        if n1 < 50:
-                            continue
-                        e1, e2 = errs[(scheme, nu, n1)], errs[(scheme, nu, n2)]
-                        if np.isfinite(e1) and np.isfinite(e2) and e2 > 0:
-                            slopes.append(np.log2(e1 / e2) / np.log2(n2 / n1))
-                if slopes:
-                    mean = float(np.mean(slopes))
-                    report.check(
-                        f"{scheme} flux-based order about one under grid halving",
-                        0.5 <= mean <= 1.5,
-                        f"mean slope {mean:.2f}",
-                    )
-                else:
-                    report.check(
-                        f"{scheme} flux-based order about one under grid halving",
-                        True, "skipped: all grids pre-asymptotic (n < 50)",
-                    )
+        if scheme not in ("TW2", "SH2"):
+            continue
+        verdict = (True, "skipped: all grids pre-asymptotic (n < 50)")
+        if kind == "cell":
+            label = f"{scheme} tracks the global half-step baseline (<= 2.2)"
+            ratios = [
+                errs[(scheme, nu, n)] / errs[("ETR2x2", nu, n)]
+                for nu in nus for n in asym
+                if np.isfinite(errs[(scheme, nu, n)])
+                and np.isfinite(errs[("ETR2x2", nu, n)])
+            ]
+            if ratios:
+                verdict = (max(ratios) <= 2.2, f"worst ratio {max(ratios):.2f}")
+        else:
+            label = f"{scheme} flux-based order about one under grid halving"
+            slopes = []
+            for nu in nus:
+                for n1, n2 in zip(ns[:-1], ns[1:]):
+                    if n1 < 50:
+                        continue
+                    e1, e2 = errs[(scheme, nu, n1)], errs[(scheme, nu, n2)]
+                    if np.isfinite(e1) and np.isfinite(e2) and e2 > 0:
+                        slopes.append(np.log2(e1 / e2) / np.log2(n2 / n1))
+            if slopes:
+                mean = float(np.mean(slopes))
+                verdict = (0.5 <= mean <= 1.5, f"mean slope {mean:.2f}")
+        report.check(label, *verdict)
     if "CS2" in schemes and "TW2" in schemes and len(ns) >= 2 and kind == "cell":
         nu0 = nus[0]
         r_first = errs[("CS2", nu0, ns[0])] / errs[("TW2", nu0, ns[0])]

@@ -98,22 +98,20 @@ class Grid2D:
 class SemiDiscreteProblem:
     """A grid plus evaluators describing ``u' = F(t, u)``.
 
-    ``flux`` is the interface-flux evaluator needed for flux-based
-    decompositions (a pair of evaluators in 2D).  When the right-hand
-    side is affine, ``linear_matrix`` holds ``L`` and ``forcing`` the
-    inhomogeneous term ``g(t)`` with ``F(t, v) = L v + g(t)``.
+    ``flux(t, v)`` gives the interface fluxes that ``grid.divergence``
+    takes (``(fx, fy)`` in 2D), for flux-based decompositions.  When the
+    right-hand side is linear up to boundary data, ``linear_matrix``
+    holds ``L``.
     """
 
     grid: Grid1D | Grid2D
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    flux: Callable | tuple[Callable, Callable] | None = None
+    flux: Callable | None = None
     linear_matrix: np.ndarray | None = None
-    forcing: Callable[[float], np.ndarray] | None = None
     exact: Callable[[float], np.ndarray] | None = None
     exact_point: Callable | None = None
     initial: np.ndarray | None = None
     max_speed: float | Callable | None = None
-    name: str = ""
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -175,21 +173,12 @@ def upwind1d(
     def rhs(t, v):
         return grid.divergence(flux(t, v))
 
-    forcing = None
-    if not periodic:
-        def forcing(t):
-            g = np.zeros(m)
-            g[0] = inflow_fn(t) / dx[0]
-            return g
-
     return SemiDiscreteProblem(
         grid=grid,
         rhs=rhs,
         flux=flux,
         linear_matrix=L,
-        forcing=forcing,
         max_speed=1.0,
-        name="upwind1d",
     )
 
 
@@ -221,10 +210,8 @@ def advection1d_weno5(m: int) -> SemiDiscreteProblem:
         rhs=rhs,
         flux=flux,
         exact=exact,
-        exact_point=lambda x, t: np.sin(np.pi * (x - t)) ** 2,
         initial=exact(0.0),
         max_speed=1.0,
-        name="adv1d",
     )
 
 
@@ -260,7 +247,6 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
         flux=flux,
         initial=initial,
         max_speed=lambda u: float(np.max(np.abs(u))),
-        name="burgers",
     )
 
 
@@ -276,10 +262,10 @@ def _upwind_flux(speed, lines, mirrored):
     splitting is plain upwinding: the downwind half
     ``(speed u -+ |speed| u) / 2`` is exactly ``+0``, so only the upwind
     half is reconstructed.  Mirrored lines are reversed, reconstructed
-    from the left and reversed back, which is bitwise ``edge_from_right``;
-    adding ``0.0`` puts back the zero half, which turns ``-0`` into ``+0``.
-    On finite states the result is ``llf_split_flux(speed u, u, |speed|)``
-    bit for bit.
+    from the left and reversed back, which is bitwise the right-biased
+    ``interface_states(w)[1]`` of the line ``w`` itself; adding ``0.0``
+    puts back the zero half, which turns ``-0`` into ``+0``.  On finite
+    states the result is ``llf_split_flux(speed u, u, |speed|)`` bit for bit.
     """
     phi = speed * lines
     phi[mirrored] = phi[mirrored, ::-1]
@@ -332,11 +318,11 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     a1col, a1neg = a1[:, None], a1 < 0.0
     a2col, a2neg = a2[:, None], a2 < 0.0
 
-    # the ghost strips of the last evaluation time: stages with equal
-    # abscissae and the x/y halves of a flux split pad at the same t
+    # the ghost strips of the last evaluation time, reused by the stages
+    # that share an abscissa
     ghost_t, ghosts = None, None
 
-    def _padded(t, v):
+    def flux(t, v):
         nonlocal ghost_t, ghosts
         if ghosts is None or t != ghost_t:
             ghost_t = t
@@ -349,31 +335,20 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         w[-3:, :] = bottom
         w[3:-3, :3] = left
         w[3:-3, -3:] = right
-        return w
-
-    def flux_x(t, v, w=None):
-        if w is None:
-            w = _padded(t, v)
-        return _upwind_flux(a1col, w[3:-3, :], a1neg)
-
-    def flux_y(t, v, w=None):
-        if w is None:
-            w = _padded(t, v)
-        return _upwind_flux(a2col, w[:, 3:-3].T, a2neg).T
+        return (_upwind_flux(a1col, w[3:-3, :], a1neg),
+                _upwind_flux(a2col, w[:, 3:-3].T, a2neg).T)
 
     def rhs(t, v):
-        w = _padded(t, v)
-        return grid.divergence((flux_x(t, v, w), flux_y(t, v, w)))
+        return grid.divergence(flux(t, v))
 
     return SemiDiscreteProblem(
         grid=grid,
         rhs=rhs,
-        flux=(flux_x, flux_y),
+        flux=flux,
         exact=exact,
         exact_point=exact_point,
         initial=exact(0.0),
         max_speed=2.0 * np.pi,
-        name="adv2d",
     )
 
 

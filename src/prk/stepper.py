@@ -79,7 +79,7 @@ class IntegrationRun:
     parts: object
     dt: float
     t_end: float
-    u0: np.ndarray | None = None
+    u0: np.ndarray
     mass_weights: np.ndarray | float | None = None
 
     @property
@@ -93,15 +93,12 @@ class IntegrationRun:
 @dataclass
 class IntegrationResult:
     u: np.ndarray
-    t: float
     n_steps: int
     mass_trace: list[float] = field(default_factory=list)
 
 
 def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
     """Reject a malformed run before its first step; returns ``u0`` as floats."""
-    if run.u0 is None:
-        raise ValueError("IntegrationRun.u0 is missing: give the initial state")
     u0 = np.asarray(run.u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("IntegrationRun.u0 holds non-finite values")
@@ -137,7 +134,7 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
         t = (n + 1) * run.dt
         if run.mass_weights is not None:
             mass_trace.append(mass(run.mass_weights, u))
-    return IntegrationResult(u=u, t=t, n_steps=n_steps, mass_trace=mass_trace)
+    return IntegrationResult(u=u, n_steps=n_steps, mass_trace=mass_trace)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "WENO_EPS",
     "pad_periodic",
     "edge_from_left",
-    "edge_from_right",
     "interface_states",
     "llf_split_flux",
 ]
@@ -41,8 +40,8 @@ _LEFT = (0, 1, 2, 3, 4)
 _RIGHT = (5, 4, 3, 2, 1)
 
 
-def pad_periodic(u: np.ndarray, width: int = 3) -> np.ndarray:
-    return np.concatenate([u[..., -width:], u, u[..., :width]], axis=-1)
+def pad_periodic(u: np.ndarray) -> np.ndarray:
+    return np.concatenate([u[..., -3:], u, u[..., :3]], axis=-1)
 
 
 def _line(w):
@@ -139,13 +138,9 @@ def edge_from_left(w: np.ndarray) -> np.ndarray:
     return _edge(_line(w), _LEFT)
 
 
-def edge_from_right(w: np.ndarray) -> np.ndarray:
-    """Right-biased interface values (mirror image of :func:`edge_from_left`)."""
-    return _edge(_line(w), _RIGHT)
-
-
 def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstructed left/right states ``(u_minus, u_plus)`` at all interfaces."""
+    """Reconstructed left/right states ``(u_minus, u_plus)`` at all interfaces;
+    ``u_plus`` is the mirror image of :func:`edge_from_left`."""
     line = _line(w)
     return _edge(line, _LEFT), _edge(line, _RIGHT)
 

@@ -99,6 +99,14 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
      "Invalid value for '--t-end'"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "0"],
      "Invalid value for '--nu'"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "nan"],
+     "Invalid value for '--nu': nan is not a finite number"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "inf"],
+     "Invalid value for '--nu': inf is not a finite number"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "nan"],
+     "Invalid value for '--t-end': nan is not a finite number"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "inf"],
+     "Invalid value for '--t-end': inf is not a finite number"),
     (["integrate", "--problem", "adv1d", "--m", "3"],
      "bad --m: WENO5 needs at least 6 cells"),
     (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
@@ -108,7 +116,8 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["analyze", "--nu", "0.5,fast"], "bad --nu '0.5,fast': need comma-separated float"),
     (["analyze", "--m", "20,0"], "bad value ms=0: need a whole number of at least 2 cells"),
     (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
-], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu", "m",
+], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu",
+        "nu-nan", "nu-inf", "t-end-nan", "t-end-inf", "m",
         "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu",
         "analyze-m-zero", "analyze-nu-negative"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,

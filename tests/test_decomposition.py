@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prk.decomposition import (
     CellPartition,
@@ -20,6 +21,8 @@ from prk.decomposition import (
 )
 from prk.harness import STANDARD_PARTITIONS
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
+from prk.stepper import IntegrationRun, integrate
+from prk.tableau import builtin_tableau, is_conservative
 
 
 def _two_region(m, lo, hi):
@@ -69,9 +72,9 @@ def test_flux_partition_rejects_bad_lengths():
 def test_cell_split_identity_partition():
     rng = np.random.default_rng(0)
     F = lambda t, v: np.sin(v) + t
-    parts = CellSplitParts(F, CellPartition.single((9,)))
+    parts = CellSplitParts(F, CellPartition((np.ones(9, dtype=bool),)))
     v = rng.standard_normal(9)
-    assert np.array_equal(parts.eval_parts(0.3, v)[0], F(0.3, v))
+    assert np.array_equal(parts.eval_parts(0.3, v, [True])[0], F(0.3, v))
 
 
 def test_cell_split_partition_of_unity_exact():
@@ -82,7 +85,7 @@ def test_cell_split_partition_of_unity_exact():
     for _ in range(5):
         v = rng.standard_normal(m)
         full = p.rhs(0.0, v)
-        split = parts.eval_parts(0.0, v)
+        split = parts.eval_parts(0.0, v, [True, True])
         assert np.array_equal(split[0] + split[1], full)  # masking only
 
 
@@ -93,15 +96,15 @@ def test_cell_split_row_structure_on_upwind():
     parts = CellSplitParts(lambda t, v: prob.linear_matrix @ v, part)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(m)
-    f1 = parts.eval_parts(0.0, v)[0]
+    f1 = parts.eval_parts(0.0, v, [True, True])[0]
     assert np.all(f1[part.masks[1]] == 0.0)
     assert np.allclose(f1[part.masks[0]], (prob.linear_matrix @ v)[part.masks[0]])
 
 
 def test_cell_split_dimension_mismatch():
-    parts = CellSplitParts(lambda t, v: v, CellPartition.single((4,)))
+    parts = CellSplitParts(lambda t, v: v, CellPartition((np.ones(4, dtype=bool),)))
     with pytest.raises(ValueError):
-        parts.eval_parts(0.0, np.zeros(5))
+        parts.eval_parts(0.0, np.zeros(5), [True])
 
 
 # ----------------------------------------------------------------------
@@ -111,11 +114,11 @@ def test_cell_split_dimension_mismatch():
 def test_flux_split_single_region_is_identity():
     m = 30
     p = advection1d_weno5(m)
-    fp = FluxPartition.from_cells(CellPartition.single((m,)), p.grid)
+    fp = FluxPartition.from_cells(CellPartition((np.ones(m, dtype=bool),)), p.grid)
     parts = FluxSplitParts(p.flux, fp)
     rng = np.random.default_rng(3)
     v = rng.random(m)
-    assert np.allclose(parts.eval_parts(0.0, v)[0], p.rhs(0.0, v), atol=1e-15)
+    assert np.allclose(parts.eval_parts(0.0, v, [True])[0], p.rhs(0.0, v), atol=1e-15)
 
 
 def test_flux_split_interface_formulas_upwind():
@@ -129,7 +132,7 @@ def test_flux_split_interface_formulas_upwind():
     parts = FluxSplitParts(prob.flux, fp)
     rng = np.random.default_rng(4)
     v = rng.random(m)
-    f1, f2 = parts.eval_parts(0.0, v)
+    f1, f2 = parts.eval_parts(0.0, v, [True, True])
     dx = prob.grid.dx
     assert np.isclose(f1[i], v[i - 1] / dx[i])
     assert np.isclose(f2[i], -v[i] / dx[i])
@@ -149,7 +152,7 @@ def test_flux_split_partition_of_unity():
     parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m) + 0.5
     full = p.rhs(0.0, v)
-    f1, f2 = parts.eval_parts(0.0, v)
+    f1, f2 = parts.eval_parts(0.0, v, [True, True])
     scale = np.abs(full).max()
     assert np.abs(f1 + f2 - full).max() <= 1e-13 * max(scale, 1.0)
 
@@ -161,7 +164,7 @@ def test_flux_split_regions_conserve_mass_periodic():
     fp = FluxPartition.from_cells(_two_region(m, 5, 25), p.grid)
     parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m)
-    for fk in parts.eval_parts(0.0, v):
+    for fk in parts.eval_parts(0.0, v, [True, True]):
         assert abs(np.sum(p.grid.dx * fk)) < 1e-15
 
 
@@ -176,10 +179,37 @@ def test_flux_split_telescopes_to_boundary_fluxes():
     rng = np.random.default_rng(7)
     v = rng.random(m)
     phi = prob.flux(0.0, v)
-    f1, f2 = parts.eval_parts(0.0, v)
+    f1, f2 = parts.eval_parts(0.0, v, [True, True])
     # region 1 owns interfaces 0..i, region 2 owns i+1..m
     assert np.isclose(np.sum(prob.grid.dx * f1), phi[0])
     assert np.isclose(np.sum(prob.grid.dx * f2), -phi[m])
+
+
+@settings(max_examples=80, deadline=None)
+@given(by_faces=st.booleans(), m=st.integers(6, 24), nu=st.floats(0.1, 1.0),
+       n_steps=st.integers(1, 8), data=st.data())
+def test_mass_is_kept_on_random_partitions(by_faces, m, nu, n_steps, data):
+    # on a periodic grid every flux part telescopes to zero by itself, so
+    # a flux split keeps h^T u under any scheme; a cell split keeps it
+    # when all parts share one weight vector (is_conservative)
+    p = advection1d_weno5(m)
+    if by_faces:
+        scheme = data.draw(st.sampled_from(["OS1", "TW1", "TW2", "CS2", "SH2"]))
+        faces = data.draw(arrays(bool, m + 1))
+        faces[-1] = faces[0]  # the periodic wrap is one interface
+        parts = FluxSplitParts(p.flux, FluxPartition((~faces, faces), p.grid))
+    else:
+        scheme = data.draw(st.sampled_from(["CS2", "OS1"]))
+        refined = data.draw(arrays(bool, m))
+        parts = CellSplitParts(p.rhs, CellPartition.two_region(refined))
+    tab = builtin_tableau(scheme)
+    assert by_faces or is_conservative(tab)
+    u0 = 0.5 + data.draw(arrays(float, m, elements=st.floats(0.0, 1.0)))
+    dt = nu / m
+    res = integrate(IntegrationRun(tab, parts, dt=dt, t_end=n_steps * dt, u0=u0,
+                                   mass_weights=p.grid.measure))
+    trace = np.array(res.mass_trace)
+    assert np.abs(trace - trace[0]).max() <= 1e-12 * abs(trace[0])
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +235,6 @@ def test_dynamic_split_rebuilds_once_per_step():
         return burgers_dynamic_partition(u, 0.5)
 
     ds = DynamicCellSplit(lambda t, v: -v, rule)
-    from prk.stepper import IntegrationRun, integrate
-    from prk.tableau import builtin_tableau
-
     integrate(IntegrationRun(builtin_tableau("TW2"), ds, dt=0.25, t_end=1.0,
                              u0=np.array([1.0, 0.2])))
     assert len(calls) == 4  # one rebuild per step, none per stage
@@ -317,6 +344,10 @@ def test_predicates_outside_the_grammar_are_rejected(text, node, column):
     pytest.param("-" * 101 + "x<1", "nested deeper than 100 levels", id="minus-101"),
     ("dynamic:burgers:threshold=nan", "threshold=nan must be finite"),
     ("dynamic:burgers:threshold=-inf", "threshold=-inf must be finite"),
+    ("dynamic:burgers:threshold=abc", "dynamic option threshold='abc' is not a number"),
+    ("dynamic:burgers:threshold", "dynamic option threshold='' is not a number"),
+    ("ranges:5-2", "index range '5-2' in 'ranges:5-2' is reversed"),
+    ("coarse:", r"predicate '': .* at column 1$"),
 ])
 def test_predicates_that_cannot_give_a_mask_are_rejected(text, message):
     with pytest.raises(ValueError, match=message):
@@ -390,7 +421,7 @@ def test_standard_specs_reproduce_the_literal_partitions(m):
 def test_trivial_parts():
     tp = TrivialParts(lambda t, v: 2 * v)
     assert tp.r == 1
-    assert np.array_equal(tp.eval_parts(0.0, np.ones(3))[0], 2 * np.ones(3))
+    assert np.array_equal(tp.eval_parts(0.0, np.ones(3), [True])[0], 2 * np.ones(3))
 
 
 def test_flux_partition_2d_face_midpoint_rule():
@@ -411,6 +442,6 @@ def test_flux_split_2d_partition_of_unity():
     )
     parts = FluxSplit2DParts(prob.flux, fp)
     full = prob.rhs(0.0, prob.initial)
-    f1, f2 = parts.eval_parts(0.0, prob.initial)
+    f1, f2 = parts.eval_parts(0.0, prob.initial, [True, True])
     scale = np.abs(full).max()
     assert np.abs(f1 + f2 - full).max() <= 1e-13 * max(scale, 1.0)

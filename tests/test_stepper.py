@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from prk.analysis import LinearSplitting, build_error_operators, linearize_parts
 from prk.decomposition import (
     CellPartition,
     CellSplitParts,
@@ -136,6 +140,36 @@ def test_step_is_affine_with_amplification_matrix():
             prk_step(tab, parts, 0.0, dt, np.eye(m)[:, j]) for j in range(m)
         ])
         assert np.abs(realized - R).max() < 1e-12, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["OS1", "TW1", "TW2", "CS2", "SH2"]),
+       widths=arrays(float, st.integers(4, 12), elements=st.floats(0.25, 1.0)),
+       periodic=st.booleans(), by_faces=st.booleans(), nu=st.floats(0.05, 1.0),
+       data=st.data())
+def test_step_matches_the_amplification_matrix_on_random_partitions(
+        scheme, widths, periodic, by_faces, nu, data):
+    # upwind advection (periodic, or with zero inflow, so the step is
+    # linear) on a random nonuniform grid, under a random cell or flux
+    # partition: the step on each basis vector is a column of the
+    # analysis's R, built from the parts that linearize_parts reads off
+    m = widths.size
+    prob = upwind1d(dx=widths / m, boundary="periodic" if periodic else "inflow")
+    if by_faces:
+        faces = data.draw(arrays(bool, m + 1))
+        if periodic:
+            faces[-1] = faces[0]
+        parts = FluxSplitParts(prob.flux, FluxPartition((~faces, faces), prob.grid))
+    else:
+        refined = data.draw(arrays(bool, m))
+        parts = CellSplitParts(prob.rhs, CellPartition.two_region(refined))
+    dt = nu * prob.grid.min_width
+    mats = linearize_parts(parts, m)
+    assert np.abs(sum(mats) - prob.linear_matrix).max() < 1e-12 * m
+    tab = builtin_tableau(scheme)
+    R = build_error_operators(tab, LinearSplitting.from_matrices([dt * L for L in mats])).R
+    realized = np.column_stack([prk_step(tab, parts, 0.0, dt, e) for e in np.eye(m)])
+    assert np.abs(realized - R).max() < 1e-12
 
 
 def test_sh2_evaluation_counts():

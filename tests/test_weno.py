@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from prk.weno import (
     WENO_EPS,
     edge_from_left,
-    edge_from_right,
     interface_states,
     llf_split_flux,
     pad_periodic,
@@ -31,14 +30,14 @@ def test_linear_data_exact():
     cells = (np.arange(20) - 3.0) * 0.37 + 2.1
     want = (np.arange(15) - 0.5) * 0.37 + 2.1
     assert np.abs(edge_from_left(cells) - want).max() < 1e-12
-    assert np.abs(edge_from_right(cells) - want).max() < 1e-12
+    assert np.abs(interface_states(cells)[1] - want).max() < 1e-12
 
 
 def test_mirror_symmetry():
     rng = np.random.default_rng(7)
     w = rng.random(25)
     left = edge_from_left(w)
-    right_on_reversed = edge_from_right(w[::-1])
+    right_on_reversed = interface_states(w[::-1])[1]
     assert np.abs(left - right_on_reversed[::-1]).max() < 1e-14
 
 
@@ -66,7 +65,7 @@ def test_llf_split_reduces_to_downwind_for_negative_wind():
     a = -0.8
     w = pad_periodic(u)
     split = llf_split_flux(a * w, w, abs(a))
-    assert np.abs(split - edge_from_right(a * w)).max() < 1e-13
+    assert np.abs(split - interface_states(a * w)[1]).max() < 1e-13
 
 
 def test_kernels_broadcast_over_leading_axes():
@@ -139,7 +138,7 @@ def test_kernels_bitwise_equal_textbook_order(data):
     w = data.draw(lines(data.draw(shapes)))
     left, right = _oracle_left(w), _oracle_right(w)
     assert np.array_equal(edge_from_left(w), left)
-    assert np.array_equal(edge_from_right(w), right)
+    assert np.array_equal(interface_states(w)[1], right)
     um, up = interface_states(w)
     assert np.array_equal(um, left)
     assert np.array_equal(up, right)
@@ -166,7 +165,7 @@ def test_kernels_bitwise_equal_on_transposed_lines():
     cols = w[:, 3:-3].T
     a = rng.standard_normal((20, 1))
     assert np.array_equal(edge_from_left(cols), _oracle_left(cols))
-    assert np.array_equal(edge_from_right(cols), _oracle_right(cols))
+    assert np.array_equal(interface_states(cols)[1], _oracle_right(cols))
     want = _oracle_left(0.5 * (a * cols + np.abs(a) * cols)) + _oracle_right(
         0.5 * (a * cols - np.abs(a) * cols))
     assert np.array_equal(llf_split_flux(a * cols, cols, np.abs(a)), want)
