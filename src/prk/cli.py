@@ -178,11 +178,13 @@ def analyze_cmd(schemes, ms, nus, outfile):
 # builder and final time of each problem's standard run
 _BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advection2d}
 _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
+# the most steps one run may take; the largest standard run takes 2,000
+_MAX_STEPS = 10**7
 
 
 @main.command("integrate")
 @click.option("--problem", type=click.Choice(sorted(_T_END)), required=True)
-@click.option("--m", "m", type=int, required=True,
+@click.option("--m", "m", type=click.IntRange(min=1), required=True,
               help="Cells (per direction for adv2d).")
 @click.option("--nu", type=click.FloatRange(0.0, min_open=True), default=0.5,
               callback=_finite, show_default=True,
@@ -204,13 +206,21 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     t_end = _T_END[problem] if t_end is None else t_end
     spec = partition_spec or STANDARD_PARTITIONS[problem]
 
+    # the adv2d grid spacing is 1.0 / m, its speed at most 2 pi
+    dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
+    if not dt > 0.0:
+        raise click.ClickException(f"--nu {nu!r} on {m} cells gives a step size of 0")
+    if not t_end / dt <= _MAX_STEPS:
+        raise click.ClickException(
+            f"--nu {nu!r} and --t-end {t_end!r} on {m} cells need {t_end / dt:.3g} "
+            f"steps; at most {_MAX_STEPS} are allowed")
+    n_steps = max(1, int(np.ceil(t_end / dt)))
+    dt = t_end / n_steps
+
     try:
         prob = _BUILDERS[problem](m)
     except ValueError as exc:
         raise click.ClickException(f"bad --m: {exc}") from None
-    dt = nu * prob.grid.h / (2.0 * np.pi) if problem == "adv2d" else nu / m
-    n_steps = max(1, int(np.ceil(t_end / dt)))
-    dt = t_end / n_steps
 
     try:
         parts = make_parts(prob, kind, spec)

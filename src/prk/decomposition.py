@@ -161,13 +161,14 @@ class CellSplitParts:
         self.F = F
         self.partition = partition
         self.r = partition.r
+        self._shape = partition.shape
 
     def eval_parts(self, t, v, needed):
-        masks = self.partition.masks
-        if masks[0].shape != np.shape(v):
+        if np.shape(v) != self._shape:
             raise ValueError("state shape does not match the partition masks")
         f = self.F(t, v)
-        return [np.where(mk, f, 0.0) if use else None for mk, use in zip(masks, needed)]
+        return [np.where(mk, f, 0.0) if use else None
+                for mk, use in zip(self.partition.masks, needed)]
 
 
 class FluxSplitParts:
@@ -181,13 +182,15 @@ class FluxSplitParts:
         self.flux = flux
         self.partition = partition
         self.r = partition.r
+        self._state_shape = (partition.grid.m,)
+        self._flux_shape = (partition.grid.m + 1,)
 
     def eval_parts(self, t, v, needed):
         p = self.partition
-        if np.shape(v) != (p.grid.m,):
+        if np.shape(v) != self._state_shape:
             raise ValueError("state shape does not match the flux partition")
         phi = self.flux(t, v)
-        if np.shape(phi) != (p.grid.m + 1,):
+        if np.shape(phi) != self._flux_shape:
             raise ValueError("flux evaluator must return m + 1 interface values")
         return [p.grid.divergence(np.where(mk, phi, 0.0)) if use else None
                 for mk, use in zip(p.masks, needed)]

@@ -35,34 +35,39 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
     ``parts`` is a decomposition with ``r`` and ``eval_parts`` (see
     :mod:`prk.decomposition`); each part is evaluated at most once per
     stage, and stages whose coefficients are all zero for a part skip
-    that evaluation entirely.
+    that evaluation entirely.  Every stage value and the new state are
+    ``u + dt * (sum of a * K)`` with the sum taken in the plan's term
+    order, the same operations whatever the decomposition.
     """
     if parts.r != tab.r:
         raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
     plan = tab.plan
     u = np.asarray(u, dtype=float)
-    K: list[list] = [[None] * tab.r for _ in range(tab.s)]
-    for i in range(tab.s):
-        if i == 0:
-            v = u
-        else:
-            acc = None
-            for j, k, a in plan.stage_terms[i]:
-                term = a * K[j][k]
-                acc = term if acc is None else acc + term
-            v = u if acc is None else u + dt * acc
-        if any(plan.needed[i]):
-            vals = parts.eval_parts(t + plan.c[i] * dt, v, list(plan.needed[i]))
-            for k in range(tab.r):
-                K[i][k] = vals[k]
-    acc = None
-    for j, k, w in plan.update_terms:
-        term = w * K[j][k]
-        acc = term if acc is None else acc + term
-    unew = u if acc is None else u + dt * acc
-    if not np.all(np.isfinite(unew)):
+    K = {}  # the part values of every evaluated stage, by stage index
+    for i, c, needed, terms in plan.stages:
+        K[i] = parts.eval_parts(t + c * dt, _increment(u, dt, terms, K), needed)
+    unew = _increment(u, dt, plan.update_terms, K)
+    if not np.isfinite(unew).all():
         raise IntegrationDiverged("non-finite state after step")
     return unew
+
+
+def _increment(u, dt, terms, K):
+    """``u + dt * (a K[j][k] + ...)`` over ``terms``, summed left to right
+    from the first term; ``u`` itself when there are none.
+
+    The sum is accumulated in place, which rounds exactly as the textbook
+    ``acc + term`` and ``u + dt * acc``: both operations commute exactly.
+    """
+    if not terms:
+        return u
+    j, k, a = terms[0]
+    acc = a * K[j][k]
+    for j, k, a in terms[1:]:
+        acc += a * K[j][k]
+    acc *= dt
+    acc += u
+    return acc
 
 
 @dataclass
@@ -117,8 +122,10 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
     t = 0.0
     n_steps = run.n_steps
     mass_trace: list[float] = []
-    if run.mass_weights is not None:
-        mass_trace.append(mass(run.mass_weights, u))
+    weights = run.mass_weights
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        mass_trace.append(mass(weights, u))  # checks the weights' shape once
     dynamic = hasattr(run.parts, "begin_step")
     for n in range(n_steps):
         if dynamic:
@@ -132,8 +139,8 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
                 t=t,
             ) from exc
         t = (n + 1) * run.dt
-        if run.mass_weights is not None:
-            mass_trace.append(mass(run.mass_weights, u))
+        if weights is not None:
+            mass_trace.append(float((weights * u).sum()))  # mass(weights, u)
     return IntegrationResult(u=u, n_steps=n_steps, mass_trace=mass_trace)
 
 
@@ -151,7 +158,7 @@ def _rk4(rhs, u0, t_end, n_steps):
         k3 = rhs(t + 0.5 * dt, u + 0.5 * dt * k2)
         k4 = rhs(t + dt, u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise IntegrationDiverged("reference integration diverged", step=n + 1, t=t)
         t = (n + 1) * dt
     return u

@@ -115,11 +115,11 @@ class _StepPlan:
     A: tuple
     b: tuple
     c: tuple
-    # per stage: which parts must be evaluated there at all
-    needed: tuple
-    # per stage i: nonzero couplings (j, k, a_ij^(k)) with j < i
-    stage_terms: tuple
-    # nonzero weights (j, k, b_j^(k))
+    # per stage i that evaluates any part: (i, c_i, needed, terms), where
+    # needed[k] says whether part k is evaluated there and terms are the
+    # nonzero couplings (j, k, a_ij^(k)) with j < i, in (k, j) order
+    stages: tuple
+    # nonzero weights (j, k, b_j^(k)), in (k, j) order
     update_terms: tuple
 
 
@@ -128,22 +128,20 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
     b = [[float(x) for x in bk] for bk in tab.b]
     c = [float(x) for x in tab.c]
     r, s = tab.r, tab.s
-    needed = [
-        [
-            b[k][j] != 0.0 or any(A[k][i][j] != 0.0 for i in range(j + 1, s))
+    stages = []
+    for i in range(s):
+        needed = tuple(
+            b[k][i] != 0.0 or any(A[k][l][i] != 0.0 for l in range(i + 1, s))
             for k in range(r)
-        ]
-        for j in range(s)
-    ]
-    stage_terms = [
-        [
+        )
+        terms = tuple(
             (j, k, A[k][i][j])
             for k in range(r)
             for j in range(i)
             if A[k][i][j] != 0.0
-        ]
-        for i in range(s)
-    ]
+        )
+        if any(needed):
+            stages.append((i, c[i], needed, terms))
     update_terms = [
         (j, k, b[k][j]) for k in range(r) for j in range(s) if b[k][j] != 0.0
     ]
@@ -151,8 +149,7 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
         A=tuple(map(tuple, (tuple(map(tuple, Ak)) for Ak in A))),
         b=tuple(map(tuple, b)),
         c=tuple(c),
-        needed=tuple(map(tuple, needed)),
-        stage_terms=tuple(map(tuple, stage_terms)),
+        stages=tuple(stages),
         update_terms=tuple(update_terms),
     )
 

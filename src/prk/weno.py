@@ -20,6 +20,8 @@ shared.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -41,7 +43,41 @@ _RIGHT = (5, 4, 3, 2, 1)
 
 
 def pad_periodic(u: np.ndarray) -> np.ndarray:
-    return np.concatenate([u[..., -3:], u, u[..., :3]], axis=-1)
+    """The lines of ``u`` with three periodic ghost cells on each side."""
+    return u.take(_periodic_index(u.shape[-1]), axis=-1)
+
+
+@functools.lru_cache(maxsize=128)
+def _periodic_index(m: int) -> np.ndarray:
+    """Cells read by :func:`pad_periodic` on a line of ``m`` cells: the
+    last three, all ``m``, then the first three."""
+    cells = np.arange(m)
+    index = np.concatenate([cells[-3:], cells, cells[:3]])
+    index.flags.writeable = False  # one cached array serves every caller
+    return index
+
+
+@functools.lru_cache(maxsize=128)
+def _windows(ndim: int, length: int, offsets: tuple) -> tuple:
+    """The index plan of one padded line shape and bias, built once.
+
+    Returns ``(cells, centred, first, mid, last)``: the windows of the
+    five cells ``a..e`` at ``offsets``, the windows centred on ``b``, ``c``
+    and ``d`` in the per-window quantities, and the first, middle and last
+    cell of every 3-cell window, read in the direction from ``a`` to ``c``.
+    A 1D line is indexed by plain slices, a batch of lines by
+    ``(..., slice)``.
+    """
+    def window(start: int, size: int):
+        cut = slice(start, start + size)
+        return cut if ndim == 1 else (Ellipsis, cut)
+
+    n = length - 5
+    cells = tuple(window(o, n) for o in offsets)
+    centred = tuple(window(o - 1, n) for o in offsets[1:4])
+    lo, mid, hi = (window(o, length - 2) for o in (0, 1, 2))
+    first, last = (lo, hi) if offsets[0] < offsets[2] else (hi, lo)
+    return cells, centred, first, mid, last
 
 
 def _line(w):
@@ -51,8 +87,9 @@ def _line(w):
     ``central[j] = 0.25 (w[j] - w[j+2])^2``.
     """
     w = np.asarray(w, dtype=float)
-    multiples = tuple(k * w for k in (2.0, 3.0, 4.0, 5.0, 7.0, 11.0))
-    central = w[..., :-2] - w[..., 2:]
+    _, _, lo, _, hi = _windows(w.ndim, w.shape[-1], _LEFT)  # left bias: lo to hi
+    multiples = (2.0 * w, 3.0 * w, 4.0 * w, 5.0 * w, 7.0 * w, 11.0 * w)
+    central = w[lo] - w[hi]
     central *= central
     central *= 0.25
     return w, multiples, central
@@ -76,29 +113,25 @@ def _edge(line, offsets) -> np.ndarray:
     ``*`` is exact, and ``-b + 5c`` is ``5c - b`` exactly.
     """
     w, (w2, w3, w4, w5, w7, w11), central = line
-    n = w.shape[-1] - 5
-    # a..e, and the windows centered on b, c and d in curv and central
-    a, b, c, d, e = ((..., slice(o, o + n)) for o in offsets)
-    cb, cc, cd = ((..., slice(o - 1, o - 1 + n)) for o in offsets[1:4])
+    (a, b, c, d, e), (cb, cc, cd), first, mid, last = _windows(w.ndim, w.shape[-1], offsets)
 
     # 13/12 (a - 2b + c)^2 on every 3-cell window, oriented from a to c;
     # curv[j] belongs to the window centered on cell j + 1
-    lo, hi = w[..., :-2], w[..., 2:]
-    first, last = (lo, hi) if offsets[0] < offsets[2] else (hi, lo)
-    curv = first - w2[..., 1:-1]
-    curv += last
+    curv = w[first] - w2[mid]
+    curv += w[last]
     curv *= curv
     curv *= 13.0 / 12.0
 
     # the indicators beta_k, turned into the weights alpha_k in place
+    w3c, we = w3[c], w[e]
     alpha0 = w[a] - w4[b]
-    alpha0 += w3[c]
+    alpha0 += w3c
     alpha0 *= alpha0
     alpha0 *= 0.25
     alpha0 += curv[cb]
     alpha1 = curv[cc] + central[cc]
-    alpha2 = w3[c] - w4[d]
-    alpha2 += w[e]
+    alpha2 = w3c - w4[d]
+    alpha2 += we
     alpha2 *= alpha2
     alpha2 *= 0.25
     alpha2 += curv[cd]
@@ -114,7 +147,7 @@ def _edge(line, offsets) -> np.ndarray:
     p1 += w2[d]
     p1 /= 6.0
     p2 = w2[c] + w5[d]
-    p2 -= w[e]
+    p2 -= we
     p2 /= 6.0
 
     p0 *= alpha0

@@ -109,6 +109,13 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
      "Invalid value for '--t-end': inf is not a finite number"),
     (["integrate", "--problem", "adv1d", "--m", "3"],
      "bad --m: WENO5 needs at least 6 cells"),
+    (["integrate", "--problem", "adv1d", "--m", "0"], "Invalid value for '--m'"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "1e-300"],
+     "need 1.2e+301 steps; at most 10000000 are allowed"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "1e300"],
+     "need 2.4e+301 steps; at most 10000000 are allowed"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "5e-324"],
+     "--nu 5e-324 on 12 cells gives a step size of 0"),
     (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
     (["run", "adv2d-flux", "--schemes", "TW2,ETR2"], "scheme(s) ETR2 do not take 2 parts"),
     (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
@@ -118,6 +125,7 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
 ], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu",
         "nu-nan", "nu-inf", "t-end-nan", "t-end-inf", "m",
+        "m-zero", "nu-tiny", "t-end-huge", "nu-underflow",
         "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu",
         "analyze-m-zero", "analyze-nu-negative"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,

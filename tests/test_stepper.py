@@ -56,23 +56,34 @@ def test_forward_euler_scalar():
     assert np.isclose(u1[0], (1 + lam * 0.1) * 2.0, rtol=0, atol=1e-16)
 
 
+# random autonomous linear systems u' = L u + g: size, entries, state, step
+def _entries(shape):
+    return arrays(float, shape, elements=st.floats(-1.0, 1.0), fill=st.nothing())
+
+
+linear_systems = st.integers(2, 20).flatmap(lambda m: st.tuples(
+    _entries((m, m)), _entries(m), _entries(m), st.floats(0.01, 0.5)))
+
+
 @pytest.mark.parametrize("scheme", sorted(BASE))
 @pytest.mark.parametrize("region", [0, 1])
-def test_reduction_to_base_method(scheme, region):
+@settings(max_examples=60, deadline=None)
+@given(system=linear_systems)
+def test_reduction_to_base_method(scheme, region, system):
     """With everything in one region the step collapses to m_k substeps of
     the base method (autonomous system)."""
-    rng = np.random.default_rng(42 + region)
-    m = 17
-    L = rng.standard_normal((m, m)) * 0.4
-    g = rng.standard_normal(m)
+    L, g, u0, dt = system
+    m = u0.size
     F = lambda t, v: L @ v + g
-    u0 = rng.standard_normal(m)
     mask = np.full(m, region == 1)
     parts = CellSplitParts(F, CellPartition.two_region(mask))
-    dt = 0.13
     got = prk_step(builtin_tableau(scheme), parts, 0.2, dt, u0)
     want = BASE[scheme](F, u0, 0.2, dt, 1 if region == 0 else 2)
-    assert np.abs(got - want).max() < 1e-14 * max(1.0, np.abs(want).max())
+    # round-off of values that grow by at most a factor 1 + dt (|L| + 1)
+    # per stage, since |g| <= 1
+    growth = 1.0 + dt * (np.abs(L).sum(axis=1).max() + 1.0)
+    scale = max(1.0, np.abs(u0).max()) * growth ** 4
+    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("scheme", ["TW1", "TW2", "SH2"])
@@ -170,6 +181,67 @@ def test_step_matches_the_amplification_matrix_on_random_partitions(
     R = build_error_operators(tab, LinearSplitting.from_matrices([dt * L for L in mats])).R
     realized = np.column_stack([prk_step(tab, parts, 0.0, dt, e) for e in np.eye(m)])
     assert np.abs(realized - R).max() < 1e-12
+
+
+def _textbook_step(tab, parts, t, dt, u):
+    """One step by the textbook loop over the plan's float coefficients:
+    every sum in (k, j) term order, started from its first nonzero term,
+    then ``u + dt * sum``."""
+    A, b, c = tab.plan.A, tab.plan.b, tab.plan.c
+    r, s = tab.r, tab.s
+    K = [[None] * r for _ in range(s)]
+    for i in range(s):
+        acc = None
+        for k in range(r):
+            for j in range(i):
+                if A[k][i][j] != 0.0:
+                    term = A[k][i][j] * K[j][k]
+                    acc = term if acc is None else acc + term
+        v = u if acc is None else u + dt * acc
+        needed = [b[k][i] != 0.0 or any(A[k][l][i] != 0.0 for l in range(i + 1, s))
+                  for k in range(r)]
+        if any(needed):
+            K[i] = parts.eval_parts(t + c[i] * dt, v, needed)
+    acc = None
+    for k in range(r):
+        for j in range(s):
+            if b[k][j] != 0.0:
+                term = b[k][j] * K[j][k]
+                acc = term if acc is None else acc + term
+    return u if acc is None else u + dt * acc
+
+
+# states with exact +0 and -0 entries, alone or among random values
+def states(m):
+    zeros = st.sampled_from([0.0, -0.0])
+    mixed = st.one_of(zeros, st.floats(-1.0, 1.0))
+    return st.one_of(arrays(float, m, elements=zeros, fill=st.nothing()),
+                     arrays(float, m, elements=mixed, fill=st.nothing()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["OS1", "TW1", "TW2", "CS2", "SH2", "ETR2"]),
+       m=st.integers(6, 16), by_faces=st.booleans(), nu=st.floats(0.05, 1.0),
+       t=st.floats(0.0, 1.0), data=st.data())
+def test_step_is_bytewise_the_textbook_evaluation_of_the_plan(scheme, m, by_faces, nu,
+                                                              t, data):
+    # WENO5 advection under a random cell or flux partition (one region for
+    # the single-part ETR2): the stepper's sums round exactly as the
+    # textbook's; bytes are compared, so a zero's sign would count too
+    prob = advection1d_weno5(m)
+    tab = builtin_tableau(scheme)
+    n = m + 1 if by_faces else m
+    refined = data.draw(arrays(bool, n)) if tab.r == 2 else np.zeros(n, dtype=bool)
+    if by_faces:
+        refined[-1] = refined[0]
+    masks = (~refined, refined)[: tab.r]
+    parts = (FluxSplitParts(prob.flux, FluxPartition(masks, prob.grid)) if by_faces
+             else CellSplitParts(prob.rhs, CellPartition(masks)))
+    u = data.draw(states(m))
+    got = prk_step(tab, parts, t, nu / m, u)
+    want = _textbook_step(tab, parts, t, nu / m, u)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sh2_evaluation_counts():
