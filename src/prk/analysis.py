@@ -12,13 +12,12 @@ extra order of convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from .decomposition import CellPartition
-from .tableau import PRKTableau, classical_order, stage_order
+from .tableau import PRKTableau, classical_order, simplifying_defects, stage_order
 
 __all__ = [
     "LinearSplitting",
@@ -82,14 +81,13 @@ class ErrorOperators:
     """Stage-residual blocks, amplification matrix and local-error coefficients.
 
     ``d[(j, k)]`` is the coefficient matrix of ``dt^j / j! *
-    phi_k^(j-1)(t_n)`` in the local error, for ``j = 1..j_max`` and part
-    index ``k`` (0-based).
+    phi_k^(j-1)(t_n)`` in the local error, for ``j = 1..j_max`` of the
+    build and part index ``k`` (0-based).
     """
 
     r_blocks: tuple[np.ndarray, ...]
     R: np.ndarray
     d: dict[tuple[int, int], np.ndarray]
-    j_max: int
 
     @property
     def rT_e(self) -> np.ndarray:
@@ -107,7 +105,8 @@ def build_error_operators(
     The stage system is block lower triangular for explicit tableaus, so
     the blocks follow from forward substitution with O(s^2) products of
     size m.  ``j_max`` defaults to the classical order plus one; terms
-    beyond that carry no information in the local-error expansion.
+    beyond that carry no information in the local-error expansion.  The
+    coefficients of ``d_{j,k}`` are the tableau's B(j)/C(j) defects.
     """
     if ls.r != tab.r:
         raise ValueError("splitting and tableau part counts differ")
@@ -142,25 +141,15 @@ def build_error_operators(
 
     d: dict[tuple[int, int], np.ndarray] = {}
     for j in range(1, j_max + 1):
-        cj = [ci**j for ci in tab.c]
-        cjm1 = [ci ** (j - 1) if j > 1 else Fraction(1) for ci in tab.c]
-        for k in range(r):
-            lead = 1 - j * sum(
-                (bi * ci for bi, ci in zip(tab.b[k], cjm1)), Fraction(0)
-            )
-            vec = [
-                cj[i]
-                - j * sum((tab.A[k][i][l] * cjm1[l] for l in range(s)), Fraction(0))
-                for i in range(s)
-            ]
-            djk = float(lead) * eye.copy()
-            for i in range(s):
-                vi = float(vec[i])
+        for k, (lead, vec) in enumerate(simplifying_defects(tab, j)):
+            djk = float(lead) * eye
+            for xi, v in zip(x, vec):
+                vi = float(v)
                 if vi:
-                    djk += x[i] * vi
+                    djk += xi * vi
             d[(j, k)] = djk
 
-    return ErrorOperators(r_blocks=tuple(x), R=R, d=d, j_max=j_max)
+    return ErrorOperators(r_blocks=tuple(x), R=R, d=d)
 
 
 @dataclass(frozen=True)

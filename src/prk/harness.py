@@ -215,6 +215,14 @@ def _check_positive(key: str, values) -> None:
         _require(isinstance(v, numbers.Real) and 0 < v < math.inf, key, v, "a positive number")
 
 
+def _quick_resolutions(ms):
+    """The resolutions a --quick run keeps, those at most half the largest;
+    a run that would keep none stops here."""
+    kept = tuple(m for m in ms if m <= max(ms) // 2)
+    _require(bool(kept), "ms", ms, "a resolution at most half the largest, for --quick")
+    return kept
+
+
 def _check_unit_steps(ms, nu) -> None:
     """The 1D runs step ``dt = nu/m`` to T = 1, as a whole number of steps."""
     _check_positive("nu", (nu,))
@@ -361,7 +369,7 @@ def run_table1(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
                quick=False) -> ExperimentReport:
     """Smooth-advection convergence, cell-based decomposition."""
     if quick:
-        ms = tuple(m for m in ms if m <= max(ms) // 2)
+        ms = _quick_resolutions(ms)
     return _table_experiment("table1", "cell", schemes, ms, nu,
                              TABLE1_ERRORS, TABLE1_ORDERS)
 
@@ -370,7 +378,7 @@ def run_table2(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
                quick=False) -> ExperimentReport:
     """Smooth-advection convergence, flux-based decomposition."""
     if quick:
-        ms = tuple(m for m in ms if m <= max(ms) // 2)
+        ms = _quick_resolutions(ms)
     return _table_experiment("table2", "flux", schemes, ms, nu,
                              TABLE2_ERRORS, TABLE2_ORDERS)
 
@@ -503,7 +511,7 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
                     nus=(0.5, 0.75, 0.9, 0.95, 1.0), quick=False) -> ExperimentReport:
     """Norm of W versus resolution for several Courant numbers."""
     if quick:
-        ms = tuple(m for m in ms if m <= max(ms) // 2)
+        ms = _quick_resolutions(ms)
     _check_cells("ms", ms, least=2)
     _check_positive("nus", nus)
     report = ExperimentReport(
@@ -552,7 +560,9 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
     """Rotating-profile errors against the temporally exact semi-discrete
     solution, with the global half-step trapezoidal run as baseline."""
     if quick:
-        ns = tuple(n // 2 for n in ns if n // 2 >= 20)
+        halved = tuple(n // 2 for n in ns if n // 2 >= 20)
+        _require(bool(halved), "ns", ns, "a resolution of at least 40 cells, for --quick")
+        ns = halved
         reference_tol = max(reference_tol, 1e-9)
     if nus is None:
         nus = tuple(np.linspace(0.5, 2.0, 8))

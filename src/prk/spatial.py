@@ -111,7 +111,7 @@ class SemiDiscreteProblem:
     exact: Callable[[float], np.ndarray] | None = None
     exact_point: Callable | None = None
     initial: np.ndarray | None = None
-    max_speed: float | Callable | None = None
+    max_speed: float = 1.0
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -246,7 +246,7 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
         rhs=rhs,
         flux=flux,
         initial=initial,
-        max_speed=lambda u: float(np.max(np.abs(u))),
+        max_speed=1.0,  # max |u0|
     )
 
 

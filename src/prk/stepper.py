@@ -173,11 +173,7 @@ def reference_integrate(problem, t_end: float, tol: float = 1e-10) -> np.ndarray
     step is 0.4 of the narrowest cell over ``problem.max_speed``.
     """
     u0 = problem.initial
-    speed = problem.max_speed
-    if callable(speed):
-        speed = speed(u0)
-    speed = float(speed or 1.0)
-    n = max(1, int(np.ceil(t_end / (0.4 * problem.grid.min_width / speed))))
+    n = max(1, int(np.ceil(t_end / (0.4 * problem.grid.min_width / problem.max_speed))))
     coarse = _rk4(problem.rhs, u0, t_end, n)
     for _ in range(14):  # halvings of the first step before giving up
         n *= 2

@@ -3,9 +3,11 @@
 A partitioned (additive) tableau holds one coefficient matrix ``A_k`` and
 one weight vector ``b_k`` per operator part, all sharing the abscissae
 ``c`` taken as the row sums of the last (most refined) part.  Coefficients
-are stored as exact rationals so that order, stage-order, conservation and
-internal-consistency checks are decided exactly; one float view, the
-step plan, is derived on first use for the numerical kernels.
+are stored as exact rationals, and each scheme condition (order, stage
+order, conservation, internal consistency, the simplifying conditions
+behind the local error) is defined once here and decided in rational
+arithmetic under one comparison rule; one float view, the step plan, is
+derived on first use for the numerical kernels.
 """
 
 from __future__ import annotations
@@ -25,19 +27,21 @@ __all__ = [
     "stage_order",
     "is_conservative",
     "is_internally_consistent",
+    "simplifying_defects",
     "tableau_properties",
     "tableau_to_text",
     "tableau_from_text",
 ]
 
-# Absolute fallback tolerance for tableaus built from inexact floats;
-# all builtin tableaus compare exactly in rational arithmetic.
+# Absolute fallback tolerance for tableaus built from inexact floats or
+# rounded decimals; all builtin tableaus compare exactly.
 FLOAT_TOL = 1e-14
 
 MAX_ORDER_CONDITIONS = 3
 
 
 def _close(x: Fraction, target: Fraction) -> bool:
+    """The one comparison rule of every tableau condition."""
     if x == target:
         return True
     return abs(float(x) - float(target)) <= FLOAT_TOL
@@ -49,25 +53,22 @@ class PRKTableau:
 
     Attributes
     ----------
-    r : number of operator parts.
-    s : number of stages.
     A : tuple of ``r`` matrices (``s x s`` nested tuples of Fraction).
     b : tuple of ``r`` weight vectors (length ``s``).
-    c : abscissae, the row sums of ``A[-1]``.
     name : optional identifier.
+
+    The part count ``r``, the stage count ``s`` and the abscissae ``c``
+    (the row sums of ``A[-1]``) are derived from ``A``.
     """
 
-    r: int
-    s: int
     A: tuple[tuple[tuple[Fraction, ...], ...], ...]
     b: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...]
     name: str = ""
 
     def __post_init__(self):
-        if self.r < 1 or self.s < 1:
+        if not self.A or not self.A[0]:
             raise ValueError("need r >= 1 parts and s >= 1 stages")
-        if len(self.A) != self.r or len(self.b) != self.r:
+        if len(self.b) != self.r:
             raise ValueError("A and b must both have r entries")
         for Ak in self.A:
             if len(Ak) != self.s or any(len(row) != self.s for row in Ak):
@@ -81,22 +82,27 @@ class PRKTableau:
         for bk in self.b:
             if len(bk) != self.s:
                 raise ValueError("every b_k must have length s")
-        if self.c != _row_sums(self.A[-1]):
-            raise ValueError("c must equal the row sums of the last part")
 
     @classmethod
     def from_coeffs(cls, A: Sequence, b: Sequence, name: str = "") -> "PRKTableau":
         """Build a tableau from nested coefficient sequences.
 
         Entries may be ints, floats, Fractions or strings like ``"1/2"``.
-        The abscissae are derived from the last matrix.
         """
-        A_t = tuple(
-            tuple(tuple(Fraction(a) for a in row) for row in Ak) for Ak in A
-        )
-        b_t = tuple(tuple(Fraction(x) for x in bk) for bk in b)
-        c_t = _row_sums(A_t[-1])
-        return cls(r=len(A_t), s=len(b_t[0]), A=A_t, b=b_t, c=c_t, name=name)
+        A_t = tuple(tuple(tuple(map(Fraction, row)) for row in Ak) for Ak in A)
+        return cls(A=A_t, b=tuple(tuple(map(Fraction, bk)) for bk in b), name=name)
+
+    @property
+    def r(self) -> int:
+        return len(self.A)
+
+    @property
+    def s(self) -> int:
+        return len(self.A[0])
+
+    @cached_property
+    def c(self) -> tuple[Fraction, ...]:
+        return _matvec(self.A[-1], (Fraction(1),) * self.s)
 
     @cached_property
     def plan(self) -> "_StepPlan":
@@ -104,10 +110,6 @@ class PRKTableau:
         dict, not in a field: the tableau compares and hashes by its
         coefficients alone, and no step hashes a Fraction."""
         return _build_plan(self)
-
-    def row_sums(self, k: int) -> tuple[Fraction, ...]:
-        """Row sums of ``A_k`` (the per-part abscissae)."""
-        return _row_sums(self.A[k])
 
 
 @dataclass(frozen=True)
@@ -154,15 +156,6 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
     )
 
 
-def _row_sums(Ak) -> tuple[Fraction, ...]:
-    return tuple(sum(row, Fraction(0)) for row in Ak)
-
-
-def _cpow(c: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
-    # componentwise power, with c^0 = e
-    return tuple(ci**j if j else Fraction(1) for ci in c)
-
-
 def _matvec(M, v) -> tuple[Fraction, ...]:
     return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in M)
 
@@ -178,54 +171,59 @@ def _dot(u, v) -> Fraction:
 def check_order(t: PRKTableau, p: int) -> bool:
     """Check the coupled order conditions for all levels ``1..p``.
 
-    Conditions are known here up to ``p = 3``; higher values raise.
-    The check also includes the necessary quadrature conditions
-    ``b_k . c^j = 1/(j+1)`` for ``j <= p``.
+    Conditions are known here up to ``p = 3``; higher values raise.  As
+    ``c = A_r e``, the quadrature conditions ``b_k . c^j = 1/(j+1)`` for
+    ``j < p`` are among them.
     """
     if not 1 <= p <= MAX_ORDER_CONDITIONS:
         raise ValueError(f"order conditions available for p in 1..3, got {p}")
-    parts = range(t.r)
-    e = _cpow(t.c, 0)
-    if p >= 1:
-        if not all(_close(_dot(t.b[k], e), Fraction(1)) for k in parts):
+    e = (Fraction(1),) * t.s
+    Ae = [_matvec(Ak, e) for Ak in t.A]
+    for bk in t.b:
+        if not _close(_dot(bk, e), Fraction(1)):
             return False
-    if p >= 2:
-        for k in parts:
-            for l in parts:
-                if not _close(_dot(t.b[k], _matvec(t.A[l], e)), Fraction(1, 2)):
-                    return False
-    if p >= 3:
-        rsums = [t.row_sums(l) for l in parts]
-        for k in parts:
-            for l1 in parts:
-                for l2 in parts:
-                    Al2e = _matvec(t.A[l2], e)
-                    weighted = tuple(ci * vi for ci, vi in zip(rsums[l1], Al2e))
-                    if not _close(_dot(t.b[k], weighted), Fraction(1, 3)):
+        if p >= 2 and not all(_close(_dot(bk, v), Fraction(1, 2)) for v in Ae):
+            return False
+        if p >= 3:
+            for A1, v1 in zip(t.A, Ae):
+                for v2 in Ae:
+                    weighted = tuple(x * y for x, y in zip(v1, v2))
+                    if not (_close(_dot(bk, weighted), Fraction(1, 3))
+                            and _close(_dot(bk, _matvec(A1, v2)), Fraction(1, 6))):
                         return False
-                    if not _close(
-                        _dot(t.b[k], _matvec(t.A[l1], Al2e)), Fraction(1, 6)
-                    ):
-                        return False
-    # quadrature conditions b_k . c^j = 1/(j+1); for order p these must
-    # hold up to j = p - 1 (the next level is an order-(p+1) condition)
-    for j in range(p):
-        cj = _cpow(t.c, j)
-        for k in parts:
-            if not _close(_dot(t.b[k], cj), Fraction(1, j + 1)):
-                return False
     return True
 
 
 def classical_order(t: PRKTableau) -> int:
     """Largest order ``p <= 3`` for which all coupled conditions hold."""
     p = 0
-    for cand in range(1, MAX_ORDER_CONDITIONS + 1):
-        if check_order(t, cand):
-            p = cand
-        else:
-            break
+    while p < MAX_ORDER_CONDITIONS and check_order(t, p + 1):
+        p += 1
     return p
+
+
+def simplifying_defects(t: PRKTableau, j: int) -> tuple[tuple[Fraction, tuple], ...]:
+    """Exact defects of the simplifying conditions B(j) and C(j), ``j >= 1``.
+
+    One pair per part ``k``: ``1 - j b_k . c^(j-1)`` and the vector
+    ``c^j - j A_k c^(j-1)``.  They are the coefficients of the local-error
+    matrices ``d_{j,k}`` of :mod:`prk.analysis`.
+    """
+    cjm1 = tuple(ci ** (j - 1) for ci in t.c)
+    return tuple(
+        (1 - j * _dot(bk, cjm1),
+         tuple(ci**j - j * v for ci, v in zip(t.c, _matvec(Ak, cjm1))))
+        for Ak, bk in zip(t.A, t.b)
+    )
+
+
+def is_internally_consistent(t: PRKTableau) -> bool:
+    """True iff every part has the abscissae as row sums, ``A_k e = c``.
+
+    This is C(1), which is also stage order 1.
+    """
+    return all(_close(x, Fraction(0))
+               for _, defect in simplifying_defects(t, 1) for x in defect)
 
 
 def stage_order(t: PRKTableau) -> int:
@@ -233,24 +231,14 @@ def stage_order(t: PRKTableau) -> int:
 
     An explicit method cannot exceed ``q = 1`` (only degenerate tableaus
     with vanishing abscissae satisfy the level-2 identity), so the result
-    is 0 or 1.
+    is 1 for an internally consistent tableau and 0 otherwise.
     """
-    ok = all(
-        all(_close(a, b) for a, b in zip(t.row_sums(k), t.c))
-        for k in range(t.r)
-    )
-    return 1 if ok else 0
+    return int(is_internally_consistent(t))
 
 
 def is_conservative(t: PRKTableau) -> bool:
     """True iff all weight vectors coincide, so linear invariants survive."""
-    return all(t.b[k] == t.b[0] for k in range(1, t.r))
-
-
-def is_internally_consistent(t: PRKTableau) -> bool:
-    """True iff all parts share the same row sums ``A_k e``."""
-    first = t.row_sums(0)
-    return all(t.row_sums(k) == first for k in range(1, t.r))
+    return all(_close(x, y) for bk in t.b[1:] for x, y in zip(bk, t.b[0]))
 
 
 @dataclass(frozen=True)

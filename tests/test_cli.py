@@ -46,6 +46,18 @@ def test_tableau_check_reads_show_output(runner, tmp_path, name):
     assert out.output.strip().endswith(properties), (shown.output, out.output)
 
 
+def test_tableau_check_reads_stage_order_one_as_internal_consistency(runner, tmp_path):
+    # the first part's last row sums to 0.4999999999999999 against c_3 = 1/2,
+    # and the weights differ by 1e-16: every condition compares by one rule
+    f = tmp_path / "decimal.txt"
+    f.write_text("2 3\n0 0 0\n0.5 0 0\n0.3333333333333333 0.1666666666666666 0\n"
+                 "0 0 0\n0.5 0 0\n0.5 0 0\n0 0 1\n0 0 1.0000000000000001\n")
+    out = runner.invoke(main, ["tableau", "check", str(f)])
+    assert out.exit_code == 0, out.output
+    assert out.output == ("decimal: r=2 s=3 order=2 stage_order=1 conservative=True "
+                          "internally_consistent=True\n")
+
+
 def test_analyze_emits_csv(runner):
     out = runner.invoke(main, ["analyze", "--schemes", "tw2",
                                "--m", "20,40", "--nu", "0.5"])
@@ -172,8 +184,14 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("fig1", "kind=edge", "bad value kind='edge': need cell or flux"),
     ("fig2", "threshold=nan", "bad value threshold=nan: need a finite number"),
     ("adv2d-cell", "reference_tol=-1", "bad value reference_tol=-1: need a positive number"),
+    ("table1", "ms=100\nquick=true",
+     "bad value ms=(100,): need a resolution at most half the largest, for --quick"),
+    ("fig3", "ms=20\nquick=true",
+     "bad value ms=(20,): need a resolution at most half the largest, for --quick"),
+    ("adv2d-cell", "ns=20\nquick=true",
+     "bad value ns=(20,): need a resolution of at least 40 cells, for --quick"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
-        "reference-tol"])
+        "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d"])
 def test_run_checks_experiment_values_before_the_first_integration(
         runner, tmp_path, monkeypatch, experiment, config, message):
     def no_steps(*_args, **_kwargs):

@@ -204,7 +204,7 @@ def test_mass_is_kept_on_random_partitions(by_faces, m, nu, n_steps, data):
         parts = CellSplitParts(p.rhs, CellPartition.two_region(refined))
     tab = builtin_tableau(scheme)
     assert by_faces or is_conservative(tab)
-    u0 = 0.5 + data.draw(arrays(float, m, elements=st.floats(0.0, 1.0)))
+    u0 = 0.5 + data.draw(arrays(float, m, elements=st.floats(0.0, 1.0), fill=st.nothing()))
     dt = nu / m
     res = integrate(IntegrationRun(tab, parts, dt=dt, t_end=n_steps * dt, u0=u0,
                                    mass_weights=p.grid.measure))

@@ -183,14 +183,16 @@ def states2d(draw, n):
     zeros among +-1, with random entries replaced by -0.0."""
     kind = draw(st.sampled_from(["float", "integer", "zeros"]))
     if kind == "integer":
-        v = draw(arrays(np.int64, (n, n), elements=st.integers(-3, 3))).astype(float)
+        v = draw(arrays(np.int64, (n, n), elements=st.integers(-3, 3),
+                          fill=st.nothing())).astype(float)
     elif kind == "zeros":
         # the kernel returns -0 only where the five cells read (-0, +0, -0, -0, +0)
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         v = rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, n), p=[0.4, 0.4, 0.1, 0.1])
     else:
         scale = 10.0 ** draw(st.integers(-8, 8))
-        v = scale * draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+        v = scale * draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0),
+                                fill=st.nothing()))
     v[draw(arrays(np.bool_, (n, n)))] = -0.0
     return v
 
@@ -306,11 +308,12 @@ _fluxes = st.floats(-10.0, 10.0)
 
 
 @settings(max_examples=50, deadline=None)
-@given(widths=arrays(float, st.integers(2, 40), elements=st.floats(0.01, 1.0)),
+@given(widths=arrays(float, st.integers(2, 40), elements=st.floats(0.01, 1.0),
+                     fill=st.nothing()),
        data=st.data())
 def test_1d_divergence_telescopes_on_a_nonuniform_grid(widths, data):
     grid = upwind1d(dx=widths).grid
-    phi = data.draw(arrays(float, grid.m + 1, elements=_fluxes))
+    phi = data.draw(arrays(float, grid.m + 1, elements=_fluxes, fill=st.nothing()))
     total = np.sum(grid.measure * grid.divergence(phi))
     assert abs(total - (phi[0] - phi[-1])) <= 1e-13 * (1.0 + np.abs(phi).sum())
 
@@ -319,8 +322,8 @@ def test_1d_divergence_telescopes_on_a_nonuniform_grid(widths, data):
 @given(n=st.integers(6, 16), data=st.data())
 def test_2d_divergence_telescopes(n, data):
     grid = advection2d(n).grid
-    fx = data.draw(arrays(float, (n, n + 1), elements=_fluxes))
-    fy = data.draw(arrays(float, (n + 1, n), elements=_fluxes))
+    fx = data.draw(arrays(float, (n, n + 1), elements=_fluxes, fill=st.nothing()))
+    fy = data.draw(arrays(float, (n + 1, n), elements=_fluxes, fill=st.nothing()))
     total = np.sum(grid.measure * grid.divergence((fx, fy)))
     balance = grid.h * (np.sum(fx[:, 0] - fx[:, -1]) + np.sum(fy[0, :] - fy[-1, :]))
     scale = 1.0 + np.abs(fx).sum() + np.abs(fy).sum()
