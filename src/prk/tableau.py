@@ -105,6 +105,12 @@ class PRKTableau:
         return _matvec(self.A[-1], (Fraction(1),) * self.s)
 
     @cached_property
+    def internally_consistent(self) -> bool:
+        """The exact C(1) verdict, formed once per tableau."""
+        return all(_close(x, Fraction(0))
+                   for _, defect in simplifying_defects(self, 1) for x in defect)
+
+    @cached_property
     def plan(self) -> "_StepPlan":
         """The float step plan, built on first use and kept in the instance
         dict, not in a field: the tableau compares and hashes by its
@@ -222,8 +228,7 @@ def is_internally_consistent(t: PRKTableau) -> bool:
 
     This is C(1), which is also stage order 1.
     """
-    return all(_close(x, Fraction(0))
-               for _, defect in simplifying_defects(t, 1) for x in defect)
+    return t.internally_consistent
 
 
 def stage_order(t: PRKTableau) -> int:
@@ -233,7 +238,7 @@ def stage_order(t: PRKTableau) -> int:
     with vanishing abscissae satisfy the level-2 identity), so the result
     is 1 for an internally consistent tableau and 0 otherwise.
     """
-    return int(is_internally_consistent(t))
+    return int(t.internally_consistent)
 
 
 def is_conservative(t: PRKTableau) -> bool:
