@@ -91,31 +91,23 @@ class ErrorOperators:
 
     @property
     def rT_e(self) -> np.ndarray:
-        acc = self.r_blocks[0].copy()
-        for blk in self.r_blocks[1:]:
-            acc += blk
-        return acc
+        return _add_blocks(self.r_blocks[0].copy(), self.r_blocks[1:])
 
 
-def build_error_operators(
-    tab: PRKTableau, ls: LinearSplitting, j_max: int | None = None
-) -> ErrorOperators:
-    """Assemble ``r_1..r_s``, ``R`` and the ``d_{j,k}`` for one splitting.
+def _add_blocks(acc: np.ndarray, blocks) -> np.ndarray:
+    for blk in blocks:  # in stage order, into acc
+        acc += blk
+    return acc
 
-    The stage system is block lower triangular for explicit tableaus, so
-    the blocks follow from forward substitution with O(s^2) products of
-    size m.  ``j_max`` defaults to the classical order plus one; terms
-    beyond that carry no information in the local-error expansion.  The
-    coefficients of ``d_{j,k}`` are the tableau's B(j)/C(j) defects.
-    """
+
+def _stage_blocks(tab: PRKTableau, ls: LinearSplitting) -> list[np.ndarray]:
+    """``r_1..r_s`` by block forward substitution: the stage system is block
+    lower triangular for explicit tableaus, so O(s^2) products of size m."""
     if ls.r != tab.r:
         raise ValueError("splitting and tableau part counts differ")
-    if j_max is None:
-        j_max = classical_order(tab) + 1
     m = ls.m
     s, r = tab.s, tab.r
     A, b = tab.plan.A, tab.plan.b
-    eye = np.eye(m)
 
     # x_j = B_j + sum_{i>j} x_i M_{ij},  B_j = sum_k b_j^(k) Z_k,
     # M_{ij} = sum_k a_ij^(k) Z_k
@@ -134,22 +126,35 @@ def build_error_operators(
                         Mij += coeff[k] * ls.Zs[k]
                 acc += x[i] @ Mij
         x[j] = acc
+    return x
 
-    R = eye.copy()
-    for blk in x:
-        R += blk
 
-    d: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(1, j_max + 1):
-        for k, (lead, vec) in enumerate(simplifying_defects(tab, j)):
-            djk = float(lead) * eye
-            for xi, v in zip(x, vec):
-                vi = float(v)
-                if vi:
-                    djk += xi * vi
-            d[(j, k)] = djk
+def _defect_matrix(x: list[np.ndarray], lead, vec) -> np.ndarray:
+    """``lead I + sum_i vec_i r_i`` for one B(j)/C(j) defect pair, with the
+    bits of ``lead * eye(m)`` (signed zeros too) as the start."""
+    d = np.full(x[0].shape, 0.0 * float(lead))
+    np.fill_diagonal(d, float(lead))
+    for xi, v in zip(x, map(float, vec)):
+        if v:
+            d += xi * v
+    return d
 
-    return ErrorOperators(r_blocks=tuple(x), R=R, d=d)
+
+def build_error_operators(
+    tab: PRKTableau, ls: LinearSplitting, j_max: int | None = None
+) -> ErrorOperators:
+    """Assemble ``r_1..r_s``, ``R`` and the ``d_{j,k}`` for one splitting.
+
+    ``j_max`` defaults to the classical order plus one; terms beyond that
+    carry no information in the local-error expansion.  The coefficients
+    of ``d_{j,k}`` are the tableau's B(j)/C(j) defects.
+    """
+    x = _stage_blocks(tab, ls)
+    if j_max is None:
+        j_max = classical_order(tab) + 1
+    d = {(j, k): _defect_matrix(x, lead, vec) for j in range(1, j_max + 1)
+         for k, (lead, vec) in enumerate(simplifying_defects(tab, j))}
+    return ErrorOperators(r_blocks=tuple(x), R=_add_blocks(np.eye(ls.m), x), d=d)
 
 
 @dataclass(frozen=True)
@@ -167,14 +172,15 @@ def solve_W(tab: PRKTableau, ls: LinearSplitting, partition: CellPartition) -> W
     A uniformly bounded ``W`` upgrades order-q consistency to order-(q+1)
     convergence in the maximum norm.  When ``r^T e`` is singular or its
     condition estimate exceeds ``COND_LIMIT`` the result is flagged
-    unusable instead of raising.
+    unusable instead of raising.  It forms no ``R`` and no ``d_{j,k}`` for j <= q.
     """
     q = stage_order(tab)
-    ops = build_error_operators(tab, ls, j_max=q + 1)
-    M = ops.rT_e
-    B = np.zeros_like(M)
-    for k, mk in enumerate(partition.masks):
-        B += ops.d[(q + 1, k)] * mk[None, :].astype(float)
+    x = _stage_blocks(tab, ls)
+    B = np.zeros((ls.m, ls.m))
+    for mk, (lead, vec) in zip(partition.masks, simplifying_defects(tab, q + 1)):
+        B += _defect_matrix(x, lead, vec) * mk[None, :].astype(float)
+    M = _add_blocks(x[0], x[1:])
+    del x  # the other stage blocks go before the inverse
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
@@ -201,9 +207,10 @@ def stability_check(ls: LinearSplitting) -> StabilityReport:
     """
     if ls.r != 2:
         raise ValueError("stability conditions are stated for two parts")
-    eye = np.eye(ls.m)
-    n1 = _inf_norm(eye + ls.Zs[0])
-    n2 = _inf_norm(eye + 0.5 * ls.Zs[1])
+    shifted = (ls.Zs[0].copy(), 0.5 * ls.Zs[1])
+    for M in shifted:  # I + M without a dense eye; |.| drops the sign of zero
+        M.flat[:: ls.m + 1] += 1.0
+    n1, n2 = map(_inf_norm, shifted)
     return StabilityReport(
         norm_part1=n1,
         norm_part2=n2,

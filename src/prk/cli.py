@@ -86,9 +86,13 @@ def _finite(_ctx, param, value):
     return value
 
 
-def _check_schemes(names, r: int | None = None) -> None:
-    """Reject names that are not builtin tableaus and, given ``r``, tableaus
-    with another number of parts."""
+def _scheme_names(entries, option: str, r: int | None = None) -> tuple[str, ...]:
+    """Upper-cased builtin scheme names of the ``entries`` of ``option``,
+    rejecting an empty entry and, given ``r``, tableaus with other part counts."""
+    names = tuple(str(s).strip().upper() for s in entries)
+    if "" in names:
+        raise click.ClickException(f"bad {option}{','.join(map(str, entries))!r}: "
+                                   f"entry {names.index('') + 1} is an empty scheme name")
     unknown = [s for s in names if s not in builtin_names()]
     if unknown:
         raise click.ClickException(f"unknown scheme(s) {', '.join(unknown)}; "
@@ -97,6 +101,7 @@ def _check_schemes(names, r: int | None = None) -> None:
     if wrong:
         raise click.ClickException(f"scheme(s) {', '.join(wrong)} do not take {r} parts, "
                                    f"one per region of the partition")
+    return names
 
 
 @click.group()
@@ -122,11 +127,11 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
     for key in ("ms", "ns", "nus", "schemes"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
-    if "schemes" in kwargs:
-        kwargs["schemes"] = tuple(str(s).upper() for s in kwargs["schemes"])
-    if schemes:
-        kwargs["schemes"] = tuple(s.strip().upper() for s in schemes.split(","))
-    _check_schemes(kwargs.get("schemes", ()), _EXPERIMENT_PARTS)
+    if schemes is not None:
+        kwargs["schemes"] = _scheme_names(schemes.split(","), "--schemes ", _EXPERIMENT_PARTS)
+    elif "schemes" in kwargs:
+        kwargs["schemes"] = _scheme_names(kwargs["schemes"], "config value schemes=",
+                                          _EXPERIMENT_PARTS)
     if quick:
         kwargs["quick"] = True
     fn = EXPERIMENTS[experiment]
@@ -159,8 +164,7 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
-    schemes_t = tuple(s.strip().upper() for s in schemes.split(","))
-    _check_schemes(schemes_t, _EXPERIMENT_PARTS)
+    schemes_t = _scheme_names(schemes.split(","), "--schemes ", _EXPERIMENT_PARTS)
     ms_t = _parse_list(ms, int, "--m")
     nus_t = _parse_list(nus, float, "--nu")
     try:
@@ -201,8 +205,7 @@ _MAX_STEPS = 10**7
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
-    scheme = scheme.strip().upper()
-    _check_schemes((scheme,))
+    (scheme,) = _scheme_names((scheme,), "--scheme ")
     t_end = _T_END[problem] if t_end is None else t_end
     spec = partition_spec or STANDARD_PARTITIONS[problem]
 

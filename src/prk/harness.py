@@ -11,6 +11,7 @@ import functools
 import io
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -488,12 +489,12 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
 # W-norm study
 # ----------------------------------------------------------------------
 
-def wnorm_point(scheme: str, m: int, nu: float):
-    """One (scheme, m, nu) sample of the order-reduction matrix study.
+def _wnorm_splitting(m: int, nu: float):
+    """The splitting and partition of one (m, nu) point of the W study.
 
     Upwind inflow advection on the two-block nonuniform grid: the middle
     half of the indices is refined with half the cell width, coarse width
-    ``h = 4/(3m)``, time step ``nu * h``.
+    ``h = 4/(3m)``, time step ``nu * h``.  The dense ``L`` dies on return.
     """
     h = 4.0 / (3.0 * m)
     refined = np.zeros(m, dtype=bool)
@@ -501,15 +502,13 @@ def wnorm_point(scheme: str, m: int, nu: float):
     dx = np.where(refined, 0.5 * h, h)
     problem = upwind1d(dx=dx, boundary="inflow")
     part = CellPartition.two_region(refined)
-    ls = LinearSplitting.cell_based(problem.linear_matrix, nu * h, part)
-    w = solve_W(builtin_tableau(scheme), ls, part)
-    stab = stability_check(ls)
-    return w, stab
+    return LinearSplitting.cell_based(problem.linear_matrix, nu * h, part), part
 
 
 def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
                     nus=(0.5, 0.75, 0.9, 0.95, 1.0), quick=False) -> ExperimentReport:
-    """Norm of W versus resolution for several Courant numbers."""
+    """Norm of W versus resolution for several Courant numbers; each distinct
+    (m, nu) builds one splitting and one stability report for all schemes."""
     if quick:
         ms = _quick_resolutions(ms)
     _check_cells("ms", ms, least=2)
@@ -520,21 +519,26 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
         metadata={"problem": "upwind1d nonuniform", "partition": "middle half refined",
                   "h": "4/(3m)"},
     )
-    table: dict[tuple[str, float], dict[int, float]] = {}
+    solved, stable = {}, {}
+    w_scalars = operator.attrgetter("norm_w", "cond_rTe")  # keep these, not W
+    for nu in nus:
+        for m in ms:
+            if (nu, m) not in stable:
+                ls, part = _wnorm_splitting(m, nu)
+                for scheme in schemes:
+                    solved[scheme, nu, m] = w_scalars(solve_W(builtin_tableau(scheme), ls, part))
+                stable[nu, m] = stability_check(ls)
     for scheme in schemes:
         for nu in nus:
             for m in ms:
-                w, stab = wnorm_point(scheme, m, nu)
-                report.add(scheme=scheme, m=m, nu=nu, norm_W=w.norm_w,
-                           cond_rTe=w.cond_rTe, stab1=stab.stab1, stab2=stab.stab2)
-                table.setdefault((scheme, nu), {})[m] = w.norm_w
+                (norm_w, cond), stab = solved[scheme, nu, m], stable[nu, m]
+                report.add(scheme=scheme, m=m, nu=nu, norm_W=norm_w,
+                           cond_rTe=cond, stab1=stab.stab1, stab2=stab.stab2)
     for scheme in schemes:
         if scheme != "TW2":
             continue
         for nu, lo, hi in ((0.5, 0.0, 1.2), (1.0, 1.6, 2.4)):
-            vals = table.get((scheme, nu))
-            if not vals:
-                continue
+            vals = {m: solved[scheme, nu, m][0] for m in ms if (scheme, nu, m) in solved}
             pairs = [
                 (m, 2 * m) for m in vals if 2 * m in vals and m >= 80
             ]

@@ -1,10 +1,16 @@
 """Amplification operator, local-error coefficients, W matrix, stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prk.analysis import (
     LinearSplitting,
+    _inf_norm,
     build_error_operators,
     linearize_parts,
     predicted_local_error,
@@ -14,7 +20,13 @@ from prk.analysis import (
 from prk.decomposition import CellPartition, CellSplitParts
 from prk.spatial import upwind1d
 from prk.stepper import prk_step
-from prk.tableau import builtin_names, builtin_tableau, stage_order
+from prk.tableau import (
+    PRKTableau,
+    builtin_names,
+    builtin_tableau,
+    simplifying_defects,
+    stage_order,
+)
 
 
 def _upwind_splitting(m=20, nu=0.4, lo=None, hi=None):
@@ -160,6 +172,77 @@ def test_solve_w_flags_singular_system():
     res = solve_W(builtin_tableau("OS1"), ls, part)
     assert not res.ok
     assert res.cond_rTe == np.inf or res.cond_rTe > 1e12
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _two_part_tableaus(draw):
+    """A builtin two-part scheme or random explicit two-part coefficients."""
+    builtin = draw(st.sampled_from(["OS1", "TW1", "TW2", "CS2", "SH2", None]))
+    if builtin:
+        return builtin_tableau(builtin)
+    s = draw(st.integers(1, 5))
+    coeff = st.fractions(-2, 2, max_denominator=4)
+    A = [[[draw(coeff) if j < i else 0 for j in range(s)] for i in range(s)]
+         for _ in range(2)]
+    return PRKTableau.from_coeffs(A, [[draw(coeff) for _ in range(s)] for _ in range(2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tab=_two_part_tableaus(), m=st.integers(4, 24), periodic=st.booleans(),
+       nu=st.floats(0.1, 1.0), data=st.data())
+def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, data):
+    # solve_W forms only r^T e and the d_{q+1,k}; W, its norm and the
+    # condition estimate must keep every bit of the build_error_operators path
+    # fill=nothing draws every entry, so neighbouring cells differ
+    dx = data.draw(arrays(float, m, elements=st.floats(0.25, 1.0), fill=st.nothing())) / m
+    prob = upwind1d(dx=dx, boundary="periodic" if periodic else "inflow")
+    part = CellPartition.two_region(data.draw(arrays(bool, m, fill=st.nothing())))
+    ls = LinearSplitting.cell_based(prob.linear_matrix, nu * float(dx.min()), part)
+    q = stage_order(tab)
+    ops = build_error_operators(tab, ls, j_max=q + 1)
+    for k, (lead, vec) in enumerate(simplifying_defects(tab, q + 1)):
+        # d_{q+1,k} = lead I + sum_i v_i r_i, from a dense identity
+        djk = float(lead) * np.eye(m)
+        for blk, v in zip(ops.r_blocks, map(float, vec)):
+            if v:
+                djk += blk * v
+        assert ops.d[(q + 1, k)].tobytes() == djk.tobytes()
+    rhs = sum(ops.d[(q + 1, k)] * mk[None, :].astype(float) for k, mk in enumerate(part.masks))
+    res = solve_W(tab, ls, part)
+    try:
+        Minv = np.linalg.inv(ops.rT_e)
+    except np.linalg.LinAlgError:
+        assert res.W is None and res.norm_w == res.cond_rTe == np.inf
+    else:
+        W = Minv @ rhs
+        assert res.W.tobytes() == W.tobytes()
+        assert _bits(res.norm_w) == _bits(_inf_norm(W))
+        assert _bits(res.cond_rTe) == _bits(_inf_norm(ops.rT_e) * _inf_norm(Minv))
+    # stability_check adds the identity in place of forming eye + Z
+    rep, eye = stability_check(ls), np.eye(m)
+    assert _bits(rep.norm_part1) == _bits(_inf_norm(eye + ls.Zs[0]))
+    assert _bits(rep.norm_part2) == _bits(_inf_norm(eye + 0.5 * ls.Zs[1]))
+
+
+@pytest.mark.parametrize("scheme, most", [("TW2", 10), ("CS2", 10), ("SH2", 11)])
+def test_solve_w_working_set(scheme, most):
+    # tracemalloc sees numpy's array data: one solve, its result included,
+    # may hold at most `most` dense m x m float64 arrays at once
+    _, part, ls, _ = _upwind_splitting(m=256, nu=1.0)
+    tab = builtin_tableau(scheme)
+    solve_W(tab, ls, part)  # the float plan is built on first use
+    tracemalloc.start()
+    try:
+        res = solve_W(tab, ls, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert peak <= most * res.W.nbytes, f"{peak / res.W.nbytes:.2f} arrays"
 
 
 # ----------------------------------------------------------------------

@@ -135,16 +135,31 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["analyze", "--nu", "0.5,fast"], "bad --nu '0.5,fast': need comma-separated float"),
     (["analyze", "--m", "20,0"], "bad value ms=0: need a whole number of at least 2 cells"),
     (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
+    (["run", "fig3", "--schemes", ""], "bad --schemes '': entry 1 is an empty scheme name"),
+    (["analyze", "--schemes", ""], "bad --schemes '': entry 1 is an empty scheme name"),
+    (["analyze", "--schemes", "TW2,,CS2"],
+     "bad --schemes 'TW2,,CS2': entry 2 is an empty scheme name"),
+    (["run", "fig3", "--config", "schemes=TW2,,CS2"],
+     "bad config value schemes='TW2,,CS2': entry 2 is an empty scheme name"),
+    (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", ""],
+     "bad --scheme '': entry 1 is an empty scheme name"),
 ], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu",
         "nu-nan", "nu-inf", "t-end-nan", "t-end-inf", "m",
         "m-zero", "nu-tiny", "t-end-huge", "nu-underflow",
         "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu",
-        "analyze-m-zero", "analyze-nu-negative"])
+        "analyze-m-zero", "analyze-nu-negative", "run-schemes-empty",
+        "analyze-schemes-empty", "analyze-schemes-empty-entry", "config-schemes-empty-entry",
+        "integrate-scheme-empty"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,
                                                            args, message):
     def no_steps(*_args, **_kwargs):
         raise AssertionError("integration started")
 
+    if "--config" in args:  # the argument after it is the file's text
+        i = args.index("--config") + 1
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(args[i] + "\n")
+        args = [*args[:i], str(cfg), *args[i + 1:]]
     monkeypatch.setattr(prk.harness, "integrate", no_steps)
     monkeypatch.setattr(prk.harness, "solve_W", no_steps)
     out = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
