@@ -59,14 +59,11 @@ class LinearSplitting:
     def m(self) -> int:
         return self.Zs[0].shape[0]
 
-    @property
-    def Z(self) -> np.ndarray:
-        return sum(self.Zs[1:], start=self.Zs[0].copy())
-
     @classmethod
     def from_matrices(cls, Zs) -> "LinearSplitting":
         return cls(tuple(np.asarray(Z, dtype=float) for Z in Zs))
 
+    # not called in prk; perfbench/child.py wraps it by name
     @classmethod
     def cell_based(cls, L: np.ndarray, dt: float, partition: CellPartition) -> "LinearSplitting":
         """Row masking ``Z_k = dt I_k L`` for a cell-based decomposition."""
@@ -174,6 +171,8 @@ def solve_W(tab: PRKTableau, ls: LinearSplitting, partition: CellPartition) -> W
     condition estimate exceeds ``COND_LIMIT`` the result is flagged
     unusable instead of raising.  It forms no ``R`` and no ``d_{j,k}`` for j <= q.
     """
+    if partition.r != tab.r or partition.shape != (ls.m,):
+        raise ValueError("partition needs one mask per tableau part, each over the m cells")
     q = stage_order(tab)
     x = _stage_blocks(tab, ls)
     B = np.zeros((ls.m, ls.m))
@@ -249,7 +248,8 @@ def linearize_parts(parts, m: int) -> list[np.ndarray]:
     vectors at ``t = 0``.
 
     Subtracts the response at zero so affine boundary terms drop out.
-    Intended for small systems in analysis and testing.
+    Costs ``m + 1`` evaluations and one dense m x m matrix per part;
+    ``fig3`` reads its splittings this way, up to m = 640.
     """
     needed = [True] * parts.r
     zero = parts.eval_parts(0.0, np.zeros(m), needed)

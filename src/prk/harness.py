@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import LinearSplitting, solve_W, stability_check
+from .analysis import LinearSplitting, linearize_parts, solve_W, stability_check
 from .decomposition import (
     CellPartition,
     CellSplitParts,
@@ -494,15 +494,18 @@ def _wnorm_splitting(m: int, nu: float):
 
     Upwind inflow advection on the two-block nonuniform grid: the middle
     half of the indices is refined with half the cell width, coarse width
-    ``h = 4/(3m)``, time step ``nu * h``.  The dense ``L`` dies on return.
+    ``h = 4/(3m)``, time step ``nu * h``.  ``Z_k = nu h I_k L`` is read off
+    the cell split the stepper runs, and scaled in place.
     """
     h = 4.0 / (3.0 * m)
     refined = np.zeros(m, dtype=bool)
     refined[m // 4 : (3 * m) // 4] = True
     dx = np.where(refined, 0.5 * h, h)
-    problem = upwind1d(dx=dx, boundary="inflow")
     part = CellPartition.two_region(refined)
-    return LinearSplitting.cell_based(problem.linear_matrix, nu * h, part), part
+    Zs = linearize_parts(CellSplitParts(upwind1d(dx=dx, boundary="inflow").rhs, part), m)
+    for Z in Zs:
+        Z *= nu * h
+    return LinearSplitting(tuple(Zs)), part
 
 
 def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),

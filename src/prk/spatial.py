@@ -99,15 +99,12 @@ class SemiDiscreteProblem:
     """A grid plus evaluators describing ``u' = F(t, u)``.
 
     ``flux(t, v)`` gives the interface fluxes that ``grid.divergence``
-    takes (``(fx, fy)`` in 2D), for flux-based decompositions.  When the
-    right-hand side is linear up to boundary data, ``linear_matrix``
-    holds ``L``.
+    takes (``(fx, fy)`` in 2D), for flux-based decompositions.
     """
 
     grid: Grid1D | Grid2D
     rhs: Callable[[float, np.ndarray], np.ndarray]
     flux: Callable | None = None
-    linear_matrix: np.ndarray | None = None
     exact: Callable[[float], np.ndarray] | None = None
     exact_point: Callable | None = None
     initial: np.ndarray | None = None
@@ -134,9 +131,10 @@ def upwind1d(
     """First-order upwind discretization of ``u_t + u_x = 0``.
 
     ``u_j' = (u_{j-1} - u_j) / dx_j`` with either a periodic wrap or an
-    inflow value at the left boundary.  ``dx`` may be a scalar or a
-    per-cell array (nonuniform grids); the explicit bidiagonal matrix is
-    attached as ``linear_matrix``.
+    inflow value at the left boundary.  ``dx`` may be a scalar (with ``m``)
+    or one finite positive width per cell (nonuniform grids).  With zero
+    inflow the right-hand side is linear; ``prk.analysis.linearize_parts``
+    reads its matrix off a split of ``rhs``.
     """
     if boundary not in ("inflow", "periodic"):
         raise ValueError(f"unknown boundary rule {boundary!r}")
@@ -149,6 +147,10 @@ def upwind1d(
         dx = np.atleast_1d(np.asarray(dx, dtype=float))
         if dx.size == 1 and m is not None:
             dx = np.full(m, dx[0])
+        if m is not None and m != dx.size:
+            raise ValueError(f"m = {m} disagrees with the {dx.size} cell widths of dx")
+        if not np.all(np.isfinite(dx) & (dx > 0.0)):
+            raise ValueError("cell widths must be finite and positive")
         m = dx.size
     if m < 2:
         raise ValueError("need at least two cells")
@@ -157,12 +159,6 @@ def upwind1d(
     grid = Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
 
     inflow_fn = inflow if callable(inflow) else (lambda t, _v=float(inflow): _v)
-
-    L = np.zeros((m, m))
-    L[np.arange(m), np.arange(m)] = -1.0 / dx
-    L[np.arange(1, m), np.arange(m - 1)] = 1.0 / dx[1:]
-    if periodic:
-        L[0, m - 1] = 1.0 / dx[0]
 
     def flux(t, v):
         phi = np.empty(m + 1)
@@ -177,7 +173,6 @@ def upwind1d(
         grid=grid,
         rhs=rhs,
         flux=flux,
-        linear_matrix=L,
         max_speed=1.0,
     )
 

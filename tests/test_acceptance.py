@@ -15,6 +15,7 @@ import pytest
 from prk.analysis import (
     LinearSplitting,
     build_error_operators,
+    linearize_parts,
     predicted_local_error,
     solve_W,
     stability_check,
@@ -121,16 +122,17 @@ def test_criterion_05_damping_matrix_closed_form():
     refined = np.zeros(m, dtype=bool)
     refined[m // 4: 3 * m // 4] = True
     part = CellPartition.two_region(refined)
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), m)
     worst_form, worst_resid, bound_ok = 0.0, 0.0, True
     for nu in (0.2, 0.5, 0.9, 1.5):
         dt = nu / m
-        ls = LinearSplitting.cell_based(prob.linear_matrix, dt, part)
+        ls = LinearSplitting.from_matrices([dt * L for L in mats])
         res = solve_W(builtin_tableau("OS1"), ls, part)
         closed = np.linalg.solve(np.eye(m) + 0.25 * ls.Zs[1],
                                  np.diag(part.masks[0].astype(float)))
         worst_form = max(worst_form, np.abs(4.0 * res.W - closed).max())
         ops = build_error_operators(builtin_tableau("OS1"), ls, j_max=1)
-        resid = ops.rT_e @ res.W - 0.25 * ls.Z @ np.diag(part.masks[0].astype(float))
+        resid = ops.rT_e @ res.W - 0.25 * sum(ls.Zs) @ np.diag(part.masks[0].astype(float))
         worst_resid = max(worst_resid, np.abs(resid).max())
         theta = stability_check(ls).theta
         if theta < 1.0 and 4.0 * res.norm_w > 1.0 / (1.0 - theta) + 1e-12:
@@ -245,7 +247,8 @@ def test_criterion_10_local_error_oracle():
     s = np.sin(2 * np.pi * x) + 1.5
     alpha = 0.7
     uex = lambda t: s * np.exp(alpha * t)
-    L = prob.linear_matrix
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), m)
+    L = sum(mats)
     F = lambda t, v: L @ v + (alpha * uex(t) - L @ uex(t))
     parts = CellSplitParts(F, part)
     t0 = 0.4
@@ -257,7 +260,7 @@ def test_criterion_10_local_error_oracle():
         dts = [0.02 / 2**i for i in range(5)]
         resid = []
         for dt in dts:
-            ls = LinearSplitting.cell_based(L, dt, part)
+            ls = LinearSplitting.from_matrices([dt * Lk for Lk in mats])
             defect = uex(t0 + dt) - prk_step(tab, parts, t0, dt, uex(t0))
             phis = [[np.where(mk, alpha ** (j + 1) * uex(t0), 0.0)
                      for j in range(level)] for mk in part.masks]

@@ -18,6 +18,7 @@ from prk.analysis import (
     stability_check,
 )
 from prk.decomposition import CellPartition, CellSplitParts
+from prk.harness import _wnorm_splitting
 from prk.spatial import upwind1d
 from prk.stepper import prk_step
 from prk.tableau import (
@@ -29,13 +30,32 @@ from prk.tableau import (
 )
 
 
+def _bidiagonal(dx, periodic):
+    """The upwind matrix ``L``, built entry by entry: the oracle for what
+    ``linearize_parts`` reads off ``upwind1d``'s right-hand side."""
+    dx = np.asarray(dx, dtype=float)
+    m = dx.size
+    L = np.zeros((m, m))
+    L[np.arange(m), np.arange(m)] = -1.0 / dx
+    L[np.arange(1, m), np.arange(m - 1)] = 1.0 / dx[1:]
+    if periodic:
+        L[0, m - 1] = 1.0 / dx[0]
+    return L
+
+
+def _cell_splitting(prob, part, dt):
+    """``Z_k = dt I_k L``, read off the cell split the stepper runs."""
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), prob.grid.m)
+    return LinearSplitting.from_matrices([dt * L for L in mats])
+
+
 def _upwind_splitting(m=20, nu=0.4, lo=None, hi=None):
     prob = upwind1d(m=m, boundary="inflow")
     refined = np.zeros(m, dtype=bool)
     refined[(lo if lo is not None else m // 3):(hi if hi is not None else 2 * m // 3)] = True
     part = CellPartition.two_region(refined)
     dt = nu / m
-    return prob, part, LinearSplitting.cell_based(prob.linear_matrix, dt, part), dt
+    return prob, part, _cell_splitting(prob, part, dt), dt
 
 
 def _random_splitting(rng, m, r, scale=0.5):
@@ -72,7 +92,7 @@ def test_two_stage_multirate_closed_forms():
     # and the leading error coefficients all have short closed forms
     _, part, ls, _ = _upwind_splitting()
     m = ls.m
-    Z, Z2 = ls.Z, ls.Zs[1]
+    Z, Z2 = sum(ls.Zs), ls.Zs[1]
     ops = build_error_operators(builtin_tableau("OS1"), ls)
     eye = np.eye(m)
     assert np.abs(ops.r_blocks[0] - 0.5 * Z @ (eye + 0.5 * Z2)).max() < 1e-14
@@ -103,7 +123,7 @@ def test_error_coefficients_vanish_up_to_stage_order():
 def test_error_coefficients_scale_with_dt():
     # d_{j,k} = O(dt^(p+1-j)) when every part matrix scales with dt
     prob, part, _, _ = _upwind_splitting()
-    L = prob.linear_matrix
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), prob.grid.m)
     for name, p in (("CS2", 2), ("TW2", 2), ("OS1", 1)):
         tab = builtin_tableau(name)
         q = stage_order(tab)
@@ -111,7 +131,7 @@ def test_error_coefficients_scale_with_dt():
         dts = [0.02 / 2**i for i in range(4)]
         normvals = []
         for dt in dts:
-            ls = LinearSplitting.cell_based(L, dt / L.shape[0], part)
+            ls = LinearSplitting.from_matrices([dt / prob.grid.m * L for L in mats])
             ops = build_error_operators(tab, ls, j_max=j)
             normvals.append(max(np.abs(ops.d[(j, k)]).max() for k in range(2)))
         slope = np.polyfit(np.log2(dts), np.log2(normvals), 1)[0]
@@ -134,7 +154,7 @@ def test_solve_w_two_stage_closed_form():
     assert np.abs(4.0 * res.W - closed).max() < 1e-12
     # and the defining equation holds as stated
     lhs = (build_error_operators(builtin_tableau("OS1"), ls, j_max=1).rT_e) @ res.W
-    rhs = 0.25 * ls.Z @ np.diag(part.masks[0].astype(float))
+    rhs = 0.25 * sum(ls.Zs) @ np.diag(part.masks[0].astype(float))
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -174,6 +194,16 @@ def test_solve_w_flags_singular_system():
     assert res.cond_rTe == np.inf or res.cond_rTe > 1e12
 
 
+@pytest.mark.parametrize("masks", [
+    tuple(np.repeat(np.eye(3, dtype=bool), 2, axis=1)),  # zip would drop the third
+    (np.array([True]), np.array([False])),  # would broadcast over all six cells
+])
+def test_solve_w_rejects_a_partition_that_does_not_fit(masks):
+    _, _, ls, _ = _upwind_splitting(m=6)
+    with pytest.raises(ValueError, match="one mask per tableau part, each over the m cells"):
+        solve_W(builtin_tableau("TW2"), ls, CellPartition(masks))
+
+
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
@@ -201,7 +231,7 @@ def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, dat
     dx = data.draw(arrays(float, m, elements=st.floats(0.25, 1.0), fill=st.nothing())) / m
     prob = upwind1d(dx=dx, boundary="periodic" if periodic else "inflow")
     part = CellPartition.two_region(data.draw(arrays(bool, m, fill=st.nothing())))
-    ls = LinearSplitting.cell_based(prob.linear_matrix, nu * float(dx.min()), part)
+    ls = _cell_splitting(prob, part, nu * float(dx.min()))
     q = stage_order(tab)
     ops = build_error_operators(tab, ls, j_max=q + 1)
     for k, (lead, vec) in enumerate(simplifying_defects(tab, q + 1)):
@@ -245,6 +275,21 @@ def test_solve_w_working_set(scheme, most):
     assert peak <= most * res.W.nbytes, f"{peak / res.W.nbytes:.2f} arrays"
 
 
+def test_wnorm_splitting_working_set():
+    # the fig3 splitting holds its two Z_k and no dense L beside them
+    m = 256
+    _wnorm_splitting(m, 1.0)
+    tracemalloc.start()
+    try:
+        ls, _ = _wnorm_splitting(m, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = ls.Zs[0].nbytes
+    assert dense == m * m * 8
+    assert peak <= 2.1 * dense, f"{peak / dense:.2f} arrays"
+
+
 # ----------------------------------------------------------------------
 # stability
 # ----------------------------------------------------------------------
@@ -277,8 +322,7 @@ def test_stability_refined_region_boundary():
         prob = upwind1d(dx=dx, boundary="inflow")
         part = CellPartition.two_region(refined)
         dt = nu2 * h / 2  # Courant number nu2 on the refined cells
-        ls = LinearSplitting.cell_based(prob.linear_matrix, dt, part)
-        return stability_check(ls)
+        return stability_check(_cell_splitting(prob, part, dt))
 
     at2 = norm2_at(2.0)
     assert abs(at2.norm_part2 - 1.0) < 1e-12 and at2.stab2
@@ -306,18 +350,18 @@ def test_powerbound_stable_multirate_step():
 # local-error prediction
 # ----------------------------------------------------------------------
 
-def _manufactured(prob, alpha=0.7):
+def _manufactured(prob, part, alpha=0.7):
     x = prob.grid.x
     s = np.sin(2 * np.pi * x) + 1.5
     uex = lambda t: s * np.exp(alpha * t)
-    L = prob.linear_matrix
+    L = sum(linearize_parts(CellSplitParts(prob.rhs, part), x.size))
     F = lambda t, v: L @ v + (alpha * uex(t) - L @ uex(t))
     return uex, F, alpha
 
 
 def test_predicted_error_matches_one_step_defect():
     prob, part, ls, dt = _upwind_splitting(m=16, nu=0.3)
-    uex, F, alpha = _manufactured(prob)
+    uex, F, alpha = _manufactured(prob, part)
     parts = CellSplitParts(F, part)
     tab = builtin_tableau("OS1")
     t0 = 0.4
@@ -339,7 +383,7 @@ def test_linear_in_time_solution_has_zero_defect_for_stage_order_one():
     x = prob.grid.x
     a, b = np.sin(2 * np.pi * x), np.cos(2 * np.pi * x) + 1.2
     uex = lambda t: a + b * t
-    L = prob.linear_matrix
+    L = sum(linearize_parts(CellSplitParts(prob.rhs, part), m))
     F = lambda t, v: L @ v + (b - L @ uex(t))
     for name in ("TW1", "TW2", "SH2"):
         dt = 0.05
@@ -356,6 +400,23 @@ def test_linearize_parts_recovers_masked_matrix():
     part = CellPartition.two_region(refined)
     parts = CellSplitParts(prob.rhs, part)
     mats = linearize_parts(parts, m)
-    L = prob.linear_matrix
+    L = _bidiagonal(prob.grid.dx, periodic=False)
     assert np.abs(mats[0] - np.where(part.masks[0][:, None], L, 0.0)).max() < 1e-12
     assert np.abs(mats[1] - np.where(part.masks[1][:, None], L, 0.0)).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(dx=arrays(float, st.integers(2, 40), elements=st.floats(1e-3, 1e3), fill=st.nothing()),
+       periodic=st.booleans(), dt=st.floats(1e-4, 10.0), data=st.data())
+def test_linearized_cell_split_is_byte_identical_to_the_masked_bidiagonal(dx, periodic, dt,
+                                                                         data):
+    # fig3 reads Z_k off the cell split of upwind1d's rhs; every bit, signed
+    # zeros included, must be those of dt I_k L from the hand-built matrix
+    m = dx.size
+    prob = upwind1d(dx=dx, boundary="periodic" if periodic else "inflow")
+    part = CellPartition.two_region(data.draw(arrays(bool, m)))
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), m)
+    for Z in mats:
+        Z *= dt
+    want = LinearSplitting.cell_based(_bidiagonal(dx, periodic), dt, part).Zs
+    assert [Z.tobytes() for Z in mats] == [Z.tobytes() for Z in want]

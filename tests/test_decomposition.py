@@ -93,12 +93,12 @@ def test_cell_split_row_structure_on_upwind():
     m = 8
     prob = upwind1d(m=m, boundary="inflow")
     part = _two_region(m, 4, 8)
-    parts = CellSplitParts(lambda t, v: prob.linear_matrix @ v, part)
+    parts = CellSplitParts(prob.rhs, part)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(m)
     f1 = parts.eval_parts(0.0, v, [True, True])[0]
     assert np.all(f1[part.masks[1]] == 0.0)
-    assert np.allclose(f1[part.masks[0]], (prob.linear_matrix @ v)[part.masks[0]])
+    assert np.allclose(f1[part.masks[0]], prob.rhs(0.0, v)[part.masks[0]])
 
 
 def test_cell_split_dimension_mismatch():

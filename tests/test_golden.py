@@ -41,6 +41,8 @@ CASES = {
     # scheme order, unsorted resolutions and a repeated m, whose rows repeat
     "fig3-order": dict(experiment="fig3", schemes=("CS2", "SH2", "TW2"),
                        ms=(40, 20, 40), nus=(1.0, 0.5)),
+    # every default point, m = 20..640: the only byte gate on the large-m splittings
+    "fig3-full": dict(experiment="fig3"),
     "adv2d-cell": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
     "adv2d-flux": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
 }

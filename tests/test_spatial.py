@@ -15,6 +15,7 @@ from prk.spatial import (
 )
 from prk.harness import STANDARD_PARTITIONS, make_parts, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
+from test_analysis import _bidiagonal
 from test_weno import _oracle_left, _oracle_right
 
 
@@ -36,7 +37,7 @@ def test_upwind_inflow_stencil_values():
 def test_upwind_matrix_rows():
     m = 5
     p = upwind1d(m=m, boundary="inflow")
-    L = p.linear_matrix
+    L = _bidiagonal(p.grid.dx, periodic=False)
     dx = p.grid.dx
     for j in range(m):
         row = np.zeros(m)
@@ -44,6 +45,7 @@ def test_upwind_matrix_rows():
         if j > 0:
             row[j - 1] = 1.0 / dx[j]
         assert np.allclose(L[j], row)
+        assert np.allclose(p.rhs(0.0, np.eye(m)[j]), L[:, j])
 
 
 @pytest.mark.parametrize("boundary", ["inflow", "periodic"])
@@ -53,7 +55,20 @@ def test_upwind_rhs_matches_matrix(boundary):
     p = upwind1d(m=m, boundary=boundary, inflow=0.0)
     v = rng.standard_normal(m)
     # inflow 0: the affine term g vanishes
-    assert np.abs(p.rhs(0.0, v) - p.linear_matrix @ v).max() < 1e-13
+    L = _bidiagonal(p.grid.dx, periodic=boundary == "periodic")
+    assert np.abs(p.rhs(0.0, v) - L @ v).max() < 1e-13
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(m=5, dx=[0.1, 0.2, 0.3]), "disagrees"),
+    (dict(dx=[1.0, -1.0, 0.5]), "finite and positive"),
+    (dict(dx=[0.5, np.nan, 0.5]), "finite and positive"),
+    (dict(dx=[0.5, 0.0, 0.5]), "finite and positive"),
+    (dict(dx=[np.inf, 0.5, 0.5]), "finite and positive"),
+])
+def test_upwind_rejects_inconsistent_widths(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        upwind1d(**kwargs)
 
 
 def test_upwind_nonuniform_and_inflow_function():

@@ -26,6 +26,7 @@ from prk.stepper import (
     reference_integrate,
 )
 from prk.tableau import PRKTableau, builtin_names, builtin_tableau
+from test_analysis import _bidiagonal
 
 
 def _fe_steps(F, u, t, dt, n):
@@ -132,18 +133,17 @@ def test_interface_cell_update_for_two_stage_flux_split():
 
 
 def test_step_is_affine_with_amplification_matrix():
-    from prk.analysis import LinearSplitting, build_error_operators
-
     m = 25
     prob = upwind1d(m=m, boundary="inflow")
     refined = np.zeros(m, dtype=bool)
     refined[8:17] = True
     part = CellPartition.two_region(refined)
     dt = 0.35 / m
-    ls = LinearSplitting.cell_based(prob.linear_matrix, dt, part)
+    mats = linearize_parts(CellSplitParts(prob.rhs, part), m)
+    ls = LinearSplitting.from_matrices([dt * L for L in mats])
     for name in builtin_names():
         tab = builtin_tableau(name)
-        splitting = ls if tab.r == 2 else LinearSplitting.from_matrices([dt * prob.linear_matrix])
+        splitting = ls if tab.r == 2 else LinearSplitting.from_matrices([sum(ls.Zs)])
         parts = (CellSplitParts(prob.rhs, part) if tab.r == 2
                  else TrivialParts(prob.rhs))
         R = build_error_operators(tab, splitting).R
@@ -177,7 +177,7 @@ def test_step_matches_the_amplification_matrix_on_random_partitions(
         parts = CellSplitParts(prob.rhs, CellPartition.two_region(refined))
     dt = nu * prob.grid.min_width
     mats = linearize_parts(parts, m)
-    assert np.abs(sum(mats) - prob.linear_matrix).max() < 1e-12 * m
+    assert np.abs(sum(mats) - _bidiagonal(prob.grid.dx, periodic)).max() < 1e-12 * m
     tab = builtin_tableau(scheme)
     R = build_error_operators(tab, LinearSplitting.from_matrices([dt * L for L in mats])).R
     realized = np.column_stack([prk_step(tab, parts, 0.0, dt, e) for e in np.eye(m)])
