@@ -59,10 +59,6 @@ class LinearSplitting:
     def m(self) -> int:
         return self.Zs[0].shape[0]
 
-    @classmethod
-    def from_matrices(cls, Zs) -> "LinearSplitting":
-        return cls(tuple(np.asarray(Z, dtype=float) for Z in Zs))
-
     # not called in prk; perfbench/child.py wraps it by name
     @classmethod
     def cell_based(cls, L: np.ndarray, dt: float, partition: CellPartition) -> "LinearSplitting":

@@ -71,14 +71,6 @@ class CellPartition:
         refined = np.asarray(refined, dtype=bool)
         return cls((~refined, refined))
 
-    @classmethod
-    def from_intervals(cls, x: np.ndarray, intervals) -> "CellPartition":
-        """Refine where the coordinate lies in any closed interval."""
-        refined = np.zeros_like(x, dtype=bool)
-        for lo, hi in intervals:
-            refined |= (x >= lo) & (x <= hi)
-        return cls.two_region(refined)
-
 
 @dataclass(frozen=True)
 class FluxPartition:

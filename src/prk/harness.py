@@ -67,11 +67,6 @@ _PARTITION_HEADERS = {
     "adv1d": "x in [1/8,3/8] u [5/8,7/8]",
     "adv2d": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse",
 }
-# single asymmetric interval for the conservation dichotomy; the
-# symmetric pair of the adv1d partition above makes the region boundary
-# fluxes of the exact sin^2 profile cancel to round-off, hiding the
-# weight mismatch
-DICHOTOMY_INTERVALS = ((0.125, 0.375),)
 
 # published reference values (max norm, L1) per scheme and resolution
 TABLE1_ERRORS = {

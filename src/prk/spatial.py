@@ -1,14 +1,16 @@
 """Semi-discrete right-hand sides: upwind, WENO5 advection, Burgers, 2D rotation.
 
-Every builder returns a :class:`SemiDiscreteProblem` whose ``rhs`` is a
-pure function of ``(t, v)``: the grid's ``divergence`` of the interface
-fluxes, which flux-based decompositions evaluate through ``flux``.  Both
-grids give ``centres``, ``measure`` (mass and norm weights), ``min_width``.
+Every builder returns a :class:`SemiDiscreteProblem` from its grid and
+its interface ``flux(t, v)``; the problem builds ``rhs`` once from them,
+as ``grid.divergence`` of ``flux``.  Cell-based decompositions mask
+``rhs``, flux-based ones mask ``flux``, so both split the same operator.
+Both grids give ``centres``, ``measure`` (mass and norm weights),
+``min_width``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -99,16 +101,22 @@ class SemiDiscreteProblem:
     """A grid plus evaluators describing ``u' = F(t, u)``.
 
     ``flux(t, v)`` gives the interface fluxes that ``grid.divergence``
-    takes (``(fx, fy)`` in 2D), for flux-based decompositions.
+    takes (``(fx, fy)`` in 2D).  ``rhs(t, v)`` is built once, at
+    construction, as ``grid.divergence(flux(t, v))`` from the divergence
+    and flux bound then: rebinding ``flux`` later does not change ``rhs``.
     """
 
     grid: Grid1D | Grid2D
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    flux: Callable | None = None
+    flux: Callable
     exact: Callable[[float], np.ndarray] | None = None
     exact_point: Callable | None = None
     initial: np.ndarray | None = None
     max_speed: float = 1.0
+    rhs: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        divergence, flux = self.grid.divergence, self.flux
+        self.rhs = lambda t, v: divergence(flux(t, v))
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -126,55 +134,41 @@ def upwind1d(
     m: int | None = None,
     dx=None,
     boundary: str = "inflow",
-    inflow=0.0,
 ) -> SemiDiscreteProblem:
     """First-order upwind discretization of ``u_t + u_x = 0``.
 
-    ``u_j' = (u_{j-1} - u_j) / dx_j`` with either a periodic wrap or an
-    inflow value at the left boundary.  ``dx`` may be a scalar (with ``m``)
-    or one finite positive width per cell (nonuniform grids).  With zero
-    inflow the right-hand side is linear; ``prk.analysis.linearize_parts``
-    reads its matrix off a split of ``rhs``.
+    ``u_j' = (u_{j-1} - u_j) / dx_j`` with either a periodic wrap or zero
+    inflow at the left boundary, so the operator is linear;
+    ``prk.analysis.linearize_parts`` reads its matrix off a split of
+    ``rhs``.  ``dx`` may be a scalar (with ``m``) or one finite positive
+    width per cell (nonuniform grids).
     """
     if boundary not in ("inflow", "periodic"):
         raise ValueError(f"unknown boundary rule {boundary!r}")
     periodic = boundary == "periodic"
-    if dx is None:
-        if m is None:
-            raise ValueError("need m or dx")
-        dx = np.full(m, 1.0 / m)
-    else:
-        dx = np.atleast_1d(np.asarray(dx, dtype=float))
-        if dx.size == 1 and m is not None:
-            dx = np.full(m, dx[0])
-        if m is not None and m != dx.size:
-            raise ValueError(f"m = {m} disagrees with the {dx.size} cell widths of dx")
-        if not np.all(np.isfinite(dx) & (dx > 0.0)):
-            raise ValueError("cell widths must be finite and positive")
-        m = dx.size
-    if m < 2:
+    if dx is None and m is None:
+        raise ValueError("need m or dx")
+    if (np.size(dx) if m is None else m) < 2:
         raise ValueError("need at least two cells")
+    dx = np.atleast_1d(np.asarray(1.0 / m if dx is None else dx, dtype=float))
+    if dx.size == 1:
+        dx = np.full(m, dx[0])
+    if m is not None and m != dx.size:
+        raise ValueError(f"m = {m} disagrees with the {dx.size} cell widths of dx")
+    if not np.all(np.isfinite(dx) & (dx > 0.0)):
+        raise ValueError("cell widths must be finite and positive")
+    m = dx.size
     edges = np.concatenate([[0.0], np.cumsum(dx)])
     x = 0.5 * (edges[:-1] + edges[1:])
     grid = Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
 
-    inflow_fn = inflow if callable(inflow) else (lambda t, _v=float(inflow): _v)
-
     def flux(t, v):
         phi = np.empty(m + 1)
         phi[1:] = v
-        phi[0] = v[-1] if periodic else inflow_fn(t)
+        phi[0] = v[-1] if periodic else 0.0
         return phi
 
-    def rhs(t, v):
-        return grid.divergence(flux(t, v))
-
-    return SemiDiscreteProblem(
-        grid=grid,
-        rhs=rhs,
-        flux=flux,
-        max_speed=1.0,
-    )
+    return SemiDiscreteProblem(grid=grid, flux=flux)
 
 
 # ----------------------------------------------------------------------
@@ -194,19 +188,14 @@ def advection1d_weno5(m: int) -> SemiDiscreteProblem:
     def flux(t, v):
         return edge_from_left(pad_periodic(v))
 
-    def rhs(t, v):
-        return grid.divergence(flux(t, v))
-
     def exact(t):
         return np.sin(np.pi * (grid.x - t)) ** 2
 
     return SemiDiscreteProblem(
         grid=grid,
-        rhs=rhs,
         flux=flux,
         exact=exact,
         initial=exact(0.0),
-        max_speed=1.0,
     )
 
 
@@ -220,7 +209,8 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
     The numerical flux is ``(f(u-) + f(u+) + alpha (u- - u+)) / 2`` with
     ``f(u) = u^2 / 2`` and ``alpha = max(|u-|, |u+|)``; since ``|f'|`` is
     monotone in ``|u|`` the local wave-speed maximum sits at an endpoint.
-    The initial state is the unit block profile on the left half.
+    The initial state is the unit block profile on the left half, so the
+    default ``max_speed`` of 1 is ``max |u0|``.
     """
     if m < 6:
         raise ValueError("WENO5 needs at least 6 cells")
@@ -231,18 +221,7 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
         alpha = np.maximum(np.abs(um), np.abs(up))
         return 0.5 * (0.5 * um**2 + 0.5 * up**2 + alpha * (um - up))
 
-    def rhs(t, v):
-        return grid.divergence(flux(t, v))
-
-    initial = (grid.x < 0.5).astype(float)
-
-    return SemiDiscreteProblem(
-        grid=grid,
-        rhs=rhs,
-        flux=flux,
-        initial=initial,
-        max_speed=1.0,  # max |u0|
-    )
+    return SemiDiscreteProblem(grid=grid, flux=flux, initial=(grid.x < 0.5).astype(float))
 
 
 # ----------------------------------------------------------------------
@@ -333,12 +312,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         out += 0.0
         return out[:nn + n].reshape(n, n + 1), out[nn + n:].reshape(n + 1, n)
 
-    def rhs(t, v):
-        return grid.divergence(flux(t, v))
-
     return SemiDiscreteProblem(
         grid=grid,
-        rhs=rhs,
         flux=flux,
         exact=exact,
         exact_point=exact_point,

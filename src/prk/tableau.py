@@ -122,7 +122,6 @@ class PRKTableau:
 class _StepPlan:
     A: tuple
     b: tuple
-    c: tuple
     # per stage i that evaluates any part: (i, c_i, needed, terms), where
     # needed[k] says whether part k is evaluated there and terms are the
     # nonzero couplings (j, k, a_ij^(k)) with j < i, in (k, j) order
@@ -156,7 +155,6 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
     return _StepPlan(
         A=tuple(map(tuple, (tuple(map(tuple, Ak)) for Ak in A))),
         b=tuple(map(tuple, b)),
-        c=tuple(c),
         stages=tuple(stages),
         update_terms=tuple(update_terms),
     )

@@ -25,9 +25,9 @@ from prk.decomposition import (
     FluxPartition,
     CellSplitParts,
     FluxSplitParts,
+    PartitionSpec,
 )
 from prk.harness import (
-    DICHOTOMY_INTERVALS,
     run_burgers_shock,
     run_table1,
     run_table2,
@@ -126,7 +126,7 @@ def test_criterion_05_damping_matrix_closed_form():
     worst_form, worst_resid, bound_ok = 0.0, 0.0, True
     for nu in (0.2, 0.5, 0.9, 1.5):
         dt = nu / m
-        ls = LinearSplitting.from_matrices([dt * L for L in mats])
+        ls = LinearSplitting(tuple(dt * L for L in mats))
         res = solve_W(builtin_tableau("OS1"), ls, part)
         closed = np.linalg.solve(np.eye(m) + 0.25 * ls.Zs[1],
                                  np.diag(part.masks[0].astype(float)))
@@ -161,7 +161,10 @@ def test_criterion_06_wnorm_ratios():
 def test_criterion_07_conservation_dichotomy():
     m, nu, steps = 100, 0.5, 100
     prob = advection1d_weno5(m)
-    part = CellPartition.from_intervals(prob.grid.x, DICHOTOMY_INTERVALS)
+    # a single asymmetric interval: under the symmetric pair of the adv1d
+    # standard partition the region boundary fluxes of the exact sin^2
+    # profile cancel to round-off, hiding the weight mismatch
+    part = PartitionSpec.parse("(x>=0.125)&(x<=0.375)").cells(prob.grid)
     fp = FluxPartition.from_cells(part, prob.grid)
     t_end = steps * nu / m
     drifts = {}
@@ -260,7 +263,7 @@ def test_criterion_10_local_error_oracle():
         dts = [0.02 / 2**i for i in range(5)]
         resid = []
         for dt in dts:
-            ls = LinearSplitting.from_matrices([dt * Lk for Lk in mats])
+            ls = LinearSplitting(tuple(dt * Lk for Lk in mats))
             defect = uex(t0 + dt) - prk_step(tab, parts, t0, dt, uex(t0))
             phis = [[np.where(mk, alpha ** (j + 1) * uex(t0), 0.0)
                      for j in range(level)] for mk in part.masks]

@@ -46,7 +46,7 @@ def _bidiagonal(dx, periodic):
 def _cell_splitting(prob, part, dt):
     """``Z_k = dt I_k L``, read off the cell split the stepper runs."""
     mats = linearize_parts(CellSplitParts(prob.rhs, part), prob.grid.m)
-    return LinearSplitting.from_matrices([dt * L for L in mats])
+    return LinearSplitting(tuple(dt * L for L in mats))
 
 
 def _upwind_splitting(m=20, nu=0.4, lo=None, hi=None):
@@ -59,9 +59,8 @@ def _upwind_splitting(m=20, nu=0.4, lo=None, hi=None):
 
 
 def _random_splitting(rng, m, r, scale=0.5):
-    return LinearSplitting.from_matrices(
-        [scale * rng.standard_normal((m, m)) for _ in range(r)]
-    )
+    return LinearSplitting(
+        tuple(scale * rng.standard_normal((m, m)) for _ in range(r)))
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +69,7 @@ def _random_splitting(rng, m, r, scale=0.5):
 
 def test_zero_splitting_gives_identity():
     m = 6
-    ls = LinearSplitting.from_matrices([np.zeros((m, m)), np.zeros((m, m))])
+    ls = LinearSplitting((np.zeros((m, m)), np.zeros((m, m))))
     for name in ("OS1", "TW1", "TW2", "CS2", "SH2"):
         ops = build_error_operators(builtin_tableau(name), ls)
         assert np.array_equal(ops.R, np.eye(m))
@@ -83,7 +82,7 @@ def test_forward_euler_amplification():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((5, 5))
     ops = build_error_operators(builtin_tableau("FE1"),
-                                LinearSplitting.from_matrices([Z]))
+                                LinearSplitting((Z,)))
     assert np.abs(ops.R - (np.eye(5) + Z)).max() < 1e-15
 
 
@@ -103,7 +102,7 @@ def test_two_stage_multirate_closed_forms():
 
 
 def test_part_count_mismatch():
-    ls = LinearSplitting.from_matrices([np.zeros((3, 3))])
+    ls = LinearSplitting((np.zeros((3, 3)),))
     with pytest.raises(ValueError):
         build_error_operators(builtin_tableau("OS1"), ls)
 
@@ -131,7 +130,7 @@ def test_error_coefficients_scale_with_dt():
         dts = [0.02 / 2**i for i in range(4)]
         normvals = []
         for dt in dts:
-            ls = LinearSplitting.from_matrices([dt / prob.grid.m * L for L in mats])
+            ls = LinearSplitting(tuple(dt / prob.grid.m * L for L in mats))
             ops = build_error_operators(tab, ls, j_max=j)
             normvals.append(max(np.abs(ops.d[(j, k)]).max() for k in range(2)))
         slope = np.polyfit(np.log2(dts), np.log2(normvals), 1)[0]
@@ -167,7 +166,7 @@ def test_solve_w_trivial_refined_part():
     refined = np.zeros(m, dtype=bool)
     refined[7:] = True
     part = CellPartition.two_region(refined)
-    ls = LinearSplitting.from_matrices([Z1, np.zeros((m, m))])
+    ls = LinearSplitting((Z1, np.zeros((m, m))))
     res = solve_W(builtin_tableau("OS1"), ls, part)
     assert res.ok
     scaled = 4.0 * res.W
@@ -187,7 +186,7 @@ def test_solve_w_norm_bound_under_theta():
 
 def test_solve_w_flags_singular_system():
     m = 5
-    ls = LinearSplitting.from_matrices([np.zeros((m, m)), np.zeros((m, m))])
+    ls = LinearSplitting((np.zeros((m, m)), np.zeros((m, m))))
     part = CellPartition.two_region(np.array([False, False, True, True, True]))
     res = solve_W(builtin_tableau("OS1"), ls, part)
     assert not res.ok
@@ -304,7 +303,7 @@ def test_stability_norms_for_upwind():
 
 
 def test_stability_zero_splitting():
-    ls = LinearSplitting.from_matrices([np.zeros((4, 4)), np.zeros((4, 4))])
+    ls = LinearSplitting((np.zeros((4, 4)), np.zeros((4, 4))))
     rep = stability_check(ls)
     assert rep.norm_part1 == 1.0 and rep.norm_part2 == 1.0
     assert rep.stab1 and rep.stab2 and rep.theta == 0.0
@@ -332,7 +331,7 @@ def test_stability_refined_region_boundary():
 
 def test_stability_requires_two_parts():
     with pytest.raises(ValueError):
-        stability_check(LinearSplitting.from_matrices([np.zeros((3, 3))]))
+        stability_check(LinearSplitting((np.zeros((3, 3)),)))
 
 
 def test_powerbound_stable_multirate_step():

@@ -43,9 +43,11 @@ def test_masks_must_partition():
         CellPartition((a, np.array([False, False, False])))  # hole
 
 
-def test_from_intervals_closed_bounds():
-    x = (np.arange(8) + 0.5) / 8.0
-    p = CellPartition.from_intervals(x, [(x[2], x[5])])
+def test_predicate_spec_closed_bounds():
+    # the bounds are exactly the centres of cells 2 and 5
+    g = advection1d_weno5(8).grid
+    assert (g.x[2], g.x[5]) == (0.3125, 0.6875)
+    p = PartitionSpec.parse("(x>=0.3125)&(x<=0.6875)").cells(g)
     assert list(np.where(p.masks[1])[0]) == [2, 3, 4, 5]
 
 
@@ -395,9 +397,9 @@ def test_ranges_and_2d_faces_need_their_grids():
 @pytest.mark.parametrize("m", [50, 100, 200, 400, 800])
 def test_standard_specs_reproduce_the_literal_partitions(m):
     g = advection1d_weno5(m).grid
-    want = CellPartition.from_intervals(g.x, ((0.125, 0.375), (0.625, 0.875)))
+    refined = ((g.x >= 0.125) & (g.x <= 0.375)) | ((g.x >= 0.625) & (g.x <= 0.875))
     got = PartitionSpec.parse(STANDARD_PARTITIONS["adv1d"]).cells(g)
-    assert all(np.array_equal(a, b) for a, b in zip(got.masks, want.masks))
+    assert np.array_equal(got.masks[0], ~refined) and np.array_equal(got.masks[1], refined)
 
     grid = advection2d(m // 5).grid
     spec = PartitionSpec.parse(STANDARD_PARTITIONS["adv2d"])

@@ -140,10 +140,10 @@ def test_step_is_affine_with_amplification_matrix():
     part = CellPartition.two_region(refined)
     dt = 0.35 / m
     mats = linearize_parts(CellSplitParts(prob.rhs, part), m)
-    ls = LinearSplitting.from_matrices([dt * L for L in mats])
+    ls = LinearSplitting(tuple(dt * L for L in mats))
     for name in builtin_names():
         tab = builtin_tableau(name)
-        splitting = ls if tab.r == 2 else LinearSplitting.from_matrices([sum(ls.Zs)])
+        splitting = ls if tab.r == 2 else LinearSplitting((sum(ls.Zs),))
         parts = (CellSplitParts(prob.rhs, part) if tab.r == 2
                  else TrivialParts(prob.rhs))
         R = build_error_operators(tab, splitting).R
@@ -179,7 +179,7 @@ def test_step_matches_the_amplification_matrix_on_random_partitions(
     mats = linearize_parts(parts, m)
     assert np.abs(sum(mats) - _bidiagonal(prob.grid.dx, periodic)).max() < 1e-12 * m
     tab = builtin_tableau(scheme)
-    R = build_error_operators(tab, LinearSplitting.from_matrices([dt * L for L in mats])).R
+    R = build_error_operators(tab, LinearSplitting(tuple(dt * L for L in mats))).R
     realized = np.column_stack([prk_step(tab, parts, 0.0, dt, e) for e in np.eye(m)])
     assert np.abs(realized - R).max() < 1e-12
 
@@ -188,7 +188,7 @@ def _textbook_step(tab, parts, t, dt, u):
     """One step by the textbook loop over the plan's float coefficients:
     every sum in (k, j) term order, started from its first nonzero term,
     then ``u + dt * sum``."""
-    A, b, c = tab.plan.A, tab.plan.b, tab.plan.c
+    A, b, c = tab.plan.A, tab.plan.b, tuple(map(float, tab.c))
     r, s = tab.r, tab.s
     K = [[None] * r for _ in range(s)]
     for i in range(s):
