@@ -75,16 +75,14 @@ class ErrorOperators:
 
     ``d[(j, k)]`` is the coefficient matrix of ``dt^j / j! *
     phi_k^(j-1)(t_n)`` in the local error, for ``j = 1..j_max`` of the
-    build and part index ``k`` (0-based).
+    build and part index ``k`` (0-based).  ``r^T e`` is
+    ``sum(r_blocks[1:], r_blocks[0])``, summed in stage order as in
+    :func:`solve_W`.
     """
 
     r_blocks: tuple[np.ndarray, ...]
     R: np.ndarray
     d: dict[tuple[int, int], np.ndarray]
-
-    @property
-    def rT_e(self) -> np.ndarray:
-        return _add_blocks(self.r_blocks[0].copy(), self.r_blocks[1:])
 
 
 def _add_blocks(acc: np.ndarray, blocks) -> np.ndarray:

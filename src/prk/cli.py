@@ -12,6 +12,7 @@ import numpy as np
 
 from .harness import (
     EXPERIMENTS,
+    MAX_STEPS,
     BadArgument,
     STANDARD_PARTITIONS,
     make_parts,
@@ -23,8 +24,10 @@ from .spatial import advection1d_weno5, advection2d, burgers_llf
 from .tableau import (
     builtin_names,
     builtin_tableau,
+    classical_order,
+    is_conservative,
+    stage_order,
     tableau_from_text,
-    tableau_properties,
     tableau_to_text,
 )
 
@@ -182,8 +185,6 @@ def analyze_cmd(schemes, ms, nus, outfile):
 # builder and final time of each problem's standard run
 _BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advection2d}
 _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
-# the most steps one run may take; the largest standard run takes 2,000
-_MAX_STEPS = 10**7
 
 
 @main.command("integrate")
@@ -213,10 +214,10 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
     if not dt > 0.0:
         raise click.ClickException(f"--nu {nu!r} on {m} cells gives a step size of 0")
-    if not t_end / dt <= _MAX_STEPS:
+    if not t_end / dt <= MAX_STEPS:
         raise click.ClickException(
             f"--nu {nu!r} and --t-end {t_end!r} on {m} cells need {t_end / dt:.3g} "
-            f"steps; at most {_MAX_STEPS} are allowed")
+            f"steps; at most {MAX_STEPS} are allowed")
     n_steps = max(1, int(np.ceil(t_end / dt)))
     dt = t_end / n_steps
 
@@ -259,6 +260,13 @@ def tableau_group():
     """Inspect or validate coefficient tableaus."""
 
 
+def _properties(t) -> str:
+    """The structural properties that ``tableau show`` and ``check`` print."""
+    return (f"order={classical_order(t)} stage_order={stage_order(t)} "
+            f"conservative={is_conservative(t)} "
+            f"internally_consistent={t.internally_consistent}")
+
+
 @tableau_group.command("show")
 @click.argument("name", type=click.Choice(sorted(builtin_names()),
                                           case_sensitive=False))
@@ -266,10 +274,7 @@ def tableau_show(name):
     """Print a builtin tableau in the text exchange format, plus properties."""
     t = builtin_tableau(name)
     click.echo(tableau_to_text(t), nl=False)
-    p = tableau_properties(t)
-    click.echo(f"# order={p.classical_order} stage_order={p.stage_order} "
-               f"conservative={p.conservative} "
-               f"internally_consistent={p.internally_consistent}")
+    click.echo(f"# {_properties(t)}")
 
 
 @tableau_group.command("check")
@@ -280,10 +285,7 @@ def tableau_check(file):
         t = tableau_from_text(Path(file).read_text(), name=Path(file).stem)
     except ValueError as exc:
         raise click.ClickException(f"bad tableau file {file}: {exc}") from None
-    p = tableau_properties(t)
-    click.echo(f"{t.name or 'tableau'}: r={t.r} s={t.s} order={p.classical_order} "
-               f"stage_order={p.stage_order} conservative={p.conservative} "
-               f"internally_consistent={p.internally_consistent}")
+    click.echo(f"{t.name or 'tableau'}: r={t.r} s={t.s} {_properties(t)}")
 
 
 if __name__ == "__main__":

@@ -120,6 +120,12 @@ class FluxPartition2D:
     def __post_init__(self):
         _check_masks(self.xmasks)
         _check_masks(self.ymasks)
+        if len(self.xmasks) != len(self.ymasks):
+            raise ValueError(f"{len(self.xmasks)} x-face regions but "
+                             f"{len(self.ymasks)} y-face regions")
+        n = self.grid.n
+        if self.xmasks[0].shape != (n, n + 1) or self.ymasks[0].shape != (n + 1, n):
+            raise ValueError(f"face masks must have shapes {(n, n + 1)} (x), {(n + 1, n)} (y)")
 
     @property
     def r(self) -> int:

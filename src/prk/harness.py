@@ -51,6 +51,7 @@ __all__ = [
     "run_wnorm_study",
     "run_adv2d",
     "STANDARD_PARTITIONS",
+    "MAX_STEPS",
     "make_parts",
     "run_case",
     "EXPERIMENTS",
@@ -67,6 +68,9 @@ _PARTITION_HEADERS = {
     "adv1d": "x in [1/8,3/8] u [5/8,7/8]",
     "adv2d": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse",
 }
+
+# the most steps one run may take; the largest standard run takes 2,000
+MAX_STEPS = 10**7
 
 # published reference values (max norm, L1) per scheme and resolution
 TABLE1_ERRORS = {
@@ -219,10 +223,16 @@ def _quick_resolutions(ms):
     return kept
 
 
+def _check_step_count(key: str, value, steps: float, where: str = "") -> None:
+    _require(steps <= MAX_STEPS, key, value,
+             f"at most {MAX_STEPS} steps{where}, not {steps:.3g}")
+
+
 def _check_unit_steps(ms, nu) -> None:
     """The 1D runs step ``dt = nu/m`` to T = 1, as a whole number of steps."""
     _check_positive("nu", (nu,))
     for m in ms:
+        _check_step_count("nu", nu, m / nu, f" at m={m}")
         n = round(m / nu)
         _require(n >= 1 and abs(n * (nu / m) - 1.0) <= 1e-9, "nu", nu,
                  f"m/nu to be a whole number of steps at m={m}")
@@ -443,6 +453,8 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
     _check_cells("m", (m,))
     _require(threshold is None or math.isfinite(threshold), "threshold", threshold,
              "a finite number")
+    # to T = 1/2 the schemes take m/2 steps of 1/m, the single-rate run m of 1/(2m)
+    _check_step_count("m", m, m if include_reference else m / 2)
     spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
     report = ExperimentReport(
@@ -572,6 +584,10 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
     _check_positive("nus", nus)
     _check_positive("reference_tol", (reference_tol,))
     t_end = 1.0 / 3.0
+    for n in ns:
+        for nu in nus:
+            dt = nu * (1.0 / n) / (2.0 * np.pi)  # the step of every run below
+            _check_step_count("nus", nu, t_end / dt if dt > 0.0 else math.inf, f" at n={n}")
     report = ExperimentReport(
         name=f"adv2d-{kind}",
         columns=["scheme", "decomposition", "n", "nu", "dt", "err_linf",

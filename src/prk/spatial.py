@@ -236,7 +236,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     initial profile centered at (1/2, 1/4).  Dirichlet data at the domain
     boundary are taken from the exact rotated solution at the evaluation
     time, so stage evaluations see consistent ghost values.  States are
-    arrays of shape ``(n, n)`` indexed ``[iy, ix]``.
+    arrays of shape ``(n, n)`` indexed ``[iy, ix]``; ``flux`` raises
+    ``ValueError`` for any other shape.
 
     The fluxes are upwind-only: the speed is constant along every x-line
     (``a1``) and y-line (``a2``), so with ``alpha = |a|`` the downwind half
@@ -302,6 +303,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
 
     def flux(t, v):
         nonlocal ghost_t
+        if np.shape(v) != (n, n):
+            raise ValueError(f"state of shape {np.shape(v)}, need {(n, n)}")
         if t != ghost_t:
             src[nn:] = exact_point(ring_x, ring_y, t)
             ghost_t = t

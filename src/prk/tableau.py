@@ -19,16 +19,13 @@ from typing import Sequence
 
 __all__ = [
     "PRKTableau",
-    "TableauProperties",
     "builtin_tableau",
     "builtin_names",
     "check_order",
     "classical_order",
     "stage_order",
     "is_conservative",
-    "is_internally_consistent",
     "simplifying_defects",
-    "tableau_properties",
     "tableau_to_text",
     "tableau_from_text",
 ]
@@ -106,7 +103,11 @@ class PRKTableau:
 
     @cached_property
     def internally_consistent(self) -> bool:
-        """The exact C(1) verdict, formed once per tableau."""
+        """True iff every part has the abscissae as row sums, ``A_k e = c``.
+
+        This is C(1), which is also stage order 1; the exact verdict is
+        formed once per tableau.
+        """
         return all(_close(x, Fraction(0))
                    for _, defect in simplifying_defects(self, 1) for x in defect)
 
@@ -221,14 +222,6 @@ def simplifying_defects(t: PRKTableau, j: int) -> tuple[tuple[Fraction, tuple], 
     )
 
 
-def is_internally_consistent(t: PRKTableau) -> bool:
-    """True iff every part has the abscissae as row sums, ``A_k e = c``.
-
-    This is C(1), which is also stage order 1.
-    """
-    return t.internally_consistent
-
-
 def stage_order(t: PRKTableau) -> int:
     """Largest ``q`` with ``A_k c^j = c^(j+1)/(j+1)`` for ``j < q``, all parts.
 
@@ -242,23 +235,6 @@ def stage_order(t: PRKTableau) -> int:
 def is_conservative(t: PRKTableau) -> bool:
     """True iff all weight vectors coincide, so linear invariants survive."""
     return all(_close(x, y) for bk in t.b[1:] for x, y in zip(bk, t.b[0]))
-
-
-@dataclass(frozen=True)
-class TableauProperties:
-    classical_order: int
-    stage_order: int
-    internally_consistent: bool
-    conservative: bool
-
-
-def tableau_properties(t: PRKTableau) -> TableauProperties:
-    return TableauProperties(
-        classical_order=classical_order(t),
-        stage_order=stage_order(t),
-        internally_consistent=is_internally_consistent(t),
-        conservative=is_conservative(t),
-    )
 
 
 # ----------------------------------------------------------------------

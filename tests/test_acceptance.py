@@ -35,7 +35,7 @@ from prk.harness import (
 )
 from prk.spatial import advection1d_weno5, upwind1d
 from prk.stepper import IntegrationRun, integrate, prk_step
-from prk.tableau import builtin_tableau, classical_order, tableau_properties
+from prk.tableau import builtin_tableau, classical_order, is_conservative, stage_order
 
 
 def _verdict(num: int, ok: bool, desc: str, detail: str = ""):
@@ -46,7 +46,7 @@ def _verdict(num: int, ok: bool, desc: str, detail: str = ""):
     assert ok, line
 
 
-def test_criterion_01_tableau_properties():
+def test_criterion_01_scheme_properties():
     t0 = time.perf_counter()
     expected = {
         "OS1": (1, 0, True, False),
@@ -57,9 +57,9 @@ def test_criterion_01_tableau_properties():
     }
     mismatches = []
     for name, want in expected.items():
-        p = tableau_properties(builtin_tableau(name))
-        got = (p.classical_order, p.stage_order, p.conservative,
-               p.internally_consistent)
+        t = builtin_tableau(name)
+        got = (classical_order(t), stage_order(t), is_conservative(t),
+               t.internally_consistent)
         if got != want:
             mismatches.append(f"{name}: {got} != {want}")
     elapsed = time.perf_counter() - t0
@@ -131,8 +131,9 @@ def test_criterion_05_damping_matrix_closed_form():
         closed = np.linalg.solve(np.eye(m) + 0.25 * ls.Zs[1],
                                  np.diag(part.masks[0].astype(float)))
         worst_form = max(worst_form, np.abs(4.0 * res.W - closed).max())
-        ops = build_error_operators(builtin_tableau("OS1"), ls, j_max=1)
-        resid = ops.rT_e @ res.W - 0.25 * sum(ls.Zs) @ np.diag(part.masks[0].astype(float))
+        r_blocks = build_error_operators(builtin_tableau("OS1"), ls, j_max=1).r_blocks
+        resid = (sum(r_blocks[1:], r_blocks[0]) @ res.W
+                 - 0.25 * sum(ls.Zs) @ np.diag(part.masks[0].astype(float)))
         worst_resid = max(worst_resid, np.abs(resid).max())
         theta = stability_check(ls).theta
         if theta < 1.0 and 4.0 * res.norm_w > 1.0 / (1.0 - theta) + 1e-12:

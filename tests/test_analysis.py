@@ -96,7 +96,8 @@ def test_two_stage_multirate_closed_forms():
     eye = np.eye(m)
     assert np.abs(ops.r_blocks[0] - 0.5 * Z @ (eye + 0.5 * Z2)).max() < 1e-14
     assert np.abs(ops.r_blocks[1] - 0.5 * Z).max() < 1e-14
-    assert np.abs(ops.rT_e - Z @ (eye + 0.25 * Z2)).max() < 1e-14
+    block_sum = sum(ops.r_blocks[1:], ops.r_blocks[0])
+    assert np.abs(block_sum - Z @ (eye + 0.25 * Z2)).max() < 1e-14
     assert np.abs(ops.d[(1, 0)] - 0.25 * Z).max() < 1e-14
     assert np.abs(ops.d[(1, 1)]).max() == 0.0
 
@@ -152,7 +153,8 @@ def test_solve_w_two_stage_closed_form():
     assert res.ok and res.q == 0
     assert np.abs(4.0 * res.W - closed).max() < 1e-12
     # and the defining equation holds as stated
-    lhs = (build_error_operators(builtin_tableau("OS1"), ls, j_max=1).rT_e) @ res.W
+    r_blocks = build_error_operators(builtin_tableau("OS1"), ls, j_max=1).r_blocks
+    lhs = sum(r_blocks[1:], r_blocks[0]) @ res.W
     rhs = 0.25 * sum(ls.Zs) @ np.diag(part.masks[0].astype(float))
     assert np.abs(lhs - rhs).max() < 1e-13
 
@@ -242,15 +244,16 @@ def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, dat
         assert ops.d[(q + 1, k)].tobytes() == djk.tobytes()
     rhs = sum(ops.d[(q + 1, k)] * mk[None, :].astype(float) for k, mk in enumerate(part.masks))
     res = solve_W(tab, ls, part)
+    M = sum(ops.r_blocks[1:], ops.r_blocks[0])  # r^T e, in solve_W's stage order
     try:
-        Minv = np.linalg.inv(ops.rT_e)
+        Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         assert res.W is None and res.norm_w == res.cond_rTe == np.inf
     else:
         W = Minv @ rhs
         assert res.W.tobytes() == W.tobytes()
         assert _bits(res.norm_w) == _bits(_inf_norm(W))
-        assert _bits(res.cond_rTe) == _bits(_inf_norm(ops.rT_e) * _inf_norm(Minv))
+        assert _bits(res.cond_rTe) == _bits(_inf_norm(M) * _inf_norm(Minv))
     # stability_check adds the identity in place of forming eye + Z
     rep, eye = stability_check(ls), np.eye(m)
     assert _bits(rep.norm_part1) == _bits(_inf_norm(eye + ls.Zs[0]))

@@ -1,8 +1,9 @@
-"""The exported names: every name in a module's ``__all__`` and every name
-the package imports at its top level resolves."""
+"""The exported names: every name in a module's ``__all__`` resolves, and
+the package namespace holds only ``__version__``."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,9 @@ def test_every_name_in_all_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_every_package_import_resolves():
+def test_the_package_imports_nothing():
     tree = ast.parse(Path(prk.__file__).read_text())
-    names = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-             for alias in node.names if node.level == 1]
-    assert names, "prk/__init__.py imports nothing from its modules"
-    assert [name for name in names if not hasattr(prk, name)] == []
+    assert [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    # beside the submodules the import system binds on first import
+    assert [name for name, value in vars(prk).items() if not name.startswith("__")
+            and not isinstance(value, types.ModuleType)] == []

@@ -205,15 +205,33 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
      "bad value ms=(20,): need a resolution at most half the largest, for --quick"),
     ("adv2d-cell", "ns=20\nquick=true",
      "bad value ns=(20,): need a resolution of at least 40 cells, for --quick"),
+    ("table1", "ms=100\nnu=1e-6",
+     "bad value nu=1e-06: need at most 10000000 steps at m=100, not 1e+08"),
+    ("table1", "nu=5e-324", "bad value nu=5e-324: need at most 10000000 steps at m=100, "
+                            "not inf"),
+    ("fig2", "m=30000000", "bad value m=30000000: need at most 10000000 steps, not 3e+07"),
+    ("fig2", "m=30000000\ninclude_reference=false",
+     "bad value m=30000000: need at most 10000000 steps, not 1.5e+07"),
+    ("adv2d-cell", "ns=20\nnus=1e-7",
+     "bad value nus=1e-07: need at most 10000000 steps at n=20, not 4.19e+08"),
+    ("adv2d-cell", "ns=50,20\nnus=0.5,5e-324",
+     "bad value nus=5e-324: need at most 10000000 steps at n=50, not inf"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
-        "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d"])
+        "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
+        "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
+        "steps-adv2d-nu-underflow"])
 def test_run_checks_experiment_values_before_the_first_integration(
         runner, tmp_path, monkeypatch, experiment, config, message):
     def no_steps(*_args, **_kwargs):
         raise AssertionError("integration started")
 
+    def no_problem(*_args, **_kwargs):
+        raise AssertionError("problem built")
+
     monkeypatch.setattr(prk.harness, "integrate", no_steps)
     monkeypatch.setattr(prk.harness, "reference_integrate", no_steps)
+    for builder in ("advection1d_weno5", "advection2d", "burgers_llf", "upwind1d"):
+        monkeypatch.setattr(prk.harness, builder, no_problem)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(config + "\n")
     out = runner.invoke(main, ["run", experiment, "--config", str(cfg),

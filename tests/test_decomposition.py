@@ -437,6 +437,17 @@ def test_flux_partition_2d_face_midpoint_rule():
     assert fp.xmasks[0][6, 6] or fp.xmasks[0][5, 6]
 
 
+def test_flux_partition_2d_rejects_mismatched_regions_and_shapes():
+    grid = advection2d(8).grid
+    fp = FluxPartition2D.from_coarse_predicate(grid, lambda x, y: x <= 0.5)
+    with pytest.raises(ValueError, match="2 x-face regions but 1 y-face regions"):
+        FluxPartition2D(fp.xmasks, (np.ones((9, 8), bool),), grid)
+    with pytest.raises(ValueError, match="face masks must have shapes"):
+        FluxPartition2D(fp.ymasks, fp.xmasks, grid)  # x and y swapped
+    with pytest.raises(ValueError, match="face masks must have shapes"):
+        FluxPartition2D(fp.xmasks, fp.ymasks, advection2d(9).grid)  # masks of n = 8
+
+
 def test_flux_split_2d_partition_of_unity():
     prob = advection2d(16)
     fp = FluxPartition2D.from_coarse_predicate(

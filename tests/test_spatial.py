@@ -266,6 +266,13 @@ def test_adv2d_blow_up_step(kind, scheme, nu, step):
     assert err.value.step == step
 
 
+@pytest.mark.parametrize("v", [np.ones(12), 1.0, np.ones((12, 13)), np.ones(144)],
+                         ids=["row", "scalar", "wide", "flat"])
+def test_adv2d_flux_rejects_states_of_other_shapes(v):
+    with pytest.raises(ValueError, match=r"need \(12, 12\)"):
+        advection2d(12).flux(0.0, v)
+
+
 def test_adv2d_ghost_data_follows_the_evaluation_time():
     # the ghost ring is reused only while t repeats exactly; every call must
     # match a fresh problem evaluated at the same time

@@ -13,11 +13,9 @@ from prk.tableau import (
     check_order,
     classical_order,
     is_conservative,
-    is_internally_consistent,
     simplifying_defects,
     stage_order,
     tableau_from_text,
-    tableau_properties,
     tableau_to_text,
 )
 
@@ -33,10 +31,14 @@ KNOWN = {
 }
 
 
+def _properties(t):
+    """The four property readers, in the order of ``KNOWN``."""
+    return classical_order(t), stage_order(t), is_conservative(t), t.internally_consistent
+
+
 @pytest.mark.parametrize("name", sorted(KNOWN))
 def test_builtin_properties(name):
-    p = tableau_properties(builtin_tableau(name))
-    got = (p.classical_order, p.stage_order, p.conservative, p.internally_consistent)
+    got = _properties(builtin_tableau(name))
     assert got == KNOWN[name], f"{name}: got {got}, want {KNOWN[name]}"
 
 
@@ -90,19 +92,21 @@ def test_conservation_examples():
 
 
 def test_internal_consistency_examples():
-    assert is_internally_consistent(builtin_tableau("TW1"))
-    assert not is_internally_consistent(builtin_tableau("CS2"))
+    assert builtin_tableau("TW1").internally_consistent
+    assert not builtin_tableau("CS2").internally_consistent
     # single-part tableaus are vacuously consistent and conservative
     for name in ("FE1", "ETR2"):
         t = builtin_tableau(name)
-        assert is_internally_consistent(t) and is_conservative(t)
+        assert t.internally_consistent and is_conservative(t)
 
 
 def test_stage_order_one_implies_internal_consistency():
+    # internal consistency: every part's row sums are the abscissae, A_k e = c
     for name in builtin_names():
         t = builtin_tableau(name)
         if stage_order(t) >= 1:
-            assert is_internally_consistent(t), name
+            assert t.internally_consistent, name
+            assert all(sum(row) == ci for Ak in t.A for row, ci in zip(Ak, t.c)), name
 
 
 def test_unknown_name_raises():
@@ -168,7 +172,7 @@ def test_text_round_trip_keeps_the_tableau_and_its_properties(t):
     text = "# header comment\n" + tableau_to_text(t) + "  # order=?\n"
     back = tableau_from_text(text)
     assert back == t
-    assert tableau_properties(back) == tableau_properties(t)
+    assert _properties(back) == _properties(t)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +292,7 @@ def test_each_condition_matches_its_earlier_definition(t):
     for p in range(1, 4):
         assert check_order(t, p) == _oracle_check_order(t, p), p
     # stage order 1 and internal consistency are one condition
-    assert stage_order(t) == int(is_internally_consistent(t)) == _oracle_stage_order(t)
+    assert stage_order(t) == int(t.internally_consistent) == _oracle_stage_order(t)
     for j in range(1, 5):
         assert simplifying_defects(t, j) == _oracle_defects(t, j), j
 

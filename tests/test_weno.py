@@ -166,7 +166,7 @@ def test_llf_split_flux_bitwise_equal_textbook_order(data):
     shape = data.draw(shapes)
     phi = data.draw(lines(shape))
     u = data.draw(lines(shape))
-    # one dissipation speed per line, as the 2D rotation passes it
+    # one dissipation speed per line, broadcast along it
     alpha = np.abs(data.draw(lines(shape[:-1] + (1,))))
     fplus = 0.5 * (phi + alpha * u)
     fminus = 0.5 * (phi - alpha * u)
@@ -175,7 +175,7 @@ def test_llf_split_flux_bitwise_equal_textbook_order(data):
 
 
 def test_kernels_bitwise_equal_on_transposed_lines():
-    # the y-sweep of the 2D rotation hands in a transposed view
+    # the kernels keep the oracle's bits on a transposed, non-contiguous view
     rng = np.random.default_rng(17)
     w = rng.random((26, 26))
     cols = w[:, 3:-3].T
