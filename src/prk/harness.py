@@ -30,9 +30,11 @@ from .decomposition import (
     TrivialParts,
 )
 from .spatial import advection1d_weno5, advection2d, burgers_llf, norms, upwind1d
+# reference_integrate is not called here; perfbench/child.py wraps it by name
 from .stepper import (
     IntegrationDiverged,
     IntegrationRun,
+    forked_references,
     integrate,
     reference_integrate,
 )
@@ -265,26 +267,23 @@ class CaseResult:
     u: np.ndarray
     runtime: float
     mass_drift: float
-    # norms of u minus the reference, None without one
+    # norms of u minus the exact solution, None without one
     errors: dict | None
 
 
-def run_case(problem, scheme: str, parts, dt: float, t_end: float,
-             reference=None) -> CaseResult:
+def run_case(problem, scheme: str, parts, dt: float, t_end: float) -> CaseResult:
     """Integrate ``problem`` from its initial state with ``scheme``.
 
     Times the integration, traces the mass with the cell measures and
-    measures the final error against ``reference`` (default: the exact
-    solution, when the problem has one).
+    measures the final error against the exact solution, when the problem
+    has one.
     """
     weights = problem.grid.measure
     t0 = time.perf_counter()
     res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
                                    u0=problem.initial, mass_weights=weights))
     runtime = time.perf_counter() - t0
-    if reference is None and problem.exact is not None:
-        reference = problem.exact(t_end)
-    errors = None if reference is None else norms(res.u - reference, weights)
+    errors = None if problem.exact is None else norms(res.u - problem.exact(t_end), weights)
     drift = abs(res.mass_trace[-1] - res.mass_trace[0])
     return CaseResult(res.u, runtime, drift, errors)
 
@@ -596,26 +595,34 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
                   "partition": _PARTITION_HEADERS["adv2d"]},
     )
     errs: dict[tuple[str, float, int], float] = {}
-    for n in ns:
-        problem = advection2d(n)
-        uref = reference_integrate(problem, t_end, tol=reference_tol)
-        parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv2d"])
-        for scheme in ("ETR2x2",) + tuple(schemes):
-            for nu in nus:
-                dt = nu * problem.grid.h / (2.0 * np.pi)
-                n_steps = max(1, int(np.ceil(t_end / dt)))
-                dt = t_end / n_steps
-                if scheme == "ETR2x2":  # the base method, unsplit, at half the step
-                    tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
-                else:
-                    tableau, split, step = scheme, parts, dt
-                try:
-                    case = run_case(problem, tableau, split, step, t_end, reference=uref)
-                    err, drift, status = case.errors["linf"], case.mass_drift, "ok"
-                    runtime = case.runtime
-                except IntegrationDiverged as exc:
-                    err, drift, status = float("inf"), float("nan"), f"diverged@{exc.step}"
+    problems = [advection2d(n) for n in ns]
+    # each reference runs in a worker while the schemes at its n run here
+    with forked_references(problems, t_end, tol=reference_tol) as references:
+        for n, problem in zip(ns, problems):
+            parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv2d"])
+            cases = []  # (scheme, nu, dt, the run's result or its divergence)
+            for scheme in ("ETR2x2",) + tuple(schemes):
+                for nu in nus:
+                    dt = nu * problem.grid.h / (2.0 * np.pi)
+                    n_steps = max(1, int(np.ceil(t_end / dt)))
+                    dt = t_end / n_steps
+                    if scheme == "ETR2x2":  # the base method, unsplit, at half the step
+                        tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
+                    else:
+                        tableau, split, step = scheme, parts, dt
+                    try:
+                        case = run_case(problem, tableau, split, step, t_end)
+                    except IntegrationDiverged as exc:
+                        case = exc
+                    cases.append((scheme, nu, dt, case))
+            uref = next(references)
+            for scheme, nu, dt, case in cases:
+                if isinstance(case, IntegrationDiverged):
+                    err, drift, status = float("inf"), float("nan"), f"diverged@{case.step}"
                     runtime = float("nan")
+                else:
+                    err = norms(case.u - uref, problem.grid.measure)["linf"]
+                    drift, status, runtime = case.mass_drift, "ok", case.runtime
                 errs[(scheme, nu, n)] = err
                 report.add(scheme=scheme, decomposition=kind, n=n, nu=float(nu),
                            dt=dt, err_linf=err, status=status,

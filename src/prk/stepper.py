@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,7 @@ __all__ = [
     "prk_step",
     "integrate",
     "reference_integrate",
+    "forked_references",
 ]
 
 
@@ -182,3 +186,66 @@ def reference_integrate(problem, t_end: float, tol: float = 1e-10) -> np.ndarray
             return fine
         coarse = fine
     raise RuntimeError(f"reference integration did not converge to {tol:g}")
+
+
+@contextmanager
+def forked_references(problems, t_end: float, tol: float = 1e-10):
+    """``reference_integrate(problem, t_end, tol)`` of each of ``problems``,
+    computed in order in one forked worker process while the caller goes on.
+
+    Yields an iterator over the references; ``next`` waits for the next one
+    and raises any exception the worker raised for it, with its type and
+    message.  The worker is ended when the block exits, and ends itself
+    when the calling process does (also by ``os._exit`` or SIGKILL).  POSIX
+    only: the worker is forked, so it shares the problems without pickling.
+    """
+    # imported here, not at the top: only the adv2d experiments fork, and
+    # every other run would pay its import time and about 0.5 MB
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_reference_worker, args=(problems, t_end, tol, send))
+    worker.start()
+    send.close()  # a worker that dies leaves end-of-file, not a wait forever
+
+    def received():
+        for _ in problems:
+            try:
+                got = receive.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"reference worker exited with code {worker.exitcode}") from None
+            if isinstance(got, BaseException):
+                raise got
+            yield got
+
+    try:
+        yield received()
+    finally:
+        worker.kill()
+        worker.join()
+        receive.close()
+
+
+def _reference_worker(problems, t_end, tol, send):
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    for problem in problems:
+        try:
+            ref = reference_integrate(problem, t_end, tol)
+        except Exception as exc:
+            send.send(exc)
+            return
+        send.send(ref)
+
+
+def _exit_with_parent():
+    """Wait for the end of the parent process, then end this one."""
+    import multiprocessing
+
+    multiprocessing.parent_process().join()
+    os._exit(1)

@@ -230,6 +230,7 @@ def test_run_checks_experiment_values_before_the_first_integration(
 
     monkeypatch.setattr(prk.harness, "integrate", no_steps)
     monkeypatch.setattr(prk.harness, "reference_integrate", no_steps)
+    monkeypatch.setattr(prk.harness, "forked_references", no_steps)  # forks the reference worker
     for builder in ("advection1d_weno5", "advection2d", "burgers_llf", "upwind1d"):
         monkeypatch.setattr(prk.harness, builder, no_problem)
     cfg = tmp_path / "cfg.txt"

@@ -45,6 +45,9 @@ CASES = {
     "fig3-full": dict(experiment="fig3"),
     "adv2d-cell": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
     "adv2d-flux": dict(ns=(20,), nus=(1.0,), reference_tol=1e-8),
+    # two resolutions, the finer first: each n's rows pair with that n's reference
+    "adv2d-cell-order": dict(experiment="adv2d-cell", ns=(24, 20), nus=(2.0, 1.0),
+                             reference_tol=1e-8),
 }
 
 # ``prk integrate`` arguments per stored final state

@@ -1,8 +1,19 @@
-"""Experiment plumbing: order estimation, CSV determinism, built-in checks."""
+"""Experiment plumbing: order estimation, CSV determinism, built-in checks,
+and the lifetime of the adv2d reference worker."""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prk.harness
+import prk.stepper
 from prk.harness import (
     estimate_order,
     run_adv2d,
@@ -116,3 +127,108 @@ def test_adv2d_cell_small_grids():
     assert any("ratio" in d for l, d in labels.items() if "CS2/TW2" in l)
     statuses = {r["status"] for r in rep.rows}
     assert statuses == {"ok"}
+
+
+# ----------------------------------------------------------------------
+# the adv2d reference worker: errors reach the parent, nothing outlives it
+# ----------------------------------------------------------------------
+
+SMALL_ADV2D = dict(ns=(20,), nus=(1.0,), reference_tol=1e-8)
+
+
+def test_adv2d_leaves_no_child_process():
+    run_adv2d(**SMALL_ADV2D)
+    assert multiprocessing.active_children() == []
+
+
+def test_adv2d_scheme_error_propagates_and_ends_the_worker(monkeypatch):
+    calls = []
+    integrate = prk.harness.integrate
+
+    def second_call_fails(run):
+        calls.append(run)
+        if len(calls) == 2:
+            raise ValueError("second integration")
+        return integrate(run)
+
+    monkeypatch.setattr(prk.harness, "integrate", second_call_fails)
+    with pytest.raises(ValueError, match="second integration"):
+        run_adv2d(**SMALL_ADV2D)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("did not converge"),
+    prk.stepper.IntegrationDiverged("reference diverged", step=3, t=0.5),
+], ids=["runtime-error", "diverged"])
+def test_adv2d_reference_error_reaches_the_parent(monkeypatch, exc):
+    def fails(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(prk.stepper, "reference_integrate", fails)
+    with pytest.raises(type(exc), match=str(exc)) as got:
+        run_adv2d(**SMALL_ADV2D)
+    assert got.value is not exc  # raised in the worker, sent through the pipe
+    assert got.value.__dict__ == exc.__dict__  # IntegrationDiverged's step and t
+    assert multiprocessing.active_children() == []
+
+
+def test_adv2d_reports_a_worker_that_dies(monkeypatch):
+    monkeypatch.setattr(prk.stepper, "reference_integrate", lambda *_args, **_kw: os._exit(3))
+    with pytest.raises(RuntimeError, match="reference worker exited with code 3"):
+        run_adv2d(**SMALL_ADV2D)
+    assert multiprocessing.active_children() == []
+
+
+# the worker's pids at the first integration, then the end of this process;
+# the reference stalls, so only the end of its parent can end the worker
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, sys, time
+import prk.harness, prk.stepper
+
+def first_integration(run):
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    if sys.argv[1] == "exit":
+        os._exit(0)
+    time.sleep(60)
+
+prk.harness.integrate = first_integration
+prk.stepper.reference_integrate = lambda *args, **kwargs: time.sleep(10)
+prk.harness.run_adv2d(ns=(20,), reference_tol=1e-8)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an exited process may wait as a zombie for its reaper
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_adv2d_worker_ends_with_its_parent(end):
+    """A parent that ends by ``os._exit`` (as the benchmark's set-up probes
+    do, at the first integration) or by SIGKILL leaves no worker behind."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT, end], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+        if end == "kill":
+            proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert len(pids) == 1
+    deadline = time.monotonic() + 2.0
+    while _running(pids[0]) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not _running(pids[0])
