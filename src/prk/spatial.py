@@ -296,9 +296,10 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     gather, speeds = lines.ravel(), np.repeat(speed, p)
     scatter = np.concatenate([kept[:n].ravel(), kept[n:].T.ravel()])  # fx, then fy
 
-    # the ghost ring is refilled only when t changes
+    # kept buffers; the ghost ring is refilled only when t changes
     src = np.empty(nn + gy.size)
     state = src[:nn].reshape(n, n)
+    phi, edges = np.empty(gather.size), np.empty(gather.size - 5 * len(blocks))
     ghost_t = None
 
     def flux(t, v):
@@ -309,9 +310,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
             src[nn:] = exact_point(ring_x, ring_y, t)
             ghost_t = t
         state[...] = v
-        phi = src.take(gather)
-        phi *= speeds
-        out = np.concatenate([edge_from_left(phi[b]) for b in blocks]).take(scatter)
+        np.multiply(src.take(gather, out=phi), speeds, out=phi)
+        out = np.concatenate([edge_from_left(phi[b]) for b in blocks], out=edges).take(scatter)
         out += 0.0
         return out[:nn + n].reshape(n, n + 1), out[nn + n:].reshape(n + 1, n)
 

@@ -1,4 +1,5 @@
-"""Byte identity of small experiment reports against stored CSVs.
+"""Byte identity of experiment reports against stored CSVs: small cases,
+and ``table1``, ``table2`` and ``fig2`` at their published sizes.
 
 The files under ``tests/golden/`` were written by the WENO5 kernels in
 their textbook evaluation order, before any kernel was fused.  Every
@@ -37,6 +38,10 @@ CASES = {
     "table2": dict(schemes=("SH2",), ms=(100, 200)),
     "fig1": dict(m=200),
     "fig2": dict(m=400),
+    # the published sizes: all three schemes at m = 100..800, and m = 2000
+    "table1-full": dict(experiment="table1"),
+    "table2-full": dict(experiment="table2"),
+    "fig2-full": dict(experiment="fig2"),
     "fig3": dict(schemes=("TW2", "CS2"), ms=(20, 40, 80), nus=(0.5, 1.0)),
     # scheme order, unsorted resolutions and a repeated m, whose rows repeat
     "fig3-order": dict(experiment="fig3", schemes=("CS2", "SH2", "TW2"),

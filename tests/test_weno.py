@@ -1,8 +1,9 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
-mirror symmetry, the split-flux path, and bitwise equality with the
-textbook evaluation order."""
+mirror symmetry, the split-flux path, bitwise equality with the textbook
+evaluation order, input checks, and fresh results from reused plans."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -185,3 +186,75 @@ def test_kernels_bitwise_equal_on_transposed_lines():
     want = _oracle_left(0.5 * (a * cols + np.abs(a) * cols)) + _oracle_right(
         0.5 * (a * cols - np.abs(a) * cols))
     _assert_bitwise(llf_split_flux(a * cols, cols, np.abs(a)), want)
+
+
+# ----------------------------------------------------------------------
+# input checks and the per-shape plans the kernels reuse
+# ----------------------------------------------------------------------
+
+_KERNELS = {
+    "edge_from_left": edge_from_left,
+    "interface_states": interface_states,
+    "llf_split_flux": lambda w: llf_split_flux(w, w, 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("length", [0, 1, 3, 4, 5])
+def test_short_lines_are_rejected(kernel, length):
+    with pytest.raises(ValueError, match=f"at least 6 values, got length {length}$"):
+        _KERNELS[kernel](np.ones((2, length)))
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_0d_input_is_rejected(kernel):
+    with pytest.raises(ValueError, match="at least 6 values, got a 0-d input$"):
+        _KERNELS[kernel](np.float64(1.5))
+
+
+def _all_results(w):
+    left = edge_from_left(w)
+    um, up = interface_states(w)
+    return [left, um, up, llf_split_flux(w, 0.5 * w, 0.75)]
+
+
+def test_results_keep_their_bytes_after_later_calls_on_the_shape():
+    rng = np.random.default_rng(19)
+    first = rng.random((3, 21))
+    results = _all_results(first)
+    kept = [r.tobytes() for r in results]
+    for _ in range(2):
+        _all_results(rng.random((3, 21)))
+    assert [r.tobytes() for r in results] == kept
+    assert kept == [r.tobytes() for r in _all_results(first)]
+
+
+def test_interface_states_outputs_share_no_memory():
+    w = np.random.default_rng(23).random(30)
+    um, up = interface_states(w)
+    assert not np.shares_memory(um, up)
+    assert not np.shares_memory(um, w) and not np.shares_memory(up, w)
+
+
+def test_read_only_line_is_never_written():
+    w = np.random.default_rng(29).random(26)
+    w.flags.writeable = False
+    before = w.tobytes()
+    _assert_bitwise(edge_from_left(w), _oracle_left(w))
+    um, up = interface_states(w)
+    _assert_bitwise(um, _oracle_left(w))
+    _assert_bitwise(up, _oracle_right(w))
+    llf_split_flux(w, w, 1.0)
+    assert w.tobytes() == before
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_two_lines_of_one_shape_each_match_the_oracle(data):
+    # the second line runs on the plan the first one filled
+    shape = data.draw(shapes)
+    for w in (data.draw(lines(shape)), data.draw(lines(shape))):
+        _assert_bitwise(edge_from_left(w), _oracle_left(w))
+        um, up = interface_states(w)
+        _assert_bitwise(um, _oracle_left(w))
+        _assert_bitwise(up, _oracle_right(w))
