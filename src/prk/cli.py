@@ -8,13 +8,13 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .harness import (
     EXPERIMENTS,
-    MAX_STEPS,
     BadArgument,
     STANDARD_PARTITIONS,
+    STANDARD_T_END,
+    courant_step,
     make_parts,
     run_case,
     run_wnorm_study,
@@ -35,7 +35,7 @@ from .tableau import (
 # config keys whose values are names; every other value is a number or a flag
 _TEXT_KEYS = ("schemes", "kind")
 
-# every experiment splits its problem into two regions, one part each
+# every experiment and every partition spec split a problem into two regions, one part each
 _EXPERIMENT_PARTS = 2
 
 
@@ -182,13 +182,12 @@ def analyze_cmd(schemes, ms, nus, outfile):
         click.echo(text, nl=False)
 
 
-# builder and final time of each problem's standard run
+# the builder of each problem
 _BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advection2d}
-_T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 
 
 @main.command("integrate")
-@click.option("--problem", type=click.Choice(sorted(_T_END)), required=True)
+@click.option("--problem", type=click.Choice(sorted(STANDARD_T_END)), required=True)
 @click.option("--m", "m", type=click.IntRange(min=1), required=True,
               help="Cells (per direction for adv2d).")
 @click.option("--nu", type=click.FloatRange(0.0, min_open=True), default=0.5,
@@ -206,20 +205,13 @@ _T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
-    (scheme,) = _scheme_names((scheme,), "--scheme ")
-    t_end = _T_END[problem] if t_end is None else t_end
+    (scheme,) = _scheme_names((scheme,), "--scheme ", _EXPERIMENT_PARTS)
+    t_end = STANDARD_T_END[problem] if t_end is None else t_end
     spec = partition_spec or STANDARD_PARTITIONS[problem]
-
-    # the adv2d grid spacing is 1.0 / m, its speed at most 2 pi
-    dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
-    if not dt > 0.0:
-        raise click.ClickException(f"--nu {nu!r} on {m} cells gives a step size of 0")
-    if not t_end / dt <= MAX_STEPS:
-        raise click.ClickException(
-            f"--nu {nu!r} and --t-end {t_end!r} on {m} cells need {t_end / dt:.3g} "
-            f"steps; at most {MAX_STEPS} are allowed")
-    n_steps = max(1, int(np.ceil(t_end / dt)))
-    dt = t_end / n_steps
+    try:
+        dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
+    except BadArgument as exc:
+        raise click.ClickException(str(exc)) from None
 
     try:
         prob = _BUILDERS[problem](m)
@@ -230,10 +222,6 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
         parts = make_parts(prob, kind, spec)
     except ValueError as exc:
         raise click.ClickException(f"bad partition: {exc}") from None
-    r = builtin_tableau(scheme).r
-    if r != parts.r:
-        raise click.ClickException(f"scheme {scheme} takes {r} part(s), "
-                                   f"the partition {spec!r} gives {parts.r}")
     case = run_case(prob, scheme, parts, dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "
                f"{n_steps} steps of dt={dt:.3e}")

@@ -2,7 +2,6 @@
 W-norm sweeps and the 2D rotation study, all emitted as CSV reports.
 
 Every experiment is deterministic; rerunning produces byte-identical CSV.
-Wall-clock timings are kept on the in-memory rows but never serialized.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import io
 import math
 import numbers
 import operator
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,7 +51,9 @@ __all__ = [
     "run_wnorm_study",
     "run_adv2d",
     "STANDARD_PARTITIONS",
+    "STANDARD_T_END",
     "MAX_STEPS",
+    "courant_step",
     "make_parts",
     "run_case",
     "EXPERIMENTS",
@@ -70,6 +70,10 @@ _PARTITION_HEADERS = {
     "adv1d": "x in [1/8,3/8] u [5/8,7/8]",
     "adv2d": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse",
 }
+
+# the final time of each problem's standard run, read by the experiments
+# and by ``prk integrate``
+STANDARD_T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
 
 # the most steps one run may take; the largest standard run takes 2,000
 MAX_STEPS = 10**7
@@ -140,10 +144,9 @@ class ExperimentReport:
         buf.write(f"# experiment = {self.name}\n")
         for key, val in self.metadata.items():
             buf.write(f"# {key} = {_fmt(val)}\n")
-        cols = [c for c in self.columns if c != "runtime"]
-        buf.write(",".join(cols) + "\n")
+        buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+            buf.write(",".join(_fmt(row.get(c, "")) for c in self.columns) + "\n")
         return buf.getvalue()
 
     def write(self, outdir) -> Path:
@@ -225,23 +228,41 @@ def _quick_resolutions(ms):
     return kept
 
 
+def _quick_cells(m):
+    """The resolution a --quick run of one grid keeps, half the given ``m``."""
+    _require(m // 2 >= 6, "m", m, "at least 12 cells, for --quick")
+    return m // 2
+
+
 def _check_step_count(key: str, value, steps: float, where: str = "") -> None:
     _require(steps <= MAX_STEPS, key, value,
              f"at most {MAX_STEPS} steps{where}, not {steps:.3g}")
 
 
-def _check_unit_steps(ms, nu) -> None:
-    """The 1D runs step ``dt = nu/m`` to T = 1, as a whole number of steps."""
+def _check_unit_steps(ms, nu, t_end) -> None:
+    """The 1D runs step ``dt = nu/m`` to ``t_end``, as a whole number of steps."""
     _check_positive("nu", (nu,))
     for m in ms:
-        _check_step_count("nu", nu, m / nu, f" at m={m}")
-        n = round(m / nu)
-        _require(n >= 1 and abs(n * (nu / m) - 1.0) <= 1e-9, "nu", nu,
+        _check_step_count("nu", nu, t_end * m / nu, f" at m={m}")
+        n = round(t_end * m / nu)
+        _require(n >= 1 and abs(n * (nu / m) - t_end) <= 1e-9, "nu", nu,
                  f"m/nu to be a whole number of steps at m={m}")
 
 
+def courant_step(problem: str, m: int, nu: float, t_end: float,
+                 key: str = "nu", where: str = "") -> tuple[float, int]:
+    """``(dt, n_steps)`` for ``problem`` on ``m`` cells at Courant number
+    ``nu``: ``nu h / max|a|`` (h = 1/m; speed 1 in 1D, 2 pi in adv2d),
+    shortened to end at ``t_end``.  More than ``MAX_STEPS`` steps, or a
+    step of 0, raise :class:`BadArgument` naming ``key=nu`` and ``where``."""
+    dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
+    _check_step_count(key, nu, t_end / dt if dt > 0.0 else math.inf, where)
+    n_steps = max(1, math.ceil(t_end / dt))
+    return t_end / n_steps, n_steps
+
+
 # ----------------------------------------------------------------------
-# one run path: parts from a partition spec, one timed integration
+# one run path: parts from a partition spec, one integration
 # ----------------------------------------------------------------------
 
 def make_parts(problem, kind: str, spec: str):
@@ -265,7 +286,6 @@ def make_parts(problem, kind: str, spec: str):
 @dataclass
 class CaseResult:
     u: np.ndarray
-    runtime: float
     mass_drift: float
     # norms of u minus the exact solution, None without one
     errors: dict | None
@@ -274,18 +294,15 @@ class CaseResult:
 def run_case(problem, scheme: str, parts, dt: float, t_end: float) -> CaseResult:
     """Integrate ``problem`` from its initial state with ``scheme``.
 
-    Times the integration, traces the mass with the cell measures and
-    measures the final error against the exact solution, when the problem
-    has one.
+    Traces the mass with the cell measures and measures the final error
+    against the exact solution, when the problem has one.
     """
     weights = problem.grid.measure
-    t0 = time.perf_counter()
     res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
                                    u0=problem.initial, mass_weights=weights))
-    runtime = time.perf_counter() - t0
     errors = None if problem.exact is None else norms(res.u - problem.exact(t_end), weights)
     drift = abs(res.mass_trace[-1] - res.mass_trace[0])
-    return CaseResult(res.u, runtime, drift, errors)
+    return CaseResult(res.u, drift, errors)
 
 
 # ----------------------------------------------------------------------
@@ -298,24 +315,22 @@ def _table_experiment(
     schemes,
     ms,
     nu: float,
+    quick: bool,
     reference_errors,
     reference_orders,
 ) -> ExperimentReport:
     _check_cells("ms", ms)
-    _check_unit_steps(ms, nu)
+    _require(len(set(ms)) == len(ms), "ms", ms, "distinct resolutions")
+    if quick:
+        ms = _quick_resolutions(ms)
+    t_end = STANDARD_T_END["adv1d"]
+    _check_unit_steps(ms, nu, t_end)
     report = ExperimentReport(
         name=name,
-        columns=[
-            "scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
-            "order_linf", "order_l1", "mass_drift", "runtime",
-        ],
-        metadata={
-            "problem": "adv1d",
-            "T": 1.0,
-            "nu": nu,
-            "partition": _PARTITION_HEADERS["adv1d"],
-            "decomposition": kind,
-        },
+        columns=["scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
+                 "order_linf", "order_l1", "mass_drift"],
+        metadata={"problem": "adv1d", "T": t_end, "nu": nu,
+                  "partition": _PARTITION_HEADERS["adv1d"], "decomposition": kind},
     )
     for scheme in schemes:
         errs_linf, errs_l1 = {}, {}
@@ -323,13 +338,13 @@ def _table_experiment(
         for m in ms:
             problem = advection1d_weno5(m)
             parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv1d"])
-            case = run_case(problem, scheme, parts, nu / m, 1.0)
+            case = run_case(problem, scheme, parts, nu / m, t_end)
             linf, l1, drift = case.errors["linf"], case.errors["l1"], case.mass_drift
             errs_linf[m], errs_l1[m] = linf, l1
             row = {
                 "scheme": scheme, "decomposition": kind, "m": m, "nu": nu,
                 "err_linf": linf, "err_l1": l1, "order_linf": "",
-                "order_l1": "", "mass_drift": drift, "runtime": case.runtime,
+                "order_l1": "", "mass_drift": drift,
             }
             if prev is not None:
                 pm, plinf, pl1 = prev
@@ -373,18 +388,14 @@ def _table_experiment(
 def run_table1(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
                quick=False) -> ExperimentReport:
     """Smooth-advection convergence, cell-based decomposition."""
-    if quick:
-        ms = _quick_resolutions(ms)
-    return _table_experiment("table1", "cell", schemes, ms, nu,
+    return _table_experiment("table1", "cell", schemes, ms, nu, quick,
                              TABLE1_ERRORS, TABLE1_ORDERS)
 
 
 def run_table2(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
                quick=False) -> ExperimentReport:
     """Smooth-advection convergence, flux-based decomposition."""
-    if quick:
-        ms = _quick_resolutions(ms)
-    return _table_experiment("table2", "flux", schemes, ms, nu,
+    return _table_experiment("table2", "flux", schemes, ms, nu, quick,
                              TABLE2_ERRORS, TABLE2_ORDERS)
 
 
@@ -395,15 +406,16 @@ def run_table2(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
 def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
                       kind="cell", quick=False) -> ExperimentReport:
     """Error versus position at the final time of the smooth test."""
-    if quick:
-        m = m // 2
     _check_cells("m", (m,))
-    _check_unit_steps((m,), nu)
+    if quick:
+        m = _quick_cells(m)
+    t_end = STANDARD_T_END["adv1d"]
+    _check_unit_steps((m,), nu, t_end)
     _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
     report = ExperimentReport(
         name="fig1",
         columns=["scheme", "x", "error"],
-        metadata={"problem": "adv1d", "T": 1.0, "m": m, "nu": nu,
+        metadata={"problem": "adv1d", "T": t_end, "m": m, "nu": nu,
                   "decomposition": kind},
     )
     spec = STANDARD_PARTITIONS["adv1d"]
@@ -413,8 +425,8 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
         # the cell edges where the partition switches region
         refined = PartitionSpec.parse(spec).cells(problem.grid).masks[1]
         interface_points = problem.grid.edges[1:-1][refined[1:] != refined[:-1]]
-        u = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, 1.0).u
-        err = u - problem.exact(1.0)
+        u = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, t_end).u
+        err = u - problem.exact(t_end)
         for xj, ej in zip(x, err):
             report.add(scheme=scheme, x=float(xj), error=float(ej))
         abs_err = np.abs(err)
@@ -447,28 +459,28 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
                       include_reference=True, quick=False) -> ExperimentReport:
     """Shock location at T = 1/2 with the dynamic (shock-tracking) partition
     (the standard one unless ``threshold`` is given)."""
-    if quick:
-        m = m // 2
     _check_cells("m", (m,))
+    if quick:
+        m = _quick_cells(m)
     _require(threshold is None or math.isfinite(threshold), "threshold", threshold,
              "a finite number")
-    # to T = 1/2 the schemes take m/2 steps of 1/m, the single-rate run m of 1/(2m)
-    _check_step_count("m", m, m if include_reference else m / 2)
+    t_end = STANDARD_T_END["burgers"]
+    # the schemes take t_end*m steps of 1/m, the single-rate run twice as many of 1/(2m)
+    _check_step_count("m", m, t_end * m * (2 if include_reference else 1))
     spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
     report = ExperimentReport(
         name="fig2",
-        columns=["scheme", "m", "shock_position", "displacement_cells",
-                 "mass_drift", "runtime"],
-        metadata={"problem": "burgers", "T": 0.5, "m": m, "partition": spec},
+        columns=["scheme", "m", "shock_position", "displacement_cells", "mass_drift"],
+        metadata={"problem": "burgers", "T": t_end, "m": m, "partition": spec},
     )
 
     def add_row(label, problem, scheme, parts, dt):
-        case = run_case(problem, scheme, parts, dt, 0.5)
+        case = run_case(problem, scheme, parts, dt, t_end)
         pos = shock_position(problem.grid.x, case.u)
         cells = abs(pos - 0.75) * m
         report.add(scheme=label, m=m, shock_position=pos, displacement_cells=cells,
-                   mass_drift=case.mass_drift, runtime=case.runtime)
+                   mass_drift=case.mass_drift)
         return cells
 
     for scheme in schemes:
@@ -518,10 +530,10 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
                     nus=(0.5, 0.75, 0.9, 0.95, 1.0), quick=False) -> ExperimentReport:
     """Norm of W versus resolution for several Courant numbers; each distinct
     (m, nu) builds one splitting and one stability report for all schemes."""
-    if quick:
-        ms = _quick_resolutions(ms)
     _check_cells("ms", ms, least=2)
     _check_positive("nus", nus)
+    if quick:
+        ms = _quick_resolutions(ms)
     report = ExperimentReport(
         name="fig3",
         columns=["scheme", "m", "nu", "norm_W", "cond_rTe", "stab1", "stab2"],
@@ -572,25 +584,26 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
               quick=False) -> ExperimentReport:
     """Rotating-profile errors against the temporally exact semi-discrete
     solution, with the global half-step trapezoidal run as baseline."""
-    if quick:
-        halved = tuple(n // 2 for n in ns if n // 2 >= 20)
-        _require(bool(halved), "ns", ns, "a resolution of at least 40 cells, for --quick")
-        ns = halved
-        reference_tol = max(reference_tol, 1e-9)
     if nus is None:
         nus = tuple(np.linspace(0.5, 2.0, 8))
     _check_cells("ns", ns)
+    _require(len(set(ns)) == len(ns), "ns", ns, "distinct resolutions")
     _check_positive("nus", nus)
     _check_positive("reference_tol", (reference_tol,))
-    t_end = 1.0 / 3.0
-    for n in ns:
+    if quick:
+        halved = tuple(n // 2 for n in ns if n // 2 >= 20)
+        _require(bool(halved), "ns", ns, "a resolution of at least 40 cells, for --quick")
+        _require(len(set(halved)) == len(halved), "ns", ns, "distinct halves, for --quick")
+        ns = halved
+        reference_tol = max(reference_tol, 1e-9)
+    t_end = STANDARD_T_END["adv2d"]
+    for n in ns:  # the step count of every run below, before any build
         for nu in nus:
-            dt = nu * (1.0 / n) / (2.0 * np.pi)  # the step of every run below
-            _check_step_count("nus", nu, t_end / dt if dt > 0.0 else math.inf, f" at n={n}")
+            courant_step("adv2d", n, nu, t_end, "nus", f" at n={n}")
     report = ExperimentReport(
         name=f"adv2d-{kind}",
         columns=["scheme", "decomposition", "n", "nu", "dt", "err_linf",
-                 "status", "mass_drift", "runtime"],
+                 "status", "mass_drift"],
         metadata={"problem": "adv2d", "T": t_end, "decomposition": kind,
                   "partition": _PARTITION_HEADERS["adv2d"]},
     )
@@ -603,9 +616,7 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
             cases = []  # (scheme, nu, dt, the run's result or its divergence)
             for scheme in ("ETR2x2",) + tuple(schemes):
                 for nu in nus:
-                    dt = nu * problem.grid.h / (2.0 * np.pi)
-                    n_steps = max(1, int(np.ceil(t_end / dt)))
-                    dt = t_end / n_steps
+                    dt, _ = courant_step("adv2d", n, nu, t_end)
                     if scheme == "ETR2x2":  # the base method, unsplit, at half the step
                         tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
                     else:
@@ -619,14 +630,12 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
             for scheme, nu, dt, case in cases:
                 if isinstance(case, IntegrationDiverged):
                     err, drift, status = float("inf"), float("nan"), f"diverged@{case.step}"
-                    runtime = float("nan")
                 else:
                     err = norms(case.u - uref, problem.grid.measure)["linf"]
-                    drift, status, runtime = case.mass_drift, "ok", case.runtime
+                    drift, status = case.mass_drift, "ok"
                 errs[(scheme, nu, n)] = err
                 report.add(scheme=scheme, decomposition=kind, n=n, nu=float(nu),
-                           dt=dt, err_linf=err, status=status,
-                           mass_drift=drift, runtime=runtime)
+                           dt=dt, err_linf=err, status=status, mass_drift=drift)
     # ordinal checks against the baseline and across grids; both claims are
     # asymptotic and only hold from about n = 50 upward
     asym = [n for n in ns if n >= 50]
@@ -659,14 +668,11 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
                 verdict = (0.5 <= mean <= 1.5, f"mean slope {mean:.2f}")
         report.check(label, *verdict)
     if "CS2" in schemes and "TW2" in schemes and len(ns) >= 2 and kind == "cell":
-        nu0 = nus[0]
-        r_first = errs[("CS2", nu0, ns[0])] / errs[("TW2", nu0, ns[0])]
-        r_last = errs[("CS2", nu0, ns[-1])] / errs[("TW2", nu0, ns[-1])]
-        report.check(
-            "CS2/TW2 error ratio grows as the grid refines",
-            r_last > r_first,
-            f"ratio {r_first:.1f} -> {r_last:.1f}",
-        )
+        nu0, coarse, fine = nus[0], min(ns), max(ns)
+        r_coarse = errs[("CS2", nu0, coarse)] / errs[("TW2", nu0, coarse)]
+        r_fine = errs[("CS2", nu0, fine)] / errs[("TW2", nu0, fine)]
+        report.check("CS2/TW2 error ratio grows as the grid refines", r_fine > r_coarse,
+                     f"ratio {r_coarse:.1f} -> {r_fine:.1f}")
     return report
 
 

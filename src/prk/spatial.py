@@ -109,7 +109,6 @@ class SemiDiscreteProblem:
     grid: Grid1D | Grid2D
     flux: Callable
     exact: Callable[[float], np.ndarray] | None = None
-    exact_point: Callable | None = None
     initial: np.ndarray | None = None
     max_speed: float = 1.0
     rhs: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
@@ -319,7 +318,6 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         grid=grid,
         flux=flux,
         exact=exact,
-        exact_point=exact_point,
         initial=exact(0.0),
         max_speed=2.0 * np.pi,
     )

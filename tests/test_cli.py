@@ -3,6 +3,7 @@
 import pytest
 from click.testing import CliRunner
 
+import prk.cli
 import prk.harness
 
 from prk.cli import _load_config, main
@@ -106,7 +107,7 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", "BOGUS"],
      "unknown scheme(s) BOGUS; choose from"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", "FE1"],
-     "scheme FE1 takes 1 part(s), the partition 'refined:"),
+     "scheme(s) FE1 do not take 2 parts, one per region of the partition"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "-1"],
      "Invalid value for '--t-end'"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "0"],
@@ -123,11 +124,11 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
      "bad --m: WENO5 needs at least 6 cells"),
     (["integrate", "--problem", "adv1d", "--m", "0"], "Invalid value for '--m'"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "1e-300"],
-     "need 1.2e+301 steps; at most 10000000 are allowed"),
+     "bad value nu=1e-300: need at most 10000000 steps at m=12, t_end=1.0, not 1.2e+301"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "1e300"],
-     "need 2.4e+301 steps; at most 10000000 are allowed"),
+     "bad value nu=0.5: need at most 10000000 steps at m=12, t_end=1e+300, not 2.4e+301"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "5e-324"],
-     "--nu 5e-324 on 12 cells gives a step size of 0"),
+     "bad value nu=5e-324: need at most 10000000 steps at m=12, t_end=1.0, not inf"),
     (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
     (["run", "adv2d-flux", "--schemes", "TW2,ETR2"], "scheme(s) ETR2 do not take 2 parts"),
     (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
@@ -216,10 +217,23 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
      "bad value nus=1e-07: need at most 10000000 steps at n=20, not 4.19e+08"),
     ("adv2d-cell", "ns=50,20\nnus=0.5,5e-324",
      "bad value nus=5e-324: need at most 10000000 steps at n=50, not inf"),
+    ("table1", "ms=50,50", "bad value ms=(50, 50): need distinct resolutions"),
+    ("table2", "ms=100,50,100\nquick=true",
+     "bad value ms=(100, 50, 100): need distinct resolutions"),
+    ("adv2d-cell", "ns=20,20", "bad value ns=(20, 20): need distinct resolutions"),
+    ("adv2d-flux", "ns=40,41\nquick=true",
+     "bad value ns=(40, 41): need distinct halves, for --quick"),
+    ("fig1", "m=11\nquick=true", "bad value m=11: need at least 12 cells, for --quick"),
+    ("fig2", "m=11\nquick=true", "bad value m=11: need at least 12 cells, for --quick"),
+    ("fig2", "m=5\nquick=true", "bad value m=5: need a whole number of at least 6 cells"),
+    ("adv2d-cell", "reference_tol=-1\nquick=true",
+     "bad value reference_tol=-1: need a positive number"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
         "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
-        "steps-adv2d-nu-underflow"])
+        "steps-adv2d-nu-underflow", "repeated-ms-table1", "repeated-ms-table2-quick",
+        "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
+        "quick-fig2-given-m", "quick-reference-tol"])
 def test_run_checks_experiment_values_before_the_first_integration(
         runner, tmp_path, monkeypatch, experiment, config, message):
     def no_steps(*_args, **_kwargs):
@@ -237,6 +251,26 @@ def test_run_checks_experiment_values_before_the_first_integration(
     cfg.write_text(config + "\n")
     out = runner.invoke(main, ["run", experiment, "--config", str(cfg),
                                "--out", str(tmp_path / "out")])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--scheme", "FE1"], "scheme(s) FE1 do not take 2 parts, one per region of the partition"),
+    (["--nu", "1e-7"],
+     "bad value nu=1e-07: need at most 10000000 steps at m=2000, t_end=0.3333333333333333, "
+     "not 4.19e+10"),
+], ids=["part-count", "steps"])
+def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, monkeypatch,
+                                                            args, message):
+    def no_problem(*_args, **_kwargs):
+        raise AssertionError("problem built")
+
+    for name in prk.cli._BUILDERS:
+        monkeypatch.setitem(prk.cli._BUILDERS, name, no_problem)
+    monkeypatch.setattr(prk.cli, "make_parts", no_problem)
+    out = runner.invoke(main, ["integrate", "--problem", "adv2d", "--m", "2000", *args,
+                               "--out", str(tmp_path / "state.csv")])
     assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
     assert out.output == f"Error: {message}\n"
 

@@ -11,10 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prk.harness
 import prk.stepper
 from prk.harness import (
+    MAX_STEPS,
+    courant_step,
     estimate_order,
     run_adv2d,
     run_burgers_shock,
@@ -127,6 +131,33 @@ def test_adv2d_cell_small_grids():
     assert any("ratio" in d for l, d in labels.items() if "CS2/TW2" in l)
     statuses = {r["status"] for r in rep.rows}
     assert statuses == {"ok"}
+
+
+def test_adv2d_ratio_check_compares_the_coarsest_grid_with_the_finest():
+    kw = dict(nus=(0.5,), schemes=("TW2", "CS2"), reference_tol=1e-6)
+    ascending, descending = (run_adv2d(ns=ns, **kw).checks for ns in ((20, 24), (24, 20)))
+    assert ascending == descending
+    assert ascending[-1].label == "CS2/TW2 error ratio grows as the grid refines"
+    assert ascending[-1].ok, ascending[-1].detail
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=st.sampled_from(["adv1d", "burgers", "adv2d"]),
+       m=st.integers(1, 2000),
+       nu=st.floats(1e-2, 8.0),
+       t_end=st.one_of(st.floats(1e-3, 2.0), st.integers(1, 10**5)),
+       numpy_nu=st.booleans())
+def test_courant_step_keeps_the_bits_of_the_literal_steps(problem, m, nu, t_end, numpy_nu):
+    nu = np.float64(nu) if numpy_nu else nu  # the adv2d Courant numbers come from linspace
+    # the step as the integrate command and the adv2d loop (h = 1.0 / n) wrote it
+    dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
+    if isinstance(t_end, int):  # a whole number of steps, where ceil sees the last bit of dt
+        t_end = float(t_end * dt)
+    n_steps = max(1, int(np.ceil(t_end / dt)))
+    assert n_steps <= MAX_STEPS
+    got_dt, got_steps = courant_step(problem, m, nu, t_end)
+    assert got_steps == n_steps
+    assert np.float64(got_dt).tobytes() == np.float64(t_end / n_steps).tobytes()
 
 
 # ----------------------------------------------------------------------
