@@ -13,14 +13,15 @@ from .harness import (
     EXPERIMENTS,
     BadArgument,
     STANDARD_PARTITIONS,
+    STANDARD_BUILDERS,
     STANDARD_T_END,
+    check_schemes,
     courant_step,
     make_parts,
     run_case,
     run_wnorm_study,
     shock_position,
 )
-from .spatial import advection1d_weno5, advection2d, burgers_llf
 from .tableau import (
     builtin_names,
     builtin_tableau,
@@ -34,9 +35,6 @@ from .tableau import (
 
 # config keys whose values are names; every other value is a number or a flag
 _TEXT_KEYS = ("schemes", "kind")
-
-# every experiment and every partition spec split a problem into two regions, one part each
-_EXPERIMENT_PARTS = 2
 
 
 def _parse_value(raw: str, key: str):
@@ -89,25 +87,25 @@ def _finite(_ctx, param, value):
     return value
 
 
-def _scheme_names(entries, option: str, r: int | None = None) -> tuple[str, ...]:
-    """Upper-cased builtin scheme names of the ``entries`` of ``option``,
-    rejecting an empty entry and, given ``r``, tableaus with other part counts."""
-    names = tuple(str(s).strip().upper() for s in entries)
+def _scheme_entries(entries, option: str) -> tuple[str, ...]:
+    """The stripped ``entries`` of ``option``, rejecting an empty one; the
+    harness checks the names."""
+    names = tuple(str(s).strip() for s in entries)
     if "" in names:
         raise click.ClickException(f"bad {option}{','.join(map(str, entries))!r}: "
                                    f"entry {names.index('') + 1} is an empty scheme name")
-    unknown = [s for s in names if s not in builtin_names()]
-    if unknown:
-        raise click.ClickException(f"unknown scheme(s) {', '.join(unknown)}; "
-                                   f"choose from {', '.join(builtin_names())}")
-    wrong = [s for s in names if r is not None and builtin_tableau(s).r != r]
-    if wrong:
-        raise click.ClickException(f"scheme(s) {', '.join(wrong)} do not take {r} parts, "
-                                   f"one per region of the partition")
     return names
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BadArgument as exc:  # raised by the harness before any work
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Group)
 def main():
     """Partitioned / multirate Runge-Kutta experiments."""
 
@@ -131,10 +129,9 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
     if schemes is not None:
-        kwargs["schemes"] = _scheme_names(schemes.split(","), "--schemes ", _EXPERIMENT_PARTS)
+        kwargs["schemes"] = _scheme_entries(schemes.split(","), "--schemes ")
     elif "schemes" in kwargs:
-        kwargs["schemes"] = _scheme_names(kwargs["schemes"], "config value schemes=",
-                                          _EXPERIMENT_PARTS)
+        kwargs["schemes"] = _scheme_entries(kwargs["schemes"], "config value schemes=")
     if quick:
         kwargs["quick"] = True
     fn = EXPERIMENTS[experiment]
@@ -143,10 +140,7 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         raise click.ClickException(
             f"unknown option(s) for {experiment}: {', '.join(unknown)}"
         )
-    try:
-        report = fn(**kwargs)
-    except BadArgument as exc:  # raised before the first integration
-        raise click.ClickException(str(exc)) from None
+    report = fn(**kwargs)
     path = report.write(outdir)
     click.echo(report.summary())
     click.echo(f"wrote {path}")
@@ -167,23 +161,16 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
-    schemes_t = _scheme_names(schemes.split(","), "--schemes ", _EXPERIMENT_PARTS)
+    schemes_t = _scheme_entries(schemes.split(","), "--schemes ")
     ms_t = _parse_list(ms, int, "--m")
     nus_t = _parse_list(nus, float, "--nu")
-    try:
-        report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
-    except BadArgument as exc:  # raised before the first W solve
-        raise click.ClickException(str(exc)) from None
+    report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
     text = report.to_csv()
     if outfile:
         Path(outfile).write_text(text)
         click.echo(f"wrote {outfile}")
     else:
         click.echo(text, nl=False)
-
-
-# the builder of each problem
-_BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advection2d}
 
 
 @main.command("integrate")
@@ -205,16 +192,12 @@ _BUILDERS = {"adv1d": advection1d_weno5, "burgers": burgers_llf, "adv2d": advect
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
-    (scheme,) = _scheme_names((scheme,), "--scheme ", _EXPERIMENT_PARTS)
     t_end = STANDARD_T_END[problem] if t_end is None else t_end
     spec = partition_spec or STANDARD_PARTITIONS[problem]
+    (scheme,) = check_schemes(_scheme_entries((scheme,), "--scheme "))
+    dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
     try:
-        dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
-    except BadArgument as exc:
-        raise click.ClickException(str(exc)) from None
-
-    try:
-        prob = _BUILDERS[problem](m)
+        prob = STANDARD_BUILDERS[problem](m)
     except ValueError as exc:
         raise click.ClickException(f"bad --m: {exc}") from None
 

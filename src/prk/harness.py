@@ -35,8 +35,9 @@ from .stepper import (
     forked_references,
     integrate,
     reference_integrate,
+    whole_steps,
 )
-from .tableau import builtin_tableau
+from .tableau import builtin_names, builtin_tableau
 
 __all__ = [
     "BadArgument",
@@ -53,6 +54,8 @@ __all__ = [
     "STANDARD_PARTITIONS",
     "STANDARD_T_END",
     "MAX_STEPS",
+    "STANDARD_BUILDERS",
+    "check_schemes",
     "courant_step",
     "make_parts",
     "run_case",
@@ -74,6 +77,12 @@ _PARTITION_HEADERS = {
 # the final time of each problem's standard run, read by the experiments
 # and by ``prk integrate``
 STANDARD_T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
+
+# the builder of each problem, taking the cells (per direction for adv2d); each
+# looks its builder up among this module's globals at call time, where
+# perfbench and the tests replace it
+STANDARD_BUILDERS = {"adv1d": lambda m: advection1d_weno5(m),
+                     "burgers": lambda m: burgers_llf(m), "adv2d": lambda m: advection2d(m)}
 
 # the most steps one run may take; the largest standard run takes 2,000
 MAX_STEPS = 10**7
@@ -209,6 +218,29 @@ def _require(ok: bool, key: str, value, need: str) -> None:
         raise BadArgument(f"bad value {key}={value!r}: need {need}")
 
 
+def check_schemes(schemes) -> tuple[str, ...]:
+    """The canonical names of the builtin ``schemes`` of a run, found by
+    :func:`~prk.tableau.builtin_tableau`.  Every experiment and partition spec
+    splits a problem into two regions, one part each; an unknown or repeated
+    scheme, or one with another part count, raises :class:`BadArgument`."""
+    tableaus, unknown = [], []
+    for s in map(str, schemes):
+        try:
+            tableaus.append(builtin_tableau(s))
+        except KeyError:
+            unknown.append(s)
+    if unknown:
+        raise BadArgument(f"unknown scheme(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(builtin_names())}")
+    wrong = [t.name for t in tableaus if t.r != 2]
+    if wrong:
+        raise BadArgument(f"scheme(s) {', '.join(wrong)} do not take 2 parts, "
+                          f"one per region of the partition")
+    names = tuple(t.name for t in tableaus)
+    _require(len(set(names)) == len(names), "schemes", schemes, "each scheme once")
+    return names
+
+
 def _check_cells(key: str, ms, least: int = 6) -> None:
     for m in ms:
         _require(isinstance(m, numbers.Integral) and m >= least, key, m,
@@ -228,10 +260,14 @@ def _quick_resolutions(ms):
     return kept
 
 
-def _quick_cells(m):
-    """The resolution a --quick run of one grid keeps, half the given ``m``."""
+def _one_grid(m, quick: bool):
+    """The resolution a run of one grid keeps, half the given ``m`` for
+    --quick, and the words that name it in an error."""
+    _check_cells("m", (m,))
+    if not quick:
+        return m, f" at m={m}"
     _require(m // 2 >= 6, "m", m, "at least 12 cells, for --quick")
-    return m // 2
+    return m // 2, f" at m={m // 2}, half the given m={m} for --quick"
 
 
 def _check_step_count(key: str, value, steps: float, where: str = "") -> None:
@@ -239,25 +275,25 @@ def _check_step_count(key: str, value, steps: float, where: str = "") -> None:
              f"at most {MAX_STEPS} steps{where}, not {steps:.3g}")
 
 
-def _check_unit_steps(ms, nu, t_end) -> None:
-    """The 1D runs step ``dt = nu/m`` to ``t_end``, as a whole number of steps."""
+def _check_unit_steps(grids, nu, t_end) -> None:
+    """The 1D runs step ``dt = nu/m`` to ``t_end``, as a whole number of steps;
+    ``grids`` holds each ``m`` with the words that name it in an error."""
     _check_positive("nu", (nu,))
-    for m in ms:
-        _check_step_count("nu", nu, t_end * m / nu, f" at m={m}")
-        n = round(t_end * m / nu)
-        _require(n >= 1 and abs(n * (nu / m) - t_end) <= 1e-9, "nu", nu,
-                 f"m/nu to be a whole number of steps at m={m}")
+    for m, at in grids:
+        _check_step_count("nu", nu, t_end * m / nu, at)
+        _require(whole_steps(nu / m, t_end), "nu", nu, f"m/nu to be a whole number of steps{at}")
 
 
 def courant_step(problem: str, m: int, nu: float, t_end: float,
                  key: str = "nu", where: str = "") -> tuple[float, int]:
     """``(dt, n_steps)`` for ``problem`` on ``m`` cells at Courant number
     ``nu``: ``nu h / max|a|`` (h = 1/m; speed 1 in 1D, 2 pi in adv2d),
-    shortened to end at ``t_end``.  More than ``MAX_STEPS`` steps, or a
-    step of 0, raise :class:`BadArgument` naming ``key=nu`` and ``where``."""
+    shortened to end at ``t_end`` unless it already does in whole steps.
+    More than ``MAX_STEPS`` steps, or a step of 0, raise
+    :class:`BadArgument` naming ``key=nu`` and ``where``."""
     dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
     _check_step_count(key, nu, t_end / dt if dt > 0.0 else math.inf, where)
-    n_steps = max(1, math.ceil(t_end / dt))
+    n_steps = whole_steps(dt, t_end) or max(1, math.ceil(t_end / dt))
     return t_end / n_steps, n_steps
 
 
@@ -319,12 +355,13 @@ def _table_experiment(
     reference_errors,
     reference_orders,
 ) -> ExperimentReport:
+    schemes = check_schemes(schemes)
     _check_cells("ms", ms)
     _require(len(set(ms)) == len(ms), "ms", ms, "distinct resolutions")
     if quick:
         ms = _quick_resolutions(ms)
     t_end = STANDARD_T_END["adv1d"]
-    _check_unit_steps(ms, nu, t_end)
+    _check_unit_steps(((m, f" at m={m}") for m in ms), nu, t_end)
     report = ExperimentReport(
         name=name,
         columns=["scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
@@ -406,11 +443,10 @@ def run_table2(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
 def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
                       kind="cell", quick=False) -> ExperimentReport:
     """Error versus position at the final time of the smooth test."""
-    _check_cells("m", (m,))
-    if quick:
-        m = _quick_cells(m)
+    schemes = check_schemes(schemes)
+    m, at = _one_grid(m, quick)
     t_end = STANDARD_T_END["adv1d"]
-    _check_unit_steps((m,), nu, t_end)
+    _check_unit_steps(((m, at),), nu, t_end)
     _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
     report = ExperimentReport(
         name="fig1",
@@ -459,14 +495,16 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
                       include_reference=True, quick=False) -> ExperimentReport:
     """Shock location at T = 1/2 with the dynamic (shock-tracking) partition
     (the standard one unless ``threshold`` is given)."""
-    _check_cells("m", (m,))
-    if quick:
-        m = _quick_cells(m)
+    schemes = check_schemes(schemes)
+    given = m
+    m, at = _one_grid(m, quick)
     _require(threshold is None or math.isfinite(threshold), "threshold", threshold,
              "a finite number")
     t_end = STANDARD_T_END["burgers"]
     # the schemes take t_end*m steps of 1/m, the single-rate run twice as many of 1/(2m)
-    _check_step_count("m", m, t_end * m * (2 if include_reference else 1))
+    _check_step_count("m", given, t_end * m * (2 if include_reference else 1))
+    _require(whole_steps(1.0 / m, t_end), "m", given,
+             f"a whole number of steps of 1/m to T={t_end}{at}")
     spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
     report = ExperimentReport(
@@ -530,6 +568,7 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
                     nus=(0.5, 0.75, 0.9, 0.95, 1.0), quick=False) -> ExperimentReport:
     """Norm of W versus resolution for several Courant numbers; each distinct
     (m, nu) builds one splitting and one stability report for all schemes."""
+    schemes = check_schemes(schemes)
     _check_cells("ms", ms, least=2)
     _check_positive("nus", nus)
     if quick:
@@ -584,6 +623,7 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
               quick=False) -> ExperimentReport:
     """Rotating-profile errors against the temporally exact semi-discrete
     solution, with the global half-step trapezoidal run as baseline."""
+    schemes = check_schemes(schemes)
     if nus is None:
         nus = tuple(np.linspace(0.5, 2.0, 8))
     _check_cells("ns", ns)
@@ -597,9 +637,9 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         ns = halved
         reference_tol = max(reference_tol, 1e-9)
     t_end = STANDARD_T_END["adv2d"]
-    for n in ns:  # the step count of every run below, before any build
-        for nu in nus:
-            courant_step("adv2d", n, nu, t_end, "nus", f" at n={n}")
+    # the step of every run below, checked before any build
+    steps = {(n, nu): courant_step("adv2d", n, nu, t_end, "nus", f" at n={n}")[0]
+             for n in ns for nu in nus}
     report = ExperimentReport(
         name=f"adv2d-{kind}",
         columns=["scheme", "decomposition", "n", "nu", "dt", "err_linf",
@@ -614,9 +654,9 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         for n, problem in zip(ns, problems):
             parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv2d"])
             cases = []  # (scheme, nu, dt, the run's result or its divergence)
-            for scheme in ("ETR2x2",) + tuple(schemes):
+            for scheme in ("ETR2x2",) + schemes:
                 for nu in nus:
-                    dt, _ = courant_step("adv2d", n, nu, t_end)
+                    dt = steps[n, nu]
                     if scheme == "ETR2x2":  # the base method, unsplit, at half the step
                         tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
                     else:

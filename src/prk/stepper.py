@@ -17,6 +17,7 @@ __all__ = [
     "IntegrationDiverged",
     "IntegrationRun",
     "IntegrationResult",
+    "whole_steps",
     "prk_step",
     "integrate",
     "reference_integrate",
@@ -91,12 +92,12 @@ class IntegrationRun:
     u0: np.ndarray
     mass_weights: np.ndarray | float | None = None
 
-    @property
-    def n_steps(self) -> int:
-        n = round(self.t_end / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(abs(self.t_end), 1.0):
-            raise ValueError("dt must divide the time span into whole steps")
-        return n
+
+def whole_steps(dt: float, t_end: float) -> int:
+    """The number of steps of ``dt`` that end at ``t_end``, within 1e-9 of
+    ``max(|t_end|, 1)``; 0 when no whole number of them does."""
+    n = round(t_end / dt)
+    return n if n >= 1 and abs(n * dt - t_end) <= 1e-9 * max(abs(t_end), 1.0) else 0
 
 
 @dataclass
@@ -106,8 +107,9 @@ class IntegrationResult:
     mass_trace: list[float] = field(default_factory=list)
 
 
-def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
-    """Reject a malformed run before its first step; returns ``u0`` as floats."""
+def _checked_start(run: IntegrationRun) -> tuple[np.ndarray, int]:
+    """Reject a malformed run before its first step; returns ``u0`` as floats
+    and the number of steps."""
     u0 = np.asarray(run.u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("IntegrationRun.u0 holds non-finite values")
@@ -117,14 +119,16 @@ def _checked_initial_state(run: IntegrationRun) -> np.ndarray:
             raise ValueError(f"IntegrationRun.{name} must be finite, got {value!r}")
         if value <= 0.0:
             raise ValueError(f"IntegrationRun.{name} must be positive, got {value!r}")
-    return u0
+    n_steps = whole_steps(run.dt, run.t_end)
+    if not n_steps:
+        raise ValueError("dt must divide the time span into whole steps")
+    return u0, n_steps
 
 
 def integrate(run: IntegrationRun) -> IntegrationResult:
     """March the scheme to ``t_end``; failures report the offending step."""
-    u = _checked_initial_state(run)
+    u, n_steps = _checked_start(run)
     t = 0.0
-    n_steps = run.n_steps
     mass_trace: list[float] = []
     weights = run.mass_weights
     if weights is not None:

@@ -228,12 +228,19 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("fig2", "m=5\nquick=true", "bad value m=5: need a whole number of at least 6 cells"),
     ("adv2d-cell", "reference_tol=-1\nquick=true",
      "bad value reference_tol=-1: need a positive number"),
+    ("table1", "schemes=TW2,tw2", "bad value schemes=('TW2', 'tw2'): need each scheme once"),
+    ("fig2", "m=13", "bad value m=13: need a whole number of steps of 1/m to T=0.5 at m=13"),
+    ("fig2", "m=26\nquick=true", "bad value m=26: need a whole number of steps of 1/m "
+                                 "to T=0.5 at m=13, half the given m=26 for --quick"),
+    ("fig1", "m=101\nnu=0.3\nquick=true", "bad value nu=0.3: need m/nu to be a whole number "
+                                          "of steps at m=50, half the given m=101 for --quick"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
         "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
         "steps-adv2d-nu-underflow", "repeated-ms-table1", "repeated-ms-table2-quick",
         "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
-        "quick-fig2-given-m", "quick-reference-tol"])
+        "quick-fig2-given-m", "quick-reference-tol", "repeated-schemes", "steps-fig2-odd-m",
+        "steps-fig2-odd-half-quick", "steps-fig1-quick-names-given-m"])
 def test_run_checks_experiment_values_before_the_first_integration(
         runner, tmp_path, monkeypatch, experiment, config, message):
     def no_steps(*_args, **_kwargs):
@@ -266,8 +273,8 @@ def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, mo
     def no_problem(*_args, **_kwargs):
         raise AssertionError("problem built")
 
-    for name in prk.cli._BUILDERS:
-        monkeypatch.setitem(prk.cli._BUILDERS, name, no_problem)
+    for builder in ("advection1d_weno5", "advection2d", "burgers_llf"):
+        monkeypatch.setattr(prk.harness, builder, no_problem)
     monkeypatch.setattr(prk.cli, "make_parts", no_problem)
     out = runner.invoke(main, ["integrate", "--problem", "adv2d", "--m", "2000", *args,
                                "--out", str(tmp_path / "state.csv")])

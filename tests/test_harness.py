@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prk.harness
@@ -147,17 +147,40 @@ def test_adv2d_ratio_check_compares_the_coarsest_grid_with_the_finest():
        nu=st.floats(1e-2, 8.0),
        t_end=st.one_of(st.floats(1e-3, 2.0), st.integers(1, 10**5)),
        numpy_nu=st.booleans())
+# 1.0 / (0.5 / 98) is 196.00000000000003: 196 steps end at T, where ceil took 197
+@example(problem="adv1d", m=98, nu=0.5, t_end=1.0, numpy_nu=False)
 def test_courant_step_keeps_the_bits_of_the_literal_steps(problem, m, nu, t_end, numpy_nu):
     nu = np.float64(nu) if numpy_nu else nu  # the adv2d Courant numbers come from linspace
     # the step as the integrate command and the adv2d loop (h = 1.0 / n) wrote it
     dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
-    if isinstance(t_end, int):  # a whole number of steps, where ceil sees the last bit of dt
-        t_end = float(t_end * dt)
-    n_steps = max(1, int(np.ceil(t_end / dt)))
+    if isinstance(t_end, int):  # a whole number of steps, whatever the last bit of dt
+        n_steps, t_end = t_end, float(t_end * dt)
+    else:  # kept when the steps end at t_end within the stepper's whole-step tolerance
+        n = round(t_end / dt)
+        whole = n >= 1 and abs(n * dt - t_end) <= 1e-9 * max(t_end, 1.0)
+        n_steps = n if whole else max(1, int(np.ceil(t_end / dt)))
     assert n_steps <= MAX_STEPS
     got_dt, got_steps = courant_step(problem, m, nu, t_end)
     assert got_steps == n_steps
     assert np.float64(got_dt).tobytes() == np.float64(t_end / n_steps).tobytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(prk.harness.EXPERIMENTS))
+@pytest.mark.parametrize("schemes, message", [
+    (("XX",), "unknown scheme(s) XX; choose from OS1, TW1, TW2, CS2, SH2, FE1, ETR2"),
+    (("ETR2",), "scheme(s) ETR2 do not take 2 parts, one per region of the partition"),
+    (("TW2", "tw2"), "bad value schemes=('TW2', 'tw2'): need each scheme once"),
+], ids=["unknown", "one-part", "repeated"])
+def test_experiments_check_schemes_before_any_work(monkeypatch, experiment, schemes, message):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    for name in ("advection1d_weno5", "advection2d", "burgers_llf", "upwind1d",
+                 "integrate", "solve_W", "forked_references"):
+        monkeypatch.setattr(prk.harness, name, no_work)
+    with pytest.raises(prk.harness.BadArgument) as got:
+        prk.harness.EXPERIMENTS[experiment](schemes=schemes)
+    assert str(got.value) == message
 
 
 # ----------------------------------------------------------------------
