@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import inspect
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from .harness import (
     check_schemes,
     courant_step,
     make_parts,
+    parse_partition,
     run_case,
     run_wnorm_study,
     shock_position,
@@ -35,12 +35,16 @@ from .tableau import (
 
 # config keys whose values are names; every other value is a number or a flag
 _TEXT_KEYS = ("schemes", "kind")
+# keys whose values are lists; a single value becomes a 1-tuple
+_LIST_KEYS = ("ms", "ns", "nus", "schemes")
 
 
-def _parse_value(raw: str, key: str):
+def _parse_value(raw: str, key: str, where: str):
+    """The value of ``key`` in ``raw``, a tuple when it is comma-separated;
+    ``where`` names its source in an error."""
     raw = raw.strip()
     if "," in raw:
-        return tuple(_parse_value(v, key) for v in raw.split(","))
+        return tuple(_parse_value(v, key, where) for v in raw.split(","))
     if key in _TEXT_KEYS:
         return raw
     low = raw.lower()
@@ -51,16 +55,12 @@ def _parse_value(raw: str, key: str):
             return cast(raw)
         except ValueError:
             pass
-    raise click.ClickException(f"bad config value {key}={raw!r}: not a number")
+    raise click.ClickException(f"bad {where}{raw!r}: not a number")
 
 
-def _parse_list(text: str, cast, option: str) -> tuple:
-    """Comma-separated ``cast`` values of a command-line ``option``."""
-    try:
-        return tuple(cast(v) for v in text.split(","))
-    except ValueError:
-        raise click.ClickException(
-            f"bad {option} {text!r}: need comma-separated {cast.__name__} values") from None
+def _listed(kwargs: dict) -> dict:
+    return {k: (v,) if k in _LIST_KEYS and not isinstance(v, tuple) else v
+            for k, v in kwargs.items()}
 
 
 def _load_config(path: str | None) -> dict:
@@ -76,25 +76,8 @@ def _load_config(path: str | None) -> dict:
             raise click.ClickException(f"bad config line (need key=value): {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        overrides[key] = _parse_value(val, key)
+        overrides[key] = _parse_value(val, key, f"config value {key}=")
     return overrides
-
-
-def _finite(_ctx, param, value):
-    """Option callback: click's float ranges let ``nan`` and ``inf`` through."""
-    if value is not None and not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number.", param=param)
-    return value
-
-
-def _scheme_entries(entries, option: str) -> tuple[str, ...]:
-    """The stripped ``entries`` of ``option``, rejecting an empty one; the
-    harness checks the names."""
-    names = tuple(str(s).strip() for s in entries)
-    if "" in names:
-        raise click.ClickException(f"bad {option}{','.join(map(str, entries))!r}: "
-                                   f"entry {names.index('') + 1} is an empty scheme name")
-    return names
 
 
 class _Group(click.Group):
@@ -125,15 +108,11 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
     Exits nonzero when any of the experiment's built-in assertions fail.
     """
     kwargs = _load_config(config_path)
-    for key in ("ms", "ns", "nus", "schemes"):
-        if key in kwargs and not isinstance(kwargs[key], tuple):
-            kwargs[key] = (kwargs[key],)
     if schemes is not None:
-        kwargs["schemes"] = _scheme_entries(schemes.split(","), "--schemes ")
-    elif "schemes" in kwargs:
-        kwargs["schemes"] = _scheme_entries(kwargs["schemes"], "config value schemes=")
+        kwargs["schemes"] = _parse_value(schemes, "schemes", "--schemes ")
     if quick:
         kwargs["quick"] = True
+    kwargs = _listed(kwargs)
     fn = EXPERIMENTS[experiment]
     unknown = [k for k in kwargs if k not in inspect.signature(fn).parameters]
     if unknown:
@@ -161,10 +140,9 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
-    schemes_t = _scheme_entries(schemes.split(","), "--schemes ")
-    ms_t = _parse_list(ms, int, "--m")
-    nus_t = _parse_list(nus, float, "--nu")
-    report = run_wnorm_study(schemes=schemes_t, ms=ms_t, nus=nus_t)
+    kwargs = {"schemes": _parse_value(schemes, "schemes", "--schemes "),
+              "ms": _parse_value(ms, "ms", "--m "), "nus": _parse_value(nus, "nus", "--nu ")}
+    report = run_wnorm_study(**_listed(kwargs))
     text = report.to_csv()
     if outfile:
         Path(outfile).write_text(text)
@@ -175,37 +153,27 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
 @main.command("integrate")
 @click.option("--problem", type=click.Choice(sorted(STANDARD_T_END)), required=True)
-@click.option("--m", "m", type=click.IntRange(min=1), required=True,
+@click.option("--m", "m", type=int, required=True,
               help="Cells (per direction for adv2d).")
-@click.option("--nu", type=click.FloatRange(0.0, min_open=True), default=0.5,
-              callback=_finite, show_default=True,
+@click.option("--nu", type=float, default=0.5, show_default=True,
               help="Courant number fixing the step size.")
 @click.option("--scheme", default="TW2", show_default=True)
 @click.option("--decomposition", "kind", type=click.Choice(["cell", "flux"]),
               default="cell", show_default=True)
 @click.option("--partition", "partition_spec", default=None,
               help="Partition spec (see docs); defaults to the problem's standard one.")
-@click.option("--t-end", type=click.FloatRange(0.0, min_open=True), default=None,
-              callback=_finite,
+@click.option("--t-end", type=float, default=None,
               help="Final time (defaults to the problem's standard value).")
 @click.option("--out", "outfile", default=None,
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
     t_end = STANDARD_T_END[problem] if t_end is None else t_end
-    spec = partition_spec or STANDARD_PARTITIONS[problem]
-    (scheme,) = check_schemes(_scheme_entries((scheme,), "--scheme "))
+    (scheme,) = check_schemes((scheme,))
     dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
-    try:
-        prob = STANDARD_BUILDERS[problem](m)
-    except ValueError as exc:
-        raise click.ClickException(f"bad --m: {exc}") from None
-
-    try:
-        parts = make_parts(prob, kind, spec)
-    except ValueError as exc:
-        raise click.ClickException(f"bad partition: {exc}") from None
-    case = run_case(prob, scheme, parts, dt, t_end)
+    spec = parse_partition(partition_spec or STANDARD_PARTITIONS[problem], kind)
+    prob = STANDARD_BUILDERS[problem](m)
+    case = run_case(prob, scheme, make_parts(prob, kind, spec), dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "
                f"{n_steps} steps of dt={dt:.3e}")
     click.echo(f"mass drift |m(T) - m(0)| = {case.mass_drift:.3e}")

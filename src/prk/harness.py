@@ -54,9 +54,11 @@ __all__ = [
     "STANDARD_PARTITIONS",
     "STANDARD_T_END",
     "MAX_STEPS",
+    "MAX_ANALYSIS_BYTES",
     "STANDARD_BUILDERS",
     "check_schemes",
     "courant_step",
+    "parse_partition",
     "make_parts",
     "run_case",
     "EXPERIMENTS",
@@ -86,6 +88,10 @@ STANDARD_BUILDERS = {"adv1d": lambda m: advection1d_weno5(m),
 
 # the most steps one run may take; the largest standard run takes 2,000
 MAX_STEPS = 10**7
+
+# the most bytes one (m, nu) point of the W study may hold: about ten dense m x m
+# float64 arrays at its peak (by tracemalloc), 33 MB at the default largest m = 640
+MAX_ANALYSIS_BYTES = 2**30
 
 # published reference values (max norm, L1) per scheme and resolution
 TABLE1_ERRORS = {
@@ -222,7 +228,10 @@ def check_schemes(schemes) -> tuple[str, ...]:
     """The canonical names of the builtin ``schemes`` of a run, found by
     :func:`~prk.tableau.builtin_tableau`.  Every experiment and partition spec
     splits a problem into two regions, one part each; an unknown or repeated
-    scheme, or one with another part count, raises :class:`BadArgument`."""
+    scheme, or one with another part count, raises :class:`BadArgument`; so
+    does an empty or blank entry, before any name is looked up."""
+    for i, s in enumerate(map(str, schemes), 1):
+        _require(bool(s.strip()), "schemes", schemes, f"a scheme name in entry {i}")
     tableaus, unknown = [], []
     for s in map(str, schemes):
         try:
@@ -241,15 +250,19 @@ def check_schemes(schemes) -> tuple[str, ...]:
     return names
 
 
+def _is_real(v, kind=numbers.Real) -> bool:  # a flag is not a number
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _check_cells(key: str, ms, least: int = 6) -> None:
     for m in ms:
-        _require(isinstance(m, numbers.Integral) and m >= least, key, m,
+        _require(_is_real(m, numbers.Integral) and m >= least, key, m,
                  f"a whole number of at least {least} cells")
 
 
 def _check_positive(key: str, values) -> None:
     for v in values:
-        _require(isinstance(v, numbers.Real) and 0 < v < math.inf, key, v, "a positive number")
+        _require(_is_real(v) and 0 < v < math.inf, key, v, "a positive number")
 
 
 def _quick_resolutions(ms):
@@ -288,9 +301,12 @@ def courant_step(problem: str, m: int, nu: float, t_end: float,
                  key: str = "nu", where: str = "") -> tuple[float, int]:
     """``(dt, n_steps)`` for ``problem`` on ``m`` cells at Courant number
     ``nu``: ``nu h / max|a|`` (h = 1/m; speed 1 in 1D, 2 pi in adv2d),
-    shortened to end at ``t_end`` unless it already does in whole steps.
-    More than ``MAX_STEPS`` steps, or a step of 0, raise
-    :class:`BadArgument` naming ``key=nu`` and ``where``."""
+    shortened to end at ``t_end`` unless it already does in whole steps.  Bad
+    ``m``, ``nu`` or ``t_end``, more than ``MAX_STEPS`` steps, or a step of 0,
+    raise :class:`BadArgument`; the step count names ``key=nu`` and ``where``."""
+    _check_cells("m", (m,))
+    _check_positive(key, (nu,))
+    _check_positive("t_end", (t_end,))
     dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
     _check_step_count(key, nu, t_end / dt if dt > 0.0 else math.inf, where)
     n_steps = whole_steps(dt, t_end) or max(1, math.ceil(t_end / dt))
@@ -301,22 +317,33 @@ def courant_step(problem: str, m: int, nu: float, t_end: float,
 # one run path: parts from a partition spec, one integration
 # ----------------------------------------------------------------------
 
-def make_parts(problem, kind: str, spec: str):
-    """The ``kind`` (``"cell"`` or ``"flux"``) split of ``problem`` over the
-    partition ``spec`` (see :class:`~prk.decomposition.PartitionSpec`)."""
-    parsed = PartitionSpec.parse(spec)
-    if parsed.rule is not None:
-        if kind != "cell":
-            raise ValueError("dynamic partitions support cell splitting only")
-        return DynamicCellSplit(problem.rhs, parsed.rule)
-    if kind == "cell":
-        return CellSplitParts(problem.rhs, parsed.cells(problem.grid))
-    if kind != "flux":
-        raise ValueError(f"unknown decomposition kind {kind!r}")
+def parse_partition(spec: str, kind: str) -> PartitionSpec:
+    """The :class:`~prk.decomposition.PartitionSpec` of a ``kind`` (``"cell"``
+    or ``"flux"``) split, read before any grid exists, or :class:`BadArgument`."""
+    _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
+    try:
+        parsed = PartitionSpec.parse(spec)
+    except ValueError as exc:
+        raise BadArgument(f"bad partition: {exc}") from None
+    if parsed.rule is not None and kind != "cell":
+        raise BadArgument("bad partition: dynamic partitions support cell splitting only")
+    return parsed
+
+
+def make_parts(problem, kind: str, spec: PartitionSpec):
+    """The ``kind`` split of ``problem`` over ``spec`` as :func:`parse_partition`
+    read it; a spec that does not fit the grid raises :class:`BadArgument`."""
     grid = problem.grid
-    if len(grid.centres) == 2:  # x- and y-faces
-        return FluxSplit2DParts(problem.flux, parsed.faces(grid))
-    return FluxSplitParts(problem.flux, FluxPartition.from_cells(parsed.cells(grid), grid))
+    try:
+        if spec.rule is not None:
+            return DynamicCellSplit(problem.rhs, spec.rule)
+        if kind == "cell":
+            return CellSplitParts(problem.rhs, spec.cells(grid))
+        if len(grid.centres) == 2:  # x- and y-faces
+            return FluxSplit2DParts(problem.flux, spec.faces(grid))
+        return FluxSplitParts(problem.flux, FluxPartition.from_cells(spec.cells(grid), grid))
+    except ValueError as exc:
+        raise BadArgument(f"bad partition: {exc}") from None
 
 
 @dataclass
@@ -362,6 +389,7 @@ def _table_experiment(
         ms = _quick_resolutions(ms)
     t_end = STANDARD_T_END["adv1d"]
     _check_unit_steps(((m, f" at m={m}") for m in ms), nu, t_end)
+    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind)
     report = ExperimentReport(
         name=name,
         columns=["scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
@@ -374,8 +402,7 @@ def _table_experiment(
         prev = None
         for m in ms:
             problem = advection1d_weno5(m)
-            parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv1d"])
-            case = run_case(problem, scheme, parts, nu / m, t_end)
+            case = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, t_end)
             linf, l1, drift = case.errors["linf"], case.errors["l1"], case.mass_drift
             errs_linf[m], errs_l1[m] = linf, l1
             row = {
@@ -447,19 +474,18 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
     m, at = _one_grid(m, quick)
     t_end = STANDARD_T_END["adv1d"]
     _check_unit_steps(((m, at),), nu, t_end)
-    _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
+    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind)
     report = ExperimentReport(
         name="fig1",
         columns=["scheme", "x", "error"],
         metadata={"problem": "adv1d", "T": t_end, "m": m, "nu": nu,
                   "decomposition": kind},
     )
-    spec = STANDARD_PARTITIONS["adv1d"]
     for scheme in schemes:
         problem = advection1d_weno5(m)
         x = problem.grid.x
         # the cell edges where the partition switches region
-        refined = PartitionSpec.parse(spec).cells(problem.grid).masks[1]
+        refined = spec.cells(problem.grid).masks[1]
         interface_points = problem.grid.edges[1:-1][refined[1:] != refined[:-1]]
         u = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, t_end).u
         err = u - problem.exact(t_end)
@@ -498,19 +524,20 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
     schemes = check_schemes(schemes)
     given = m
     m, at = _one_grid(m, quick)
-    _require(threshold is None or math.isfinite(threshold), "threshold", threshold,
-             "a finite number")
+    _require(threshold is None or _is_real(threshold) and math.isfinite(threshold),
+             "threshold", threshold, "a finite number")
     t_end = STANDARD_T_END["burgers"]
     # the schemes take t_end*m steps of 1/m, the single-rate run twice as many of 1/(2m)
     _check_step_count("m", given, t_end * m * (2 if include_reference else 1))
     _require(whole_steps(1.0 / m, t_end), "m", given,
              f"a whole number of steps of 1/m to T={t_end}{at}")
-    spec = (STANDARD_PARTITIONS["burgers"] if threshold is None
+    text = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
+    spec = parse_partition(text, "cell")
     report = ExperimentReport(
         name="fig2",
         columns=["scheme", "m", "shock_position", "displacement_cells", "mass_drift"],
-        metadata={"problem": "burgers", "T": t_end, "m": m, "partition": spec},
+        metadata={"problem": "burgers", "T": t_end, "m": m, "partition": text},
     )
 
     def add_row(label, problem, scheme, parts, dt):
@@ -570,6 +597,9 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
     (m, nu) builds one splitting and one stability report for all schemes."""
     schemes = check_schemes(schemes)
     _check_cells("ms", ms, least=2)
+    for m in ms:  # ten m x m float64 arrays per point, before the first probe
+        _require(80 * m * m <= MAX_ANALYSIS_BYTES, "ms", m, f"at most {MAX_ANALYSIS_BYTES} "
+                 f"bytes of dense analysis matrices, not {80 * m * m:.3g}")
     _check_positive("nus", nus)
     if quick:
         ms = _quick_resolutions(ms)
@@ -647,12 +677,13 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         metadata={"problem": "adv2d", "T": t_end, "decomposition": kind,
                   "partition": _PARTITION_HEADERS["adv2d"]},
     )
+    spec = parse_partition(STANDARD_PARTITIONS["adv2d"], kind)
     errs: dict[tuple[str, float, int], float] = {}
     problems = [advection2d(n) for n in ns]
     # each reference runs in a worker while the schemes at its n run here
     with forked_references(problems, t_end, tol=reference_tol) as references:
         for n, problem in zip(ns, problems):
-            parts = make_parts(problem, kind, STANDARD_PARTITIONS["adv2d"])
+            parts = make_parts(problem, kind, spec)
             cases = []  # (scheme, nu, dt, the run's result or its divergence)
             for scheme in ("ETR2x2",) + schemes:
                 for nu in nus:

@@ -109,20 +109,21 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", "FE1"],
      "scheme(s) FE1 do not take 2 parts, one per region of the partition"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "-1"],
-     "Invalid value for '--t-end'"),
+     "bad value t_end=-1.0: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "0"],
-     "Invalid value for '--nu'"),
+     "bad value nu=0.0: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "nan"],
-     "Invalid value for '--nu': nan is not a finite number"),
+     "bad value nu=nan: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "inf"],
-     "Invalid value for '--nu': inf is not a finite number"),
+     "bad value nu=inf: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "nan"],
-     "Invalid value for '--t-end': nan is not a finite number"),
+     "bad value t_end=nan: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "inf"],
-     "Invalid value for '--t-end': inf is not a finite number"),
+     "bad value t_end=inf: need a positive number"),
     (["integrate", "--problem", "adv1d", "--m", "3"],
-     "bad --m: WENO5 needs at least 6 cells"),
-    (["integrate", "--problem", "adv1d", "--m", "0"], "Invalid value for '--m'"),
+     "bad value m=3: need a whole number of at least 6 cells"),
+    (["integrate", "--problem", "adv1d", "--m", "0"],
+     "bad value m=0: need a whole number of at least 6 cells"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--nu", "1e-300"],
      "bad value nu=1e-300: need at most 10000000 steps at m=12, t_end=1.0, not 1.2e+301"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--t-end", "1e300"],
@@ -132,23 +133,27 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
     (["run", "adv2d-flux", "--schemes", "TW2,ETR2"], "scheme(s) ETR2 do not take 2 parts"),
     (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
-    (["analyze", "--m", "20,abc"], "bad --m '20,abc': need comma-separated int values"),
-    (["analyze", "--nu", "0.5,fast"], "bad --nu '0.5,fast': need comma-separated float"),
+    (["analyze", "--m", "20,abc"], "bad --m 'abc': not a number"),
+    (["analyze", "--nu", "0.5,fast"], "bad --nu 'fast': not a number"),
     (["analyze", "--m", "20,0"], "bad value ms=0: need a whole number of at least 2 cells"),
-    (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
-    (["run", "fig3", "--schemes", ""], "bad --schemes '': entry 1 is an empty scheme name"),
-    (["analyze", "--schemes", ""], "bad --schemes '': entry 1 is an empty scheme name"),
+    (["analyze", "--nu", "0.5,-1"], "bad value nus=-1: need a positive number"),
+    (["analyze", "--m", "20,3700"], "bad value ms=3700: need at most 1073741824 bytes of "
+                                    "dense analysis matrices, not 1.1e+09"),
+    (["analyze", "--nu", "true"], "bad value nus=True: need a positive number"),
+    (["run", "fig3", "--schemes", ""], "bad value schemes=('',): need a scheme name in entry 1"),
+    (["analyze", "--schemes", ""], "bad value schemes=('',): need a scheme name in entry 1"),
     (["analyze", "--schemes", "TW2,,CS2"],
-     "bad --schemes 'TW2,,CS2': entry 2 is an empty scheme name"),
+     "bad value schemes=('TW2', '', 'CS2'): need a scheme name in entry 2"),
     (["run", "fig3", "--config", "schemes=TW2,,CS2"],
-     "bad config value schemes='TW2,,CS2': entry 2 is an empty scheme name"),
+     "bad value schemes=('TW2', '', 'CS2'): need a scheme name in entry 2"),
     (["integrate", "--problem", "adv1d", "--m", "12", "--scheme", ""],
-     "bad --scheme '': entry 1 is an empty scheme name"),
+     "bad value schemes=('',): need a scheme name in entry 1"),
 ], ids=["run-scheme", "analyze-scheme", "integrate-scheme", "part-count", "t-end", "nu",
         "nu-nan", "nu-inf", "t-end-nan", "t-end-inf", "m",
         "m-zero", "nu-tiny", "t-end-huge", "nu-underflow",
         "run-one-part", "run-adv2d-one-part", "analyze-one-part", "analyze-m", "analyze-nu",
-        "analyze-m-zero", "analyze-nu-negative", "run-schemes-empty",
+        "analyze-m-zero", "analyze-nu-negative", "analyze-m-dense-bytes", "analyze-nu-flag",
+        "run-schemes-empty",
         "analyze-schemes-empty", "analyze-schemes-empty-entry", "config-schemes-empty-entry",
         "integrate-scheme-empty"])
 def test_bad_input_fails_in_one_line_before_the_first_step(runner, tmp_path, monkeypatch,
@@ -200,6 +205,10 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("fig1", "kind=edge", "bad value kind='edge': need cell or flux"),
     ("fig2", "threshold=nan", "bad value threshold=nan: need a finite number"),
     ("adv2d-cell", "reference_tol=-1", "bad value reference_tol=-1: need a positive number"),
+    ("adv2d-cell", "reference_tol=true",
+     "bad value reference_tol=True: need a positive number"),
+    ("table1", "nu=true", "bad value nu=True: need a positive number"),
+    ("fig2", "threshold=true", "bad value threshold=True: need a finite number"),
     ("table1", "ms=100\nquick=true",
      "bad value ms=(100,): need a resolution at most half the largest, for --quick"),
     ("fig3", "ms=20\nquick=true",
@@ -235,7 +244,8 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("fig1", "m=101\nnu=0.3\nquick=true", "bad value nu=0.3: need m/nu to be a whole number "
                                           "of steps at m=50, half the given m=101 for --quick"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
-        "reference-tol", "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
+        "reference-tol", "reference-tol-flag", "nu-flag", "threshold-flag",
+        "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
         "steps-adv2d-nu-underflow", "repeated-ms-table1", "repeated-ms-table2-quick",
         "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
@@ -267,7 +277,14 @@ def test_run_checks_experiment_values_before_the_first_integration(
     (["--nu", "1e-7"],
      "bad value nu=1e-07: need at most 10000000 steps at m=2000, t_end=0.3333333333333333, "
      "not 4.19e+10"),
-], ids=["part-count", "steps"])
+    (["--partition", "bogus("], "bad partition: predicate 'bogus(': '(' was never closed "
+                                "at column 6"),
+    (["--partition", "dynamic:burgers", "--decomposition", "flux"],
+     "bad partition: dynamic partitions support cell splitting only"),
+    (["--m", "0"], "bad value m=0: need a whole number of at least 6 cells"),
+    (["--t-end", "-1"], "bad value t_end=-1.0: need a positive number"),
+], ids=["part-count", "steps", "partition-syntax", "partition-dynamic-flux", "m-zero",
+        "t-end-negative"])
 def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, monkeypatch,
                                                             args, message):
     def no_problem(*_args, **_kwargs):

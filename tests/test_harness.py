@@ -18,6 +18,8 @@ import prk.harness
 import prk.stepper
 from prk.harness import (
     MAX_STEPS,
+    BadArgument,
+    check_schemes,
     courant_step,
     estimate_order,
     run_adv2d,
@@ -143,7 +145,7 @@ def test_adv2d_ratio_check_compares_the_coarsest_grid_with_the_finest():
 
 @settings(max_examples=300, deadline=None)
 @given(problem=st.sampled_from(["adv1d", "burgers", "adv2d"]),
-       m=st.integers(1, 2000),
+       m=st.integers(6, 2000),  # every problem needs 6 cells
        nu=st.floats(1e-2, 8.0),
        t_end=st.one_of(st.floats(1e-3, 2.0), st.integers(1, 10**5)),
        numpy_nu=st.booleans())
@@ -165,12 +167,37 @@ def test_courant_step_keeps_the_bits_of_the_literal_steps(problem, m, nu, t_end,
     assert np.float64(got_dt).tobytes() == np.float64(t_end / n_steps).tobytes()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: courant_step("adv1d", 0, 0.5, 1.0),
+     "bad value m=0: need a whole number of at least 6 cells"),
+    (lambda: courant_step("adv1d", 12.0, 0.5, 1.0),
+     "bad value m=12.0: need a whole number of at least 6 cells"),
+    *((lambda nu=nu: courant_step("adv1d", 12, nu, 1.0),
+       f"bad value nu={nu!r}: need a positive number")
+      for nu in (0.0, -1.0, float("nan"), float("inf"), True)),
+    *((lambda t_end=t_end: courant_step("adv2d", 12, 0.5, t_end),
+       f"bad value t_end={t_end!r}: need a positive number")
+      for t_end in (-1.0, float("nan"), float("inf"))),
+    (lambda: courant_step("adv2d", 12, -1, 1.0, key="nus"),
+     "bad value nus=-1: need a positive number"),
+    (lambda: check_schemes(("",)), "bad value schemes=('',): need a scheme name in entry 1"),
+    (lambda: check_schemes(("TW2", " ")),
+     "bad value schemes=('TW2', ' '): need a scheme name in entry 2"),
+], ids=["m-zero", "m-float", "nu-zero", "nu-negative", "nu-nan", "nu-inf", "nu-flag",
+        "t-end-negative", "t-end-nan", "t-end-inf", "nu-key", "scheme-empty", "scheme-blank"])
+def test_step_and_scheme_checks_reject_bad_values(call, message):
+    with pytest.raises(BadArgument) as got:
+        call()
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("experiment", sorted(prk.harness.EXPERIMENTS))
 @pytest.mark.parametrize("schemes, message", [
     (("XX",), "unknown scheme(s) XX; choose from OS1, TW1, TW2, CS2, SH2, FE1, ETR2"),
     (("ETR2",), "scheme(s) ETR2 do not take 2 parts, one per region of the partition"),
     (("TW2", "tw2"), "bad value schemes=('TW2', 'tw2'): need each scheme once"),
-], ids=["unknown", "one-part", "repeated"])
+    (("TW2", ""), "bad value schemes=('TW2', ''): need a scheme name in entry 2"),
+], ids=["unknown", "one-part", "repeated", "empty"])
 def test_experiments_check_schemes_before_any_work(monkeypatch, experiment, schemes, message):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started")
