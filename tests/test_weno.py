@@ -1,6 +1,7 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
 mirror symmetry, the split-flux path, bitwise equality with the textbook
-evaluation order, input checks, and fresh results from reused plans."""
+evaluation order, input checks, fresh results from reused plans, and the
+byte budget of the plan cache."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prk import weno
 from prk.weno import (
     WENO_EPS,
     edge_from_left,
@@ -47,6 +49,22 @@ def test_pad_periodic_wraps():
     w = pad_periodic(u)
     assert list(w[:3]) == [5.0, 6.0, 7.0]
     assert list(w[-3:]) == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pad_periodic_wraps_short_lines_as_often_as_needed(m):
+    # three ghost cells a side even where the line has fewer cells, so a
+    # kernel gets the m + 1 interfaces of the line
+    u = np.arange(2.0 * m).reshape(2, m)
+    w = pad_periodic(u)
+    assert w.tolist() == [[row[i % m] for i in range(-3, m + 3)] for row in u.tolist()]
+    assert edge_from_left(w).shape == (2, m + 1)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_pad_periodic_rejects_an_empty_line(shape):
+    with pytest.raises(ValueError, match="at least 1 cell, got length 0$"):
+        pad_periodic(np.ones(shape))
 
 
 def test_llf_split_reduces_to_upwind_for_positive_wind():
@@ -258,3 +276,101 @@ def test_two_lines_of_one_shape_each_match_the_oracle(data):
         um, up = interface_states(w)
         _assert_bitwise(um, _oracle_left(w))
         _assert_bitwise(up, _oracle_right(w))
+
+
+# ----------------------------------------------------------------------
+# the mirrored pass: both biases from one left-biased pass over a line
+# followed by its mirror image, on the plan of the doubled line
+# ----------------------------------------------------------------------
+
+def _read_only(w):
+    w = w.copy()
+    w.flags.writeable = False
+    return w
+
+
+_rng = np.random.default_rng(31)
+_LAYOUTS = {
+    "six values": _rng.standard_normal(6),
+    "negative stride": _rng.standard_normal((3, 41))[::-1, ::-2],
+    "transposed": _rng.standard_normal((23, 4)).T,
+    "read-only": _read_only(_rng.standard_normal((2, 15))),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_mirrored_pass_bitwise_equal_textbook_order_on_any_layout(layout):
+    w = _LAYOUTS[layout]
+    before = w.tobytes()
+    um, up = interface_states(w)
+    _assert_bitwise(um, _oracle_left(w))
+    _assert_bitwise(up, _oracle_right(w))
+    u = 0.5 * w[::-1]
+    want = _oracle_left(0.5 * (w + 0.75 * u)) + _oracle_right(0.5 * (w - 0.75 * u))
+    _assert_bitwise(llf_split_flux(w, u, 0.75), want)
+    assert w.tobytes() == before
+
+
+@pytest.mark.parametrize("alpha", ["scalar", "per line", "per value"])
+def test_llf_split_flux_bitwise_equal_for_each_alpha_shape(alpha):
+    rng = np.random.default_rng(37)
+    phi, u = rng.standard_normal((2, 3, 19))
+    a = {"scalar": 1.25,
+         "per line": np.abs(rng.standard_normal((3, 1))),
+         "per value": np.abs(rng.standard_normal((3, 19)))}[alpha]
+    want = _oracle_left(0.5 * (phi + a * u)) + _oracle_right(0.5 * (phi - a * u))
+    _assert_bitwise(llf_split_flux(phi, u, a), want)
+
+
+def test_mirrored_call_runs_on_the_plan_of_the_doubled_line():
+    rng = np.random.default_rng(41)
+    w, doubled = rng.standard_normal((2, 17)), rng.standard_normal((2, 34))
+    interface_states(w)
+    plan = weno._plans[(2, 34)]
+    _assert_bitwise(edge_from_left(doubled), _oracle_left(doubled))
+    assert weno._plans[(2, 34)] is plan
+    um, up = interface_states(w)
+    _assert_bitwise(um, _oracle_left(w))
+    _assert_bitwise(up, _oracle_right(w))
+    assert weno._plans[(2, 34)] is plan
+
+
+def test_writing_into_u_minus_changes_neither_u_plus_nor_a_later_call():
+    w = np.random.default_rng(43).standard_normal(30)
+    um, up = interface_states(w)
+    kept = up.tobytes()
+    um[...] = 7.0
+    assert up.tobytes() == kept
+    um, up = interface_states(w)
+    _assert_bitwise(um, _oracle_left(w))
+    _assert_bitwise(up, _oracle_right(w))
+
+
+# ----------------------------------------------------------------------
+# the plan cache's byte budget
+# ----------------------------------------------------------------------
+
+def _assert_counted(cache):
+    assert cache.nbytes == sum(plan.nbytes for plan in cache.values())
+    assert cache.nbytes <= cache.budget
+
+
+def test_plan_cache_drops_the_oldest_plans_past_its_budget():
+    shapes = [(6, 40), (2, 3, 40), (3, 2, 40), (1, 6, 40)]  # plans of one size
+    cache = weno._PlanCache(3 * weno._Plan(shapes[0]).nbytes)
+    first = [cache[shape] for shape in shapes[:3]]
+    assert cache[shapes[0]] is first[0]
+    _assert_counted(cache)
+    cache[shapes[3]]
+    assert list(cache) == shapes[1:]
+    _assert_counted(cache)
+
+
+def test_plan_larger_than_the_budget_is_used_and_not_kept():
+    shape = (300, 1006)  # a plan of about 36 MB
+    assert weno._Plan(shape).nbytes > weno._PLAN_CACHE_BYTES
+    kept = dict(weno._plans)
+    w = np.random.default_rng(47).standard_normal(shape)
+    _assert_bitwise(edge_from_left(w), _oracle_left(w))
+    assert weno._plans == kept
+    _assert_counted(weno._plans)
