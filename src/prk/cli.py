@@ -171,7 +171,7 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     t_end = STANDARD_T_END[problem] if t_end is None else t_end
     (scheme,) = check_schemes((scheme,))
     dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
-    spec = parse_partition(partition_spec or STANDARD_PARTITIONS[problem], kind)
+    spec = parse_partition(partition_spec or STANDARD_PARTITIONS[problem], kind, problem)
     prob = STANDARD_BUILDERS[problem](m)
     case = run_case(prob, scheme, make_parts(prob, kind, spec), dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "

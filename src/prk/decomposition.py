@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spatial import Grid1D, Grid2D
+from .spatial import _ZERO, Grid1D, Grid2D
 
 __all__ = [
     "CellPartition",
@@ -165,7 +165,7 @@ class CellSplitParts:
         if np.shape(v) != self._shape:
             raise ValueError("state shape does not match the partition masks")
         f = self.F(t, v)
-        return [np.where(mk, f, 0.0) if use else None
+        return [np.where(mk, f, _ZERO) if use else None
                 for mk, use in zip(self.partition.masks, needed)]
 
 
@@ -190,7 +190,7 @@ class FluxSplitParts:
         phi = self.flux(t, v)
         if np.shape(phi) != self._flux_shape:
             raise ValueError("flux evaluator must return m + 1 interface values")
-        return [p.grid.divergence(np.where(mk, phi, 0.0)) if use else None
+        return [p.grid.divergence(np.where(mk, phi, _ZERO)) if use else None
                 for mk, use in zip(p.masks, needed)]
 
 
@@ -203,7 +203,7 @@ class FluxSplit2DParts:
     def eval_parts(self, t, v, needed):
         p = self.partition
         fx, fy = self.flux(t, v)
-        return [p.grid.divergence((np.where(xm, fx, 0.0), np.where(ym, fy, 0.0)))
+        return [p.grid.divergence((np.where(xm, fx, _ZERO), np.where(ym, fy, _ZERO)))
                 if use else None for xm, ym, use in zip(p.xmasks, p.ymasks, needed)]
 
 
@@ -387,15 +387,22 @@ class PartitionSpec:
                              f"where the grid needs {x.shape}")
         return sel
 
+    def check_grid(self, ndim: int, flux: bool = False) -> None:
+        """Raise ``ValueError`` if the spec cannot split the cells (or with
+        ``flux`` the faces) of an ``ndim``-dimensional grid."""
+        if ndim > 1 and flux and self.predicate is None:
+            raise ValueError(f"a 2D flux partition needs a predicate, not {self.text!r}")
+        if ndim > 1 and self.ranges:
+            raise ValueError(f"index ranges ({self.text!r}) need a 1D grid")
+
     def cells(self, grid) -> CellPartition:
         """The two-region cell partition on a 1D or 2D grid."""
         if self.rule is not None:
             raise ValueError(f"dynamic partition {self.text!r} has no fixed cells")
         centres = grid.centres
+        self.check_grid(len(centres))
         if self.predicate is not None:
             sel = self._select(*centres)
-        elif len(centres) > 1:
-            raise ValueError(f"index ranges ({self.text!r}) need a 1D grid")
         else:
             sel = np.zeros(centres[0].size, dtype=bool)
             for lo, hi in self.ranges:
@@ -406,8 +413,7 @@ class PartitionSpec:
 
     def faces(self, grid) -> FluxPartition2D:
         """The 2D face partition: each face joins the region of its midpoint."""
-        if self.predicate is None:
-            raise ValueError(f"a 2D flux partition needs a predicate, not {self.text!r}")
+        self.check_grid(2, flux=True)
 
         def coarse(x, y):
             sel = self._select(x, y)

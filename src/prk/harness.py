@@ -317,16 +317,17 @@ def courant_step(problem: str, m: int, nu: float, t_end: float,
 # one run path: parts from a partition spec, one integration
 # ----------------------------------------------------------------------
 
-def parse_partition(spec: str, kind: str) -> PartitionSpec:
-    """The :class:`~prk.decomposition.PartitionSpec` of a ``kind`` (``"cell"``
-    or ``"flux"``) split, read before any grid exists, or :class:`BadArgument`."""
+def parse_partition(spec: str, kind: str, problem: str) -> PartitionSpec:
+    """The :class:`~prk.decomposition.PartitionSpec` of a ``kind`` (``"cell"`` or
+    ``"flux"``) split of ``problem``, checked before any grid exists, or :class:`BadArgument`."""
     _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
     try:
         parsed = PartitionSpec.parse(spec)
+        if parsed.rule is not None and kind != "cell":
+            raise ValueError("dynamic partitions support cell splitting only")
+        parsed.check_grid(2 if problem == "adv2d" else 1, kind == "flux")
     except ValueError as exc:
         raise BadArgument(f"bad partition: {exc}") from None
-    if parsed.rule is not None and kind != "cell":
-        raise BadArgument("bad partition: dynamic partitions support cell splitting only")
     return parsed
 
 
@@ -389,7 +390,7 @@ def _table_experiment(
         ms = _quick_resolutions(ms)
     t_end = STANDARD_T_END["adv1d"]
     _check_unit_steps(((m, f" at m={m}") for m in ms), nu, t_end)
-    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind)
+    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind, "adv1d")
     report = ExperimentReport(
         name=name,
         columns=["scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
@@ -474,7 +475,7 @@ def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
     m, at = _one_grid(m, quick)
     t_end = STANDARD_T_END["adv1d"]
     _check_unit_steps(((m, at),), nu, t_end)
-    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind)
+    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind, "adv1d")
     report = ExperimentReport(
         name="fig1",
         columns=["scheme", "x", "error"],
@@ -533,7 +534,7 @@ def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
              f"a whole number of steps of 1/m to T={t_end}{at}")
     text = (STANDARD_PARTITIONS["burgers"] if threshold is None
             else f"dynamic:burgers:threshold={threshold}")
-    spec = parse_partition(text, "cell")
+    spec = parse_partition(text, "cell", "burgers")
     report = ExperimentReport(
         name="fig2",
         columns=["scheme", "m", "shock_position", "displacement_cells", "mass_drift"],
@@ -677,7 +678,7 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         metadata={"problem": "adv2d", "T": t_end, "decomposition": kind,
                   "partition": _PARTITION_HEADERS["adv2d"]},
     )
-    spec = parse_partition(STANDARD_PARTITIONS["adv2d"], kind)
+    spec = parse_partition(STANDARD_PARTITIONS["adv2d"], kind, "adv2d")
     errs: dict[tuple[str, float, int], float] = {}
     problems = [advection2d(n) for n in ns]
     # each reference runs in a worker while the schemes at its n run here

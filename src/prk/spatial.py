@@ -17,6 +17,7 @@ import numpy as np
 
 # llf_split_flux is not called here; perfbench/child.py wraps it by name
 from .weno import (
+    _constant,
     edge_from_left,
     interface_states,
     llf_split_flux,
@@ -116,6 +117,9 @@ class SemiDiscreteProblem:
     def __post_init__(self):
         divergence, flux = self.grid.divergence, self.flux
         self.rhs = lambda t, v: divergence(flux(t, v))
+
+
+_HALF, _ZERO = _constant(0.5), _constant(0.0)  # cheaper operands than floats
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -218,7 +222,7 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
     def flux(t, v):
         um, up = interface_states(pad_periodic(v))
         alpha = np.maximum(np.abs(um), np.abs(up))
-        return 0.5 * (0.5 * um**2 + 0.5 * up**2 + alpha * (um - up))
+        return _HALF * (_HALF * um**2 + _HALF * up**2 + alpha * (um - up))
 
     return SemiDiscreteProblem(grid=grid, flux=flux, initial=(grid.x < 0.5).astype(float))
 
@@ -311,7 +315,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         state[...] = v
         np.multiply(src.take(gather, out=phi), speeds, out=phi)
         out = np.concatenate([edge_from_left(phi[b]) for b in blocks], out=edges).take(scatter)
-        out += 0.0
+        out += _ZERO
         return out[:nn + n].reshape(n, n + 1), out[nn + n:].reshape(n + 1, n)
 
     return SemiDiscreteProblem(

@@ -49,9 +49,10 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
     plan = tab.plan
     u = np.asarray(u, dtype=float)
     K = {}  # the part values of every evaluated stage, by stage index
+    step = np.array(dt, dtype=float)  # a 0-d operand, cheaper than a float
     for i, c, needed, terms in plan.stages:
-        K[i] = parts.eval_parts(t + c * dt, _increment(u, dt, terms, K), needed)
-    unew = _increment(u, dt, plan.update_terms, K)
+        K[i] = parts.eval_parts(t + c * dt, _increment(u, step, terms, K), needed)
+    unew = _increment(u, step, plan.update_terms, K)
     if not np.isfinite(unew).all():
         raise IntegrationDiverged("non-finite state after step")
     return unew

@@ -382,7 +382,13 @@ def test_integrate_adv1d_flux_partition_ranges(runner):
     (["--problem", "burgers", "--partition", "dynamic:burgers:threshold=nan"],
      "threshold=nan must be finite"),
 ])
-def test_integrate_rejects_bad_partitions_without_a_traceback(runner, args, message):
+def test_integrate_rejects_bad_partitions_without_a_traceback(runner, monkeypatch, args,
+                                                              message):
+    def no_problem(*_args, **_kwargs):
+        raise AssertionError("problem built")
+
+    # a spec that cannot split the 2D grid fails before the grid is built
+    monkeypatch.setattr(prk.harness, "advection2d", no_problem)
     out = runner.invoke(main, ["integrate", "--m", "12", *args])
     assert out.exit_code == 1
     assert isinstance(out.exception, SystemExit), out.exception

@@ -16,7 +16,7 @@ from prk.spatial import (
 from prk.harness import STANDARD_PARTITIONS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
 from test_analysis import _bidiagonal
-from test_weno import _oracle_left, _oracle_right
+from test_weno import _oracle_left, _oracle_right, lines
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +140,17 @@ def test_burgers_llf_flux_at_clean_jump():
     u[: m // 2] = 1.0
     phi = p.flux(0.0, u)
     assert abs(phi[m // 2] - 0.75) < 1e-10
+
+
+@settings(deadline=None, max_examples=150)
+@given(v=st.integers(6, 40).flatmap(lambda m: lines((m,))))
+def test_burgers_llf_flux_bitwise_equal_textbook_formula(v):
+    # byte for byte on the oracle's states, so the sign of every zero counts
+    w = np.concatenate([v[-3:], v, v[:3]])
+    um, up = _oracle_left(w), _oracle_right(w)
+    want = 0.5 * (0.5 * um**2 + 0.5 * up**2 + np.maximum(np.abs(um), np.abs(up)) * (um - up))
+    got = burgers_llf(v.size).flux(0.0, v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_burgers_rhs_telescopes():
@@ -269,7 +280,7 @@ def test_adv2d_blow_up_step(kind, scheme, nu, step):
     # two unstable Courant numbers at n = 20: the step where the state
     # stops being finite pins the arithmetic of every evaluation before it
     p = advection2d(20)
-    parts = make_parts(p, kind, parse_partition(STANDARD_PARTITIONS["adv2d"], kind))
+    parts = make_parts(p, kind, parse_partition(STANDARD_PARTITIONS["adv2d"], kind, "adv2d"))
     dt = nu * p.grid.h / (2.0 * np.pi)
     with pytest.raises(IntegrationDiverged) as err:
         run_case(p, scheme, parts, dt, 2500 * dt)
