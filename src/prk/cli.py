@@ -10,16 +10,13 @@ import click
 
 from .harness import (
     EXPERIMENTS,
+    PROBLEMS,
     BadArgument,
-    STANDARD_PARTITIONS,
-    STANDARD_BUILDERS,
-    STANDARD_T_END,
     check_schemes,
     courant_step,
     make_parts,
     parse_partition,
     run_case,
-    run_wnorm_study,
     shock_position,
 )
 from .tableau import (
@@ -33,41 +30,32 @@ from .tableau import (
 )
 
 
-# config keys whose values are names; every other value is a number or a flag
-_TEXT_KEYS = ("schemes", "kind")
-# keys whose values are lists; a single value becomes a 1-tuple
-_LIST_KEYS = ("ms", "ns", "nus", "schemes")
-
-
-def _parse_value(raw: str, key: str, where: str):
-    """The value of ``key`` in ``raw``, a tuple when it is comma-separated;
+def _parse_value(raw: str, kind, where: str):
+    """``raw`` read as a value of the config key type ``kind`` (see
+    :class:`~prk.harness.Experiment`), a list's entries comma-separated;
     ``where`` names its source in an error."""
     raw = raw.strip()
-    if "," in raw:
-        return tuple(_parse_value(v, key, where) for v in raw.split(","))
-    if key in _TEXT_KEYS:
+    if isinstance(kind, tuple):
+        return tuple(_parse_value(entry, kind[0], where) for entry in raw.split(","))
+    if kind is str:
         return raw
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    raise click.ClickException(f"bad {where}{raw!r}: not a number")
+    if kind is bool:
+        if raw.lower() not in ("true", "false"):
+            raise click.ClickException(f"bad {where}{raw!r}: not true or false")
+        return raw.lower() == "true"
+    try:
+        return kind(raw)
+    except ValueError:
+        need = "a whole number" if kind is int else "a number"
+        raise click.ClickException(f"bad {where}{raw!r}: not {need}") from None
 
 
-def _listed(kwargs: dict) -> dict:
-    return {k: (v,) if k in _LIST_KEYS and not isinstance(v, tuple) else v
-            for k, v in kwargs.items()}
-
-
-def _load_config(path: str | None) -> dict:
-    """Plain ``key=value`` overrides, one per line, ``#`` comments allowed."""
+def _load_config(path: str | None, exp) -> dict:
+    """Plain ``key=value`` overrides of ``exp``'s config keys, one per line,
+    ``#`` comments allowed, each read by its key's type."""
     if not path:
         return {}
-    overrides = {}
+    lines = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -75,9 +63,10 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise click.ClickException(f"bad config line (need key=value): {line!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        overrides[key] = _parse_value(val, key, f"config value {key}=")
-    return overrides
+        lines[key.strip()] = val
+    exp.check_keys(lines)
+    return {key: _parse_value(val, exp.keys[key][0], f"config value {key}=")
+            for key, val in lines.items()}
 
 
 class _Group(click.Group):
@@ -107,19 +96,14 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
 
     Exits nonzero when any of the experiment's built-in assertions fail.
     """
-    kwargs = _load_config(config_path)
+    # the record, also through the wrapper a profiler may have put around it
+    exp = inspect.unwrap(EXPERIMENTS[experiment])
+    kwargs = _load_config(config_path, exp)
     if schemes is not None:
-        kwargs["schemes"] = _parse_value(schemes, "schemes", "--schemes ")
+        kwargs["schemes"] = _parse_value(schemes, exp.keys["schemes"][0], "--schemes ")
     if quick:
         kwargs["quick"] = True
-    kwargs = _listed(kwargs)
-    fn = EXPERIMENTS[experiment]
-    unknown = [k for k in kwargs if k not in inspect.signature(fn).parameters]
-    if unknown:
-        raise click.ClickException(
-            f"unknown option(s) for {experiment}: {', '.join(unknown)}"
-        )
-    report = fn(**kwargs)
+    report = EXPERIMENTS[experiment](**kwargs)
     path = report.write(outdir)
     click.echo(report.summary())
     click.echo(f"wrote {path}")
@@ -140,9 +124,11 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
-    kwargs = {"schemes": _parse_value(schemes, "schemes", "--schemes "),
-              "ms": _parse_value(ms, "ms", "--m "), "nus": _parse_value(nus, "nus", "--nu ")}
-    report = run_wnorm_study(**_listed(kwargs))
+    keys = inspect.unwrap(EXPERIMENTS["fig3"]).keys  # prk analyze runs fig3
+    report = EXPERIMENTS["fig3"](**{
+        key: _parse_value(raw, keys[key][0], where)
+        for key, raw, where in (("schemes", schemes, "--schemes "), ("ms", ms, "--m "),
+                                ("nus", nus, "--nu "))})
     text = report.to_csv()
     if outfile:
         Path(outfile).write_text(text)
@@ -152,7 +138,7 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
 
 @main.command("integrate")
-@click.option("--problem", type=click.Choice(sorted(STANDARD_T_END)), required=True)
+@click.option("--problem", type=click.Choice(sorted(PROBLEMS)), required=True)
 @click.option("--m", "m", type=int, required=True,
               help="Cells (per direction for adv2d).")
 @click.option("--nu", type=float, default=0.5, show_default=True,
@@ -168,11 +154,12 @@ def analyze_cmd(schemes, ms, nus, outfile):
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
-    t_end = STANDARD_T_END[problem] if t_end is None else t_end
+    standard = PROBLEMS[problem]
+    t_end = standard.t_end if t_end is None else t_end
     (scheme,) = check_schemes((scheme,))
     dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
-    spec = parse_partition(partition_spec or STANDARD_PARTITIONS[problem], kind, problem)
-    prob = STANDARD_BUILDERS[problem](m)
+    spec = parse_partition(partition_spec or standard.partition, kind, problem)
+    prob = standard.build(m)
     case = run_case(prob, scheme, make_parts(prob, kind, spec), dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "
                f"{n_steps} steps of dt={dt:.3e}")

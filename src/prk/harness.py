@@ -1,7 +1,9 @@
 """Experiment driver: convergence tables, error profiles, shock tracking,
 W-norm sweeps and the 2D rotation study, all emitted as CSV reports.
 
-Every experiment is deterministic; rerunning produces byte-identical CSV.
+Each experiment is one :class:`Experiment` record in ``EXPERIMENTS``, and
+:func:`run_experiment` runs any of them.  Every experiment is
+deterministic; rerunning produces byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import io
 import math
 import numbers
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,46 +48,47 @@ __all__ = [
     "ExperimentReport",
     "estimate_order",
     "shock_position",
-    "run_table1",
-    "run_table2",
-    "run_error_profile",
-    "run_burgers_shock",
-    "run_wnorm_study",
-    "run_adv2d",
-    "STANDARD_PARTITIONS",
-    "STANDARD_T_END",
+    "Problem",
+    "PROBLEMS",
     "MAX_STEPS",
     "MAX_ANALYSIS_BYTES",
-    "STANDARD_BUILDERS",
     "check_schemes",
     "courant_step",
     "parse_partition",
     "make_parts",
     "run_case",
+    "Experiment",
+    "run_experiment",
     "EXPERIMENTS",
 ]
 
-# the standard partition of each problem, read by the experiments and by
-# ``prk integrate``; the headers name two of them in the reports
-STANDARD_PARTITIONS = {
-    "adv1d": "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)",
-    "burgers": "dynamic:burgers:threshold=0.125",
-    "adv2d": "coarse:abs(x-0.5)+abs(y-0.5)<=1/3",
-}
-_PARTITION_HEADERS = {
-    "adv1d": "x in [1/8,3/8] u [5/8,7/8]",
-    "adv2d": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse",
-}
 
-# the final time of each problem's standard run, read by the experiments
-# and by ``prk integrate``
-STANDARD_T_END = {"adv1d": 1.0, "burgers": 0.5, "adv2d": 1.0 / 3.0}
+@dataclass(frozen=True)
+class Problem:
+    """A problem of the standard runs: its builder on ``m`` cells (per
+    direction in 2D), the final time and partition spec of its standard runs,
+    the grid's dimension, and the Courant step ``nu h / max|a|`` (h = 1/m) in
+    the floating-point form its runs take."""
 
-# the builder of each problem, taking the cells (per direction for adv2d); each
-# looks its builder up among this module's globals at call time, where
-# perfbench and the tests replace it
-STANDARD_BUILDERS = {"adv1d": lambda m: advection1d_weno5(m),
-                     "burgers": lambda m: burgers_llf(m), "adv2d": lambda m: advection2d(m)}
+    build: Callable
+    t_end: float
+    partition: str
+    ndim: int
+    courant: Callable
+
+
+# read by the experiments and by ``prk integrate``; each builder looks its
+# function up among this module's globals at call time, where perfbench and
+# the tests replace it
+PROBLEMS = {
+    "adv1d": Problem(lambda m: advection1d_weno5(m), 1.0,
+                     "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)", 1,
+                     lambda nu, m: nu / m),
+    "burgers": Problem(lambda m: burgers_llf(m), 0.5, "dynamic:burgers:threshold=0.125", 1,
+                       lambda nu, m: nu / m),
+    "adv2d": Problem(lambda m: advection2d(m), 1.0 / 3.0, "coarse:abs(x-0.5)+abs(y-0.5)<=1/3",
+                     2, lambda nu, m: nu * (1.0 / m) / (2.0 * np.pi)),
+}
 
 # the most steps one run may take; the largest standard run takes 2,000
 MAX_STEPS = 10**7
@@ -265,49 +269,22 @@ def _check_positive(key: str, values) -> None:
         _require(_is_real(v) and 0 < v < math.inf, key, v, "a positive number")
 
 
-def _quick_resolutions(ms):
-    """The resolutions a --quick run keeps, those at most half the largest;
-    a run that would keep none stops here."""
-    kept = tuple(m for m in ms if m <= max(ms) // 2)
-    _require(bool(kept), "ms", ms, "a resolution at most half the largest, for --quick")
-    return kept
-
-
-def _one_grid(m, quick: bool):
-    """The resolution a run of one grid keeps, half the given ``m`` for
-    --quick, and the words that name it in an error."""
-    _check_cells("m", (m,))
-    if not quick:
-        return m, f" at m={m}"
-    _require(m // 2 >= 6, "m", m, "at least 12 cells, for --quick")
-    return m // 2, f" at m={m // 2}, half the given m={m} for --quick"
-
-
 def _check_step_count(key: str, value, steps: float, where: str = "") -> None:
     _require(steps <= MAX_STEPS, key, value,
              f"at most {MAX_STEPS} steps{where}, not {steps:.3g}")
 
 
-def _check_unit_steps(grids, nu, t_end) -> None:
-    """The 1D runs step ``dt = nu/m`` to ``t_end``, as a whole number of steps;
-    ``grids`` holds each ``m`` with the words that name it in an error."""
-    _check_positive("nu", (nu,))
-    for m, at in grids:
-        _check_step_count("nu", nu, t_end * m / nu, at)
-        _require(whole_steps(nu / m, t_end), "nu", nu, f"m/nu to be a whole number of steps{at}")
-
-
 def courant_step(problem: str, m: int, nu: float, t_end: float,
                  key: str = "nu", where: str = "") -> tuple[float, int]:
     """``(dt, n_steps)`` for ``problem`` on ``m`` cells at Courant number
-    ``nu``: ``nu h / max|a|`` (h = 1/m; speed 1 in 1D, 2 pi in adv2d),
-    shortened to end at ``t_end`` unless it already does in whole steps.  Bad
-    ``m``, ``nu`` or ``t_end``, more than ``MAX_STEPS`` steps, or a step of 0,
-    raise :class:`BadArgument`; the step count names ``key=nu`` and ``where``."""
+    ``nu``: the problem's Courant step (``Problem.courant``), shortened to end
+    at ``t_end`` unless it already does in whole steps.  Bad ``m``, ``nu`` or
+    ``t_end``, more than ``MAX_STEPS`` steps, or a step of 0, raise
+    :class:`BadArgument`; the step count names ``key=nu`` and ``where``."""
     _check_cells("m", (m,))
     _check_positive(key, (nu,))
     _check_positive("t_end", (t_end,))
-    dt = nu * (1.0 / m) / (2.0 * np.pi) if problem == "adv2d" else nu / m
+    dt = PROBLEMS[problem].courant(nu, m)
     _check_step_count(key, nu, t_end / dt if dt > 0.0 else math.inf, where)
     n_steps = whole_steps(dt, t_end) or max(1, math.ceil(t_end / dt))
     return t_end / n_steps, n_steps
@@ -325,7 +302,7 @@ def parse_partition(spec: str, kind: str, problem: str) -> PartitionSpec:
         parsed = PartitionSpec.parse(spec)
         if parsed.rule is not None and kind != "cell":
             raise ValueError("dynamic partitions support cell splitting only")
-        parsed.check_grid(2 if problem == "adv2d" else 1, kind == "flux")
+        parsed.check_grid(PROBLEMS[problem].ndim, kind == "flux")
     except ValueError as exc:
         raise BadArgument(f"bad partition: {exc}") from None
     return parsed
@@ -370,203 +347,267 @@ def run_case(problem, scheme: str, parts, dt: float, t_end: float) -> CaseResult
 
 
 # ----------------------------------------------------------------------
-# 1D smooth advection tables
+# the experiment record and its run loop
 # ----------------------------------------------------------------------
 
-def _table_experiment(
-    name: str,
-    kind: str,
-    schemes,
-    ms,
-    nu: float,
-    quick: bool,
-    reference_errors,
-    reference_orders,
-) -> ExperimentReport:
-    schemes = check_schemes(schemes)
-    _check_cells("ms", ms)
-    _require(len(set(ms)) == len(ms), "ms", ms, "distinct resolutions")
-    if quick:
-        ms = _quick_resolutions(ms)
-    t_end = STANDARD_T_END["adv1d"]
-    _check_unit_steps(((m, f" at m={m}") for m in ms), nu, t_end)
-    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind, "adv1d")
-    report = ExperimentReport(
-        name=name,
-        columns=["scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
-                 "order_linf", "order_l1", "mass_drift"],
-        metadata={"problem": "adv1d", "T": t_end, "nu": nu,
-                  "partition": _PARTITION_HEADERS["adv1d"], "decomposition": kind},
-    )
-    for scheme in schemes:
-        errs_linf, errs_l1 = {}, {}
-        prev = None
-        for m in ms:
-            problem = advection1d_weno5(m)
-            case = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, t_end)
-            linf, l1, drift = case.errors["linf"], case.errors["l1"], case.mass_drift
-            errs_linf[m], errs_l1[m] = linf, l1
-            row = {
-                "scheme": scheme, "decomposition": kind, "m": m, "nu": nu,
-                "err_linf": linf, "err_l1": l1, "order_linf": "",
-                "order_l1": "", "mass_drift": drift,
-            }
-            if prev is not None:
-                pm, plinf, pl1 = prev
-                span = np.log2(m / pm)
-                row["order_linf"] = float(np.log2(plinf / linf) / span)
-                row["order_l1"] = float(np.log2(pl1 / l1) / span)
-            prev = (m, linf, l1)
-            report.add(**row)
-            if kind == "flux":
-                rel = drift / 0.5
-                report.check(
-                    f"{scheme} m={m} flux mass drift <= 1e-10 relative",
-                    rel <= 1e-10,
-                    f"drift {rel:.2e}",
-                )
-            ref = reference_errors.get(scheme, {}).get(m)
-            if ref is not None:
-                ok = 0.5 <= linf / ref[0] <= 2.0 and 0.5 <= l1 / ref[1] <= 2.0
-                report.check(
-                    f"{scheme} m={m} errors within factor 2 of published",
-                    ok,
-                    f"linf ratio {linf / ref[0]:.2f}, l1 ratio {l1 / ref[1]:.2f}",
-                )
-        # the published orders are asymptotic over the published
-        # resolutions (the first doubling interval alone rounds high);
-        # runs covering fewer than three of them skip the check
-        published = [m for m in errs_linf if m in reference_errors.get(scheme, {})]
-        if scheme in reference_orders and len(published) >= 3:
-            slope_inf = estimate_order({m: errs_linf[m] for m in published})
-            slope_l1 = estimate_order({m: errs_l1[m] for m in published})
-            want = reference_orders[scheme]
-            got = (round(slope_inf), round(slope_l1))
-            report.check(
-                f"{scheme} rounded orders (max, L1) = {want}",
-                got == want,
-                f"slopes ({slope_inf:.2f}, {slope_l1:.2f})",
-            )
+@dataclass(frozen=True, eq=False)
+class Experiment:
+    """One experiment as data: each scheme run over the resolutions of the
+    ``grid`` key on ``problem``, and the rows and checks its runs give.
+    Calling it with keyword overrides of ``keys`` runs it through
+    :func:`run_experiment`."""
+
+    name: str
+    problem: str  # a key of PROBLEMS, or fig3's name for its grid
+    # config key -> (type, default); the type is int, float (a real), str
+    # (text) or bool (a flag), or a 1-tuple of one of them for a list
+    keys: dict
+    grid: str  # the resolution key; errors name a resolution by its first letter
+    least: int  # the fewest cells of a resolution
+    # --quick: (key, given value, resolutions) -> [(kept m, its name in errors)]
+    quick: Callable
+    columns: tuple
+    metadata: Callable  # run values -> the report's header
+    # (run values, m, its name in errors) -> the step, or one per Courant
+    # number; None for fig3, which integrates nothing
+    step: Callable | None = None
+    kind: str | None = "cell"  # the split; None when the kind key sets it
+    partition: Callable | None = None  # run values -> the spec, if not the problem's
+    baseline: str | None = None  # the label of ETR2 runs, unsplit at half the step
+    # (report, run values, label, [(m, problem, case), ...]): one scheme's
+    # rows and checks, from the scheme loop
+    rows: Callable | None = None
+    loop: Callable | None = None  # (record, report, run values): a loop of its own
+
+    def __call__(self, **overrides) -> ExperimentReport:
+        return run_experiment(self, **overrides)
+
+    def check_keys(self, keys) -> None:
+        """Raise :class:`BadArgument` naming each of ``keys`` it does not take."""
+        unknown = [key for key in keys if key not in self.keys]
+        if unknown:
+            raise BadArgument(f"unknown option(s) for {self.name}: {', '.join(unknown)}")
+
+
+def run_experiment(exp: Experiment, **overrides) -> ExperimentReport:
+    """Run ``exp`` with ``overrides`` of its config keys.  Every value, step
+    and partition spec is checked before the first problem is built; a bad
+    one raises :class:`BadArgument`."""
+    exp.check_keys(overrides)
+    p = {key: default for key, (_, default) in exp.keys.items()} | overrides
+    p["schemes"] = check_schemes(p["schemes"])
+    listed = isinstance(exp.keys[exp.grid][0], tuple)
+    given = p[exp.grid]
+    ms = tuple(given) if listed else (given,)
+    _check_cells(exp.grid, ms, exp.least)
+    # an integration experiment keeps its steps and runs per resolution
+    _require(exp.step is None or len(set(ms)) == len(ms), exp.grid, given,
+             "distinct resolutions")
+    grids = (exp.quick(exp.grid, given, ms) if p["quick"]
+             else [(m, f" at {exp.grid[0]}={m}") for m in ms])
+    if exp.step is not None:
+        problem = PROBLEMS[exp.problem]
+        p.update(T=problem.t_end, decomposition=exp.kind or p["kind"])
+        p["steps"] = {m: exp.step(p, m, at) for m, at in grids}
+        p["partition"] = exp.partition(p) if exp.partition else problem.partition
+        p["spec"] = parse_partition(p["partition"], p["decomposition"], exp.problem)
+    kept = tuple(m for m, _ in grids)
+    p[exp.grid] = kept if listed else kept[0]
+    report = ExperimentReport(exp.name, list(exp.columns), metadata=exp.metadata(p))
+    (exp.loop or _scheme_loop)(exp, report, p)
     return report
 
 
-def run_table1(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
-               quick=False) -> ExperimentReport:
-    """Smooth-advection convergence, cell-based decomposition."""
-    return _table_experiment("table1", "cell", schemes, ms, nu, quick,
-                             TABLE1_ERRORS, TABLE1_ORDERS)
+def _scheme_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
+    """Each scheme, then the baseline unless ``include_reference`` is false,
+    on every resolution: one problem built and one run each."""
+    build = PROBLEMS[exp.problem].build
+    baseline = (exp.baseline,) if exp.baseline and p.get("include_reference", True) else ()
+    for label in p["schemes"] + baseline:
+        runs = []
+        for m, dt in p["steps"].items():
+            problem = build(m)
+            parts = make_parts(problem, p["decomposition"], p["spec"])
+            runs.append((m, problem, _run(exp, p, problem, label, parts, dt)))
+        exp.rows(report, p, label, runs)
 
 
-def run_table2(schemes=("CS2", "TW2", "SH2"), ms=(100, 200, 400, 800), nu=0.5,
-               quick=False) -> ExperimentReport:
-    """Smooth-advection convergence, flux-based decomposition."""
-    return _table_experiment("table2", "flux", schemes, ms, nu, quick,
-                             TABLE2_ERRORS, TABLE2_ORDERS)
+def _run(exp: Experiment, p: dict, problem, label: str, parts, dt: float) -> CaseResult:
+    """One run of scheme ``label`` on ``parts``; the baseline runs ETR2 on
+    the unsplit problem at half the step."""
+    if label == exp.baseline:
+        return run_case(problem, "ETR2", TrivialParts(problem.rhs), 0.5 * dt, p["T"])
+    return run_case(problem, label, parts, dt, p["T"])
+
+
+def _keep_half(key: str, value, ms) -> list:
+    """--quick keeps the resolutions at most half the largest."""
+    kept = [m for m in ms if m <= max(ms) // 2]
+    _require(bool(kept), key, value, "a resolution at most half the largest, for --quick")
+    return [(m, f" at {key[0]}={m}") for m in kept]
+
+
+def _halve(least: int, key: str, value, ms) -> list:
+    """--quick halves each resolution and keeps the distinct halves of at
+    least ``least`` cells."""
+    kept = [m for m in ms if m // 2 >= least]
+    _require(bool(kept), key, value,
+             f"a resolution of at least {2 * least} cells, for --quick")
+    _require(len({m // 2 for m in kept}) == len(kept), key, value,
+             "distinct halves, for --quick")
+    c = key[0]
+    return [(m // 2, f" at {c}={m // 2}, half the given {c}={m} for --quick") for m in kept]
+
+
+def _keys(schemes, **keys) -> dict:
+    """The config keys of an experiment: its ``schemes`` by default, its own
+    ``keys`` and the ``quick`` flag."""
+    return {"schemes": ((str,), schemes), **keys, "quick": (bool, False)}
+
+
+# ----------------------------------------------------------------------
+# 1D smooth advection tables
+# ----------------------------------------------------------------------
+
+def _unit_step(p: dict, m: int, at: str) -> float:
+    """The step ``nu/m`` of the 1D advection runs, a whole number of which
+    must end at ``T``."""
+    nu, t_end = p["nu"], p["T"]
+    _check_positive("nu", (nu,))
+    _check_step_count("nu", nu, t_end * m / nu, at)
+    _require(whole_steps(nu / m, t_end), "nu", nu, f"m/nu to be a whole number of steps{at}")
+    return nu / m
+
+
+def _table_rows(reference_errors, reference_orders, report, p, scheme, runs) -> None:
+    kind, errs_linf, errs_l1, prev = p["decomposition"], {}, {}, None
+    for m, _, case in runs:
+        linf, l1, drift = case.errors["linf"], case.errors["l1"], case.mass_drift
+        errs_linf[m], errs_l1[m] = linf, l1
+        row = {
+            "scheme": scheme, "decomposition": kind, "m": m, "nu": p["nu"],
+            "err_linf": linf, "err_l1": l1, "order_linf": "",
+            "order_l1": "", "mass_drift": drift,
+        }
+        if prev is not None:
+            pm, plinf, pl1 = prev
+            span = np.log2(m / pm)
+            row["order_linf"] = float(np.log2(plinf / linf) / span)
+            row["order_l1"] = float(np.log2(pl1 / l1) / span)
+        prev = (m, linf, l1)
+        report.add(**row)
+        if kind == "flux":
+            rel = drift / 0.5
+            report.check(
+                f"{scheme} m={m} flux mass drift <= 1e-10 relative",
+                rel <= 1e-10,
+                f"drift {rel:.2e}",
+            )
+        ref = reference_errors.get(scheme, {}).get(m)
+        if ref is not None:
+            ok = 0.5 <= linf / ref[0] <= 2.0 and 0.5 <= l1 / ref[1] <= 2.0
+            report.check(
+                f"{scheme} m={m} errors within factor 2 of published",
+                ok,
+                f"linf ratio {linf / ref[0]:.2f}, l1 ratio {l1 / ref[1]:.2f}",
+            )
+    # the published orders are asymptotic over the published
+    # resolutions (the first doubling interval alone rounds high);
+    # runs covering fewer than three of them skip the check
+    published = [m for m in errs_linf if m in reference_errors.get(scheme, {})]
+    if scheme in reference_orders and len(published) >= 3:
+        slope_inf = estimate_order({m: errs_linf[m] for m in published})
+        slope_l1 = estimate_order({m: errs_l1[m] for m in published})
+        want = reference_orders[scheme]
+        got = (round(slope_inf), round(slope_l1))
+        report.check(
+            f"{scheme} rounded orders (max, L1) = {want}",
+            got == want,
+            f"slopes ({slope_inf:.2f}, {slope_l1:.2f})",
+        )
+
+
+def _table(name: str, kind: str, reference_errors, reference_orders) -> Experiment:
+    """Smooth-advection convergence on a ``kind`` split."""
+    return Experiment(
+        name, "adv1d",
+        _keys(("CS2", "TW2", "SH2"), ms=((int,), (100, 200, 400, 800)), nu=(float, 0.5)),
+        grid="ms", least=6, quick=_keep_half, step=_unit_step, kind=kind,
+        columns=("scheme", "decomposition", "m", "nu", "err_linf", "err_l1",
+                 "order_linf", "order_l1", "mass_drift"),
+        metadata=lambda p: {"problem": "adv1d", "T": p["T"], "nu": p["nu"],
+                            "partition": "x in [1/8,3/8] u [5/8,7/8]", "decomposition": kind},
+        rows=functools.partial(_table_rows, reference_errors, reference_orders))
 
 
 # ----------------------------------------------------------------------
 # pointwise error profile
 # ----------------------------------------------------------------------
 
-def run_error_profile(schemes=("CS2", "TW2"), m=400, nu=0.5,
-                      kind="cell", quick=False) -> ExperimentReport:
+def _profile_rows(report, p, scheme, runs) -> None:
     """Error versus position at the final time of the smooth test."""
-    schemes = check_schemes(schemes)
-    m, at = _one_grid(m, quick)
-    t_end = STANDARD_T_END["adv1d"]
-    _check_unit_steps(((m, at),), nu, t_end)
-    spec = parse_partition(STANDARD_PARTITIONS["adv1d"], kind, "adv1d")
-    report = ExperimentReport(
-        name="fig1",
-        columns=["scheme", "x", "error"],
-        metadata={"problem": "adv1d", "T": t_end, "m": m, "nu": nu,
-                  "decomposition": kind},
-    )
-    for scheme in schemes:
-        problem = advection1d_weno5(m)
-        x = problem.grid.x
+    ((m, problem, case),) = runs
+    x = problem.grid.x
+    err = case.u - problem.exact(p["T"])
+    for xj, ej in zip(x, err):
+        report.add(scheme=scheme, x=float(xj), error=float(ej))
+    abs_err = np.abs(err)
+    if scheme == "CS2":
         # the cell edges where the partition switches region
-        refined = spec.cells(problem.grid).masks[1]
+        refined = p["spec"].cells(problem.grid).masks[1]
         interface_points = problem.grid.edges[1:-1][refined[1:] != refined[:-1]]
-        u = run_case(problem, scheme, make_parts(problem, kind, spec), nu / m, t_end).u
-        err = u - problem.exact(t_end)
-        for xj, ej in zip(x, err):
-            report.add(scheme=scheme, x=float(xj), error=float(ej))
-        abs_err = np.abs(err)
-        if scheme == "CS2":
-            worst = np.argsort(abs_err)[-4:]
-            dist = [
-                float(min(abs(x[j] - p) for p in interface_points) * m)
-                for j in worst
-            ]
-            report.check(
-                "CS2 four largest errors within 5 cells of an interface",
-                max(dist) <= 5.0,
-                f"cell distances {sorted(round(d, 1) for d in dist)}",
-            )
-        if scheme == "TW2":
-            ratio = abs_err.max() / np.median(abs_err)
-            report.check(
-                "TW2 profile has no interface spike above 3x median",
-                ratio <= 3.0,
-                f"max/median {ratio:.2f}",
-            )
-    return report
+        worst = np.argsort(abs_err)[-4:]
+        dist = [
+            float(min(abs(x[j] - q) for q in interface_points) * m)
+            for j in worst
+        ]
+        report.check(
+            "CS2 four largest errors within 5 cells of an interface",
+            max(dist) <= 5.0,
+            f"cell distances {sorted(round(d, 1) for d in dist)}",
+        )
+    if scheme == "TW2":
+        ratio = abs_err.max() / np.median(abs_err)
+        report.check(
+            "TW2 profile has no interface spike above 3x median",
+            ratio <= 3.0,
+            f"max/median {ratio:.2f}",
+        )
 
 
 # ----------------------------------------------------------------------
 # Burgers shock tracking
 # ----------------------------------------------------------------------
 
-def run_burgers_shock(schemes=("CS2", "TW2", "SH2"), m=2000, threshold=None,
-                      include_reference=True, quick=False) -> ExperimentReport:
-    """Shock location at T = 1/2 with the dynamic (shock-tracking) partition
-    (the standard one unless ``threshold`` is given)."""
-    schemes = check_schemes(schemes)
-    given = m
-    m, at = _one_grid(m, quick)
-    _require(threshold is None or _is_real(threshold) and math.isfinite(threshold),
-             "threshold", threshold, "a finite number")
-    t_end = STANDARD_T_END["burgers"]
-    # the schemes take t_end*m steps of 1/m, the single-rate run twice as many of 1/(2m)
-    _check_step_count("m", given, t_end * m * (2 if include_reference else 1))
-    _require(whole_steps(1.0 / m, t_end), "m", given,
+def _shock_step(p: dict, m: int, at: str) -> float:
+    """The step 1/m of the schemes, a whole number of which must end at
+    ``T``; the single-rate run takes twice as many steps of 1/(2m)."""
+    t_end = p["T"]
+    _check_step_count("m", p["m"], t_end * m * (2 if p["include_reference"] else 1))
+    _require(whole_steps(1.0 / m, t_end), "m", p["m"],
              f"a whole number of steps of 1/m to T={t_end}{at}")
-    text = (STANDARD_PARTITIONS["burgers"] if threshold is None
-            else f"dynamic:burgers:threshold={threshold}")
-    spec = parse_partition(text, "cell", "burgers")
-    report = ExperimentReport(
-        name="fig2",
-        columns=["scheme", "m", "shock_position", "displacement_cells", "mass_drift"],
-        metadata={"problem": "burgers", "T": t_end, "m": m, "partition": text},
-    )
+    return 1.0 / m
 
-    def add_row(label, problem, scheme, parts, dt):
-        case = run_case(problem, scheme, parts, dt, t_end)
-        pos = shock_position(problem.grid.x, case.u)
-        cells = abs(pos - 0.75) * m
-        report.add(scheme=label, m=m, shock_position=pos, displacement_cells=cells,
-                   mass_drift=case.mass_drift)
-        return cells
 
-    for scheme in schemes:
-        problem = burgers_llf(m)
-        cells = add_row(scheme, problem, scheme, make_parts(problem, "cell", spec), 1.0 / m)
-        if scheme == "CS2":
-            report.check("CS2 shock within 5 cells of x = 3/4", cells <= 5.0,
-                         f"{cells:.1f} cells")
-        else:
-            # non-conservative schemes drift by an m-independent distance;
-            # 0.005 is ten cells at the reference resolution m = 2000
-            off = cells / m
-            report.check(f"{scheme} shock displaced by >= 0.005",
-                         off >= 0.005, f"{off:.4f} ({cells:.1f} cells)")
-    if include_reference:
-        problem = burgers_llf(m)
-        cells = add_row("single-rate", problem, "ETR2", TrivialParts(problem.rhs), 0.5 / m)
+def _shock_rows(report, p, label, runs) -> None:
+    """Shock location at T = 1/2 on the dynamic (shock-tracking) partition."""
+    ((m, problem, case),) = runs
+    pos = shock_position(problem.grid.x, case.u)
+    cells = abs(pos - 0.75) * m
+    report.add(scheme=label, m=m, shock_position=pos, displacement_cells=cells,
+               mass_drift=case.mass_drift)
+    if label == "single-rate":
         report.check("single-rate shock within 3 cells of x = 3/4",
                      cells <= 3.0, f"{cells:.1f} cells")
-    return report
+    elif label == "CS2":
+        report.check("CS2 shock within 5 cells of x = 3/4", cells <= 5.0,
+                     f"{cells:.1f} cells")
+    else:
+        # non-conservative schemes drift by an m-independent distance;
+        # 0.005 is ten cells at the reference resolution m = 2000
+        off = cells / m
+        report.check(f"{label} shock displaced by >= 0.005",
+                     off >= 0.005, f"{off:.4f} ({cells:.1f} cells)")
 
 
 # ----------------------------------------------------------------------
@@ -592,24 +633,15 @@ def _wnorm_splitting(m: int, nu: float):
     return LinearSplitting(tuple(Zs)), part
 
 
-def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
-                    nus=(0.5, 0.75, 0.9, 0.95, 1.0), quick=False) -> ExperimentReport:
-    """Norm of W versus resolution for several Courant numbers; each distinct
-    (m, nu) builds one splitting and one stability report for all schemes."""
-    schemes = check_schemes(schemes)
-    _check_cells("ms", ms, least=2)
+def _wnorm_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
+    """Norm of W versus resolution for several Courant numbers.  It runs no
+    integration, so it has a loop of its own: each distinct (m, nu) builds
+    one splitting and one stability report for all schemes."""
+    schemes, ms, nus = p["schemes"], p["ms"], p["nus"]
     for m in ms:  # ten m x m float64 arrays per point, before the first probe
         _require(80 * m * m <= MAX_ANALYSIS_BYTES, "ms", m, f"at most {MAX_ANALYSIS_BYTES} "
                  f"bytes of dense analysis matrices, not {80 * m * m:.3g}")
     _check_positive("nus", nus)
-    if quick:
-        ms = _quick_resolutions(ms)
-    report = ExperimentReport(
-        name="fig3",
-        columns=["scheme", "m", "nu", "norm_W", "cond_rTe", "stab1", "stab2"],
-        metadata={"problem": "upwind1d nonuniform", "partition": "middle half refined",
-                  "h": "4/(3m)"},
-    )
     solved, stable = {}, {}
     w_scalars = operator.attrgetter("norm_w", "cond_rTe")  # keep these, not W
     for nu in nus:
@@ -625,76 +657,48 @@ def run_wnorm_study(schemes=("TW2", "CS2"), ms=(20, 40, 80, 160, 320, 640),
                 (norm_w, cond), stab = solved[scheme, nu, m], stable[nu, m]
                 report.add(scheme=scheme, m=m, nu=nu, norm_W=norm_w,
                            cond_rTe=cond, stab1=stab.stab1, stab2=stab.stab2)
-    for scheme in schemes:
-        if scheme != "TW2":
+    if "TW2" not in schemes:
+        return
+    for nu, lo, hi in ((0.5, 0.0, 1.2), (1.0, 1.6, 2.4)):
+        vals = {m: solved["TW2", nu, m][0] for m in ms if ("TW2", nu, m) in solved}
+        pairs = [
+            (m, 2 * m) for m in vals if 2 * m in vals and m >= 80
+        ]
+        ratios = [vals[m2] / vals[m1] for m1, m2 in pairs]
+        if not ratios:
             continue
-        for nu, lo, hi in ((0.5, 0.0, 1.2), (1.0, 1.6, 2.4)):
-            vals = {m: solved[scheme, nu, m][0] for m in ms if (scheme, nu, m) in solved}
-            pairs = [
-                (m, 2 * m) for m in vals if 2 * m in vals and m >= 80
-            ]
-            ratios = [vals[m2] / vals[m1] for m1, m2 in pairs]
-            if not ratios:
-                continue
-            ok = all(lo <= r <= hi for r in ratios)
-            report.check(
-                f"TW2 nu={nu} doubling ratios in [{lo}, {hi}] for m >= 80",
-                ok,
-                "ratios " + " ".join(f"{r:.2f}" for r in ratios),
-            )
-    return report
+        ok = all(lo <= r <= hi for r in ratios)
+        report.check(
+            f"TW2 nu={nu} doubling ratios in [{lo}, {hi}] for m >= 80",
+            ok,
+            "ratios " + " ".join(f"{r:.2f}" for r in ratios),
+        )
 
 
 # ----------------------------------------------------------------------
 # 2D rotation study
 # ----------------------------------------------------------------------
 
-def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
-              schemes=("TW2", "CS2", "SH2"), reference_tol=1e-10,
-              quick=False) -> ExperimentReport:
+def _adv2d_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
     """Rotating-profile errors against the temporally exact semi-discrete
-    solution, with the global half-step trapezoidal run as baseline."""
-    schemes = check_schemes(schemes)
-    if nus is None:
-        nus = tuple(np.linspace(0.5, 2.0, 8))
-    _check_cells("ns", ns)
-    _require(len(set(ns)) == len(ns), "ns", ns, "distinct resolutions")
-    _check_positive("nus", nus)
-    _check_positive("reference_tol", (reference_tol,))
-    if quick:
-        halved = tuple(n // 2 for n in ns if n // 2 >= 20)
-        _require(bool(halved), "ns", ns, "a resolution of at least 40 cells, for --quick")
-        _require(len(set(halved)) == len(halved), "ns", ns, "distinct halves, for --quick")
-        ns = halved
-        reference_tol = max(reference_tol, 1e-9)
-    t_end = STANDARD_T_END["adv2d"]
-    # the step of every run below, checked before any build
-    steps = {(n, nu): courant_step("adv2d", n, nu, t_end, "nus", f" at n={n}")[0]
-             for n in ns for nu in nus}
-    report = ExperimentReport(
-        name=f"adv2d-{kind}",
-        columns=["scheme", "decomposition", "n", "nu", "dt", "err_linf",
-                 "status", "mass_drift"],
-        metadata={"problem": "adv2d", "T": t_end, "decomposition": kind,
-                  "partition": _PARTITION_HEADERS["adv2d"]},
-    )
-    spec = parse_partition(STANDARD_PARTITIONS["adv2d"], kind, "adv2d")
+    solution, with the global half-step trapezoidal run as baseline.  It has
+    a loop of its own: each n's problem and split serve every scheme and
+    Courant number, its reference runs in a forked worker meanwhile, and a
+    diverged run gives a row."""
+    ns, nus, schemes, kind = p["ns"], p["nus"], p["schemes"], p["decomposition"]
+    _check_positive("reference_tol", (p["reference_tol"],))
+    tol = max(p["reference_tol"], 1e-9) if p["quick"] else p["reference_tol"]
     errs: dict[tuple[str, float, int], float] = {}
-    problems = [advection2d(n) for n in ns]
+    problems = [PROBLEMS["adv2d"].build(n) for n in ns]
     # each reference runs in a worker while the schemes at its n run here
-    with forked_references(problems, t_end, tol=reference_tol) as references:
-        for n, problem in zip(ns, problems):
-            parts = make_parts(problem, kind, spec)
+    with forked_references(problems, p["T"], tol=tol) as references:
+        for (n, steps), problem in zip(p["steps"].items(), problems):
+            parts = make_parts(problem, kind, p["spec"])
             cases = []  # (scheme, nu, dt, the run's result or its divergence)
-            for scheme in ("ETR2x2",) + schemes:
-                for nu in nus:
-                    dt = steps[n, nu]
-                    if scheme == "ETR2x2":  # the base method, unsplit, at half the step
-                        tableau, split, step = "ETR2", TrivialParts(problem.rhs), 0.5 * dt
-                    else:
-                        tableau, split, step = scheme, parts, dt
+            for scheme in (exp.baseline,) + schemes:
+                for nu, dt in zip(nus, steps):
                     try:
-                        case = run_case(problem, tableau, split, step, t_end)
+                        case = _run(exp, p, problem, scheme, parts, dt)
                     except IntegrationDiverged as exc:
                         case = exc
                     cases.append((scheme, nu, dt, case))
@@ -718,10 +722,10 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         if kind == "cell":
             label = f"{scheme} tracks the global half-step baseline (<= 2.2)"
             ratios = [
-                errs[(scheme, nu, n)] / errs[("ETR2x2", nu, n)]
+                errs[(scheme, nu, n)] / errs[(exp.baseline, nu, n)]
                 for nu in nus for n in asym
                 if np.isfinite(errs[(scheme, nu, n)])
-                and np.isfinite(errs[("ETR2x2", nu, n)])
+                and np.isfinite(errs[(exp.baseline, nu, n)])
             ]
             if ratios:
                 verdict = (max(ratios) <= 2.2, f"worst ratio {max(ratios):.2f}")
@@ -745,7 +749,21 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
         r_fine = errs[("CS2", nu0, fine)] / errs[("TW2", nu0, fine)]
         report.check("CS2/TW2 error ratio grows as the grid refines", r_fine > r_coarse,
                      f"ratio {r_coarse:.1f} -> {r_fine:.1f}")
-    return report
+
+
+def _adv2d(kind: str) -> Experiment:
+    return Experiment(
+        f"adv2d-{kind}", "adv2d",
+        _keys(("TW2", "CS2", "SH2"), ns=((int,), (50, 100, 200)),
+              nus=((float,), tuple(np.linspace(0.5, 2.0, 8))), reference_tol=(float, 1e-10)),
+        grid="ns", least=6, quick=functools.partial(_halve, 20), kind=kind,
+        step=lambda p, n, at: tuple(courant_step("adv2d", n, nu, p["T"], "nus", at)[0]
+                                    for nu in p["nus"]),
+        columns=("scheme", "decomposition", "n", "nu", "dt", "err_linf", "status",
+                 "mass_drift"),
+        metadata=lambda p: {"problem": "adv2d", "T": p["T"], "decomposition": kind,
+                            "partition": "abs(x-1/2)+abs(y-1/2) <= 1/3 coarse"},
+        baseline="ETR2x2", loop=_adv2d_loop)
 
 
 # ----------------------------------------------------------------------
@@ -753,11 +771,38 @@ def run_adv2d(kind="cell", ns=(50, 100, 200), nus=None,
 # ----------------------------------------------------------------------
 
 EXPERIMENTS = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "fig1": run_error_profile,
-    "fig2": run_burgers_shock,
-    "fig3": run_wnorm_study,
-    "adv2d-cell": functools.partial(run_adv2d, "cell"),
-    "adv2d-flux": functools.partial(run_adv2d, "flux"),
+    "table1": _table("table1", "cell", TABLE1_ERRORS, TABLE1_ORDERS),
+    "table2": _table("table2", "flux", TABLE2_ERRORS, TABLE2_ORDERS),
+    "fig1": Experiment(
+        "fig1", "adv1d",
+        _keys(("CS2", "TW2"), m=(int, 400), nu=(float, 0.5), kind=(str, "cell")),
+        grid="m", least=6, quick=functools.partial(_halve, 6), step=_unit_step, kind=None,
+        columns=("scheme", "x", "error"),
+        metadata=lambda p: {"problem": "adv1d", "T": p["T"], "m": p["m"], "nu": p["nu"],
+                            "decomposition": p["kind"]},
+        rows=_profile_rows),
+    "fig2": Experiment(
+        "fig2", "burgers",
+        _keys(("CS2", "TW2", "SH2"), m=(int, 2000), threshold=(float, None),
+              include_reference=(bool, True)),
+        grid="m", least=6, quick=functools.partial(_halve, 6), step=_shock_step,
+        # the shock-tracking spec at the given threshold, which the spec's parser checks
+        partition=lambda p: (PROBLEMS["burgers"].partition if p["threshold"] is None
+                             else f"dynamic:burgers:threshold={p['threshold']}"),
+        baseline="single-rate",
+        columns=("scheme", "m", "shock_position", "displacement_cells", "mass_drift"),
+        metadata=lambda p: {"problem": "burgers", "T": p["T"], "m": p["m"],
+                            "partition": p["partition"]},
+        rows=_shock_rows),
+    "fig3": Experiment(
+        "fig3", "upwind1d nonuniform",
+        _keys(("TW2", "CS2"), ms=((int,), (20, 40, 80, 160, 320, 640)),
+              nus=((float,), (0.5, 0.75, 0.9, 0.95, 1.0))),
+        grid="ms", least=2, quick=_keep_half,
+        columns=("scheme", "m", "nu", "norm_W", "cond_rTe", "stab1", "stab2"),
+        metadata=lambda p: {"problem": "upwind1d nonuniform",
+                            "partition": "middle half refined", "h": "4/(3m)"},
+        loop=_wnorm_loop),
+    "adv2d-cell": _adv2d("cell"),
+    "adv2d-flux": _adv2d("flux"),
 }

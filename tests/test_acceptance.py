@@ -27,12 +27,7 @@ from prk.decomposition import (
     FluxSplitParts,
     PartitionSpec,
 )
-from prk.harness import (
-    run_burgers_shock,
-    run_table1,
-    run_table2,
-    run_wnorm_study,
-)
+from prk.harness import EXPERIMENTS
 from prk.spatial import advection1d_weno5, upwind1d
 from prk.stepper import IntegrationRun, integrate, prk_step
 from prk.tableau import builtin_tableau, classical_order, is_conservative, stage_order
@@ -70,7 +65,7 @@ def test_criterion_01_scheme_properties():
 
 def test_criterion_02_table1_cell_based():
     t0 = time.perf_counter()
-    rep = run_table1()
+    rep = EXPERIMENTS["table1"]()
     elapsed = time.perf_counter() - t0
     _verdict(2, rep.passed and elapsed < 300.0,
              "cell-based convergence table: orders and magnitudes",
@@ -81,7 +76,7 @@ def test_criterion_02_table1_cell_based():
 
 def test_criterion_03_table2_flux_based():
     t0 = time.perf_counter()
-    rep = run_table2()
+    rep = EXPERIMENTS["table2"]()
     elapsed = time.perf_counter() - t0
     plateau = [r["err_linf"] for r in rep.rows if r["scheme"] == "CS2"]
     plateau_ok = all(0.5 <= e / 3.5e-2 <= 2.0 for e in plateau)
@@ -146,8 +141,8 @@ def test_criterion_05_damping_matrix_closed_form():
 
 def test_criterion_06_wnorm_ratios():
     t0 = time.perf_counter()
-    rep = run_wnorm_study(schemes=("TW2",), ms=(20, 40, 80, 160, 320, 640),
-                          nus=(0.5, 1.0))
+    rep = EXPERIMENTS["fig3"](schemes=("TW2",), ms=(20, 40, 80, 160, 320, 640),
+                              nus=(0.5, 1.0))
     elapsed = time.perf_counter() - t0
     vals = {(r["nu"], r["m"]): r["norm_W"] for r in rep.rows}
     flat = [vals[(0.5, 2 * m)] / vals[(0.5, m)] for m in (80, 160, 320)]
@@ -189,12 +184,12 @@ def test_criterion_07_conservation_dichotomy():
 @pytest.mark.slow
 def test_criterion_08_burgers_shock_location():
     t0 = time.perf_counter()
-    rep = run_burgers_shock(m=2000)
+    rep = EXPERIMENTS["fig2"](m=2000)
     rows = {r["scheme"]: r for r in rep.rows}
     ok = rep.passed and rows["CS2"]["displacement_cells"] <= 5.0
     ok &= all(rows[s]["displacement_cells"] >= 10.0 for s in ("TW2", "SH2"))
-    rep4 = run_burgers_shock(schemes=("TW2", "SH2"), m=4000,
-                             include_reference=False)
+    rep4 = EXPERIMENTS["fig2"](schemes=("TW2", "SH2"), m=4000,
+                               include_reference=False)
     rows4 = {r["scheme"]: r for r in rep4.rows}
     ok &= all(rows4[s]["displacement_cells"] >= 10.0 for s in ("TW2", "SH2"))
     elapsed = time.perf_counter() - t0

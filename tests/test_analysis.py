@@ -17,7 +17,7 @@ from prk.analysis import (
     solve_W,
     stability_check,
 )
-from prk.decomposition import CellPartition, CellSplitParts
+from prk.decomposition import CellPartition, CellSplitParts, FluxPartition, FluxSplitParts
 from prk.harness import _wnorm_splitting
 from prk.spatial import upwind1d
 from prk.stepper import prk_step
@@ -25,6 +25,7 @@ from prk.tableau import (
     PRKTableau,
     builtin_names,
     builtin_tableau,
+    classical_order,
     simplifying_defects,
     stage_order,
 )
@@ -372,6 +373,39 @@ def test_predicted_error_matches_one_step_defect():
     pred = predicted_local_error(tab, ls, phis, dt, order=1)
     # truncation is one power of dt beyond the predicted term
     assert np.abs(defect - pred).max() < 10 * dt**2
+
+
+@settings(max_examples=30, deadline=None)
+@given(flux=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_predicted_error_matches_one_step_defect_on_cell_and_flux_splits(flux, seed, data):
+    # u' = L u on the periodic upwind grid, split by random cell or face
+    # masks; the exact phi_k^(j) = L_k L^j u0, so the expansion truncated
+    # after dt^p leaves a residual of order p + 1 against the true defect
+    from scipy.linalg import expm
+
+    m = 16
+    prob = upwind1d(m=m, boundary="periodic")
+    if flux:  # the wrapped interface is one face, so its two ends agree
+        faces = data.draw(arrays(bool, m + 1))
+        faces[-1] = faces[0]
+        parts = FluxSplitParts(prob.flux, FluxPartition((~faces, faces), prob.grid))
+    else:
+        parts = CellSplitParts(prob.rhs, CellPartition.two_region(data.draw(arrays(bool, m))))
+    Ls = linearize_parts(parts, m)
+    L = sum(Ls)
+    u0 = np.random.default_rng(seed).standard_normal(m)
+    for name in ("OS1", "CS2", "TW2", "SH2"):
+        tab = builtin_tableau(name)
+        p = classical_order(tab)
+        phis = [[Lk @ np.linalg.matrix_power(L, j) @ u0 for j in range(p)] for Lk in Ls]
+        residuals = []
+        for dt in (0.004, 0.002):  # dt |L| <= 0.13
+            defect = expm(dt * L) @ u0 - prk_step(tab, parts, 0.0, dt, u0)
+            pred = predicted_local_error(tab, LinearSplitting(tuple(dt * Lk for Lk in Ls)),
+                                         phis, dt, order=p)
+            residuals.append(np.abs(defect - pred).max())
+        slope = np.log2(residuals[0] / residuals[1])
+        assert abs(slope - (p + 1)) <= 0.25, (name, slope)
 
 
 def test_linear_in_time_solution_has_zero_defect_for_stage_order_one():

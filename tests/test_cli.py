@@ -133,13 +133,13 @@ def test_run_adv2d_rejects_unknown_config_keys(runner, tmp_path, line):
     (["run", "table1", "--schemes", "FE1"], "scheme(s) FE1 do not take 2 parts"),
     (["run", "adv2d-flux", "--schemes", "TW2,ETR2"], "scheme(s) ETR2 do not take 2 parts"),
     (["analyze", "--schemes", "ETR2"], "scheme(s) ETR2 do not take 2 parts"),
-    (["analyze", "--m", "20,abc"], "bad --m 'abc': not a number"),
+    (["analyze", "--m", "20,abc"], "bad --m 'abc': not a whole number"),
     (["analyze", "--nu", "0.5,fast"], "bad --nu 'fast': not a number"),
     (["analyze", "--m", "20,0"], "bad value ms=0: need a whole number of at least 2 cells"),
-    (["analyze", "--nu", "0.5,-1"], "bad value nus=-1: need a positive number"),
+    (["analyze", "--nu", "0.5,-1"], "bad value nus=-1.0: need a positive number"),
     (["analyze", "--m", "20,3700"], "bad value ms=3700: need at most 1073741824 bytes of "
                                     "dense analysis matrices, not 1.1e+09"),
-    (["analyze", "--nu", "true"], "bad value nus=True: need a positive number"),
+    (["analyze", "--nu", "true"], "bad --nu 'true': not a number"),
     (["run", "fig3", "--schemes", ""], "bad value schemes=('',): need a scheme name in entry 1"),
     (["analyze", "--schemes", ""], "bad value schemes=('',): need a scheme name in entry 1"),
     (["analyze", "--schemes", "TW2,,CS2"],
@@ -197,18 +197,19 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("experiment, config, message", [
-    ("table1", "ms=50.5", "bad value ms=50.5: need a whole number of at least 6 cells"),
+    ("table1", "ms=50.5", "bad config value ms='50.5': not a whole number"),
     ("table1", "ms=0", "bad value ms=0: need a whole number of at least 6 cells"),
-    ("table1", "nu=-1", "bad value nu=-1: need a positive number"),
+    ("table1", "nu=-1", "bad value nu=-1.0: need a positive number"),
     ("table1", "nu=0.3\nms=50", "bad value nu=0.3: need m/nu to be a whole number of steps "
                                 "at m=50"),
     ("fig1", "kind=edge", "bad value kind='edge': need cell or flux"),
-    ("fig2", "threshold=nan", "bad value threshold=nan: need a finite number"),
-    ("adv2d-cell", "reference_tol=-1", "bad value reference_tol=-1: need a positive number"),
-    ("adv2d-cell", "reference_tol=true",
-     "bad value reference_tol=True: need a positive number"),
-    ("table1", "nu=true", "bad value nu=True: need a positive number"),
-    ("fig2", "threshold=true", "bad value threshold=True: need a finite number"),
+    ("fig2", "threshold=nan", "bad partition: dynamic option threshold=nan must be finite"),
+    ("adv2d-cell", "reference_tol=-1", "bad value reference_tol=-1.0: need a positive number"),
+    ("adv2d-cell", "reference_tol=true", "bad config value reference_tol='true': not a number"),
+    ("table1", "nu=true", "bad config value nu='true': not a number"),
+    ("fig2", "threshold=true", "bad config value threshold='true': not a number"),
+    ("fig2", "include_reference=5", "bad config value include_reference='5': not true or false"),
+    ("table1", "quick=2", "bad config value quick='2': not true or false"),
     ("table1", "ms=100\nquick=true",
      "bad value ms=(100,): need a resolution at most half the largest, for --quick"),
     ("fig3", "ms=20\nquick=true",
@@ -232,11 +233,13 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("adv2d-cell", "ns=20,20", "bad value ns=(20, 20): need distinct resolutions"),
     ("adv2d-flux", "ns=40,41\nquick=true",
      "bad value ns=(40, 41): need distinct halves, for --quick"),
-    ("fig1", "m=11\nquick=true", "bad value m=11: need at least 12 cells, for --quick"),
-    ("fig2", "m=11\nquick=true", "bad value m=11: need at least 12 cells, for --quick"),
+    ("fig1", "m=11\nquick=true", "bad value m=11: need a resolution of at least 12 cells, "
+                                  "for --quick"),
+    ("fig2", "m=11\nquick=true", "bad value m=11: need a resolution of at least 12 cells, "
+                                  "for --quick"),
     ("fig2", "m=5\nquick=true", "bad value m=5: need a whole number of at least 6 cells"),
     ("adv2d-cell", "reference_tol=-1\nquick=true",
-     "bad value reference_tol=-1: need a positive number"),
+     "bad value reference_tol=-1.0: need a positive number"),
     ("table1", "schemes=TW2,tw2", "bad value schemes=('TW2', 'tw2'): need each scheme once"),
     ("fig2", "m=13", "bad value m=13: need a whole number of steps of 1/m to T=0.5 at m=13"),
     ("fig2", "m=26\nquick=true", "bad value m=26: need a whole number of steps of 1/m "
@@ -244,7 +247,8 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
     ("fig1", "m=101\nnu=0.3\nquick=true", "bad value nu=0.3: need m/nu to be a whole number "
                                           "of steps at m=50, half the given m=101 for --quick"),
 ], ids=["ms-float", "ms-zero", "nu-negative", "nu-steps", "kind", "threshold",
-        "reference-tol", "reference-tol-flag", "nu-flag", "threshold-flag",
+        "reference-tol", "reference-tol-flag", "nu-flag", "threshold-flag", "flag-number",
+        "quick-number",
         "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
         "steps-adv2d-nu-underflow", "repeated-ms-table1", "repeated-ms-table2-quick",
@@ -300,16 +304,47 @@ def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, mo
 
 
 def test_config_values_keep_their_types(tmp_path):
-    # the lines the benchmark writes, plus a name-valued key
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("ms=100,200,400,800\nnu=0.5\nm=2000\nns=50\nnus=0.5,2.0\n"
-                   "reference_tol=1e-9\nschemes=SH2,TW2,CS2\nkind=flux\nquick=true\n")
-    got = _load_config(str(cfg))
-    assert got == {"ms": (100, 200, 400, 800), "nu": 0.5, "m": 2000, "ns": 50,
-                   "nus": (0.5, 2.0), "reference_tol": 1e-9,
-                   "schemes": ("SH2", "TW2", "CS2"), "kind": "flux", "quick": True}
-    assert [type(v) for v in got["ms"] + got["nus"]] == [int] * 4 + [float] * 2
-    assert type(got["m"]) is int and type(got["nu"]) is float
+    # the lines the benchmark writes, plus a name-valued key and flags; each
+    # value is read by the type its experiment declares for the key
+    configs = {
+        "table1": ("ms=100,200,400,800\nnu=0.5\nschemes=SH2,TW2,CS2\nquick=true\n",
+                   {"ms": (100, 200, 400, 800), "nu": 0.5, "schemes": ("SH2", "TW2", "CS2"),
+                    "quick": True}),
+        "fig1": ("m=2000\nnu=1\nkind=flux\n", {"m": 2000, "nu": 1.0, "kind": "flux"}),
+        "fig2": ("threshold=1\ninclude_reference=False\n",
+                 {"threshold": 1.0, "include_reference": False}),
+        "adv2d-cell": ("ns=50\nnus=0.5,2\nreference_tol=1e-9\n",
+                       {"ns": (50,), "nus": (0.5, 2.0), "reference_tol": 1e-9}),
+    }
+    for experiment, (text, want) in configs.items():
+        cfg = tmp_path / f"{experiment}.txt"
+        cfg.write_text(text)
+        got = _load_config(str(cfg), prk.harness.EXPERIMENTS[experiment])
+        assert got == want
+        # ints stay ints, and an integer literal for a real key is read as a float
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("args, config", [
+    (["run", "table1", "--schemes", "TW2"], "ms=50,100\nnu={}\n"),
+    (["analyze", "--schemes", "TW2", "--m", "20,40", "--nu", "{}"], None),
+], ids=["run-table1", "analyze"])
+def test_integer_literals_of_real_keys_give_the_same_bytes(runner, tmp_path, args, config):
+    def output(nu):
+        out = tmp_path / nu
+        out.mkdir()
+        cmd = [a.format(nu) for a in args]
+        if config is not None:
+            cfg = out / "cfg.txt"
+            cfg.write_text(config.format(nu))
+            cmd += ["--config", str(cfg), "--out", str(out)]
+        else:
+            cmd += ["--out", str(out / "w.csv")]
+        result = runner.invoke(main, cmd)  # nu = 1 is off table1's published errors
+        assert result.exit_code in (0, 1) and "Error" not in result.output, result.output
+        return (out / ("table1.csv" if config else "w.csv")).read_bytes()
+
+    assert output("1") == output("1.0")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -19,7 +19,7 @@ from prk.decomposition import (
     mass,
     TrivialParts,
 )
-from prk.harness import STANDARD_PARTITIONS
+from prk.harness import PROBLEMS
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 from prk.stepper import IntegrationRun, integrate
 from prk.tableau import builtin_tableau, is_conservative
@@ -398,11 +398,11 @@ def test_ranges_and_2d_faces_need_their_grids():
 def test_standard_specs_reproduce_the_literal_partitions(m):
     g = advection1d_weno5(m).grid
     refined = ((g.x >= 0.125) & (g.x <= 0.375)) | ((g.x >= 0.625) & (g.x <= 0.875))
-    got = PartitionSpec.parse(STANDARD_PARTITIONS["adv1d"]).cells(g)
+    got = PartitionSpec.parse(PROBLEMS["adv1d"].partition).cells(g)
     assert np.array_equal(got.masks[0], ~refined) and np.array_equal(got.masks[1], refined)
 
     grid = advection2d(m // 5).grid
-    spec = PartitionSpec.parse(STANDARD_PARTITIONS["adv2d"])
+    spec = PartitionSpec.parse(PROBLEMS["adv2d"].partition)
     X, Y = np.meshgrid(grid.x, grid.y)
     coarse = np.abs(X - 0.5) + np.abs(Y - 0.5) <= 1.0 / 3.0
     cells = spec.cells(grid)
@@ -415,7 +415,7 @@ def test_standard_specs_reproduce_the_literal_partitions(m):
         assert all(np.array_equal(a, b) for a, b in zip(got_masks, want_masks))
 
     u = burgers_llf(m).initial
-    rule = PartitionSpec.parse(STANDARD_PARTITIONS["burgers"]).rule
+    rule = PartitionSpec.parse(PROBLEMS["burgers"].partition).rule
     assert all(np.array_equal(a, b) for a, b in
                zip(rule(u).masks, burgers_dynamic_partition(u, 0.125).masks))
 

@@ -21,15 +21,14 @@ from prk.harness import (
     BadArgument,
     check_schemes,
     courant_step,
+    EXPERIMENTS,
     estimate_order,
-    run_adv2d,
-    run_burgers_shock,
-    run_error_profile,
-    run_table1,
-    run_table2,
-    run_wnorm_study,
     shock_position,
 )
+
+run_table1, run_table2, run_wnorm_study = (EXPERIMENTS[k] for k in ("table1", "table2", "fig3"))
+run_error_profile, run_burgers_shock = EXPERIMENTS["fig1"], EXPERIMENTS["fig2"]
+run_adv2d = EXPERIMENTS["adv2d-cell"]
 
 
 def test_estimate_order_geometric():
@@ -123,7 +122,7 @@ def test_wnorm_study_quick_flags():
 
 @pytest.mark.slow
 def test_adv2d_cell_small_grids():
-    rep = run_adv2d(kind="cell", ns=(20, 40), nus=(0.5, 1.0),
+    rep = run_adv2d(ns=(20, 40), nus=(0.5, 1.0),
                     reference_tol=1e-8)
     # grids below the asymptotic range: the baseline check reports a skip,
     # the CS2-vs-TW2 growth is visible already
@@ -275,7 +274,7 @@ def first_integration(run):
 
 prk.harness.integrate = first_integration
 prk.stepper.reference_integrate = lambda *args, **kwargs: time.sleep(10)
-prk.harness.run_adv2d(ns=(20,), reference_tol=1e-8)
+prk.harness.EXPERIMENTS["adv2d-cell"](ns=(20,), reference_tol=1e-8)
 """
 
 

@@ -13,7 +13,7 @@ from prk.spatial import (
     norms,
     upwind1d,
 )
-from prk.harness import STANDARD_PARTITIONS, make_parts, parse_partition, run_case
+from prk.harness import PROBLEMS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
 from test_analysis import _bidiagonal
 from test_weno import _oracle_left, _oracle_right, lines
@@ -280,7 +280,7 @@ def test_adv2d_blow_up_step(kind, scheme, nu, step):
     # two unstable Courant numbers at n = 20: the step where the state
     # stops being finite pins the arithmetic of every evaluation before it
     p = advection2d(20)
-    parts = make_parts(p, kind, parse_partition(STANDARD_PARTITIONS["adv2d"], kind, "adv2d"))
+    parts = make_parts(p, kind, parse_partition(PROBLEMS["adv2d"].partition, kind, "adv2d"))
     dt = nu * p.grid.h / (2.0 * np.pi)
     with pytest.raises(IntegrationDiverged) as err:
         run_case(p, scheme, parts, dt, 2500 * dt)
