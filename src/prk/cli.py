@@ -111,11 +111,17 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
         sys.exit(1)
 
 
+def _fig3_default(key: str) -> str:
+    """The fig3 record's default of ``key``, as ``prk analyze --help`` shows it."""
+    return ",".join(map(str, inspect.unwrap(EXPERIMENTS["fig3"]).keys[key][1]))
+
+
 @main.command("analyze")
-@click.option("--schemes", default="TW2,CS2", show_default=True)
-@click.option("--m", "ms", default="20,40,80,160,320,640", show_default=True,
+@click.option("--schemes", show_default=_fig3_default("schemes"),
+              help="Comma-separated scheme names.")
+@click.option("--m", "ms", show_default=_fig3_default("ms"),
               help="Comma-separated resolutions.")
-@click.option("--nu", "nus", default="0.5,0.75,0.9,0.95,1.0", show_default=True,
+@click.option("--nu", "nus", show_default=_fig3_default("nus"),
               help="Comma-separated Courant numbers.")
 @click.option("--out", "outfile", default=None,
               help="CSV output file (default: stdout).")
@@ -128,7 +134,8 @@ def analyze_cmd(schemes, ms, nus, outfile):
     report = EXPERIMENTS["fig3"](**{
         key: _parse_value(raw, keys[key][0], where)
         for key, raw, where in (("schemes", schemes, "--schemes "), ("ms", ms, "--m "),
-                                ("nus", nus, "--nu "))})
+                                ("nus", nus, "--nu "))
+        if raw is not None})
     text = report.to_csv()
     if outfile:
         Path(outfile).write_text(text)

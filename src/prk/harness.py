@@ -394,7 +394,8 @@ def run_experiment(exp: Experiment, **overrides) -> ExperimentReport:
     and partition spec is checked before the first problem is built; a bad
     one raises :class:`BadArgument`."""
     exp.check_keys(overrides)
-    p = {key: default for key, (_, default) in exp.keys.items()} | overrides
+    p = {key: default for key, (_, default) in exp.keys.items()} | {
+        key: _as_float(exp.keys[key][0], value) for key, value in overrides.items()}
     p["schemes"] = check_schemes(p["schemes"])
     listed = isinstance(exp.keys[exp.grid][0], tuple)
     given = p[exp.grid]
@@ -416,6 +417,15 @@ def run_experiment(exp: Experiment, **overrides) -> ExperimentReport:
     report = ExperimentReport(exp.name, list(exp.columns), metadata=exp.metadata(p))
     (exp.loop or _scheme_loop)(exp, report, p)
     return report
+
+
+def _as_float(kind, value):
+    """A value of a real key, or of a list of reals, with each real read as
+    a float, as the command line reads it; any other value, a flag
+    included, as given, for the checks to refuse."""
+    if kind == (float,) and isinstance(value, (tuple, list)):
+        return type(value)(_as_float(float, v) for v in value)
+    return float(value) if kind is float and _is_real(value) else value
 
 
 def _scheme_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:

@@ -16,13 +16,35 @@ part of the split) followed by the mirror image of the line (or of the
 ``m + 1``, read backwards, the right bias; the 5 values between them,
 which no interface needs, are dropped.
 
-Each quantity of a line is computed once and read back through views:
-the multiples ``2w, 3w, 4w, 5w, 7w, 11w``, and the curvature term
-``13/12 ((a - 2b) + c)^2`` and central term ``0.25 (a - c)^2`` of every
-3-cell window, the curvature read at three shifts.
+Two kernels evaluate the formula with the same bits.  The compiled one,
+``weno5_left`` in ``_weno5.c``, does the numpy kernel's IEEE operations
+in the numpy kernel's order.  The first kernel call of a process builds
+it with the system ``cc -O3 -ffp-contract=off -fno-fast-math -shared
+-fPIC`` (no ``-march``, and no fused multiply-add, which rounds once
+where the numpy kernel rounds twice) into ``$XDG_CACHE_HOME/prk`` or
+``~/.cache/prk`` (mode 0700), or finds it there, and loads it with
+``ctypes``.  The library's name holds the sha256 of the source, the
+flags and ``platform.machine()``; a build goes to a temporary file that
+``os.replace`` moves into place.  Without a compiler, when the build
+fails, when the cache cannot be used or when the cached library is
+damaged, the process runs the numpy kernel, which is also the compiled
+one's bitwise oracle in the tests.  The choice is made once per process,
+with no option and no output; the read-only ``KERNEL`` (``"c"`` or
+``"numpy"``) says which kernel runs.  The compiled kernel raises no
+numpy floating-point warnings, so a diverging run can print fewer
+``RuntimeWarning`` lines; its values are the same.  Each line shape gets
+a plan of the compiled kernel that holds the line and its values, with
+the kernel's arguments bound once: taking an array's address costs
+about 0.7 us, and a call on 101 interfaces about 1.1 us in all.
 
-At the 1D experiments' sizes a kernel costs per numpy call, not per
-value.  So each line shape gets a plan that owns a buffer per quantity,
+The numpy kernel computes each quantity of a line once and reads it back
+through views: the multiples ``2w, 3w, 4w, 5w, 7w, 11w``, and the
+curvature term ``13/12 ((a - 2b) + c)^2`` and central term
+``0.25 (a - c)^2`` of every 3-cell window, the curvature read at three
+shifts.
+
+At the 1D experiments' sizes the numpy kernel costs per numpy call, not
+per value.  So each line shape gets a plan that owns a buffer per quantity,
 with the three weights and the three candidate values each stacked for
 one call, and every view the kernel reads.  A call copies its line in
 and returns fresh arrays.  Each numpy call is also dispatched at its
@@ -31,20 +53,26 @@ read-only 0-d float64 arrays (an operation takes about 160 ns with one,
 290-330 ns with a numpy or Python float), outputs go by position (25 ns
 less than ``out=``), and the plan holds the linear weights at the full
 shape of the weights they divide (220 ns, 670 ns broadcast).  A
-plan holds about 18 floats per value of its line.  Plans are cached by
-shape up to a fixed budget of bytes, and the oldest go first when a new
-one does not fit; a plan larger than the budget is built, used and not
-kept.  The cache is not safe for two threads at once, and a forked
-process gets its own copy.
+plan holds about 18 floats per value of its line.
+
+Each kernel caches its plans by shape up to a fixed budget of bytes,
+and the oldest go first when a new one does not fit; a plan larger than
+the budget is built, used and not kept.  The cache is not safe for two
+threads at once, and a forked process gets its own copy.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["WENO_EPS", "pad_periodic", "edge_from_left", "interface_states", "llf_split_flux"]
+__all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
+           "llf_split_flux"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
@@ -77,19 +105,67 @@ def _periodic_index(m: int) -> np.ndarray:
     return index
 
 
-class _Plan:
-    """The buffers and views of one line shape.  ``load`` copies a line
-    in, ``load_mirrored`` fills the two halves of the line, and both form
-    the multiples and central terms; ``edge`` evaluates the left bias."""
+class _Line:
+    """The input buffer of one line shape.  ``load`` copies a line in and
+    ``load_mirrored`` fills the two halves of the line; both then call
+    ``_form``, and ``edge`` evaluates the left bias of what was loaded."""
 
     def __init__(self, shape: tuple):
         _check_line(shape)
+        self.line = np.empty(shape)
+        # the two halves of an even line, the second one back to front
+        half = shape[-1] // 2
+        self.halves = self.line[..., :half], self.line[..., half:][..., ::-1]
+
+    def load(self, values) -> _Line:
+        """Copy a line in."""
+        np.copyto(self.line, values)
+        return self._form()
+
+    def load_mirrored(self, first, second) -> _Line:
+        """Copy ``first`` into the first half of the line and the mirror
+        image of ``second`` into the second half."""
+        head, tail = self.halves
+        np.copyto(head, first)
+        np.copyto(tail, second)
+        return self._form()
+
+    def _form(self) -> _Line:
+        return self
+
+
+class _CompiledPlan(_Line):
+    """A line and its values for the compiled kernel, whose arguments are
+    bound once: the two buffers' addresses, the number of lines and the
+    line length."""
+
+    def __init__(self, shape: tuple, kernel):
+        super().__init__(shape)
+        self.values = np.empty(shape[:-1] + (shape[-1] - 5,))
+        self.nbytes = _PLAN_OBJECT_BYTES + self.line.nbytes + self.values.nbytes
+        lines = self.line.size // shape[-1]
+        args = self.line.ctypes.data, lines, shape[-1], self.values.ctypes.data
+        self.run = functools.partial(kernel, *(kind(a) for kind, a in zip(kernel.argtypes, args)))
+
+    def edge(self) -> np.ndarray:
+        """Left-biased WENO5 values at every interface of the loaded line,
+        bitwise those of :meth:`_Plan.edge`."""
+        self.run()
+        return self.values.copy()
+
+
+class _Plan(_Line):
+    """The numpy kernel's buffers and views of one line shape.  ``_form``
+    forms the multiples and central terms of a loaded line."""
+
+    def __init__(self, shape: tuple):
+        super().__init__(shape)
         lead, length, n = shape[:-1], shape[-1], shape[-1] - 5
         axes = (1,) * len(shape)
         self.factors = np.reshape([2.0, 3.0, 4.0, 5.0, 7.0, 11.0], (6,) + axes)
         alpha, p = np.empty((3,) + lead + (n,)), np.empty((3,) + lead + (n,))
         self.gammas = np.broadcast_to(np.reshape([0.1, 0.6, 0.3], (3,) + axes), alpha.shape).copy()
-        w, self.multiples = np.empty(shape), np.empty((6,) + shape)
+        w, self.multiples = self.line, np.empty((6,) + shape)
         w2, w3, w4, w5, w7, w11 = self.multiples
         # the stacked rows, the outer weights 0 and 2, and every single row
         self.rows = (alpha, alpha[::2], *alpha, p, *p)
@@ -103,10 +179,7 @@ class _Plan:
 
         # the first, doubled middle and last cell of every 3-cell window
         lo, mid, hi = cut(w, 0, length - 2), cut(w2, 1, length - 2), cut(w, 2, length - 2)
-        self.shared = w, lo, hi, central
-        # the two halves of an even line, the second one back to front
-        half = length // 2
-        self.halves = w[..., :half], w[..., half:][..., ::-1]
+        self.shared = lo, hi, central
         # curv[j] and central[j] are the terms of the window centred on
         # cell j + 1; interface k reads cells k..k+4 as (a, b, c, d, e)
         self.views = (lo, mid, hi, curv,
@@ -115,23 +188,10 @@ class _Plan:
                       cut(w2, 0), cut(w7, 1), cut(w11, 2),
                       cut(w5, 2), cut(w, 1), cut(w2, 3), cut(w2, 2), cut(w5, 3))
 
-    def load(self, values) -> _Plan:
-        """Copy a line in and form its multiples and central terms."""
-        np.copyto(self.shared[0], values)
-        return self._form()
-
-    def load_mirrored(self, first, second) -> _Plan:
-        """Copy ``first`` into the first half of the line and the mirror
-        image of ``second`` into the second half, and form the multiples
-        and central terms."""
-        head, tail = self.halves
-        np.copyto(head, first)
-        np.copyto(tail, second)
-        return self._form()
-
     def _form(self) -> _Plan:
-        w, lo, hi, central = self.shared
-        np.multiply(self.factors, w, self.multiples)
+        """Form the multiples and central terms of the loaded line."""
+        lo, hi, central = self.shared
+        np.multiply(self.factors, self.line, self.multiples)
         np.subtract(lo, hi, central)
         np.multiply(central, central, central)
         np.multiply(central, _QUARTER, central)
@@ -201,12 +261,12 @@ class _PlanCache(dict):
     """Plans by line shape, holding at most ``budget`` bytes of plans in
     all and dropping the oldest first; a larger plan is built and not kept."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, build=_Plan):
         super().__init__()
-        self.budget, self.nbytes = budget, 0
+        self.budget, self.nbytes, self.build = budget, 0, build
 
-    def __missing__(self, shape: tuple) -> _Plan:
-        plan = _Plan(shape)
+    def __missing__(self, shape: tuple) -> _Line:
+        plan = self.build(shape)
         if plan.nbytes <= self.budget:
             self.nbytes += plan.nbytes
             while self.nbytes > self.budget:
@@ -216,6 +276,96 @@ class _PlanCache(dict):
 
 
 _plans = _PlanCache(_PLAN_CACHE_BYTES)
+
+_SOURCE = Path(__file__).with_name("_weno5.c")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+
+def _compiled_kernel():
+    """``weno5_left`` of ``_weno5.c``, compiled by the system ``cc`` into
+    the user's cache on first use; None if it cannot be built or loaded.
+
+    A library's name holds the digest of its source, flags and machine,
+    and the digest of its own bytes, which is checked before it is loaded:
+    loading a damaged library can kill the process."""
+    import ctypes
+    import platform
+    import tempfile
+
+    try:
+        base = os.environ.get("XDG_CACHE_HOME", "")
+        cache = (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "prk"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        owner = cache.stat()
+        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+            raise PermissionError(f"{cache} is writable by other users")
+        stem = "weno5-" + _digest(_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+                                  platform.machine().encode())
+        found = sorted(cache.glob(stem + "-*.so"))
+        if not found:
+            # build under a temporary name, so no process loads a partial file
+            fd, built = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                _compile(built)
+                found = [cache / f"{stem}-{_digest(Path(built).read_bytes())}.so"]
+                os.replace(built, found[0])
+            finally:
+                Path(built).unlink(missing_ok=True)
+        library = found[0]
+        if library.name != f"{stem}-{_digest(library.read_bytes())}.so":
+            raise OSError(f"{library} does not match its digest")
+        kernel = ctypes.CDLL(str(library)).weno5_left
+    except (OSError, RuntimeError):
+        return None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_void_p)
+    kernel.restype = None
+    return kernel
+
+
+def _compile(target: str) -> None:
+    """Compile ``_weno5.c`` into the library ``target``, or raise OSError."""
+    import subprocess
+
+    try:
+        subprocess.run(["cc", *_CFLAGS, "-o", target, str(_SOURCE)], check=True,
+                       stdin=subprocess.DEVNULL, capture_output=True, timeout=300)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc failed: {exc}") from None
+
+
+def _digest(*parts: bytes) -> str:
+    """The first 16 hex digits of the sha256 of ``parts``.  CPython's own
+    sha256 module is preferred, as ``random`` does for sha512: ``hashlib``
+    loads OpenSSL, 3.6 MB of resident memory."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(b"\0".join(parts)).hexdigest()[:16]
+
+
+@functools.cache
+def _kernel_plans() -> _PlanCache:
+    """The plan cache of this process's kernel, chosen at the first call:
+    the compiled kernel if it builds and loads, else the numpy kernel."""
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _plans
+    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_CompiledPlan, kernel=kernel))
+
+
+class _Module(types.ModuleType):
+    @property
+    def KERNEL(self) -> str:
+        """``"c"`` or ``"numpy"``: the kernel this process uses."""
+        return "numpy" if _kernel_plans().build is _Plan else "c"
+
+
+sys.modules[__name__].__class__ = _Module
 
 
 def _check_line(shape: tuple) -> None:
@@ -227,7 +377,7 @@ def _check_line(shape: tuple) -> None:
 def _mirrored_plan(shape: tuple) -> _Plan:
     """The plan of a line of shape ``shape`` followed by a mirror image."""
     _check_line(shape)
-    return _plans[shape[:-1] + (2 * shape[-1],)]
+    return _kernel_plans()[shape[:-1] + (2 * shape[-1],)]
 
 
 def edge_from_left(w: np.ndarray) -> np.ndarray:
@@ -237,7 +387,7 @@ def edge_from_left(w: np.ndarray) -> np.ndarray:
     the reconstruction at the right edge of cell ``i-1`` (the upwind value
     for positive wind).
     """
-    return _plans[w.shape].load(w).edge()
+    return _kernel_plans()[w.shape].load(w).edge()
 
 
 def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Command-line surface: experiment runner, analyzer, generic integrator."""
 
+import inspect
+
 import pytest
 from click.testing import CliRunner
 
@@ -325,11 +327,14 @@ def test_config_values_keep_their_types(tmp_path):
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
-@pytest.mark.parametrize("args, config", [
-    (["run", "table1", "--schemes", "TW2"], "ms=50,100\nnu={}\n"),
-    (["analyze", "--schemes", "TW2", "--m", "20,40", "--nu", "{}"], None),
+@pytest.mark.parametrize("args, config, call", [
+    (["run", "table1", "--schemes", "TW2"], "ms=50,100\nnu={}\n",
+     lambda nu: prk.harness.EXPERIMENTS["table1"](schemes=("TW2",), ms=(50, 100), nu=nu)),
+    (["analyze", "--schemes", "TW2", "--m", "20,40", "--nu", "{}"], None,
+     lambda nu: prk.harness.EXPERIMENTS["fig3"](schemes=("TW2",), ms=(20, 40), nus=[nu])),
 ], ids=["run-table1", "analyze"])
-def test_integer_literals_of_real_keys_give_the_same_bytes(runner, tmp_path, args, config):
+def test_integer_literals_of_real_keys_give_the_same_bytes(runner, tmp_path, args, config,
+                                                           call):
     def output(nu):
         out = tmp_path / nu
         out.mkdir()
@@ -344,7 +349,23 @@ def test_integer_literals_of_real_keys_give_the_same_bytes(runner, tmp_path, arg
         assert result.exit_code in (0, 1) and "Error" not in result.output, result.output
         return (out / ("table1.csv" if config else "w.csv")).read_bytes()
 
-    assert output("1") == output("1.0")
+    cli = output("1.0")
+    assert output("1") == cli
+    # a Python caller's integer literal is read as a float too
+    assert call(1).to_csv().encode() == call(1.0).to_csv().encode() == cli
+
+
+def test_analyze_follows_the_fig3_records_defaults(runner, monkeypatch):
+    keys = inspect.unwrap(prk.harness.EXPERIMENTS["fig3"]).keys
+    assert "[default: (20,40,80,160,320,640)]" in " ".join(
+        runner.invoke(main, ["analyze", "--help"]).output.split())
+    monkeypatch.setitem(keys, "ms", ((int,), (20, 40)))
+    monkeypatch.setitem(keys, "nus", ((float,), (0.5,)))
+    out = runner.invoke(main, ["analyze", "--schemes", "TW2"])
+    assert out.exit_code == 0, out.output
+    rows = [line.split(",") for line in out.output.splitlines()
+            if line.startswith("TW2,")]
+    assert [(m, nu) for _, m, nu, *_ in rows] == [("20", "0.5"), ("40", "0.5")]
 
 
 @pytest.mark.parametrize("text, message", [

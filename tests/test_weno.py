@@ -1,7 +1,14 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
 mirror symmetry, the split-flux path, bitwise equality with the textbook
-evaluation order, input checks, fresh results from reused plans, and the
-byte budget of the plan cache."""
+evaluation order, input checks, fresh results from reused plans, the
+byte budget of the plan cache, the compiled kernel bitwise equal to the
+numpy kernel, and the numpy fallback when the compiled one cannot load."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +381,165 @@ def test_plan_larger_than_the_budget_is_used_and_not_kept():
     _assert_bitwise(edge_from_left(w), _oracle_left(w))
     assert weno._plans == kept
     _assert_counted(weno._plans)
+
+
+# ----------------------------------------------------------------------
+# the compiled kernel and the numpy kernel it falls back to
+# ----------------------------------------------------------------------
+
+def _compiled_plans():
+    plans = weno._kernel_plans()
+    if plans is weno._plans:
+        pytest.skip("the compiled kernel does not build or load here")
+    return plans
+
+
+def _run_on(plans, kernel, *args):
+    """``kernel(*args)`` on the plans of one kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weno, "_kernel_plans", lambda: plans)
+        return kernel(*args)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def each_kernel(request, monkeypatch):
+    """The compiled kernel, then the numpy kernel, each on fresh plans."""
+    build = _compiled_plans().build if request.param == "c" else weno._Plan
+    plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, build)
+    monkeypatch.setattr(weno, "_kernel_plans", lambda: plans)
+    return request.param
+
+
+@pytest.mark.parametrize("case", [
+    test_kernels_bitwise_equal_on_transposed_lines,
+    test_read_only_line_is_never_written,
+    test_results_keep_their_bytes_after_later_calls_on_the_shape,
+    test_interface_states_outputs_share_no_memory,
+    test_writing_into_u_minus_changes_neither_u_plus_nor_a_later_call,
+], ids=lambda case: case.__name__[len("test_"):])
+def test_each_kernel_passes(each_kernel, case):
+    case()
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_each_kernel_keeps_the_oracle_bits_on_any_layout(each_kernel, layout):
+    w = _LAYOUTS[layout]
+    _assert_bitwise(edge_from_left(w), _oracle_left(w))
+    test_mirrored_pass_bitwise_equal_textbook_order_on_any_layout(layout)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_each_kernel_rejects_short_lines(each_kernel, kernel):
+    for length in (0, 1, 3, 4, 5):
+        test_short_lines_are_rejected(kernel, length)
+    test_0d_input_is_rejected(kernel)
+
+
+# signed zeros, subnormals, the extremes of the normal range and integers
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300,
+            -1e300, 1.0, -7.0)
+
+
+@st.composite
+def wide_lines(draw):
+    """Padded lines of 6 to 3000 values, alone or under lead shapes (2,)
+    and (3, 2), each value drawn from the chosen mix of special values,
+    integers, normal values and normal values scaled by up to 1e+-300."""
+    shape = draw(st.sampled_from([(), (2,), (3, 2)])) + (draw(st.integers(6, 3000)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = (rng.choice(_SPECIAL, shape),
+               rng.integers(-60, 61, shape).astype(float),
+               rng.standard_normal(shape),
+               rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape))
+    mix = sorted(draw(st.sets(st.integers(0, len(sources) - 1), min_size=1)))
+    return np.choose(rng.choice(mix, shape), sources)
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_lines(), st.floats(0.0, 4.0))
+def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha):
+    compiled = _compiled_plans()
+    numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES)
+    calls = [(edge_from_left, w), (interface_states, w), (llf_split_flux, w, w[..., ::-1], alpha)]
+    with np.errstate(all="ignore"):  # +-1e300 overflows to inf and NaN in both
+        for kernel, *args in calls:
+            got, want = (np.asarray(_run_on(plans, kernel, *args))
+                         for plans in (compiled, numpy_plans))
+            _assert_bitwise(got, want)
+
+
+# A fresh process runs the three kernels, then the numpy kernel on the same
+# lines, and writes KERNEL and whether the bytes agree.
+_PROBE = """
+import sys
+import numpy as np
+from prk import weno
+
+def values():
+    w = np.linspace(-1.0, 2.0, 120).reshape(3, 40) ** 3
+    out = [weno.edge_from_left(w), *weno.interface_states(w), weno.llf_split_flux(w, w, 0.5)]
+    return b"".join(v.tobytes() for v in out)
+
+first, kernel = values(), weno.KERNEL
+weno._kernel_plans = lambda: weno._plans
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{kernel} {values() == first}")
+"""
+
+
+def _probe(tmp_path, cache, path=None) -> str:
+    """What the probe writes, run on the cache directory ``cache`` with
+    ``path`` for PATH; the process must print nothing."""
+    out = tmp_path / "probe.txt"
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=str(Path(weno.__file__).parents[1]))
+    if path is not None:
+        env["PATH"] = str(path)
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(out)], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    return out.read_text()
+
+
+def _bin(tmp_path, cc=None) -> Path:
+    """A directory for PATH holding only ``cc`` as a shell script, if given."""
+    path = tmp_path / "bin"
+    path.mkdir()
+    if cc is not None:
+        (path / "cc").write_text(f"#!/bin/sh\n{cc}\n")
+        (path / "cc").chmod(0o755)
+    return path
+
+
+def test_no_compiler_falls_back_to_numpy(tmp_path):
+    assert _probe(tmp_path, tmp_path / "cache", _bin(tmp_path)) == "numpy True"
+
+
+def test_a_failing_compiler_falls_back_to_numpy(tmp_path):
+    path = _bin(tmp_path, "echo 'cc: error: no' >&2; exit 1")
+    assert _probe(tmp_path, tmp_path / "cache", path) == "numpy True"
+    assert list((tmp_path / "cache" / "prk").iterdir()) == []  # no temporary file is left
+
+
+def test_an_unwritable_cache_falls_back_to_numpy(tmp_path):
+    (tmp_path / "file").write_text("")  # the cache would be a directory under a file
+    assert _probe(tmp_path, tmp_path / "file") == "numpy True"
+
+
+def test_a_cache_others_can_write_to_falls_back_to_numpy(tmp_path):
+    (tmp_path / "cache" / "prk").mkdir(parents=True)
+    (tmp_path / "cache" / "prk").chmod(0o777)
+    assert _probe(tmp_path, tmp_path / "cache") == "numpy True"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_the_cache_serves_later_processes_and_a_damaged_library_falls_back(tmp_path):
+    cache = tmp_path / "cache"
+    assert _probe(tmp_path, cache) == "c True"
+    (library,) = (cache / "prk").iterdir()
+    assert (cache / "prk").stat().st_mode & 0o777 == 0o700
+    # a second process loads the library without a compiler on PATH
+    assert _probe(tmp_path, cache, _bin(tmp_path)) == "c True"
+    # loading a truncated library would kill the process
+    os.truncate(library, library.stat().st_size // 2)
+    assert _probe(tmp_path, cache) == "numpy True"
