@@ -5,7 +5,7 @@
    Interface k reads the cells k..k+4 as (a, b, c, d, e).
 
    Every value is computed by the same IEEE operations, in the same order,
-   as the numpy kernel `prk.weno._Plan.edge`, so the two give the same
+   as its numpy twin `prk.weno._numpy_left`, so the two give the same
    bits.  That holds only when the compiler keeps the order: build with
    -ffp-contract=off (no fused multiply-add) and without fast-math.  */
 

@@ -5,7 +5,7 @@ ghost cells on each side, so a line of ``m`` cells comes in with length
 ``m + 6`` (at least 6) and produces values at the ``m + 1`` interfaces.
 
 The kernels are bitwise equal to the textbook evaluation of the five-cell
-formula (Jiang & Shu's indicators, written out in ``_Plan.edge``), and
+formula (Jiang & Shu's indicators, written out in :func:`_numpy_left`), and
 that equality is part of their contract.  Only the left bias is ever
 evaluated.  The right-biased value of a line is bitwise the left-biased
 value of its mirror image, which hands the formula the same cells in the
@@ -16,48 +16,31 @@ part of the split) followed by the mirror image of the line (or of the
 ``m + 1``, read backwards, the right bias; the 5 values between them,
 which no interface needs, are dropped.
 
-Two kernels evaluate the formula with the same bits.  The compiled one,
-``weno5_left`` in ``_weno5.c``, does the numpy kernel's IEEE operations
-in the numpy kernel's order.  The first kernel call of a process builds
-it with the system ``cc -O3 -ffp-contract=off -fno-fast-math -shared
--fPIC`` (no ``-march``, and no fused multiply-add, which rounds once
-where the numpy kernel rounds twice) into ``$XDG_CACHE_HOME/prk`` or
+Two kernels evaluate the formula with the same bits, and read as one
+program: ``weno5_left`` in ``_weno5.c`` and its numpy twin
+:func:`_numpy_left`, which does the same IEEE operations in the same
+order with the same helpers.  The first kernel call of a process builds
+the C one with the system ``cc -O3 -ffp-contract=off -fno-fast-math
+-shared -fPIC`` (no ``-march``, and no fused multiply-add, which rounds
+once where the twin rounds twice) into ``$XDG_CACHE_HOME/prk`` or
 ``~/.cache/prk`` (mode 0700), or finds it there, and loads it with
-``ctypes``.  The library's name holds the sha256 of the source, the
-flags and ``platform.machine()``; a build goes to a temporary file that
-``os.replace`` moves into place.  Without a compiler, when the build
-fails, when the cache cannot be used or when the cached library is
-damaged, the process runs the numpy kernel, which is also the compiled
-one's bitwise oracle in the tests.  The choice is made once per process,
-with no option and no output; the read-only ``KERNEL`` (``"c"`` or
-``"numpy"``) says which kernel runs.  The compiled kernel raises no
-numpy floating-point warnings, so a diverging run can print fewer
-``RuntimeWarning`` lines; its values are the same.  Each line shape gets
-a plan of the compiled kernel that holds the line and its values, with
-the kernel's arguments bound once: taking an array's address costs
-about 0.7 us, and a call on 101 interfaces about 1.1 us in all.
+``ctypes`` (:func:`_compiled_kernel` keeps that cache).  Without a
+compiler, when the build fails or when the cache cannot be used, the
+process runs the numpy twin, the compiled kernel's bitwise oracle in
+the tests.  The choice is made once per process, with no option and no
+output; the read-only ``KERNEL`` (``"c"`` or ``"numpy"``) says which
+kernel runs.  The compiled kernel raises no numpy floating-point
+warnings, so a diverging run can print fewer ``RuntimeWarning`` lines;
+its values are the same.  The twin is written to be read next to the
+C, not for speed: per :func:`edge_from_left` call it takes 3 to 18
+times as long as the C kernel, the most on short lines (timings in the
+README).
 
-The numpy kernel computes each quantity of a line once and reads it back
-through views: the multiples ``2w, 3w, 4w, 5w, 7w, 11w``, and the
-curvature term ``13/12 ((a - 2b) + c)^2`` and central term
-``0.25 (a - c)^2`` of every 3-cell window, the curvature read at three
-shifts.
-
-At the 1D experiments' sizes the numpy kernel costs per numpy call, not
-per value.  So each line shape gets a plan that owns a buffer per quantity,
-with the three weights and the three candidate values each stacked for
-one call, and every view the kernel reads.  A call copies its line in
-and returns fresh arrays.  Each numpy call is also dispatched at its
-cheapest (numpy 2.4.6, m = 100, 2-vCPU AMD EPYC): constants are
-read-only 0-d float64 arrays (an operation takes about 160 ns with one,
-290-330 ns with a numpy or Python float), outputs go by position (25 ns
-less than ``out=``), and the plan holds the linear weights at the full
-shape of the weights they divide (220 ns, 670 ns broadcast).  A
-plan holds about 18 floats per value of its line.
-
-Each kernel caches its plans by shape up to a fixed budget of bytes,
-and the oldest go first when a new one does not fit; a plan larger than
-the budget is built, used and not kept.  The cache is not safe for two
+Each line shape gets a plan that holds the line and its values, about 2
+floats per value; a call copies its line in and returns a fresh array.
+Each kernel caches its plans by shape up to a fixed budget of bytes, and
+the oldest go first when a new one does not fit; a plan larger than the
+budget is built, used and not kept.  The cache is not safe for two
 threads at once, and a forked process gets its own copy.
 """
 
@@ -78,12 +61,11 @@ WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
 # a float as a read-only 0-d float64 array, the cheapest constant operand
 _constant = functools.partial(np.broadcast_to, shape=())
-_CURVATURE, _QUARTER, _EPS, _SIX = map(_constant, (13.0 / 12.0, 0.25, WENO_EPS, 6.0))
 
 # The plan cache keeps at most this many bytes of plans.  A plan is charged
-# its buffers and 6 KB for its views and array headers (measured with
-# tracemalloc: about 5.3 KB).  The package's own plans, a few per run on
-# lines of at most 8192 values, take under 1 MB each.
+# its buffers and 6 KB for the rest (measured with tracemalloc: about 0.8 KB
+# for a numpy plan, 1.5 KB for a compiled one).  The package's own plans, a
+# few per run on lines of at most 8192 values, take under 1 MB each.
 _PLAN_CACHE_BYTES = 32 * 2**20
 _PLAN_OBJECT_BYTES = 6144
 
@@ -105,156 +87,87 @@ def _periodic_index(m: int) -> np.ndarray:
     return index
 
 
-class _Line:
-    """The input buffer of one line shape.  ``load`` copies a line in and
-    ``load_mirrored`` fills the two halves of the line; both then call
-    ``_form``, and ``edge`` evaluates the left bias of what was loaded."""
+class _Plan:
+    """The line and values of one line shape, and ``run``, the call of
+    ``kernel`` (the compiled ``weno5_left``, or :func:`_numpy_left` if
+    None) that fills the values from the line, its arguments bound once:
+    taking an array's address costs about 0.7 us."""
 
-    def __init__(self, shape: tuple):
+    def __init__(self, shape: tuple, kernel=None):
         _check_line(shape)
         self.line = np.empty(shape)
+        self.values = np.empty(shape[:-1] + (shape[-1] - 5,))
         # the two halves of an even line, the second one back to front
         half = shape[-1] // 2
         self.halves = self.line[..., :half], self.line[..., half:][..., ::-1]
+        self.nbytes = _PLAN_OBJECT_BYTES + self.line.nbytes + self.values.nbytes
+        if kernel is None:
+            self.run = functools.partial(_numpy_left, self.line, self.values)
+        else:
+            lines = self.line.size // shape[-1]
+            args = self.line.ctypes.data, lines, shape[-1], self.values.ctypes.data
+            self.run = functools.partial(
+                kernel, *(kind(a) for kind, a in zip(kernel.argtypes, args)))
 
-    def load(self, values) -> _Line:
+    def load(self, values) -> _Plan:
         """Copy a line in."""
         np.copyto(self.line, values)
-        return self._form()
+        return self
 
-    def load_mirrored(self, first, second) -> _Line:
+    def load_mirrored(self, first, second) -> _Plan:
         """Copy ``first`` into the first half of the line and the mirror
         image of ``second`` into the second half."""
         head, tail = self.halves
         np.copyto(head, first)
         np.copyto(tail, second)
-        return self._form()
-
-    def _form(self) -> _Line:
         return self
 
-
-class _CompiledPlan(_Line):
-    """A line and its values for the compiled kernel, whose arguments are
-    bound once: the two buffers' addresses, the number of lines and the
-    line length."""
-
-    def __init__(self, shape: tuple, kernel):
-        super().__init__(shape)
-        self.values = np.empty(shape[:-1] + (shape[-1] - 5,))
-        self.nbytes = _PLAN_OBJECT_BYTES + self.line.nbytes + self.values.nbytes
-        lines = self.line.size // shape[-1]
-        args = self.line.ctypes.data, lines, shape[-1], self.values.ctypes.data
-        self.run = functools.partial(kernel, *(kind(a) for kind, a in zip(kernel.argtypes, args)))
-
     def edge(self) -> np.ndarray:
-        """Left-biased WENO5 values at every interface of the loaded line,
-        bitwise those of :meth:`_Plan.edge`."""
+        """Left-biased WENO5 values at every interface of the loaded line."""
         self.run()
         return self.values.copy()
 
 
-class _Plan(_Line):
-    """The numpy kernel's buffers and views of one line shape.  ``_form``
-    forms the multiples and central terms of a loaded line."""
+def _curvature(a, b, c):
+    """13/12 ((a - 2b) + c)^2: the curvature term of the window (a, b, c)."""
+    t = (a - 2.0 * b) + c
+    return (t * t) * (13.0 / 12.0)
 
-    def __init__(self, shape: tuple):
-        super().__init__(shape)
-        lead, length, n = shape[:-1], shape[-1], shape[-1] - 5
-        axes = (1,) * len(shape)
-        self.factors = np.reshape([2.0, 3.0, 4.0, 5.0, 7.0, 11.0], (6,) + axes)
-        alpha, p = np.empty((3,) + lead + (n,)), np.empty((3,) + lead + (n,))
-        self.gammas = np.broadcast_to(np.reshape([0.1, 0.6, 0.3], (3,) + axes), alpha.shape).copy()
-        w, self.multiples = self.line, np.empty((6,) + shape)
-        w2, w3, w4, w5, w7, w11 = self.multiples
-        # the stacked rows, the outer weights 0 and 2, and every single row
-        self.rows = (alpha, alpha[::2], *alpha, p, *p)
-        terms = np.empty((2,) + lead + (length - 2,))
-        central, curv = terms
-        self.nbytes = _PLAN_OBJECT_BYTES + sum(
-            b.nbytes for b in (w, self.multiples, alpha, p, self.gammas, terms))
 
-        def cut(values, start, size=n):
-            return values[..., start:start + size]
+def _quarter_square(t):
+    return (t * t) * 0.25
 
-        # the first, doubled middle and last cell of every 3-cell window
-        lo, mid, hi = cut(w, 0, length - 2), cut(w2, 1, length - 2), cut(w, 2, length - 2)
-        self.shared = lo, hi, central
-        # curv[j] and central[j] are the terms of the window centred on
-        # cell j + 1; interface k reads cells k..k+4 as (a, b, c, d, e)
-        self.views = (lo, mid, hi, curv,
-                      cut(w, 0), cut(w4, 1), cut(w3, 2), cut(w4, 3), cut(w, 4),
-                      cut(curv, 0), cut(curv, 1), cut(central, 1), cut(curv, 2),
-                      cut(w2, 0), cut(w7, 1), cut(w11, 2),
-                      cut(w5, 2), cut(w, 1), cut(w2, 3), cut(w2, 2), cut(w5, 3))
 
-    def _form(self) -> _Plan:
-        """Form the multiples and central terms of the loaded line."""
-        lo, hi, central = self.shared
-        np.multiply(self.factors, self.line, self.multiples)
-        np.subtract(lo, hi, central)
-        np.multiply(central, central, central)
-        np.multiply(central, _QUARTER, central)
-        return self
+def _weight(gamma, beta):
+    t = beta + WENO_EPS
+    return gamma / (t * t)
 
-    def edge(self) -> np.ndarray:
-        """Left-biased WENO5 values at every interface of the loaded line.
 
-        With ``(a, b, c, d, e)`` the cells ``k..k+4`` of interface ``k``
-        this evaluates
+def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
+    """``weno5_left`` of ``_weno5.c`` in numpy, by the same IEEE operations
+    in the same order: with ``(a, b, c, d, e)`` the cells ``k..k+4`` of
+    interface ``k`` of the padded lines ``w``, ``out[k]`` is
 
-            p0 = (2a - 7b + 11c) / 6
-            p1 = (-b + 5c + 2d) / 6
-            p2 = (2c + 5d - e) / 6
-            beta0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2
-            beta1 = 13/12 (b - 2c + d)^2 + 1/4 (b - d)^2
-            beta2 = 13/12 (c - 2d + e)^2 + 1/4 (3c - 4d + e)^2
-            alpha_k = gamma_k / (eps + beta_k)^2
-            value = (alpha0 p0 + alpha1 p1 + alpha2 p2) / (alpha0 + alpha1 + alpha2)
+        p0 = (2a - 7b + 11c) / 6
+        p1 = (-b + 5c + 2d) / 6
+        p2 = (2c + 5d - e) / 6
+        beta0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2
+        beta1 = 13/12 (b - 2c + d)^2 + 1/4 (b - d)^2
+        beta2 = 13/12 (c - 2d + e)^2 + 1/4 (3c - 4d + e)^2
+        alpha_k = gamma_k / (eps + beta_k)^2
+        (alpha0 p0 + alpha1 p1 + alpha2 p2) / (alpha0 + alpha1 + alpha2)
 
-        left to right, in place.  Commuting the two operands of one ``+``
-        or ``*`` is exact, and ``-b + 5c`` is ``5c - b`` exactly.
-        """
-        (lo, mid, hi, curv, wa, w4b, w3c, w4d, we, cb, cc, central, cd,
-         w2a, w7b, w11c, w5c, wb, w2d, w2c, w5d) = self.views
-        alpha, outer, alpha0, alpha1, alpha2, p, p0, p1, p2 = self.rows
-        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-
-        # 13/12 (a - 2b + c)^2 on every 3-cell window
-        subtract(lo, mid, curv)
-        add(curv, hi, curv)
-        multiply(curv, curv, curv)
-        multiply(curv, _CURVATURE, curv)
-
-        # the indicators beta_k, turned into the weights alpha_k in place
-        subtract(wa, w4b, alpha0)
-        add(alpha0, w3c, alpha0)
-        subtract(w3c, w4d, alpha2)
-        add(alpha2, we, alpha2)
-        multiply(outer, outer, outer)
-        multiply(outer, _QUARTER, outer)
-        add(alpha0, cb, alpha0)
-        add(cc, central, alpha1)
-        add(alpha2, cd, alpha2)
-        add(alpha, _EPS, alpha)
-        multiply(alpha, alpha, alpha)
-        divide(self.gammas, alpha, alpha)
-
-        subtract(w2a, w7b, p0)
-        add(p0, w11c, p0)
-        subtract(w5c, wb, p1)
-        add(p1, w2d, p1)
-        add(w2c, w5d, p2)
-        subtract(p2, we, p2)
-        divide(p, _SIX, p)
-
-        multiply(p, alpha, p)
-        value = add(p0, p1)
-        add(value, p2, value)
-        add(alpha0, alpha1, alpha0)
-        add(alpha0, alpha2, alpha0)
-        divide(value, alpha0, value)
-        return value
+    left to right, where commuting the two operands of one ``+`` or ``*``
+    is exact and ``-b + 5c`` is ``5c - b`` exactly."""
+    n = w.shape[-1] - 5
+    a, b, c, d, e = (w[..., k:k + n] for k in range(5))
+    alpha0 = _weight(0.1, _quarter_square((a - 4.0 * b) + 3.0 * c) + _curvature(a, b, c))
+    alpha1 = _weight(0.6, _curvature(b, c, d) + _quarter_square(b - d))
+    alpha2 = _weight(0.3, _quarter_square((3.0 * c - 4.0 * d) + e) + _curvature(c, d, e))
+    p0 = ((2.0 * a - 7.0 * b) + 11.0 * c) / 6.0
+    p1 = ((5.0 * c - b) + 2.0 * d) / 6.0
+    p2 = ((2.0 * c + 5.0 * d) - e) / 6.0
+    np.divide((p0 * alpha0 + p1 * alpha1) + p2 * alpha2, (alpha0 + alpha1) + alpha2, out)
 
 
 class _PlanCache(dict):
@@ -265,7 +178,7 @@ class _PlanCache(dict):
         super().__init__()
         self.budget, self.nbytes, self.build = budget, 0, build
 
-    def __missing__(self, shape: tuple) -> _Line:
+    def __missing__(self, shape: tuple) -> _Plan:
         plan = self.build(shape)
         if plan.nbytes <= self.budget:
             self.nbytes += plan.nbytes
@@ -287,7 +200,8 @@ def _compiled_kernel():
 
     A library's name holds the digest of its source, flags and machine,
     and the digest of its own bytes, which is checked before it is loaded:
-    loading a damaged library can kill the process."""
+    loading a damaged library can kill the process.  A cached library
+    that fails the check is deleted and built again."""
     import ctypes
     import platform
     import tempfile
@@ -301,19 +215,25 @@ def _compiled_kernel():
             raise PermissionError(f"{cache} is writable by other users")
         stem = "weno5-" + _digest(_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
                                   platform.machine().encode())
-        found = sorted(cache.glob(stem + "-*.so"))
-        if not found:
+
+        def intact(library: Path) -> bool:
+            return library.name == f"{stem}-{_digest(library.read_bytes())}.so"
+
+        library = min(cache.glob(stem + "-*.so"), default=None)
+        if library is not None and not intact(library):
+            library.unlink(missing_ok=True)  # never loaded; a build replaces it
+            library = None
+        if library is None:
             # build under a temporary name, so no process loads a partial file
             fd, built = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
                 _compile(built)
-                found = [cache / f"{stem}-{_digest(Path(built).read_bytes())}.so"]
-                os.replace(built, found[0])
+                library = cache / f"{stem}-{_digest(Path(built).read_bytes())}.so"
+                os.replace(built, library)
             finally:
                 Path(built).unlink(missing_ok=True)
-        library = found[0]
-        if library.name != f"{stem}-{_digest(library.read_bytes())}.so":
+        if not intact(library):
             raise OSError(f"{library} does not match its digest")
         kernel = ctypes.CDLL(str(library)).weno5_left
     except (OSError, RuntimeError):
@@ -355,7 +275,7 @@ def _kernel_plans() -> _PlanCache:
     kernel = _compiled_kernel()
     if kernel is None:
         return _plans
-    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_CompiledPlan, kernel=kernel))
+    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_Plan, kernel=kernel))
 
 
 class _Module(types.ModuleType):

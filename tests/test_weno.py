@@ -329,19 +329,6 @@ def test_llf_split_flux_bitwise_equal_for_each_alpha_shape(alpha):
     _assert_bitwise(llf_split_flux(phi, u, a), want)
 
 
-def test_mirrored_call_runs_on_the_plan_of_the_doubled_line():
-    rng = np.random.default_rng(41)
-    w, doubled = rng.standard_normal((2, 17)), rng.standard_normal((2, 34))
-    interface_states(w)
-    plan = weno._plans[(2, 34)]
-    _assert_bitwise(edge_from_left(doubled), _oracle_left(doubled))
-    assert weno._plans[(2, 34)] is plan
-    um, up = interface_states(w)
-    _assert_bitwise(um, _oracle_left(w))
-    _assert_bitwise(up, _oracle_right(w))
-    assert weno._plans[(2, 34)] is plan
-
-
 def test_writing_into_u_minus_changes_neither_u_plus_nor_a_later_call():
     w = np.random.default_rng(43).standard_normal(30)
     um, up = interface_states(w)
@@ -371,16 +358,6 @@ def test_plan_cache_drops_the_oldest_plans_past_its_budget():
     cache[shapes[3]]
     assert list(cache) == shapes[1:]
     _assert_counted(cache)
-
-
-def test_plan_larger_than_the_budget_is_used_and_not_kept():
-    shape = (300, 1006)  # a plan of about 36 MB
-    assert weno._Plan(shape).nbytes > weno._PLAN_CACHE_BYTES
-    kept = dict(weno._plans)
-    w = np.random.default_rng(47).standard_normal(shape)
-    _assert_bitwise(edge_from_left(w), _oracle_left(w))
-    assert weno._plans == kept
-    _assert_counted(weno._plans)
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +410,33 @@ def test_each_kernel_rejects_short_lines(each_kernel, kernel):
     for length in (0, 1, 3, 4, 5):
         test_short_lines_are_rejected(kernel, length)
     test_0d_input_is_rejected(kernel)
+
+
+def test_mirrored_call_runs_on_the_plan_of_the_doubled_line(each_kernel):
+    plans = weno._kernel_plans()
+    rng = np.random.default_rng(41)
+    w, doubled = rng.standard_normal((2, 17)), rng.standard_normal((2, 34))
+    interface_states(w)
+    assert list(plans) == [(2, 34)]
+    plan = plans[(2, 34)]
+    _assert_bitwise(edge_from_left(doubled), _oracle_left(doubled))
+    assert plans[(2, 34)] is plan
+    um, up = interface_states(w)
+    _assert_bitwise(um, _oracle_left(w))
+    _assert_bitwise(up, _oracle_right(w))
+    assert list(plans) == [(2, 34)] and plans[(2, 34)] is plan
+
+
+def test_plan_larger_than_the_budget_is_used_and_not_kept(each_kernel, monkeypatch):
+    build = weno._kernel_plans().build
+    small, large = (2, 40), (3, 40)
+    plans = weno._PlanCache(build(large).nbytes - 1, build)
+    monkeypatch.setattr(weno, "_kernel_plans", lambda: plans)
+    kept = {small: plans[small]}
+    w = np.random.default_rng(47).standard_normal(large)
+    _assert_bitwise(edge_from_left(w), _oracle_left(w))
+    assert plans == kept
+    _assert_counted(plans)
 
 
 # signed zeros, subnormals, the extremes of the normal range and integers
@@ -539,7 +543,15 @@ def test_the_cache_serves_later_processes_and_a_damaged_library_falls_back(tmp_p
     (library,) = (cache / "prk").iterdir()
     assert (cache / "prk").stat().st_mode & 0o777 == 0o700
     # a second process loads the library without a compiler on PATH
-    assert _probe(tmp_path, cache, _bin(tmp_path)) == "c True"
-    # loading a truncated library would kill the process
-    os.truncate(library, library.stat().st_size // 2)
-    assert _probe(tmp_path, cache) == "numpy True"
+    no_cc = _bin(tmp_path)
+    assert _probe(tmp_path, cache, no_cc) == "c True"
+    # loading a truncated library would kill the process, so it is rebuilt
+    size = library.stat().st_size
+    os.truncate(library, size // 2)
+    assert _probe(tmp_path, cache) == "c True"
+    (library,) = (cache / "prk").iterdir()
+    assert library.stat().st_size == size
+    # without a compiler the damaged library is deleted, not loaded
+    os.truncate(library, size // 2)
+    assert _probe(tmp_path, cache, no_cc) == "numpy True"
+    assert list((cache / "prk").iterdir()) == []
