@@ -166,6 +166,7 @@ def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     (scheme,) = check_schemes((scheme,))
     dt, n_steps = courant_step(problem, m, nu, t_end, where=f" at m={m}, t_end={t_end!r}")
     spec = parse_partition(partition_spec or standard.partition, kind, problem)
+    standard.check_cells("m", m, m)
     prob = standard.build(m)
     case = run_case(prob, scheme, make_parts(prob, kind, spec), dt, t_end)
     click.echo(f"{problem} m={m} scheme={scheme} {kind}-based: "

@@ -51,6 +51,7 @@ __all__ = [
     "Problem",
     "PROBLEMS",
     "MAX_STEPS",
+    "MAX_CELLS",
     "MAX_ANALYSIS_BYTES",
     "check_schemes",
     "courant_step",
@@ -76,6 +77,11 @@ class Problem:
     ndim: int
     courant: Callable
 
+    def check_cells(self, key: str, value, m: int, where: str = "") -> None:
+        """Refuse ``key=value`` if ``m`` cells a direction exceed ``MAX_CELLS``."""
+        _require(m ** self.ndim <= MAX_CELLS, key, value,
+                 f"at most {MAX_CELLS} cells{where}, not {m ** self.ndim:.3g}")
+
 
 # read by the experiments and by ``prk integrate``; each builder looks its
 # function up among this module's globals at call time, where perfbench and
@@ -92,6 +98,10 @@ PROBLEMS = {
 
 # the most steps one run may take; the largest standard run takes 2,000
 MAX_STEPS = 10**7
+
+# the most cells one problem may have, checked before it is built: 80 MB a
+# state, where the largest standard run has 40,000 cells (adv2d at n = 200)
+MAX_CELLS = 10**7
 
 # the most bytes one (m, nu) point of the W study may hold: about ten dense m x m
 # float64 arrays at its peak (by tracemalloc), 33 MB at the default largest m = 640
@@ -412,6 +422,8 @@ def run_experiment(exp: Experiment, **overrides) -> ExperimentReport:
         p["steps"] = {m: exp.step(p, m, at) for m, at in grids}
         p["partition"] = exp.partition(p) if exp.partition else problem.partition
         p["spec"] = parse_partition(p["partition"], p["decomposition"], exp.problem)
+        for m, at in grids:
+            problem.check_cells(exp.grid, given, m, at)
     kept = tuple(m for m, _ in grids)
     p[exp.grid] = kept if listed else kept[0]
     report = ExperimentReport(exp.name, list(exp.columns), metadata=exp.metadata(p))
@@ -761,14 +773,22 @@ def _adv2d_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
                      f"ratio {r_coarse:.1f} -> {r_fine:.1f}")
 
 
+def _adv2d_steps(p: dict, n: int, at: str) -> tuple:
+    """The Courant step of each of ``nus`` on ``n`` cells a side; the
+    baseline takes twice as many steps of half the size."""
+    steps = [courant_step("adv2d", n, nu, p["T"], "nus", at) for nu in p["nus"]]
+    for nu, (_, n_steps) in zip(p["nus"], steps):
+        _check_step_count("nus", nu, 2 * n_steps, f"{at} for the half-step baseline")
+    return tuple(dt for dt, _ in steps)
+
+
 def _adv2d(kind: str) -> Experiment:
     return Experiment(
         f"adv2d-{kind}", "adv2d",
         _keys(("TW2", "CS2", "SH2"), ns=((int,), (50, 100, 200)),
               nus=((float,), tuple(np.linspace(0.5, 2.0, 8))), reference_tol=(float, 1e-10)),
         grid="ns", least=6, quick=functools.partial(_halve, 20), kind=kind,
-        step=lambda p, n, at: tuple(courant_step("adv2d", n, nu, p["T"], "nus", at)[0]
-                                    for nu in p["nus"]),
+        step=_adv2d_steps,
         columns=("scheme", "decomposition", "n", "nu", "dt", "err_linf", "status",
                  "mass_drift"),
         metadata=lambda p: {"problem": "adv2d", "T": p["T"], "decomposition": kind,

@@ -245,12 +245,11 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     The fluxes are upwind-only: the speed is constant along every x-line
     (``a1``) and y-line (``a2``), so with ``alpha = |a|`` the downwind half
     of the Lax-Friedrichs split is exactly ``+0``.  The ``2n`` padded
-    lines, each reversed where its speed is negative (bitwise the
-    right-biased reconstruction), go through the left-biased kernel as
-    flat blocks of whole lines, and the values whose stencil crosses a
-    line junction are dropped.  Adding ``0.0`` puts back the zero half (``-0`` becomes
-    ``+0``), so on finite states the fluxes are ``llf_split_flux(a u, u,
-    |a|)`` byte for byte.
+    lines, one row each and reversed where its speed is negative (bitwise
+    the right-biased reconstruction), go through the left-biased kernel
+    in blocks of whole rows.  Adding ``0.0`` puts back the zero half
+    (``-0`` becomes ``+0``), so on finite states the fluxes are
+    ``llf_split_flux(a u, u, |a|)`` byte for byte.
     """
     if n < 6:
         raise ValueError("WENO5 needs at least 6 cells per direction")
@@ -283,26 +282,24 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     g = (np.arange(-3, n + 3) + 0.5) * h
     ring_x, ring_y = g[gx], g[gy]
 
-    # the padded x-lines (one per row), then y-lines (one per column), each
-    # reversed where its speed is negative.  The kernel runs on blocks of
-    # whole lines of at most 8192 values (one block up to n = 61; at
-    # n = 100 and 200 blocks measured faster than one call over all
-    # lines); ``kept`` finds each line's n + 1 interfaces in its output.
+    # one row per padded x-line, then y-line, reversed where its speed is
+    # negative; ``kept`` undoes the reversal.  The kernel runs on blocks of
+    # whole rows, at most 8192 values each (one block up to n = 61; at
+    # n = 100 and 200 blocks measured faster than one call over all rows).
     speed = np.concatenate([2.0 * np.pi * (y - 0.5), -2.0 * np.pi * (x - 0.5)])
     mirrored = speed < 0.0
     lines = np.concatenate([frame[3:-3, :], frame[:, 3:-3].T])
-    per = max(1, 8192 // p)
-    blocks = [slice(j * p, (j + per) * p) for j in range(0, 2 * n, per)]
-    line = np.arange(2 * n)[:, None]
-    kept = p * line + np.arange(n + 1) - 5 * (line // per)
+    kept = np.arange(2 * n * (n + 1)).reshape(2 * n, n + 1)
     lines[mirrored], kept[mirrored] = lines[mirrored, ::-1], kept[mirrored, ::-1]
-    gather, speeds = lines.ravel(), np.repeat(speed, p)
+    per = max(1, 8192 // p)
+    blocks = [slice(j, j + per) for j in range(0, 2 * n, per)]
+    speeds = np.repeat(speed[:, None], p, axis=1)
     scatter = np.concatenate([kept[:n].ravel(), kept[n:].T.ravel()])  # fx, then fy
 
     # kept buffers; the ghost ring is refilled only when t changes
     src = np.empty(nn + gy.size)
     state = src[:nn].reshape(n, n)
-    phi, edges = np.empty(gather.size), np.empty(gather.size - 5 * len(blocks))
+    phi, edges = np.empty(lines.shape), np.empty(kept.shape)
     ghost_t = None
 
     def flux(t, v):
@@ -313,7 +310,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
             src[nn:] = exact_point(ring_x, ring_y, t)
             ghost_t = t
         state[...] = v
-        np.multiply(src.take(gather, out=phi), speeds, out=phi)
+        np.multiply(src.take(lines, out=phi), speeds, out=phi)
         out = np.concatenate([edge_from_left(phi[b]) for b in blocks], out=edges).take(scatter)
         out += _ZERO
         return out[:nn + n].reshape(n, n + 1), out[nn + n:].reshape(n + 1, n)

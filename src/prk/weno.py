@@ -10,11 +10,10 @@ that equality is part of their contract.  Only the left bias is ever
 evaluated.  The right-biased value of a line is bitwise the left-biased
 value of its mirror image, which hands the formula the same cells in the
 same roles.  So :func:`interface_states` and :func:`llf_split_flux` make
-one left-biased pass over a line twice as long: the line (or the ``+``
-part of the split) followed by the mirror image of the line (or of the
-``-`` part).  Its first ``m + 1`` values are the left bias and its last
-``m + 1``, read backwards, the right bias; the 5 values between them,
-which no interface needs, are dropped.
+one left-biased pass over two rows: the line (or the ``+`` part of the
+split), then the mirror image of the line (or of the ``-`` part).  The
+first row's ``m + 1`` values are the left bias and the second row's, read
+backwards, the right bias.
 
 Two kernels evaluate the formula with the same bits, and read as one
 program: ``weno5_left`` in ``_weno5.c`` and its numpy twin
@@ -38,10 +37,11 @@ README).
 
 Each line shape gets a plan that holds the line and its values, about 2
 floats per value; a call copies its line in and returns a fresh array.
-Each kernel caches its plans by shape up to a fixed budget of bytes, and
-the oldest go first when a new one does not fit; a plan larger than the
-budget is built, used and not kept.  The cache is not safe for two
-threads at once, and a forked process gets its own copy.
+A process keeps one cache of plans by shape, bound to its kernel, up to a
+fixed budget of bytes, and the oldest go first when a new one does not
+fit; a plan larger than the budget is built, used and not kept.  The
+cache is not safe for two threads at once, and a forked process gets its
+own copy.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ WENO_EPS = 1e-6  # regularization in the nonlinear weights
 # a float as a read-only 0-d float64 array, the cheapest constant operand
 _constant = functools.partial(np.broadcast_to, shape=())
 
-# The plan cache keeps at most this many bytes of plans.  A plan is charged
-# its buffers and 6 KB for the rest (measured with tracemalloc: about 0.8 KB
-# for a numpy plan, 1.5 KB for a compiled one).  The package's own plans, a
-# few per run on lines of at most 8192 values, take under 1 MB each.
+# The plan cache keeps at most this many bytes of plans, a few under 1 MB
+# each for the package's own.  A plan is charged its buffers and 2.5 KB for
+# the rest: tracemalloc (Python 3.11, numpy 2.4.6) measures 408 bytes for a
+# numpy plan, 1,064 for a compiled one, 2,160 for the first of a process.
 _PLAN_CACHE_BYTES = 32 * 2**20
-_PLAN_OBJECT_BYTES = 6144
+_PLAN_OBJECT_BYTES = 2560
 
 
 def pad_periodic(u: np.ndarray) -> np.ndarray:
@@ -97,9 +97,6 @@ class _Plan:
         _check_line(shape)
         self.line = np.empty(shape)
         self.values = np.empty(shape[:-1] + (shape[-1] - 5,))
-        # the two halves of an even line, the second one back to front
-        half = shape[-1] // 2
-        self.halves = self.line[..., :half], self.line[..., half:][..., ::-1]
         self.nbytes = _PLAN_OBJECT_BYTES + self.line.nbytes + self.values.nbytes
         if kernel is None:
             self.run = functools.partial(_numpy_left, self.line, self.values)
@@ -108,24 +105,6 @@ class _Plan:
             args = self.line.ctypes.data, lines, shape[-1], self.values.ctypes.data
             self.run = functools.partial(
                 kernel, *(kind(a) for kind, a in zip(kernel.argtypes, args)))
-
-    def load(self, values) -> _Plan:
-        """Copy a line in."""
-        np.copyto(self.line, values)
-        return self
-
-    def load_mirrored(self, first, second) -> _Plan:
-        """Copy ``first`` into the first half of the line and the mirror
-        image of ``second`` into the second half."""
-        head, tail = self.halves
-        np.copyto(head, first)
-        np.copyto(tail, second)
-        return self
-
-    def edge(self) -> np.ndarray:
-        """Left-biased WENO5 values at every interface of the loaded line."""
-        self.run()
-        return self.values.copy()
 
 
 def _curvature(a, b, c):
@@ -171,10 +150,11 @@ def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
 
 
 class _PlanCache(dict):
-    """Plans by line shape, holding at most ``budget`` bytes of plans in
-    all and dropping the oldest first; a larger plan is built and not kept."""
+    """Plans by line shape, each made by ``build(shape)``, holding at most
+    ``budget`` bytes of plans in all and dropping the oldest first; a
+    larger plan is built and not kept."""
 
-    def __init__(self, budget: int, build=_Plan):
+    def __init__(self, budget: int, build):
         super().__init__()
         self.budget, self.nbytes, self.build = budget, 0, build
 
@@ -187,8 +167,6 @@ class _PlanCache(dict):
             self[shape] = plan
         return plan
 
-
-_plans = _PlanCache(_PLAN_CACHE_BYTES)
 
 _SOURCE = Path(__file__).with_name("_weno5.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
@@ -270,19 +248,16 @@ def _digest(*parts: bytes) -> str:
 
 @functools.cache
 def _kernel_plans() -> _PlanCache:
-    """The plan cache of this process's kernel, chosen at the first call:
-    the compiled kernel if it builds and loads, else the numpy kernel."""
-    kernel = _compiled_kernel()
-    if kernel is None:
-        return _plans
-    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_Plan, kernel=kernel))
+    """This process's plan cache, bound at the first call to the compiled
+    kernel if it builds and loads, else to the numpy kernel."""
+    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_Plan, kernel=_compiled_kernel()))
 
 
 class _Module(types.ModuleType):
     @property
     def KERNEL(self) -> str:
         """``"c"`` or ``"numpy"``: the kernel this process uses."""
-        return "numpy" if _kernel_plans().build is _Plan else "c"
+        return "numpy" if _kernel_plans().build.keywords["kernel"] is None else "c"
 
 
 sys.modules[__name__].__class__ = _Module
@@ -294,12 +269,6 @@ def _check_line(shape: tuple) -> None:
         raise ValueError(f"WENO5 needs a padded line of at least 6 values, got {got}")
 
 
-def _mirrored_plan(shape: tuple) -> _Plan:
-    """The plan of a line of shape ``shape`` followed by a mirror image."""
-    _check_line(shape)
-    return _kernel_plans()[shape[:-1] + (2 * shape[-1],)]
-
-
 def edge_from_left(w: np.ndarray) -> np.ndarray:
     """Left-biased interface values from a padded line.
 
@@ -307,7 +276,24 @@ def edge_from_left(w: np.ndarray) -> np.ndarray:
     the reconstruction at the right edge of cell ``i-1`` (the upwind value
     for positive wind).
     """
-    return _kernel_plans()[w.shape].load(w).edge()
+    plan = _kernel_plans()[w.shape]
+    np.copyto(plan.line, w)
+    plan.run()
+    return plan.values.copy()
+
+
+def _two_sided(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """The left-biased values of ``first`` and the right-biased values of
+    ``second``, lines of one shape: one pass over two rows, ``first`` and
+    the mirror image of ``second``, returned as two views of one fresh
+    array that do not overlap."""
+    _check_line(first.shape)
+    plan = _kernel_plans()[(2,) + first.shape]
+    np.copyto(plan.line[0], first)
+    np.copyto(plan.line[1, ..., ::-1], second)
+    plan.run()
+    values = plan.values.copy()
+    return values[0], values[1, ..., ::-1]
 
 
 def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,13 +301,10 @@ def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``u_minus`` is :func:`edge_from_left` of ``w``; ``u_plus``, the right
     bias, is :func:`edge_from_left` of ``w`` reversed, read backwards.  One
-    left-biased pass over ``w`` followed by its mirror image gives both,
-    as two views of one fresh array that do not overlap.
+    left-biased pass over ``w`` and its mirror image gives both, as two
+    views of one fresh array that do not overlap.
     """
-    shape = np.shape(w)
-    values = _mirrored_plan(shape).load_mirrored(w, w).edge()
-    n = shape[-1] - 5
-    return values[..., :n], values[..., :-n - 1:-1]
+    return _two_sided(w, w)
 
 
 def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:
@@ -331,10 +314,8 @@ def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:
     padded; ``alpha`` is the dissipation speed (scalar or broadcastable
     against the padded line).  The split parts ``(phi +/- alpha u)/2``
     are reconstructed with opposite bias and summed: one left-biased pass
-    over ``fplus`` followed by the mirror image of ``fminus``.
+    over ``fplus`` and the mirror image of ``fminus``.
     """
     spread = alpha * u_pad
-    fplus, fminus = (phi_pad + spread) * 0.5, (phi_pad - spread) * 0.5
-    values = _mirrored_plan(fplus.shape).load_mirrored(fplus, fminus).edge()
-    n = fplus.shape[-1] - 5
-    return values[..., :n] + values[..., :-n - 1:-1]
+    left, right = _two_sided((phi_pad + spread) * 0.5, (phi_pad - spread) * 0.5)
+    return left + right

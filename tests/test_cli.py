@@ -229,6 +229,12 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
      "bad value nus=1e-07: need at most 10000000 steps at n=20, not 4.19e+08"),
     ("adv2d-cell", "ns=50,20\nnus=0.5,5e-324",
      "bad value nus=5e-324: need at most 10000000 steps at n=50, not inf"),
+    ("adv2d-cell", "ns=20\nnus=5e-6", "bad value nus=5e-06: need at most 10000000 steps "
+                                      "at n=20 for the half-step baseline, not 1.68e+07"),
+    ("adv2d-flux", "ns=50,5000",
+     "bad value ns=(50, 5000): need at most 10000000 cells at n=5000, not 2.5e+07"),
+    ("fig1", "m=100000000\nnu=100",
+     "bad value m=100000000: need at most 10000000 cells at m=100000000, not 1e+08"),
     ("table1", "ms=50,50", "bad value ms=(50, 50): need distinct resolutions"),
     ("table2", "ms=100,50,100\nquick=true",
      "bad value ms=(100, 50, 100): need distinct resolutions"),
@@ -253,7 +259,7 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
         "quick-number",
         "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
-        "steps-adv2d-nu-underflow", "repeated-ms-table1", "repeated-ms-table2-quick",
+        "steps-adv2d-nu-underflow", "steps-adv2d-baseline", "cells-adv2d", "cells-fig1", "repeated-ms-table1", "repeated-ms-table2-quick",
         "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
         "quick-fig2-given-m", "quick-reference-tol", "repeated-schemes", "steps-fig2-odd-m",
         "steps-fig2-odd-half-quick", "steps-fig1-quick-names-given-m"])
@@ -289,8 +295,12 @@ def test_run_checks_experiment_values_before_the_first_integration(
      "bad partition: dynamic partitions support cell splitting only"),
     (["--m", "0"], "bad value m=0: need a whole number of at least 6 cells"),
     (["--t-end", "-1"], "bad value t_end=-1.0: need a positive number"),
+    # a later option replaces the one given above
+    (["--m", "100000"], "bad value m=100000: need at most 10000000 cells, not 1e+10"),
+    (["--problem", "adv1d", "--m", "1000000000", "--nu", "1000"],
+     "bad value m=1000000000: need at most 10000000 cells, not 1e+09"),
 ], ids=["part-count", "steps", "partition-syntax", "partition-dynamic-flux", "m-zero",
-        "t-end-negative"])
+        "t-end-negative", "cells-adv2d", "cells-adv1d"])
 def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, monkeypatch,
                                                             args, message):
     def no_problem(*_args, **_kwargs):

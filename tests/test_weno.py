@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_two_lines_of_one_shape_each_match_the_oracle(data):
 
 
 # ----------------------------------------------------------------------
-# the mirrored pass: both biases from one left-biased pass over a line
-# followed by its mirror image, on the plan of the doubled line
+# the mirrored pass: both biases from one left-biased pass over two rows,
+# the line and its mirror image
 # ----------------------------------------------------------------------
 
 def _read_only(w):
@@ -351,7 +352,7 @@ def _assert_counted(cache):
 
 def test_plan_cache_drops_the_oldest_plans_past_its_budget():
     shapes = [(6, 40), (2, 3, 40), (3, 2, 40), (1, 6, 40)]  # plans of one size
-    cache = weno._PlanCache(3 * weno._Plan(shapes[0]).nbytes)
+    cache = weno._PlanCache(3 * weno._Plan(shapes[0]).nbytes, weno._Plan)
     first = [cache[shape] for shape in shapes[:3]]
     assert cache[shapes[0]] is first[0]
     _assert_counted(cache)
@@ -365,10 +366,9 @@ def test_plan_cache_drops_the_oldest_plans_past_its_budget():
 # ----------------------------------------------------------------------
 
 def _compiled_plans():
-    plans = weno._kernel_plans()
-    if plans is weno._plans:
+    if weno.KERNEL == "numpy":
         pytest.skip("the compiled kernel does not build or load here")
-    return plans
+    return weno._kernel_plans()
 
 
 def _run_on(plans, kernel, *args):
@@ -413,18 +413,20 @@ def test_each_kernel_rejects_short_lines(each_kernel, kernel):
 
 
 def test_mirrored_call_runs_on_the_plan_of_the_doubled_line(each_kernel):
+    # a (2, 17) line and its mirror image are the two rows of one (2, 2, 17)
+    # plan, the one edge_from_left uses on a (2, 2, 17) array
     plans = weno._kernel_plans()
     rng = np.random.default_rng(41)
-    w, doubled = rng.standard_normal((2, 17)), rng.standard_normal((2, 34))
+    w, rows = rng.standard_normal((2, 17)), rng.standard_normal((2, 2, 17))
     interface_states(w)
-    assert list(plans) == [(2, 34)]
-    plan = plans[(2, 34)]
-    _assert_bitwise(edge_from_left(doubled), _oracle_left(doubled))
-    assert plans[(2, 34)] is plan
+    assert list(plans) == [(2, 2, 17)]
+    plan = plans[(2, 2, 17)]
+    _assert_bitwise(edge_from_left(rows), _oracle_left(rows))
+    assert list(plans) == [(2, 2, 17)] and plans[(2, 2, 17)] is plan
     um, up = interface_states(w)
     _assert_bitwise(um, _oracle_left(w))
     _assert_bitwise(up, _oracle_right(w))
-    assert list(plans) == [(2, 34)] and plans[(2, 34)] is plan
+    assert list(plans) == [(2, 2, 17)] and plans[(2, 2, 17)] is plan
 
 
 def test_plan_larger_than_the_budget_is_used_and_not_kept(each_kernel, monkeypatch):
@@ -437,6 +439,21 @@ def test_plan_larger_than_the_budget_is_used_and_not_kept(each_kernel, monkeypat
     _assert_bitwise(edge_from_left(w), _oracle_left(w))
     assert plans == kept
     _assert_counted(plans)
+
+
+@pytest.mark.parametrize("shape", [(6,), (106,), (2, 2, 17), (77, 106)])
+def test_a_plan_is_charged_at_least_its_measured_size(each_kernel, shape):
+    # so the cache's byte budget bounds the memory its plans really hold
+    build = weno._kernel_plans().build
+    build(shape)  # the first builds of a process also fill caches no plan keeps
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = build(shape)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.line.nbytes + plan.values.nbytes < size <= plan.nbytes
 
 
 # signed zeros, subnormals, the extremes of the normal range and integers
@@ -463,7 +480,7 @@ def wide_lines(draw):
 @given(wide_lines(), st.floats(0.0, 4.0))
 def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha):
     compiled = _compiled_plans()
-    numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES)
+    numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, weno._Plan)
     calls = [(edge_from_left, w), (interface_states, w), (llf_split_flux, w, w[..., ::-1], alpha)]
     with np.errstate(all="ignore"):  # +-1e300 overflows to inf and NaN in both
         for kernel, *args in calls:
@@ -485,7 +502,8 @@ def values():
     return b"".join(v.tobytes() for v in out)
 
 first, kernel = values(), weno.KERNEL
-weno._kernel_plans = lambda: weno._plans
+numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, weno._Plan)
+weno._kernel_plans = lambda: numpy_plans
 with open(sys.argv[1], "w") as fh:
     fh.write(f"{kernel} {values() == first}")
 """
