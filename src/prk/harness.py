@@ -52,6 +52,7 @@ __all__ = [
     "PROBLEMS",
     "MAX_STEPS",
     "MAX_CELLS",
+    "MAX_BUILD_BYTES",
     "MAX_ANALYSIS_BYTES",
     "check_schemes",
     "courant_step",
@@ -68,32 +69,41 @@ __all__ = [
 class Problem:
     """A problem of the standard runs: its builder on ``m`` cells (per
     direction in 2D), the final time and partition spec of its standard runs,
-    the grid's dimension, and the Courant step ``nu h / max|a|`` (h = 1/m) in
-    the floating-point form its runs take."""
+    the grid's dimension, the Courant step ``nu h / max|a|`` (h = 1/m) in
+    the floating-point form its runs take, and the bytes per cell its build
+    holds at its peak, a little above what ``tracemalloc`` measures."""
 
     build: Callable
     t_end: float
     partition: str
     ndim: int
     courant: Callable
+    build_bytes: int
 
     def check_cells(self, key: str, value, m: int, where: str = "") -> None:
-        """Refuse ``key=value`` if ``m`` cells a direction exceed ``MAX_CELLS``."""
-        _require(m ** self.ndim <= MAX_CELLS, key, value,
-                 f"at most {MAX_CELLS} cells{where}, not {m ** self.ndim:.3g}")
+        """Refuse ``key=value`` if ``m`` cells a direction exceed ``MAX_CELLS``,
+        or their build ``MAX_BUILD_BYTES``."""
+        cells = m ** self.ndim
+        _require(cells <= MAX_CELLS, key, value,
+                 f"at most {MAX_CELLS} cells{where}, not {cells:.3g}")
+        _require(cells * self.build_bytes <= MAX_BUILD_BYTES, key, value,
+                 f"at most {MAX_BUILD_BYTES} bytes to build{where}, "
+                 f"not {cells * self.build_bytes:.3g}")
 
 
 # read by the experiments and by ``prk integrate``; each builder looks its
 # function up among this module's globals at call time, where perfbench and
 # the tests replace it
+# the build bytes per cell: tracemalloc peaks of about 64 (adv1d), 57 (burgers)
+# and 181 (adv2d, n = 200; its index plan) at the larger grids
 PROBLEMS = {
     "adv1d": Problem(lambda m: advection1d_weno5(m), 1.0,
                      "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)", 1,
-                     lambda nu, m: nu / m),
+                     lambda nu, m: nu / m, 72),
     "burgers": Problem(lambda m: burgers_llf(m), 0.5, "dynamic:burgers:threshold=0.125", 1,
-                       lambda nu, m: nu / m),
+                       lambda nu, m: nu / m, 72),
     "adv2d": Problem(lambda m: advection2d(m), 1.0 / 3.0, "coarse:abs(x-0.5)+abs(y-0.5)<=1/3",
-                     2, lambda nu, m: nu * (1.0 / m) / (2.0 * np.pi)),
+                     2, lambda nu, m: nu * (1.0 / m) / (2.0 * np.pi), 184),
 }
 
 # the most steps one run may take; the largest standard run takes 2,000
@@ -102,6 +112,10 @@ MAX_STEPS = 10**7
 # the most cells one problem may have, checked before it is built: 80 MB a
 # state, where the largest standard run has 40,000 cells (adv2d at n = 200)
 MAX_CELLS = 10**7
+
+# the most bytes one problem's build may hold at its peak, checked before it
+# is built after MAX_CELLS: it binds only in 2D, at n > 2415 for adv2d
+MAX_BUILD_BYTES = 2**30
 
 # the most bytes one (m, nu) point of the W study may hold: about ten dense m x m
 # float64 arrays at its peak (by tracemalloc), 33 MB at the default largest m = 640

@@ -6,6 +6,12 @@ as ``grid.divergence`` of ``flux``.  Cell-based decompositions mask
 ``rhs``, flux-based ones mask ``flux``, so both split the same operator.
 Both grids give ``centres``, ``measure`` (mass and norm weights),
 ``min_width``.
+
+The WENO5 advection and Burgers fluxes make one compiled call each (see
+:func:`prk.weno.periodic_call`): it pads the state, reconstructs and, for
+Burgers, forms the local Lax-Friedrichs flux, over buffers the flux owns.
+The 2D rotation gathers its padded lines itself and runs
+:func:`prk.weno.edge_from_left` over blocks of them.
 """
 
 from __future__ import annotations
@@ -15,13 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-# llf_split_flux is not called here; perfbench/child.py wraps it by name
+# interface_states, llf_split_flux and pad_periodic are not called here, and
+# edge_from_left only by advection2d; perfbench/child.py wraps all four on
+# this module by name (with getattr), so they stay imported
 from .weno import (
     _constant,
     edge_from_left,
     interface_states,
     llf_split_flux,
     pad_periodic,
+    periodic_call,
 )
 
 __all__ = [
@@ -119,7 +128,7 @@ class SemiDiscreteProblem:
         self.rhs = lambda t, v: divergence(flux(t, v))
 
 
-_HALF, _ZERO = _constant(0.5), _constant(0.0)  # cheaper operands than floats
+_ZERO = _constant(0.0)  # a cheaper operand than a float
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -127,6 +136,29 @@ def _uniform_grid(m: int, periodic: bool) -> Grid1D:
     dx = np.diff(edges)
     x = 0.5 * (edges[:-1] + edges[1:])
     return Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
+
+
+def _periodic_flux(m: int, entry: str) -> Callable:
+    """The interface flux ``flux(t, v)`` of a periodic line of ``m`` cells:
+    one call of the kernel entry ``entry`` (see :func:`prk.weno.periodic_call`)
+    over a state, a padded line and values this flux owns, bound at the
+    first call, so that loading the compiled kernel is not part of building
+    the problem.  A state of any shape but ``(m,)`` raises ``ValueError``."""
+    shape = (m,)
+    state, line, values = np.empty(shape), np.empty(m + 6), np.empty(m + 1)
+    run = None
+
+    def flux(t, v):
+        nonlocal run
+        if getattr(v, "shape", None) != shape:  # cheaper than np.shape(v)
+            raise ValueError(f"state of shape {np.shape(v)}, need {shape}")
+        if run is None:
+            run = periodic_call(entry, state, line, values)
+        np.copyto(state, v)
+        run()
+        return values.copy()
+
+    return flux
 
 
 # ----------------------------------------------------------------------
@@ -182,21 +214,19 @@ def advection1d_weno5(m: int) -> SemiDiscreteProblem:
     """Periodic advection ``u_t + u_x = 0`` with WENO5 fluxes.
 
     The attached exact solution is ``sin^2(pi (x - t))``, 1-periodic in
-    both space and time.
+    both space and time.  ``flux`` raises ``ValueError`` for a state of
+    any shape but ``(m,)``.
     """
     if m < 6:
         raise ValueError("WENO5 needs at least 6 cells")
     grid = _uniform_grid(m, periodic=True)
-
-    def flux(t, v):
-        return edge_from_left(pad_periodic(v))
 
     def exact(t):
         return np.sin(np.pi * (grid.x - t)) ** 2
 
     return SemiDiscreteProblem(
         grid=grid,
-        flux=flux,
+        flux=_periodic_flux(m, "weno5_periodic"),
         exact=exact,
         initial=exact(0.0),
     )
@@ -213,18 +243,14 @@ def burgers_llf(m: int) -> SemiDiscreteProblem:
     ``f(u) = u^2 / 2`` and ``alpha = max(|u-|, |u+|)``; since ``|f'|`` is
     monotone in ``|u|`` the local wave-speed maximum sits at an endpoint.
     The initial state is the unit block profile on the left half, so the
-    default ``max_speed`` of 1 is ``max |u0|``.
+    default ``max_speed`` of 1 is ``max |u0|``.  ``flux`` raises
+    ``ValueError`` for a state of any shape but ``(m,)``.
     """
     if m < 6:
         raise ValueError("WENO5 needs at least 6 cells")
     grid = _uniform_grid(m, periodic=True)
-
-    def flux(t, v):
-        um, up = interface_states(pad_periodic(v))
-        alpha = np.maximum(np.abs(um), np.abs(up))
-        return _HALF * (_HALF * um**2 + _HALF * up**2 + alpha * (um - up))
-
-    return SemiDiscreteProblem(grid=grid, flux=flux, initial=(grid.x < 0.5).astype(float))
+    return SemiDiscreteProblem(grid=grid, flux=_periodic_flux(m, "burgers_llf_periodic"),
+                               initial=(grid.x < 0.5).astype(float))
 
 
 # ----------------------------------------------------------------------

@@ -235,6 +235,8 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
      "bad value ns=(50, 5000): need at most 10000000 cells at n=5000, not 2.5e+07"),
     ("fig1", "m=100000000\nnu=100",
      "bad value m=100000000: need at most 10000000 cells at m=100000000, not 1e+08"),
+    ("adv2d-cell", "ns=50,2500", "bad value ns=(50, 2500): need at most 1073741824 bytes "
+                                 "to build at n=2500, not 1.15e+09"),
     ("table1", "ms=50,50", "bad value ms=(50, 50): need distinct resolutions"),
     ("table2", "ms=100,50,100\nquick=true",
      "bad value ms=(100, 50, 100): need distinct resolutions"),
@@ -259,7 +261,8 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
         "quick-number",
         "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
-        "steps-adv2d-nu-underflow", "steps-adv2d-baseline", "cells-adv2d", "cells-fig1", "repeated-ms-table1", "repeated-ms-table2-quick",
+        "steps-adv2d-nu-underflow", "steps-adv2d-baseline", "cells-adv2d", "cells-fig1", "build-bytes-adv2d",
+        "repeated-ms-table1", "repeated-ms-table2-quick",
         "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
         "quick-fig2-given-m", "quick-reference-tol", "repeated-schemes", "steps-fig2-odd-m",
         "steps-fig2-odd-half-quick", "steps-fig1-quick-names-given-m"])
@@ -299,8 +302,10 @@ def test_run_checks_experiment_values_before_the_first_integration(
     (["--m", "100000"], "bad value m=100000: need at most 10000000 cells, not 1e+10"),
     (["--problem", "adv1d", "--m", "1000000000", "--nu", "1000"],
      "bad value m=1000000000: need at most 10000000 cells, not 1e+09"),
+    # 6.25e6 cells pass MAX_CELLS; their index plan would take 1.15 GB
+    (["--m", "2500"], "bad value m=2500: need at most 1073741824 bytes to build, not 1.15e+09"),
 ], ids=["part-count", "steps", "partition-syntax", "partition-dynamic-flux", "m-zero",
-        "t-end-negative", "cells-adv2d", "cells-adv1d"])
+        "t-end-negative", "cells-adv2d", "cells-adv1d", "build-bytes-adv2d"])
 def test_integrate_checks_scheme_and_steps_before_any_build(runner, tmp_path, monkeypatch,
                                                             args, message):
     def no_problem(*_args, **_kwargs):

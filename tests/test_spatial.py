@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,7 @@ from prk.spatial import (
 from prk.harness import PROBLEMS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
 from test_analysis import _bidiagonal
-from test_weno import _oracle_left, _oracle_right, lines
+from test_weno import _oracle_left, _oracle_right, each_kernel, lines, wide_lines  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +119,74 @@ def test_advection_needs_enough_cells():
         advection1d_weno5(4)
 
 
+def _padded(v):
+    return np.concatenate([v[-3:], v, v[:3]])
+
+
+def _textbook_burgers(v):
+    um, up = _oracle_left(_padded(v)), _oracle_right(_padded(v))
+    return 0.5 * (0.5 * um**2 + 0.5 * up**2 + np.maximum(np.abs(um), np.abs(up)) * (um - up))
+
+
+_TEXTBOOK_FLUX = {
+    "adv1d": (advection1d_weno5, lambda v: _oracle_left(_padded(v))),
+    "burgers": (burgers_llf, _textbook_burgers),
+}
+
+# periodic states of 6 to 40 cells (smooth, integer, step or signed-zero
+# data at scales 1e-8 to 1e8), or of 6 to 3000 cells mixing special values
+# and scales up to 1e+-300
+periodic_states = st.one_of(st.integers(6, 40).flatmap(lambda m: lines((m,))),
+                            wide_lines(leads=((),)))
+
+
+def _assert_textbook_flux(problem, v):
+    # byte for byte on the oracle's states, so the sign of every zero counts;
+    # +-1e300 overflows to inf and NaN, at the same faces with the same bits
+    build, textbook = _TEXTBOOK_FLUX[problem]
+    with np.errstate(all="ignore"):
+        want = textbook(v)
+        got = build(v.size).flux(0.0, v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_on_each_kernel = settings(deadline=None, max_examples=150,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_on_each_kernel
+@given(v=periodic_states)
+@example(v=np.array([0.0, -0.0] * 3))
+@example(v=np.full(7, -0.0))
+def test_advection_flux_bitwise_equal_textbook_formula(each_kernel, v):
+    _assert_textbook_flux("adv1d", v)
+
+
+@pytest.mark.parametrize("problem", sorted(_TEXTBOOK_FLUX))
+def test_non_finite_states_give_non_finite_fluxes_at_the_same_faces(each_kernel, problem):
+    # a NaN, an inf and a -inf (the last cell, so the faces of both ends);
+    # the faces whose stencils miss them keep their textbook bits
+    build, textbook = _TEXTBOOK_FLUX[problem]
+    v = np.random.default_rng(9).standard_normal(40)
+    v[[4, 20, 39]] = np.nan, np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        want = textbook(v)
+        got = build(40).flux(0.0, v)
+    finite = np.isfinite(want)
+    assert not finite.all()
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+@pytest.mark.parametrize("problem", sorted(_TEXTBOOK_FLUX))
+@pytest.mark.parametrize("v", [np.ones(1), 1.0, np.ones(13), np.ones((12, 1)), np.ones((1, 12)),
+                               [1.0] * 12], ids=["one-cell", "scalar", "long", "column", "row",
+                                                 "list"])
+def test_periodic_flux_rejects_states_of_other_shapes(each_kernel, problem, v):
+    with pytest.raises(ValueError, match=r"need \(12,\)$"):
+        _TEXTBOOK_FLUX[problem][0](12).flux(0.0, v)
+
+
 # ----------------------------------------------------------------------
 # Burgers
 # ----------------------------------------------------------------------
@@ -142,15 +210,16 @@ def test_burgers_llf_flux_at_clean_jump():
     assert abs(phi[m // 2] - 0.75) < 1e-10
 
 
-@settings(deadline=None, max_examples=150)
-@given(v=st.integers(6, 40).flatmap(lambda m: lines((m,))))
-def test_burgers_llf_flux_bitwise_equal_textbook_formula(v):
-    # byte for byte on the oracle's states, so the sign of every zero counts
-    w = np.concatenate([v[-3:], v, v[:3]])
-    um, up = _oracle_left(w), _oracle_right(w)
-    want = 0.5 * (0.5 * um**2 + 0.5 * up**2 + np.maximum(np.abs(um), np.abs(up)) * (um - up))
-    got = burgers_llf(v.size).flux(0.0, v)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+@_on_each_kernel
+@given(v=periodic_states)
+@example(v=np.array([0.0, -0.0] * 3))
+@example(v=np.full(7, -0.0))
+# u^2 near the top of the range (the sum of the halves is finite, their
+# unhalved sum is not) and in the subnormal range (halving rounds)
+@example(v=np.full(6, 1e154))
+@example(v=np.linspace(-3e-161, 3e-161, 9))
+def test_burgers_llf_flux_bitwise_equal_textbook_formula(each_kernel, v):
+    _assert_textbook_flux("burgers", v)
 
 
 def test_burgers_rhs_telescopes():

@@ -380,10 +380,13 @@ def _run_on(plans, kernel, *args):
 
 @pytest.fixture(params=["c", "numpy"])
 def each_kernel(request, monkeypatch):
-    """The compiled kernel, then the numpy kernel, each on fresh plans."""
+    """The compiled kernel, then the numpy kernel, each on fresh plans;
+    the problems built in the test bind the same kernel's periodic entries."""
     build = _compiled_plans().build if request.param == "c" else weno._Plan
+    library = weno._kernel_library() if request.param == "c" else None
     plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, build)
     monkeypatch.setattr(weno, "_kernel_plans", lambda: plans)
+    monkeypatch.setattr(weno, "_kernel_library", lambda: library)
     return request.param
 
 
@@ -462,11 +465,11 @@ _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
 
 
 @st.composite
-def wide_lines(draw):
-    """Padded lines of 6 to 3000 values, alone or under lead shapes (2,)
-    and (3, 2), each value drawn from the chosen mix of special values,
+def wide_lines(draw, leads=((), (2,), (3, 2))):
+    """Padded lines of 6 to 3000 values, under one of the lead shapes
+    ``leads``, each value drawn from the chosen mix of special values,
     integers, normal values and normal values scaled by up to 1e+-300."""
-    shape = draw(st.sampled_from([(), (2,), (3, 2)])) + (draw(st.integers(6, 3000)),)
+    shape = draw(st.sampled_from(leads)) + (draw(st.integers(6, 3000)),)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sources = (rng.choice(_SPECIAL, shape),
                rng.integers(-60, 61, shape).astype(float),
@@ -474,6 +477,17 @@ def wide_lines(draw):
                rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape))
     mix = sorted(draw(st.sets(st.integers(0, len(sources) - 1), min_size=1)))
     return np.choose(rng.choice(mix, shape), sources)
+
+
+def _periodic_values(entry, v, library):
+    """The values of ``entry`` of ``_weno5.c`` over the periodic line ``v``,
+    on ``library``, or on the numpy twin if None."""
+    v = np.array(v, dtype=float)
+    line, out = np.empty(v.size + 6), np.empty(v.size + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weno, "_kernel_library", lambda: library)
+        weno.periodic_call(entry, v, line, out)()
+    return out
 
 
 @settings(deadline=None, max_examples=100)
@@ -487,23 +501,32 @@ def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha):
             got, want = (np.asarray(_run_on(plans, kernel, *args))
                          for plans in (compiled, numpy_plans))
             _assert_bitwise(got, want)
+        cells = w.reshape(-1, w.shape[-1])[0]  # one periodic line of 6 to 3000 cells
+        for entry in weno._PERIODIC_TWINS:
+            got, want = (_periodic_values(entry, cells, library)
+                         for library in (weno._kernel_library(), None))
+            _assert_bitwise(got, want)
 
 
-# A fresh process runs the three kernels, then the numpy kernel on the same
-# lines, and writes KERNEL and whether the bytes agree.
+# A fresh process runs the three kernels and the two periodic 1D fluxes, then
+# the numpy kernel on the same lines, and writes KERNEL and whether the bytes
+# agree.
 _PROBE = """
 import sys
 import numpy as np
 from prk import weno
+from prk.spatial import advection1d_weno5, burgers_llf
 
 def values():
     w = np.linspace(-1.0, 2.0, 120).reshape(3, 40) ** 3
-    out = [weno.edge_from_left(w), *weno.interface_states(w), weno.llf_split_flux(w, w, 0.5)]
+    out = [weno.edge_from_left(w), *weno.interface_states(w), weno.llf_split_flux(w, w, 0.5),
+           advection1d_weno5(40).flux(0.0, w[0]), burgers_llf(40).flux(0.0, w[1])]
     return b"".join(v.tobytes() for v in out)
 
 first, kernel = values(), weno.KERNEL
 numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, weno._Plan)
 weno._kernel_plans = lambda: numpy_plans
+weno._kernel_library = lambda: None
 with open(sys.argv[1], "w") as fh:
     fh.write(f"{kernel} {values() == first}")
 """
