@@ -93,9 +93,8 @@ class Problem:
 
 # read by the experiments and by ``prk integrate``; each builder looks its
 # function up among this module's globals at call time, where perfbench and
-# the tests replace it
-# the build bytes per cell: tracemalloc peaks of about 64 (adv1d), 57 (burgers)
-# and 181 (adv2d, n = 200; its index plan) at the larger grids
+# the tests replace it.  The build bytes per cell bound tracemalloc peaks of
+# about 64 (adv1d), 57 (burgers) and 181 (adv2d at n = 200, its index plan).
 PROBLEMS = {
     "adv1d": Problem(lambda m: advection1d_weno5(m), 1.0,
                      "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)", 1,

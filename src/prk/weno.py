@@ -321,8 +321,16 @@ def periodic_call(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray):
     ``"burgers_llf_periodic"``) on the cells ``v`` of one periodic line, of
     this process's kernel, with its arguments bound once: it pads ``v``
     into ``line`` and writes the interface values into ``out``.  The
-    caller owns the three float64 buffers, contiguous, of ``m >= 3``,
-    ``m + 6`` and ``m + 1`` values, and keeps them alive for the call."""
+    caller owns the three buffers and keeps them alive for the call: 1-d
+    contiguous float64 arrays of ``m >= 3``, ``m + 6`` and ``m + 1``
+    values, the last two writeable; others raise ``ValueError``."""
+    m = v.size
+    buffers = ((v, m), (line, m + 6), (out, m + 1))
+    if (m < 3 or not (line.flags.writeable and out.flags.writeable)
+            or any(a.dtype != np.float64 or a.shape != (n,) or not a.flags.c_contiguous
+                   for a, n in buffers)):
+        raise ValueError("periodic_call needs 1-d contiguous float64 buffers of m >= 3, "
+                         "m + 6 and m + 1 values, the last two writeable")
     library = _kernel_library()
     if library is None:
         return functools.partial(_PERIODIC_TWINS[entry], v, line, out)

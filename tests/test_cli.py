@@ -261,8 +261,8 @@ def test_run_rejects_non_numeric_config_values(runner, tmp_path, monkeypatch,
         "quick-number",
         "quick-table1", "quick-fig3", "quick-adv2d", "steps-table1",
         "steps-table1-nu-underflow", "steps-fig2", "steps-fig2-schemes", "steps-adv2d",
-        "steps-adv2d-nu-underflow", "steps-adv2d-baseline", "cells-adv2d", "cells-fig1", "build-bytes-adv2d",
-        "repeated-ms-table1", "repeated-ms-table2-quick",
+        "steps-adv2d-nu-underflow", "steps-adv2d-baseline", "cells-adv2d", "cells-fig1",
+        "build-bytes-adv2d", "repeated-ms-table1", "repeated-ms-table2-quick",
         "repeated-ns", "repeated-ns-halves-quick", "quick-fig1-m", "quick-fig2-m",
         "quick-fig2-given-m", "quick-reference-tol", "repeated-schemes", "steps-fig2-odd-m",
         "steps-fig2-odd-half-quick", "steps-fig1-quick-names-given-m"])

@@ -490,6 +490,25 @@ def _periodic_values(entry, v, library):
     return out
 
 
+_read_only_line = np.empty(16)
+_read_only_line.flags.writeable = False
+
+
+@pytest.mark.parametrize("v, line, out", [
+    (np.empty(2), np.empty(8), np.empty(3)),
+    (np.empty(10), np.empty(15), np.empty(11)),
+    (np.empty(10), np.empty(16), np.empty(10)),
+    (np.empty(10, dtype=np.float32), np.empty(16), np.empty(11)),
+    (np.empty(20)[::2], np.empty(16), np.empty(11)),
+    (np.empty((1, 10)), np.empty(16), np.empty(11)),
+    (np.empty(10), _read_only_line, np.empty(11)),
+], ids=["two-cells", "short-line", "short-out", "float32", "strided", "2-d", "read-only"])
+def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, line, out):
+    # the compiled entries would read or write past a wrong buffer
+    with pytest.raises(ValueError, match="^periodic_call needs 1-d contiguous float64"):
+        weno.periodic_call("weno5_periodic", v, line, out)
+
+
 @settings(deadline=None, max_examples=100)
 @given(wide_lines(), st.floats(0.0, 4.0))
 def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha):
