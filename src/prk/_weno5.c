@@ -1,10 +1,10 @@
-/* Left-biased WENO5 values (Jiang & Shu) at every interface of padded lines,
-   and the two 1D fluxes of periodic lines that read them.
+/* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, and the
+   two 1D fluxes of periodic lines that read them.
 
-   `weno5_left(w, lines, len, out)`: `w` holds `lines` lines of `len`
-   values each, one after another, with len >= 6; `out` receives the
-   len - 5 interface values of each line.  Interface k reads the cells
-   k..k+4 as (a, b, c, d, e).
+   `weno5_runs(src, starts, counts, steps, nruns, out)`: interface k of
+   run r reads the cells src[starts[r] + k + j * steps[r]], j = 0..4, as
+   (a, b, c, d, e); the counts[r] values of each run fill `out` in turn.
+   Start 5 with step -1 reads a padded line backwards (its right bias).
 
    `weno5_periodic(v, m, line, out)` and `burgers_llf_periodic(v, m, line,
    out)` take the m >= 3 cells `v` of one periodic line.  They copy them
@@ -13,7 +13,7 @@
    Burgers local Lax-Friedrichs fluxes of both biases.
 
    Every value is computed by the same IEEE operations, in the same order,
-   as its numpy twin in `prk.weno` (`_numpy_left`, `_numpy_weno5_periodic`,
+   as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
    `_numpy_burgers_llf_periodic`), so the two give the same bits.  That
    holds only when the compiler keeps the order: build with
    -ffp-contract=off (no fused multiply-add) and without fast-math.  */
@@ -59,13 +59,20 @@ double weno5(double a, double b, double c, double d, double e)
     return ((p0 * alpha0 + p1 * alpha1) + p2 * alpha2) / ((alpha0 + alpha1) + alpha2);
 }
 
-void weno5_left(const double *w, size_t lines, size_t len, double *out)
+/* one run from its first cell `w`; inlined, so a literal step gives the
+   loop of a contiguous line */
+static inline __attribute__((always_inline))
+void weno5_run(const double *w, ptrdiff_t step, ptrdiff_t count, double *out)
 {
-    size_t n = len - 5;
-    for (size_t line = 0; line < lines; line++, w += len, out += n) {
-        for (size_t k = 0; k < n; k++)
-            out[k] = weno5(w[k], w[k + 1], w[k + 2], w[k + 3], w[k + 4]);
-    }
+    for (ptrdiff_t k = 0; k < count; k++, w++)
+        out[k] = weno5(w[0], w[step], w[2 * step], w[3 * step], w[4 * step]);
+}
+
+void weno5_runs(const double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
+                const ptrdiff_t *steps, size_t nruns, double *out)
+{
+    for (size_t r = 0; r < nruns; out += counts[r], r++)
+        weno5_run(src + starts[r], steps[r], counts[r], out);
 }
 
 /* the last three cells, all m, then the first three */
@@ -79,7 +86,7 @@ static void pad_periodic(const double *v, size_t m, double *line)
 void weno5_periodic(const double *v, size_t m, double *line, double *out)
 {
     pad_periodic(v, m, line);
-    weno5_left(line, 1, m + 6, out);
+    weno5_run(line, 1, (ptrdiff_t)m + 1, out);
 }
 
 /* 0.5 (f(u-) + f(u+) + alpha (u- - u+)) with f(u) = u^2 / 2 and

@@ -94,7 +94,8 @@ class Problem:
 # read by the experiments and by ``prk integrate``; each builder looks its
 # function up among this module's globals at call time, where perfbench and
 # the tests replace it.  The build bytes per cell bound tracemalloc peaks of
-# about 64 (adv1d), 57 (burgers) and 181 (adv2d at n = 200, its index plan).
+# about 64 (adv1d), 57 (burgers) and 108 (adv2d at n = 200); adv2d keeps
+# the 184 of its former index plan, so it refuses the same sizes.
 PROBLEMS = {
     "adv1d": Problem(lambda m: advection1d_weno5(m), 1.0,
                      "refined:(x>=0.125)&(x<=0.375)|(x>=0.625)&(x<=0.875)", 1,

@@ -7,11 +7,12 @@ as ``grid.divergence`` of ``flux``.  Cell-based decompositions mask
 Both grids give ``centres``, ``measure`` (mass and norm weights),
 ``min_width``.
 
-The WENO5 advection and Burgers fluxes make one compiled call each (see
-:func:`prk.weno.periodic_call`): it pads the state, reconstructs and, for
-Burgers, forms the local Lax-Friedrichs flux, over buffers the flux owns.
-The 2D rotation gathers its padded lines itself and runs
-:func:`prk.weno.edge_from_left` over blocks of them.
+Every WENO5 flux makes one compiled call over buffers it owns.  The
+advection and Burgers fluxes pad the state, reconstruct and, for Burgers,
+form the local Lax-Friedrichs flux (see :func:`prk.weno.periodic_call`);
+the 2D rotation reconstructs both directions from its padded frame
+through a run table built with the problem (see
+:func:`prk.weno.runs_call`).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-# interface_states, llf_split_flux and pad_periodic are not called here, and
-# edge_from_left only by advection2d; perfbench/child.py wraps all four on
-# this module by name (with getattr), so they stay imported
+# edge_from_left, interface_states, llf_split_flux and pad_periodic are not
+# called here; perfbench/child.py wraps all four on this module by name
+# (with getattr), so they stay imported
 from .weno import (
     _constant,
     edge_from_left,
@@ -31,6 +32,7 @@ from .weno import (
     llf_split_flux,
     pad_periodic,
     periodic_call,
+    runs_call,
 )
 
 __all__ = [
@@ -270,10 +272,10 @@ def advection2d(n: int) -> SemiDiscreteProblem:
 
     The fluxes are upwind-only: the speed is constant along every x-line
     (``a1``) and y-line (``a2``), so with ``alpha = |a|`` the downwind half
-    of the Lax-Friedrichs split is exactly ``+0``.  The ``2n`` padded
-    lines, one row each and reversed where its speed is negative (bitwise
-    the right-biased reconstruction), go through the left-biased kernel
-    in blocks of whole rows.  Adding ``0.0`` puts back the zero half
+    of the Lax-Friedrichs split is exactly ``+0``.  One kernel call reads
+    ``a u`` on the ``2n`` padded lines in place, each from its upwind
+    side (read backwards where the speed is negative, bitwise the
+    right-biased reconstruction).  Adding ``0.0`` puts back the zero half
     (``-0`` becomes ``+0``), so on finite states the fluxes are
     ``llf_split_flux(a u, u, |a|)`` byte for byte.
     """
@@ -297,49 +299,50 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     def exact(t):
         return exact_point(X, Y, t)
 
-    # the source vector holds the state (row major), then the ghost ring:
-    # the 3 layers on every side of the padded frame, corners excluded
-    nn, p = n * n, n + 6
-    frame = np.zeros((p, p), dtype=np.intp)
-    frame[3:-3, :] = frame[:, 3:-3] = nn
-    frame[3:-3, 3:-3] = np.arange(nn).reshape(n, n)
-    gy, gx = np.nonzero(frame == nn)
-    frame[gy, gx] += np.arange(gy.size)
+    # the padded frame; its ghost ring (3 layers a side, corners excluded)
+    # is refilled only when t changes.  The source holds a1 times the
+    # padded x-lines (rows), then a2 times the padded y-lines (columns).
+    p = n + 6
+    frame, ring = np.zeros((p, p)), np.zeros((p, p), dtype=bool)
+    inner, rows, cols = frame[3:-3, 3:-3], frame[3:-3, :], frame[:, 3:-3]
+    ring[3:-3, :] = ring[:, 3:-3] = True
+    ring[3:-3, 3:-3] = False
+    gy, gx = np.nonzero(ring)
     g = (np.arange(-3, n + 3) + 0.5) * h
-    ring_x, ring_y = g[gx], g[gy]
+    ring, ring_x, ring_y = gy * p + gx, g[gx], g[gy]
+    a1, a2 = 2.0 * np.pi * (y[:, None] - 0.5), -2.0 * np.pi * (x - 0.5)
+    src = np.empty(2 * n * p)
+    x_src, y_src = src[:n * p].reshape(n, p), src[n * p:].reshape(p, n)
 
-    # one row per padded x-line, then y-line, reversed where its speed is
-    # negative; ``kept`` undoes the reversal.  The kernel runs on blocks of
-    # whole rows, at most 8192 values each (one block up to n = 61; at
-    # n = 100 and 200 blocks measured faster than one call over all rows).
-    speed = np.concatenate([2.0 * np.pi * (y - 0.5), -2.0 * np.pi * (x - 0.5)])
-    mirrored = speed < 0.0
-    lines = np.concatenate([frame[3:-3, :], frame[:, 3:-3].T])
-    kept = np.arange(2 * n * (n + 1)).reshape(2 * n, n + 1)
-    lines[mirrored], kept[mirrored] = lines[mirrored, ::-1], kept[mirrored, ::-1]
-    per = max(1, 8192 // p)
-    blocks = [slice(j, j + per) for j in range(0, 2 * n, per)]
-    speeds = np.repeat(speed[:, None], p, axis=1)
-    scatter = np.concatenate([kept[:n].ravel(), kept[n:].T.ravel()])  # fx, then fy
-
-    # kept buffers; the ghost ring is refilled only when t changes
-    src = np.empty(nn + gy.size)
-    state = src[:nn].reshape(n, n)
-    phi, edges = np.empty(lines.shape), np.empty(kept.shape)
-    ghost_t = None
+    # the run table: per row, its n + 1 x-faces with step +1, or from cell
+    # 5 with step -1 where a1 < 0; per y-face row f, the columns where
+    # a2 >= 0 from row f with step +n, then the rest (a2 falls with x)
+    # from row f + 5 with step -n
+    flip = (a1[:, 0] < 0.0).astype(np.intp)
+    cut = n - np.count_nonzero(a2 < 0.0)
+    face_rows = n * p + n * np.arange(n + 1)
+    starts = np.concatenate([p * np.arange(n) + 5 * flip,
+                             np.column_stack([face_rows, face_rows + 5 * n + cut]).ravel()])
+    counts = np.concatenate([np.full(n, n + 1), np.tile([cut, n - cut], n + 1)])
+    steps = np.concatenate([1 - 2 * flip, np.tile([n, -n], n + 1)])
+    values = np.empty(2 * n * (n + 1))  # fx (n, n + 1), then fy (n + 1, n)
+    run, ghost_t = None, None
 
     def flux(t, v):
-        nonlocal ghost_t
+        nonlocal run, ghost_t
         if np.shape(v) != (n, n):
             raise ValueError(f"state of shape {np.shape(v)}, need {(n, n)}")
+        if run is None:
+            run = runs_call(src, starts, counts, steps, values)
         if t != ghost_t:
-            src[nn:] = exact_point(ring_x, ring_y, t)
+            np.put(frame, ring, exact_point(ring_x, ring_y, t))
             ghost_t = t
-        state[...] = v
-        np.multiply(src.take(lines, out=phi), speeds, out=phi)
-        out = np.concatenate([edge_from_left(phi[b]) for b in blocks], out=edges).take(scatter)
-        out += _ZERO
-        return out[:nn + n].reshape(n, n + 1), out[nn + n:].reshape(n + 1, n)
+        inner[...] = v
+        np.multiply(a1, rows, x_src)
+        np.multiply(cols, a2, y_src)
+        run()
+        out = np.add(values, _ZERO)
+        return out[:n * n + n].reshape(n, n + 1), out[n * n + n:].reshape(n + 1, n)
 
     return SemiDiscreteProblem(
         grid=grid,

@@ -3,64 +3,43 @@
 The public kernels act on the last axis and expect arrays padded with
 three ghost cells on each side, so a line of ``m`` cells comes in with
 length ``m + 6`` (at least 6) and produces values at the ``m + 1``
-interfaces.
+interfaces.  They are bitwise equal to the textbook evaluation of the
+five-cell formula (Jiang & Shu's indicators, written out in
+:func:`_numpy_weno5`), and that equality is part of their contract.
+Only the left bias is ever evaluated: the right-biased value at
+interface ``k`` is bitwise the left-biased formula on the cells ``k+5``
+down to ``k+1``, the mirror image read in place.
 
-The kernels are bitwise equal to the textbook evaluation of the five-cell
-formula (Jiang & Shu's indicators, written out in :func:`_numpy_left`), and
-that equality is part of their contract.  Only the left bias is ever
-evaluated.  The right-biased value of a line is bitwise the left-biased
-value of its mirror image, which hands the formula the same cells in the
-same roles.  So :func:`interface_states` and :func:`llf_split_flux` make
-one left-biased pass over two rows: the line (or the ``+`` part of the
-split), then the mirror image of the line (or of the ``-`` part).  The
-first row's ``m + 1`` values are the left bias and the second row's, read
-backwards, the right bias.
+A kernel call runs over a *run table*: interface ``k`` of run ``r``
+reads the cells ``src[starts[r] + k + j * steps[r]]``, j = 0..4, and the
+runs fill the values in order.  Step +1 gives a line's left bias, start
+5 with step -1 its right bias, and a step of a row's length reads a
+column, so nothing is copied or mirrored.  :func:`runs_call` checks and
+binds a table once; :func:`edge_from_left`, :func:`interface_states` and
+:func:`llf_split_flux` build one per call over their contiguous input
+and return fresh arrays.  The 1D periodic problems of :mod:`prk.spatial`
+instead bind :func:`periodic_call`: ``weno5_periodic`` pads a line and
+writes its left-biased values, ``burgers_llf_periodic`` pads it and
+writes Burgers' local Lax-Friedrichs fluxes from both biases.  A bound
+compiled call holds the arrays it was given.
 
 Two kernels evaluate the formula with the same bits, and read as one
-program: ``weno5_left`` in ``_weno5.c`` and its numpy twin
-:func:`_numpy_left`, which does the same IEEE operations in the same
-order with the same helpers.  The first kernel call of a process builds
-the C one with the system ``cc -O3 -ffp-contract=off -fno-fast-math
--shared -fPIC`` (no ``-march``, and no fused multiply-add, which rounds
-once where the twin rounds twice) into ``$XDG_CACHE_HOME/prk`` or
-``~/.cache/prk`` (mode 0700), or finds it there, and loads it with
-``ctypes`` (:func:`_kernel_library` keeps it).  Without a
-compiler, when the build fails or when the cache cannot be used, the
-process runs the numpy twin, the compiled kernel's bitwise oracle in
-the tests.  The choice is made once per process, with no option and no
+program: ``_weno5.c`` and its numpy twins (:func:`_numpy_runs`, which
+gathers each run's five operands, and the periodic twins), by the same
+IEEE operations in the same order with the same helpers.  The first
+kernel call of a process builds the C one with the system ``cc -O3
+-ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no
+fused multiply-add, which rounds once where the twin rounds twice) into
+``$XDG_CACHE_HOME/prk`` or ``~/.cache/prk`` (mode 0700), or finds it
+there, and loads it with ``ctypes`` (:func:`_kernel_library` keeps it).
+Without a compiler, when the build fails or when the cache cannot be
+used, the process runs the numpy twins, the compiled kernel's bitwise
+oracles in the tests and written to be read next to the C, not for
+speed.  The choice is made once per process, with no option and no
 output; the read-only ``KERNEL`` (``"c"`` or ``"numpy"``) says which
 kernel runs.  The compiled kernel raises no numpy floating-point
 warnings, so a diverging run can print fewer ``RuntimeWarning`` lines;
-its values are the same.  The twin is written to be read next to the
-C, not for speed: per :func:`edge_from_left` call it takes 3 to 18
-times as long as the C kernel, the most on short lines (timings in the
-README).
-
-The 1D periodic problems of :mod:`prk.spatial` make one kernel call per
-flux, through :func:`periodic_call`, over buffers they own: a state of
-``m >= 3`` cells, its padded line of ``m + 6`` values and the ``m + 1``
-results.  ``weno5_periodic`` pads the line (three ``memcpy``) and writes
-its left-biased values; ``burgers_llf_periodic`` pads it and writes
-Burgers' local Lax-Friedrichs fluxes ``(f(u-) + f(u+) + alpha (u- - u+))
-/ 2``, ``alpha = max(|u-|, |u+|)``, reading ``u+`` off the padded line
-backwards (cells ``k+5`` down to ``k+1``, the mirror image without a
-copy).  Their numpy twins are the periodic pad followed by
-:func:`_numpy_left`, and the same LLF expression, by the same IEEE
-operations.  Per flux call on the compiled kernel (2-vCPU Xeon VM, gcc
-12.2, numpy 2.4.6, medians over 5 alternating processes of the best of 7
-``timeit`` repeats; copy in and fresh result included), Burgers took 9.9
-us at m = 400 and 38.6 us at m = 2000, against 25.9 and 67.7 us through
-:func:`interface_states` and numpy arithmetic; WENO5 advection took 3.3
-us at m = 100 and 9.3 us at m = 800, against 4.9 and 12.4 us through
-:func:`pad_periodic` and :func:`edge_from_left`.
-
-Each line shape gets a plan that holds the line and its values, about 2
-floats per value; a call copies its line in and returns a fresh array.
-A process keeps one cache of plans by shape, bound to its kernel, up to a
-fixed budget of bytes, and the oldest go first when a new one does not
-fit; a plan larger than the budget is built, used and not kept.  The
-cache is not safe for two threads at once, and a forked process gets its
-own copy.
+its values are the same.
 """
 
 from __future__ import annotations
@@ -74,20 +53,13 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
-           "llf_split_flux", "periodic_call"]
+           "llf_split_flux", "periodic_call", "runs_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
 # a float as a read-only 0-d float64 array, the cheapest constant operand
 _constant = functools.partial(np.broadcast_to, shape=())
 _HALF = _constant(0.5)
-
-# The plan cache keeps at most this many bytes of plans, a few under 1 MB
-# each for the package's own.  A plan is charged its buffers and 2.5 KB for
-# the rest: tracemalloc (Python 3.11, numpy 2.4.6) measures 408 bytes for a
-# numpy plan, 1,064 for a compiled one, 2,160 for the first of a process.
-_PLAN_CACHE_BYTES = 32 * 2**20
-_PLAN_OBJECT_BYTES = 2560
 
 
 def pad_periodic(u: np.ndarray) -> np.ndarray:
@@ -107,29 +79,13 @@ def _periodic_index(m: int) -> np.ndarray:
     return index
 
 
-class _Plan:
-    """The line and values of one line shape, and ``run``, the call of
-    ``kernel`` (the compiled ``weno5_left``, or :func:`_numpy_left` if
-    None) that fills the values from the line, its arguments bound once."""
-
-    def __init__(self, shape: tuple, kernel=None):
-        _check_line(shape)
-        self.line = np.empty(shape)
-        self.values = np.empty(shape[:-1] + (shape[-1] - 5,))
-        self.nbytes = _PLAN_OBJECT_BYTES + self.line.nbytes + self.values.nbytes
-        if kernel is None:
-            self.run = functools.partial(_numpy_left, self.line, self.values)
-        else:
-            lines = self.line.size // shape[-1]
-            self.run = _bound(kernel, self.line, lines, shape[-1], self.values)
-
-
 def _bound(entry, *args):
-    """The call of the compiled ``entry`` with ``args``, arrays by address,
-    each converted to its argument type once: taking an array's address
-    costs about 0.7 us."""
-    args = (a.ctypes.data if isinstance(a, np.ndarray) else a for a in args)
-    return functools.partial(entry, *(kind(a) for kind, a in zip(entry.argtypes, args)))
+    """The call of the compiled ``entry`` with ``args``, each converted to
+    its argument type once (taking an array's address costs about 0.7 us).
+    An array goes by a pointer that holds a reference to it, so the call
+    keeps its arrays alive as long as it lives."""
+    return functools.partial(entry, *(a.ctypes.data_as(kind) if isinstance(a, np.ndarray)
+                                      else kind(a) for kind, a in zip(entry.argtypes, args)))
 
 
 def _curvature(a, b, c):
@@ -147,10 +103,10 @@ def _weight(gamma, beta):
     return gamma / (t * t)
 
 
-def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
-    """``weno5_left`` of ``_weno5.c`` in numpy, by the same IEEE operations
-    in the same order: with ``(a, b, c, d, e)`` the cells ``k..k+4`` of
-    interface ``k`` of the padded lines ``w``, ``out[k]`` is
+def _numpy_weno5(a, b, c, d, e, out) -> None:
+    """``weno5`` of ``_weno5.c`` in numpy, by the same IEEE operations in
+    the same order: with ``(a, b, c, d, e)`` the five cells of each
+    interface, ``out`` gets
 
         p0 = (2a - 7b + 11c) / 6
         p1 = (-b + 5c + 2d) / 6
@@ -163,8 +119,6 @@ def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
 
     left to right, where commuting the two operands of one ``+`` or ``*``
     is exact and ``-b + 5c`` is ``5c - b`` exactly."""
-    n = w.shape[-1] - 5
-    a, b, c, d, e = (w[..., k:k + n] for k in range(5))
     alpha0 = _weight(0.1, _quarter_square((a - 4.0 * b) + 3.0 * c) + _curvature(a, b, c))
     alpha1 = _weight(0.6, _curvature(b, c, d) + _quarter_square(b - d))
     alpha2 = _weight(0.3, _quarter_square((3.0 * c - 4.0 * d) + e) + _curvature(c, d, e))
@@ -172,6 +126,24 @@ def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
     p1 = ((5.0 * c - b) + 2.0 * d) / 6.0
     p2 = ((2.0 * c + 5.0 * d) - e) / 6.0
     np.divide((p0 * alpha0 + p1 * alpha1) + p2 * alpha2, (alpha0 + alpha1) + alpha2, out)
+
+
+def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
+    """The left-biased values of the padded lines ``w``: interface ``k``
+    reads the cells ``k..k+4``."""
+    n = w.shape[-1] - 5
+    _numpy_weno5(*(w[..., k:k + n] for k in range(5)), out)
+
+
+def _numpy_runs(src, starts, counts, steps, out) -> None:
+    """``weno5_runs`` of ``_weno5.c`` in numpy: interface ``k`` of run
+    ``r`` reads the cells ``src[starts[r] + k + j * steps[r]]``, j = 0..4,
+    and the runs fill ``out`` in order.  The five operands of all runs
+    are gathered at once, so a table of many short runs costs a few
+    gathers, not a pass of the formula per run."""
+    first = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(out.size)
+    step = np.repeat(steps, counts)
+    _numpy_weno5(*(src.take(first + j * step) for j in range(5)), out)
 
 
 def _numpy_weno5_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray) -> None:
@@ -196,25 +168,6 @@ def _numpy_burgers_llf_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray
     up = mirrored[::-1]
     alpha = np.maximum(np.abs(um), np.abs(up))
     np.multiply(_HALF, _HALF * um**2 + _HALF * up**2 + alpha * (um - up), out)
-
-
-class _PlanCache(dict):
-    """Plans by line shape, each made by ``build(shape)``, holding at most
-    ``budget`` bytes of plans in all and dropping the oldest first; a
-    larger plan is built and not kept."""
-
-    def __init__(self, budget: int, build):
-        super().__init__()
-        self.budget, self.nbytes, self.build = budget, 0, build
-
-    def __missing__(self, shape: tuple) -> _Plan:
-        plan = self.build(shape)
-        if plan.nbytes <= self.budget:
-            self.nbytes += plan.nbytes
-            while self.nbytes > self.budget:
-                self.nbytes -= self.pop(next(iter(self))).nbytes
-            self[shape] = plan
-        return plan
 
 
 _SOURCE = Path(__file__).with_name("_weno5.c")
@@ -269,7 +222,7 @@ def _kernel_library():
     except (OSError, RuntimeError):
         return None
     size, address = ctypes.c_size_t, ctypes.c_void_p
-    for name, argtypes in (("weno5_left", (address, size, size, address)),
+    for name, argtypes in (("weno5_runs", (address, address, address, address, size, address)),
                            ("weno5_periodic", (address, size, address, address)),
                            ("burgers_llf_periodic", (address, size, address, address))):
         entry = getattr(library, name)
@@ -302,15 +255,6 @@ def _digest(*parts: bytes) -> str:
     return sha256(b"\0".join(parts)).hexdigest()[:16]
 
 
-@functools.cache
-def _kernel_plans() -> _PlanCache:
-    """This process's plan cache, bound to the compiled ``weno5_left`` if
-    the library builds and loads, else to :func:`_numpy_left`."""
-    library = _kernel_library()
-    kernel = None if library is None else library.weno5_left
-    return _PlanCache(_PLAN_CACHE_BYTES, functools.partial(_Plan, kernel=kernel))
-
-
 # the numpy twins of the entries of _weno5.c over one periodic line
 _PERIODIC_TWINS = {"weno5_periodic": _numpy_weno5_periodic,
                    "burgers_llf_periodic": _numpy_burgers_llf_periodic}
@@ -321,20 +265,54 @@ def periodic_call(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray):
     ``"burgers_llf_periodic"``) on the cells ``v`` of one periodic line, of
     this process's kernel, with its arguments bound once: it pads ``v``
     into ``line`` and writes the interface values into ``out``.  The
-    caller owns the three buffers and keeps them alive for the call: 1-d
-    contiguous float64 arrays of ``m >= 3``, ``m + 6`` and ``m + 1``
-    values, the last two writeable; others raise ``ValueError``."""
+    buffers are 1-d contiguous float64 arrays of ``m >= 3``, ``m + 6`` and
+    ``m + 1`` values, the last two writeable; others raise ``ValueError``.
+    The call holds the three."""
     m = v.size
-    buffers = ((v, m), (line, m + 6), (out, m + 1))
     if (m < 3 or not (line.flags.writeable and out.flags.writeable)
-            or any(a.dtype != np.float64 or a.shape != (n,) or not a.flags.c_contiguous
-                   for a, n in buffers)):
+            or not _vectors(np.float64, (v, m), (line, m + 6), (out, m + 1))):
         raise ValueError("periodic_call needs 1-d contiguous float64 buffers of m >= 3, "
                          "m + 6 and m + 1 values, the last two writeable")
     library = _kernel_library()
     if library is None:
         return functools.partial(_PERIODIC_TWINS[entry], v, line, out)
     return _bound(getattr(library, entry), v, v.size, line, out)
+
+
+def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np.ndarray,
+              out: np.ndarray):
+    """The call of ``weno5_runs`` of this process's kernel over the run
+    table ``(starts, counts, steps)``, with its arguments bound once: it
+    writes the values of the runs' interfaces into ``out``.  ``src`` and
+    ``out`` are 1-d contiguous float64 arrays, ``out`` writeable, and the
+    table three 1-d contiguous intp arrays of one length, whose runs read
+    inside ``src`` and whose counts (at least 0) sum to ``out.size``;
+    others raise ``ValueError``.  The call holds the five arrays."""
+    table = (starts, counts, steps)
+    if (not out.flags.writeable or not _vectors(np.float64, (src, src.size), (out, out.size))
+            or not _vectors(np.intp, *((a, starts.size) for a in table))):
+        raise ValueError("runs_call needs 1-d contiguous float64 src and out, out writeable, "
+                         "and 1-d contiguous intp starts, counts and steps of one length")
+    faces = 0
+    for r, (start, count, step) in enumerate(zip(*(a.tolist() for a in table))):
+        low, high = sorted((start, start + 4 * step))  # the cells of its first face
+        if count < 0 or count and (low < 0 or high + count > src.size):
+            raise ValueError(f"runs_call: run {r} (start {start}, count {count}, step {step}) "
+                             f"reads outside the {src.size} values of src")
+        faces += count
+    if faces != out.size:
+        raise ValueError(f"runs_call: the runs have {faces} faces, out {out.size} values")
+    library = _kernel_library()
+    if library is None:
+        return functools.partial(_numpy_runs, src, starts, counts, steps, out)
+    return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
+
+
+def _vectors(dtype, *arrays) -> bool:
+    """Whether each ``(array, size)`` of ``arrays`` is a contiguous 1-d
+    array of ``dtype`` and ``size`` values."""
+    return all(a.dtype == dtype and a.shape == (size,) and a.flags.c_contiguous
+               for a, size in arrays)
 
 
 class _Module(types.ModuleType):
@@ -353,6 +331,23 @@ def _check_line(shape: tuple) -> None:
         raise ValueError(f"WENO5 needs a padded line of at least 6 values, got {got}")
 
 
+def _biased(w, steps) -> np.ndarray:
+    """The values at the interfaces of the padded lines ``w``, for each
+    step of ``steps`` in turn, one run per line: left-biased (+1), or
+    right-biased (-1, the cells ``k+5`` down to ``k+1``, the mirror image
+    read in place).  One kernel call over a contiguous copy of ``w`` (or
+    ``w`` itself), into a fresh array of shape ``(len(steps),) +
+    w.shape[:-1] + (L - 5,)``."""
+    shape = np.shape(w)
+    _check_line(shape)
+    src = np.ascontiguousarray(w, dtype=np.float64).reshape(-1)
+    out = np.empty((len(steps),) + shape[:-1] + (shape[-1] - 5,))
+    steps = np.repeat(np.array(steps, dtype=np.intp), src.size // shape[-1])
+    starts = np.tile(np.arange(0, src.size, shape[-1]), len(out)) + 5 * (steps < 0)
+    runs_call(src, starts, np.full(steps.size, shape[-1] - 5), steps, out.reshape(-1))()
+    return out
+
+
 def edge_from_left(w: np.ndarray) -> np.ndarray:
     """Left-biased interface values from a padded line.
 
@@ -360,35 +355,19 @@ def edge_from_left(w: np.ndarray) -> np.ndarray:
     the reconstruction at the right edge of cell ``i-1`` (the upwind value
     for positive wind).
     """
-    plan = _kernel_plans()[w.shape]
-    np.copyto(plan.line, w)
-    plan.run()
-    return plan.values.copy()
-
-
-def _two_sided(first, second) -> tuple[np.ndarray, np.ndarray]:
-    """The left-biased values of ``first`` and the right-biased values of
-    ``second``, lines of one shape: one pass over two rows, ``first`` and
-    the mirror image of ``second``, returned as two views of one fresh
-    array that do not overlap."""
-    _check_line(first.shape)
-    plan = _kernel_plans()[(2,) + first.shape]
-    np.copyto(plan.line[0], first)
-    np.copyto(plan.line[1, ..., ::-1], second)
-    plan.run()
-    values = plan.values.copy()
-    return values[0], values[1, ..., ::-1]
+    return _biased(w, [1])[0]
 
 
 def interface_states(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstructed left/right states ``(u_minus, u_plus)`` at all interfaces.
 
     ``u_minus`` is :func:`edge_from_left` of ``w``; ``u_plus``, the right
-    bias, is :func:`edge_from_left` of ``w`` reversed, read backwards.  One
-    left-biased pass over ``w`` and its mirror image gives both, as two
-    views of one fresh array that do not overlap.
+    bias, reads each line backwards: the left-biased formula on the cells
+    ``k+5`` down to ``k+1``.  One kernel call gives both, as two views of
+    one fresh array that do not overlap.
     """
-    return _two_sided(w, w)
+    um, up = _biased(w, [1, -1])
+    return um, up
 
 
 def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:
@@ -397,9 +376,8 @@ def llf_split_flux(phi_pad: np.ndarray, u_pad: np.ndarray, alpha) -> np.ndarray:
     ``phi_pad`` holds pointwise fluxes and ``u_pad`` the states, both
     padded; ``alpha`` is the dissipation speed (scalar or broadcastable
     against the padded line).  The split parts ``(phi +/- alpha u)/2``
-    are reconstructed with opposite bias and summed: one left-biased pass
-    over ``fplus`` and the mirror image of ``fminus``.
+    are reconstructed with opposite bias and summed: the left-biased
+    values of ``fplus`` and the right-biased values of ``fminus``.
     """
     spread = alpha * u_pad
-    left, right = _two_sided((phi_pad + spread) * 0.5, (phi_pad - spread) * 0.5)
-    return left + right
+    return _biased((phi_pad + spread) * 0.5, [1])[0] + _biased((phi_pad - spread) * 0.5, [-1])[0]

@@ -302,7 +302,7 @@ def test_run_checks_experiment_values_before_the_first_integration(
     (["--m", "100000"], "bad value m=100000: need at most 10000000 cells, not 1e+10"),
     (["--problem", "adv1d", "--m", "1000000000", "--nu", "1000"],
      "bad value m=1000000000: need at most 10000000 cells, not 1e+09"),
-    # 6.25e6 cells pass MAX_CELLS; their index plan would take 1.15 GB
+    # 6.25e6 cells pass MAX_CELLS; at 184 bytes a cell their build would take 1.15 GB
     (["--m", "2500"], "bad value m=2500: need at most 1073741824 bytes to build, not 1.15e+09"),
 ], ids=["part-count", "steps", "partition-syntax", "partition-dynamic-flux", "m-zero",
         "t-end-negative", "cells-adv2d", "cells-adv1d", "build-bytes-adv2d"])

@@ -323,8 +323,18 @@ def _signed_state(n, seed):
 @given(v=st.integers(6, 15).flatmap(states2d), t=st.floats(0.0, 1.0))
 @example(v=_signed_state(49, 1), t=0.3)  # odd n: the middle x-line is mirrored
 @example(v=_signed_state(50, 2), t=0.7)  # the benchmark size
-@example(v=_signed_state(64, 3), t=0.1)  # two kernel calls
+@example(v=_signed_state(64, 3), t=0.1)
 def test_adv2d_line_fluxes_equal_the_textbook_split(v, t):
+    _assert_textbook_split(v, t)
+
+
+@pytest.mark.parametrize("n, seed, t", [(49, 1, 0.3), (50, 2, 0.7)])
+def test_adv2d_line_fluxes_keep_the_textbook_bits_on_each_kernel(each_kernel, n, seed, t):
+    # the run table reads the frame in place, with steps +-1 and +-n
+    _assert_textbook_split(_signed_state(n, seed), t)
+
+
+def _assert_textbook_split(v, t):
     # byte for byte, so the sign of every zero counts
     n = v.shape[0]
     p = advection2d(n)

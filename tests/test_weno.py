@@ -1,19 +1,21 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
 mirror symmetry, the split-flux path, bitwise equality with the textbook
-evaluation order, input checks, fresh results from reused plans, the
-byte budget of the plan cache, the compiled kernel bitwise equal to the
-numpy kernel, and the numpy fallback when the compiled one cannot load."""
+evaluation order, input checks, fresh results, run tables checked when
+they bind, bound calls that hold their buffers, the compiled kernel
+bitwise equal to the numpy kernel, and the numpy fallback when the
+compiled one cannot load."""
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -215,7 +217,7 @@ def test_kernels_bitwise_equal_on_transposed_lines():
 
 
 # ----------------------------------------------------------------------
-# input checks and the per-shape plans the kernels reuse
+# input checks and fresh results
 # ----------------------------------------------------------------------
 
 _KERNELS = {
@@ -277,7 +279,7 @@ def test_read_only_line_is_never_written():
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_two_lines_of_one_shape_each_match_the_oracle(data):
-    # the second line runs on the plan the first one filled
+    # two calls on one shape give each line its own values
     shape = data.draw(shapes)
     for w in (data.draw(lines(shape)), data.draw(lines(shape))):
         _assert_bitwise(edge_from_left(w), _oracle_left(w))
@@ -287,8 +289,7 @@ def test_two_lines_of_one_shape_each_match_the_oracle(data):
 
 
 # ----------------------------------------------------------------------
-# the mirrored pass: both biases from one left-biased pass over two rows,
-# the line and its mirror image
+# both biases from one call: the right bias reads each line backwards
 # ----------------------------------------------------------------------
 
 def _read_only(w):
@@ -342,50 +343,27 @@ def test_writing_into_u_minus_changes_neither_u_plus_nor_a_later_call():
 
 
 # ----------------------------------------------------------------------
-# the plan cache's byte budget
-# ----------------------------------------------------------------------
-
-def _assert_counted(cache):
-    assert cache.nbytes == sum(plan.nbytes for plan in cache.values())
-    assert cache.nbytes <= cache.budget
-
-
-def test_plan_cache_drops_the_oldest_plans_past_its_budget():
-    shapes = [(6, 40), (2, 3, 40), (3, 2, 40), (1, 6, 40)]  # plans of one size
-    cache = weno._PlanCache(3 * weno._Plan(shapes[0]).nbytes, weno._Plan)
-    first = [cache[shape] for shape in shapes[:3]]
-    assert cache[shapes[0]] is first[0]
-    _assert_counted(cache)
-    cache[shapes[3]]
-    assert list(cache) == shapes[1:]
-    _assert_counted(cache)
-
-
-# ----------------------------------------------------------------------
 # the compiled kernel and the numpy kernel it falls back to
 # ----------------------------------------------------------------------
 
-def _compiled_plans():
+def _compiled_library():
     if weno.KERNEL == "numpy":
         pytest.skip("the compiled kernel does not build or load here")
-    return weno._kernel_plans()
+    return weno._kernel_library()
 
 
-def _run_on(plans, kernel, *args):
-    """``kernel(*args)`` on the plans of one kernel."""
+def _run_on(library, kernel, *args):
+    """``kernel(*args)`` on ``library``, or on the numpy twins if None."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weno, "_kernel_plans", lambda: plans)
+        patch.setattr(weno, "_kernel_library", lambda: library)
         return kernel(*args)
 
 
 @pytest.fixture(params=["c", "numpy"])
 def each_kernel(request, monkeypatch):
-    """The compiled kernel, then the numpy kernel, each on fresh plans;
-    the problems built in the test bind the same kernel's periodic entries."""
-    build = _compiled_plans().build if request.param == "c" else weno._Plan
-    library = weno._kernel_library() if request.param == "c" else None
-    plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, build)
-    monkeypatch.setattr(weno, "_kernel_plans", lambda: plans)
+    """The compiled kernel, then the numpy kernel: every call bound in the
+    test, and every problem built in it, runs on that kernel."""
+    library = _compiled_library() if request.param == "c" else None
     monkeypatch.setattr(weno, "_kernel_library", lambda: library)
     return request.param
 
@@ -415,50 +393,6 @@ def test_each_kernel_rejects_short_lines(each_kernel, kernel):
     test_0d_input_is_rejected(kernel)
 
 
-def test_mirrored_call_runs_on_the_plan_of_the_doubled_line(each_kernel):
-    # a (2, 17) line and its mirror image are the two rows of one (2, 2, 17)
-    # plan, the one edge_from_left uses on a (2, 2, 17) array
-    plans = weno._kernel_plans()
-    rng = np.random.default_rng(41)
-    w, rows = rng.standard_normal((2, 17)), rng.standard_normal((2, 2, 17))
-    interface_states(w)
-    assert list(plans) == [(2, 2, 17)]
-    plan = plans[(2, 2, 17)]
-    _assert_bitwise(edge_from_left(rows), _oracle_left(rows))
-    assert list(plans) == [(2, 2, 17)] and plans[(2, 2, 17)] is plan
-    um, up = interface_states(w)
-    _assert_bitwise(um, _oracle_left(w))
-    _assert_bitwise(up, _oracle_right(w))
-    assert list(plans) == [(2, 2, 17)] and plans[(2, 2, 17)] is plan
-
-
-def test_plan_larger_than_the_budget_is_used_and_not_kept(each_kernel, monkeypatch):
-    build = weno._kernel_plans().build
-    small, large = (2, 40), (3, 40)
-    plans = weno._PlanCache(build(large).nbytes - 1, build)
-    monkeypatch.setattr(weno, "_kernel_plans", lambda: plans)
-    kept = {small: plans[small]}
-    w = np.random.default_rng(47).standard_normal(large)
-    _assert_bitwise(edge_from_left(w), _oracle_left(w))
-    assert plans == kept
-    _assert_counted(plans)
-
-
-@pytest.mark.parametrize("shape", [(6,), (106,), (2, 2, 17), (77, 106)])
-def test_a_plan_is_charged_at_least_its_measured_size(each_kernel, shape):
-    # so the cache's byte budget bounds the memory its plans really hold
-    build = weno._kernel_plans().build
-    build(shape)  # the first builds of a process also fill caches no plan keeps
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        plan = build(shape)
-        size = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert plan.line.nbytes + plan.values.nbytes < size <= plan.nbytes
-
-
 # signed zeros, subnormals, the extremes of the normal range and integers
 _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300,
             -1e300, 1.0, -7.0)
@@ -479,15 +413,111 @@ def wide_lines(draw, leads=((), (2,), (3, 2))):
     return np.choose(rng.choice(mix, shape), sources)
 
 
-def _periodic_values(entry, v, library):
-    """The values of ``entry`` of ``_weno5.c`` over the periodic line ``v``,
-    on ``library``, or on the numpy twin if None."""
+def _periodic_values(entry, v):
+    """The values of ``entry`` of ``_weno5.c`` over the periodic line ``v``."""
     v = np.array(v, dtype=float)
     line, out = np.empty(v.size + 6), np.empty(v.size + 1)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weno, "_kernel_library", lambda: library)
-        weno.periodic_call(entry, v, line, out)()
+    weno.periodic_call(entry, v, line, out)()
     return out
+
+
+def _runs_values(src, starts, counts, steps):
+    """The values of ``weno5_runs`` of ``_weno5.c`` over the run table."""
+    out = np.empty(int(counts.sum()))
+    weno.runs_call(src, starts, counts, steps, out)()
+    return out
+
+
+@st.composite
+def run_tables(draw, w):
+    """``w`` as one source of values and a run table over it: 1 to 6 runs,
+    each with a step of +-1 or +-p (p the line length, if the source holds
+    more than four lines' worth), a count of 0 up to all the faces that fit
+    (a face subset) and a start at which it reads inside the source."""
+    src = np.ascontiguousarray(w).reshape(-1)
+    strides = [1, -1] + [w.shape[-1], -w.shape[-1]] * (4 * w.shape[-1] < src.size)
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(strides))
+        count = draw(st.integers(0, src.size - 4 * abs(step)))
+        low = draw(st.integers(0, src.size - 4 * abs(step) - count))  # its lowest cell
+        table.append((low - min(4 * step, 0), count, step))
+    return (src, *np.array(table, dtype=np.intp).T.copy())
+
+
+def _oracle_runs(src, starts, counts, steps):
+    """The textbook formula on the five cells of every face of the runs."""
+    return np.concatenate([_weighted_edge(*(src[s + np.arange(c) + j * d] for j in range(5)))
+                           for s, c, d in zip(starts, counts, steps)])
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_runs_kernel_bitwise_equals_textbook_oracle(each_kernel, data):
+    # +-1e300 overflows to inf and NaN, at the same faces with the same bits
+    table = data.draw(run_tables(data.draw(wide_lines())))
+    with np.errstate(all="ignore"):
+        _assert_bitwise(_runs_values(*table), _oracle_runs(*table))
+
+
+def _table(**changes):
+    """A run table of one run over 20 values, 16 faces, with ``changes``."""
+    table = dict(src=np.empty(20), starts=np.array([0]), counts=np.array([16]),
+                 steps=np.array([1]), out=np.empty(16))
+    return {**table, **changes}
+
+
+_read_only_out = np.empty(16)
+_read_only_out.flags.writeable = False
+
+
+@pytest.mark.parametrize("table", [
+    _table(starts=np.array([3]), steps=np.array([-1])),
+    _table(starts=np.array([1])),
+    _table(counts=np.array([1]), steps=np.array([5]), out=np.empty(1)),
+    _table(starts=np.array([0, 0]), counts=np.array([-1, 17]), steps=np.array([1, 1])),
+    _table(counts=np.array([15])),
+    _table(out=np.empty(17)),
+    _table(src=np.empty(20, dtype=np.float32)),
+    _table(src=np.empty(40)[::2]),
+    _table(src=np.empty((1, 20))),
+    _table(starts=np.array([0], dtype=np.int32)),
+    _table(steps=np.array([1, 1])),
+    _table(out=_read_only_out),
+    _table(out=np.empty((4, 4))),
+], ids=["reads-before-src", "reads-past-src", "stride-past-src", "negative-count",
+        "fewer-faces", "more-values", "float32", "strided", "2-d-src", "int32-starts",
+        "table-lengths", "read-only-out", "2-d-out"])
+def test_runs_call_rejects_tables_the_kernel_cannot_take(each_kernel, table):
+    # the compiled entry would read or write past a wrong buffer
+    with pytest.raises(ValueError, match="^runs_call"):
+        weno.runs_call(**table)
+
+
+def _bound_over_fresh_arrays(entry):
+    """A bound call of ``entry`` over arrays nothing else refers to, weak
+    references to the arrays (the values last) and the values it must give."""
+    v = np.random.default_rng(53).standard_normal(20)
+    w = pad_periodic(v)
+    if entry == "weno5_periodic":
+        arrays = [v, np.empty(26), np.empty(21)]
+        call, want = weno.periodic_call(entry, *arrays), _oracle_left(w)
+    else:
+        arrays = [w, np.array([0, 5]), np.array([21, 21]), np.array([1, -1]), np.empty(42)]
+        call, want = weno.runs_call(*arrays), np.concatenate([_oracle_left(w), _oracle_right(w)])
+    return call, [weakref.ref(a) for a in arrays], want
+
+
+@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs"])
+def test_a_bound_call_holds_its_buffers(each_kernel, entry):
+    # the compiled call reads and writes its arrays by address: freed, they
+    # would be memory the process reuses
+    call, arrays, want = _bound_over_fresh_arrays(entry)
+    gc.collect()
+    assert all(array() is not None for array in arrays)
+    call()
+    _assert_bitwise(arrays[-1](), want)
 
 
 _read_only_line = np.empty(16)
@@ -510,41 +540,37 @@ def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, li
 
 
 @settings(deadline=None, max_examples=100)
-@given(wide_lines(), st.floats(0.0, 4.0))
-def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha):
-    compiled = _compiled_plans()
-    numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, weno._Plan)
-    calls = [(edge_from_left, w), (interface_states, w), (llf_split_flux, w, w[..., ::-1], alpha)]
+@given(wide_lines(), st.floats(0.0, 4.0), st.data())
+def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha, data):
+    compiled = _compiled_library()
+    cells = w.reshape(-1, w.shape[-1])[0]  # one periodic line of 6 to 3000 cells
+    calls = [(edge_from_left, w), (interface_states, w), (llf_split_flux, w, w[..., ::-1], alpha),
+             (_runs_values, *data.draw(run_tables(w))),
+             *((_periodic_values, entry, cells) for entry in weno._PERIODIC_TWINS)]
     with np.errstate(all="ignore"):  # +-1e300 overflows to inf and NaN in both
         for kernel, *args in calls:
-            got, want = (np.asarray(_run_on(plans, kernel, *args))
-                         for plans in (compiled, numpy_plans))
-            _assert_bitwise(got, want)
-        cells = w.reshape(-1, w.shape[-1])[0]  # one periodic line of 6 to 3000 cells
-        for entry in weno._PERIODIC_TWINS:
-            got, want = (_periodic_values(entry, cells, library)
-                         for library in (weno._kernel_library(), None))
+            got, want = (np.asarray(_run_on(library, kernel, *args))
+                         for library in (compiled, None))
             _assert_bitwise(got, want)
 
 
-# A fresh process runs the three kernels and the two periodic 1D fluxes, then
-# the numpy kernel on the same lines, and writes KERNEL and whether the bytes
+# A fresh process runs the three kernels and the 1D and 2D fluxes, then the
+# numpy kernel on the same lines, and writes KERNEL and whether the bytes
 # agree.
 _PROBE = """
 import sys
 import numpy as np
 from prk import weno
-from prk.spatial import advection1d_weno5, burgers_llf
+from prk.spatial import advection1d_weno5, advection2d, burgers_llf
 
 def values():
     w = np.linspace(-1.0, 2.0, 120).reshape(3, 40) ** 3
     out = [weno.edge_from_left(w), *weno.interface_states(w), weno.llf_split_flux(w, w, 0.5),
-           advection1d_weno5(40).flux(0.0, w[0]), burgers_llf(40).flux(0.0, w[1])]
+           advection1d_weno5(40).flux(0.0, w[0]), burgers_llf(40).flux(0.0, w[1]),
+           *advection2d(12).flux(0.1, np.outer(w[0, :12], w[1, :12]))]
     return b"".join(v.tobytes() for v in out)
 
 first, kernel = values(), weno.KERNEL
-numpy_plans = weno._PlanCache(weno._PLAN_CACHE_BYTES, weno._Plan)
-weno._kernel_plans = lambda: numpy_plans
 weno._kernel_library = lambda: None
 with open(sys.argv[1], "w") as fh:
     fh.write(f"{kernel} {values() == first}")
