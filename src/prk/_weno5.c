@@ -1,5 +1,6 @@
-/* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, and the
-   two 1D fluxes of periodic lines that read them.
+/* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, the
+   two 1D fluxes of periodic lines that read them, and the stage sums of a
+   partitioned Runge-Kutta step.
 
    `weno5_runs(src, starts, counts, steps, nruns, out)`: interface k of
    run r reads the cells src[starts[r] + k + j * steps[r]], j = 0..4, as
@@ -12,11 +13,16 @@
    m + 1 interface values into `out`: the left-biased values, or the
    Burgers local Lax-Friedrichs fluxes of both biases.
 
+   `stage_sum(store, rows, coeffs, nterms, size, dt, u, out)` writes
+   u + dt (a_0 K_0 + a_1 K_1 + ...) into `out`, with a_t = coeffs[t] and
+   K_t the row rows[t] of `size` values of `store`, summed left to right
+   from the first term; `out` may be `u`.
+
    Every value is computed by the same IEEE operations, in the same order,
    as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
-   `_numpy_burgers_llf_periodic`), so the two give the same bits.  That
-   holds only when the compiler keeps the order: build with
-   -ffp-contract=off (no fused multiply-add) and without fast-math.  */
+   `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`), so the two give the
+   same bits.  That holds only when the compiler keeps the order: build
+   with -ffp-contract=off (no fused multiply-add) and without fast-math.  */
 
 #include <math.h>
 #include <stddef.h>
@@ -104,5 +110,30 @@ void burgers_llf_periodic(const double *v, size_t m, double *line, double *out)
         double alpha = am > ap ? am : ap;
         alpha = am != am ? am : alpha;
         out[k] = 0.5 * ((0.5 * (um * um) + 0.5 * (up * up)) + alpha * (um - up));
+    }
+}
+
+/* the sum over blocks of STAGE_BLOCK values, each summed in a local
+   accumulator one term at a time, so every loop is a plain pass over
+   contiguous values */
+enum { STAGE_BLOCK = 256 };
+
+void stage_sum(const double *store, const ptrdiff_t *rows, const double *coeffs,
+               size_t nterms, size_t size, double dt, const double *u, double *out)
+{
+    double acc[STAGE_BLOCK];
+    for (size_t lo = 0; lo < size; lo += STAGE_BLOCK) {
+        size_t len = size - lo < STAGE_BLOCK ? size - lo : STAGE_BLOCK;
+        const double *row = store + (size_t)rows[0] * size + lo;
+        for (size_t n = 0; n < len; n++)
+            acc[n] = coeffs[0] * row[n];
+        for (size_t t = 1; t < nterms; t++) {
+            double a = coeffs[t];
+            row = store + (size_t)rows[t] * size + lo;
+            for (size_t n = 0; n < len; n++)
+                acc[n] += a * row[n];
+        }
+        for (size_t n = 0; n < len; n++)
+            out[lo + n] = acc[n] * dt + u[lo + n];
     }
 }

@@ -246,12 +246,13 @@ def linearize_parts(parts, m: int) -> list[np.ndarray]:
     ``fig3`` reads its splittings this way, up to m = 640.
     """
     needed = [True] * parts.r
-    zero = parts.eval_parts(0.0, np.zeros(m), needed)
+    zero, vals = np.empty((2, parts.r, m))
+    parts.eval_parts(0.0, np.zeros(m), needed, zero)
     mats = [np.zeros((m, m)) for _ in range(parts.r)]
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
-        vals = parts.eval_parts(0.0, e, needed)
+        parts.eval_parts(0.0, e, needed, vals)
         for k in range(parts.r):
             mats[k][:, i] = vals[k] - zero[k]
     return mats

@@ -146,27 +146,35 @@ class FluxPartition2D:
 # ----------------------------------------------------------------------
 # split right-hand sides
 #
-# Every split has ``r`` parts and ``eval_parts(t, v, needed)``, the list
-# of part values at one stage (``None`` where ``needed`` is false); a
-# dynamic split also has ``begin_step(u)``.  The stepper uses nothing else,
-# always passes ``needed`` and skips the call when no part is needed.
+# Every split has ``r`` parts and ``eval_parts(t, v, needed, out)``: for
+# each part k with ``needed[k]`` true it writes every value of ``out[k]``
+# (an array of ``r`` rows of the state's shape) and leaves the other rows
+# alone; it returns None.  Every call evaluates ``F`` or the flux once.  A
+# dynamic split also has ``begin_step(u)``.  The stepper uses nothing
+# else, always passes ``needed`` and skips the call when no part is needed.
 # ----------------------------------------------------------------------
 
 class CellSplitParts:
-    """Component masking of a full right-hand side: ``F_k = I_k F``."""
+    """Component masking of a full right-hand side: ``F_k = I_k F``, and
+    ``+0`` outside region k."""
 
     def __init__(self, F: Callable, partition: CellPartition):
         self.F = F
         self.partition = partition
         self.r = partition.r
         self._shape = partition.shape
+        masks = partition.masks
+        # where part k is +0: the other region's mask, or the complement
+        self._outside = masks[::-1] if self.r == 2 else tuple(~mk for mk in masks)
 
-    def eval_parts(self, t, v, needed):
+    def eval_parts(self, t, v, needed, out):
         if np.shape(v) != self._shape:
             raise ValueError("state shape does not match the partition masks")
         f = self.F(t, v)
-        return [np.where(mk, f, _ZERO) if use else None
-                for mk, use in zip(self.partition.masks, needed)]
+        for k, (mk, outside) in enumerate(zip(self.partition.masks, self._outside)):
+            if needed[k]:
+                np.copyto(out[k], f, where=mk)
+                np.copyto(out[k], _ZERO, where=outside)
 
 
 class FluxSplitParts:
@@ -183,15 +191,16 @@ class FluxSplitParts:
         self._state_shape = (partition.grid.m,)
         self._flux_shape = (partition.grid.m + 1,)
 
-    def eval_parts(self, t, v, needed):
+    def eval_parts(self, t, v, needed, out):
         p = self.partition
         if np.shape(v) != self._state_shape:
             raise ValueError("state shape does not match the flux partition")
         phi = self.flux(t, v)
         if np.shape(phi) != self._flux_shape:
             raise ValueError("flux evaluator must return m + 1 interface values")
-        return [p.grid.divergence(np.where(mk, phi, _ZERO)) if use else None
-                for mk, use in zip(p.masks, needed)]
+        for k, mk in enumerate(p.masks):
+            if needed[k]:
+                p.grid.divergence(np.where(mk, phi, _ZERO), out[k])
 
 
 class FluxSplit2DParts:
@@ -200,11 +209,12 @@ class FluxSplit2DParts:
         self.partition = partition
         self.r = partition.r
 
-    def eval_parts(self, t, v, needed):
+    def eval_parts(self, t, v, needed, out):
         p = self.partition
         fx, fy = self.flux(t, v)
-        return [p.grid.divergence((np.where(xm, fx, _ZERO), np.where(ym, fy, _ZERO)))
-                if use else None for xm, ym, use in zip(p.xmasks, p.ymasks, needed)]
+        for k, (xm, ym) in enumerate(zip(p.xmasks, p.ymasks)):
+            if needed[k]:
+                p.grid.divergence((np.where(xm, fx, _ZERO), np.where(ym, fy, _ZERO)), out[k])
 
 
 class TrivialParts:
@@ -214,8 +224,8 @@ class TrivialParts:
         self.F = F
         self.r = 1
 
-    def eval_parts(self, t, v, needed):
-        return [self.F(t, v)]
+    def eval_parts(self, t, v, needed, out):
+        np.copyto(out[0], self.F(t, v))
 
 
 class DynamicCellSplit:
@@ -238,10 +248,10 @@ class DynamicCellSplit:
         self.partition = partition
         self._split = CellSplitParts(self.F, partition)
 
-    def eval_parts(self, t, v, needed):
+    def eval_parts(self, t, v, needed, out):
         if self.partition is None:
             self.begin_step(v)
-        return self._split.eval_parts(t, v, needed)
+        self._split.eval_parts(t, v, needed, out)
 
 
 def burgers_dynamic_partition(u: np.ndarray, threshold: float = 0.125) -> CellPartition:

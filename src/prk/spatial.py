@@ -72,9 +72,11 @@ class Grid1D:
     def min_width(self) -> float:
         return float(np.min(self.dx))
 
-    def divergence(self, phi: np.ndarray) -> np.ndarray:
-        """Conservative difference of the ``m + 1`` interface fluxes."""
-        return (phi[:-1] - phi[1:]) / self.dx
+    def divergence(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Conservative difference of the ``m + 1`` interface fluxes, into
+        ``out`` if given."""
+        diff = np.subtract(phi[:-1], phi[1:], out)
+        return np.divide(diff, self.dx, diff)
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,16 @@ class Grid2D:
     def min_width(self) -> float:
         return self.h
 
-    def divergence(self, phi) -> np.ndarray:
-        """Conservative difference of x-face and y-face fluxes ``(fx, fy)``."""
+    def divergence(self, phi, out: np.ndarray | None = None) -> np.ndarray:
+        """Conservative difference of x-face and y-face fluxes ``(fx, fy)``,
+        into ``out`` if given: ``(fx[:, :-1] - fx[:, 1:]) / h + (fy[:-1, :]
+        - fy[1:, :]) / h``."""
         fx, fy = phi
-        return (fx[:, :-1] - fx[:, 1:]) / self.h + (fy[:-1, :] - fy[1:, :]) / self.h
+        div = np.subtract(fx[:, :-1], fx[:, 1:], out)
+        np.divide(div, self.h, div)
+        dy = fy[:-1, :] - fy[1:, :]
+        dy /= self.h
+        return np.add(div, dy, div)
 
 
 @dataclass

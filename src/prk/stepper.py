@@ -1,4 +1,11 @@
-"""Explicit partitioned Runge-Kutta stepping and reference integration."""
+"""Explicit partitioned Runge-Kutta stepping and reference integration.
+
+A run owns a *stage store*: part k of stage i is written in place by the
+decomposition's ``eval_parts`` into row ``(i, k)``, and every stage value
+and the new state is one compiled call over those rows (a
+:func:`prk.weno.stage_sum_call` bound when the run starts), so a step
+makes no numpy call of its own apart from the finiteness check.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import numpy as np
 
 from .decomposition import mass
 from .tableau import PRKTableau
+from .weno import stage_sum_call
 
 __all__ = [
     "IntegrationDiverged",
@@ -42,38 +50,60 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
     stage, and stages whose coefficients are all zero for a part skip
     that evaluation entirely.  Every stage value and the new state are
     ``u + dt * (sum of a * K)`` with the sum taken in the plan's term
-    order, the same operations whatever the decomposition.
+    order, the same operations whatever the decomposition.  The step runs
+    as one of :func:`integrate`, through a stage store of its own; the new
+    state is a fresh array.
     """
-    if parts.r != tab.r:
-        raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
-    plan = tab.plan
-    u = np.asarray(u, dtype=float)
-    K = {}  # the part values of every evaluated stage, by stage index
-    step = np.array(dt, dtype=float)  # a 0-d operand, cheaper than a float
-    for i, c, needed, terms in plan.stages:
-        K[i] = parts.eval_parts(t + c * dt, _increment(u, step, terms, K), needed)
-    unew = _increment(u, step, plan.update_terms, K)
-    if not np.isfinite(unew).all():
-        raise IntegrationDiverged("non-finite state after step")
-    return unew
+    stages = _StageStore(tab, parts, dt, u)
+    stages.step(t)
+    return stages.u
 
 
-def _increment(u, dt, terms, K):
-    """``u + dt * (a K[j][k] + ...)`` over ``terms``, summed left to right
-    from the first term; ``u`` itself when there are none.
+class _StageStore:
+    """One run's stage store and the stage sums bound over it.
 
-    The sum is accumulated in place, which rounds exactly as the textbook
-    ``acc + term`` and ``u + dt * acc``: both operations commute exactly.
+    Part ``k`` of stage ``i`` is written by ``eval_parts`` into row ``(i,
+    k)`` of a store of shape ``(s, r) + u.shape``.  ``u`` is the state,
+    which every step overwrites with the new one; each stage with terms
+    gets its value in one buffer, and the rest read ``u``.  Every sum, a
+    stage's and the update's, is one bound :func:`prk.weno.stage_sum_call`
+    over the store's rows, in the plan's term order; the binding happens
+    here, once per run.
     """
-    if not terms:
-        return u
-    j, k, a = terms[0]
-    acc = a * K[j][k]
-    for j, k, a in terms[1:]:
-        acc += a * K[j][k]
-    acc *= dt
-    acc += u
-    return acc
+
+    def __init__(self, tab: PRKTableau, parts, dt: float, u):
+        if parts.r != tab.r:
+            raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
+        plan, r = tab.plan, tab.r
+        self.parts, self.dt = parts, dt
+        # a copy in C order, which the flat views below share
+        self.u = np.array(u, dtype=float, order="C")
+        store, v = np.zeros((tab.s, r) + self.u.shape), np.empty_like(self.u)
+        rows, flat_u = store.reshape(tab.s * r, -1), self.u.reshape(-1)
+
+        def bound(terms, out):
+            if not terms:
+                return None
+            return stage_sum_call(rows, np.array([j * r + k for j, k, _ in terms], dtype=np.intp),
+                                  np.array([a for _, _, a in terms]), dt, flat_u, out)
+
+        # per evaluated stage: its abscissa, the parts it needs, its sum (or
+        # None, when its value is u), its value and its row of the store
+        self.stages = tuple((c, needed, bound(terms, v.reshape(-1)), v if terms else self.u,
+                             store[i]) for i, c, needed, terms in plan.stages)
+        self.update = bound(plan.update_terms, flat_u)
+
+    def step(self, t: float) -> None:
+        """Overwrite ``u`` with the state at ``t + dt``."""
+        dt, eval_parts = self.dt, self.parts.eval_parts
+        for c, needed, stage_sum, v, out in self.stages:
+            if stage_sum is not None:
+                stage_sum()
+            eval_parts(t + c * dt, v, needed, out)
+        if self.update is not None:
+            self.update()
+        if not np.isfinite(self.u).all():
+            raise IntegrationDiverged("non-finite state after step")
 
 
 @dataclass
@@ -127,7 +157,13 @@ def _checked_start(run: IntegrationRun) -> tuple[np.ndarray, int]:
 
 
 def integrate(run: IntegrationRun) -> IntegrationResult:
-    """March the scheme to ``t_end``; failures report the offending step."""
+    """March the scheme to ``t_end``; failures report the offending step.
+
+    The run allocates its stage store, state and stage-value buffers and
+    binds its stage sums once, before the first step; every step then
+    writes the new state over the old one.  ``run.u0`` is copied, never
+    written, and the result's ``u`` is the run's own state buffer.
+    """
     u, n_steps = _checked_start(run)
     t = 0.0
     mass_trace: list[float] = []
@@ -135,12 +171,14 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         mass_trace.append(mass(weights, u))  # checks the weights' shape once
+    stages = _StageStore(run.tableau, run.parts, run.dt, u)
+    u = stages.u
     dynamic = hasattr(run.parts, "begin_step")
     for n in range(n_steps):
         if dynamic:
             run.parts.begin_step(u)
         try:
-            u = prk_step(run.tableau, run.parts, t, run.dt, u)
+            stages.step(t)
         except IntegrationDiverged as exc:
             raise IntegrationDiverged(
                 f"integration diverged at step {n + 1}/{n_steps}, t={t:.6g}",

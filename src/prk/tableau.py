@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .weno import _constant
-
 __all__ = [
     "PRKTableau",
     "builtin_tableau",
@@ -129,8 +127,7 @@ class _StepPlan:
     # needed[k] says whether part k is evaluated there and terms are the
     # nonzero couplings (j, k, a_ij^(k)) with j < i, in (k, j) order
     stages: tuple
-    # nonzero weights (j, k, b_j^(k)), in (k, j) order; every a and b is a
-    # read-only 0-d array, a cheaper numpy operand than a float
+    # nonzero weights (j, k, b_j^(k)), in (k, j) order
     update_terms: tuple
 
 
@@ -146,7 +143,7 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
             for k in range(r)
         )
         terms = tuple(
-            (j, k, _constant(A[k][i][j]))
+            (j, k, A[k][i][j])
             for k in range(r)
             for j in range(i)
             if A[k][i][j] != 0.0
@@ -154,7 +151,7 @@ def _build_plan(tab: PRKTableau) -> _StepPlan:
         if any(needed):
             stages.append((i, c[i], needed, terms))
     update_terms = [
-        (j, k, _constant(b[k][j])) for k in range(r) for j in range(s) if b[k][j] != 0.0
+        (j, k, b[k][j]) for k in range(r) for j in range(s) if b[k][j] != 0.0
     ]
     return _StepPlan(
         A=tuple(map(tuple, (tuple(map(tuple, Ak)) for Ak in A))),

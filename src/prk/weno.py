@@ -20,16 +20,20 @@ binds a table once; :func:`edge_from_left`, :func:`interface_states` and
 and return fresh arrays.  The 1D periodic problems of :mod:`prk.spatial`
 instead bind :func:`periodic_call`: ``weno5_periodic`` pads a line and
 writes its left-biased values, ``burgers_llf_periodic`` pads it and
-writes Burgers' local Lax-Friedrichs fluxes from both biases.  A bound
+writes Burgers' local Lax-Friedrichs fluxes from both biases.  The same
+library holds the stage sums of :mod:`prk.stepper`: ``stage_sum`` writes
+``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over rows of a stage store,
+summed left to right, and :func:`stage_sum_call` binds one.  A bound
 compiled call holds the arrays it was given.
 
-Two kernels evaluate the formula with the same bits, and read as one
-program: ``_weno5.c`` and its numpy twins (:func:`_numpy_runs`, which
-gathers each run's five operands, and the periodic twins), by the same
-IEEE operations in the same order with the same helpers.  The first
-kernel call of a process builds the C one with the system ``cc -O3
--ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no
-fused multiply-add, which rounds once where the twin rounds twice) into
+Two kernels give the same bits, and read as one program: ``_weno5.c``
+and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
+of every face through an index built when the call binds, the periodic
+twins and :func:`_numpy_stage_sum`), by the same IEEE operations in the
+same order with the same helpers.  The first kernel call of a process
+builds the C one with the system ``cc -O3 -ffp-contract=off
+-fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
+multiply-add, which rounds once where the twin rounds twice) into
 ``$XDG_CACHE_HOME/prk`` or ``~/.cache/prk`` (mode 0700), or finds it
 there, and loads it with ``ctypes`` (:func:`_kernel_library` keeps it).
 Without a compiler, when the build fails or when the cache cannot be
@@ -53,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
-           "llf_split_flux", "periodic_call", "runs_call"]
+           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
@@ -135,15 +139,33 @@ def _numpy_left(w: np.ndarray, out: np.ndarray) -> None:
     _numpy_weno5(*(w[..., k:k + n] for k in range(5)), out)
 
 
-def _numpy_runs(src, starts, counts, steps, out) -> None:
-    """``weno5_runs`` of ``_weno5.c`` in numpy: interface ``k`` of run
-    ``r`` reads the cells ``src[starts[r] + k + j * steps[r]]``, j = 0..4,
-    and the runs fill ``out`` in order.  The five operands of all runs
-    are gathered at once, so a table of many short runs costs a few
-    gathers, not a pass of the formula per run."""
-    first = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(out.size)
-    step = np.repeat(steps, counts)
-    _numpy_weno5(*(src.take(first + j * step) for j in range(5)), out)
+def _numpy_runs(src, cells, out) -> None:
+    """``weno5_runs`` of ``_weno5.c`` in numpy, over the indices
+    ``cells`` of the five operands of every interface in ``src`` (see
+    :func:`_run_cells`): one gather, so a table of many short runs costs
+    no pass of the formula per run."""
+    _numpy_weno5(*src.take(cells), out)
+
+
+def _run_cells(starts, counts, steps) -> np.ndarray:
+    """The cells read by ``weno5_runs`` over a run table, as a ``(5,
+    faces)`` index: interface ``k`` of run ``r`` reads ``starts[r] + k + j
+    * steps[r]`` as operand j, and the runs fill the faces in order."""
+    first = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    return first + np.arange(5)[:, None] * np.repeat(steps, counts)
+
+
+def _numpy_stage_sum(store, rows, coeffs, dt, u, out) -> None:
+    """``stage_sum`` of ``_weno5.c`` in numpy: ``out`` gets ``u + dt *
+    (coeffs[0] * store[rows[0]] + coeffs[1] * store[rows[1]] + ...)``,
+    summed left to right from the first term.  The sum is accumulated in
+    place, which rounds exactly as the textbook ``acc + term`` and ``u + dt
+    * acc``: both operations commute exactly, and ``out`` may be ``u``."""
+    acc = coeffs[0] * store[rows[0]]
+    for row, a in zip(rows[1:], coeffs[1:]):
+        acc += a * store[row]
+    acc *= dt
+    np.add(acc, u, out)
 
 
 def _numpy_weno5_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray) -> None:
@@ -224,7 +246,9 @@ def _kernel_library():
     size, address = ctypes.c_size_t, ctypes.c_void_p
     for name, argtypes in (("weno5_runs", (address, address, address, address, size, address)),
                            ("weno5_periodic", (address, size, address, address)),
-                           ("burgers_llf_periodic", (address, size, address, address))):
+                           ("burgers_llf_periodic", (address, size, address, address)),
+                           ("stage_sum", (address, address, address, size, size,
+                                          ctypes.c_double, address, address))):
         entry = getattr(library, name)
         entry.argtypes, entry.restype = argtypes, None
     return library
@@ -287,7 +311,9 @@ def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np
     ``out`` are 1-d contiguous float64 arrays, ``out`` writeable, and the
     table three 1-d contiguous intp arrays of one length, whose runs read
     inside ``src`` and whose counts (at least 0) sum to ``out.size``;
-    others raise ``ValueError``.  The call holds the five arrays."""
+    others raise ``ValueError``.  The compiled call holds the five arrays;
+    the numpy one reads the table once, as it binds, and holds ``src``,
+    ``out`` and the gather index."""
     table = (starts, counts, steps)
     if (not out.flags.writeable or not _vectors(np.float64, (src, src.size), (out, out.size))
             or not _vectors(np.intp, *((a, starts.size) for a in table))):
@@ -304,8 +330,39 @@ def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np
         raise ValueError(f"runs_call: the runs have {faces} faces, out {out.size} values")
     library = _kernel_library()
     if library is None:
-        return functools.partial(_numpy_runs, src, starts, counts, steps, out)
+        return functools.partial(_numpy_runs, src, _run_cells(starts, counts, steps), out)
     return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
+
+
+def stage_sum_call(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: float,
+                   u: np.ndarray, out: np.ndarray):
+    """The call of ``stage_sum`` of this process's kernel, with its
+    arguments bound once: it writes ``u + dt * (coeffs[0] * store[rows[0]]
+    + coeffs[1] * store[rows[1]] + ...)`` into ``out``, summed left to right
+    from the first term.  ``store`` is a 2-d C-contiguous float64 array of
+    rows, ``u`` and ``out`` 1-d contiguous float64 arrays of one row's
+    length, ``out`` writeable (it may be ``u``), and ``rows`` and
+    ``coeffs`` 1-d contiguous intp and float64 arrays of one length, at
+    least 1, whose rows lie inside ``store``; others raise ``ValueError``.
+    The call holds the five arrays."""
+    size = store.shape[-1] if store.ndim == 2 else -1
+    if (size < 0 or not store.flags.c_contiguous or store.dtype != np.float64
+            or not out.flags.writeable
+            or not _vectors(np.float64, (u, size), (out, size), (coeffs, rows.size))
+            or not _vectors(np.intp, (rows, rows.size))):
+        raise ValueError("stage_sum_call needs a 2-d C-contiguous float64 store, 1-d "
+                         "contiguous float64 u and out of its row length, out writeable, "
+                         "and 1-d contiguous intp rows and float64 coeffs of one length")
+    if not rows.size:
+        raise ValueError("stage_sum_call needs at least one term")
+    outside = rows[(rows < 0) | (rows >= len(store))]
+    if outside.size:
+        raise ValueError(f"stage_sum_call: row {outside[0]} outside the {len(store)} rows "
+                         "of store")
+    library = _kernel_library()
+    if library is None:
+        return functools.partial(_numpy_stage_sum, store, rows, coeffs, float(dt), u, out)
+    return _bound(library.stage_sum, store, rows, coeffs, rows.size, size, dt, u, out)
 
 
 def _vectors(dtype, *arrays) -> bool:

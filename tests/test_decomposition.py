@@ -31,6 +31,14 @@ def _two_region(m, lo, hi):
     return CellPartition.two_region(refined)
 
 
+def _part_values(parts, t, v, needed):
+    """``eval_parts`` into rows of NaN; a needed row must be overwritten
+    whole, and the others are left as they were."""
+    out = np.full((parts.r,) + np.shape(v), np.nan)
+    parts.eval_parts(t, v, needed, out)
+    return out
+
+
 # ----------------------------------------------------------------------
 # partitions
 # ----------------------------------------------------------------------
@@ -76,7 +84,7 @@ def test_cell_split_identity_partition():
     F = lambda t, v: np.sin(v) + t
     parts = CellSplitParts(F, CellPartition((np.ones(9, dtype=bool),)))
     v = rng.standard_normal(9)
-    assert np.array_equal(parts.eval_parts(0.3, v, [True])[0], F(0.3, v))
+    assert np.array_equal(_part_values(parts, 0.3, v, [True])[0], F(0.3, v))
 
 
 def test_cell_split_partition_of_unity_exact():
@@ -87,7 +95,7 @@ def test_cell_split_partition_of_unity_exact():
     for _ in range(5):
         v = rng.standard_normal(m)
         full = p.rhs(0.0, v)
-        split = parts.eval_parts(0.0, v, [True, True])
+        split = _part_values(parts, 0.0, v, [True, True])
         assert np.array_equal(split[0] + split[1], full)  # masking only
 
 
@@ -98,7 +106,7 @@ def test_cell_split_row_structure_on_upwind():
     parts = CellSplitParts(prob.rhs, part)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(m)
-    f1 = parts.eval_parts(0.0, v, [True, True])[0]
+    f1 = _part_values(parts, 0.0, v, [True, True])[0]
     assert np.all(f1[part.masks[1]] == 0.0)
     assert np.allclose(f1[part.masks[0]], prob.rhs(0.0, v)[part.masks[0]])
 
@@ -106,7 +114,7 @@ def test_cell_split_row_structure_on_upwind():
 def test_cell_split_dimension_mismatch():
     parts = CellSplitParts(lambda t, v: v, CellPartition((np.ones(4, dtype=bool),)))
     with pytest.raises(ValueError):
-        parts.eval_parts(0.0, np.zeros(5), [True])
+        parts.eval_parts(0.0, np.zeros(5), [True], np.empty((1, 5)))
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +128,7 @@ def test_flux_split_single_region_is_identity():
     parts = FluxSplitParts(p.flux, fp)
     rng = np.random.default_rng(3)
     v = rng.random(m)
-    assert np.allclose(parts.eval_parts(0.0, v, [True])[0], p.rhs(0.0, v), atol=1e-15)
+    assert np.allclose(_part_values(parts, 0.0, v, [True])[0], p.rhs(0.0, v), atol=1e-15)
 
 
 def test_flux_split_interface_formulas_upwind():
@@ -134,7 +142,7 @@ def test_flux_split_interface_formulas_upwind():
     parts = FluxSplitParts(prob.flux, fp)
     rng = np.random.default_rng(4)
     v = rng.random(m)
-    f1, f2 = parts.eval_parts(0.0, v, [True, True])
+    f1, f2 = _part_values(parts, 0.0, v, [True, True])
     dx = prob.grid.dx
     assert np.isclose(f1[i], v[i - 1] / dx[i])
     assert np.isclose(f2[i], -v[i] / dx[i])
@@ -154,7 +162,7 @@ def test_flux_split_partition_of_unity():
     parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m) + 0.5
     full = p.rhs(0.0, v)
-    f1, f2 = parts.eval_parts(0.0, v, [True, True])
+    f1, f2 = _part_values(parts, 0.0, v, [True, True])
     scale = np.abs(full).max()
     assert np.abs(f1 + f2 - full).max() <= 1e-13 * max(scale, 1.0)
 
@@ -166,7 +174,7 @@ def test_flux_split_regions_conserve_mass_periodic():
     fp = FluxPartition.from_cells(_two_region(m, 5, 25), p.grid)
     parts = FluxSplitParts(p.flux, fp)
     v = rng.random(m)
-    for fk in parts.eval_parts(0.0, v, [True, True]):
+    for fk in _part_values(parts, 0.0, v, [True, True]):
         assert abs(np.sum(p.grid.dx * fk)) < 1e-15
 
 
@@ -181,7 +189,7 @@ def test_flux_split_telescopes_to_boundary_fluxes():
     rng = np.random.default_rng(7)
     v = rng.random(m)
     phi = prob.flux(0.0, v)
-    f1, f2 = parts.eval_parts(0.0, v, [True, True])
+    f1, f2 = _part_values(parts, 0.0, v, [True, True])
     # region 1 owns interfaces 0..i, region 2 owns i+1..m
     assert np.isclose(np.sum(prob.grid.dx * f1), phi[0])
     assert np.isclose(np.sum(prob.grid.dx * f2), -phi[m])
@@ -423,7 +431,7 @@ def test_standard_specs_reproduce_the_literal_partitions(m):
 def test_trivial_parts():
     tp = TrivialParts(lambda t, v: 2 * v)
     assert tp.r == 1
-    assert np.array_equal(tp.eval_parts(0.0, np.ones(3), [True])[0], 2 * np.ones(3))
+    assert np.array_equal(_part_values(tp, 0.0, np.ones(3), [True])[0], 2 * np.ones(3))
 
 
 def test_flux_partition_2d_face_midpoint_rule():
@@ -455,6 +463,45 @@ def test_flux_split_2d_partition_of_unity():
     )
     parts = FluxSplit2DParts(prob.flux, fp)
     full = prob.rhs(0.0, prob.initial)
-    f1, f2 = parts.eval_parts(0.0, prob.initial, [True, True])
+    f1, f2 = _part_values(parts, 0.0, prob.initial, [True, True])
     scale = np.abs(full).max()
     assert np.abs(f1 + f2 - full).max() <= 1e-13 * max(scale, 1.0)
+
+
+def _splits():
+    """One split of each kind, with a state for it and its full right-hand
+    side ``F``, as ``(split, v, masked)``, where ``masked(k)`` is part k
+    written as a fresh masked array."""
+    m, rng = 24, np.random.default_rng(11)
+    p1, p2 = advection1d_weno5(m), advection2d(12)
+    cells = _two_region(m, 5, 17)
+    v1, v2 = rng.standard_normal(m) - 0.5, p2.initial
+    fp = FluxPartition.from_cells(cells, p1.grid)
+    fp2 = FluxPartition2D.from_coarse_predicate(p2.grid, lambda x, y: x + y <= 0.8)
+    cell = lambda k: np.where(cells.masks[k], p1.rhs(0.0, v1), 0.0)
+    flux = lambda k: p1.grid.divergence(np.where(fp.masks[k], p1.flux(0.0, v1), 0.0))
+    fx, fy = p2.flux(0.0, v2)
+    flux2d = lambda k: p2.grid.divergence((np.where(fp2.xmasks[k], fx, 0.0),
+                                           np.where(fp2.ymasks[k], fy, 0.0)))
+    low = v1 < 0.125
+    dynamic = lambda k: np.where((low, ~low)[k], p1.rhs(0.0, v1), 0.0)
+    return {
+        "cell": (CellSplitParts(p1.rhs, cells), v1, cell),
+        "flux": (FluxSplitParts(p1.flux, fp), v1, flux),
+        "flux2d": (FluxSplit2DParts(p2.flux, fp2), v2, flux2d),
+        "dynamic": (DynamicCellSplit(p1.rhs, burgers_dynamic_partition), v1, dynamic),
+        "trivial": (TrivialParts(p1.rhs), v1, lambda k: p1.rhs(0.0, v1)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cell", "flux", "flux2d", "dynamic", "trivial"])
+def test_a_split_writes_each_needed_row_whole_and_no_other(kind):
+    # the rows start as NaN: a needed row must come out as the masked
+    # evaluation, byte for byte (+0 outside its region), the others as NaN
+    split, v, masked = _splits()[kind]
+    cases = ([True, False], [False, True], [True, True]) if split.r == 2 else ([True],)
+    for needed in cases:
+        got = _part_values(split, 0.0, v, needed)
+        for k, use in enumerate(needed):
+            want = masked(k) if use else np.full(np.shape(v), np.nan)
+            assert got[k].tobytes() == want.tobytes(), (k, needed)

@@ -1,9 +1,9 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
 mirror symmetry, the split-flux path, bitwise equality with the textbook
 evaluation order, input checks, fresh results, run tables checked when
-they bind, bound calls that hold their buffers, the compiled kernel
-bitwise equal to the numpy kernel, and the numpy fallback when the
-compiled one cannot load."""
+they bind, bound calls that hold their buffers, stage sums bitwise equal
+to the textbook sum, the compiled kernel bitwise equal to the numpy
+kernel, and the numpy fallback when the compiled one cannot load."""
 
 import gc
 import os
@@ -495,25 +495,36 @@ def test_runs_call_rejects_tables_the_kernel_cannot_take(each_kernel, table):
         weno.runs_call(**table)
 
 
-def _bound_over_fresh_arrays(entry):
-    """A bound call of ``entry`` over arrays nothing else refers to, weak
-    references to the arrays (the values last) and the values it must give."""
-    v = np.random.default_rng(53).standard_normal(20)
+def _bound_over_fresh_arrays(entry, kernel):
+    """A bound call of ``entry`` on ``kernel`` over arrays nothing else
+    refers to, weak references to the arrays it must hold (the values
+    last) and the values it must give.  A compiled call holds every array
+    it was given; the numpy ``weno5_runs`` reads its run table once, as it
+    binds, and holds the source and the values."""
+    rng = np.random.default_rng(53)
+    v = rng.standard_normal(20)
     w = pad_periodic(v)
     if entry == "weno5_periodic":
         arrays = [v, np.empty(26), np.empty(21)]
         call, want = weno.periodic_call(entry, *arrays), _oracle_left(w)
-    else:
+    elif entry == "weno5_runs":
         arrays = [w, np.array([0, 5]), np.array([21, 21]), np.array([1, -1]), np.empty(42)]
         call, want = weno.runs_call(*arrays), np.concatenate([_oracle_left(w), _oracle_right(w)])
+        if kernel == "numpy":
+            arrays = [arrays[0], arrays[-1]]
+    else:
+        arrays = [rng.standard_normal((3, 20)), np.array([2, 0]), np.array([0.5, -2.0]), v,
+                  np.empty(20)]
+        call = weno.stage_sum_call(*arrays[:3], 0.25, *arrays[3:])
+        want = _textbook_stage_sum(*arrays[:3], 0.25, v)
     return call, [weakref.ref(a) for a in arrays], want
 
 
-@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs"])
+@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum"])
 def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     # the compiled call reads and writes its arrays by address: freed, they
     # would be memory the process reuses
-    call, arrays, want = _bound_over_fresh_arrays(entry)
+    call, arrays, want = _bound_over_fresh_arrays(entry, each_kernel)
     gc.collect()
     assert all(array() is not None for array in arrays)
     call()
@@ -537,6 +548,104 @@ def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, li
     # the compiled entries would read or write past a wrong buffer
     with pytest.raises(ValueError, match="^periodic_call needs 1-d contiguous float64"):
         weno.periodic_call("weno5_periodic", v, line, out)
+
+
+# ----------------------------------------------------------------------
+# stage sums
+# ----------------------------------------------------------------------
+
+def _textbook_stage_sum(store, rows, coeffs, dt, u):
+    """``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` term by term, left to right
+    from the first term.  Both operations that place ``u`` and ``dt`` keep
+    the sum as their first operand, as the kernel does."""
+    acc = coeffs[0] * store[rows[0]]
+    for row, a in zip(rows[1:], coeffs[1:]):
+        acc = acc + a * store[row]
+    return acc * dt + u
+
+
+# the NaN that an invalid operation makes on this machine; the sums make
+# it from infinities, and a sum that also met another NaN (np.nan has the
+# other sign on x86) could return either, since numpy's own add picks the
+# first operand's in some lanes of a call and the second's in others
+with np.errstate(invalid="ignore"):
+    _MADE_NAN = float(np.multiply(np.inf, 0.0))
+
+# the values of a stage store: signed zeros, NaN, both infinities and the
+# extremes of 1e+-300, among normal values
+_STAGE_SPECIAL = (0.0, -0.0, _MADE_NAN, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300)
+
+
+@st.composite
+def stage_sums(draw):
+    """A store of 1 to 6 rows of 0 to 600 values (more than two of the
+    kernel's blocks of 256), a state and a term table of 1 to 8 terms with
+    coefficients of either sign."""
+    nrows, size = draw(st.integers(1, 6)), draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.floats(0.0, 1.0))  # the share of special values
+
+    def values(shape):
+        normal = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        return np.where(rng.random(shape) < special, rng.choice(_STAGE_SPECIAL, shape), normal)
+
+    nterms = draw(st.integers(1, 8))
+    rows = np.array(draw(st.lists(st.integers(0, nrows - 1), min_size=nterms,
+                                  max_size=nterms)), dtype=np.intp)
+    coeffs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -1.0 / 6.0, 2.0 / 3.0])
+                                    | st.floats(-4.0, 4.0, allow_subnormal=False),
+                                    min_size=nterms, max_size=nterms)))
+    dt = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]) | st.floats(1e-6, 10.0))
+    return values((nrows, size)), rows, coeffs, dt, values(size)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stage_sums(), st.booleans())
+def test_stage_sum_bitwise_equals_textbook_sum(each_kernel, case, in_place):
+    # NaN, infinities and overflow at 1e+-300 come out with the same bits;
+    # the update writes over its own state
+    store, rows, coeffs, dt, u = case
+    with np.errstate(all="ignore"):
+        want = _textbook_stage_sum(store, rows, coeffs, dt, u)
+        out = u if in_place else np.empty_like(u)
+        weno.stage_sum_call(store, rows, coeffs, dt, u, out)()
+    _assert_bitwise(out, want)
+
+
+def _stage(**changes):
+    """A stage sum over a store of 4 rows of 10 values, with ``changes``."""
+    stage = dict(store=np.empty((4, 10)), rows=np.array([0, 3]), coeffs=np.array([1.0, 0.5]),
+                 dt=0.1, u=np.empty(10), out=np.empty(10))
+    return {**stage, **changes}
+
+
+_read_only_state = np.empty(10)
+_read_only_state.flags.writeable = False
+
+
+@pytest.mark.parametrize("stage, message", [
+    (_stage(store=np.empty((4, 10), dtype=np.float32)), "needs"),
+    (_stage(store=np.empty(40)), "needs"),
+    (_stage(store=np.empty((4, 2, 5))), "needs"),
+    (_stage(store=np.empty((10, 4)).T), "needs"),
+    (_stage(u=np.empty(11)), "needs"),
+    (_stage(u=np.empty(20)[::2]), "needs"),
+    (_stage(out=np.empty((1, 10))), "needs"),
+    (_stage(out=_read_only_state), "needs"),
+    (_stage(rows=np.array([0, 3], dtype=np.int32)), "needs"),
+    (_stage(coeffs=np.array([1.0])), "needs"),
+    (_stage(coeffs=np.array([1.0, 0.5], dtype=np.float32)), "needs"),
+    (_stage(rows=np.array([0, 4])), "row 4 outside the 4 rows"),
+    (_stage(rows=np.array([-1, 0])), "row -1 outside the 4 rows"),
+    (_stage(rows=np.array([], dtype=np.intp), coeffs=np.array([])), "at least one term"),
+], ids=["float32-store", "1-d-store", "3-d-store", "strided-store", "short-u", "strided-u",
+        "2-d-out", "read-only-out", "int32-rows", "short-coeffs", "float32-coeffs",
+        "row-past-end", "negative-row", "no-terms"])
+def test_stage_sum_call_rejects_buffers_the_kernel_cannot_take(each_kernel, stage, message):
+    # the compiled entry would read or write past a wrong buffer
+    with pytest.raises(ValueError, match=f"^stage_sum_call.*{message}"):
+        weno.stage_sum_call(**stage)
 
 
 @settings(deadline=None, max_examples=100)
