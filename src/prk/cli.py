@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .harness import (
     EXPERIMENTS,
@@ -19,6 +20,7 @@ from .harness import (
     run_case,
     shock_position,
 )
+from .stepper import IntegrationDiverged
 from .tableau import (
     builtin_names,
     builtin_tableau,
@@ -69,11 +71,37 @@ def _load_config(path: str | None, exp) -> dict:
             for key, val in lines.items()}
 
 
+def _check_out(given: str, name: str | None = None) -> None:
+    """Refuse, before any work, an ``--out`` that cannot take its file: the
+    file ``given`` in a directory that exists or, with ``name``, the file
+    ``name`` in the directory ``given``, which ``mkdir`` makes with its
+    parents.  Nothing is created."""
+    path = Path(given) if name is None else Path(given, name)
+    folder = path.parent
+    if name is not None:  # the nearest directory that exists; mkdir makes the rest
+        folder = next(p for p in (folder, *folder.parents) if p.exists())
+    if path.is_dir():
+        problem = f"{path} is a directory"
+    elif not folder.exists():
+        problem = f"no directory {folder}"
+    elif not folder.is_dir():
+        problem = f"{folder} is not a directory"
+    else:
+        return
+    raise click.ClickException(f"cannot write --out {given}: {problem}")
+
+
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            # a diverging run ends in its own error below; the floating-point
+            # warnings of the numpy kernel (the C one raises none) on the way
+            # would only add lines before it
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
         except BadArgument as exc:  # raised by the harness before any work
+            raise click.ClickException(str(exc)) from None
+        except IntegrationDiverged as exc:  # names the scheme, m, the step and t
             raise click.ClickException(str(exc)) from None
 
 
@@ -98,6 +126,7 @@ def run_cmd(experiment, outdir, schemes, quick, config_path):
     """
     # the record, also through the wrapper a profiler may have put around it
     exp = inspect.unwrap(EXPERIMENTS[experiment])
+    _check_out(outdir, f"{experiment}.csv")
     kwargs = _load_config(config_path, exp)
     if schemes is not None:
         kwargs["schemes"] = _parse_value(schemes, exp.keys["schemes"][0], "--schemes ")
@@ -130,6 +159,8 @@ def analyze_cmd(schemes, ms, nus, outfile):
 
     Emits CSV with columns (scheme, m, nu, norm_W, cond_rTe, stab1, stab2).
     """
+    if outfile:
+        _check_out(outfile)
     keys = inspect.unwrap(EXPERIMENTS["fig3"]).keys  # prk analyze runs fig3
     report = EXPERIMENTS["fig3"](**{
         key: _parse_value(raw, keys[key][0], where)
@@ -161,6 +192,8 @@ def analyze_cmd(schemes, ms, nus, outfile):
               help="Write the final state as CSV.")
 def integrate_cmd(problem, m, nu, scheme, kind, partition_spec, t_end, outfile):
     """Integrate one problem with one scheme and report the errors."""
+    if outfile:
+        _check_out(outfile)
     standard = PROBLEMS[problem]
     t_end = standard.t_end if t_end is None else t_end
     (scheme,) = check_schemes((scheme,))

@@ -150,7 +150,8 @@ class FluxPartition2D:
 # each part k with ``needed[k]`` true it writes every value of ``out[k]``
 # (an array of ``r`` rows of the state's shape) and leaves the other rows
 # alone; it returns None.  Every call evaluates ``F`` or the flux once.  A
-# dynamic split also has ``begin_step(u)``.  The stepper uses nothing
+# dynamic split also has ``begin_step(u)``, which the stepper's stage store
+# calls with the state at the top of every step.  The stepper uses nothing
 # else, always passes ``needed`` and skips the call when no part is needed.
 # ----------------------------------------------------------------------
 
@@ -229,8 +230,8 @@ class TrivialParts:
 
 
 class DynamicCellSplit:
-    """Two-region cell split whose partition is rebuilt from the state once
-    per step."""
+    """Two-region cell split whose partition ``begin_step(u)`` rebuilds from
+    the state once per step; ``eval_parts`` before the first one raises."""
 
     def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition]):
         self.F = F
@@ -250,7 +251,7 @@ class DynamicCellSplit:
 
     def eval_parts(self, t, v, needed, out):
         if self.partition is None:
-            self.begin_step(v)
+            raise ValueError("DynamicCellSplit.eval_parts called before begin_step")
         self._split.eval_parts(t, v, needed, out)
 
 

@@ -360,11 +360,17 @@ def run_case(problem, scheme: str, parts, dt: float, t_end: float) -> CaseResult
     """Integrate ``problem`` from its initial state with ``scheme``.
 
     Traces the mass with the cell measures and measures the final error
-    against the exact solution, when the problem has one.
+    against the exact solution, when the problem has one.  A divergence is
+    raised again with the scheme and the cells a direction (``m``) in its
+    message, its step and ``t`` kept.
     """
     weights = problem.grid.measure
-    res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
-                                   u0=problem.initial, mass_weights=weights))
+    try:
+        res = integrate(IntegrationRun(builtin_tableau(scheme), parts, dt=dt, t_end=t_end,
+                                       u0=problem.initial, mass_weights=weights))
+    except IntegrationDiverged as exc:
+        raise IntegrationDiverged(f"{scheme} at m={len(problem.initial)}: {exc}",
+                                  exc.step, exc.t) from None
     errors = None if problem.exact is None else norms(res.u - problem.exact(t_end), weights)
     drift = abs(res.mass_trace[-1] - res.mass_trace[0])
     return CaseResult(res.u, drift, errors)

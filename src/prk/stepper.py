@@ -34,7 +34,8 @@ __all__ = [
 
 
 class IntegrationDiverged(RuntimeError):
-    """Raised when a stage or step produces non-finite values."""
+    """Raised when a step produces non-finite values; ``step`` numbers it
+    from 1 and ``t`` is its start."""
 
     def __init__(self, message: str, step: int = -1, t: float = float("nan")):
         super().__init__(message)
@@ -51,11 +52,12 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
     that evaluation entirely.  Every stage value and the new state are
     ``u + dt * (sum of a * K)`` with the sum taken in the plan's term
     order, the same operations whatever the decomposition.  The step runs
-    as one of :func:`integrate`, through a stage store of its own; the new
-    state is a fresh array.
+    as one of :func:`integrate`, through a stage store of its own, so a
+    dynamic decomposition is rebuilt from ``u`` first, and a divergence is
+    reported as step 1; the new state is a fresh array.
     """
     stages = _StageStore(tab, parts, dt, u)
-    stages.step(t)
+    stages.step(t, 1)
     return stages.u
 
 
@@ -68,14 +70,16 @@ class _StageStore:
     gets its value in one buffer, and the rest read ``u``.  Every sum, a
     stage's and the update's, is one bound :func:`prk.weno.stage_sum_call`
     over the store's rows, in the plan's term order; the binding happens
-    here, once per run.
+    here, once per run, and so does the lookup of the split's
+    ``eval_parts`` and, for a dynamic split, ``begin_step``.
     """
 
     def __init__(self, tab: PRKTableau, parts, dt: float, u):
         if parts.r != tab.r:
             raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
         plan, r = tab.plan, tab.r
-        self.parts, self.dt = parts, dt
+        self.dt, self.eval_parts = dt, parts.eval_parts
+        self.begin_step = getattr(parts, "begin_step", None)
         # a copy in C order, which the flat views below share
         self.u = np.array(u, dtype=float, order="C")
         store, v = np.zeros((tab.s, r) + self.u.shape), np.empty_like(self.u)
@@ -93,9 +97,13 @@ class _StageStore:
                              store[i]) for i, c, needed, terms in plan.stages)
         self.update = bound(plan.update_terms, flat_u)
 
-    def step(self, t: float) -> None:
-        """Overwrite ``u`` with the state at ``t + dt``."""
-        dt, eval_parts = self.dt, self.parts.eval_parts
+    def step(self, t: float, n: int) -> None:
+        """Overwrite ``u`` with the state at ``t + dt``, rebuilding a dynamic
+        partition from ``u`` first; a non-finite new state raises
+        :class:`IntegrationDiverged` naming step ``n`` and its start ``t``."""
+        dt, eval_parts = self.dt, self.eval_parts
+        if self.begin_step is not None:
+            self.begin_step(self.u)
         for c, needed, stage_sum, v, out in self.stages:
             if stage_sum is not None:
                 stage_sum()
@@ -103,7 +111,7 @@ class _StageStore:
         if self.update is not None:
             self.update()
         if not np.isfinite(self.u).all():
-            raise IntegrationDiverged("non-finite state after step")
+            raise IntegrationDiverged(f"integration diverged at step {n}, t={t:.6g}", step=n, t=t)
 
 
 @dataclass
@@ -112,8 +120,9 @@ class IntegrationRun:
 
     The run starts at ``t = 0`` from ``u0``, and ``dt`` must divide
     ``t_end`` to an integer number of steps.  A dynamic decomposition (one
-    with ``begin_step``) is rebuilt from the current state before every
-    step.  ``mass_weights`` turns on the conservation trace.
+    with ``begin_step``) is rebuilt from the state at the top of every
+    step, as in :func:`prk_step`.  ``mass_weights`` turns on the
+    conservation trace.
     """
 
     tableau: PRKTableau
@@ -157,12 +166,14 @@ def _checked_start(run: IntegrationRun) -> tuple[np.ndarray, int]:
 
 
 def integrate(run: IntegrationRun) -> IntegrationResult:
-    """March the scheme to ``t_end``; failures report the offending step.
+    """March the scheme to ``t_end``, each step the one :func:`prk_step` takes.
 
     The run allocates its stage store, state and stage-value buffers and
     binds its stage sums once, before the first step; every step then
-    writes the new state over the old one.  ``run.u0`` is copied, never
-    written, and the result's ``u`` is the run's own state buffer.
+    writes the new state over the old one.  A step whose new state is not
+    finite raises :class:`IntegrationDiverged` with its number (from 1) and
+    start time.  ``run.u0`` is copied, never written, and the result's
+    ``u`` is the run's own state buffer.
     """
     u, n_steps = _checked_start(run)
     t = 0.0
@@ -173,18 +184,8 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
         mass_trace.append(mass(weights, u))  # checks the weights' shape once
     stages = _StageStore(run.tableau, run.parts, run.dt, u)
     u = stages.u
-    dynamic = hasattr(run.parts, "begin_step")
     for n in range(n_steps):
-        if dynamic:
-            run.parts.begin_step(u)
-        try:
-            stages.step(t)
-        except IntegrationDiverged as exc:
-            raise IntegrationDiverged(
-                f"integration diverged at step {n + 1}/{n_steps}, t={t:.6g}",
-                step=n + 1,
-                t=t,
-            ) from exc
+        stages.step(t, n + 1)
         t = (n + 1) * run.dt
         if weights is not None:
             mass_trace.append(float((weights * u).sum()))  # mass(weights, u)

@@ -465,3 +465,72 @@ def test_integrate_rejects_bad_partitions_without_a_traceback(runner, monkeypatc
     assert isinstance(out.exception, SystemExit), out.exception
     assert out.output.startswith("Error: bad partition: "), out.output
     assert message in out.output
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["run", "table1"], "ms=400,800\nnu=20\nschemes=TW2",
+     "TW2 at m=800: integration diverged at step 21, t=0.5"),
+    (["run", "fig1"], "m=400\nnu=20", "CS2 at m=400: integration diverged at step 20, t=0.95"),
+    (["integrate", "--problem", "burgers", "--m", "100", "--nu", "40"], None,
+     "TW2 at m=100: integration diverged at step 2, t=0.25"),
+], ids=["table1", "fig1", "integrate"])
+def test_a_diverged_run_ends_in_one_error_line(runner, tmp_path, args, config, message):
+    # table1 diverges at m = 800, after its m = 400 run has finished
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config + "\n")
+        args = [*args, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        args = [*args, "--out", str(tmp_path / "state.csv")]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == f"Error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.txt"] if config else [])
+
+
+def test_adv2d_keeps_a_row_for_a_diverged_run(runner, tmp_path, monkeypatch):
+    integrate = prk.harness.integrate
+
+    def diverge_at_large_steps(run):
+        if run.tableau.name == "TW2" and run.dt > 0.02:
+            raise prk.stepper.IntegrationDiverged("diverged", step=7, t=0.25)
+        return integrate(run)
+
+    monkeypatch.setattr(prk.harness, "integrate", diverge_at_large_steps)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("ns=20\nnus=0.5,4\nschemes=TW2\n")
+    out = runner.invoke(main, ["run", "adv2d-cell", "--config", str(cfg),
+                               "--out", str(tmp_path)])
+    assert out.exit_code == 0, out.output
+    rows = (tmp_path / "adv2d-cell.csv").read_text().splitlines()
+    assert [row.split(",")[6] for row in rows if row.startswith("TW2,")] == ["ok", "diverged@7"]
+
+
+@pytest.mark.parametrize("args, given", [
+    (["run", "fig3", "--quick", "--out", "{f}"], "{f}: {f} is not a directory"),
+    (["run", "fig3", "--quick", "--out", "{f}/sub"], "{f}/sub: {f} is not a directory"),
+    (["run", "fig3", "--quick", "--out", "{d}"], "{d}: {d}/fig3.csv is a directory"),
+    (["analyze", "--m", "20", "--out", "{f}/x.csv"], "{f}/x.csv: {f} is not a directory"),
+    (["analyze", "--m", "20", "--out", "{d}"], "{d}: {d} is a directory"),
+    (["integrate", "--problem", "adv1d", "--m", "20", "--out", "{f}/x.csv"],
+     "{f}/x.csv: {f} is not a directory"),
+    (["integrate", "--problem", "adv1d", "--m", "20", "--out", "{d}/no/x.csv"],
+     "{d}/no/x.csv: no directory {d}/no"),
+], ids=["run-file", "run-below-file", "run-report-is-directory", "analyze-below-file",
+        "analyze-directory", "integrate-below-file", "integrate-missing-directory"])
+def test_an_unusable_out_fails_before_any_work(runner, tmp_path, monkeypatch, args, given):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    for name in ("integrate", "solve_W", "advection1d_weno5", "upwind1d"):
+        monkeypatch.setattr(prk.harness, name, no_work)
+    f, d = tmp_path / "f", tmp_path / "d"
+    f.write_text("")
+    (d / "fig3.csv").mkdir(parents=True)
+    out = runner.invoke(main, [a.format(f=f, d=d) for a in args])
+    assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+    assert out.output == f"Error: cannot write --out {given.format(f=f, d=d)}\n"
+    # nothing is left behind: no file, no directory
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "d", "d/fig3.csv", "f"]
+    assert f.read_text() == ""

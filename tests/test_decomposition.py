@@ -250,6 +250,14 @@ def test_dynamic_split_rebuilds_once_per_step():
     assert len(calls) == 4  # one rebuild per step, none per stage
 
 
+def test_dynamic_split_needs_begin_step_before_eval_parts():
+    ds = DynamicCellSplit(lambda t, v: -v, burgers_dynamic_partition)
+    out = np.full((2, 3), np.nan)
+    with pytest.raises(ValueError, match="called before begin_step"):
+        ds.eval_parts(0.0, np.zeros(3), [True, True], out)
+    assert np.isnan(out).all()
+
+
 def test_dynamic_split_rejects_masks_of_the_wrong_shape():
     ds = DynamicCellSplit(lambda t, v: -v, lambda u: burgers_dynamic_partition(u[:-1]))
     with pytest.raises(ValueError, match=r"shape \(2,\) for a state of shape \(3,\)"):
@@ -499,6 +507,8 @@ def test_a_split_writes_each_needed_row_whole_and_no_other(kind):
     # the rows start as NaN: a needed row must come out as the masked
     # evaluation, byte for byte (+0 outside its region), the others as NaN
     split, v, masked = _splits()[kind]
+    if kind == "dynamic":
+        split.begin_step(v)
     cases = ([True, False], [False, True], [True, True]) if split.r == 2 else ([True],)
     for needed in cases:
         got = _part_values(split, 0.0, v, needed)
