@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .harness import (
     EXPERIMENTS,
@@ -94,11 +93,7 @@ def _check_out(given: str, name: str | None = None) -> None:
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
-            # a diverging run ends in its own error below; the floating-point
-            # warnings of the numpy kernel (the C one raises none) on the way
-            # would only add lines before it
-            with np.errstate(all="ignore"):
-                return super().invoke(ctx)
+            return super().invoke(ctx)
         except BadArgument as exc:  # raised by the harness before any work
             raise click.ClickException(str(exc)) from None
         except IntegrationDiverged as exc:  # names the scheme, m, the step and t
