@@ -1,6 +1,6 @@
 /* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, the
-   two 1D fluxes of periodic lines that read them, and the stage sums of a
-   partitioned Runge-Kutta step.
+   two 1D fluxes of periodic lines that read them, the parts of a split
+   right-hand side and the stage sums of a partitioned Runge-Kutta step.
 
    `weno5_runs(src, starts, counts, steps, nruns, out)`: interface k of
    run r reads the cells src[starts[r] + k + j * steps[r]], j = 0..4, as
@@ -18,11 +18,25 @@
    K_t the row rows[t] of `size` values of `store`, summed left to right
    from the first term; `out` may be `u`.
 
+   `split_parts(phi, width, dims, rows, cols, cells, faces, parts, nparts,
+   out)` writes the rows parts[0..nparts) of `out`, rows * cols values
+   each, with the parts of a split right-hand side on rows x cols cells
+   (rows = 1 on a line).  Cell (i, j) has the value phi[i * cols + j] for
+   dims 0 (`phi` is the right-hand side itself), or else the conservative
+   difference of its faces: `phi` holds the cols + 1 x-faces of each row,
+   then for dims 2 the cols y-faces of each of rows + 1 face rows, and the
+   value is (x_l - x_r) / width[j], plus (y_l - y_r) / width[cols + i] for
+   dims 2.  Row k gets, with a cell table `cells` (a region per cell), that
+   value in region k and +0 elsewhere; with a face table `faces` (a region
+   per value of `phi`), the value with every face outside region k read as
+   +0; with neither (both NULL), the value everywhere.
+
    Every value is computed by the same IEEE operations, in the same order,
    as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
-   `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`), so the two give the
-   same bits.  That holds only when the compiler keeps the order: build
-   with -ffp-contract=off (no fused multiply-add) and without fast-math.  */
+   `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`, `_numpy_split_parts`),
+   so the two give the same bits.  That holds only when the compiler keeps
+   the order: build with -ffp-contract=off (no fused multiply-add) and
+   without fast-math.  */
 
 #include <math.h>
 #include <stddef.h>
@@ -135,5 +149,38 @@ void stage_sum(const double *store, const ptrdiff_t *rows, const double *coeffs,
         }
         for (size_t n = 0; n < len; n++)
             out[lo + n] = acc[n] * dt + u[lo + n];
+    }
+}
+
+/* phi[f], or +0 where a face table puts face f outside region k */
+static inline double face(const double *phi, const ptrdiff_t *faces, ptrdiff_t k, size_t f)
+{
+    return faces == NULL || faces[f] == k ? phi[f] : 0.0;
+}
+
+void split_parts(const double *phi, const double *width, size_t dims, size_t rows, size_t cols,
+                 const ptrdiff_t *cells, const ptrdiff_t *faces, const ptrdiff_t *parts,
+                 size_t nparts, double *out)
+{
+    size_t size = rows * cols, xfaces = rows * (cols + 1);
+    for (size_t p = 0; p < nparts; p++) {
+        ptrdiff_t k = parts[p];
+        double *row = out + (size_t)k * size;
+        for (size_t i = 0, c = 0; i < rows; i++)
+            for (size_t j = 0; j < cols; j++, c++) {
+                double value;
+                if (cells != NULL && cells[c] != k) {
+                    value = 0.0;
+                } else if (dims == 0) {
+                    value = face(phi, faces, k, c);
+                } else {
+                    size_t x = c + i, y = xfaces + c;  /* the left x-face, the lower y-face */
+                    value = (face(phi, faces, k, x) - face(phi, faces, k, x + 1)) / width[j];
+                    if (dims == 2)
+                        value = value + (face(phi, faces, k, y) - face(phi, faces, k, y + cols))
+                                        / width[cols + i];
+                }
+                row[c] = value;
+            }
     }
 }

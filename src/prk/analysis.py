@@ -245,7 +245,7 @@ def linearize_parts(parts, m: int) -> list[np.ndarray]:
     Costs ``m + 1`` evaluations and one dense m x m matrix per part;
     ``fig3`` reads its splittings this way, up to m = 640.
     """
-    needed = [True] * parts.r
+    needed = (True,) * parts.r
     zero, vals = np.empty((2, parts.r, m))
     parts.eval_parts(0.0, np.zeros(m), needed, zero)
     mats = [np.zeros((m, m)) for _ in range(parts.r)]

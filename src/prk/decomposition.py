@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .spatial import _ZERO, Grid1D, Grid2D
+from .spatial import Grid1D, Grid2D
+from .weno import split_parts_call
 
 __all__ = [
     "CellPartition",
@@ -148,95 +149,136 @@ class FluxPartition2D:
 #
 # Every split has ``r`` parts and ``eval_parts(t, v, needed, out)``: for
 # each part k with ``needed[k]`` true it writes every value of ``out[k]``
-# (an array of ``r`` rows of the state's shape) and leaves the other rows
-# alone; it returns None.  Every call evaluates ``F`` or the flux once.  A
-# dynamic split also has ``begin_step(u)``, which the stepper's stage store
-# calls with the state at the top of every step.  The stepper uses nothing
-# else, always passes ``needed`` and skips the call when no part is needed.
+# (``out`` is a C-contiguous float64 array of ``r`` rows of the state's
+# shape) and leaves the other rows alone; it returns None.  Every call
+# evaluates ``F`` or the flux once.  A dynamic split also has
+# ``begin_step(u)``, which the stepper's stage store calls with the state
+# at the top of every step.  The stepper uses nothing else, always passes
+# ``needed`` (a tuple) and skips the call when no part is needed.
 # ----------------------------------------------------------------------
 
-class CellSplitParts:
-    """Component masking of a full right-hand side: ``F_k = I_k F``, and
-    ``+0`` outside region k."""
+# the most bound calls a split keeps, so that rows made afresh for every
+# call cannot grow them without end; a stage store has a few
+_MAX_CALLS = 64
 
-    def __init__(self, F: Callable, partition: CellPartition):
-        self.F = F
-        self.partition = partition
-        self.r = partition.r
-        self._shape = partition.shape
-        masks = partition.masks
-        # where part k is +0: the other region's mask, or the complement
-        self._outside = masks[::-1] if self.r == 2 else tuple(~mk for mk in masks)
+
+def _regions(masks) -> np.ndarray:
+    """The region table of disjoint covering ``masks``: the index of each
+    value's region, flat."""
+    return np.argmax(masks, axis=0).ravel()
+
+
+class _Split:
+    """An evaluation is one call of ``F`` into values the split owns and
+    one compiled call (:func:`prk.weno.split_parts_call`) that writes every
+    needed row from them, masked by the split's region table.
+
+    With a ``grid``, ``F(t, v, out)`` is its interface flux and a part is
+    the grid's conservative difference; without one, ``F(t, v)`` is the
+    whole right-hand side, of the split's ``shape`` (None: the first
+    state's).  The compiled call is bound once per store row and
+    ``needed``, since taking the arrays' addresses costs more than the
+    call; a row of another store drops the last store's calls, so a split
+    reused across runs keeps no finished run's store alive.
+    """
+
+    def __init__(self, F: Callable, r: int, grid=None, shape=None, cells=None, faces=None):
+        self.F, self.r, self.grid = F, r, grid
+        self._cells, self._faces = cells, faces
+        self._fit(grid.shape if grid is not None else shape)
+
+    def _fit(self, shape) -> None:
+        """Own the buffer for states of ``shape``, with no bound call."""
+        self._shape, self._store, self._calls = shape, None, {}
+        if self.grid is not None:
+            self._phi = np.empty(self.grid.flux_size)
+        elif shape is not None:
+            self._phi = np.empty(math.prod(shape))
+            self._value = self._phi.reshape(shape)
 
     def eval_parts(self, t, v, needed, out):
         if np.shape(v) != self._shape:
-            raise ValueError("state shape does not match the partition masks")
-        f = self.F(t, v)
-        for k, (mk, outside) in enumerate(zip(self.partition.masks, self._outside)):
-            if needed[k]:
-                np.copyto(out[k], f, where=mk)
-                np.copyto(out[k], _ZERO, where=outside)
+            if self._shape is not None:
+                raise ValueError(f"state of shape {np.shape(v)}, the split's is {self._shape}")
+            self._fit(np.shape(v))
+        try:
+            call = self._calls[id(out), needed]
+        except (KeyError, TypeError):  # a new row, or needed as a list
+            call = self._bind(out, tuple(needed))
+        if self.grid is None:
+            np.copyto(self._value, self.F(t, v))
+        else:
+            self.F(t, v, self._phi)
+        call()
+
+    def _bind(self, out, needed):
+        """The call that writes the rows ``needed`` flags into ``out``,
+        bound and kept for the row."""
+        store = out if out.base is None else out.base
+        if store is not self._store or len(self._calls) >= _MAX_CALLS:
+            self._store, self._calls = store, {}
+        parts = np.flatnonzero(needed)
+        if self.grid is None:
+            call = split_parts_call(self._phi, None, 0, self._cells, self._faces, parts, out)
+        else:
+            call = self.grid.parts_call(self._phi, parts, out, self._cells, self._faces)
+        self._calls[id(out), needed] = call  # the call holds out, so its id stays
+        return call
 
 
-class FluxSplitParts:
+class CellSplitParts(_Split):
+    """Component masking of a full right-hand side: ``F_k = I_k F``, and
+    ``+0`` outside region k; ``F`` is the flux of ``grid``, or without one
+    the right-hand side."""
+
+    def __init__(self, F: Callable, partition: CellPartition, grid=None):
+        if grid is not None and partition.shape != grid.shape:
+            raise ValueError(f"cell masks of shape {partition.shape} on a grid of "
+                             f"{grid.shape} cells")
+        self.partition = partition
+        super().__init__(F, partition.r, grid, partition.shape, cells=_regions(partition.masks))
+
+
+class FluxSplitParts(_Split):
     """Interface masking of a conservative right-hand side.
 
     Each part is the grid's conservative difference of the masked fluxes,
     so ``h^T F_k = 0`` telescopes on periodic grids for every region.
+    ``flux(t, v, out)`` is the grid's interface flux.
     """
 
     def __init__(self, flux: Callable, partition: FluxPartition):
-        self.flux = flux
         self.partition = partition
-        self.r = partition.r
-        self._state_shape = (partition.grid.m,)
-        self._flux_shape = (partition.grid.m + 1,)
-
-    def eval_parts(self, t, v, needed, out):
-        p = self.partition
-        if np.shape(v) != self._state_shape:
-            raise ValueError("state shape does not match the flux partition")
-        phi = self.flux(t, v)
-        if np.shape(phi) != self._flux_shape:
-            raise ValueError("flux evaluator must return m + 1 interface values")
-        for k, mk in enumerate(p.masks):
-            if needed[k]:
-                p.grid.divergence(np.where(mk, phi, _ZERO), out[k])
+        super().__init__(flux, partition.r, partition.grid, faces=_regions(partition.masks))
 
 
-class FluxSplit2DParts:
+class FluxSplit2DParts(_Split):
+    """Face masking of the 2D conservative right-hand side, by the x-face
+    and y-face regions of a :class:`FluxPartition2D`."""
+
     def __init__(self, flux: Callable, partition: FluxPartition2D):
-        self.flux = flux
         self.partition = partition
-        self.r = partition.r
-
-    def eval_parts(self, t, v, needed, out):
-        p = self.partition
-        fx, fy = self.flux(t, v)
-        for k, (xm, ym) in enumerate(zip(p.xmasks, p.ymasks)):
-            if needed[k]:
-                p.grid.divergence((np.where(xm, fx, _ZERO), np.where(ym, fy, _ZERO)), out[k])
+        faces = np.concatenate((_regions(partition.xmasks), _regions(partition.ymasks)))
+        super().__init__(flux, partition.r, partition.grid, faces=faces)
 
 
-class TrivialParts:
-    """The whole right-hand side as a single part (r = 1)."""
+class TrivialParts(_Split):
+    """The whole right-hand side as a single part (r = 1): one region, so
+    no table.  ``F`` and ``grid`` are those of :class:`CellSplitParts`."""
 
-    def __init__(self, F: Callable):
-        self.F = F
-        self.r = 1
-
-    def eval_parts(self, t, v, needed, out):
-        np.copyto(out[0], self.F(t, v))
+    def __init__(self, F: Callable, grid=None):
+        super().__init__(F, 1, grid)
 
 
-class DynamicCellSplit:
+class DynamicCellSplit(_Split):
     """Two-region cell split whose partition ``begin_step(u)`` rebuilds from
-    the state once per step; ``eval_parts`` before the first one raises."""
+    the state once per step, rewriting the region table in place;
+    ``eval_parts`` before the first one raises.  ``F`` and ``grid`` are
+    those of :class:`CellSplitParts`."""
 
-    def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition]):
-        self.F = F
+    def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition], grid=None):
+        super().__init__(F, 2, grid)
         self.rule = rule
-        self.r = 2
         self.partition: CellPartition | None = None
 
     def begin_step(self, u: np.ndarray) -> None:
@@ -246,13 +288,17 @@ class DynamicCellSplit:
         if partition.shape != np.shape(u):
             raise ValueError(f"dynamic rule produced masks of shape {partition.shape} "
                              f"for a state of shape {np.shape(u)}")
+        if self._cells is None or partition.shape != self._shape:
+            self._fit(partition.shape)
+            self._cells = np.empty(math.prod(partition.shape), dtype=np.intp)
+        # region 1 where the second mask holds: the two masks cover disjointly
+        np.copyto(self._cells.reshape(partition.shape), partition.masks[1])
         self.partition = partition
-        self._split = CellSplitParts(self.F, partition)
 
-    def eval_parts(self, t, v, needed, out):
+    def _bind(self, out, needed):
         if self.partition is None:
             raise ValueError("DynamicCellSplit.eval_parts called before begin_step")
-        self._split.eval_parts(t, v, needed, out)
+        return super()._bind(out, needed)
 
 
 def burgers_dynamic_partition(u: np.ndarray, threshold: float = 0.125) -> CellPartition:

@@ -338,9 +338,9 @@ def make_parts(problem, kind: str, spec: PartitionSpec):
     grid = problem.grid
     try:
         if spec.rule is not None:
-            return DynamicCellSplit(problem.rhs, spec.rule)
+            return DynamicCellSplit(problem.flux, spec.rule, grid)
         if kind == "cell":
-            return CellSplitParts(problem.rhs, spec.cells(grid))
+            return CellSplitParts(problem.flux, spec.cells(grid), grid)
         if len(grid.centres) == 2:  # x- and y-faces
             return FluxSplit2DParts(problem.flux, spec.faces(grid))
         return FluxSplitParts(problem.flux, FluxPartition.from_cells(spec.cells(grid), grid))
@@ -478,7 +478,8 @@ def _run(exp: Experiment, p: dict, problem, label: str, parts, dt: float) -> Cas
     """One run of scheme ``label`` on ``parts``; the baseline runs ETR2 on
     the unsplit problem at half the step."""
     if label == exp.baseline:
-        return run_case(problem, "ETR2", TrivialParts(problem.rhs), 0.5 * dt, p["T"])
+        return run_case(problem, "ETR2", TrivialParts(problem.flux, problem.grid), 0.5 * dt,
+                        p["T"])
     return run_case(problem, label, parts, dt, p["T"])
 
 

@@ -1,18 +1,21 @@
 """Semi-discrete right-hand sides: upwind, WENO5 advection, Burgers, 2D rotation.
 
 Every builder returns a :class:`SemiDiscreteProblem` from its grid and
-its interface ``flux(t, v)``; the problem builds ``rhs`` once from them,
-as ``grid.divergence`` of ``flux``.  Cell-based decompositions mask
-``rhs``, flux-based ones mask ``flux``, so both split the same operator.
-Both grids give ``centres``, ``measure`` (mass and norm weights),
-``min_width``.
+its interface ``flux(t, v, out=None)``, which writes into ``out`` when
+given one; the problem builds ``rhs`` once from them, as the divergence
+of ``flux``.  Cell-based decompositions mask that divergence, flux-based
+ones mask ``flux`` before it, so both split the same operator.  Both
+grids give ``centres``, ``measure`` (mass and norm weights),
+``min_width``, ``shape``, ``flux_size``, and ``parts_call``, which binds
+:func:`prk.weno.split_parts_call` over the grid's widths: the divergence
+and every split part are one compiled call each.
 
 Every WENO5 flux makes one compiled call over buffers it owns.  The
 advection and Burgers fluxes pad the state, reconstruct and, for Burgers,
-form the local Lax-Friedrichs flux (see :func:`prk.weno.periodic_call`);
-the 2D rotation reconstructs both directions from its padded frame
-through a run table built with the problem (see
-:func:`prk.weno.runs_call`).
+form the local Lax-Friedrichs flux straight into the output (see
+:func:`prk.weno.periodic_call`); the 2D rotation reconstructs both
+directions from its padded frame through a run table built with the
+problem (see :func:`prk.weno.runs_call`).
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ import numpy as np
 # called here; perfbench/child.py wraps all four on this module by name
 # (with getattr), so they stay imported
 from .weno import (
-    _constant,
+    _ZERO,
     edge_from_left,
     interface_states,
     llf_split_flux,
     pad_periodic,
     periodic_call,
     runs_call,
+    split_parts_call,
 )
 
 __all__ = [
@@ -72,11 +76,25 @@ class Grid1D:
     def min_width(self) -> float:
         return float(np.min(self.dx))
 
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.m,)
+
+    @property
+    def flux_size(self) -> int:
+        return self.m + 1
+
+    def parts_call(self, phi, parts, out, cells=None, faces=None):
+        """The bound call of :func:`prk.weno.split_parts_call` that writes
+        the rows ``parts`` of ``out`` with ``(phi[j] - phi[j + 1]) / dx[j]``
+        of the interface fluxes ``phi``, masked by a region table."""
+        dx = np.ascontiguousarray(self.dx, dtype=float)
+        return split_parts_call(phi, dx, 1, cells, faces, parts, out)
+
     def divergence(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conservative difference of the ``m + 1`` interface fluxes, into
-        ``out`` if given."""
-        diff = np.subtract(phi[:-1], phi[1:], out)
-        return np.divide(diff, self.dx, diff)
+        ``out`` (a C-contiguous float64 array) if given."""
+        return _divergence(self, phi, out)
 
 
 @dataclass(frozen=True)
@@ -104,26 +122,68 @@ class Grid2D:
     def min_width(self) -> float:
         return self.h
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def flux_size(self) -> int:
+        return 2 * self.n * (self.n + 1)  # n (n + 1) x-faces, then as many y-faces
+
+    def parts_call(self, phi, parts, out, cells=None, faces=None):
+        """:meth:`Grid1D.parts_call` for the face fluxes ``phi``, the x-faces
+        ``(n, n + 1)`` then the y-faces ``(n + 1, n)``, in the order of
+        :meth:`divergence`."""
+        return split_parts_call(phi, np.full(2 * self.n, self.h), 2, cells, faces, parts, out)
+
     def divergence(self, phi, out: np.ndarray | None = None) -> np.ndarray:
         """Conservative difference of x-face and y-face fluxes ``(fx, fy)``,
-        into ``out`` if given: ``(fx[:, :-1] - fx[:, 1:]) / h + (fy[:-1, :]
-        - fy[1:, :]) / h``."""
+        into ``out`` (a C-contiguous float64 array) if given: ``(fx[:, :-1]
+        - fx[:, 1:]) / h + (fy[:-1, :] - fy[1:, :]) / h``."""
         fx, fy = phi
-        div = np.subtract(fx[:, :-1], fx[:, 1:], out)
-        np.divide(div, self.h, div)
-        dy = fy[:-1, :] - fy[1:, :]
-        dy /= self.h
-        return np.add(div, dy, div)
+        return _divergence(self, np.concatenate((np.ravel(fx), np.ravel(fy))), out)
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # the parts of a divergence: row 0
+
+
+def _divergence(grid, phi, out):
+    """The conservative difference of the fluxes ``phi`` on ``grid``, one
+    compiled call bound here, into ``out`` or a fresh array."""
+    if out is None:
+        out = np.empty(grid.shape)
+    grid.parts_call(np.ascontiguousarray(phi, dtype=float), _FIRST, out[np.newaxis])()
+    return out
+
+
+def _rhs(grid, flux) -> Callable:
+    """``rhs(t, v)``: ``flux`` into fluxes it owns, their divergence by a
+    compiled call bound at the first call (so that building a problem loads
+    no kernel), and a fresh copy."""
+    phi, value = np.empty(grid.flux_size), np.empty((1,) + grid.shape)
+    call = None
+
+    def rhs(t, v):
+        nonlocal call
+        call = call or grid.parts_call(phi, _FIRST, value)
+        flux(t, v, phi)
+        call()
+        return value[0].copy()
+
+    return rhs
 
 
 @dataclass
 class SemiDiscreteProblem:
     """A grid plus evaluators describing ``u' = F(t, u)``.
 
-    ``flux(t, v)`` gives the interface fluxes that ``grid.divergence``
-    takes (``(fx, fy)`` in 2D).  ``rhs(t, v)`` is built once, at
-    construction, as ``grid.divergence(flux(t, v))`` from the divergence
-    and flux bound then: rebinding ``flux`` later does not change ``rhs``.
+    ``flux(t, v, out=None)`` gives the interface fluxes that
+    ``grid.divergence`` takes (``(fx, fy)`` in 2D): written into ``out``,
+    a 1-d float64 array of ``grid.flux_size`` values (x-faces, then
+    y-faces), when one is given, else into a fresh array.  ``rhs(t, v)`` is
+    built once, at construction, as ``grid.divergence(flux(t, v))`` from
+    the grid and the flux bound then: rebinding ``flux`` later does not
+    change ``rhs``.
     """
 
     grid: Grid1D | Grid2D
@@ -134,11 +194,7 @@ class SemiDiscreteProblem:
     rhs: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        divergence, flux = self.grid.divergence, self.flux
-        self.rhs = lambda t, v: divergence(flux(t, v))
-
-
-_ZERO = _constant(0.0)  # a cheaper operand than a float
+        self.rhs = _rhs(self.grid, self.flux)
 
 
 def _uniform_grid(m: int, periodic: bool) -> Grid1D:
@@ -149,24 +205,30 @@ def _uniform_grid(m: int, periodic: bool) -> Grid1D:
 
 
 def _periodic_flux(m: int, entry: str) -> Callable:
-    """The interface flux ``flux(t, v)`` of a periodic line of ``m`` cells:
-    one call of the kernel entry ``entry`` (see :func:`prk.weno.periodic_call`)
-    over a state, a padded line and values this flux owns, bound at the
-    first call, so that loading the compiled kernel is not part of building
-    the problem.  A state of any shape but ``(m,)`` raises ``ValueError``."""
+    """The interface flux ``flux(t, v, out=None)`` of a periodic line of
+    ``m`` cells: one call of the kernel entry ``entry`` (see
+    :func:`prk.weno.periodic_call`) over a state and a padded line this flux
+    owns, into ``out``, or else into values it owns and then a fresh copy.
+    A call is bound at the first use of its output and kept for its own
+    values and the last ``out`` given, so that building the problem loads
+    no kernel.  A state of any shape but ``(m,)`` raises ``ValueError``."""
     shape = (m,)
     state, line, values = np.empty(shape), np.empty(m + 6), np.empty(m + 1)
-    run = None
+    own = run = target = None
 
-    def flux(t, v):
-        nonlocal run
+    def flux(t, v, out=None):
+        nonlocal own, run, target
         if getattr(v, "shape", None) != shape:  # cheaper than np.shape(v)
             raise ValueError(f"state of shape {np.shape(v)}, need {shape}")
-        if run is None:
-            run = periodic_call(entry, state, line, values)
         np.copyto(state, v)
+        if out is None:
+            own = own or periodic_call(entry, state, line, values)
+            own()
+            return values.copy()
+        if out is not target:
+            run, target = periodic_call(entry, state, line, out), out
         run()
-        return values.copy()
+        return out
 
     return flux
 
@@ -207,8 +269,8 @@ def upwind1d(
     x = 0.5 * (edges[:-1] + edges[1:])
     grid = Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
 
-    def flux(t, v):
-        phi = np.empty(m + 1)
+    def flux(t, v, out=None):
+        phi = np.empty(m + 1) if out is None else out
         phi[1:] = v
         phi[0] = v[-1] if periodic else 0.0
         return phi
@@ -333,10 +395,10 @@ def advection2d(n: int) -> SemiDiscreteProblem:
                              np.column_stack([face_rows, face_rows + 5 * n + cut]).ravel()])
     counts = np.concatenate([np.full(n, n + 1), np.tile([cut, n - cut], n + 1)])
     steps = np.concatenate([1 - 2 * flip, np.tile([n, -n], n + 1)])
-    values = np.empty(2 * n * (n + 1))  # fx (n, n + 1), then fy (n + 1, n)
+    values = np.empty(grid.flux_size)  # fx (n, n + 1), then fy (n + 1, n)
     run, ghost_t = None, None
 
-    def flux(t, v):
+    def flux(t, v, out=None):
         nonlocal run, ghost_t
         if np.shape(v) != (n, n):
             raise ValueError(f"state of shape {np.shape(v)}, need {(n, n)}")
@@ -349,7 +411,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         np.multiply(a1, rows, x_src)
         np.multiply(cols, a2, y_src)
         run()
-        out = np.add(values, _ZERO)
+        # the one pass that fills out, or a fresh array; +0 turns -0 into +0
+        out = np.add(values, _ZERO, out)
         return out[:n * n + n].reshape(n, n + 1), out[n * n + n:].reshape(n + 1, n)
 
     return SemiDiscreteProblem(

@@ -23,14 +23,18 @@ writes its left-biased values, ``burgers_llf_periodic`` pads it and
 writes Burgers' local Lax-Friedrichs fluxes from both biases.  The same
 library holds the stage sums of :mod:`prk.stepper`: ``stage_sum`` writes
 ``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over rows of a stage store,
-summed left to right, and :func:`stage_sum_call` binds one.  A bound
-compiled call holds the arrays it was given.
+summed left to right, and :func:`stage_sum_call` binds one.  It also
+holds the parts of the splits of :mod:`prk.decomposition` and the
+divergence of :mod:`prk.spatial`: ``split_parts`` writes the needed rows
+of a stage store from a right-hand side or from face fluxes, masked by a
+region table of cells or of faces, and :func:`split_parts_call` binds
+one.  A bound compiled call holds the arrays it was given.
 
 Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
 of every face through an index built when the call binds, the periodic
-twins and :func:`_numpy_stage_sum`), by the same IEEE operations in the
-same order with the same helpers.  The first kernel call of a process
+twins, :func:`_numpy_stage_sum` and :func:`_numpy_split_parts`), by the
+same IEEE operations in the same order with the same helpers.  The first kernel call of a process
 builds the C one with the system ``cc -O3 -ffp-contract=off
 -fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
 multiply-add, which rounds once where the twin rounds twice) into
@@ -57,13 +61,13 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
-           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_call"]
+           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_call", "split_parts_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
 # a float as a read-only 0-d float64 array, the cheapest constant operand
 _constant = functools.partial(np.broadcast_to, shape=())
-_HALF = _constant(0.5)
+_HALF, _ZERO = _constant(0.5), _constant(0.0)
 
 
 def pad_periodic(u: np.ndarray) -> np.ndarray:
@@ -168,6 +172,28 @@ def _numpy_stage_sum(store, rows, coeffs, dt, u, out) -> None:
     np.add(acc, u, out)
 
 
+def _numpy_split_parts(phi, width, dims, rows, cols, cells, faces, parts, out) -> None:
+    """``split_parts`` of ``_weno5.c`` in numpy (see
+    :func:`split_parts_call`), reading the tables at every call."""
+    xfaces = rows * (cols + 1)
+    for k in parts:
+        f = phi if faces is None else np.where(faces == k, phi, _ZERO)
+        if dims == 0:
+            value = f.reshape(rows, cols)
+        else:
+            fx = f[:xfaces].reshape(rows, cols + 1)
+            value = np.subtract(fx[:, :-1], fx[:, 1:])
+            value /= width[:cols]
+            if dims == 2:
+                fy = f[xfaces:].reshape(rows + 1, cols)
+                dy = np.subtract(fy[:-1], fy[1:])
+                dy /= width[cols:, None]
+                value += dy
+        if cells is not None:
+            value = np.where(cells.reshape(rows, cols) == k, value, _ZERO)
+        out[k].reshape(rows, cols)[...] = value
+
+
 def _numpy_weno5_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray) -> None:
     """``weno5_periodic`` of ``_weno5.c`` in numpy: ``line`` gets the cells
     ``v`` of a periodic line with three ghost cells a side, and ``out`` the
@@ -248,7 +274,9 @@ def _kernel_library():
                            ("weno5_periodic", (address, size, address, address)),
                            ("burgers_llf_periodic", (address, size, address, address)),
                            ("stage_sum", (address, address, address, size, size,
-                                          ctypes.c_double, address, address))):
+                                          ctypes.c_double, address, address)),
+                           ("split_parts", (address, address, size, size, size, address,
+                                            address, address, size, address))):
         entry = getattr(library, name)
         entry.argtypes, entry.restype = argtypes, None
     return library
@@ -363,6 +391,52 @@ def stage_sum_call(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: 
     if library is None:
         return functools.partial(_numpy_stage_sum, store, rows, coeffs, float(dt), u, out)
     return _bound(library.stage_sum, store, rows, coeffs, rows.size, size, dt, u, out)
+
+
+def split_parts_call(phi: np.ndarray, width: np.ndarray | None, dims: int,
+                     cells: np.ndarray | None, faces: np.ndarray | None, parts: np.ndarray,
+                     out: np.ndarray):
+    """The call of ``split_parts`` of this process's kernel, with its
+    arguments bound once: for each part ``k`` of ``parts`` it writes row
+    ``k`` of ``out`` (a row of the state's shape, ``(m,)`` or ``(rows,
+    cols)``, per part) with part k of a split right-hand side.
+
+    For ``dims`` 0, ``phi`` is the right-hand side itself; for 1 it is the
+    ``cols + 1`` x-face fluxes of each row, and for 2 those, then the
+    ``cols`` y-face fluxes of each of ``rows + 1`` face rows.  A cell gets
+    its x-faces' difference over ``width[col]``, plus for 2 its y-faces'
+    difference over ``width[cols + row]``.  A table ``cells`` (a region
+    per cell) makes row k ``+0`` outside region k; a table ``faces`` (a
+    region per value of ``phi``) reads a face outside region k as ``+0``.
+    The tables are read at every call, and the call holds every array.
+    Arrays that the compiled entry cannot take safely raise
+    ``ValueError``: ``out`` must be C-contiguous, writeable float64 of 2
+    or 3 axes, and the others 1-d contiguous float64 (``phi``, ``width``:
+    ``cols`` or ``cols + rows`` values, None for 0) or intp (the tables,
+    ``parts``: rows of ``out``) of their sizes."""
+    rows, cols = ((1,) + out.shape[1:])[-2:] if out.ndim in (2, 3) else (0, 0)
+    xfaces = rows * (cols + 1)
+    nphi, nwidth = {0: (rows * cols, 0), 1: (xfaces, cols),
+                    2: (xfaces + (rows + 1) * cols, cols + rows)}.get(dims, (-1, 0))
+    tables = ((table, size) for table, size in ((cells, rows * cols), (faces, nphi))
+              if table is not None)
+    if (out.ndim not in (2, 3) or out.dtype != np.float64 or not out.flags.c_contiguous
+            or not out.flags.writeable or (width is None) != (dims == 0)
+            or not _vectors(np.float64, (phi, nphi), *(((width, nwidth),) if dims else ()))
+            or not _vectors(np.intp, (parts, parts.size), *tables)):
+        raise ValueError("split_parts_call needs a C-contiguous writeable float64 out of "
+                         "rows of the state, dims 0, 1 or 2, and 1-d contiguous phi, width "
+                         "and tables of their sizes, float64 and intp, and intp parts")
+    outside = parts[(parts < 0) | (parts >= len(out))]
+    if outside.size:
+        raise ValueError(f"split_parts_call: part {outside[0]} outside the {len(out)} rows "
+                         "of out")
+    library = _kernel_library()
+    if library is None:
+        return functools.partial(_numpy_split_parts, phi, width, dims, rows, cols, cells,
+                                 faces, parts.tolist(), out)
+    return _bound(library.split_parts, phi, width, dims, rows, cols, cells, faces, parts,
+                  parts.size, out)
 
 
 def _vectors(dtype, *arrays) -> bool:

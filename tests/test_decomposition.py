@@ -1,5 +1,8 @@
 """Partition validity, split correctness, conservation and spec parsing."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from prk.decomposition import (
     mass,
     TrivialParts,
 )
-from prk.harness import PROBLEMS
+from prk.harness import PROBLEMS, make_parts, parse_partition
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 from prk.stepper import IntegrationRun, integrate
 from prk.tableau import builtin_tableau, is_conservative
@@ -515,3 +518,44 @@ def test_a_split_writes_each_needed_row_whole_and_no_other(kind):
         for k, use in enumerate(needed):
             want = masked(k) if use else np.full(np.shape(v), np.nan)
             assert got[k].tobytes() == want.tobytes(), (k, needed)
+
+
+def _fresh_split(kind):
+    """A problem and a new split of ``kind`` on it, as the package builds
+    them, or over ``rhs`` for "rhs"."""
+    name = {"flux2d": "adv2d", "dynamic": "burgers"}.get(kind, "adv1d")
+    m = 12 if name == "adv2d" else 32
+    prob = PROBLEMS[name].build(m)
+    if kind == "trivial":
+        return prob, TrivialParts(prob.flux, prob.grid)
+    if kind == "rhs":
+        return prob, CellSplitParts(prob.rhs, _two_region(m, 5, 17))
+    split = "cell" if kind in ("cell", "dynamic") else "flux"
+    return prob, make_parts(prob, split, parse_partition(PROBLEMS[name].partition, split, name))
+
+
+@pytest.mark.parametrize("kind", ["cell", "flux", "flux2d", "dynamic", "trivial", "rhs"])
+def test_a_split_reused_for_a_second_run_keeps_no_store_of_the_first(kind):
+    # a split binds its compiled calls to the rows of one stage store; the
+    # second run's store replaces the first's, which is then freed, and
+    # both runs give the states of fresh splits byte for byte
+    prob, split = _fresh_split(kind)
+    stores, eval_parts = [], split.eval_parts
+
+    def recording(t, v, needed, out):
+        if not stores or stores[-1]() is not out.base:
+            stores.append(weakref.ref(out.base))
+        eval_parts(t, v, needed, out)
+
+    split.eval_parts = recording
+    dt = 0.25 * prob.grid.min_width
+
+    def state(scheme, parts):
+        run = IntegrationRun(builtin_tableau(scheme), parts, dt, 4 * dt, prob.initial)
+        return integrate(run).u.tobytes()
+
+    schemes = ("ETR2", "FE1") if split.r == 1 else ("TW2", "CS2")
+    got = [state(scheme, split) for scheme in schemes]
+    gc.collect()
+    assert len(stores) == 2 and stores[0]() is None
+    assert got == [state(scheme, _fresh_split(kind)[1]) for scheme in schemes]

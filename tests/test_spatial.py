@@ -16,7 +16,9 @@ from prk.spatial import (
 from prk.harness import PROBLEMS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
 from test_analysis import _bidiagonal
-from test_weno import _oracle_left, _oracle_right, each_kernel, lines, wide_lines  # noqa: F401
+from test_weno import (  # noqa: F401
+    _oracle_left, _oracle_right, _textbook_divergence, each_kernel, lines, wide_lines,
+)
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +466,32 @@ def test_rhs_is_the_divergence_of_the_flux(build):
     p.flux = lambda t, v: calls.append(t) or flux(t, v)
     p.rhs(t, v)
     assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: upwind1d(dx=np.linspace(0.5, 1.5, 17) / 17),
+    lambda: advection1d_weno5(32),
+    lambda: burgers_llf(32),
+    lambda: advection2d(12),
+], ids=["upwind1d", "adv1d", "burgers", "adv2d"])
+def test_the_flux_writes_into_a_given_buffer_and_the_divergence_is_the_textbook_one(
+        each_kernel, build):
+    # flux(t, v, out) writes into out, call after call, the values that
+    # flux(t, v) returns fresh (x-faces, then y-faces in 2D); the grid's
+    # divergence has the bits of the numpy difference
+    p = build()
+    rng = np.random.default_rng(12)
+    out = np.full(p.grid.flux_size, np.nan)
+    width = p.grid.dx if len(p.grid.shape) == 1 else np.full(2 * p.grid.n, p.grid.h)
+    for t in rng.random(2):
+        v = rng.random(p.grid.shape)
+        fresh = p.flux(t, v)
+        flat = np.concatenate([np.ravel(f) for f in (fresh if isinstance(fresh, tuple) else
+                                                     (fresh,))])
+        p.flux(t, v, out)
+        assert out.tobytes() == flat.tobytes()
+        want = _textbook_divergence(flat, width, p.grid.shape)
+        assert p.grid.divergence(fresh).tobytes() == want.tobytes()
 
 
 _fluxes = st.floats(-10.0, 10.0)

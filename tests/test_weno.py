@@ -512,6 +512,13 @@ def _bound_over_fresh_arrays(entry, kernel):
         call, want = weno.runs_call(*arrays), np.concatenate([_oracle_left(w), _oracle_right(w)])
         if kernel == "numpy":
             arrays = [arrays[0], arrays[-1]]
+    elif entry == "split_parts":
+        arrays = [rng.standard_normal(21), np.ones(20), (v > 0).astype(np.intp),
+                  np.array([0, 1]), np.empty((2, 20))]
+        call = weno.split_parts_call(arrays[0], arrays[1], 1, arrays[2], None, *arrays[3:])
+        want = np.stack(_textbook_parts(*arrays[:2], (20,), "cells", arrays[2], 2))
+        if kernel == "numpy":  # it reads the parts once, as it binds
+            del arrays[3]
     else:
         arrays = [rng.standard_normal((3, 20)), np.array([2, 0]), np.array([0.5, -2.0]), v,
                   np.empty(20)]
@@ -520,7 +527,7 @@ def _bound_over_fresh_arrays(entry, kernel):
     return call, [weakref.ref(a) for a in arrays], want
 
 
-@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum"])
+@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts"])
 def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     # the compiled call reads and writes its arrays by address: freed, they
     # would be memory the process reuses
@@ -646,6 +653,136 @@ def test_stage_sum_call_rejects_buffers_the_kernel_cannot_take(each_kernel, stag
     # the compiled entry would read or write past a wrong buffer
     with pytest.raises(ValueError, match=f"^stage_sum_call.*{message}"):
         weno.stage_sum_call(**stage)
+
+
+# ----------------------------------------------------------------------
+# the parts of a split right-hand side
+# ----------------------------------------------------------------------
+
+def _textbook_divergence(phi, width, shape):
+    """The conservative difference of the face fluxes ``phi`` on cells of
+    ``shape``, as the grids wrote it in numpy: the x-faces ``(rows, cols +
+    1)``, then in 2D the y-faces ``(rows + 1, cols)``, and ``(fx[:, :-1] -
+    fx[:, 1:]) / width[col]``, plus ``(fy[:-1] - fy[1:]) / width[cols +
+    row]`` in 2D."""
+    rows, cols = ((1,) + shape)[-2:]
+    fx = phi[:rows * (cols + 1)].reshape(rows, cols + 1)
+    div = np.subtract(fx[:, :-1], fx[:, 1:])
+    np.divide(div, width[:cols], div)
+    if len(shape) == 2:
+        fy = phi[rows * (cols + 1):].reshape(rows + 1, cols)
+        dy = fy[:-1, :] - fy[1:, :]
+        dy /= width[cols:, None]
+        np.add(div, dy, div)
+    return div.reshape(shape)
+
+
+def _textbook_parts(phi, width, shape, kind, table, r):
+    """Part k of a split for each region k, as the splits wrote them in
+    numpy.  The right-hand side is ``phi`` itself without ``width``, else
+    its divergence.  A cell split (``kind`` "cells") copies it where the
+    table says k and +0 elsewhere, a face split ("faces") divides the
+    fluxes with every face outside region k made +0, and with no table
+    ("none") every part is the whole right-hand side."""
+    full = lambda f: f.reshape(shape) if width is None else _textbook_divergence(f, width, shape)
+    parts = []
+    for k in range(r):
+        if kind == "faces":
+            parts.append(full(np.where(table == k, phi, 0.0)))
+            continue
+        mask = table.reshape(shape) == k if kind == "cells" else np.ones(shape, dtype=bool)
+        part = np.empty(shape)
+        np.copyto(part, full(phi), where=mask)
+        np.copyto(part, 0.0, where=~mask)
+        parts.append(part)
+    return parts
+
+
+@st.composite
+def split_cases(draw):
+    """A line of 1 to 40 cells or a grid of 1..8 x 1..8, the right-hand
+    side itself (dims 0) or the grid's face fluxes with cell widths, 1 to
+    3 regions by a random cell table, face table or none, and a random set
+    of parts.  Values mix ``_STAGE_SPECIAL`` into normal ones; widths are
+    positive, 1e+-300 among them."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 40)),),
+                                  (draw(st.integers(1, 8)), draw(st.integers(1, 8)))]))
+    rows, cols = ((1,) + shape)[-2:]
+    dims = draw(st.sampled_from([0, len(shape)]))
+    nphi = (rows * cols, rows * (cols + 1), rows * (cols + 1) + (rows + 1) * cols)[dims]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = draw(st.floats(0.0, 1.0))
+    normal = rng.standard_normal(nphi) * 10.0 ** rng.integers(-3, 4, nphi)
+    phi = np.where(rng.random(nphi) < special, rng.choice(_STAGE_SPECIAL, nphi), normal)
+    nwidth = (0, cols, cols + rows)[dims]
+    width = None if dims == 0 else np.where(
+        rng.random(nwidth) < special, rng.choice([1e-300, 1e300], nwidth), rng.random(nwidth) + 0.1)
+    r, kind = draw(st.integers(1, 3)), draw(st.sampled_from(["cells", "faces", "none"]))
+    table = None if kind == "none" else rng.integers(0, r, rows * cols if kind == "cells" else nphi)
+    parts = sorted(draw(st.sets(st.integers(0, r - 1))))
+    return phi, width, shape, kind, table, r, np.array(parts, dtype=np.intp)
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(split_cases())
+def test_split_parts_bitwise_equals_textbook_masking(each_kernel, case):
+    # every part row gets the masked evaluation with its bits, NaN and
+    # infinities included, and the rows of other parts keep theirs; a
+    # table rewritten in place (as a dynamic split does) is read again
+    phi, width, shape, kind, table, r, parts = case
+    table = None if table is None else table.astype(np.intp)
+    out = np.full((r,) + shape, np.nan)
+    call = weno.split_parts_call(phi, width, 0 if width is None else len(shape),
+                                 table if kind == "cells" else None,
+                                 table if kind == "faces" else None, parts, out)
+    for _ in range(2):
+        with np.errstate(all="ignore"):
+            call()
+            want = _textbook_parts(phi, width, shape, kind, table, r)
+        for k in range(r):
+            _assert_bitwise(out[k], want[k] if k in parts else np.full(shape, np.nan))
+        if table is not None:
+            table[:] = table[::-1].copy()
+
+
+def _split(**changes):
+    """The parts 0 and 1 of a cell split of 10 cells on a line, from its
+    11 fluxes, with ``changes``."""
+    split = dict(phi=np.empty(11), width=np.ones(10), dims=1,
+                 cells=np.zeros(10, dtype=np.intp), faces=None, parts=np.array([0, 1]),
+                 out=np.empty((2, 10)))
+    return {**split, **changes}
+
+
+_read_only_parts = np.empty((2, 10))
+_read_only_parts.flags.writeable = False
+
+
+@pytest.mark.parametrize("split, message", [
+    (_split(phi=np.empty(11, dtype=np.float32)), "needs"),
+    (_split(phi=np.empty(10)), "needs"),
+    (_split(phi=np.empty(22)[::2]), "needs"),
+    (_split(width=np.ones(9)), "needs"),
+    (_split(width=None), "needs"),
+    (_split(dims=0), "needs"),
+    (_split(dims=3), "needs"),
+    (_split(cells=np.zeros(10, dtype=np.int32)), "needs"),
+    (_split(cells=None, faces=np.zeros(10, dtype=np.intp)), "needs"),
+    (_split(parts=np.array([0, 1], dtype=np.int32)), "needs"),
+    (_split(out=np.empty((10, 2)).T), "needs"),
+    (_split(out=_read_only_parts), "needs"),
+    (_split(out=np.empty(20)), "needs"),
+    (_split(out=np.empty((2, 1, 1, 10))), "needs"),
+    (_split(parts=np.array([0, 2])), "part 2 outside the 2 rows"),
+    (_split(parts=np.array([-1])), "part -1 outside the 2 rows"),
+], ids=["float32-phi", "short-phi", "strided-phi", "short-width", "no-width", "width-for-dims-0",
+        "dims-3", "int32-cells", "short-faces", "int32-parts", "strided-out", "read-only-out",
+        "1-d-out", "4-d-out", "part-past-end", "negative-part"])
+def test_split_parts_call_rejects_buffers_the_kernel_cannot_take(each_kernel, split, message):
+    # the compiled entry would read or write past a wrong buffer
+    with pytest.raises(ValueError, match=f"^split_parts_call.*{message}"):
+        weno.split_parts_call(**split)
 
 
 @settings(deadline=None, max_examples=100)
