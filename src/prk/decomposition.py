@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spatial import Grid1D, Grid2D
-from .weno import split_parts_call
+from .spatial import Grid1D, Grid2D, parts_call
 
 __all__ = [
     "CellPartition",
@@ -157,11 +156,6 @@ class FluxPartition2D:
 # ``needed`` (a tuple) and skips the call when no part is needed.
 # ----------------------------------------------------------------------
 
-# the most bound calls a split keeps, so that rows made afresh for every
-# call cannot grow them without end; a stage store has a few
-_MAX_CALLS = 64
-
-
 def _regions(masks) -> np.ndarray:
     """The region table of disjoint covering ``masks``: the index of each
     value's region, flat."""
@@ -170,17 +164,13 @@ def _regions(masks) -> np.ndarray:
 
 class _Split:
     """An evaluation is one call of ``F`` into values the split owns and
-    one compiled call (:func:`prk.weno.split_parts_call`) that writes every
-    needed row from them, masked by the split's region table.
-
-    With a ``grid``, ``F(t, v, out)`` is its interface flux and a part is
-    the grid's conservative difference; without one, ``F(t, v)`` is the
-    whole right-hand side, of the split's ``shape`` (None: the first
-    state's).  The compiled call is bound once per store row and
-    ``needed``, since taking the arrays' addresses costs more than the
-    call; a row of another store drops the last store's calls, so a split
-    reused across runs keeps no finished run's store alive.
-    """
+    one compiled call (:func:`prk.spatial.parts_call`) that writes every
+    needed row from them, masked by the split's region table.  With a
+    ``grid``, ``F(t, v, out)`` is its interface flux; without one, ``F(t,
+    v)`` is the whole right-hand side, of the split's ``shape`` (None: the
+    first state's).  The call is bound once per store row and ``needed``;
+    a row of another store drops the last store's calls, so a split reused
+    across runs keeps no finished run's store alive."""
 
     def __init__(self, F: Callable, r: int, grid=None, shape=None, cells=None, faces=None):
         self.F, self.r, self.grid = F, r, grid
@@ -201,10 +191,7 @@ class _Split:
             if self._shape is not None:
                 raise ValueError(f"state of shape {np.shape(v)}, the split's is {self._shape}")
             self._fit(np.shape(v))
-        try:
-            call = self._calls[id(out), needed]
-        except (KeyError, TypeError):  # a new row, or needed as a list
-            call = self._bind(out, tuple(needed))
+        call = self._calls.get((id(out), needed)) or self._bind(out, needed)
         if self.grid is None:
             np.copyto(self._value, self.F(t, v))
         else:
@@ -215,13 +202,10 @@ class _Split:
         """The call that writes the rows ``needed`` flags into ``out``,
         bound and kept for the row."""
         store = out if out.base is None else out.base
-        if store is not self._store or len(self._calls) >= _MAX_CALLS:
+        if store is not self._store:
             self._store, self._calls = store, {}
-        parts = np.flatnonzero(needed)
-        if self.grid is None:
-            call = split_parts_call(self._phi, None, 0, self._cells, self._faces, parts, out)
-        else:
-            call = self.grid.parts_call(self._phi, parts, out, self._cells, self._faces)
+        call = parts_call(self.grid, self._phi, np.flatnonzero(needed), out, self._cells,
+                          self._faces)
         self._calls[id(out), needed] = call  # the call holds out, so its id stays
         return call
 

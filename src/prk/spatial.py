@@ -4,11 +4,10 @@ Every builder returns a :class:`SemiDiscreteProblem` from its grid and
 its interface ``flux(t, v, out=None)``, which writes into ``out`` when
 given one; the problem builds ``rhs`` once from them, as the divergence
 of ``flux``.  Cell-based decompositions mask that divergence, flux-based
-ones mask ``flux`` before it, so both split the same operator.  Both
-grids give ``centres``, ``measure`` (mass and norm weights),
-``min_width``, ``shape``, ``flux_size``, and ``parts_call``, which binds
-:func:`prk.weno.split_parts_call` over the grid's widths: the divergence
-and every split part are one compiled call each.
+ones mask ``flux`` before it, so both split the same operator, and
+:func:`parts_call` makes the divergence and every split part one
+compiled call each.  Both grids give ``centres``, ``measure`` (mass and
+norm weights), ``min_width``, ``shape`` and ``flux_size``.
 
 Every WENO5 flux makes one compiled call over buffers it owns.  The
 advection and Burgers fluxes pad the state, reconstruct and, for Burgers,
@@ -84,18 +83,6 @@ class Grid1D:
     def flux_size(self) -> int:
         return self.m + 1
 
-    def parts_call(self, phi, parts, out, cells=None, faces=None):
-        """The bound call of :func:`prk.weno.split_parts_call` that writes
-        the rows ``parts`` of ``out`` with ``(phi[j] - phi[j + 1]) / dx[j]``
-        of the interface fluxes ``phi``, masked by a region table."""
-        dx = np.ascontiguousarray(self.dx, dtype=float)
-        return split_parts_call(phi, dx, 1, cells, faces, parts, out)
-
-    def divergence(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Conservative difference of the ``m + 1`` interface fluxes, into
-        ``out`` (a C-contiguous float64 array) if given."""
-        return _divergence(self, phi, out)
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -130,30 +117,17 @@ class Grid2D:
     def flux_size(self) -> int:
         return 2 * self.n * (self.n + 1)  # n (n + 1) x-faces, then as many y-faces
 
-    def parts_call(self, phi, parts, out, cells=None, faces=None):
-        """:meth:`Grid1D.parts_call` for the face fluxes ``phi``, the x-faces
-        ``(n, n + 1)`` then the y-faces ``(n + 1, n)``, in the order of
-        :meth:`divergence`."""
-        return split_parts_call(phi, np.full(2 * self.n, self.h), 2, cells, faces, parts, out)
 
-    def divergence(self, phi, out: np.ndarray | None = None) -> np.ndarray:
-        """Conservative difference of x-face and y-face fluxes ``(fx, fy)``,
-        into ``out`` (a C-contiguous float64 array) if given: ``(fx[:, :-1]
-        - fx[:, 1:]) / h + (fy[:-1, :] - fy[1:, :]) / h``."""
-        fx, fy = phi
-        return _divergence(self, np.concatenate((np.ravel(fx), np.ravel(fy))), out)
-
-
-_FIRST = np.zeros(1, dtype=np.intp)  # the parts of a divergence: row 0
-
-
-def _divergence(grid, phi, out):
-    """The conservative difference of the fluxes ``phi`` on ``grid``, one
-    compiled call bound here, into ``out`` or a fresh array."""
-    if out is None:
-        out = np.empty(grid.shape)
-    grid.parts_call(np.ascontiguousarray(phi, dtype=float), _FIRST, out[np.newaxis])()
-    return out
+def parts_call(grid, phi, parts, out, cells=None, faces=None):
+    """:func:`prk.weno.split_parts_call` on ``grid``: the rows ``parts`` of
+    ``out`` get the conservative difference of the face fluxes ``phi`` (the
+    x-faces, then in 2D the y-faces) over the grid's widths, masked by a
+    region table; with no grid, ``phi`` is the right-hand side itself."""
+    if grid is None:
+        return split_parts_call(phi, None, 0, cells, faces, parts, out)
+    width = (np.full(2 * grid.n, grid.h) if isinstance(grid, Grid2D)
+             else np.ascontiguousarray(grid.dx, dtype=float))
+    return split_parts_call(phi, width, len(grid.shape), cells, faces, parts, out)
 
 
 def _rhs(grid, flux) -> Callable:
@@ -165,7 +139,7 @@ def _rhs(grid, flux) -> Callable:
 
     def rhs(t, v):
         nonlocal call
-        call = call or grid.parts_call(phi, _FIRST, value)
+        call = call or parts_call(grid, phi, np.zeros(1, dtype=np.intp), value)
         flux(t, v, phi)
         call()
         return value[0].copy()
@@ -177,13 +151,12 @@ def _rhs(grid, flux) -> Callable:
 class SemiDiscreteProblem:
     """A grid plus evaluators describing ``u' = F(t, u)``.
 
-    ``flux(t, v, out=None)`` gives the interface fluxes that
-    ``grid.divergence`` takes (``(fx, fy)`` in 2D): written into ``out``,
-    a 1-d float64 array of ``grid.flux_size`` values (x-faces, then
-    y-faces), when one is given, else into a fresh array.  ``rhs(t, v)`` is
-    built once, at construction, as ``grid.divergence(flux(t, v))`` from
-    the grid and the flux bound then: rebinding ``flux`` later does not
-    change ``rhs``.
+    ``flux(t, v, out=None)`` gives the interface fluxes (``(fx, fy)`` in
+    2D) into ``out``, a 1-d float64 array of ``grid.flux_size`` values
+    (x-faces, then y-faces), or else a fresh array.  ``rhs(t, v)`` is built
+    once, at construction, as their conservative difference (see
+    :func:`parts_call`) from the grid and the flux bound then: rebinding
+    ``flux`` later does not change ``rhs``.
     """
 
     grid: Grid1D | Grid2D
@@ -209,22 +182,20 @@ def _periodic_flux(m: int, entry: str) -> Callable:
     ``m`` cells: one call of the kernel entry ``entry`` (see
     :func:`prk.weno.periodic_call`) over a state and a padded line this flux
     owns, into ``out``, or else into values it owns and then a fresh copy.
-    A call is bound at the first use of its output and kept for its own
-    values and the last ``out`` given, so that building the problem loads
-    no kernel.  A state of any shape but ``(m,)`` raises ``ValueError``."""
+    The call is bound for the last output given, at its first use, so that
+    building the problem loads no kernel.  A state of any shape but
+    ``(m,)`` raises ``ValueError``."""
     shape = (m,)
     state, line, values = np.empty(shape), np.empty(m + 6), np.empty(m + 1)
-    own = run = target = None
+    run = target = None
 
     def flux(t, v, out=None):
-        nonlocal own, run, target
+        nonlocal run, target
+        if out is None:
+            return flux(t, v, values).copy()
         if getattr(v, "shape", None) != shape:  # cheaper than np.shape(v)
             raise ValueError(f"state of shape {np.shape(v)}, need {shape}")
         np.copyto(state, v)
-        if out is None:
-            own = own or periodic_call(entry, state, line, values)
-            own()
-            return values.copy()
         if out is not target:
             run, target = periodic_call(entry, state, line, out), out
         run()

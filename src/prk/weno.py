@@ -23,20 +23,18 @@ writes its left-biased values, ``burgers_llf_periodic`` pads it and
 writes Burgers' local Lax-Friedrichs fluxes from both biases.  The same
 library holds the stage sums of :mod:`prk.stepper`: ``stage_sum`` writes
 ``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over rows of a stage store,
-summed left to right, and :func:`stage_sum_call` binds one.  It also
-holds the parts of the splits of :mod:`prk.decomposition` and the
-divergence of :mod:`prk.spatial`: ``split_parts`` writes the needed rows
-of a stage store from a right-hand side or from face fluxes, masked by a
-region table of cells or of faces, and :func:`split_parts_call` binds
-one.  A bound compiled call holds the arrays it was given.
+summed left to right, and :func:`stage_sum_call` binds one.
+``split_parts`` writes the parts of a split right-hand side into rows of
+a stage store, and :func:`split_parts_call` binds one.  A bound compiled
+call holds the arrays it was given.
 
 Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
 of every face through an index built when the call binds, the periodic
 twins, :func:`_numpy_stage_sum` and :func:`_numpy_split_parts`), by the
-same IEEE operations in the same order with the same helpers.  The first kernel call of a process
-builds the C one with the system ``cc -O3 -ffp-contract=off
--fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
+same IEEE operations in the same order with the same helpers.  The first
+kernel call of a process builds the C one with the system ``cc -O3
+-ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
 multiply-add, which rounds once where the twin rounds twice) into
 ``$XDG_CACHE_HOME/prk`` or ``~/.cache/prk`` (mode 0700), or finds it
 there, and loads it with ``ctypes`` (:func:`_kernel_library` keeps it).
@@ -397,23 +395,17 @@ def split_parts_call(phi: np.ndarray, width: np.ndarray | None, dims: int,
                      cells: np.ndarray | None, faces: np.ndarray | None, parts: np.ndarray,
                      out: np.ndarray):
     """The call of ``split_parts`` of this process's kernel, with its
-    arguments bound once: for each part ``k`` of ``parts`` it writes row
-    ``k`` of ``out`` (a row of the state's shape, ``(m,)`` or ``(rows,
-    cols)``, per part) with part k of a split right-hand side.
-
-    For ``dims`` 0, ``phi`` is the right-hand side itself; for 1 it is the
-    ``cols + 1`` x-face fluxes of each row, and for 2 those, then the
-    ``cols`` y-face fluxes of each of ``rows + 1`` face rows.  A cell gets
-    its x-faces' difference over ``width[col]``, plus for 2 its y-faces'
-    difference over ``width[cols + row]``.  A table ``cells`` (a region
-    per cell) makes row k ``+0`` outside region k; a table ``faces`` (a
-    region per value of ``phi``) reads a face outside region k as ``+0``.
-    The tables are read at every call, and the call holds every array.
-    Arrays that the compiled entry cannot take safely raise
-    ``ValueError``: ``out`` must be C-contiguous, writeable float64 of 2
-    or 3 axes, and the others 1-d contiguous float64 (``phi``, ``width``:
+    arguments bound once: it writes the rows ``parts`` of ``out``, each of
+    the state's shape ``(m,)`` or ``(rows, cols)``, with those parts of a
+    split right-hand side, as the header of ``_weno5.c`` gives them: for
+    ``dims`` 0 ``phi`` itself, else the difference of the face fluxes
+    ``phi`` over ``width`` (x-faces, then for 2 y-faces), masked by the
+    region table ``cells`` or ``faces``, read at every call.  The call
+    holds every array.  ``out`` must be C-contiguous, writeable float64 of
+    2 or 3 axes, and the others 1-d contiguous float64 (``phi``, ``width``:
     ``cols`` or ``cols + rows`` values, None for 0) or intp (the tables,
-    ``parts``: rows of ``out``) of their sizes."""
+    ``parts``: rows of ``out``) of their sizes; others raise
+    ``ValueError``."""
     rows, cols = ((1,) + out.shape[1:])[-2:] if out.ndim in (2, 3) else (0, 0)
     xfaces = rows * (cols + 1)
     nphi, nwidth = {0: (rows * cols, 0), 1: (xfaces, cols),

@@ -26,6 +26,7 @@ from prk.harness import PROBLEMS, make_parts, parse_partition
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 from prk.stepper import IntegrationRun, integrate
 from prk.tableau import builtin_tableau, is_conservative
+from test_weno import _textbook_divergence
 
 
 def _two_region(m, lo, hi):
@@ -38,7 +39,7 @@ def _part_values(parts, t, v, needed):
     """``eval_parts`` into rows of NaN; a needed row must be overwritten
     whole, and the others are left as they were."""
     out = np.full((parts.r,) + np.shape(v), np.nan)
-    parts.eval_parts(t, v, needed, out)
+    parts.eval_parts(t, v, tuple(needed), out)
     return out
 
 
@@ -257,7 +258,7 @@ def test_dynamic_split_needs_begin_step_before_eval_parts():
     ds = DynamicCellSplit(lambda t, v: -v, burgers_dynamic_partition)
     out = np.full((2, 3), np.nan)
     with pytest.raises(ValueError, match="called before begin_step"):
-        ds.eval_parts(0.0, np.zeros(3), [True, True], out)
+        ds.eval_parts(0.0, np.zeros(3), (True, True), out)
     assert np.isnan(out).all()
 
 
@@ -490,10 +491,13 @@ def _splits():
     fp = FluxPartition.from_cells(cells, p1.grid)
     fp2 = FluxPartition2D.from_coarse_predicate(p2.grid, lambda x, y: x + y <= 0.8)
     cell = lambda k: np.where(cells.masks[k], p1.rhs(0.0, v1), 0.0)
-    flux = lambda k: p1.grid.divergence(np.where(fp.masks[k], p1.flux(0.0, v1), 0.0))
+    flux = lambda k: _textbook_divergence(np.where(fp.masks[k], p1.flux(0.0, v1), 0.0),
+                                          p1.grid.dx, (m,))
     fx, fy = p2.flux(0.0, v2)
-    flux2d = lambda k: p2.grid.divergence((np.where(fp2.xmasks[k], fx, 0.0),
-                                           np.where(fp2.ymasks[k], fy, 0.0)))
+    flux2d = lambda k: _textbook_divergence(
+        np.concatenate([np.where(fp2.xmasks[k], fx, 0.0).ravel(),
+                        np.where(fp2.ymasks[k], fy, 0.0).ravel()]),
+        np.full(24, p2.grid.h), (12, 12))
     low = v1 < 0.125
     dynamic = lambda k: np.where((low, ~low)[k], p1.rhs(0.0, v1), 0.0)
     return {

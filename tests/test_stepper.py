@@ -204,8 +204,8 @@ def _textbook_step(tab, parts, t, dt, u):
                     term = A[k][i][j] * K[j][k]
                     acc = term if acc is None else acc + term
         v = u if acc is None else u + dt * acc
-        needed = [b[k][i] != 0.0 or any(A[k][l][i] != 0.0 for l in range(i + 1, s))
-                  for k in range(r)]
+        needed = tuple(b[k][i] != 0.0 or any(A[k][l][i] != 0.0 for l in range(i + 1, s))
+                       for k in range(r))
         if any(needed):
             K[i] = np.full((r,) + np.shape(u), np.nan)
             parts.eval_parts(t + c[i] * dt, v, needed, K[i])
