@@ -117,8 +117,10 @@ MAX_CELLS = 10**7
 # is built after MAX_CELLS: it binds only in 2D, at n > 2415 for adv2d
 MAX_BUILD_BYTES = 2**30
 
-# the most bytes one (m, nu) point of the W study may hold: about ten dense m x m
-# float64 arrays at its peak (by tracemalloc), 33 MB at the default largest m = 640
+# the most bytes one (m, nu) point of the W study may hold, budgeted as ten dense
+# m x m float64 arrays; a point holds five at its peak (by tracemalloc): its two
+# Z_k, the [(r^T e)^{-1} | W] of one solve and one |.| for a norm, 16 MB at the
+# default largest m = 640
 MAX_ANALYSIS_BYTES = 2**30
 
 # published reference values (max norm, L1) per scheme and resolution
@@ -681,7 +683,7 @@ def _wnorm_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
     integration, so it has a loop of its own: each distinct (m, nu) builds
     one splitting and one stability report for all schemes."""
     schemes, ms, nus = p["schemes"], p["ms"], p["nus"]
-    for m in ms:  # ten m x m float64 arrays per point, before the first probe
+    for m in ms:  # ten m x m float64 arrays budgeted, five held, before the first probe
         _require(80 * m * m <= MAX_ANALYSIS_BYTES, "ms", m, f"at most {MAX_ANALYSIS_BYTES} "
                  f"bytes of dense analysis matrices, not {80 * m * m:.3g}")
     _check_positive("nus", nus)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prk.analysis import (
+    COND_LIMIT,
     LinearSplitting,
     _inf_norm,
     build_error_operators,
@@ -223,18 +224,31 @@ def _two_part_tableaus(draw):
     return PRKTableau.from_coeffs(A, [[draw(coeff) for _ in range(s)] for _ in range(2)])
 
 
-@settings(max_examples=100, deadline=None)
-@given(tab=_two_part_tableaus(), m=st.integers(4, 24), periodic=st.booleans(),
-       nu=st.floats(0.1, 1.0), data=st.data())
-def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, data):
-    # solve_W forms only r^T e and the d_{q+1,k}; W, its norm and the
-    # condition estimate must keep every bit of the build_error_operators path
-    # fill=nothing draws every entry, so neighbouring cells differ
-    dx = data.draw(arrays(float, m, elements=st.floats(0.25, 1.0), fill=st.nothing())) / m
-    prob = upwind1d(dx=dx, boundary="periodic" if periodic else "inflow")
-    part = CellPartition.two_region(data.draw(arrays(bool, m, fill=st.nothing())))
-    ls = _cell_splitting(prob, part, nu * float(dx.min()))
-    q = stage_order(tab)
+def _textbook_solve(M, rhs):
+    """``M^{-1}``, ``M^{-1} rhs`` and ``|M|_inf`` for a lower triangular M with
+    a nonzero diagonal, entry by entry: with w the last diagonal below the
+    main one that holds a nonzero, X[i, c] is [I | rhs][i, c] less
+    M[i, j] X[j, c] for j = i - w .. i - 1 in that order, divided by
+    M[i, i]; a row's |entries| are summed from the diagonal outwards."""
+    m = len(M)
+    rows, cols = np.nonzero(M)
+    w = int((rows - cols).max(initial=0))
+    X = np.hstack([np.eye(m), rhs]).tolist()
+    for i in range(m):
+        for c in range(2 * m):
+            acc = X[i][c]
+            for j in range(max(0, i - w), i):
+                acc -= M[i, j] * X[j][c]
+            X[i][c] = acc / M[i, i]
+    X = np.array(X)
+    norm = max(sum(abs(M[i, i - d]) for d in range(min(w, i) + 1)) for i in range(m))
+    return X[:, :m], X[:, m:], norm
+
+
+def _w_system(tab, ls, part):
+    """``r^T e`` and the right-hand side ``sum_k d_{q+1,k} I_k``, dense, from
+    ``build_error_operators``; each d_{q+1,k} checked against its definition."""
+    q, m = stage_order(tab), ls.m
     ops = build_error_operators(tab, ls, j_max=q + 1)
     for k, (lead, vec) in enumerate(simplifying_defects(tab, q + 1)):
         # d_{q+1,k} = lead I + sum_i v_i r_i, from a dense identity
@@ -244,24 +258,99 @@ def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, dat
                 djk += blk * v
         assert ops.d[(q + 1, k)].tobytes() == djk.tobytes()
     rhs = sum(ops.d[(q + 1, k)] * mk[None, :].astype(float) for k, mk in enumerate(part.masks))
+    return sum(ops.r_blocks[1:], ops.r_blocks[0]), rhs  # r^T e in solve_W's stage order
+
+
+def _upwind_draw(data, m, periodic, nu):
+    """Upwind advection on a random grid under a random two-part cell split."""
+    # fill=nothing draws every entry, so neighbouring cells differ
+    dx = data.draw(arrays(float, m, elements=st.floats(0.25, 1.0), fill=st.nothing())) / m
+    prob = upwind1d(dx=dx, boundary="periodic" if periodic else "inflow")
+    part = CellPartition.two_region(data.draw(arrays(bool, m, fill=st.nothing())))
+    return _cell_splitting(prob, part, nu * float(dx.min())), part
+
+
+@settings(max_examples=100, deadline=None)
+@given(tab=_two_part_tableaus(), m=st.integers(4, 24), periodic=st.booleans(),
+       nu=st.floats(0.1, 1.0), data=st.data())
+def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, data):
+    # solve_W forms only r^T e and the d_{q+1,k}; W, its norm and the
+    # condition estimate must keep every bit of the build_error_operators
+    # path: through inv @ on a periodic splitting, and through the textbook
+    # forward substitution on an inflow one, which is lower triangular
+    ls, part = _upwind_draw(data, m, periodic, nu)
+    assert (ls.bands is None) == periodic
+    M, rhs = _w_system(tab, ls, part)
     res = solve_W(tab, ls, part)
-    M = sum(ops.r_blocks[1:], ops.r_blocks[0])  # r^T e, in solve_W's stage order
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        assert res.W is None and res.norm_w == res.cond_rTe == np.inf
+    if periodic:
+        try:
+            Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            Minv = None
+        else:
+            W, norm_M = Minv @ rhs, _inf_norm(M)
+    elif np.all(np.diag(M)):
+        Minv, W, norm_M = _textbook_solve(M, rhs)
     else:
-        W = Minv @ rhs
+        Minv = None
+    if Minv is None:
+        assert res.W is None and res.norm_w == res.cond_rTe == np.inf and not res.ok
+    else:
         assert res.W.tobytes() == W.tobytes()
         assert _bits(res.norm_w) == _bits(_inf_norm(W))
-        assert _bits(res.cond_rTe) == _bits(_inf_norm(M) * _inf_norm(Minv))
+        assert _bits(res.cond_rTe) == _bits(norm_M * _inf_norm(Minv))
     # stability_check adds the identity in place of forming eye + Z
     rep, eye = stability_check(ls), np.eye(m)
     assert _bits(rep.norm_part1) == _bits(_inf_norm(eye + ls.Zs[0]))
     assert _bits(rep.norm_part2) == _bits(_inf_norm(eye + 0.5 * ls.Zs[1]))
 
 
-@pytest.mark.parametrize("scheme, most", [("TW2", 10), ("CS2", 10), ("SH2", 11)])
+@settings(max_examples=100, deadline=None)
+@given(tab=_two_part_tableaus(), m=st.integers(4, 24), nu=st.floats(0.1, 1.0),
+       data=st.data())
+def test_band_solve_agrees_with_the_dense_inverse(tab, m, nu, data):
+    # on a lower-banded splitting, W's norm and the condition estimate
+    # agree with inv(M) @ B to within 64 eps cond, relative; a system the
+    # band path calls singular is one the LAPACK path rejects too
+    ls, part = _upwind_draw(data, m, False, nu)
+    M, rhs = _w_system(tab, ls, part)
+    res = solve_W(tab, ls, part)
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        assert not res.ok and res.W is None
+        return
+    cond = _inf_norm(M) * _inf_norm(Minv)
+    if res.W is None:
+        assert not np.all(np.diag(M)) and not cond <= COND_LIMIT
+        return
+    tol = 64 * np.finfo(float).eps * res.cond_rTe
+    assert abs(res.norm_w - _inf_norm(Minv @ rhs)) <= tol * _inf_norm(Minv @ rhs)
+    assert abs(res.cond_rTe - cond) <= tol * cond
+    assert res.ok == (cond <= COND_LIMIT) or abs(cond - COND_LIMIT) <= tol * cond
+
+
+@settings(max_examples=50, deadline=None)
+@given(tab=_two_part_tableaus(), m=st.integers(2, 24), nu=st.floats(0.1, 1.0),
+       data=st.data())
+def test_band_solve_flags_a_zero_diagonal(tab, m, nu, data):
+    # a row that is zero in every Z_k is zero in every stage block, so
+    # r^T e has a zero on its diagonal: unusable, as LAPACK finds it singular
+    ls, part = _upwind_draw(data, m, False, nu)
+    row = data.draw(st.integers(0, m - 1))
+    Zs = tuple(Z.copy() for Z in ls.Zs)
+    for Z in Zs:
+        Z[row] = 0.0
+    ls = LinearSplitting(Zs)
+    assert ls.bands is not None
+    res = solve_W(tab, ls, part)
+    assert res.W is None and res.norm_w == res.cond_rTe == np.inf and not res.ok
+    M, _ = _w_system(tab, ls, part)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(M)
+
+
+@pytest.mark.parametrize("scheme, most", [("TW2", 4), ("CS2", 4), ("SH2", 4)])
 def test_solve_w_working_set(scheme, most):
     # tracemalloc sees numpy's array data: one solve, its result included,
     # may hold at most `most` dense m x m float64 arrays at once

@@ -12,6 +12,12 @@ exact solutions use sin, cos and exp) round as they did when the files
 were recorded; ``libm.sha256`` fingerprints them.  On a platform with a
 different fingerprint the reports are compared at round-off instead.
 
+The BLAS kernel does not enter: ``fig3``'s splittings are lower
+triangular, so ``prk.analysis`` solves them by band products and one
+forward substitution in elementwise numpy, and the ``fig3`` files keep
+their bytes under every OpenBLAS core type.  The other reports call no
+BLAS routine.
+
 The final states written by ``prk integrate --out`` are compared the
 same way, one file per problem and decomposition path of the command.
 
@@ -21,6 +27,9 @@ To re-record after a deliberate change of the numbers, run
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +132,21 @@ def test_report_is_byte_identical(name):
 def test_integrated_state_is_byte_identical(name, tmp_path):
     want = (GOLDEN / f"integrate-{name}.csv").read_text()
     _assert_same(integrated_state(name, tmp_path / "state.csv"), want)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_fig3_bytes_do_not_depend_on_the_blas_kernel(core, tmp_path):
+    # OpenBLAS built with DYNAMIC_ARCH takes its kernel from this variable;
+    # each run is a new process, since the library reads it once at load
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p)
+    out = tmp_path / "fig3.csv"
+    subprocess.run([sys.executable, "-m", "prk.cli", "analyze", "--schemes", "TW2,CS2",
+                    "--m", "20,40,80", "--nu", "0.5,1.0", "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    _assert_same(out.read_text(), (GOLDEN / "fig3.csv").read_text())
 
 
 if __name__ == "__main__":
