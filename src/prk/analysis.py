@@ -55,10 +55,13 @@ def _lower_bands(Zs) -> np.ndarray | None:
     some ``Z_k`` has a nonzero entry above its diagonal."""
     width = 1
     for Z in Zs:
-        rows, cols = np.nonzero(Z)
-        if (cols > rows).any():
-            return None
-        width = max(width, int((rows - cols).max(initial=0)) + 1)
+        left, d = np.count_nonzero(Z), 0  # nonzeros not on diagonals 0 .. d - 1
+        while left:
+            if d == len(Z):
+                return None
+            left -= np.count_nonzero(np.diagonal(Z, -d))
+            d += 1
+        width = max(width, d)
     bands = np.zeros((len(Zs), width, Zs[0].shape[0]))
     for Z, band in zip(Zs, bands):
         for d in range(width):
@@ -203,7 +206,8 @@ def build_error_operators(
 
     ``j_max`` defaults to the classical order plus one; terms beyond that
     carry no information in the local-error expansion.  The coefficients
-    of ``d_{j,k}`` are the tableau's B(j)/C(j) defects.
+    of ``d_{j,k}`` are the tableau's B(j)/C(j) defects.  A banded
+    splitting's blocks are built as band arrays and returned dense.
     """
     x = _stage_blocks(tab, ls)
     if ls.bands is not None:
