@@ -31,10 +31,20 @@
    per value of `phi`), the value with every face outside region k read as
    +0; with neither (both NULL), the value everywhere.
 
+   `run_ops(ops, nops)` runs a table of op records (`struct op`) in order,
+   each one of the two entries above or a finiteness check, with its
+   arguments: `stage_sum`, `split_parts`, or `finite` (whether the `size`
+   values of `values` are all finite).  It returns 0 at the first
+   finiteness check that finds a NaN or an infinity, and runs no op after
+   it; otherwise 1.  `op_layout` holds the `op_layout_length` sizes that
+   `prk.weno`'s ctypes mirror of the record checks before its first bind:
+   sizeof(struct op), then the offset and size of every field in the order
+   of declaration.
+
    Every value is computed by the same IEEE operations, in the same order,
    as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
-   `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`, `_numpy_split_parts`),
-   so the two give the same bits.  That holds only when the compiler keeps
+   `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`, `_numpy_split_parts`,
+   `_numpy_ops`), so the two give the same bits.  That holds only when the compiler keeps
    the order: build with -ffp-contract=off (no fused multiply-add) and
    without fast-math.  */
 
@@ -183,4 +193,87 @@ void split_parts(const double *phi, const double *width, size_t dims, size_t row
                 row[c] = value;
             }
     }
+}
+
+/* whether the `size` values are all finite */
+static int all_finite(const double *values, size_t size)
+{
+    int finite = 1;
+    for (size_t n = 0; n < size; n++)
+        finite &= isfinite(values[n]) != 0;
+    return finite;
+}
+
+/* the kinds of op, numbered as `prk.weno._OP_KINDS` */
+enum { OP_STAGE_SUM, OP_SPLIT_PARTS, OP_FINITE };
+
+/* the arguments of each kind, by the names of the entry's parameters */
+struct stage_sum_args {
+    const double *store;
+    const ptrdiff_t *rows;
+    const double *coeffs;
+    size_t nterms, size;
+    double dt;
+    const double *u;
+    double *out;
+};
+
+struct split_parts_args {
+    const double *phi, *width;
+    size_t dims, rows, cols;
+    const ptrdiff_t *cells, *faces, *parts;
+    size_t nparts;
+    double *out;
+};
+
+struct finite_args {
+    const double *values;
+    size_t size;
+};
+
+struct op {
+    ptrdiff_t kind;
+    union {
+        struct stage_sum_args stage_sum;
+        struct split_parts_args split_parts;
+        struct finite_args finite;
+    } args;
+};
+
+#define FIELD(member) offsetof(struct op, member), sizeof(((struct op *)0)->member)
+
+const size_t op_layout[] = {
+    sizeof(struct op), FIELD(kind),
+    FIELD(args.stage_sum.store), FIELD(args.stage_sum.rows), FIELD(args.stage_sum.coeffs),
+    FIELD(args.stage_sum.nterms), FIELD(args.stage_sum.size), FIELD(args.stage_sum.dt),
+    FIELD(args.stage_sum.u), FIELD(args.stage_sum.out),
+    FIELD(args.split_parts.phi), FIELD(args.split_parts.width), FIELD(args.split_parts.dims),
+    FIELD(args.split_parts.rows), FIELD(args.split_parts.cols), FIELD(args.split_parts.cells),
+    FIELD(args.split_parts.faces), FIELD(args.split_parts.parts),
+    FIELD(args.split_parts.nparts), FIELD(args.split_parts.out),
+    FIELD(args.finite.values), FIELD(args.finite.size),
+};
+const size_t op_layout_length = sizeof op_layout / sizeof *op_layout;
+
+int run_ops(const struct op *ops, size_t nops)
+{
+    for (const struct op *op = ops; op < ops + nops; op++)
+        switch (op->kind) {
+        case OP_STAGE_SUM: {
+            const struct stage_sum_args *a = &op->args.stage_sum;
+            stage_sum(a->store, a->rows, a->coeffs, a->nterms, a->size, a->dt, a->u, a->out);
+            break;
+        }
+        case OP_SPLIT_PARTS: {
+            const struct split_parts_args *a = &op->args.split_parts;
+            split_parts(a->phi, a->width, a->dims, a->rows, a->cols, a->cells, a->faces,
+                        a->parts, a->nparts, a->out);
+            break;
+        }
+        case OP_FINITE:
+            if (!all_finite(op->args.finite.values, op->args.finite.size))
+                return 0;
+            break;
+        }
+    return 1;
 }

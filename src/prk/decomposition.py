@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .spatial import Grid1D, Grid2D, parts_call
+from .spatial import Grid1D, Grid2D, parts_op
+from .weno import ops_call
 
 __all__ = [
     "CellPartition",
@@ -152,8 +153,15 @@ class FluxPartition2D:
 # shape) and leaves the other rows alone; it returns None.  Every call
 # evaluates ``F`` or the flux once.  A dynamic split also has
 # ``begin_step(u)``, which the stepper's stage store calls with the state
-# at the top of every step.  The stepper uses nothing else, always passes
-# ``needed`` (a tuple) and skips the call when no part is needed.
+# at the top of every step.  The splits here also have ``evaluation(out,
+# needed)``, which gives the same evaluation in two halves: ``write(t, v,
+# phi)``, one call of ``F`` or the flux into the split's own buffer
+# ``phi``, and the op (see :func:`prk.weno.ops_call`) that writes the
+# needed rows of ``out`` from ``phi``.  The stage store takes them once per
+# run and evaluated stage, and binds the op into the one compiled call it
+# makes after each ``write``; it steps a split without ``evaluation``
+# through ``eval_parts``.  The stepper uses nothing else, always passes
+# ``needed`` (a tuple) and evaluates no stage where no part is needed.
 # ----------------------------------------------------------------------
 
 def _regions(masks) -> np.ndarray:
@@ -164,13 +172,14 @@ def _regions(masks) -> np.ndarray:
 
 class _Split:
     """An evaluation is one call of ``F`` into values the split owns and
-    one compiled call (:func:`prk.spatial.parts_call`) that writes every
-    needed row from them, masked by the split's region table.  With a
-    ``grid``, ``F(t, v, out)`` is its interface flux; without one, ``F(t,
-    v)`` is the whole right-hand side, of the split's ``shape`` (None: the
-    first state's).  The call is bound once per store row and ``needed``;
-    a row of another store drops the last store's calls, so a split reused
-    across runs keeps no finished run's store alive."""
+    one compiled op (:func:`prk.spatial.parts_op`) that writes every needed
+    row from them, masked by the split's region table.  With a ``grid``,
+    ``F(t, v, out)`` is its interface flux; without one, ``F(t, v)`` is the
+    whole right-hand side, of the split's ``shape`` (None: the first
+    state's).  :meth:`evaluation` gives the two to the stage store, which
+    holds the op; ``eval_parts`` binds it once per store row and
+    ``needed``, and a row of another store drops the last store's calls,
+    so a split reused across runs keeps no finished run's store alive."""
 
     def __init__(self, F: Callable, r: int, grid=None, shape=None, cells=None, faces=None):
         self.F, self.r, self.grid = F, r, grid
@@ -186,26 +195,45 @@ class _Split:
             self._phi = np.empty(math.prod(shape))
             self._value = self._phi.reshape(shape)
 
-    def eval_parts(self, t, v, needed, out):
-        if np.shape(v) != self._shape:
+    def _fit_state(self, shape) -> None:
+        if shape != self._shape:
             if self._shape is not None:
-                raise ValueError(f"state of shape {np.shape(v)}, the split's is {self._shape}")
-            self._fit(np.shape(v))
+                raise ValueError(f"state of shape {shape}, the split's is {self._shape}")
+            self._fit(shape)
+
+    def _write_rhs(self, t, v, phi) -> None:
+        """``F(t, v)``, the whole right-hand side, copied into ``phi`` (the
+        split's buffer, of which ``_value`` is the state-shaped view)."""
+        np.copyto(self._value, self.F(t, v))
+
+    def evaluation(self, out, needed):
+        """``(write, phi, op)`` for the rows ``needed`` flags of ``out``:
+        ``write(t, v, phi)`` computes ``F`` at ``(t, v)`` into the split's
+        buffer ``phi``, and the op writes those rows from it."""
+        self._fit_state(out.shape[1:])
+        write = self._write_rhs if self.grid is None else self.F
+        return write, self._phi, self._op(out, needed)
+
+    def _op(self, out, needed):
+        return parts_op(self.grid, self._phi, np.flatnonzero(needed), out, self._cells,
+                        self._faces)
+
+    def eval_parts(self, t, v, needed, out):
+        self._fit_state(np.shape(v))
         call = self._calls.get((id(out), needed)) or self._bind(out, needed)
         if self.grid is None:
-            np.copyto(self._value, self.F(t, v))
+            self._write_rhs(t, v, self._phi)
         else:
             self.F(t, v, self._phi)
         call()
 
     def _bind(self, out, needed):
-        """The call that writes the rows ``needed`` flags into ``out``,
-        bound and kept for the row."""
+        """The call of the op that writes the rows ``needed`` flags into
+        ``out``, bound and kept for the row."""
         store = out if out.base is None else out.base
         if store is not self._store:
             self._store, self._calls = store, {}
-        call = parts_call(self.grid, self._phi, np.flatnonzero(needed), out, self._cells,
-                          self._faces)
+        call = ops_call(self._op(out, needed))
         self._calls[id(out), needed] = call  # the call holds out, so its id stays
         return call
 
@@ -256,14 +284,20 @@ class TrivialParts(_Split):
 
 class DynamicCellSplit(_Split):
     """Two-region cell split whose partition ``begin_step(u)`` rebuilds from
-    the state once per step, rewriting the region table in place;
-    ``eval_parts`` before the first one raises.  ``F`` and ``grid`` are
-    those of :class:`CellSplitParts`."""
+    the state once per step, rewriting the region table in place: the
+    table exists once the split knows its state's shape, so an op of
+    :meth:`evaluation` taken before a step reads the step's partition.
+    ``eval_parts`` before the first ``begin_step`` raises.  ``F`` and
+    ``grid`` are those of :class:`CellSplitParts`."""
 
     def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition], grid=None):
         super().__init__(F, 2, grid)
         self.rule = rule
         self.partition: CellPartition | None = None
+
+    def _fit(self, shape) -> None:
+        super()._fit(shape)
+        self._cells = None if shape is None else np.zeros(math.prod(shape), dtype=np.intp)
 
     def begin_step(self, u: np.ndarray) -> None:
         partition = self.rule(u)
@@ -272,9 +306,8 @@ class DynamicCellSplit(_Split):
         if partition.shape != np.shape(u):
             raise ValueError(f"dynamic rule produced masks of shape {partition.shape} "
                              f"for a state of shape {np.shape(u)}")
-        if self._cells is None or partition.shape != self._shape:
+        if partition.shape != self._shape:
             self._fit(partition.shape)
-            self._cells = np.empty(math.prod(partition.shape), dtype=np.intp)
         # region 1 where the second mask holds: the two masks cover disjointly
         np.copyto(self._cells.reshape(partition.shape), partition.masks[1])
         self.partition = partition
@@ -419,7 +452,9 @@ class PartitionSpec:
 
     def _select(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         try:
-            sel = np.asarray(self.predicate({"x": x, "y": y}), dtype=bool)
+            # a division by zero or a NaN on the grid is an error, not a warning
+            with np.errstate(all="raise", under="ignore"):
+                sel = np.asarray(self.predicate({"x": x, "y": y}), dtype=bool)
         except (TypeError, ArithmeticError) as exc:
             dims = "1D" if y is None else "2D"
             raise ValueError(f"cannot evaluate {self.text!r} on a {dims} grid: {exc}") from None

@@ -5,8 +5,8 @@ its interface ``flux(t, v, out=None)``, which writes into ``out`` when
 given one; the problem builds ``rhs`` once from them, as the divergence
 of ``flux``.  Cell-based decompositions mask that divergence, flux-based
 ones mask ``flux`` before it, so both split the same operator, and
-:func:`parts_call` makes the divergence and every split part one
-compiled call each.  Both grids give ``centres``, ``measure`` (mass and
+:func:`parts_op` makes the divergence and every split part one compiled
+op (see :func:`prk.weno.ops_call`).  Both grids give ``centres``, ``measure`` (mass and
 norm weights), ``min_width``, ``shape`` and ``flux_size``.
 
 Every WENO5 flux makes one compiled call over buffers it owns.  The
@@ -32,10 +32,11 @@ from .weno import (
     edge_from_left,
     interface_states,
     llf_split_flux,
+    ops_call,
     pad_periodic,
     periodic_call,
     runs_call,
-    split_parts_call,
+    split_parts_op,
 )
 
 __all__ = [
@@ -118,16 +119,16 @@ class Grid2D:
         return 2 * self.n * (self.n + 1)  # n (n + 1) x-faces, then as many y-faces
 
 
-def parts_call(grid, phi, parts, out, cells=None, faces=None):
-    """:func:`prk.weno.split_parts_call` on ``grid``: the rows ``parts`` of
+def parts_op(grid, phi, parts, out, cells=None, faces=None):
+    """:func:`prk.weno.split_parts_op` on ``grid``: the rows ``parts`` of
     ``out`` get the conservative difference of the face fluxes ``phi`` (the
     x-faces, then in 2D the y-faces) over the grid's widths, masked by a
     region table; with no grid, ``phi`` is the right-hand side itself."""
     if grid is None:
-        return split_parts_call(phi, None, 0, cells, faces, parts, out)
+        return split_parts_op(phi, None, 0, cells, faces, parts, out)
     width = (np.full(2 * grid.n, grid.h) if isinstance(grid, Grid2D)
              else np.ascontiguousarray(grid.dx, dtype=float))
-    return split_parts_call(phi, width, len(grid.shape), cells, faces, parts, out)
+    return split_parts_op(phi, width, len(grid.shape), cells, faces, parts, out)
 
 
 def _rhs(grid, flux) -> Callable:
@@ -139,7 +140,7 @@ def _rhs(grid, flux) -> Callable:
 
     def rhs(t, v):
         nonlocal call
-        call = call or parts_call(grid, phi, np.zeros(1, dtype=np.intp), value)
+        call = call or ops_call(parts_op(grid, phi, np.zeros(1, dtype=np.intp), value))
         flux(t, v, phi)
         call()
         return value[0].copy()
@@ -155,7 +156,7 @@ class SemiDiscreteProblem:
     2D) into ``out``, a 1-d float64 array of ``grid.flux_size`` values
     (x-faces, then y-faces), or else a fresh array.  ``rhs(t, v)`` is built
     once, at construction, as their conservative difference (see
-    :func:`parts_call`) from the grid and the flux bound then: rebinding
+    :func:`parts_op`) from the grid and the flux bound then: rebinding
     ``flux`` later does not change ``rhs``.
     """
 

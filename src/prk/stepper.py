@@ -1,10 +1,12 @@
 """Explicit partitioned Runge-Kutta stepping and reference integration.
 
-A run owns a *stage store*: part k of stage i is written in place by the
-decomposition's ``eval_parts`` into row ``(i, k)``, and every stage value
-and the new state is one compiled call over those rows (a
-:func:`prk.weno.stage_sum_call` bound when the run starts), so a step
-makes no numpy call of its own apart from the finiteness check.
+A run owns a *stage store*: part k of stage i is written in place into
+row ``(i, k)``.  Each evaluated stage makes one call of the split's ``F``
+into the split's own buffer, then one compiled call (a table of
+:mod:`prk.weno` ops bound when the run starts) that writes the stage's
+needed part rows from that buffer and the next evaluated stage's value,
+or after the last stage the new state and whether it is finite.  So a
+step makes no numpy call of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .decomposition import mass
 from .tableau import PRKTableau
-from .weno import stage_sum_call
+from .weno import finite_op, ops_call, stage_sum_op
 
 __all__ = [
     "IntegrationDiverged",
@@ -62,56 +64,84 @@ def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.n
 
 
 class _StageStore:
-    """One run's stage store and the stage sums bound over it.
+    """One run's stage store and the step program bound over it.
 
-    Part ``k`` of stage ``i`` is written by ``eval_parts`` into row ``(i,
-    k)`` of a store of shape ``(s, r) + u.shape``.  ``u`` is the state,
-    which every step overwrites with the new one; each stage with terms
-    gets its value in one buffer, and the rest read ``u``.  Every sum, a
-    stage's and the update's, is one bound :func:`prk.weno.stage_sum_call`
-    over the store's rows, in the plan's term order; the binding happens
-    here, once per run, and so does the lookup of the split's
-    ``eval_parts`` and, for a dynamic split, ``begin_step``.
+    Part ``k`` of stage ``i`` is written into row ``(i, k)`` of a store of
+    shape ``(s, r) + u.shape``.  ``u`` is the state, which every step
+    overwrites with the new one; each stage with terms gets its value in
+    one buffer, and the rest read ``u``.  Per evaluated stage the program
+    holds the split's ``write(t, v, phi)`` and one bound
+    :func:`prk.weno.ops_call` of the split's part op (see
+    :mod:`prk.decomposition`), then the next evaluated stage's sum, or after
+    the last stage the update and a finiteness check of ``u``.  Every sum
+    is a :func:`prk.weno.stage_sum_op` over the store's rows, in the plan's
+    term order.  The ops before the first evaluated stage (none in the
+    plans :mod:`prk.tableau` builds) run as a leading call, which in a plan
+    with no evaluated stage (all weights zero) is the finiteness check.
+    A split without ``evaluation`` (see :mod:`prk.decomposition`) is
+    written through its ``eval_parts`` and has no part op.  All of it is
+    bound here, once per run, as is the lookup of a dynamic split's
+    ``begin_step``.
     """
 
     def __init__(self, tab: PRKTableau, parts, dt: float, u):
         if parts.r != tab.r:
             raise ValueError(f"decomposition has {parts.r} parts, tableau expects {tab.r}")
         plan, r = tab.plan, tab.r
-        self.dt, self.eval_parts = dt, parts.eval_parts
+        self.dt = dt
         self.begin_step = getattr(parts, "begin_step", None)
         # a copy in C order, which the flat views below share
         self.u = np.array(u, dtype=float, order="C")
         store, v = np.zeros((tab.s, r) + self.u.shape), np.empty_like(self.u)
         rows, flat_u = store.reshape(tab.s * r, -1), self.u.reshape(-1)
 
-        def bound(terms, out):
+        def summed(terms, out) -> list:
+            """The sum of ``terms`` into ``out``: one op, or none without terms."""
             if not terms:
-                return None
-            return stage_sum_call(rows, np.array([j * r + k for j, k, _ in terms], dtype=np.intp),
-                                  np.array([a for _, _, a in terms]), dt, flat_u, out)
+                return []
+            return [stage_sum_op(rows, np.array([j * r + k for j, k, _ in terms], dtype=np.intp),
+                                 np.array([a for _, _, a in terms]), dt, flat_u, out)]
 
-        # per evaluated stage: its abscissa, the parts it needs, its sum (or
-        # None, when its value is u), its value and its row of the store
-        self.stages = tuple((c, needed, bound(terms, v.reshape(-1)), v if terms else self.u,
-                             store[i]) for i, c, needed, terms in plan.stages)
-        self.update = bound(plan.update_terms, flat_u)
+        # the ops before each evaluated stage's write, then after the last
+        between = [summed(terms, v.reshape(-1)) for _, _, _, terms in plan.stages]
+        between.append(summed(plan.update_terms, flat_u) + [finite_op(flat_u)])
+        self.lead = ops_call(*between[0]) if between[0] else None
+        # per evaluated stage: its abscissa, the split's write, its value,
+        # the split's buffer and the compiled call that follows the write
+        self.stages = []
+        for (i, c, needed, terms), after in zip(plan.stages, between[1:]):
+            write, phi, ops = _evaluation(parts, store[i], needed)
+            self.stages.append((c, write, v if terms else self.u, phi, ops_call(*ops, *after)))
 
     def step(self, t: float, n: int) -> None:
         """Overwrite ``u`` with the state at ``t + dt``, rebuilding a dynamic
         partition from ``u`` first; a non-finite new state raises
         :class:`IntegrationDiverged` naming step ``n`` and its start ``t``."""
-        dt, eval_parts = self.dt, self.eval_parts
+        dt = self.dt
         if self.begin_step is not None:
             self.begin_step(self.u)
-        for c, needed, stage_sum, v, out in self.stages:
-            if stage_sum is not None:
-                stage_sum()
-            eval_parts(t + c * dt, v, needed, out)
-        if self.update is not None:
-            self.update()
-        if not np.isfinite(self.u).all():
+        finite = self.lead() if self.lead is not None else 1
+        for c, write, v, phi, call in self.stages:
+            write(t + c * dt, v, phi)
+            finite = call()
+        if not finite:
             raise IntegrationDiverged(f"integration diverged at step {n}, t={t:.6g}", step=n, t=t)
+
+
+def _evaluation(parts, out, needed):
+    """``(write, phi, ops)`` of ``parts`` for the rows ``needed`` flags of
+    ``out``: ``write(t, v, phi)`` and the ops that write the rows from
+    ``phi``, from the split's ``evaluation``; a split with only
+    ``eval_parts`` writes the rows in ``write`` and gives no op."""
+    evaluation = getattr(parts, "evaluation", None)
+    if evaluation is not None:
+        write, phi, op = evaluation(out, needed)
+        return write, phi, (op,)
+    eval_parts = parts.eval_parts
+
+    def write(t, v, _phi):
+        eval_parts(t, v, needed, out)
+    return write, None, ()
 
 
 @dataclass

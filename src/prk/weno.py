@@ -21,18 +21,27 @@ and return fresh arrays.  The 1D periodic problems of :mod:`prk.spatial`
 instead bind :func:`periodic_call`: ``weno5_periodic`` pads a line and
 writes its left-biased values, ``burgers_llf_periodic`` pads it and
 writes Burgers' local Lax-Friedrichs fluxes from both biases.  The same
-library holds the stage sums of :mod:`prk.stepper`: ``stage_sum`` writes
-``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over rows of a stage store,
-summed left to right, and :func:`stage_sum_call` binds one.
-``split_parts`` writes the parts of a split right-hand side into rows of
-a stage store, and :func:`split_parts_call` binds one.  A bound compiled
-call holds the arrays it was given.
+library holds the stage sums of :mod:`prk.stepper` and the parts of a
+split right-hand side, as *ops*: :func:`stage_sum_op` checks the
+arguments of ``stage_sum``, which writes ``u + dt * (a_0 K_0 + a_1 K_1 +
+...)`` over rows of a stage store, summed left to right;
+:func:`split_parts_op` those of ``split_parts``, which writes the parts
+of a split right-hand side into rows of a stage store; and
+:func:`finite_op` makes a finiteness check.  :func:`ops_call` binds a
+table of ops as one call of ``run_ops``, which runs them in order and
+returns whether every check found only finite values: a stage of the
+stepper writes its part rows and the next stage value in one call, and
+its last stage the new state and the check.  Its records are a ctypes
+mirror of the C ``struct op``; the library exports the struct's size and
+field layout, and a library whose layout the mirror does not match is not
+used.  A bound compiled call holds the arrays it was given.
 
 Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
 of every face through an index built when the call binds, the periodic
-twins, :func:`_numpy_stage_sum` and :func:`_numpy_split_parts`), by the
-same IEEE operations in the same order with the same helpers.  The first
+twins, :func:`_numpy_stage_sum`, :func:`_numpy_split_parts` and
+:func:`_numpy_ops`, which runs the ops' twins in order), by the same IEEE
+operations in the same order with the same helpers.  The first
 kernel call of a process builds the C one with the system ``cc -O3
 -ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
 multiply-add, which rounds once where the twin rounds twice) into
@@ -50,16 +59,19 @@ its values are the same.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import sys
 import types
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
-           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_call", "split_parts_call"]
+           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_op", "split_parts_op",
+           "finite_op", "ops_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
@@ -172,7 +184,7 @@ def _numpy_stage_sum(store, rows, coeffs, dt, u, out) -> None:
 
 def _numpy_split_parts(phi, width, dims, rows, cols, cells, faces, parts, out) -> None:
     """``split_parts`` of ``_weno5.c`` in numpy (see
-    :func:`split_parts_call`), reading the tables at every call."""
+    :func:`split_parts_op`), reading the tables at every call."""
     xfaces = rows * (cols + 1)
     for k in parts:
         f = phi if faces is None else np.where(faces == k, phi, _ZERO)
@@ -190,6 +202,21 @@ def _numpy_split_parts(phi, width, dims, rows, cols, cells, faces, parts, out) -
         if cells is not None:
             value = np.where(cells.reshape(rows, cols) == k, value, _ZERO)
         out[k].reshape(rows, cols)[...] = value
+
+
+def _numpy_finite(values) -> bool:
+    """``all_finite`` of ``_weno5.c`` in numpy."""
+    return bool(np.isfinite(values).all())
+
+
+def _numpy_ops(twins) -> int:
+    """``run_ops`` of ``_weno5.c`` in numpy: the twins of a table's ops
+    in order, 0 at the first finiteness check that fails (no twin runs
+    after it), else 1."""
+    for twin in twins:
+        if twin() is False:
+            return 0
+    return 1
 
 
 def _numpy_weno5_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray) -> None:
@@ -219,19 +246,63 @@ def _numpy_burgers_llf_periodic(v: np.ndarray, line: np.ndarray, out: np.ndarray
 _SOURCE = Path(__file__).with_name("_weno5.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
+# the ctypes mirror of `struct op` in _weno5.c, field for field; the kinds
+# are numbered as its enum
+_OP_KINDS = ("stage_sum", "split_parts", "finite")
+_ADDRESS, _SIZE = ctypes.c_void_p, ctypes.c_size_t
+
+
+class _StageSumArgs(ctypes.Structure):
+    _fields_ = [("store", _ADDRESS), ("rows", _ADDRESS), ("coeffs", _ADDRESS),
+                ("nterms", _SIZE), ("size", _SIZE), ("dt", ctypes.c_double), ("u", _ADDRESS),
+                ("out", _ADDRESS)]
+
+
+class _SplitPartsArgs(ctypes.Structure):
+    _fields_ = [("phi", _ADDRESS), ("width", _ADDRESS), ("dims", _SIZE), ("rows", _SIZE),
+                ("cols", _SIZE), ("cells", _ADDRESS), ("faces", _ADDRESS), ("parts", _ADDRESS),
+                ("nparts", _SIZE), ("out", _ADDRESS)]
+
+
+class _FiniteArgs(ctypes.Structure):
+    _fields_ = [("values", _ADDRESS), ("size", _SIZE)]
+
+
+class _OpArgs(ctypes.Union):
+    _fields_ = [("stage_sum", _StageSumArgs), ("split_parts", _SplitPartsArgs),
+                ("finite", _FiniteArgs)]
+
+
+class _OpRecord(ctypes.Structure):
+    _fields_ = [("kind", ctypes.c_ssize_t), ("args", _OpArgs)]
+
+
+def _layout(record) -> list[int]:
+    """The ``op_layout`` of ``_weno5.c`` for the ctypes ``record``: its
+    size, then the offset and size of every field, depth first in order of
+    declaration."""
+    def fields(kind, base):
+        for name, field_type in kind._fields_:
+            offset = base + getattr(kind, name).offset
+            if issubclass(field_type, (ctypes.Structure, ctypes.Union)):
+                yield from fields(field_type, offset)
+            else:
+                yield from (offset, ctypes.sizeof(field_type))
+    return [ctypes.sizeof(record), *fields(record, 0)]
+
 
 @functools.cache
 def _kernel_library():
     """This process's ``_weno5.c``, compiled by the system ``cc`` into the
     user's cache at the first call, or found there, and loaded, with the
     argument types of its entries set; None if it cannot be built or
-    loaded, and the numpy twins run.
+    loaded, or if its ``op_layout`` is not that of :class:`_OpRecord`, and
+    the numpy twins run.
 
     A library's name holds the digest of its source, flags and machine,
     and the digest of its own bytes, which is checked before it is loaded:
     loading a damaged library can kill the process.  A cached library
     that fails the check is deleted and built again."""
-    import ctypes
     import platform
     import tempfile
 
@@ -267,16 +338,18 @@ def _kernel_library():
         library = ctypes.CDLL(str(library))
     except (OSError, RuntimeError):
         return None
-    size, address = ctypes.c_size_t, ctypes.c_void_p
-    for name, argtypes in (("weno5_runs", (address, address, address, address, size, address)),
-                           ("weno5_periodic", (address, size, address, address)),
-                           ("burgers_llf_periodic", (address, size, address, address)),
-                           ("stage_sum", (address, address, address, size, size,
-                                          ctypes.c_double, address, address)),
-                           ("split_parts", (address, address, size, size, size, address,
-                                            address, address, size, address))):
+    want = _layout(_OpRecord)
+    if (_SIZE.in_dll(library, "op_layout_length").value != len(want)
+            or list((_SIZE * len(want)).in_dll(library, "op_layout")) != want):
+        return None
+    size, address = _SIZE, _ADDRESS
+    for name, argtypes, restype in (
+            ("weno5_runs", (address, address, address, address, size, address), None),
+            ("weno5_periodic", (address, size, address, address), None),
+            ("burgers_llf_periodic", (address, size, address, address), None),
+            ("run_ops", (ctypes.POINTER(_OpRecord), size), ctypes.c_int)):
         entry = getattr(library, name)
-        entry.argtypes, entry.restype = argtypes, None
+        entry.argtypes, entry.restype = argtypes, restype
     return library
 
 
@@ -360,52 +433,83 @@ def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np
     return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
 
 
-def stage_sum_call(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: float,
-                   u: np.ndarray, out: np.ndarray):
-    """The call of ``stage_sum`` of this process's kernel, with its
-    arguments bound once: it writes ``u + dt * (coeffs[0] * store[rows[0]]
-    + coeffs[1] * store[rows[1]] + ...)`` into ``out``, summed left to right
-    from the first term.  ``store`` is a 2-d C-contiguous float64 array of
-    rows, ``u`` and ``out`` 1-d contiguous float64 arrays of one row's
-    length, ``out`` writeable (it may be ``u``), and ``rows`` and
-    ``coeffs`` 1-d contiguous intp and float64 arrays of one length, at
-    least 1, whose rows lie inside ``store``; others raise ``ValueError``.
-    The call holds the five arrays."""
+class _Op(NamedTuple):
+    """One op of a table bound by :func:`ops_call`: the kind of entry
+    (one of ``_OP_KINDS``), its checked arguments by the names of the C
+    parameters (arrays, numbers or None), and its numpy twin."""
+
+    kind: str
+    args: dict
+    twin: Callable
+
+
+def ops_call(*ops: _Op):
+    """The call of ``run_ops`` of this process's kernel over ``ops``, with
+    its table built once: it runs the ops in order and returns 0 at the
+    first :func:`finite_op` that finds a NaN or an infinity (no op runs
+    after it), else 1.  The compiled call holds every array of the ops;
+    the numpy one holds their twins."""
+    library = _kernel_library()
+    if library is None:
+        return functools.partial(_numpy_ops, tuple(op.twin for op in ops))
+    table = (_OpRecord * len(ops))()
+    for record, op in zip(table, ops):
+        record.kind = _OP_KINDS.index(op.kind)
+        args = getattr(record.args, op.kind)
+        for name, value in op.args.items():
+            setattr(args, name, value.ctypes.data if isinstance(value, np.ndarray) else value)
+    # the records hold addresses only
+    table.arrays = [a for op in ops for a in op.args.values() if isinstance(a, np.ndarray)]
+    # arguments of the entry's own types, which a call passes unconverted;
+    # the pointer holds the table
+    return functools.partial(library.run_ops, ctypes.cast(table, ctypes.POINTER(_OpRecord)),
+                             _SIZE(len(ops)))
+
+
+def stage_sum_op(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: float,
+                 u: np.ndarray, out: np.ndarray) -> _Op:
+    """The op of ``stage_sum``: it writes ``u + dt * (coeffs[0] *
+    store[rows[0]] + coeffs[1] * store[rows[1]] + ...)`` into ``out``,
+    summed left to right from the first term.  ``store`` is a 2-d
+    C-contiguous float64 array of rows, ``u`` and ``out`` 1-d contiguous
+    float64 arrays of one row's length, ``out`` writeable (it may be
+    ``u``), and ``rows`` and ``coeffs`` 1-d contiguous intp and float64
+    arrays of one length, at least 1, whose rows lie inside ``store``;
+    others raise ``ValueError``."""
     size = store.shape[-1] if store.ndim == 2 else -1
     if (size < 0 or not store.flags.c_contiguous or store.dtype != np.float64
             or not out.flags.writeable
             or not _vectors(np.float64, (u, size), (out, size), (coeffs, rows.size))
             or not _vectors(np.intp, (rows, rows.size))):
-        raise ValueError("stage_sum_call needs a 2-d C-contiguous float64 store, 1-d "
+        raise ValueError("stage_sum_op needs a 2-d C-contiguous float64 store, 1-d "
                          "contiguous float64 u and out of its row length, out writeable, "
                          "and 1-d contiguous intp rows and float64 coeffs of one length")
     if not rows.size:
-        raise ValueError("stage_sum_call needs at least one term")
+        raise ValueError("stage_sum_op needs at least one term")
     outside = rows[(rows < 0) | (rows >= len(store))]
     if outside.size:
-        raise ValueError(f"stage_sum_call: row {outside[0]} outside the {len(store)} rows "
+        raise ValueError(f"stage_sum_op: row {outside[0]} outside the {len(store)} rows "
                          "of store")
-    library = _kernel_library()
-    if library is None:
-        return functools.partial(_numpy_stage_sum, store, rows, coeffs, float(dt), u, out)
-    return _bound(library.stage_sum, store, rows, coeffs, rows.size, size, dt, u, out)
+    dt = float(dt)
+    return _Op("stage_sum", dict(store=store, rows=rows, coeffs=coeffs, nterms=rows.size,
+                                 size=size, dt=dt, u=u, out=out),
+               functools.partial(_numpy_stage_sum, store, rows, coeffs, dt, u, out))
 
 
-def split_parts_call(phi: np.ndarray, width: np.ndarray | None, dims: int,
-                     cells: np.ndarray | None, faces: np.ndarray | None, parts: np.ndarray,
-                     out: np.ndarray):
-    """The call of ``split_parts`` of this process's kernel, with its
-    arguments bound once: it writes the rows ``parts`` of ``out``, each of
-    the state's shape ``(m,)`` or ``(rows, cols)``, with those parts of a
-    split right-hand side, as the header of ``_weno5.c`` gives them: for
-    ``dims`` 0 ``phi`` itself, else the difference of the face fluxes
-    ``phi`` over ``width`` (x-faces, then for 2 y-faces), masked by the
-    region table ``cells`` or ``faces``, read at every call.  The call
-    holds every array.  ``out`` must be C-contiguous, writeable float64 of
-    2 or 3 axes, and the others 1-d contiguous float64 (``phi``, ``width``:
-    ``cols`` or ``cols + rows`` values, None for 0) or intp (the tables,
-    ``parts``: rows of ``out``) of their sizes; others raise
-    ``ValueError``."""
+def split_parts_op(phi: np.ndarray, width: np.ndarray | None, dims: int,
+                   cells: np.ndarray | None, faces: np.ndarray | None, parts: np.ndarray,
+                   out: np.ndarray) -> _Op:
+    """The op of ``split_parts``: it writes the rows ``parts`` of ``out``,
+    each of the state's shape ``(m,)`` or ``(rows, cols)``, with those
+    parts of a split right-hand side, as the header of ``_weno5.c`` gives
+    them: for ``dims`` 0 ``phi`` itself, else the difference of the face
+    fluxes ``phi`` over ``width`` (x-faces, then for 2 y-faces), masked by
+    the region table ``cells`` or ``faces``, read at every call.  ``out``
+    must be C-contiguous, writeable float64 of 2 or 3 axes, and the others
+    1-d contiguous float64 (``phi``, ``width``: ``cols`` or ``cols + rows``
+    values, None for 0) or intp (the tables, ``parts``: rows of ``out``) of
+    their sizes; others raise ``ValueError``.  The twin reads ``parts``
+    once, here."""
     rows, cols = ((1,) + out.shape[1:])[-2:] if out.ndim in (2, 3) else (0, 0)
     xfaces = rows * (cols + 1)
     nphi, nwidth = {0: (rows * cols, 0), 1: (xfaces, cols),
@@ -416,19 +520,27 @@ def split_parts_call(phi: np.ndarray, width: np.ndarray | None, dims: int,
             or not out.flags.writeable or (width is None) != (dims == 0)
             or not _vectors(np.float64, (phi, nphi), *(((width, nwidth),) if dims else ()))
             or not _vectors(np.intp, (parts, parts.size), *tables)):
-        raise ValueError("split_parts_call needs a C-contiguous writeable float64 out of "
+        raise ValueError("split_parts_op needs a C-contiguous writeable float64 out of "
                          "rows of the state, dims 0, 1 or 2, and 1-d contiguous phi, width "
                          "and tables of their sizes, float64 and intp, and intp parts")
     outside = parts[(parts < 0) | (parts >= len(out))]
     if outside.size:
-        raise ValueError(f"split_parts_call: part {outside[0]} outside the {len(out)} rows "
+        raise ValueError(f"split_parts_op: part {outside[0]} outside the {len(out)} rows "
                          "of out")
-    library = _kernel_library()
-    if library is None:
-        return functools.partial(_numpy_split_parts, phi, width, dims, rows, cols, cells,
-                                 faces, parts.tolist(), out)
-    return _bound(library.split_parts, phi, width, dims, rows, cols, cells, faces, parts,
-                  parts.size, out)
+    return _Op("split_parts", dict(phi=phi, width=width, dims=dims, rows=rows, cols=cols,
+                                   cells=cells, faces=faces, parts=parts, nparts=parts.size,
+                                   out=out),
+               functools.partial(_numpy_split_parts, phi, width, dims, rows, cols, cells,
+                                 faces, parts.tolist(), out))
+
+
+def finite_op(values: np.ndarray) -> _Op:
+    """The op that checks that every value of ``values``, a 1-d contiguous
+    float64 array, is finite; others raise ``ValueError``."""
+    if not _vectors(np.float64, (values, values.size)):
+        raise ValueError("finite_op needs 1-d contiguous float64 values")
+    return _Op("finite", dict(values=values, size=values.size),
+               functools.partial(_numpy_finite, values))
 
 
 def _vectors(dtype, *arrays) -> bool:

@@ -1,11 +1,12 @@
 """Partition validity, split correctness, conservation and spec parsing."""
 
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -386,6 +387,8 @@ spec_texts = st.one_of(st.text(max_size=30),
 
 @settings(deadline=None, max_examples=300)
 @given(spec_texts)
+@example("x/x").via("0/0 at x = 0")
+@example("y*1e400<1").via("0 * inf at y = 0")
 def test_any_partition_text_gives_valid_masks_or_a_value_error(text):
     grid1, grid2 = advection1d_weno5(8).grid, advection2d(6).grid
     u = burgers_llf(8).initial
@@ -524,12 +527,22 @@ def test_a_split_writes_each_needed_row_whole_and_no_other(kind):
             assert got[k].tobytes() == want.tobytes(), (k, needed)
 
 
-def _fresh_split(kind):
+def _fresh_split(kind, calls=None):
     """A problem and a new split of ``kind`` on it, as the package builds
-    them, or over ``rhs`` for "rhs"."""
+    them, or over ``rhs`` for "rhs".  With a list ``calls``, the problem's
+    flux is first wrapped, as perfbench's count mode wraps it, to append
+    the time of every call."""
     name = {"flux2d": "adv2d", "dynamic": "burgers"}.get(kind, "adv1d")
     m = 12 if name == "adv2d" else 32
     prob = PROBLEMS[name].build(m)
+    if calls is not None:
+        flux = prob.flux
+
+        @functools.wraps(flux)
+        def counted(t, *args, **kwargs):
+            calls.append(t)
+            return flux(t, *args, **kwargs)
+        prob.flux = counted
     if kind == "trivial":
         return prob, TrivialParts(prob.flux, prob.grid)
     if kind == "rhs":
@@ -540,18 +553,20 @@ def _fresh_split(kind):
 
 @pytest.mark.parametrize("kind", ["cell", "flux", "flux2d", "dynamic", "trivial", "rhs"])
 def test_a_split_reused_for_a_second_run_keeps_no_store_of_the_first(kind):
-    # a split binds its compiled calls to the rows of one stage store; the
-    # second run's store replaces the first's, which is then freed, and
-    # both runs give the states of fresh splits byte for byte
+    # each run binds its split's ops to the rows of its own stage store, and
+    # eval_parts binds its calls to the rows of one store at a time; the
+    # second run's store and the second store given to eval_parts replace
+    # the first ones, which are then freed, and both runs give the states
+    # of fresh splits byte for byte
     prob, split = _fresh_split(kind)
-    stores, eval_parts = [], split.eval_parts
+    stores, evaluation = [], split.evaluation
 
-    def recording(t, v, needed, out):
+    def recording(out, needed):
         if not stores or stores[-1]() is not out.base:
             stores.append(weakref.ref(out.base))
-        eval_parts(t, v, needed, out)
+        return evaluation(out, needed)
 
-    split.eval_parts = recording
+    split.evaluation = recording
     dt = 0.25 * prob.grid.min_width
 
     def state(scheme, parts):
@@ -560,6 +575,11 @@ def test_a_split_reused_for_a_second_run_keeps_no_store_of_the_first(kind):
 
     schemes = ("ETR2", "FE1") if split.r == 1 else ("TW2", "CS2")
     got = [state(scheme, split) for scheme in schemes]
+    for _ in range(2):
+        out = np.empty((2, split.r) + prob.initial.shape)
+        stores.append(weakref.ref(out))
+        split.eval_parts(0.0, prob.initial, (True,) * split.r, out[1])
+    del out
     gc.collect()
-    assert len(stores) == 2 and stores[0]() is None
+    assert len(stores) == 4 and stores[0]() is None and stores[2]() is None
     assert got == [state(scheme, _fresh_split(kind)[1]) for scheme in schemes]

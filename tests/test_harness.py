@@ -23,8 +23,13 @@ from prk.harness import (
     courant_step,
     EXPERIMENTS,
     estimate_order,
+    run_case,
     shock_position,
 )
+from prk.decomposition import mass
+from prk.stepper import IntegrationRun, integrate
+from prk.tableau import builtin_tableau
+from test_decomposition import _fresh_split
 
 run_table1, run_table2, run_wnorm_study = (EXPERIMENTS[k] for k in ("table1", "table2", "fig3"))
 run_error_profile, run_burgers_shock = EXPERIMENTS["fig1"], EXPERIMENTS["fig2"]
@@ -100,6 +105,23 @@ def test_error_profile_checks_pass_at_reduced_size():
     assert sum(r["scheme"] == "CS2" for r in rep.rows) == 200
     # errors start from zero initial error and stay small
     assert max(abs(r["error"]) for r in rep.rows) < 1e-2
+
+
+@pytest.mark.parametrize("kind", ["cell", "flux", "dynamic", "trivial", "flux2d"])
+def test_case_mass_drift_is_the_drift_of_the_traced_run(kind):
+    # run_case weighs the first and last states alone; a run that traces
+    # the mass every step has those two masses and the same drift, byte for
+    # byte (nonzero for the dynamic and the 2D splits)
+    prob, split = _fresh_split(kind)
+    scheme = "ETR2" if kind == "trivial" else "TW2"
+    dt, w = 0.25 * prob.grid.min_width, prob.grid.measure
+    case = run_case(prob, scheme, split, dt, 8 * dt)
+    res = integrate(IntegrationRun(builtin_tableau(scheme), _fresh_split(kind)[1], dt, 8 * dt,
+                                   prob.initial, mass_weights=w))
+    assert len(res.mass_trace) == 9 and res.u.tobytes() == case.u.tobytes()
+    ends = (mass(w, prob.initial), mass(w, case.u), case.mass_drift)
+    traced = (res.mass_trace[0], res.mass_trace[-1], abs(res.mass_trace[-1] - res.mass_trace[0]))
+    assert np.array(ends).tobytes() == np.array(traced).tobytes()
 
 
 def test_burgers_shock_small_grid():

@@ -11,9 +11,10 @@ from prk.spatial import (
     advection2d,
     burgers_llf,
     norms,
-    parts_call,
+    parts_op,
     upwind1d,
 )
+from prk.weno import ops_call
 from prk.harness import PROBLEMS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
 from test_analysis import _bidiagonal
@@ -505,9 +506,9 @@ def _divergence(grid, fluxes):
 
 
 def _compiled_divergence(grid, fluxes):
-    """The divergence of ``fluxes`` by the package's one compiled call."""
+    """The divergence of ``fluxes`` by the package's one compiled op."""
     out = np.empty((1,) + grid.shape)
-    parts_call(grid, _flat(fluxes).astype(float), np.zeros(1, dtype=np.intp), out)()
+    ops_call(parts_op(grid, _flat(fluxes).astype(float), np.zeros(1, dtype=np.intp), out))()
     return out[0]
 
 

@@ -32,6 +32,8 @@ from prk.stepper import (
 )
 from prk.tableau import PRKTableau, builtin_names, builtin_tableau
 from test_analysis import _bidiagonal
+from test_decomposition import _fresh_split
+from test_weno import each_kernel  # noqa: F401
 
 
 def _fe_steps(F, u, t, dt, n):
@@ -333,6 +335,79 @@ def test_prk_step_loop_tracks_the_shock_as_integrate_does(scheme):
     run = integrate(IntegrationRun(tab, DynamicCellSplit(prob.rhs, burgers_dynamic_partition),
                                    dt=dt, t_end=20 * dt, u0=prob.initial))
     assert u.tobytes() == run.u.tobytes()
+
+
+# every split class with every builtin tableau of its number of parts
+_SPLITS_AND_SCHEMES = [(kind, scheme) for kind in ("cell", "flux", "flux2d", "dynamic", "trivial")
+                       for scheme in builtin_names()
+                       if (builtin_tableau(scheme).r == 1) == (kind == "trivial")]
+
+
+@pytest.mark.parametrize("kind, scheme", _SPLITS_AND_SCHEMES)
+def test_each_evaluated_stage_calls_the_flux_once(each_kernel, kind, scheme):
+    # the problem's flux wrapped before the split is built, as a counting
+    # benchmark wraps it: one call per evaluated stage, at its abscissa, in
+    # plan order, and nothing else calls it
+    calls = []
+    prob, split = _fresh_split(kind, calls)
+    tab, dt = builtin_tableau(scheme), 0.25 * prob.grid.min_width
+    integrate(IntegrationRun(tab, split, dt, 3 * dt, prob.initial))
+    assert calls == [n * dt + c * dt for n in range(3) for _, c, _, _ in tab.plan.stages]
+
+
+class _OnlyEvalParts:
+    """A split with nothing but ``r`` and ``eval_parts``, those of ``split``."""
+
+    def __init__(self, split):
+        self.r, self.eval_parts = split.r, split.eval_parts
+
+
+@pytest.mark.parametrize("kind", ["cell", "flux", "flux2d"])
+@pytest.mark.parametrize("scheme", ["TW2", "CS2", "SH2"])
+def test_a_split_with_only_eval_parts_integrates_as_the_textbook_steps(each_kernel, kind,
+                                                                        scheme):
+    prob, split = _fresh_split(kind)
+    tab, dt = builtin_tableau(scheme), 0.25 * prob.grid.min_width
+    run = integrate(IntegrationRun(tab, _OnlyEvalParts(split), dt, 3 * dt, prob.initial))
+    want = prob.initial
+    for n in range(3):
+        want = _textbook_step(tab, split, n * dt, dt, want)
+    assert run.u.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scheme, build, since", [
+    ("FE1", lambda F: TrivialParts(F), 2.5),
+    ("TW2", lambda F: CellSplitParts(F, CellPartition.two_region(np.arange(6) >= 3)), 3.25),
+], ids=["trivial", "cell"])
+def test_divergence_names_the_step_whose_state_is_not_finite(each_kernel, value, scheme, build,
+                                                             since):
+    # the right-hand side turns non-finite after ``since`` steps of time:
+    # past step 3's last stage (FE1 at 2 dt, TW2 at 3 dt) and before a
+    # stage of step 4, so the compiled check at the end of step 4 fails
+    dt = 0.1
+
+    def F(t, v):
+        return np.full_like(v, value if t > since * dt else 0.5)
+
+    u0 = np.linspace(-1.0, 1.0, 6)
+    kept = u0.tobytes()
+    run = IntegrationRun(builtin_tableau(scheme), build(F), dt=dt, t_end=10 * dt, u0=u0)
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationDiverged) as err:
+        integrate(run)
+    assert (err.value.step, err.value.t) == (4, 3 * dt)
+    assert f"step 4, t={3 * dt:.6g}" in str(err.value)
+    assert u0.tobytes() == kept
+
+
+def test_a_scheme_with_zero_weights_keeps_the_state(each_kernel):
+    # no stage is evaluated: a step is the finiteness check alone
+    calls = []
+    zero = PRKTableau.from_coeffs(A=[[[0, 0], [0, 0]]], b=[[0, 0]])
+    parts = TrivialParts(lambda t, v: calls.append(t) or v)
+    u0 = np.array([1.0, -0.0, 3.0])
+    assert integrate(IntegrationRun(zero, parts, 0.5, 2.0, u0)).u.tobytes() == u0.tobytes()
+    assert calls == []
 
 
 def test_sh2_evaluation_counts():

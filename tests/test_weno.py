@@ -5,6 +5,7 @@ they bind, bound calls that hold their buffers, stage sums bitwise equal
 to the textbook sum, the compiled kernel bitwise equal to the numpy
 kernel, and the numpy fallback when the compiled one cannot load."""
 
+import ctypes
 import gc
 import os
 import shutil
@@ -368,6 +369,35 @@ def each_kernel(request, monkeypatch):
     return request.param
 
 
+def _mirror(**changes):
+    """A ctypes op record built as ``prk.weno._OpRecord``, with the
+    ``changes`` made to the fields of its parts (by class name)."""
+    def rebuilt(kind):
+        fields = changes.get(kind.__name__, kind._fields_)
+        fields = [(name, rebuilt(t) if issubclass(t, (ctypes.Structure, ctypes.Union)) else t)
+                  for name, t in fields]
+        return type(kind.__name__, kind.__bases__, {"_fields_": fields})
+    return rebuilt(weno._OpRecord)
+
+
+@pytest.mark.parametrize("mirror, used", [
+    (_mirror(), True),
+    (_mirror(_OpRecord=[("args", weno._OpArgs), ("kind", ctypes.c_ssize_t)]), False),
+    (_mirror(_FiniteArgs=[("values", ctypes.c_void_p), ("size", ctypes.c_uint32)]), False),
+    (_mirror(_StageSumArgs=weno._StageSumArgs._fields_[:-1]), False),
+    (_mirror(_SplitPartsArgs=[f for f in weno._SplitPartsArgs._fields_ if f[0] != "dims"]),
+     False),
+], ids=["same", "fields-swapped", "narrower-size", "last-field-missing", "inner-field-missing"])
+def test_a_library_is_used_only_with_a_mirror_of_its_op_record(monkeypatch, mirror, used):
+    # a record laid out otherwise than the C struct would hand run_ops
+    # wrong addresses: the loader refuses the library, so the process runs
+    # the numpy twins, as after a failed build (the loader is called
+    # uncached, so this process keeps its kernel)
+    _compiled_library()
+    monkeypatch.setattr(weno, "_OpRecord", mirror)
+    assert (weno._kernel_library.__wrapped__() is not None) == used
+
+
 @pytest.mark.parametrize("case", [
     test_kernels_bitwise_equal_on_transposed_lines,
     test_read_only_line_is_never_written,
@@ -515,14 +545,15 @@ def _bound_over_fresh_arrays(entry, kernel):
     elif entry == "split_parts":
         arrays = [rng.standard_normal(21), np.ones(20), (v > 0).astype(np.intp),
                   np.array([0, 1]), np.empty((2, 20))]
-        call = weno.split_parts_call(arrays[0], arrays[1], 1, arrays[2], None, *arrays[3:])
+        call = weno.ops_call(weno.split_parts_op(arrays[0], arrays[1], 1, arrays[2], None,
+                                                  *arrays[3:]))
         want = np.stack(_textbook_parts(*arrays[:2], (20,), "cells", arrays[2], 2))
         if kernel == "numpy":  # it reads the parts once, as it binds
             del arrays[3]
     else:
         arrays = [rng.standard_normal((3, 20)), np.array([2, 0]), np.array([0.5, -2.0]), v,
                   np.empty(20)]
-        call = weno.stage_sum_call(*arrays[:3], 0.25, *arrays[3:])
+        call = weno.ops_call(weno.stage_sum_op(*arrays[:3], 0.25, *arrays[3:]))
         want = _textbook_stage_sum(*arrays[:3], 0.25, v)
     return call, [weakref.ref(a) for a in arrays], want
 
@@ -616,7 +647,7 @@ def test_stage_sum_bitwise_equals_textbook_sum(each_kernel, case, in_place):
     with np.errstate(all="ignore"):
         want = _textbook_stage_sum(store, rows, coeffs, dt, u)
         out = u if in_place else np.empty_like(u)
-        weno.stage_sum_call(store, rows, coeffs, dt, u, out)()
+        weno.ops_call(weno.stage_sum_op(store, rows, coeffs, dt, u, out))()
     _assert_bitwise(out, want)
 
 
@@ -651,8 +682,8 @@ _read_only_state.flags.writeable = False
         "row-past-end", "negative-row", "no-terms"])
 def test_stage_sum_call_rejects_buffers_the_kernel_cannot_take(each_kernel, stage, message):
     # the compiled entry would read or write past a wrong buffer
-    with pytest.raises(ValueError, match=f"^stage_sum_call.*{message}"):
-        weno.stage_sum_call(**stage)
+    with pytest.raises(ValueError, match=f"^stage_sum_op.*{message}"):
+        weno.stage_sum_op(**stage)
 
 
 # ----------------------------------------------------------------------
@@ -733,9 +764,9 @@ def test_split_parts_bitwise_equals_textbook_masking(each_kernel, case):
     phi, width, shape, kind, table, r, parts = case
     table = None if table is None else table.astype(np.intp)
     out = np.full((r,) + shape, np.nan)
-    call = weno.split_parts_call(phi, width, 0 if width is None else len(shape),
-                                 table if kind == "cells" else None,
-                                 table if kind == "faces" else None, parts, out)
+    call = weno.ops_call(weno.split_parts_op(phi, width, 0 if width is None else len(shape),
+                                             table if kind == "cells" else None,
+                                             table if kind == "faces" else None, parts, out))
     for _ in range(2):
         with np.errstate(all="ignore"):
             call()
@@ -781,8 +812,8 @@ _read_only_parts.flags.writeable = False
         "1-d-out", "4-d-out", "part-past-end", "negative-part"])
 def test_split_parts_call_rejects_buffers_the_kernel_cannot_take(each_kernel, split, message):
     # the compiled entry would read or write past a wrong buffer
-    with pytest.raises(ValueError, match=f"^split_parts_call.*{message}"):
-        weno.split_parts_call(**split)
+    with pytest.raises(ValueError, match=f"^split_parts_op.*{message}"):
+        weno.split_parts_op(**split)
 
 
 @settings(deadline=None, max_examples=100)
