@@ -199,7 +199,7 @@ def integrate(run: IntegrationRun) -> IntegrationResult:
     """March the scheme to ``t_end``, each step the one :func:`prk_step` takes.
 
     The run allocates its stage store, state and stage-value buffers and
-    binds its stage sums once, before the first step; every step then
+    binds its step program once, before the first step; every step then
     writes the new state over the old one.  A step whose new state is not
     finite raises :class:`IntegrationDiverged` with its number (from 1) and
     start time.  ``run.u0`` is copied, never written, and the result's
