@@ -28,6 +28,7 @@ import numpy as np
 
 from .decomposition import CellPartition
 from .tableau import PRKTableau, classical_order, simplifying_defects, stage_order
+from .weno import ops_call
 
 __all__ = [
     "LinearSplitting",
@@ -364,17 +365,23 @@ def linearize_parts(parts, m: int) -> list[np.ndarray]:
     vectors at ``t = 0``.
 
     Subtracts the response at zero so affine boundary terms drop out.
-    Costs ``m + 1`` evaluations and one dense m x m matrix per part;
-    ``fig3`` reads its splittings this way, up to m = 640.
+    Costs ``m + 1`` evaluations, all through one ``evaluation`` of the
+    split, and one dense m x m matrix per part; ``fig3`` reads its
+    splittings this way, up to m = 640.
     """
-    needed = (True,) * parts.r
-    zero, vals = np.empty((2, parts.r, m))
-    parts.eval_parts(0.0, np.zeros(m), needed, zero)
+    vals = np.empty((parts.r, m))
+    write, phi, op = parts.evaluation(vals, (True,) * parts.r)
+    call = ops_call(op)
+    e = np.zeros(m)
+    write(0.0, e, phi)
+    call()
+    zero = vals.copy()
     mats = [np.zeros((m, m)) for _ in range(parts.r)]
     for i in range(m):
-        e = np.zeros(m)
         e[i] = 1.0
-        parts.eval_parts(0.0, e, needed, vals)
+        write(0.0, e, phi)
+        call()
+        e[i] = 0.0
         for k in range(parts.r):
             mats[k][:, i] = vals[k] - zero[k]
     return mats

@@ -147,21 +147,20 @@ class FluxPartition2D:
 # ----------------------------------------------------------------------
 # split right-hand sides
 #
-# Every split has ``r`` parts and ``eval_parts(t, v, needed, out)``: for
-# each part k with ``needed[k]`` true it writes every value of ``out[k]``
-# (``out`` is a C-contiguous float64 array of ``r`` rows of the state's
-# shape) and leaves the other rows alone; it returns None.  Every call
-# evaluates ``F`` or the flux once.  A dynamic split also has
-# ``begin_step(u)``, which the stepper's stage store calls with the state
-# at the top of every step.  The splits here also have ``evaluation(out,
-# needed)``, which gives the same evaluation in two halves: ``write(t, v,
-# phi)``, one call of ``F`` or the flux into the split's own buffer
-# ``phi``, and the op (see :func:`prk.weno.ops_call`) that writes the
-# needed rows of ``out`` from ``phi``.  The stage store takes them once per
-# run and evaluated stage, and binds the op into the one compiled call it
-# makes after each ``write``; it steps a split without ``evaluation``
-# through ``eval_parts``.  The stepper uses nothing else, always passes
-# ``needed`` (a tuple) and evaluates no stage where no part is needed.
+# Every split has ``r`` parts and ``evaluation(out, needed)``, which gives
+# ``(write, phi, op)`` for the rows of ``out`` (a C-contiguous float64
+# array of ``r`` rows of the state's shape) that ``needed`` flags:
+# ``write(t, v, phi)`` is one call of ``F`` or the flux into the split's own
+# buffer ``phi``, and the op (see :func:`prk.weno.ops_call`) writes every
+# value of each needed row ``out[k]`` from ``phi`` and leaves the other rows
+# alone.  The stage store takes them once per run and evaluated stage, and
+# binds the op into the one compiled call it makes after each ``write``.
+# A dynamic split also has ``begin_step(u)``, which the stage store calls
+# with the state at the top of every step.  The stepper uses nothing else,
+# always passes ``needed`` (a tuple) and evaluates no stage where no part
+# is needed.  ``eval_parts(t, v, needed, out)`` makes one whole evaluation
+# of the same three; not called in prk, it stays for the tests and for
+# perfbench/child.py, which wraps it by name.
 # ----------------------------------------------------------------------
 
 def _regions(masks) -> np.ndarray:
@@ -176,10 +175,8 @@ class _Split:
     row from them, masked by the split's region table.  With a ``grid``,
     ``F(t, v, out)`` is its interface flux; without one, ``F(t, v)`` is the
     whole right-hand side, of the split's ``shape`` (None: the first
-    state's).  :meth:`evaluation` gives the two to the stage store, which
-    holds the op; ``eval_parts`` binds it once per store row and
-    ``needed``, and a row of another store drops the last store's calls,
-    so a split reused across runs keeps no finished run's store alive."""
+    state's).  :meth:`evaluation` gives the two, and :meth:`eval_parts`
+    makes one evaluation of them."""
 
     def __init__(self, F: Callable, r: int, grid=None, shape=None, cells=None, faces=None):
         self.F, self.r, self.grid = F, r, grid
@@ -187,8 +184,8 @@ class _Split:
         self._fit(grid.shape if grid is not None else shape)
 
     def _fit(self, shape) -> None:
-        """Own the buffer for states of ``shape``, with no bound call."""
-        self._shape, self._store, self._calls = shape, None, {}
+        """Own the buffer for states of ``shape``."""
+        self._shape = shape
         if self.grid is not None:
             self._phi = np.empty(self.grid.flux_size)
         elif shape is not None:
@@ -212,30 +209,15 @@ class _Split:
         buffer ``phi``, and the op writes those rows from it."""
         self._fit_state(out.shape[1:])
         write = self._write_rhs if self.grid is None else self.F
-        return write, self._phi, self._op(out, needed)
-
-    def _op(self, out, needed):
-        return parts_op(self.grid, self._phi, np.flatnonzero(needed), out, self._cells,
-                        self._faces)
+        return write, self._phi, parts_op(self.grid, self._phi, np.flatnonzero(needed), out,
+                                          self._cells, self._faces)
 
     def eval_parts(self, t, v, needed, out):
-        self._fit_state(np.shape(v))
-        call = self._calls.get((id(out), needed)) or self._bind(out, needed)
-        if self.grid is None:
-            self._write_rhs(t, v, self._phi)
-        else:
-            self.F(t, v, self._phi)
-        call()
-
-    def _bind(self, out, needed):
-        """The call of the op that writes the rows ``needed`` flags into
-        ``out``, bound and kept for the row."""
-        store = out if out.base is None else out.base
-        if store is not self._store:
-            self._store, self._calls = store, {}
-        call = ops_call(self._op(out, needed))
-        self._calls[id(out), needed] = call  # the call holds out, so its id stays
-        return call
+        """The rows ``needed`` flags of ``out`` at ``(t, v)``, through
+        :meth:`evaluation`."""
+        write, phi, op = self.evaluation(out, needed)
+        write(t, v, phi)
+        ops_call(op)()
 
 
 class CellSplitParts(_Split):
@@ -312,10 +294,10 @@ class DynamicCellSplit(_Split):
         np.copyto(self._cells.reshape(partition.shape), partition.masks[1])
         self.partition = partition
 
-    def _bind(self, out, needed):
+    def eval_parts(self, t, v, needed, out):
         if self.partition is None:
             raise ValueError("DynamicCellSplit.eval_parts called before begin_step")
-        return super()._bind(out, needed)
+        super().eval_parts(t, v, needed, out)
 
 
 def burgers_dynamic_partition(u: np.ndarray, threshold: float = 0.125) -> CellPartition:

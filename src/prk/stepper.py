@@ -48,7 +48,7 @@ class IntegrationDiverged(RuntimeError):
 def prk_step(tab: PRKTableau, parts, t: float, dt: float, u: np.ndarray) -> np.ndarray:
     """One step of the partitioned scheme from ``t`` to ``t + dt``.
 
-    ``parts`` is a decomposition with ``r`` and ``eval_parts`` (see
+    ``parts`` is a decomposition with ``r`` and ``evaluation`` (see
     :mod:`prk.decomposition`); each part is evaluated at most once per
     stage, and stages whose coefficients are all zero for a part skip
     that evaluation entirely.  Every stage value and the new state are
@@ -78,10 +78,8 @@ class _StageStore:
     term order.  The ops before the first evaluated stage (none in the
     plans :mod:`prk.tableau` builds) run as a leading call, which in a plan
     with no evaluated stage (all weights zero) is the finiteness check.
-    A split without ``evaluation`` (see :mod:`prk.decomposition`) is
-    written through its ``eval_parts`` and has no part op.  All of it is
-    bound here, once per run, as is the lookup of a dynamic split's
-    ``begin_step``.
+    All of it is bound here, once per run, as is the lookup of a dynamic
+    split's ``begin_step``.
     """
 
     def __init__(self, tab: PRKTableau, parts, dt: float, u):
@@ -110,8 +108,8 @@ class _StageStore:
         # the split's buffer and the compiled call that follows the write
         self.stages = []
         for (i, c, needed, terms), after in zip(plan.stages, between[1:]):
-            write, phi, ops = _evaluation(parts, store[i], needed)
-            self.stages.append((c, write, v if terms else self.u, phi, ops_call(*ops, *after)))
+            write, phi, op = parts.evaluation(store[i], needed)
+            self.stages.append((c, write, v if terms else self.u, phi, ops_call(op, *after)))
 
     def step(self, t: float, n: int) -> None:
         """Overwrite ``u`` with the state at ``t + dt``, rebuilding a dynamic
@@ -126,22 +124,6 @@ class _StageStore:
             finite = call()
         if not finite:
             raise IntegrationDiverged(f"integration diverged at step {n}, t={t:.6g}", step=n, t=t)
-
-
-def _evaluation(parts, out, needed):
-    """``(write, phi, ops)`` of ``parts`` for the rows ``needed`` flags of
-    ``out``: ``write(t, v, phi)`` and the ops that write the rows from
-    ``phi``, from the split's ``evaluation``; a split with only
-    ``eval_parts`` writes the rows in ``write`` and gives no op."""
-    evaluation = getattr(parts, "evaluation", None)
-    if evaluation is not None:
-        write, phi, op = evaluation(out, needed)
-        return write, phi, (op,)
-    eval_parts = parts.eval_parts
-
-    def write(t, v, _phi):
-        eval_parts(t, v, needed, out)
-    return write, None, ()
 
 
 @dataclass

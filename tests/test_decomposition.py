@@ -553,10 +553,10 @@ def _fresh_split(kind, calls=None):
 
 @pytest.mark.parametrize("kind", ["cell", "flux", "flux2d", "dynamic", "trivial", "rhs"])
 def test_a_split_reused_for_a_second_run_keeps_no_store_of_the_first(kind):
-    # each run binds its split's ops to the rows of its own stage store, and
-    # eval_parts binds its calls to the rows of one store at a time; the
-    # second run's store and the second store given to eval_parts replace
-    # the first ones, which are then freed, and both runs give the states
+    # each run binds its split's ops to the rows of its own stage store,
+    # and eval_parts binds one for its call alone, holding no store after
+    # it; the second run's store replaces the first, which is then freed,
+    # as is each store given to eval_parts, and both runs give the states
     # of fresh splits byte for byte
     prob, split = _fresh_split(kind)
     stores, evaluation = [], split.evaluation

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prk import weno
+from prk import decomposition, weno
 from prk.analysis import LinearSplitting, build_error_operators, linearize_parts
 from prk.decomposition import (
     CellPartition,
@@ -355,24 +355,23 @@ def test_each_evaluated_stage_calls_the_flux_once(each_kernel, kind, scheme):
     assert calls == [n * dt + c * dt for n in range(3) for _, c, _, _ in tab.plan.stages]
 
 
-class _OnlyEvalParts:
-    """A split with nothing but ``r`` and ``eval_parts``, those of ``split``."""
+@pytest.mark.parametrize("kind", ["cell", "flux", "flux2d", "dynamic", "trivial", "rhs"])
+def test_no_package_path_calls_eval_parts(each_kernel, monkeypatch, kind):
+    # the stepper and the analysis take a split's parts through its
+    # ``evaluation`` alone: with ``eval_parts`` raising, a run, a step and
+    # (on the 1D states it probes) a linearization still go through
+    def no_eval_parts(*_args):
+        raise AssertionError("eval_parts called")
 
-    def __init__(self, split):
-        self.r, self.eval_parts = split.r, split.eval_parts
-
-
-@pytest.mark.parametrize("kind", ["cell", "flux", "flux2d"])
-@pytest.mark.parametrize("scheme", ["TW2", "CS2", "SH2"])
-def test_a_split_with_only_eval_parts_integrates_as_the_textbook_steps(each_kernel, kind,
-                                                                        scheme):
+    monkeypatch.setattr(decomposition._Split, "eval_parts", no_eval_parts)
     prob, split = _fresh_split(kind)
-    tab, dt = builtin_tableau(scheme), 0.25 * prob.grid.min_width
-    run = integrate(IntegrationRun(tab, _OnlyEvalParts(split), dt, 3 * dt, prob.initial))
-    want = prob.initial
-    for n in range(3):
-        want = _textbook_step(tab, split, n * dt, dt, want)
-    assert run.u.tobytes() == np.asarray(want).tobytes()
+    tab = builtin_tableau("ETR2" if split.r == 1 else "TW2")
+    dt = 0.25 * prob.grid.min_width
+    integrate(IntegrationRun(tab, split, dt, 3 * dt, prob.initial))
+    prk_step(tab, split, 0.0, dt, prob.initial)
+    if kind != "flux2d":
+        mats = linearize_parts(split, prob.grid.m)
+        assert len(mats) == split.r
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -413,31 +412,29 @@ def test_a_scheme_with_zero_weights_keeps_the_state(each_kernel):
 def test_sh2_evaluation_counts():
     # five stages, but only two part-1 and four part-2 evaluations
     counts = [0, 0]
+    parts = CellSplitParts(lambda t, v: np.zeros_like(v),
+                           CellPartition.two_region(np.arange(4) >= 2))
+    evaluation = parts.evaluation
 
-    class Counting:
-        r = 2
+    def recording(out, needed):
+        for k in range(2):
+            counts[k] += needed[k]
+        return evaluation(out, needed)
 
-        def eval_parts(self, t, v, needed, out):
-            for k in range(2):
-                if needed[k]:
-                    counts[k] += 1
-                    out[k] = 0.0
-
-    prk_step(builtin_tableau("SH2"), Counting(), 0.0, 0.1, np.ones(4))
+    parts.evaluation = recording
+    prk_step(builtin_tableau("SH2"), parts, 0.0, 0.1, np.ones(4))
     assert counts == [2, 4]
 
 
 def test_stage_times_use_shared_abscissae():
     seen = []
 
-    class Recording:
-        r = 2
+    def F(t, v):
+        seen.append(t)
+        return np.zeros_like(v)
 
-        def eval_parts(self, t, v, needed, out):
-            seen.append(t)
-            out[...] = 0.0
-
-    prk_step(builtin_tableau("CS2"), Recording(), 2.0, 0.5, np.ones(3))
+    parts = CellSplitParts(F, CellPartition.two_region(np.arange(3) >= 1))
+    prk_step(builtin_tableau("CS2"), parts, 2.0, 0.5, np.ones(3))
     assert seen == [2.0, 2.25, 2.25, 2.5]
 
 
