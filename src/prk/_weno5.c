@@ -1,6 +1,7 @@
 /* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, the
-   two 1D fluxes of periodic lines that read them, the parts of a split
-   right-hand side and the stage sums of a partitioned Runge-Kutta step.
+   two 1D fluxes of periodic lines and the 2D rotation flux that read them,
+   the parts of a split right-hand side, the stage sums of a partitioned
+   Runge-Kutta step and the forward substitution of the W analysis.
 
    `weno5_runs(src, starts, counts, steps, nruns, out)`: interface k of
    run r reads the cells src[starts[r] + k + j * steps[r]], j = 0..4, as
@@ -31,10 +32,34 @@
    per value of `phi`), the value with every face outside region k read as
    +0; with neither (both NULL), the value everywhere.
 
+   `rotation_exponent(xi, eta, trig, size, out)` writes the exponent
+   -10 ((x0 - 1/2)^2 + (y0 - 1/4)^2) of the rotated Gaussian at `size`
+   points into `out`, with x0 = (1/2 + xi cs) - eta sn and y0 = (1/2 + eta
+   cs) + xi sn, (xi, eta) a point less (1/2, 1/2) and (cs, sn) = trig[0..2),
+   the cosine and sine of the angle.
+
+   `rotation_flux(state, n, a1, a2, ring, ghosts, nring, frame, src, starts,
+   counts, steps, nruns, values, out)` makes one flux evaluation of the 2D
+   rotation on n x n cells.  It writes ghosts[k] at frame[ring[k]] for the
+   nring values of the ghost ring, the row-major n x n `state` into the
+   interior of the (n + 6) x (n + 6) frame (three ghost layers a side),
+   a1[i] times the frame's row i + 3 (n rows of n + 6 values), then the
+   frame's columns 3..n+3 times a2[j] (n + 6 rows of n values) into `src`,
+   the WENO5 values of the run table (`weno5_runs`) into `values`, and
+   values + 0 (so -0 becomes +0) into the 2n (n + 1) values of `out`, which
+   may be `values`.
+
+   `lower_solve(bands, w, m, x)` solves in place, by forward substitution,
+   for the lower triangular m x m matrix whose diagonal d holds bands[d * m
+   + i] in row i (d = 0..w, the entry in column i - d), the rows of the
+   m x 2m matrix `x`: row i less bands[d * m + i] times row i - d, for d
+   from min(w, i) down to 1, then divided by bands[i], one column at a time.
+
    `run_ops(ops, nops)` runs a table of op records (`struct op`) in order,
-   each one of the two entries above or a finiteness check, with its
-   arguments: `stage_sum`, `split_parts`, or `finite` (whether the `size`
-   values of `values` are all finite).  It returns 0 at the first
+   each one of the entries `stage_sum`, `split_parts`, `rotation_exponent`,
+   `rotation_flux` or `lower_solve` above with its arguments, or a
+   finiteness check `finite` (whether the `size` values of `values` are all
+   finite).  It returns 0 at the first
    finiteness check that finds a NaN or an infinity, and runs no op after
    it; otherwise 1.  `op_layout` holds the `op_layout_length` sizes that
    `prk.weno`'s ctypes mirror of the record checks before its first bind:
@@ -44,6 +69,7 @@
    Every value is computed by the same IEEE operations, in the same order,
    as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
    `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`, `_numpy_split_parts`,
+   `_numpy_rotation_exponent`, `_numpy_rotation_flux`, `_numpy_lower_solve`,
    `_numpy_ops`), so the two give the same bits.  That holds only when the compiler keeps
    the order: build with -ffp-contract=off (no fused multiply-add) and
    without fast-math.  */
@@ -195,6 +221,54 @@ void split_parts(const double *phi, const double *width, size_t dims, size_t row
     }
 }
 
+void rotation_exponent(const double *xi, const double *eta, const double *trig, size_t size,
+                       double *out)
+{
+    double cs = trig[0], sn = trig[1];
+    for (size_t k = 0; k < size; k++) {
+        double dx = ((0.5 + xi[k] * cs) - eta[k] * sn) - 0.5;  /* x0 - 1/2 */
+        double dy = ((0.5 + eta[k] * cs) + xi[k] * sn) - 0.25;  /* y0 - 1/4 */
+        out[k] = -10.0 * (dx * dx + dy * dy);
+    }
+}
+
+void rotation_flux(const double *state, size_t n, const double *a1, const double *a2,
+                   const ptrdiff_t *ring, const double *ghosts, size_t nring, double *frame,
+                   double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
+                   const ptrdiff_t *steps, size_t nruns, double *values, double *out)
+{
+    size_t p = n + 6, size = 2 * n * (n + 1);
+    for (size_t k = 0; k < nring; k++)
+        frame[ring[k]] = ghosts[k];
+    for (size_t i = 0; i < n; i++)
+        memcpy(frame + (i + 3) * p + 3, state + i * n, n * sizeof *state);
+    for (size_t i = 0; i < n; i++, src += p)
+        for (size_t c = 0; c < p; c++)
+            src[c] = a1[i] * frame[(i + 3) * p + c];
+    for (size_t r = 0; r < p; r++, src += n)
+        for (size_t j = 0; j < n; j++)
+            src[j] = frame[r * p + j + 3] * a2[j];
+    weno5_runs(src - 2 * n * p, starts, counts, steps, nruns, values);
+    for (size_t k = 0; k < size; k++)
+        out[k] = values[k] + 0.0;
+}
+
+void lower_solve(const double *bands, size_t w, size_t m, double *x)
+{
+    size_t cols = 2 * m;
+    for (size_t i = 0; i < m; i++) {
+        double *row = x + i * cols;
+        for (size_t d = i < w ? i : w; d > 0; d--) {
+            double a = bands[d * m + i];
+            const double *above = row - d * cols;
+            for (size_t c = 0; c < cols; c++)
+                row[c] = row[c] - a * above[c];
+        }
+        for (size_t c = 0; c < cols; c++)
+            row[c] = row[c] / bands[i];
+    }
+}
+
 /* whether the `size` values are all finite */
 static int all_finite(const double *values, size_t size)
 {
@@ -205,7 +279,8 @@ static int all_finite(const double *values, size_t size)
 }
 
 /* the kinds of op, numbered as `prk.weno._OP_KINDS` */
-enum { OP_STAGE_SUM, OP_SPLIT_PARTS, OP_FINITE };
+enum { OP_STAGE_SUM, OP_SPLIT_PARTS, OP_ROTATION_EXPONENT, OP_ROTATION_FLUX, OP_LOWER_SOLVE,
+       OP_FINITE };
 
 /* the arguments of each kind, by the names of the entry's parameters */
 struct stage_sum_args {
@@ -226,6 +301,31 @@ struct split_parts_args {
     double *out;
 };
 
+struct rotation_exponent_args {
+    const double *xi, *eta, *trig;
+    size_t size;
+    double *out;
+};
+
+struct rotation_flux_args {
+    const double *state;
+    size_t n;
+    const double *a1, *a2;
+    const ptrdiff_t *ring;
+    const double *ghosts;
+    size_t nring;
+    double *frame, *src;
+    const ptrdiff_t *starts, *counts, *steps;
+    size_t nruns;
+    double *values, *out;
+};
+
+struct lower_solve_args {
+    const double *bands;
+    size_t w, m;
+    double *x;
+};
+
 struct finite_args {
     const double *values;
     size_t size;
@@ -236,6 +336,9 @@ struct op {
     union {
         struct stage_sum_args stage_sum;
         struct split_parts_args split_parts;
+        struct rotation_exponent_args rotation_exponent;
+        struct rotation_flux_args rotation_flux;
+        struct lower_solve_args lower_solve;
         struct finite_args finite;
     } args;
 };
@@ -251,6 +354,18 @@ const size_t op_layout[] = {
     FIELD(args.split_parts.rows), FIELD(args.split_parts.cols), FIELD(args.split_parts.cells),
     FIELD(args.split_parts.faces), FIELD(args.split_parts.parts),
     FIELD(args.split_parts.nparts), FIELD(args.split_parts.out),
+    FIELD(args.rotation_exponent.xi), FIELD(args.rotation_exponent.eta),
+    FIELD(args.rotation_exponent.trig), FIELD(args.rotation_exponent.size),
+    FIELD(args.rotation_exponent.out),
+    FIELD(args.rotation_flux.state), FIELD(args.rotation_flux.n), FIELD(args.rotation_flux.a1),
+    FIELD(args.rotation_flux.a2), FIELD(args.rotation_flux.ring),
+    FIELD(args.rotation_flux.ghosts), FIELD(args.rotation_flux.nring),
+    FIELD(args.rotation_flux.frame), FIELD(args.rotation_flux.src),
+    FIELD(args.rotation_flux.starts), FIELD(args.rotation_flux.counts),
+    FIELD(args.rotation_flux.steps), FIELD(args.rotation_flux.nruns),
+    FIELD(args.rotation_flux.values), FIELD(args.rotation_flux.out),
+    FIELD(args.lower_solve.bands), FIELD(args.lower_solve.w), FIELD(args.lower_solve.m),
+    FIELD(args.lower_solve.x),
     FIELD(args.finite.values), FIELD(args.finite.size),
 };
 const size_t op_layout_length = sizeof op_layout / sizeof *op_layout;
@@ -268,6 +383,22 @@ int run_ops(const struct op *ops, size_t nops)
             const struct split_parts_args *a = &op->args.split_parts;
             split_parts(a->phi, a->width, a->dims, a->rows, a->cols, a->cells, a->faces,
                         a->parts, a->nparts, a->out);
+            break;
+        }
+        case OP_ROTATION_EXPONENT: {
+            const struct rotation_exponent_args *a = &op->args.rotation_exponent;
+            rotation_exponent(a->xi, a->eta, a->trig, a->size, a->out);
+            break;
+        }
+        case OP_ROTATION_FLUX: {
+            const struct rotation_flux_args *a = &op->args.rotation_flux;
+            rotation_flux(a->state, a->n, a->a1, a->a2, a->ring, a->ghosts, a->nring, a->frame,
+                          a->src, a->starts, a->counts, a->steps, a->nruns, a->values, a->out);
+            break;
+        }
+        case OP_LOWER_SOLVE: {
+            const struct lower_solve_args *a = &op->args.lower_solve;
+            lower_solve(a->bands, a->w, a->m, a->x);
             break;
         }
         case OP_FINITE:

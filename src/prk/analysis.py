@@ -13,10 +13,11 @@ advection, as in ``fig3``) is also held by its diagonals, and its stage
 blocks, ``r^T e`` and the right-hand side of the W system are built as
 band arrays: a product costs O(m w^2) for a band of w diagonals, not
 O(m^3).  ``solve_W`` then takes ``(r^T e)^{-1}`` and ``W`` by one
-row-wise forward substitution over ``[I | B]``, in elementwise numpy
-operations of fixed order, so its bits do not depend on the BLAS
-kernel.  Any other splitting (a periodic corner, a random matrix) takes
-the dense path: BLAS products and ``np.linalg.inv``.
+row-wise forward substitution over ``[I | B]``, a compiled call of
+:mod:`prk.weno` (or its numpy twin) whose operations run in a fixed
+order, so its bits do not depend on the BLAS kernel.  Any other
+splitting (a periodic corner, a random matrix) takes the dense path:
+BLAS products and ``np.linalg.inv``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .decomposition import CellPartition
 from .tableau import PRKTableau, classical_order, simplifying_defects, stage_order
-from .weno import ops_call
+from .weno import lower_solve_op, ops_call
 
 __all__ = [
     "LinearSplitting",
@@ -250,10 +251,11 @@ def _unusable(q: int) -> WResult:
 def _solve_lower(M: np.ndarray, B: np.ndarray, q: int) -> WResult:
     """The W system for lower band arrays ``M = r^T e`` and ``B``, by one
     forward substitution over ``[I | B]``: row i less ``M[i, j]`` times
-    row j, for j from ``i - w`` up to ``i - 1`` (w the last diagonal of M
-    that holds a nonzero), then divided by ``M[i, i]``.  Elementwise, in
-    a fixed order, with no BLAS call; a zero on M's diagonal makes the
-    system singular."""
+    row j, for j from ``i - w`` up to ``i - 1`` (w the last diagonal of
+    M that holds a nonzero), then divided by ``M[i, i]``, in one compiled
+    call (:func:`prk.weno.lower_solve_op`).  The order of every operation
+    is fixed, with no BLAS call; a zero on M's diagonal makes the system
+    singular."""
     if not M[0].all():
         return _unusable(q)
     m = M.shape[1]
@@ -261,11 +263,7 @@ def _solve_lower(M: np.ndarray, B: np.ndarray, q: int) -> WResult:
     X[np.arange(m), np.arange(m)] = 1.0
     _dense(B, X[:, m:])
     w = max(d for d in range(len(M)) if M[d].any())
-    coeffs = M.tolist()
-    for i, row in enumerate(X):
-        for d in range(min(w, i), 0, -1):
-            row -= coeffs[d][i] * X[i - d]
-        row /= coeffs[0][i]
+    ops_call(lower_solve_op(np.ascontiguousarray(M), w, X))()
     row_sums = np.abs(M[0])
     for diag in M[1:]:  # each row's |entries| from the diagonal outwards
         row_sums += np.abs(diag)

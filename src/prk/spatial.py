@@ -12,9 +12,10 @@ norm weights), ``min_width``, ``shape`` and ``flux_size``.
 Every WENO5 flux makes one compiled call over buffers it owns.  The
 advection and Burgers fluxes pad the state, reconstruct and, for Burgers,
 form the local Lax-Friedrichs flux straight into the output (see
-:func:`prk.weno.periodic_call`); the 2D rotation reconstructs both
-directions from its padded frame through a run table built with the
-problem (see :func:`prk.weno.runs_call`).
+:func:`prk.weno.periodic_call`); the 2D rotation frames the state,
+forms the speed products and reconstructs both directions through a run
+table built with the problem, in one op (see
+:func:`prk.weno.rotation_flux_op`).
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import numpy as np
 # called here; perfbench/child.py wraps all four on this module by name
 # (with getattr), so they stay imported
 from .weno import (
-    _ZERO,
     edge_from_left,
     interface_states,
     llf_split_flux,
     ops_call,
     pad_periodic,
     periodic_call,
-    runs_call,
+    rotation_exponent_op,
+    rotation_flux_op,
     split_parts_op,
 )
 
@@ -320,6 +321,18 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     right-biased reconstruction).  Adding ``0.0`` puts back the zero half
     (``-0`` becomes ``+0``), so on finite states the fluxes are
     ``llf_split_flux(a u, u, |a|)`` byte for byte.
+
+    A flux evaluation is one compiled call (:func:`prk.weno.ops_call` of
+    :func:`prk.weno.rotation_flux_op`), bound at the first call for the
+    last output given: it writes the ghost ring and the state into the
+    padded frame, the speed products, the reconstruction and the ``+0``
+    pass.  The ring values change only with ``t``: then a second compiled
+    call forms the Gaussian's exponent at the ghost cells, with numpy's
+    ``cos`` and ``sin`` of the angle and ``exp`` of the exponent, in the
+    operations of ``exact``, so the ring keeps ``exact``'s bits.  An
+    ``out`` other than a 1-d contiguous writeable float64 array of
+    ``grid.flux_size`` values raises ``ValueError`` before any compiled
+    call.
     """
     if n < 6:
         raise ValueError("WENO5 needs at least 6 cells per direction")
@@ -341,26 +354,28 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     def exact(t):
         return exact_point(X, Y, t)
 
-    # the padded frame; its ghost ring (3 layers a side, corners excluded)
-    # is refilled only when t changes.  The source holds a1 times the
-    # padded x-lines (rows), then a2 times the padded y-lines (columns).
+    # the padded frame's ghost ring (3 layers a side, corners excluded) at
+    # the flat indices `ring`, and its cells' centres less (1/2, 1/2); its
+    # values `ghosts` are computed again only when t changes.  The source
+    # holds a1 times the padded x-lines (rows), then a2 times the padded
+    # y-lines (columns).
     p = n + 6
-    frame, ring = np.zeros((p, p)), np.zeros((p, p), dtype=bool)
-    inner, rows, cols = frame[3:-3, 3:-3], frame[3:-3, :], frame[:, 3:-3]
+    ring = np.zeros((p, p), dtype=bool)
     ring[3:-3, :] = ring[:, 3:-3] = True
     ring[3:-3, 3:-3] = False
     gy, gx = np.nonzero(ring)
     g = (np.arange(-3, n + 3) + 0.5) * h
-    ring, ring_x, ring_y = gy * p + gx, g[gx], g[gy]
-    a1, a2 = 2.0 * np.pi * (y[:, None] - 0.5), -2.0 * np.pi * (x - 0.5)
-    src = np.empty(2 * n * p)
-    x_src, y_src = src[:n * p].reshape(n, p), src[n * p:].reshape(p, n)
+    ring, xi, eta = gy * p + gx, g[gx] - 0.5, g[gy] - 0.5
+    a1, a2 = 2.0 * np.pi * (y - 0.5), -2.0 * np.pi * (x - 0.5)
+    state, frame, src = np.empty(n * n), np.zeros(p * p), np.empty(2 * n * p)
+    trig, exponent, ghosts = np.empty(2), np.empty(ring.size), np.empty(ring.size)
+    square = state.reshape(n, n)
 
     # the run table: per row, its n + 1 x-faces with step +1, or from cell
     # 5 with step -1 where a1 < 0; per y-face row f, the columns where
     # a2 >= 0 from row f with step +n, then the rest (a2 falls with x)
     # from row f + 5 with step -n
-    flip = (a1[:, 0] < 0.0).astype(np.intp)
+    flip = (a1 < 0.0).astype(np.intp)
     cut = n - np.count_nonzero(a2 < 0.0)
     face_rows = n * p + n * np.arange(n + 1)
     starts = np.concatenate([p * np.arange(n) + 5 * flip,
@@ -368,23 +383,31 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     counts = np.concatenate([np.full(n, n + 1), np.tile([cut, n - cut], n + 1)])
     steps = np.concatenate([1 - 2 * flip, np.tile([n, -n], n + 1)])
     values = np.empty(grid.flux_size)  # fx (n, n + 1), then fy (n + 1, n)
-    run, ghost_t = None, None
+    run = target = exponents = ghost_t = None
 
     def flux(t, v, out=None):
-        nonlocal run, ghost_t
+        nonlocal run, target, exponents, ghost_t
         if np.shape(v) != (n, n):
             raise ValueError(f"state of shape {np.shape(v)}, need {(n, n)}")
-        if run is None:
-            run = runs_call(src, starts, counts, steps, values)
+        fresh = out is None
+        if fresh:
+            out = values
+        if out is not target:
+            run = ops_call(rotation_flux_op(state, a1, a2, ring, ghosts, frame, src, starts,
+                                            counts, steps, values, out))
+            target = out
         if t != ghost_t:
-            np.put(frame, ring, exact_point(ring_x, ring_y, t))
+            # exact_point's operations, the exponent's compiled
+            exponents = exponents or ops_call(rotation_exponent_op(xi, eta, trig, exponent))
+            angle = 2.0 * np.pi * t
+            trig[0], trig[1] = np.cos(angle), np.sin(angle)
+            exponents()
+            np.exp(exponent, ghosts)
             ghost_t = t
-        inner[...] = v
-        np.multiply(a1, rows, x_src)
-        np.multiply(cols, a2, y_src)
+        square[...] = v
         run()
-        # the one pass that fills out, or a fresh array; +0 turns -0 into +0
-        out = np.add(values, _ZERO, out)
+        if fresh:
+            out = values.copy()
         return out[:n * n + n].reshape(n, n + 1), out[n * n + n:].reshape(n + 1, n)
 
     return SemiDiscreteProblem(

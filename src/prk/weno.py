@@ -26,9 +26,17 @@ split right-hand side, as *ops*: :func:`stage_sum_op` checks the
 arguments of ``stage_sum``, which writes ``u + dt * (a_0 K_0 + a_1 K_1 +
 ...)`` over rows of a stage store, summed left to right;
 :func:`split_parts_op` those of ``split_parts``, which writes the parts
-of a split right-hand side into rows of a stage store; and
-:func:`finite_op` makes a finiteness check.  :func:`ops_call` binds a
-table of ops as one call of ``run_ops``, which runs them in order and
+of a split right-hand side into rows of a stage store;
+:func:`rotation_flux_op` those of ``rotation_flux``, one whole flux
+evaluation of the 2D rotation of :mod:`prk.spatial` (its padded frame,
+the speed products and the run table); :func:`rotation_exponent_op` those
+of ``rotation_exponent``, the exponent of that problem's exact Gaussian
+at its ghost cells (the cosine, sine and exponential stay numpy's, whose
+bits the C library's need not share); :func:`lower_solve_op` those of
+``lower_solve``, the forward substitution of the W analysis of
+:mod:`prk.analysis`; and :func:`finite_op` makes a finiteness check.
+:func:`ops_call` binds a table of ops as one call of ``run_ops``, which
+runs them in order and
 returns whether every check found only finite values: a stage of the
 stepper writes its part rows and the next stage value in one call, and
 its last stage the new state and the check.  Its records are a ctypes
@@ -39,9 +47,11 @@ used.  A bound compiled call holds the arrays it was given.
 Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
 of every face through an index built when the call binds, the periodic
-twins, :func:`_numpy_stage_sum`, :func:`_numpy_split_parts` and
-:func:`_numpy_ops`, which runs the ops' twins in order), by the same IEEE
-operations in the same order with the same helpers.  The first
+twins, :func:`_numpy_stage_sum`, :func:`_numpy_split_parts`,
+:func:`_numpy_rotation_flux`, :func:`_numpy_rotation_exponent`,
+:func:`_numpy_lower_solve` and :func:`_numpy_ops`, which runs the ops'
+twins in order), by the same IEEE operations in the same order with the
+same helpers.  The first
 kernel call of a process builds the C one with the system ``cc -O3
 -ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
 multiply-add, which rounds once where the twin rounds twice) into
@@ -71,7 +81,7 @@ import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
            "llf_split_flux", "periodic_call", "runs_call", "stage_sum_op", "split_parts_op",
-           "finite_op", "ops_call"]
+           "rotation_exponent_op", "rotation_flux_op", "lower_solve_op", "finite_op", "ops_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
@@ -204,6 +214,43 @@ def _numpy_split_parts(phi, width, dims, rows, cols, cells, faces, parts, out) -
         out[k].reshape(rows, cols)[...] = value
 
 
+def _numpy_rotation_exponent(xi, eta, trig, out) -> None:
+    """``rotation_exponent`` of ``_weno5.c`` in numpy: ``out`` gets ``-10
+    ((x0 - 1/2)^2 + (y0 - 1/4)^2)`` at the points ``(xi, eta)`` (less the
+    centre of rotation), with ``x0`` and ``y0`` the points rotated by the
+    angle of cosine and sine ``trig``, as :func:`prk.spatial.advection2d`'s
+    exact solution forms its exponent."""
+    cs, sn = trig
+    x0 = 0.5 + xi * cs - eta * sn
+    y0 = 0.5 + eta * cs + xi * sn
+    np.multiply(-10.0, (x0 - 0.5) ** 2 + (y0 - 0.25) ** 2, out)
+
+
+def _numpy_rotation_flux(state, a1, a2, ring, ghosts, frame, src, cells, values, out) -> None:
+    """``rotation_flux`` of ``_weno5.c`` in numpy; ``cells()`` gives the
+    index of its run table's operands (see :func:`_run_cells`)."""
+    n = a1.size
+    p = n + 6
+    padded = frame.reshape(p, p)
+    frame[ring] = ghosts
+    padded[3:-3, 3:-3] = state.reshape(n, n)
+    np.multiply(a1[:, None], padded[3:-3, :], src[:n * p].reshape(n, p))
+    np.multiply(padded[:, 3:-3], a2, src[n * p:].reshape(p, n))
+    _numpy_runs(src, cells(), values)
+    np.add(values, _ZERO, out)
+
+
+def _numpy_lower_solve(bands, w, x) -> None:
+    """``lower_solve`` of ``_weno5.c`` in numpy: row i of ``x`` less
+    ``bands[d, i]`` times row ``i - d``, for d from ``min(w, i)`` down to
+    1, then divided by ``bands[0, i]``, a whole row per operation."""
+    coeffs = bands.tolist()
+    for i, row in enumerate(x):
+        for d in range(min(w, i), 0, -1):
+            row -= coeffs[d][i] * x[i - d]
+        row /= coeffs[0][i]
+
+
 def _numpy_finite(values) -> bool:
     """``all_finite`` of ``_weno5.c`` in numpy."""
     return bool(np.isfinite(values).all())
@@ -248,7 +295,8 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 # the ctypes mirror of `struct op` in _weno5.c, field for field; the kinds
 # are numbered as its enum
-_OP_KINDS = ("stage_sum", "split_parts", "finite")
+_OP_KINDS = ("stage_sum", "split_parts", "rotation_exponent", "rotation_flux", "lower_solve",
+             "finite")
 _ADDRESS, _SIZE = ctypes.c_void_p, ctypes.c_size_t
 
 
@@ -264,12 +312,30 @@ class _SplitPartsArgs(ctypes.Structure):
                 ("nparts", _SIZE), ("out", _ADDRESS)]
 
 
+class _RotationExponentArgs(ctypes.Structure):
+    _fields_ = [("xi", _ADDRESS), ("eta", _ADDRESS), ("trig", _ADDRESS), ("size", _SIZE),
+                ("out", _ADDRESS)]
+
+
+class _RotationFluxArgs(ctypes.Structure):
+    _fields_ = [("state", _ADDRESS), ("n", _SIZE), ("a1", _ADDRESS), ("a2", _ADDRESS),
+                ("ring", _ADDRESS), ("ghosts", _ADDRESS), ("nring", _SIZE), ("frame", _ADDRESS),
+                ("src", _ADDRESS), ("starts", _ADDRESS), ("counts", _ADDRESS),
+                ("steps", _ADDRESS), ("nruns", _SIZE), ("values", _ADDRESS), ("out", _ADDRESS)]
+
+
+class _LowerSolveArgs(ctypes.Structure):
+    _fields_ = [("bands", _ADDRESS), ("w", _SIZE), ("m", _SIZE), ("x", _ADDRESS)]
+
+
 class _FiniteArgs(ctypes.Structure):
     _fields_ = [("values", _ADDRESS), ("size", _SIZE)]
 
 
 class _OpArgs(ctypes.Union):
     _fields_ = [("stage_sum", _StageSumArgs), ("split_parts", _SplitPartsArgs),
+                ("rotation_exponent", _RotationExponentArgs),
+                ("rotation_flux", _RotationFluxArgs), ("lower_solve", _LowerSolveArgs),
                 ("finite", _FiniteArgs)]
 
 
@@ -413,24 +479,31 @@ def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np
     others raise ``ValueError``.  The compiled call holds the five arrays;
     the numpy one reads the table once, as it binds, and holds ``src``,
     ``out`` and the gather index."""
+    _check_runs("runs_call", src, starts, counts, steps, out)
+    library = _kernel_library()
+    if library is None:
+        return functools.partial(_numpy_runs, src, _run_cells(starts, counts, steps), out)
+    return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
+
+
+def _check_runs(name, src, starts, counts, steps, out) -> None:
+    """Raise ``ValueError``, its message led by ``name``, unless the run
+    table ``(starts, counts, steps)`` can be read by ``weno5_runs`` from
+    ``src`` into ``out`` (see :func:`runs_call`)."""
     table = (starts, counts, steps)
     if (not out.flags.writeable or not _vectors(np.float64, (src, src.size), (out, out.size))
             or not _vectors(np.intp, *((a, starts.size) for a in table))):
-        raise ValueError("runs_call needs 1-d contiguous float64 src and out, out writeable, "
+        raise ValueError(f"{name} needs 1-d contiguous float64 src and out, out writeable, "
                          "and 1-d contiguous intp starts, counts and steps of one length")
     faces = 0
     for r, (start, count, step) in enumerate(zip(*(a.tolist() for a in table))):
         low, high = sorted((start, start + 4 * step))  # the cells of its first face
         if count < 0 or count and (low < 0 or high + count > src.size):
-            raise ValueError(f"runs_call: run {r} (start {start}, count {count}, step {step}) "
+            raise ValueError(f"{name}: run {r} (start {start}, count {count}, step {step}) "
                              f"reads outside the {src.size} values of src")
         faces += count
     if faces != out.size:
-        raise ValueError(f"runs_call: the runs have {faces} faces, out {out.size} values")
-    library = _kernel_library()
-    if library is None:
-        return functools.partial(_numpy_runs, src, _run_cells(starts, counts, steps), out)
-    return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
+        raise ValueError(f"{name}: the runs have {faces} faces, out {out.size} values")
 
 
 class _Op(NamedTuple):
@@ -532,6 +605,82 @@ def split_parts_op(phi: np.ndarray, width: np.ndarray | None, dims: int,
                                    out=out),
                functools.partial(_numpy_split_parts, phi, width, dims, rows, cols, cells,
                                  faces, parts.tolist(), out))
+
+
+def rotation_exponent_op(xi: np.ndarray, eta: np.ndarray, trig: np.ndarray,
+                         out: np.ndarray) -> _Op:
+    """The op of ``rotation_exponent``: ``out`` gets the exponent ``-10
+    ((x0 - 1/2)^2 + (y0 - 1/4)^2)`` of the rotated Gaussian at the points
+    ``(xi, eta)`` (less the centre of rotation) rotated to ``(x0, y0)`` by
+    the angle whose cosine and sine ``trig`` holds, read at every call.
+    The four are 1-d contiguous float64 arrays, ``trig`` of 2 values and
+    the others of one size, ``out`` writeable; others raise
+    ``ValueError``."""
+    size = out.size
+    if (not out.flags.writeable
+            or not _vectors(np.float64, (xi, size), (eta, size), (trig, 2), (out, size))):
+        raise ValueError("rotation_exponent_op needs 1-d contiguous float64 xi, eta and a "
+                         "writeable out of one size, and trig of 2 values")
+    return _Op("rotation_exponent", dict(xi=xi, eta=eta, trig=trig, size=size, out=out),
+               functools.partial(_numpy_rotation_exponent, xi, eta, trig, out))
+
+
+def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np.ndarray,
+                     ghosts: np.ndarray, frame: np.ndarray, src: np.ndarray,
+                     starts: np.ndarray, counts: np.ndarray, steps: np.ndarray,
+                     values: np.ndarray, out: np.ndarray) -> _Op:
+    """The op of ``rotation_flux``: one flux evaluation of the 2D rotation
+    on ``n = a1.size`` cells a side, as the header of ``_weno5.c`` gives
+    it, from the row-major ``state`` and the ring values ``ghosts`` (at the
+    flat indices ``ring`` of the ``(n + 6)^2`` ``frame``), by the run table
+    ``(starts, counts, steps)`` over ``src`` (see :func:`runs_call`), into
+    ``values`` and then ``out`` (which may be ``values``), every one read at
+    every call.  The arrays are 1-d and contiguous: ``ring`` and the table
+    intp, the others float64 of ``n^2``, ``n``, ``n``, ``ring.size``,
+    ``(n + 6)^2``, ``2n (n + 6)``, ``2n (n + 1)`` and ``2n (n + 1)`` values,
+    ``frame``, ``src``, ``values`` and ``out`` writeable; ``ring`` indexes
+    the frame.  Others raise ``ValueError``.  The twin reads the table once,
+    at its first call, so a compiled bind builds no gather index."""
+    n = a1.size
+    p, size = n + 6, 2 * n * (n + 1)
+    if (not all(a.flags.writeable for a in (frame, src, values, out))
+            or not _vectors(np.float64, (state, n * n), (a1, n), (a2, n), (ghosts, ring.size),
+                            (frame, p * p), (src, 2 * n * p), (values, size), (out, size))
+            or not _vectors(np.intp, (ring, ring.size))):
+        raise ValueError("rotation_flux_op needs 1-d contiguous float64 state, a1, a2, ghosts, "
+                         "frame, src, values and out of their sizes, the last four "
+                         "writeable, and an intp ring")
+    if ring.size and not 0 <= ring.min() <= ring.max() < p * p:
+        raise ValueError(f"rotation_flux_op: a ring index outside the {p * p} values of frame")
+    _check_runs("rotation_flux_op", src, starts, counts, steps, values)
+    cells = functools.cache(functools.partial(_run_cells, starts, counts, steps))
+    return _Op("rotation_flux", dict(state=state, n=n, a1=a1, a2=a2, ring=ring, ghosts=ghosts,
+                                     nring=ring.size, frame=frame, src=src, starts=starts,
+                                     counts=counts, steps=steps, nruns=starts.size,
+                                     values=values, out=out),
+               functools.partial(_numpy_rotation_flux, state, a1, a2, ring, ghosts, frame, src,
+                                 cells, values, out))
+
+
+def lower_solve_op(bands: np.ndarray, w: int, x: np.ndarray) -> _Op:
+    """The op of ``lower_solve``: it solves in place, by forward
+    substitution, for the lower triangular ``m x m`` matrix with the band
+    array ``bands`` (row d holds diagonal d, ``bands[d, i]`` in column ``i -
+    d``; rows past ``w`` are not read), the ``m x 2m`` matrix ``x``: row
+    ``i`` less ``bands[d, i]`` times row ``i - d``, for d from ``min(w, i)``
+    down to 1, then divided by ``bands[0, i]``.  ``bands`` and ``x`` are
+    2-d C-contiguous float64 arrays of ``m`` columns and ``m`` rows of
+    ``2m`` values, ``x`` writeable, and ``0 <= w < len(bands)``; others
+    raise ``ValueError``."""
+    m = bands.shape[-1] if bands.ndim == 2 else -1
+    if (x.shape != (m, 2 * m) or not 0 <= w < len(bands)
+            or not x.flags.writeable or not all(a.dtype == np.float64 and a.flags.c_contiguous
+                                                for a in (bands, x))):
+        raise ValueError("lower_solve_op needs 2-d C-contiguous float64 bands of m columns "
+                         "and a writeable x of m rows of 2m values, and 0 <= w < len(bands)")
+    w = int(w)
+    return _Op("lower_solve", dict(bands=bands, w=w, m=m, x=x),
+               functools.partial(_numpy_lower_solve, bands, w, x))
 
 
 def finite_op(values: np.ndarray) -> _Op:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,6 +30,7 @@ from prk.tableau import (
     simplifying_defects,
     stage_order,
 )
+from test_weno import each_kernel  # noqa: F401
 
 
 def _bidiagonal(dx, periodic):
@@ -270,14 +271,16 @@ def _upwind_draw(data, m, periodic, nu):
     return _cell_splitting(prob, part, nu * float(dx.min())), part
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tab=_two_part_tableaus(), m=st.integers(4, 24), periodic=st.booleans(),
        nu=st.floats(0.1, 1.0), data=st.data())
-def test_solve_w_is_byte_identical_to_the_general_path(tab, m, periodic, nu, data):
+def test_solve_w_is_byte_identical_to_the_general_path(each_kernel, tab, m, periodic, nu, data):
     # solve_W forms only r^T e and the d_{q+1,k}; W, its norm and the
     # condition estimate must keep every bit of the build_error_operators
     # path: through inv @ on a periodic splitting, and through the textbook
-    # forward substitution on an inflow one, which is lower triangular
+    # forward substitution on an inflow one, which is lower triangular and
+    # solved by one compiled op (or its numpy twin)
     ls, part = _upwind_draw(data, m, periodic, nu)
     assert (ls.bands is None) == periodic
     M, rhs = _w_system(tab, ls, part)

@@ -1,5 +1,7 @@
 """Semi-discrete problem builders: stencils, matrices, convergence, norms."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,6 +16,7 @@ from prk.spatial import (
     parts_op,
     upwind1d,
 )
+from prk import weno
 from prk.weno import ops_call
 from prk.harness import PROBLEMS, make_parts, parse_partition, run_case
 from prk.stepper import IntegrationDiverged, reference_integrate
@@ -332,19 +335,35 @@ def test_adv2d_line_fluxes_equal_the_textbook_split(v, t):
     _assert_textbook_split(v, t)
 
 
-@pytest.mark.parametrize("n, seed, t", [(49, 1, 0.3), (50, 2, 0.7)])
-def test_adv2d_line_fluxes_keep_the_textbook_bits_on_each_kernel(each_kernel, n, seed, t):
-    # the run table reads the frame in place, with steps +-1 and +-n
-    _assert_textbook_split(_signed_state(n, seed), t)
-
-
-def _assert_textbook_split(v, t):
-    # byte for byte, so the sign of every zero counts
-    n = v.shape[0]
+@pytest.mark.parametrize("n, seed, times", [
+    (49, 1, (0.3,)),
+    (50, 2, (0.7,)),
+    (50, 4, (0.7, 0.7, 0.2, 0.2, 0.7, 0.0, 0.0)),
+    (12, 5, (0.1, 0.35, 0.35, 0.1)),
+], ids=["49-1-0.3", "50-2-0.7", "50-4-repeated", "12-5-repeated"])
+def test_adv2d_line_fluxes_keep_the_textbook_bits_on_each_kernel(each_kernel, n, seed, times):
+    # the run table reads the frame in place, with steps +-1 and +-n; one
+    # problem over repeated and changing times, so the ghost ring is kept
+    # while t repeats and computed again when it changes
     p = advection2d(n)
+    for t in times:
+        _assert_textbook_split(_signed_state(n, seed), t, p)
+
+
+def _framed(p, v, t):
+    """The state ``v`` of ``p`` framed by the exact solution at ``t``,
+    three cells a side."""
+    n = v.shape[0]
     g = (np.arange(-3, n + 3) + 0.5) * p.grid.h
     w = _rotated_profile(*np.meshgrid(g, g), t)
     w[3:-3, 3:-3] = v
+    return w
+
+
+def _assert_textbook_split(v, t, p=None):
+    # byte for byte, so the sign of every zero counts
+    p = p or advection2d(v.shape[0])
+    w = _framed(p, v, t)
     a1 = 2.0 * np.pi * (p.grid.y - 0.5)
     a2 = -2.0 * np.pi * (p.grid.x - 0.5)
     fx, fy = p.flux(t, v)
@@ -352,6 +371,36 @@ def _assert_textbook_split(v, t):
     want_y = _textbook_split(a2, w[:, 3:-3].T).T
     assert fx.shape == want_x.shape and fx.tobytes() == want_x.tobytes()
     assert fy.shape == want_y.shape and fy.tobytes() == want_y.tobytes()
+
+
+def _textbook_upwind(a, lines):
+    # the upwind half of the split alone: a u reconstructed from the side
+    # the speed comes from (left where a >= 0, -0 included), then +0
+    a = a[:, None]
+    return np.where(a >= 0.0, _oracle_left(a * lines), _oracle_right(a * lines)) + 0.0
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_adv2d_non_finite_states_keep_the_upwind_bits_on_each_kernel(each_kernel, n):
+    # NaN, +-inf and -0 in the state, over repeated and changing times: on
+    # states that are not finite the downwind half of the split is no
+    # longer +0, so the oracle is the upwind half alone
+    p = advection2d(n)
+    rng = np.random.default_rng(n)
+    for t in (0.2, 0.2, 0.45, 0.2):
+        v = _signed_state(n, int(rng.integers(100)))
+        v.flat[rng.choice(n * n, 6, replace=False)] = np.nan, np.inf, -np.inf, np.nan, -0.0, np.inf
+        w = _framed(p, v, t)
+        with np.errstate(all="ignore"):
+            fx, fy = p.flux(t, v)
+            want_x = _textbook_upwind(2.0 * np.pi * (p.grid.y - 0.5), w[3:-3, :])
+            want_y = _textbook_upwind(-2.0 * np.pi * (p.grid.x - 0.5), w[:, 3:-3].T).T
+        for got, want in ((fx, want_x), (fy, want_y)):
+            # a NaN's sign bit is not an IEEE result, so only its place counts
+            nan = np.isnan(want)
+            assert nan.any()
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -377,19 +426,47 @@ def test_adv2d_flux_rejects_states_of_other_shapes(v):
         advection2d(12).flux(0.0, v)
 
 
-def test_adv2d_ghost_data_follows_the_evaluation_time():
-    # the ghost ring is reused only while t repeats exactly; every call must
-    # match a fresh problem evaluated at the same time
+def test_adv2d_ghost_data_follows_the_evaluation_time(each_kernel, monkeypatch):
+    # the ghost ring is computed again (one np.cos of the angle) only when
+    # t changes, and reused while t repeats exactly; every call must match
+    # a fresh problem evaluated at the same time
+    angles, cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda x: angles.append(x) or cos(x))
     p = advection2d(12)
     rng = np.random.default_rng(3)
     v = rng.random((12, 12))
-    for t in (0.1, 0.1, 0.25, 0.1, 0.0):
+    refills = []
+    for t in (0.1, 0.1, 0.25, 0.25, 0.1, 0.0, 0.0):
         fresh = advection2d(12)
-        assert p.rhs(t, v).tobytes() == fresh.rhs(t, v).tobytes()
+        before = len(angles)
+        got = p.rhs(t, v)
         fx, fy = p.flux(t, v)
+        refills.append(len(angles) - before)
+        assert got.tobytes() == fresh.rhs(t, v).tobytes()
         want_x, want_y = fresh.flux(t, v)
         assert fx.tobytes() == want_x.tobytes()
         assert fy.tobytes() == want_y.tobytes()
+    assert refills == [1, 0, 1, 0, 1, 1, 0]
+
+
+_read_only_flux = np.empty(312)
+_read_only_flux.flags.writeable = False
+
+
+@pytest.mark.parametrize("out", [
+    np.empty(311), np.empty(313), np.empty(312, dtype=np.float32), np.empty(624)[::2],
+    np.empty((12, 26)), _read_only_flux,
+], ids=["short", "long", "float32", "strided", "2-d", "read-only"])
+def test_adv2d_flux_rejects_an_out_it_cannot_write(monkeypatch, out):
+    # the compiled call would write past a wrong buffer: the flux refuses
+    # it before it binds or makes any compiled call
+    calls = []
+    library = types.SimpleNamespace(run_ops=lambda *args: calls.append(args))
+    monkeypatch.setattr(weno, "_kernel_library", lambda: library)
+    p = advection2d(12)
+    with pytest.raises(ValueError, match="^rotation_flux_op needs"):
+        p.flux(0.1, np.ones((12, 12)), out)
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", [

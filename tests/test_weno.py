@@ -387,7 +387,9 @@ def _mirror(**changes):
     (_mirror(_StageSumArgs=weno._StageSumArgs._fields_[:-1]), False),
     (_mirror(_SplitPartsArgs=[f for f in weno._SplitPartsArgs._fields_ if f[0] != "dims"]),
      False),
-], ids=["same", "fields-swapped", "narrower-size", "last-field-missing", "inner-field-missing"])
+    (_mirror(_RotationFluxArgs=weno._RotationFluxArgs._fields_[:-1]), False),
+], ids=["same", "fields-swapped", "narrower-size", "last-field-missing", "inner-field-missing",
+        "rotation-field-missing"])
 def test_a_library_is_used_only_with_a_mirror_of_its_op_record(monkeypatch, mirror, used):
     # a record laid out otherwise than the C struct would hand run_ops
     # wrong addresses: the loader refuses the library, so the process runs
@@ -550,6 +552,23 @@ def _bound_over_fresh_arrays(entry, kernel):
         want = np.stack(_textbook_parts(*arrays[:2], (20,), "cells", arrays[2], 2))
         if kernel == "numpy":  # it reads the parts once, as it binds
             del arrays[3]
+    elif entry == "lower_solve":
+        # a bidiagonal matrix, solved entry by entry
+        arrays = [rng.uniform(1.0, 2.0, (2, 20)), rng.standard_normal((20, 40))]
+        call = weno.ops_call(weno.lower_solve_op(arrays[0], 1, arrays[1]))
+        want = arrays[1].tolist()
+        for i in range(20):
+            for c in range(40):
+                below = want[i][c] - arrays[0][1, i] * want[i - 1][c] if i else want[i][c]
+                want[i][c] = below / arrays[0][0, i]
+        want = np.array(want)
+    elif entry == "rotation_exponent":
+        arrays = [rng.standard_normal(20), rng.standard_normal(20), np.array([0.6, 0.8]),
+                  np.empty(20)]
+        call = weno.ops_call(weno.rotation_exponent_op(*arrays))
+        xi, eta, (cs, sn) = arrays[0], arrays[1], arrays[2]
+        want = -10.0 * ((0.5 + xi * cs - eta * sn - 0.5) ** 2
+                        + (0.5 + eta * cs + xi * sn - 0.25) ** 2)
     else:
         arrays = [rng.standard_normal((3, 20)), np.array([2, 0]), np.array([0.5, -2.0]), v,
                   np.empty(20)]
@@ -558,7 +577,8 @@ def _bound_over_fresh_arrays(entry, kernel):
     return call, [weakref.ref(a) for a in arrays], want
 
 
-@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts"])
+@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts",
+                                   "lower_solve", "rotation_exponent"])
 def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     # the compiled call reads and writes its arrays by address: freed, they
     # would be memory the process reuses
@@ -814,6 +834,87 @@ def test_split_parts_call_rejects_buffers_the_kernel_cannot_take(each_kernel, sp
     # the compiled entry would read or write past a wrong buffer
     with pytest.raises(ValueError, match=f"^split_parts_op.*{message}"):
         weno.split_parts_op(**split)
+
+
+# ----------------------------------------------------------------------
+# the 2D rotation flux and the forward substitution of the W analysis
+# ----------------------------------------------------------------------
+
+def _rotation(**changes):
+    """A rotation flux on 6 x 6 cells (a frame of 12 x 12), its ring the
+    frame's first row, by one run of its 84 faces, with ``changes``."""
+    rotation = dict(state=np.empty(36), a1=np.empty(6), a2=np.empty(6),
+                    ring=np.arange(12), ghosts=np.empty(12), frame=np.empty(144),
+                    src=np.empty(144), starts=np.array([0]), counts=np.array([84]),
+                    steps=np.array([1]), values=np.empty(84), out=np.empty(84))
+    return {**rotation, **changes}
+
+
+_read_only_flux = np.empty(84)
+_read_only_flux.flags.writeable = False
+
+
+@pytest.mark.parametrize("rotation, message", [
+    (_rotation(state=np.empty(36, dtype=np.float32)), "needs"),
+    (_rotation(state=np.empty(35)), "needs"),
+    (_rotation(state=np.empty((6, 6))), "needs"),
+    (_rotation(a2=np.empty(7)), "needs"),
+    (_rotation(ghosts=np.empty(11)), "needs"),
+    (_rotation(frame=np.empty(288)[::2]), "needs"),
+    (_rotation(src=np.empty(143)), "needs"),
+    (_rotation(out=np.empty(83)), "needs"),
+    (_rotation(out=np.empty(84, dtype=np.float32)), "needs"),
+    (_rotation(out=np.empty(168)[::2]), "needs"),
+    (_rotation(out=_read_only_flux), "needs"),
+    (_rotation(ring=np.arange(12, dtype=np.int32)), "needs"),
+    (_rotation(ring=np.arange(133, 145)), "ring index outside the 144 values"),
+    (_rotation(ring=np.arange(-1, 11)), "ring index outside the 144 values"),
+    (_rotation(starts=np.array([61])), "run 0 .* reads outside the 144 values of src"),
+    (_rotation(counts=np.array([83])), "the runs have 83 faces, out 84 values"),
+], ids=["float32-state", "short-state", "2-d-state", "long-a2", "short-ghosts",
+        "strided-frame", "short-src", "short-out", "float32-out", "strided-out",
+        "read-only-out", "int32-ring", "ring-past-frame", "negative-ring", "run-past-src",
+        "fewer-faces"])
+def test_rotation_flux_op_rejects_buffers_the_kernel_cannot_take(each_kernel, rotation,
+                                                                 message):
+    # the compiled entry would read or write past a wrong buffer
+    with pytest.raises(ValueError, match=f"^rotation_flux_op.*{message}"):
+        weno.rotation_flux_op(**rotation)
+
+
+@pytest.mark.parametrize("xi, eta, trig, out", [
+    (np.empty(10, dtype=np.float32), np.empty(10), np.empty(2), np.empty(10)),
+    (np.empty(10), np.empty(9), np.empty(2), np.empty(10)),
+    (np.empty(10), np.empty(10), np.empty(3), np.empty(10)),
+    (np.empty(10), np.empty(10), np.empty(2), np.empty(20)[::2]),
+    (np.empty(10), np.empty(10), np.empty(2), _read_only_state),
+], ids=["float32-xi", "short-eta", "long-trig", "strided-out", "read-only-out"])
+def test_rotation_exponent_op_rejects_buffers_the_kernel_cannot_take(each_kernel, xi, eta,
+                                                                     trig, out):
+    with pytest.raises(ValueError, match="^rotation_exponent_op needs"):
+        weno.rotation_exponent_op(xi, eta, trig, out)
+
+
+_read_only_rows = np.empty((5, 10))
+_read_only_rows.flags.writeable = False
+
+
+@pytest.mark.parametrize("bands, w, x", [
+    (np.empty((2, 5)), 1, np.empty((5, 9))),
+    (np.empty((2, 5)), 1, np.empty((10, 5)).T),
+    (np.empty((2, 5)), 1, np.empty(50)),
+    (np.empty((2, 5)), 1, np.empty((5, 10), dtype=np.float32)),
+    (np.empty((2, 5), dtype=np.float32), 1, np.empty((5, 10))),
+    (np.empty((5, 2)).T, 1, np.empty((5, 10))),
+    (np.empty(5), 0, np.empty((5, 10))),
+    (np.empty((2, 5)), 2, np.empty((5, 10))),
+    (np.empty((2, 5)), -1, np.empty((5, 10))),
+    (np.empty((2, 5)), 1, _read_only_rows),
+], ids=["short-rows", "strided-x", "1-d-x", "float32-x", "float32-bands", "strided-bands",
+        "1-d-bands", "w-past-bands", "negative-w", "read-only-x"])
+def test_lower_solve_op_rejects_buffers_the_kernel_cannot_take(each_kernel, bands, w, x):
+    with pytest.raises(ValueError, match="^lower_solve_op needs"):
+        weno.lower_solve_op(bands, w, x)
 
 
 @settings(deadline=None, max_examples=100)
