@@ -534,9 +534,10 @@ def ops_call(*ops: _Op):
     # the records hold addresses only
     table.arrays = [a for op in ops for a in op.args.values() if isinstance(a, np.ndarray)]
     # arguments of the entry's own types, which a call passes unconverted;
-    # the pointer holds the table
-    return functools.partial(library.run_ops, ctypes.cast(table, ctypes.POINTER(_OpRecord)),
-                             _SIZE(len(ops)))
+    # the pointer holds the table.  It points at the first record: a
+    # ctypes.cast would tie the table into a reference cycle, and its
+    # arrays would wait for the cyclic collector once the call is dropped
+    return functools.partial(library.run_ops, ctypes.pointer(table[0]), _SIZE(len(ops)))
 
 
 def stage_sum_op(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: float,

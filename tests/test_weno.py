@@ -589,6 +589,20 @@ def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     _assert_bitwise(arrays[-1](), want)
 
 
+@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts",
+                                   "lower_solve", "rotation_exponent"])
+def test_a_dropped_call_frees_its_buffers_at_once(each_kernel, entry):
+    # a call bound for one use (the W analysis binds one per solve) must
+    # not keep its arrays until the cyclic collector runs
+    call, arrays, _ = _bound_over_fresh_arrays(entry, each_kernel)
+    gc.disable()
+    try:
+        del call
+        assert all(array() is None for array in arrays)
+    finally:
+        gc.enable()
+
+
 _read_only_line = np.empty(16)
 _read_only_line.flags.writeable = False
 
