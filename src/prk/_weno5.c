@@ -39,15 +39,14 @@
    the cosine and sine of the angle.
 
    `rotation_flux(state, n, a1, a2, ring, ghosts, nring, frame, src, starts,
-   counts, steps, nruns, values, out)` makes one flux evaluation of the 2D
-   rotation on n x n cells.  It writes ghosts[k] at frame[ring[k]] for the
-   nring values of the ghost ring, the row-major n x n `state` into the
-   interior of the (n + 6) x (n + 6) frame (three ghost layers a side),
-   a1[i] times the frame's row i + 3 (n rows of n + 6 values), then the
-   frame's columns 3..n+3 times a2[j] (n + 6 rows of n values) into `src`,
-   the WENO5 values of the run table (`weno5_runs`) into `values`, and
-   values + 0 (so -0 becomes +0) into the 2n (n + 1) values of `out`, which
-   may be `values`.
+   counts, steps, nruns, out)` makes one flux evaluation of the 2D rotation
+   on n x n cells.  It writes ghosts[k] at frame[ring[k]] for the nring
+   values of the ghost ring, the row-major n x n `state` into the interior
+   of the (n + 6) x (n + 6) frame (three ghost layers a side), a1[i] times
+   the frame's row i + 3 (n rows of n + 6 values), then the frame's columns
+   3..n+3 times a2[j] (n + 6 rows of n values) into `src`, and the WENO5
+   values of the run table (`weno5_runs`) into the 2n (n + 1) values of
+   `out`, each plus 0 (so -0 becomes +0).
 
    `lower_solve(bands, w, m, x)` solves in place, by forward substitution,
    for the lower triangular m x m matrix whose diagonal d holds bands[d * m
@@ -235,7 +234,7 @@ void rotation_exponent(const double *xi, const double *eta, const double *trig, 
 void rotation_flux(const double *state, size_t n, const double *a1, const double *a2,
                    const ptrdiff_t *ring, const double *ghosts, size_t nring, double *frame,
                    double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
-                   const ptrdiff_t *steps, size_t nruns, double *values, double *out)
+                   const ptrdiff_t *steps, size_t nruns, double *out)
 {
     size_t p = n + 6, size = 2 * n * (n + 1);
     for (size_t k = 0; k < nring; k++)
@@ -248,9 +247,9 @@ void rotation_flux(const double *state, size_t n, const double *a1, const double
     for (size_t r = 0; r < p; r++, src += n)
         for (size_t j = 0; j < n; j++)
             src[j] = frame[r * p + j + 3] * a2[j];
-    weno5_runs(src - 2 * n * p, starts, counts, steps, nruns, values);
+    weno5_runs(src - 2 * n * p, starts, counts, steps, nruns, out);
     for (size_t k = 0; k < size; k++)
-        out[k] = values[k] + 0.0;
+        out[k] = out[k] + 0.0;
 }
 
 void lower_solve(const double *bands, size_t w, size_t m, double *x)
@@ -317,7 +316,7 @@ struct rotation_flux_args {
     double *frame, *src;
     const ptrdiff_t *starts, *counts, *steps;
     size_t nruns;
-    double *values, *out;
+    double *out;
 };
 
 struct lower_solve_args {
@@ -363,7 +362,7 @@ const size_t op_layout[] = {
     FIELD(args.rotation_flux.frame), FIELD(args.rotation_flux.src),
     FIELD(args.rotation_flux.starts), FIELD(args.rotation_flux.counts),
     FIELD(args.rotation_flux.steps), FIELD(args.rotation_flux.nruns),
-    FIELD(args.rotation_flux.values), FIELD(args.rotation_flux.out),
+    FIELD(args.rotation_flux.out),
     FIELD(args.lower_solve.bands), FIELD(args.lower_solve.w), FIELD(args.lower_solve.m),
     FIELD(args.lower_solve.x),
     FIELD(args.finite.values), FIELD(args.finite.size),
@@ -393,7 +392,7 @@ int run_ops(const struct op *ops, size_t nops)
         case OP_ROTATION_FLUX: {
             const struct rotation_flux_args *a = &op->args.rotation_flux;
             rotation_flux(a->state, a->n, a->a1, a->a2, a->ring, a->ghosts, a->nring, a->frame,
-                          a->src, a->starts, a->counts, a->steps, a->nruns, a->values, a->out);
+                          a->src, a->starts, a->counts, a->steps, a->nruns, a->out);
             break;
         }
         case OP_LOWER_SOLVE: {

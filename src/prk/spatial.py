@@ -356,9 +356,9 @@ def advection2d(n: int) -> SemiDiscreteProblem:
 
     # the padded frame's ghost ring (3 layers a side, corners excluded) at
     # the flat indices `ring`, and its cells' centres less (1/2, 1/2); its
-    # values `ghosts` are computed again only when t changes.  The source
-    # holds a1 times the padded x-lines (rows), then a2 times the padded
-    # y-lines (columns).
+    # values `ghosts` are computed again only when t changes.  The run
+    # table reads the op's source: a1 times the padded x-lines (rows), then
+    # a2 times the padded y-lines (columns).
     p = n + 6
     ring = np.zeros((p, p), dtype=bool)
     ring[3:-3, :] = ring[:, 3:-3] = True
@@ -367,7 +367,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     g = (np.arange(-3, n + 3) + 0.5) * h
     ring, xi, eta = gy * p + gx, g[gx] - 0.5, g[gy] - 0.5
     a1, a2 = 2.0 * np.pi * (y - 0.5), -2.0 * np.pi * (x - 0.5)
-    state, frame, src = np.empty(n * n), np.zeros(p * p), np.empty(2 * n * p)
+    state = np.empty(n * n)
     trig, exponent, ghosts = np.empty(2), np.empty(ring.size), np.empty(ring.size)
     square = state.reshape(n, n)
 
@@ -393,8 +393,8 @@ def advection2d(n: int) -> SemiDiscreteProblem:
         if fresh:
             out = values
         if out is not target:
-            run = ops_call(rotation_flux_op(state, a1, a2, ring, ghosts, frame, src, starts,
-                                            counts, steps, values, out))
+            run = ops_call(rotation_flux_op(state, a1, a2, ring, ghosts, starts, counts, steps,
+                                            out))
             target = out
         if t != ghost_t:
             # exact_point's operations, the exponent's compiled

@@ -226,7 +226,7 @@ def _numpy_rotation_exponent(xi, eta, trig, out) -> None:
     np.multiply(-10.0, (x0 - 0.5) ** 2 + (y0 - 0.25) ** 2, out)
 
 
-def _numpy_rotation_flux(state, a1, a2, ring, ghosts, frame, src, cells, values, out) -> None:
+def _numpy_rotation_flux(state, a1, a2, ring, ghosts, frame, src, cells, out) -> None:
     """``rotation_flux`` of ``_weno5.c`` in numpy; ``cells()`` gives the
     index of its run table's operands (see :func:`_run_cells`)."""
     n = a1.size
@@ -236,8 +236,8 @@ def _numpy_rotation_flux(state, a1, a2, ring, ghosts, frame, src, cells, values,
     padded[3:-3, 3:-3] = state.reshape(n, n)
     np.multiply(a1[:, None], padded[3:-3, :], src[:n * p].reshape(n, p))
     np.multiply(padded[:, 3:-3], a2, src[n * p:].reshape(p, n))
-    _numpy_runs(src, cells(), values)
-    np.add(values, _ZERO, out)
+    _numpy_runs(src, cells(), out)
+    np.add(out, _ZERO, out)
 
 
 def _numpy_lower_solve(bands, w, x) -> None:
@@ -321,7 +321,7 @@ class _RotationFluxArgs(ctypes.Structure):
     _fields_ = [("state", _ADDRESS), ("n", _SIZE), ("a1", _ADDRESS), ("a2", _ADDRESS),
                 ("ring", _ADDRESS), ("ghosts", _ADDRESS), ("nring", _SIZE), ("frame", _ADDRESS),
                 ("src", _ADDRESS), ("starts", _ADDRESS), ("counts", _ADDRESS),
-                ("steps", _ADDRESS), ("nruns", _SIZE), ("values", _ADDRESS), ("out", _ADDRESS)]
+                ("steps", _ADDRESS), ("nruns", _SIZE), ("out", _ADDRESS)]
 
 
 class _LowerSolveArgs(ctypes.Structure):
@@ -627,40 +627,38 @@ def rotation_exponent_op(xi: np.ndarray, eta: np.ndarray, trig: np.ndarray,
 
 
 def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np.ndarray,
-                     ghosts: np.ndarray, frame: np.ndarray, src: np.ndarray,
-                     starts: np.ndarray, counts: np.ndarray, steps: np.ndarray,
-                     values: np.ndarray, out: np.ndarray) -> _Op:
+                     ghosts: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                     steps: np.ndarray, out: np.ndarray) -> _Op:
     """The op of ``rotation_flux``: one flux evaluation of the 2D rotation
     on ``n = a1.size`` cells a side, as the header of ``_weno5.c`` gives
     it, from the row-major ``state`` and the ring values ``ghosts`` (at the
-    flat indices ``ring`` of the ``(n + 6)^2`` ``frame``), by the run table
-    ``(starts, counts, steps)`` over ``src`` (see :func:`runs_call`), into
-    ``values`` and then ``out`` (which may be ``values``), every one read at
-    every call.  The arrays are 1-d and contiguous: ``ring`` and the table
-    intp, the others float64 of ``n^2``, ``n``, ``n``, ``ring.size``,
-    ``(n + 6)^2``, ``2n (n + 6)``, ``2n (n + 1)`` and ``2n (n + 1)`` values,
-    ``frame``, ``src``, ``values`` and ``out`` writeable; ``ring`` indexes
-    the frame.  Others raise ``ValueError``.  The twin reads the table once,
-    at its first call, so a compiled bind builds no gather index."""
+    flat indices ``ring`` of the ``(n + 6)^2`` padded frame), by the run
+    table ``(starts, counts, steps)`` over the ``2n (n + 6)`` products (see
+    :func:`runs_call`), into ``out``, every one read at every call.  The op
+    owns its frame and products.  The arrays are 1-d and contiguous:
+    ``ring`` and the table intp, the others float64 of ``n^2``, ``n``,
+    ``n``, ``ring.size`` and ``2n (n + 1)`` values, ``out`` writeable;
+    ``ring`` indexes the frame.  Others raise ``ValueError``.  The twin
+    reads the table once, at its first call, so a compiled bind builds no
+    gather index."""
     n = a1.size
-    p, size = n + 6, 2 * n * (n + 1)
-    if (not all(a.flags.writeable for a in (frame, src, values, out))
+    p = n + 6
+    if (not out.flags.writeable
             or not _vectors(np.float64, (state, n * n), (a1, n), (a2, n), (ghosts, ring.size),
-                            (frame, p * p), (src, 2 * n * p), (values, size), (out, size))
+                            (out, 2 * n * (n + 1)))
             or not _vectors(np.intp, (ring, ring.size))):
-        raise ValueError("rotation_flux_op needs 1-d contiguous float64 state, a1, a2, ghosts, "
-                         "frame, src, values and out of their sizes, the last four "
-                         "writeable, and an intp ring")
+        raise ValueError("rotation_flux_op needs 1-d contiguous float64 state, a1, a2, ghosts "
+                         "and a writeable out of their sizes, and an intp ring")
     if ring.size and not 0 <= ring.min() <= ring.max() < p * p:
         raise ValueError(f"rotation_flux_op: a ring index outside the {p * p} values of frame")
-    _check_runs("rotation_flux_op", src, starts, counts, steps, values)
+    frame, src = np.zeros(p * p), np.empty(2 * n * p)
+    _check_runs("rotation_flux_op", src, starts, counts, steps, out)
     cells = functools.cache(functools.partial(_run_cells, starts, counts, steps))
     return _Op("rotation_flux", dict(state=state, n=n, a1=a1, a2=a2, ring=ring, ghosts=ghosts,
                                      nring=ring.size, frame=frame, src=src, starts=starts,
-                                     counts=counts, steps=steps, nruns=starts.size,
-                                     values=values, out=out),
+                                     counts=counts, steps=steps, nruns=starts.size, out=out),
                functools.partial(_numpy_rotation_flux, state, a1, a2, ring, ghosts, frame, src,
-                                 cells, values, out))
+                                 cells, out))
 
 
 def lower_solve_op(bands: np.ndarray, w: int, x: np.ndarray) -> _Op:

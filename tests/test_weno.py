@@ -855,12 +855,12 @@ def test_split_parts_call_rejects_buffers_the_kernel_cannot_take(each_kernel, sp
 # ----------------------------------------------------------------------
 
 def _rotation(**changes):
-    """A rotation flux on 6 x 6 cells (a frame of 12 x 12), its ring the
-    frame's first row, by one run of its 84 faces, with ``changes``."""
+    """A rotation flux on 6 x 6 cells (a frame of 12 x 12, a source of 144
+    products), its ring the frame's first row, by one run of its 84 faces,
+    with ``changes``."""
     rotation = dict(state=np.empty(36), a1=np.empty(6), a2=np.empty(6),
-                    ring=np.arange(12), ghosts=np.empty(12), frame=np.empty(144),
-                    src=np.empty(144), starts=np.array([0]), counts=np.array([84]),
-                    steps=np.array([1]), values=np.empty(84), out=np.empty(84))
+                    ring=np.arange(12), ghosts=np.empty(12), starts=np.array([0]),
+                    counts=np.array([84]), steps=np.array([1]), out=np.empty(84))
     return {**rotation, **changes}
 
 
@@ -874,8 +874,6 @@ _read_only_flux.flags.writeable = False
     (_rotation(state=np.empty((6, 6))), "needs"),
     (_rotation(a2=np.empty(7)), "needs"),
     (_rotation(ghosts=np.empty(11)), "needs"),
-    (_rotation(frame=np.empty(288)[::2]), "needs"),
-    (_rotation(src=np.empty(143)), "needs"),
     (_rotation(out=np.empty(83)), "needs"),
     (_rotation(out=np.empty(84, dtype=np.float32)), "needs"),
     (_rotation(out=np.empty(168)[::2]), "needs"),
@@ -886,7 +884,7 @@ _read_only_flux.flags.writeable = False
     (_rotation(starts=np.array([61])), "run 0 .* reads outside the 144 values of src"),
     (_rotation(counts=np.array([83])), "the runs have 83 faces, out 84 values"),
 ], ids=["float32-state", "short-state", "2-d-state", "long-a2", "short-ghosts",
-        "strided-frame", "short-src", "short-out", "float32-out", "strided-out",
+        "short-out", "float32-out", "strided-out",
         "read-only-out", "int32-ring", "ring-past-frame", "negative-ring", "run-past-src",
         "fewer-faces"])
 def test_rotation_flux_op_rejects_buffers_the_kernel_cannot_take(each_kernel, rotation,
