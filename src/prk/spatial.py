@@ -368,7 +368,7 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     ring, xi, eta = gy * p + gx, g[gx] - 0.5, g[gy] - 0.5
     a1, a2 = 2.0 * np.pi * (y - 0.5), -2.0 * np.pi * (x - 0.5)
     state = np.empty(n * n)
-    trig, exponent, ghosts = np.empty(2), np.empty(ring.size), np.empty(ring.size)
+    trig, ghosts = np.empty(2), np.empty(ring.size)
     square = state.reshape(n, n)
 
     # the run table: per row, its n + 1 x-faces with step +1, or from cell
@@ -397,12 +397,13 @@ def advection2d(n: int) -> SemiDiscreteProblem:
                                             out))
             target = out
         if t != ghost_t:
-            # exact_point's operations, the exponent's compiled
-            exponents = exponents or ops_call(rotation_exponent_op(xi, eta, trig, exponent))
+            # exact_point's operations: numpy's cos, sin and exp around
+            # the compiled exponent
+            exponents = exponents or ops_call(rotation_exponent_op(xi, eta, trig, ghosts))
             angle = 2.0 * np.pi * t
             trig[0], trig[1] = np.cos(angle), np.sin(angle)
             exponents()
-            np.exp(exponent, ghosts)
+            np.exp(ghosts, ghosts)
             ghost_t = t
         square[...] = v
         run()
