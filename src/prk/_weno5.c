@@ -48,11 +48,13 @@
    values of the run table (`weno5_runs`) into the 2n (n + 1) values of
    `out`, each plus 0 (so -0 becomes +0).
 
-   `lower_solve(bands, w, m, x)` solves in place, by forward substitution,
-   for the lower triangular m x m matrix whose diagonal d holds bands[d * m
-   + i] in row i (d = 0..w, the entry in column i - d), the rows of the
-   m x 2m matrix `x`: row i less bands[d * m + i] times row i - d, for d
-   from min(w, i) down to 1, then divided by bands[i], one column at a time.
+   `lower_solve(bands, w, m, first, rows, cols, x)` solves in place, by
+   forward substitution, for the lower triangular m x m matrix whose
+   diagonal d holds bands[d * m + i] in row i (d = 0..w, the entry in column
+   i - d), the rows first..first+rows-1 of a matrix of `cols` columns: `x`
+   holds its rows from first - min(w, first) on, so the solved rows that a
+   block needs come first.  Row i less bands[d * m + i] times row i - d, for
+   d from min(w, i) down to 1, then divided by bands[i], one column at a time.
 
    `run_ops(ops, nops)` runs a table of op records (`struct op`) in order,
    each one of the entries `stage_sum`, `split_parts`, `rotation_exponent`,
@@ -252,11 +254,11 @@ void rotation_flux(const double *state, size_t n, const double *a1, const double
         out[k] = out[k] + 0.0;
 }
 
-void lower_solve(const double *bands, size_t w, size_t m, double *x)
+void lower_solve(const double *bands, size_t w, size_t m, size_t first, size_t rows,
+                 size_t cols, double *x)
 {
-    size_t cols = 2 * m;
-    for (size_t i = 0; i < m; i++) {
-        double *row = x + i * cols;
+    double *row = x + (first < w ? first : w) * cols;
+    for (size_t i = first; i < first + rows; i++, row += cols) {
         for (size_t d = i < w ? i : w; d > 0; d--) {
             double a = bands[d * m + i];
             const double *above = row - d * cols;
@@ -321,7 +323,7 @@ struct rotation_flux_args {
 
 struct lower_solve_args {
     const double *bands;
-    size_t w, m;
+    size_t w, m, first, rows, cols;
     double *x;
 };
 
@@ -364,6 +366,7 @@ const size_t op_layout[] = {
     FIELD(args.rotation_flux.steps), FIELD(args.rotation_flux.nruns),
     FIELD(args.rotation_flux.out),
     FIELD(args.lower_solve.bands), FIELD(args.lower_solve.w), FIELD(args.lower_solve.m),
+    FIELD(args.lower_solve.first), FIELD(args.lower_solve.rows), FIELD(args.lower_solve.cols),
     FIELD(args.lower_solve.x),
     FIELD(args.finite.values), FIELD(args.finite.size),
 };
@@ -397,7 +400,7 @@ int run_ops(const struct op *ops, size_t nops)
         }
         case OP_LOWER_SOLVE: {
             const struct lower_solve_args *a = &op->args.lower_solve;
-            lower_solve(a->bands, a->w, a->m, a->x);
+            lower_solve(a->bands, a->w, a->m, a->first, a->rows, a->cols, a->x);
             break;
         }
         case OP_FINITE:

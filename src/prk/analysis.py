@@ -9,20 +9,24 @@ order-reduction matrix ``W`` that links stage-order consistency to one
 extra order of convergence.
 
 A splitting whose every ``Z_k`` is lower triangular (inflow upwind
-advection, as in ``fig3``) is also held by its diagonals, and its stage
-blocks, ``r^T e`` and the right-hand side of the W system are built as
-band arrays: a product costs O(m w^2) for a band of w diagonals, not
-O(m^3).  ``solve_W`` then takes ``(r^T e)^{-1}`` and ``W`` by one
-row-wise forward substitution over ``[I | B]``, a compiled call of
-:mod:`prk.weno` (or its numpy twin) whose operations run in a fixed
-order, so its bits do not depend on the BLAS kernel.  Any other
-splitting (a periodic corner, a random matrix) takes the dense path:
-BLAS products and ``np.linalg.inv``.
+advection, as in ``fig3``) is also held by its diagonals, or by them
+alone when probed (:meth:`LinearSplitting.probed`), and its stage blocks,
+``r^T e`` and the right-hand side of the W system are built as band
+arrays: a product costs O(m w^2) for a band of w diagonals, not O(m^3).
+``solve_W`` then takes ``W`` by a row-wise forward substitution in place
+in its one m x m result, and the rows of ``(r^T e)^{-1}`` that its
+condition estimate sums by the same substitution, ``_ROW_BLOCK`` rows at
+a time: compiled calls of :mod:`prk.weno` (or its numpy twin) whose
+operations run in a fixed order, so their bits do not depend on the BLAS
+kernel.  No other m x m array is formed on that path.  Any other
+splitting (a periodic corner, a random matrix) takes the dense path: BLAS
+products and ``np.linalg.inv``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -45,10 +49,27 @@ __all__ = [
 
 COND_LIMIT = 1e12  # beyond this the W norm is considered meaningless
 _STABILITY_TOL = 1e-12  # slack on the unit bounds of the stability check
+_ROW_BLOCK = 64  # rows of an m x m matrix whose |entries| are held at once
 
 
 def _inf_norm(M: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
+    return _max_row_sum(M[i:i + _ROW_BLOCK] for i in range(0, len(M), _ROW_BLOCK))
+
+
+def _max_row_sum(blocks) -> float:
+    """The largest row sum of |entries| over the rows of ``blocks``, each
+    row summed by numpy, NaN if one is; 0 without rows."""
+    peaks = [np.sum(np.abs(block), axis=1).max() for block in blocks]
+    return float(np.max(peaks)) if peaks else 0.0
+
+
+def _band_norm(band: np.ndarray) -> float:
+    """The maximum norm of a band array's matrix, each row's |entries|
+    summed from the diagonal outwards."""
+    sums = np.abs(band[0])
+    for diag in band[1:]:
+        sums += np.abs(diag)
+    return float(sums.max())
 
 
 def _lower_bands(Zs) -> np.ndarray | None:
@@ -71,42 +92,45 @@ def _lower_bands(Zs) -> np.ndarray | None:
     return bands
 
 
-def _dense(band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The m x m matrix of a band array, written into ``out`` (zeros by default)."""
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The m x m matrix of a band array."""
     m = band.shape[1]
-    if out is None:
-        out = np.zeros((m, m))
+    out = np.zeros((m, m))
     for d in range(min(len(band), m)):
         out[np.arange(d, m), np.arange(m - d)] = band[d, d:]
     return out
 
 
-@dataclass(frozen=True)
 class LinearSplitting:
     """Scaled operator parts ``Z_k = dt * L_k`` of one linear problem.
 
-    ``bands`` holds the ``Z_k`` by their diagonals when all are lower
-    triangular (see :func:`_lower_bands`), and is ``None`` otherwise; the
-    analysis takes its band or its dense path from it.
+    Built from the dense ``Zs``, or from ``bands`` alone, as
+    :meth:`probed` builds a lower triangular splitting.  ``bands`` holds
+    the ``Z_k`` by their diagonals when all are lower triangular (see
+    :func:`_lower_bands`), and is ``None`` otherwise; the analysis takes its
+    band or its dense path from it.  A splitting built from bands forms its
+    dense ``Zs`` only when they are read.
     """
 
-    Zs: tuple[np.ndarray, ...]
-    bands: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = self.Zs[0].shape[0]
-        for Zk in self.Zs:
-            if Zk.shape != (m, m):
+    def __init__(self, Zs: tuple[np.ndarray, ...] = (), *, bands: np.ndarray | None = None):
+        if bands is None:
+            m = Zs[0].shape[0]
+            if any(Zk.shape != (m, m) for Zk in Zs):
                 raise ValueError("all Z_k must be square with equal size")
-        object.__setattr__(self, "bands", _lower_bands(self.Zs))
+            self.Zs, bands = tuple(Zs), _lower_bands(Zs)
+        self.bands = bands
+
+    @cached_property
+    def Zs(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(_dense, self.bands))
 
     @property
     def r(self) -> int:
-        return len(self.Zs)
+        return len(self.Zs if self.bands is None else self.bands)
 
     @property
     def m(self) -> int:
-        return self.Zs[0].shape[0]
+        return (self.Zs[0] if self.bands is None else self.bands).shape[-1]
 
     # not called in prk; perfbench/child.py wraps it by name
     @classmethod
@@ -116,6 +140,60 @@ class LinearSplitting:
         return cls(
             tuple(dt * np.where(mk[:, None], L, 0.0) for mk in partition.masks)
         )
+
+    @classmethod
+    def probed(cls, parts, m: int, dt: float) -> "LinearSplitting":
+        """``Z_k = dt L_k`` for linear part evaluators, read off by probing
+        basis vectors at ``t = 0`` less the response at zero, so affine
+        boundary terms drop out: ``m + 1`` evaluations, all through one
+        ``evaluation`` of the split.
+
+        Column j of every ``L_k`` goes into band columns, the band widened
+        to the deepest nonzero; the first column with a value above the
+        diagonal, or a -0 off the band, turns the splitting dense, the
+        columns probed so far included.  So the ``Zs`` are those of
+        probing into dense matrices, bit for bit.
+        """
+        r = parts.r
+        vals, col = np.empty((2, r, m))
+        write, phi, op = parts.evaluation(vals, (True,) * r)
+        call = ops_call(op)
+        e = np.zeros(m)
+        write(0.0, e, phi)
+        call()
+        zero, bits = vals.copy(), col.view(np.uint64)  # +0 alone has no bit set
+
+        def off_band(j, n):  # a value other than +0 outside rows j .. j + n - 1
+            return bits[:, :j].any() or bits[:, j + n:].any()
+
+        bands, dense = np.zeros((r, 1, m)), None
+        for j in range(m):
+            e[j] = 1.0
+            write(0.0, e, phi)
+            call()
+            e[j] = 0.0
+            np.subtract(vals, zero, col)
+            if dense is None:
+                n = min(len(bands[0]), m - j)
+                if off_band(j, n):
+                    deep = np.flatnonzero(col[:, j:].any(axis=0))
+                    if deep.size and deep[-1] >= n:  # widen to the deepest nonzero
+                        bands = np.concatenate(
+                            (bands, np.zeros((r, deep[-1] + 1 - len(bands[0]), m))), axis=1)
+                        n = deep[-1] + 1
+                    if off_band(j, n):
+                        dense = list(map(_dense, bands))
+                if dense is None:  # entry (j + d, j) is bands[k, d, j + d]
+                    bands.reshape(r, -1)[:, j:j + n * (m + 1):m + 1] = col[:, j:j + n]
+            if dense is not None:
+                for Z, c in zip(dense, col):
+                    Z[:, j] = c
+        if dense is not None:
+            for Z in dense:
+                Z *= dt
+            return cls(tuple(dense))
+        bands *= dt
+        return cls(bands=bands)
 
 
 @dataclass(frozen=True)
@@ -249,25 +327,40 @@ def _unusable(q: int) -> WResult:
 
 
 def _solve_lower(M: np.ndarray, B: np.ndarray, q: int) -> WResult:
-    """The W system for lower band arrays ``M = r^T e`` and ``B``, by one
-    forward substitution over ``[I | B]``: row i less ``M[i, j]`` times
-    row j, for j from ``i - w`` up to ``i - 1`` (w the last diagonal of
-    M that holds a nonzero), then divided by ``M[i, i]``, in one compiled
-    call (:func:`prk.weno.lower_solve_op`).  The order of every operation
-    is fixed, with no BLAS call; a zero on M's diagonal makes the system
+    """The W system for lower band arrays ``M = r^T e`` and ``B``, by
+    forward substitution: row i less ``M[i, j]`` times row j, for j from
+    ``i - w`` up to ``i - 1`` (w the last diagonal of M that holds a
+    nonzero), then divided by ``M[i, i]``, in compiled calls
+    (:func:`prk.weno.lower_solve_op`).  W is solved in place in the dense
+    B; the rows of ``(r^T e)^{-1}`` only pass through
+    :func:`_inverse_rows` for their norm.  The order of every operation is
+    fixed, with no BLAS call; a zero on M's diagonal makes the system
     singular."""
     if not M[0].all():
         return _unusable(q)
-    m = M.shape[1]
-    X = np.zeros((m, 2 * m))  # [I | B], then [(r^T e)^{-1} | W]
-    X[np.arange(m), np.arange(m)] = 1.0
-    _dense(B, X[:, m:])
+    M = np.ascontiguousarray(M)
     w = max(d for d in range(len(M)) if M[d].any())
-    ops_call(lower_solve_op(np.ascontiguousarray(M), w, X))()
-    row_sums = np.abs(M[0])
-    for diag in M[1:]:  # each row's |entries| from the diagonal outwards
-        row_sums += np.abs(diag)
-    return _w_result(X[:, m:], float(row_sums.max()) * _inf_norm(X[:, :m]), q)
+    W = _dense(B)
+    ops_call(lower_solve_op(M, w, W))()
+    return _w_result(W, _band_norm(M) * _max_row_sum(_inverse_rows(M, w)), q)
+
+
+def _inverse_rows(M: np.ndarray, w: int):
+    """The rows of the inverse of the lower band array ``M``'s matrix, by
+    blocks of at most ``_ROW_BLOCK``: each is solved from rows of the
+    identity after the ``w`` rows above it, carried in one buffer."""
+    m = M.shape[1]
+    buf, above = np.empty((_ROW_BLOCK + w, m)), 0
+    for first in range(0, m, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, m - first)
+        block = buf[above:above + rows]
+        block[...] = 0.0
+        block[np.arange(rows), np.arange(first, first + rows)] = 1.0
+        ops_call(lower_solve_op(M, w, buf, first, rows))()
+        yield block
+        keep = min(w, first + rows)
+        buf[:keep] = buf[above + rows - keep:above + rows]
+        above = keep
 
 
 def solve_W(tab: PRKTableau, ls: LinearSplitting, partition: CellPartition) -> WResult:
@@ -318,17 +411,23 @@ def stability_check(ls: LinearSplitting) -> StabilityReport:
 
     ``|I + Z_1| <= 1`` and ``|I + Z_2/2| <= 1`` in the maximum norm, and
     ``theta = |Z_2|/4``, which bounds the two-stage scheme's W when below 1.
+    A banded splitting's row sums are taken from its bands, from the
+    diagonal outwards.
     """
     if ls.r != 2:
         raise ValueError("stability conditions are stated for two parts")
-    shifted = (ls.Zs[0].copy(), 0.5 * ls.Zs[1])
+    if ls.bands is None:
+        (Z1, Z2), norm, diagonal = ls.Zs, _inf_norm, np.diag_indices(ls.m)
+    else:
+        (Z1, Z2), norm, diagonal = ls.bands, _band_norm, 0
+    shifted = (Z1.copy(), 0.5 * Z2)
     for M in shifted:  # I + M without a dense eye; |.| drops the sign of zero
-        M.flat[:: ls.m + 1] += 1.0
-    n1, n2 = map(_inf_norm, shifted)
+        M[diagonal] += 1.0
+    n1, n2 = map(norm, shifted)
     return StabilityReport(
         norm_part1=n1,
         norm_part2=n2,
-        theta=_inf_norm(ls.Zs[1]) / 4.0,
+        theta=norm(Z2) / 4.0,
         stab1=bool(n1 <= 1.0 + _STABILITY_TOL),
         stab2=bool(n2 <= 1.0 + _STABILITY_TOL),
     )
@@ -359,27 +458,6 @@ def predicted_local_error(
 
 
 def linearize_parts(parts, m: int) -> list[np.ndarray]:
-    """Extract the matrices of linear part evaluators by probing basis
-    vectors at ``t = 0``.
-
-    Subtracts the response at zero so affine boundary terms drop out.
-    Costs ``m + 1`` evaluations, all through one ``evaluation`` of the
-    split, and one dense m x m matrix per part; ``fig3`` reads its
-    splittings this way, up to m = 640.
-    """
-    vals = np.empty((parts.r, m))
-    write, phi, op = parts.evaluation(vals, (True,) * parts.r)
-    call = ops_call(op)
-    e = np.zeros(m)
-    write(0.0, e, phi)
-    call()
-    zero = vals.copy()
-    mats = [np.zeros((m, m)) for _ in range(parts.r)]
-    for i in range(m):
-        e[i] = 1.0
-        write(0.0, e, phi)
-        call()
-        e[i] = 0.0
-        for k in range(parts.r):
-            mats[k][:, i] = vals[k] - zero[k]
-    return mats
+    """The dense matrices of linear part evaluators, read off by
+    :meth:`LinearSplitting.probed` (``m + 1`` evaluations)."""
+    return list(LinearSplitting.probed(parts, m, 1.0).Zs)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import LinearSplitting, linearize_parts, solve_W, stability_check
+from .analysis import LinearSplitting, solve_W, stability_check
 from .decomposition import (
     CellPartition,
     CellSplitParts,
@@ -667,17 +667,15 @@ def _wnorm_splitting(m: int, nu: float):
     Upwind inflow advection on the two-block nonuniform grid: the middle
     half of the indices is refined with half the cell width, coarse width
     ``h = 4/(3m)``, time step ``nu * h``.  ``Z_k = nu h I_k L`` is read off
-    the cell split the stepper runs, and scaled in place.
+    the cell split the stepper runs, into bands alone.
     """
     h = 4.0 / (3.0 * m)
     refined = np.zeros(m, dtype=bool)
     refined[m // 4 : (3 * m) // 4] = True
     dx = np.where(refined, 0.5 * h, h)
     part = CellPartition.two_region(refined)
-    Zs = linearize_parts(CellSplitParts(upwind1d(dx=dx, boundary="inflow").rhs, part), m)
-    for Z in Zs:
-        Z *= nu * h
-    return LinearSplitting(tuple(Zs)), part
+    split = CellSplitParts(upwind1d(dx=dx, boundary="inflow").rhs, part)
+    return LinearSplitting.probed(split, m, nu * h), part
 
 
 def _wnorm_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
@@ -685,7 +683,7 @@ def _wnorm_loop(exp: Experiment, report: ExperimentReport, p: dict) -> None:
     integration, so it has a loop of its own: each distinct (m, nu) builds
     one splitting and one stability report for all schemes."""
     schemes, ms, nus = p["schemes"], p["ms"], p["nus"]
-    for m in ms:  # ten m x m float64 arrays budgeted, five held, before the first probe
+    for m in ms:  # ten m x m float64 arrays budgeted; a point holds W and row blocks
         _require(80 * m * m <= MAX_ANALYSIS_BYTES, "ms", m, f"at most {MAX_ANALYSIS_BYTES} "
                  f"bytes of dense analysis matrices, not {80 * m * m:.3g}")
     _check_positive("nus", nus)

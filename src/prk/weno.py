@@ -240,14 +240,16 @@ def _numpy_rotation_flux(state, a1, a2, ring, ghosts, frame, src, cells, out) ->
     np.add(out, _ZERO, out)
 
 
-def _numpy_lower_solve(bands, w, x) -> None:
-    """``lower_solve`` of ``_weno5.c`` in numpy: row i of ``x`` less
-    ``bands[d, i]`` times row ``i - d``, for d from ``min(w, i)`` down to
-    1, then divided by ``bands[0, i]``, a whole row per operation."""
-    coeffs = bands.tolist()
-    for i, row in enumerate(x):
+def _numpy_lower_solve(bands, w, first, rows, x) -> None:
+    """``lower_solve`` of ``_weno5.c`` in numpy: row i, at ``x[i - first +
+    min(w, first)]``, less ``bands[d, i]`` times row ``i - d``, for d from
+    ``min(w, i)`` down to 1, then divided by ``bands[0, i]``, a whole row
+    per operation."""
+    coeffs, shift = bands.tolist(), min(w, first) - first
+    for i in range(first, first + rows):
+        row = x[i + shift]
         for d in range(min(w, i), 0, -1):
-            row -= coeffs[d][i] * x[i - d]
+            row -= coeffs[d][i] * x[i + shift - d]
         row /= coeffs[0][i]
 
 
@@ -325,7 +327,8 @@ class _RotationFluxArgs(ctypes.Structure):
 
 
 class _LowerSolveArgs(ctypes.Structure):
-    _fields_ = [("bands", _ADDRESS), ("w", _SIZE), ("m", _SIZE), ("x", _ADDRESS)]
+    _fields_ = [("bands", _ADDRESS), ("w", _SIZE), ("m", _SIZE), ("first", _SIZE),
+                ("rows", _SIZE), ("cols", _SIZE), ("x", _ADDRESS)]
 
 
 class _FiniteArgs(ctypes.Structure):
@@ -661,25 +664,34 @@ def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np
                                  cells, out))
 
 
-def lower_solve_op(bands: np.ndarray, w: int, x: np.ndarray) -> _Op:
+def lower_solve_op(bands: np.ndarray, w: int, x: np.ndarray, first: int = 0,
+                   rows: int | None = None) -> _Op:
     """The op of ``lower_solve``: it solves in place, by forward
     substitution, for the lower triangular ``m x m`` matrix with the band
     array ``bands`` (row d holds diagonal d, ``bands[d, i]`` in column ``i -
-    d``; rows past ``w`` are not read), the ``m x 2m`` matrix ``x``: row
-    ``i`` less ``bands[d, i]`` times row ``i - d``, for d from ``min(w, i)``
-    down to 1, then divided by ``bands[0, i]``.  ``bands`` and ``x`` are
-    2-d C-contiguous float64 arrays of ``m`` columns and ``m`` rows of
-    ``2m`` values, ``x`` writeable, and ``0 <= w < len(bands)``; others
-    raise ``ValueError``."""
+    d``; rows past ``w`` are not read), the rows ``first .. first + rows -
+    1`` (all rows after ``first`` by default) of a matrix whose rows from
+    ``first - min(w, first)`` on are the rows of ``x``: row ``i`` less
+    ``bands[d, i]`` times row ``i - d``, for d from ``min(w, i)`` down to 1,
+    then divided by ``bands[0, i]``.  ``bands`` and ``x`` are 2-d
+    C-contiguous float64 arrays, ``bands`` of ``m >= 1`` columns and ``x``
+    writeable, of at least ``min(w, first) + rows`` rows of ``m`` values or
+    a multiple (m x m matrices side by side), with ``0 <= w < len(bands)``
+    and ``0 <= first <= first + rows <= m``; others raise ``ValueError``."""
     m = bands.shape[-1] if bands.ndim == 2 else -1
-    if (x.shape != (m, 2 * m) or not 0 <= w < len(bands)
+    w, first = int(w), int(first)
+    rows = m - first if rows is None else int(rows)
+    if (m < 1 or x.ndim != 2 or x.shape[1] % m or len(x) < min(w, first) + rows
+            or not 0 <= w < len(bands) or not 0 <= first <= first + rows <= m
             or not x.flags.writeable or not all(a.dtype == np.float64 and a.flags.c_contiguous
                                                 for a in (bands, x))):
-        raise ValueError("lower_solve_op needs 2-d C-contiguous float64 bands of m columns "
-                         "and a writeable x of m rows of 2m values, and 0 <= w < len(bands)")
-    w = int(w)
-    return _Op("lower_solve", dict(bands=bands, w=w, m=m, x=x),
-               functools.partial(_numpy_lower_solve, bands, w, x))
+        raise ValueError("lower_solve_op needs 2-d C-contiguous float64 bands of m >= 1 "
+                         "columns and a writeable x of min(w, first) + rows rows of a "
+                         "multiple of m values, 0 <= w < len(bands) and 0 <= first <= "
+                         "first + rows <= m")
+    return _Op("lower_solve", dict(bands=bands, w=w, m=m, first=first, rows=rows,
+                                   cols=x.shape[1], x=x),
+               functools.partial(_numpy_lower_solve, bands, w, first, rows, x))
 
 
 def finite_op(values: np.ndarray) -> _Op:

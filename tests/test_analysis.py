@@ -10,8 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from prk.analysis import (
     COND_LIMIT,
+    _ROW_BLOCK,
     LinearSplitting,
     _inf_norm,
+    _inverse_rows,
+    _lower_bands,
+    _max_row_sum,
     build_error_operators,
     linearize_parts,
     predicted_local_error,
@@ -30,6 +34,7 @@ from prk.tableau import (
     simplifying_defects,
     stage_order,
 )
+from prk.weno import lower_solve_op, ops_call
 from test_weno import each_kernel  # noqa: F401
 
 
@@ -212,6 +217,11 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+def _whole_inf_norm(M) -> float:
+    """The maximum norm in one numpy expression over the whole matrix."""
+    return float(np.max(np.sum(np.abs(M), axis=1)))
+
+
 @st.composite
 def _two_part_tableaus(draw):
     """A builtin two-part scheme or random explicit two-part coefficients."""
@@ -302,10 +312,13 @@ def test_solve_w_is_byte_identical_to_the_general_path(each_kernel, tab, m, peri
         assert res.W.tobytes() == W.tobytes()
         assert _bits(res.norm_w) == _bits(_inf_norm(W))
         assert _bits(res.cond_rTe) == _bits(norm_M * _inf_norm(Minv))
-    # stability_check adds the identity in place of forming eye + Z
+    # stability_check adds the identity in place of forming eye + Z, and
+    # sums an inflow splitting's rows from its bands: every bit of numpy's
+    # row sums over the whole dense matrices
     rep, eye = stability_check(ls), np.eye(m)
-    assert _bits(rep.norm_part1) == _bits(_inf_norm(eye + ls.Zs[0]))
-    assert _bits(rep.norm_part2) == _bits(_inf_norm(eye + 0.5 * ls.Zs[1]))
+    assert [_bits(rep.norm_part1), _bits(rep.norm_part2), _bits(rep.theta)] == [
+        _bits(_whole_inf_norm(eye + ls.Zs[0])), _bits(_whole_inf_norm(eye + 0.5 * ls.Zs[1])),
+        _bits(_whole_inf_norm(ls.Zs[1]) / 4.0)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -353,36 +366,70 @@ def test_band_solve_flags_a_zero_diagonal(tab, m, nu, data):
         np.linalg.inv(M)
 
 
-@pytest.mark.parametrize("scheme, most", [("TW2", 4), ("CS2", 4), ("SH2", 4)])
-def test_solve_w_working_set(scheme, most):
-    # tracemalloc sees numpy's array data: one solve, its result included,
-    # may hold at most `most` dense m x m float64 arrays at once
-    _, part, ls, _ = _upwind_splitting(m=256, nu=1.0)
-    tab = builtin_tableau(scheme)
-    solve_W(tab, ls, part)  # the float plan is built on first use
+_entries = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 3 * _ROW_BLOCK + 5), cols=st.integers(1, 12), w=st.integers(0, 4),
+       data=st.data())
+def test_norms_by_blocks_of_rows_are_the_whole_matrix_norms(each_kernel, rows, cols, w, data):
+    # _inf_norm sums _ROW_BLOCK rows at a time, and the condition estimate
+    # sums the rows of (r^T e)^{-1} as _inverse_rows solves them; both must
+    # keep every bit of the whole-matrix form, NaN and inf rows included
+    A = data.draw(arrays(float, (rows, cols), elements=_entries))
+    assert _bits(_inf_norm(A)) == _bits(_whole_inf_norm(A))
+    # a band whose off-diagonals may hold inf or NaN, so the inverse does
+    m = rows
+    M = data.draw(arrays(float, (w + 1, m), elements=_entries))
+    M[0] = data.draw(arrays(float, m, elements=st.floats(0.5, 2.0)))
+    inverse = np.eye(m)
+    with np.errstate(all="ignore"):
+        ops_call(lower_solve_op(M, w, inverse))()
+        streamed = _max_row_sum(_inverse_rows(M, w))
+    assert _bits(streamed) == _bits(_whole_inf_norm(inverse))
+
+
+def _working_set(call) -> tuple:
+    """``call()``'s result and its tracemalloc peak, after a first call."""
+    call()
     tracemalloc.start()
     try:
-        res = solve_W(tab, ls, part)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme, most", [("TW2", 1.75), ("CS2", 1.75), ("SH2", 1.75)])
+def test_solve_w_working_set(scheme, most):
+    # tracemalloc sees numpy's array data: one solve, its result included,
+    # may hold at most `most` dense m x m float64 arrays at once (W itself,
+    # and the row blocks of (r^T e)^{-1} and of their |entries|)
+    _, part, ls, _ = _upwind_splitting(m=256, nu=1.0)
+    tab = builtin_tableau(scheme)  # its float plan is built on the first call
+    res, peak = _working_set(lambda: solve_W(tab, ls, part))
     assert res.ok
     assert peak <= most * res.W.nbytes, f"{peak / res.W.nbytes:.2f} arrays"
 
 
 def test_wnorm_splitting_working_set():
-    # the fig3 splitting holds its two Z_k and no dense L beside them
+    # the fig3 splitting is probed into bands alone: no dense Z_k
     m = 256
-    _wnorm_splitting(m, 1.0)
-    tracemalloc.start()
-    try:
-        ls, _ = _wnorm_splitting(m, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    dense = ls.Zs[0].nbytes
-    assert dense == m * m * 8
-    assert peak <= 2.1 * dense, f"{peak / dense:.2f} arrays"
+    dense = m * m * 8
+    (ls, _), peak = _working_set(lambda: _wnorm_splitting(m, 1.0))
+    assert ls.bands is not None and "Zs" not in vars(ls)
+    assert peak <= 0.25 * dense, f"{peak / dense:.2f} arrays"
+
+
+def test_stability_check_working_set():
+    # a banded splitting's stability report is taken from its bands
+    m = 256
+    dense = m * m * 8
+    ls, _ = _wnorm_splitting(m, 1.0)
+    rep, peak = _working_set(lambda: stability_check(ls))
+    assert rep.stab1 and rep.stab2 and "Zs" not in vars(ls)
+    assert peak <= 0.25 * dense, f"{peak / dense:.2f} arrays"
 
 
 # ----------------------------------------------------------------------
@@ -531,6 +578,52 @@ def test_linearize_parts_recovers_masked_matrix():
     L = _bidiagonal(prob.grid.dx, periodic=False)
     assert np.abs(mats[0] - np.where(part.masks[0][:, None], L, 0.0)).max() < 1e-12
     assert np.abs(mats[1] - np.where(part.masks[1][:, None], L, 0.0)).max() < 1e-12
+
+
+def _probed_densely(parts, m, dt):
+    """``dt L_k`` by the ``m + 1`` probes of ``LinearSplitting.probed``,
+    each response written into a column of dense matrices."""
+    vals = np.empty((parts.r, m))
+    write, phi, op = parts.evaluation(vals, (True,) * parts.r)
+    e = np.zeros(m)
+    write(0.0, e, phi)
+    ops_call(op)()
+    zero, mats = vals.copy(), np.zeros((parts.r, m, m))
+    for i in range(m):
+        e[i] = 1.0
+        write(0.0, e, phi)
+        ops_call(op)()
+        e[i] = 0.0
+        mats[:, :, i] = vals - zero
+    return mats * dt
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(1, 16), lower=st.integers(0, 16), upper=st.integers(-1, 16),
+       dt=st.floats(0.01, 4.0), data=st.data())
+def test_probed_bands_are_the_diagonals_of_dense_probing(each_kernel, m, lower, upper, dt, data):
+    # the probes write band columns, widen the band at a deeper nonzero and
+    # turn dense at a value above the diagonal or a -0 off the band: the
+    # splitting's Zs are dense probing's bit for bit, and its bands those
+    # of the dense matrices.  F is L v + g, L zero outside a random band,
+    # with the rows `flip` negated at a nonzero probe, so that a +0 entry
+    # can read -0
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25])
+    L = data.draw(arrays(float, (m, m), elements=values))
+    L[np.tril(np.ones((m, m), dtype=bool), -lower - 1) | np.triu(np.ones((m, m), dtype=bool),
+                                                                    upper + 1)] = 0.0
+    g = data.draw(arrays(float, m, elements=values))
+    flip = np.where(data.draw(arrays(bool, m)), -1.0, 1.0)
+    part = CellPartition.two_region(data.draw(arrays(bool, m)))
+    parts = CellSplitParts(lambda t, v: (L @ v) * (flip if v.any() else 1.0) + g, part)
+    ls = LinearSplitting.probed(parts, m, dt)
+    want = _probed_densely(parts, m, dt)
+    assert [Z.tobytes() for Z in ls.Zs] == [Z.tobytes() for Z in want]
+    bands = _lower_bands(tuple(want))
+    assert (ls.bands is None) == (bands is None)
+    if bands is not None:
+        assert ls.bands.shape == bands.shape and ls.bands.tobytes() == bands.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

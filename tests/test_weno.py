@@ -929,6 +929,36 @@ def test_lower_solve_op_rejects_buffers_the_kernel_cannot_take(each_kernel, band
         weno.lower_solve_op(bands, w, x)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 40), st.integers(0, 5), st.integers(1, 2), st.data())
+def test_lower_solve_by_blocks_of_rows_is_one_whole_solve(each_kernel, m, w, sides, data):
+    # the W analysis solves the rows of (r^T e)^{-1} a block at a time in
+    # one buffer, each block after the min(w, first) solved rows above it:
+    # every value must be that of one solve over all rows, and no row of
+    # the buffer past the block, nor a carried row, may change
+    off = st.floats(-2.0, 2.0)
+    bands = data.draw(arrays(float, (w + 2, m), elements=off))
+    bands[0] = data.draw(arrays(float, m, elements=st.floats(0.5, 2.0))) * np.where(
+        data.draw(arrays(bool, m)), 1.0, -1.0)
+    x = data.draw(arrays(float, (m, sides * m), elements=off))
+    whole = x.copy()
+    weno.ops_call(weno.lower_solve_op(bands, w, whole))()
+    cuts = sorted(data.draw(st.lists(st.integers(1, m - 1), unique=True)) if m > 1 else [])
+    spare = data.draw(st.integers(0, 3))
+    solved = np.empty_like(x)
+    for first, end in zip([0, *cuts], [*cuts, m]):
+        above = min(w, first)
+        buf = np.full((above + end - first + spare, sides * m), np.nan)
+        buf[:above + end - first] = np.vstack([solved[first - above:first], x[first:end]])
+        before = buf.copy()
+        weno.ops_call(weno.lower_solve_op(bands, w, buf, first, end - first))()
+        _assert_bitwise(buf[:above], before[:above])
+        _assert_bitwise(buf[above + end - first:], before[above + end - first:])
+        solved[first:end] = buf[above:above + end - first]
+    _assert_bitwise(solved, whole)
+
+
 @settings(deadline=None, max_examples=100)
 @given(wide_lines(), st.floats(0.0, 4.0), st.data())
 def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha, data):
