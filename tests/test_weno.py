@@ -911,22 +911,28 @@ _read_only_rows = np.empty((5, 10))
 _read_only_rows.flags.writeable = False
 
 
-@pytest.mark.parametrize("bands, w, x", [
-    (np.empty((2, 5)), 1, np.empty((5, 9))),
-    (np.empty((2, 5)), 1, np.empty((10, 5)).T),
-    (np.empty((2, 5)), 1, np.empty(50)),
-    (np.empty((2, 5)), 1, np.empty((5, 10), dtype=np.float32)),
-    (np.empty((2, 5), dtype=np.float32), 1, np.empty((5, 10))),
-    (np.empty((5, 2)).T, 1, np.empty((5, 10))),
-    (np.empty(5), 0, np.empty((5, 10))),
-    (np.empty((2, 5)), 2, np.empty((5, 10))),
-    (np.empty((2, 5)), -1, np.empty((5, 10))),
-    (np.empty((2, 5)), 1, _read_only_rows),
+@pytest.mark.parametrize("bands, w, x, first, rows", [
+    (np.empty((2, 5)), 1, np.empty((5, 9)), 0, None),
+    (np.empty((2, 5)), 1, np.empty((10, 5)).T, 0, None),
+    (np.empty((2, 5)), 1, np.empty(50), 0, None),
+    (np.empty((2, 5)), 1, np.empty((5, 10), dtype=np.float32), 0, None),
+    (np.empty((2, 5), dtype=np.float32), 1, np.empty((5, 10)), 0, None),
+    (np.empty((5, 2)).T, 1, np.empty((5, 10)), 0, None),
+    (np.empty(5), 0, np.empty((5, 10)), 0, None),
+    (np.empty((2, 5)), 2, np.empty((5, 10)), 0, None),
+    (np.empty((2, 5)), -1, np.empty((5, 10)), 0, None),
+    (np.empty((2, 5)), 1, _read_only_rows, 0, None),
+    (np.empty((2, 5)), 1, np.empty((4, 5)), 3, 3),
+    (np.empty((2, 5)), 1, np.empty((2, 5)), 3, 2),
+    (np.empty((2, 5)), 1, np.empty((5, 5)), -1, 2),
 ], ids=["short-rows", "strided-x", "1-d-x", "float32-x", "float32-bands", "strided-bands",
-        "1-d-bands", "w-past-bands", "negative-w", "read-only-x"])
-def test_lower_solve_op_rejects_buffers_the_kernel_cannot_take(each_kernel, bands, w, x):
+        "1-d-bands", "w-past-bands", "negative-w", "read-only-x", "rows-past-m",
+        "no-carried-row", "negative-first"])
+def test_lower_solve_op_rejects_buffers_the_kernel_cannot_take(each_kernel, bands, w, x, first,
+                                                               rows):
+    # the compiled entry would read or write past a wrong buffer
     with pytest.raises(ValueError, match="^lower_solve_op needs"):
-        weno.lower_solve_op(bands, w, x)
+        weno.lower_solve_op(bands, w, x, first, rows)
 
 
 @settings(max_examples=100, deadline=None,
