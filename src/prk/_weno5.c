@@ -1,18 +1,20 @@
 /* Left-biased WENO5 values (Jiang & Shu) over runs of interfaces, the
    two 1D fluxes of periodic lines and the 2D rotation flux that read them,
    the parts of a split right-hand side, the stage sums of a partitioned
-   Runge-Kutta step and the forward substitution of the W analysis.
+   Runge-Kutta step and the forward substitution of the W analysis, as the
+   kinds of op of one entry, `run_ops`.
 
-   `weno5_runs(src, starts, counts, steps, nruns, out)`: interface k of
-   run r reads the cells src[starts[r] + k + j * steps[r]], j = 0..4, as
-   (a, b, c, d, e); the counts[r] values of each run fill `out` in turn.
-   Start 5 with step -1 reads a padded line backwards (its right bias).
+   `weno5_runs(src, starts, counts, steps, nruns, out)`, under
+   `rotation_flux`: interface k of run r reads the cells src[starts[r] + k +
+   j * steps[r]], j = 0..4, as (a, b, c, d, e); the counts[r] values of each
+   run fill `out` in turn.  Start 5 with step -1 reads a padded line
+   backwards (its right bias).
 
-   `weno5_periodic(v, m, line, out)` and `burgers_llf_periodic(v, m, line,
-   out)` take the m >= 3 cells `v` of one periodic line.  They copy them
-   into `line` (m + 6 values) with three ghost cells a side and write the
-   m + 1 interface values into `out`: the left-biased values, or the
-   Burgers local Lax-Friedrichs fluxes of both biases.
+   `periodic_flux(v, m, burgers, line, out)` takes the m >= 3 cells `v` of
+   one periodic line.  It copies them into `line` (m + 6 values) with three
+   ghost cells a side and writes the m + 1 interface values into `out`: the
+   left-biased values (`weno5_periodic`, burgers 0), or the Burgers local
+   Lax-Friedrichs fluxes of both biases (`burgers_llf_periodic`, burgers 1).
 
    `stage_sum(store, rows, coeffs, nterms, size, dt, u, out)` writes
    u + dt (a_0 K_0 + a_1 K_1 + ...) into `out`, with a_t = coeffs[t] and
@@ -56,24 +58,24 @@
    block needs come first.  Row i less bands[d * m + i] times row i - d, for
    d from min(w, i) down to 1, then divided by bands[i], one column at a time.
 
-   `run_ops(ops, nops)` runs a table of op records (`struct op`) in order,
-   each one of the entries `stage_sum`, `split_parts`, `rotation_exponent`,
-   `rotation_flux` or `lower_solve` above with its arguments, or a
-   finiteness check `finite` (whether the `size` values of `values` are all
-   finite).  It returns 0 at the first
-   finiteness check that finds a NaN or an infinity, and runs no op after
-   it; otherwise 1.  `op_layout` holds the `op_layout_length` sizes that
-   `prk.weno`'s ctypes mirror of the record checks before its first bind:
-   sizeof(struct op), then the offset and size of every field in the order
-   of declaration.
+   `run_ops(ops, nops)`, the library's one entry, runs a table of op records
+   (`struct op`) in order, each one of the kinds `periodic_flux`,
+   `stage_sum`, `split_parts`, `rotation_exponent`, `rotation_flux` or
+   `lower_solve` above with its arguments, or a finiteness check `finite`
+   (whether the `size` values of `values` are all finite).  It returns 0 at
+   the first finiteness check that finds a NaN or an infinity, and runs no
+   op after it; otherwise 1.  `op_layout` holds the `op_layout_length` sizes
+   that `prk.weno`'s ctypes mirror of the record checks before its first
+   bind: sizeof(struct op), then the offset and size of every field in the
+   order of declaration.  Nothing else is exported.
 
    Every value is computed by the same IEEE operations, in the same order,
    as its numpy twin in `prk.weno` (`_numpy_runs`, `_numpy_weno5_periodic`,
    `_numpy_burgers_llf_periodic`, `_numpy_stage_sum`, `_numpy_split_parts`,
    `_numpy_rotation_exponent`, `_numpy_rotation_flux`, `_numpy_lower_solve`,
-   `_numpy_ops`), so the two give the same bits.  That holds only when the compiler keeps
-   the order: build with -ffp-contract=off (no fused multiply-add) and
-   without fast-math.  */
+   `_numpy_ops`), so the two give the same bits.  That holds only when the
+   compiler keeps the order: build with -ffp-contract=off (no fused
+   multiply-add) and without fast-math.  */
 
 #include <math.h>
 #include <stddef.h>
@@ -125,43 +127,34 @@ void weno5_run(const double *w, ptrdiff_t step, ptrdiff_t count, double *out)
         out[k] = weno5(w[0], w[step], w[2 * step], w[3 * step], w[4 * step]);
 }
 
-void weno5_runs(const double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
-                const ptrdiff_t *steps, size_t nruns, double *out)
+static void weno5_runs(const double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
+                       const ptrdiff_t *steps, size_t nruns, double *out)
 {
     for (size_t r = 0; r < nruns; out += counts[r], r++)
         weno5_run(src + starts[r], steps[r], counts[r], out);
 }
 
-/* the last three cells, all m, then the first three */
-static void pad_periodic(const double *v, size_t m, double *line)
+/* pads the line into `w`: the last three cells, all m, then the first
+   three.  For `burgers`, 0.5 (f(u-) + f(u+) + alpha (u- - u+)) with
+   f(u) = u^2 / 2 and alpha = max(|u-|, |u+|), NaN if either is NaN (as
+   numpy's maximum); the right bias u+ is the left-biased formula on the
+   mirror image, read backwards: the cells k+5 down to k+1. */
+static void periodic_flux(const double *v, size_t m, size_t burgers, double *w, double *out)
 {
-    memcpy(line, v + m - 3, 3 * sizeof *v);
-    memcpy(line + 3, v, m * sizeof *v);
-    memcpy(line + m + 3, v, 3 * sizeof *v);
-}
-
-void weno5_periodic(const double *v, size_t m, double *line, double *out)
-{
-    pad_periodic(v, m, line);
-    weno5_run(line, 1, (ptrdiff_t)m + 1, out);
-}
-
-/* 0.5 (f(u-) + f(u+) + alpha (u- - u+)) with f(u) = u^2 / 2 and
-   alpha = max(|u-|, |u+|), NaN if either is NaN (as numpy's maximum).  The
-   right bias u+ is the left-biased formula on the mirror image, read
-   backwards: the cells k+5 down to k+1. */
-void burgers_llf_periodic(const double *v, size_t m, double *line, double *out)
-{
-    pad_periodic(v, m, line);
-    const double *w = line;
-    for (size_t k = 0; k <= m; k++) {
-        double um = weno5(w[k], w[k + 1], w[k + 2], w[k + 3], w[k + 4]);
-        double up = weno5(w[k + 5], w[k + 4], w[k + 3], w[k + 2], w[k + 1]);
-        double am = fabs(um), ap = fabs(up);
-        double alpha = am > ap ? am : ap;
-        alpha = am != am ? am : alpha;
-        out[k] = 0.5 * ((0.5 * (um * um) + 0.5 * (up * up)) + alpha * (um - up));
-    }
+    memcpy(w, v + m - 3, 3 * sizeof *v);
+    memcpy(w + 3, v, m * sizeof *v);
+    memcpy(w + m + 3, v, 3 * sizeof *v);
+    if (!burgers)
+        weno5_run(w, 1, (ptrdiff_t)m + 1, out);
+    else
+        for (size_t k = 0; k <= m; k++) {
+            double um = weno5(w[k], w[k + 1], w[k + 2], w[k + 3], w[k + 4]);
+            double up = weno5(w[k + 5], w[k + 4], w[k + 3], w[k + 2], w[k + 1]);
+            double am = fabs(um), ap = fabs(up);
+            double alpha = am > ap ? am : ap;
+            alpha = am != am ? am : alpha;
+            out[k] = 0.5 * ((0.5 * (um * um) + 0.5 * (up * up)) + alpha * (um - up));
+        }
 }
 
 /* the sum over blocks of STAGE_BLOCK values, each summed in a local
@@ -169,8 +162,8 @@ void burgers_llf_periodic(const double *v, size_t m, double *line, double *out)
    contiguous values */
 enum { STAGE_BLOCK = 256 };
 
-void stage_sum(const double *store, const ptrdiff_t *rows, const double *coeffs,
-               size_t nterms, size_t size, double dt, const double *u, double *out)
+static void stage_sum(const double *store, const ptrdiff_t *rows, const double *coeffs,
+                      size_t nterms, size_t size, double dt, const double *u, double *out)
 {
     double acc[STAGE_BLOCK];
     for (size_t lo = 0; lo < size; lo += STAGE_BLOCK) {
@@ -195,9 +188,9 @@ static inline double face(const double *phi, const ptrdiff_t *faces, ptrdiff_t k
     return faces == NULL || faces[f] == k ? phi[f] : 0.0;
 }
 
-void split_parts(const double *phi, const double *width, size_t dims, size_t rows, size_t cols,
-                 const ptrdiff_t *cells, const ptrdiff_t *faces, const ptrdiff_t *parts,
-                 size_t nparts, double *out)
+static void split_parts(const double *phi, const double *width, size_t dims, size_t rows,
+                        size_t cols, const ptrdiff_t *cells, const ptrdiff_t *faces,
+                        const ptrdiff_t *parts, size_t nparts, double *out)
 {
     size_t size = rows * cols, xfaces = rows * (cols + 1);
     for (size_t p = 0; p < nparts; p++) {
@@ -222,8 +215,8 @@ void split_parts(const double *phi, const double *width, size_t dims, size_t row
     }
 }
 
-void rotation_exponent(const double *xi, const double *eta, const double *trig, size_t size,
-                       double *out)
+static void rotation_exponent(const double *xi, const double *eta, const double *trig,
+                              size_t size, double *out)
 {
     double cs = trig[0], sn = trig[1];
     for (size_t k = 0; k < size; k++) {
@@ -233,10 +226,10 @@ void rotation_exponent(const double *xi, const double *eta, const double *trig, 
     }
 }
 
-void rotation_flux(const double *state, size_t n, const double *a1, const double *a2,
-                   const ptrdiff_t *ring, const double *ghosts, size_t nring, double *frame,
-                   double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
-                   const ptrdiff_t *steps, size_t nruns, double *out)
+static void rotation_flux(const double *state, size_t n, const double *a1, const double *a2,
+                          const ptrdiff_t *ring, const double *ghosts, size_t nring, double *frame,
+                          double *src, const ptrdiff_t *starts, const ptrdiff_t *counts,
+                          const ptrdiff_t *steps, size_t nruns, double *out)
 {
     size_t p = n + 6, size = 2 * n * (n + 1);
     for (size_t k = 0; k < nring; k++)
@@ -254,8 +247,8 @@ void rotation_flux(const double *state, size_t n, const double *a1, const double
         out[k] = out[k] + 0.0;
 }
 
-void lower_solve(const double *bands, size_t w, size_t m, size_t first, size_t rows,
-                 size_t cols, double *x)
+static void lower_solve(const double *bands, size_t w, size_t m, size_t first, size_t rows,
+                        size_t cols, double *x)
 {
     double *row = x + (first < w ? first : w) * cols;
     for (size_t i = first; i < first + rows; i++, row += cols) {
@@ -280,10 +273,16 @@ static int all_finite(const double *values, size_t size)
 }
 
 /* the kinds of op, numbered as `prk.weno._OP_KINDS` */
-enum { OP_STAGE_SUM, OP_SPLIT_PARTS, OP_ROTATION_EXPONENT, OP_ROTATION_FLUX, OP_LOWER_SOLVE,
-       OP_FINITE };
+enum { OP_PERIODIC_FLUX, OP_STAGE_SUM, OP_SPLIT_PARTS, OP_ROTATION_EXPONENT, OP_ROTATION_FLUX,
+       OP_LOWER_SOLVE, OP_FINITE };
 
-/* the arguments of each kind, by the names of the entry's parameters */
+/* the arguments of each kind, by the names of the function's parameters */
+struct periodic_flux_args {
+    const double *v;
+    size_t m, burgers;
+    double *line, *out;
+};
+
 struct stage_sum_args {
     const double *store;
     const ptrdiff_t *rows;
@@ -335,6 +334,7 @@ struct finite_args {
 struct op {
     ptrdiff_t kind;
     union {
+        struct periodic_flux_args periodic_flux;
         struct stage_sum_args stage_sum;
         struct split_parts_args split_parts;
         struct rotation_exponent_args rotation_exponent;
@@ -348,6 +348,8 @@ struct op {
 
 const size_t op_layout[] = {
     sizeof(struct op), FIELD(kind),
+    FIELD(args.periodic_flux.v), FIELD(args.periodic_flux.m), FIELD(args.periodic_flux.burgers),
+    FIELD(args.periodic_flux.line), FIELD(args.periodic_flux.out),
     FIELD(args.stage_sum.store), FIELD(args.stage_sum.rows), FIELD(args.stage_sum.coeffs),
     FIELD(args.stage_sum.nterms), FIELD(args.stage_sum.size), FIELD(args.stage_sum.dt),
     FIELD(args.stage_sum.u), FIELD(args.stage_sum.out),
@@ -376,6 +378,11 @@ int run_ops(const struct op *ops, size_t nops)
 {
     for (const struct op *op = ops; op < ops + nops; op++)
         switch (op->kind) {
+        case OP_PERIODIC_FLUX: {
+            const struct periodic_flux_args *a = &op->args.periodic_flux;
+            periodic_flux(a->v, a->m, a->burgers, a->line, a->out);
+            break;
+        }
         case OP_STAGE_SUM: {
             const struct stage_sum_args *a = &op->args.stage_sum;
             stage_sum(a->store, a->rows, a->coeffs, a->nterms, a->size, a->dt, a->u, a->out);

@@ -9,13 +9,12 @@ ones mask ``flux`` before it, so both split the same operator, and
 op (see :func:`prk.weno.ops_call`).  Both grids give ``centres``, ``measure`` (mass and
 norm weights), ``min_width``, ``shape`` and ``flux_size``.
 
-Every WENO5 flux makes one compiled call over buffers it owns.  The
-advection and Burgers fluxes pad the state, reconstruct and, for Burgers,
-form the local Lax-Friedrichs flux straight into the output (see
-:func:`prk.weno.periodic_call`); the 2D rotation frames the state,
+Every WENO5 flux makes one compiled call, of one op, over buffers it
+owns.  The advection and Burgers fluxes pad the state, reconstruct and,
+for Burgers, form the local Lax-Friedrichs flux straight into the output
+(see :func:`prk.weno.periodic_op`); the 2D rotation frames the state,
 forms the speed products and reconstructs both directions through a run
-table built with the problem, in one op (see
-:func:`prk.weno.rotation_flux_op`).
+table built with the problem (see :func:`prk.weno.rotation_flux_op`).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .weno import (
     llf_split_flux,
     ops_call,
     pad_periodic,
-    periodic_call,
+    periodic_op,
     rotation_exponent_op,
     rotation_flux_op,
     split_parts_op,
@@ -181,8 +180,9 @@ def _uniform_grid(m: int, periodic: bool) -> Grid1D:
 
 def _periodic_flux(m: int, entry: str) -> Callable:
     """The interface flux ``flux(t, v, out=None)`` of a periodic line of
-    ``m`` cells: one call of the kernel entry ``entry`` (see
-    :func:`prk.weno.periodic_call`) over a state and a padded line this flux
+    ``m`` cells: one compiled call of the periodic op of ``entry``
+    (``"weno5_periodic"`` or ``"burgers_llf_periodic"``, see
+    :func:`prk.weno.periodic_op`) over a state and a padded line this flux
     owns, into ``out``, or else into values it owns and then a fresh copy.
     The call is bound for the last output given, at its first use, so that
     building the problem loads no kernel.  A state of any shape but
@@ -199,7 +199,7 @@ def _periodic_flux(m: int, entry: str) -> Callable:
             raise ValueError(f"state of shape {np.shape(v)}, need {shape}")
         np.copyto(state, v)
         if out is not target:
-            run, target = periodic_call(entry, state, line, out), out
+            run, target = ops_call(periodic_op(entry, state, line, out)), out
         run()
         return out
 

@@ -112,6 +112,13 @@ class PRKTableau:
                    for _, defect in simplifying_defects(self, 1) for x in defect)
 
     @cached_property
+    def _defects(self) -> dict:
+        """The :func:`simplifying_defects` of each ``j`` formed so far, kept
+        in the instance dict as :attr:`plan` is, so that a later call with
+        the same ``j`` does no exact arithmetic."""
+        return {}
+
+    @cached_property
     def plan(self) -> "_StepPlan":
         """The float step plan, built on first use and kept in the instance
         dict, not in a field: the tableau compares and hashes by its
@@ -212,14 +219,17 @@ def simplifying_defects(t: PRKTableau, j: int) -> tuple[tuple[Fraction, tuple], 
 
     One pair per part ``k``: ``1 - j b_k . c^(j-1)`` and the vector
     ``c^j - j A_k c^(j-1)``.  They are the coefficients of the local-error
-    matrices ``d_{j,k}`` of :mod:`prk.analysis`.
+    matrices ``d_{j,k}`` of :mod:`prk.analysis`.  They are formed once per
+    tableau and ``j``; a later call returns the same tuple.
     """
-    cjm1 = tuple(ci ** (j - 1) for ci in t.c)
-    return tuple(
-        (1 - j * _dot(bk, cjm1),
-         tuple(ci**j - j * v for ci, v in zip(t.c, _matvec(Ak, cjm1))))
-        for Ak, bk in zip(t.A, t.b)
-    )
+    if j not in t._defects:
+        cjm1 = tuple(ci ** (j - 1) for ci in t.c)
+        t._defects[j] = tuple(
+            (1 - j * _dot(bk, cjm1),
+             tuple(ci**j - j * v for ci, v in zip(t.c, _matvec(Ak, cjm1))))
+            for Ak, bk in zip(t.A, t.b)
+        )
+    return t._defects[j]
 
 
 def stage_order(t: PRKTableau) -> int:

@@ -10,43 +10,46 @@ Only the left bias is ever evaluated: the right-biased value at
 interface ``k`` is bitwise the left-biased formula on the cells ``k+5``
 down to ``k+1``, the mirror image read in place.
 
-A kernel call runs over a *run table*: interface ``k`` of run ``r``
+A WENO5 pass runs over a *run table*: interface ``k`` of run ``r``
 reads the cells ``src[starts[r] + k + j * steps[r]]``, j = 0..4, and the
 runs fill the values in order.  Step +1 gives a line's left bias, start
 5 with step -1 its right bias, and a step of a row's length reads a
-column, so nothing is copied or mirrored.  :func:`runs_call` checks and
-binds a table once; :func:`edge_from_left`, :func:`interface_states` and
-:func:`llf_split_flux` build one per call over their contiguous input
-and return fresh arrays.  The 1D periodic problems of :mod:`prk.spatial`
-instead bind :func:`periodic_call`: ``weno5_periodic`` pads a line and
-writes its left-biased values, ``burgers_llf_periodic`` pads it and
-writes Burgers' local Lax-Friedrichs fluxes from both biases.  The same
-library holds the stage sums of :mod:`prk.stepper` and the parts of a
-split right-hand side, as *ops*: :func:`stage_sum_op` checks the
-arguments of ``stage_sum``, which writes ``u + dt * (a_0 K_0 + a_1 K_1 +
-...)`` over rows of a stage store, summed left to right;
-:func:`split_parts_op` those of ``split_parts``, which writes the parts
-of a split right-hand side into rows of a stage store;
-:func:`rotation_flux_op` those of ``rotation_flux``, one whole flux
-evaluation of the 2D rotation of :mod:`prk.spatial` (its padded frame,
-the speed products and the run table); :func:`rotation_exponent_op` those
-of ``rotation_exponent``, the exponent of that problem's exact Gaussian
-at its ghost cells (the cosine, sine and exponential stay numpy's, whose
-bits the C library's need not share); :func:`lower_solve_op` those of
-``lower_solve``, the forward substitution of the W analysis of
-:mod:`prk.analysis`; and :func:`finite_op` makes a finiteness check.
-:func:`ops_call` binds a table of ops as one call of ``run_ops``, which
-runs them in order and
-returns whether every check found only finite values: a stage of the
-stepper writes its part rows and the next stage value in one call, and
-its last stage the new state and the check.  Its records are a ctypes
-mirror of the C ``struct op``; the library exports the struct's size and
-field layout, and a library whose layout the mirror does not match is not
-used.  A bound compiled call holds the arrays it was given.
+column, so nothing is copied or mirrored.  :func:`edge_from_left`,
+:func:`interface_states` and :func:`llf_split_flux` build one per call
+over their contiguous input, run it on its numpy twin and return fresh
+arrays; no command calls them.
+
+Every compiled call is one call of ``run_ops``, the library's only
+entry, over a table of *ops*, each of which checks the arguments of one
+kind of op of ``_weno5.c``: :func:`periodic_op` those of
+``periodic_flux``, which pads one periodic line of the 1D problems of
+:mod:`prk.spatial` and writes its left-biased values
+(``"weno5_periodic"``) or Burgers' local Lax-Friedrichs fluxes from both
+biases (``"burgers_llf_periodic"``); :func:`stage_sum_op` those of
+``stage_sum``, which writes ``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over
+rows of a stage store, summed left to right; :func:`split_parts_op`
+those of ``split_parts``, which writes the parts of a split right-hand
+side into rows of a stage store; :func:`rotation_flux_op` those of
+``rotation_flux``, one whole flux evaluation of the 2D rotation of
+:mod:`prk.spatial` (its padded frame, the speed products and a run
+table); :func:`rotation_exponent_op` those of ``rotation_exponent``, the
+exponent of that problem's exact Gaussian at its ghost cells (the
+cosine, sine and exponential stay numpy's, whose bits the C library's
+need not share); :func:`lower_solve_op` those of ``lower_solve``, the
+forward substitution of the W analysis of :mod:`prk.analysis`; and
+:func:`finite_op` makes a finiteness check.  :func:`ops_call`, the one
+place a compiled call is bound, binds a table of ops as one call of
+``run_ops``, which runs them in order and returns whether every check
+found only finite values: a stage of the stepper writes its part rows
+and the next stage value in one call, and its last stage the new state
+and the check.  Its records are a ctypes mirror of the C ``struct op``;
+the library exports the struct's size and field layout, and a library
+whose layout the mirror does not match is not used.  A bound compiled
+call holds the arrays it was given.
 
 Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
-of every face through an index built when the call binds, the periodic
+of every face through an index built from the run table, the periodic
 twins, :func:`_numpy_stage_sum`, :func:`_numpy_split_parts`,
 :func:`_numpy_rotation_flux`, :func:`_numpy_rotation_exponent`,
 :func:`_numpy_lower_solve` and :func:`_numpy_ops`, which runs the ops'
@@ -80,7 +83,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
-           "llf_split_flux", "periodic_call", "runs_call", "stage_sum_op", "split_parts_op",
+           "llf_split_flux", "periodic_op", "stage_sum_op", "split_parts_op",
            "rotation_exponent_op", "rotation_flux_op", "lower_solve_op", "finite_op", "ops_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
@@ -105,15 +108,6 @@ def _periodic_index(m: int) -> np.ndarray:
     index = np.arange(-3, m + 3) % m
     index.flags.writeable = False  # one cached array serves every caller
     return index
-
-
-def _bound(entry, *args):
-    """The call of the compiled ``entry`` with ``args``, each converted to
-    its argument type once (taking an array's address costs about 0.7 us).
-    An array goes by a pointer that holds a reference to it, so the call
-    keeps its arrays alive as long as it lives."""
-    return functools.partial(entry, *(a.ctypes.data_as(kind) if isinstance(a, np.ndarray)
-                                      else kind(a) for kind, a in zip(entry.argtypes, args)))
 
 
 def _curvature(a, b, c):
@@ -297,9 +291,14 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 # the ctypes mirror of `struct op` in _weno5.c, field for field; the kinds
 # are numbered as its enum
-_OP_KINDS = ("stage_sum", "split_parts", "rotation_exponent", "rotation_flux", "lower_solve",
-             "finite")
+_OP_KINDS = ("periodic_flux", "stage_sum", "split_parts", "rotation_exponent", "rotation_flux",
+             "lower_solve", "finite")
 _ADDRESS, _SIZE = ctypes.c_void_p, ctypes.c_size_t
+
+
+class _PeriodicFluxArgs(ctypes.Structure):
+    _fields_ = [("v", _ADDRESS), ("m", _SIZE), ("burgers", _SIZE), ("line", _ADDRESS),
+                ("out", _ADDRESS)]
 
 
 class _StageSumArgs(ctypes.Structure):
@@ -336,8 +335,8 @@ class _FiniteArgs(ctypes.Structure):
 
 
 class _OpArgs(ctypes.Union):
-    _fields_ = [("stage_sum", _StageSumArgs), ("split_parts", _SplitPartsArgs),
-                ("rotation_exponent", _RotationExponentArgs),
+    _fields_ = [("periodic_flux", _PeriodicFluxArgs), ("stage_sum", _StageSumArgs),
+                ("split_parts", _SplitPartsArgs), ("rotation_exponent", _RotationExponentArgs),
                 ("rotation_flux", _RotationFluxArgs), ("lower_solve", _LowerSolveArgs),
                 ("finite", _FiniteArgs)]
 
@@ -364,9 +363,9 @@ def _layout(record) -> list[int]:
 def _kernel_library():
     """This process's ``_weno5.c``, compiled by the system ``cc`` into the
     user's cache at the first call, or found there, and loaded, with the
-    argument types of its entries set; None if it cannot be built or
-    loaded, or if its ``op_layout`` is not that of :class:`_OpRecord`, and
-    the numpy twins run.
+    argument types of its one entry, ``run_ops``, set; None if it cannot be
+    built or loaded, or if its ``op_layout`` is not that of
+    :class:`_OpRecord`, and the numpy twins run.
 
     A library's name holds the digest of its source, flags and machine,
     and the digest of its own bytes, which is checked before it is loaded:
@@ -411,14 +410,8 @@ def _kernel_library():
     if (_SIZE.in_dll(library, "op_layout_length").value != len(want)
             or list((_SIZE * len(want)).in_dll(library, "op_layout")) != want):
         return None
-    size, address = _SIZE, _ADDRESS
-    for name, argtypes, restype in (
-            ("weno5_runs", (address, address, address, address, size, address), None),
-            ("weno5_periodic", (address, size, address, address), None),
-            ("burgers_llf_periodic", (address, size, address, address), None),
-            ("run_ops", (ctypes.POINTER(_OpRecord), size), ctypes.c_int)):
-        entry = getattr(library, name)
-        entry.argtypes, entry.restype = argtypes, restype
+    library.run_ops.argtypes = ctypes.POINTER(_OpRecord), _SIZE
+    library.run_ops.restype = ctypes.c_int
     return library
 
 
@@ -447,72 +440,10 @@ def _digest(*parts: bytes) -> str:
     return sha256(b"\0".join(parts)).hexdigest()[:16]
 
 
-# the numpy twins of the entries of _weno5.c over one periodic line
-_PERIODIC_TWINS = {"weno5_periodic": _numpy_weno5_periodic,
-                   "burgers_llf_periodic": _numpy_burgers_llf_periodic}
-
-
-def periodic_call(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray):
-    """The call of ``entry`` (``"weno5_periodic"`` or
-    ``"burgers_llf_periodic"``) on the cells ``v`` of one periodic line, of
-    this process's kernel, with its arguments bound once: it pads ``v``
-    into ``line`` and writes the interface values into ``out``.  The
-    buffers are 1-d contiguous float64 arrays of ``m >= 3``, ``m + 6`` and
-    ``m + 1`` values, the last two writeable; others raise ``ValueError``.
-    The call holds the three."""
-    m = v.size
-    if (m < 3 or not (line.flags.writeable and out.flags.writeable)
-            or not _vectors(np.float64, (v, m), (line, m + 6), (out, m + 1))):
-        raise ValueError("periodic_call needs 1-d contiguous float64 buffers of m >= 3, "
-                         "m + 6 and m + 1 values, the last two writeable")
-    library = _kernel_library()
-    if library is None:
-        return functools.partial(_PERIODIC_TWINS[entry], v, line, out)
-    return _bound(getattr(library, entry), v, v.size, line, out)
-
-
-def runs_call(src: np.ndarray, starts: np.ndarray, counts: np.ndarray, steps: np.ndarray,
-              out: np.ndarray):
-    """The call of ``weno5_runs`` of this process's kernel over the run
-    table ``(starts, counts, steps)``, with its arguments bound once: it
-    writes the values of the runs' interfaces into ``out``.  ``src`` and
-    ``out`` are 1-d contiguous float64 arrays, ``out`` writeable, and the
-    table three 1-d contiguous intp arrays of one length, whose runs read
-    inside ``src`` and whose counts (at least 0) sum to ``out.size``;
-    others raise ``ValueError``.  The compiled call holds the five arrays;
-    the numpy one reads the table once, as it binds, and holds ``src``,
-    ``out`` and the gather index."""
-    _check_runs("runs_call", src, starts, counts, steps, out)
-    library = _kernel_library()
-    if library is None:
-        return functools.partial(_numpy_runs, src, _run_cells(starts, counts, steps), out)
-    return _bound(library.weno5_runs, src, starts, counts, steps, starts.size, out)
-
-
-def _check_runs(name, src, starts, counts, steps, out) -> None:
-    """Raise ``ValueError``, its message led by ``name``, unless the run
-    table ``(starts, counts, steps)`` can be read by ``weno5_runs`` from
-    ``src`` into ``out`` (see :func:`runs_call`)."""
-    table = (starts, counts, steps)
-    if (not out.flags.writeable or not _vectors(np.float64, (src, src.size), (out, out.size))
-            or not _vectors(np.intp, *((a, starts.size) for a in table))):
-        raise ValueError(f"{name} needs 1-d contiguous float64 src and out, out writeable, "
-                         "and 1-d contiguous intp starts, counts and steps of one length")
-    faces = 0
-    for r, (start, count, step) in enumerate(zip(*(a.tolist() for a in table))):
-        low, high = sorted((start, start + 4 * step))  # the cells of its first face
-        if count < 0 or count and (low < 0 or high + count > src.size):
-            raise ValueError(f"{name}: run {r} (start {start}, count {count}, step {step}) "
-                             f"reads outside the {src.size} values of src")
-        faces += count
-    if faces != out.size:
-        raise ValueError(f"{name}: the runs have {faces} faces, out {out.size} values")
-
-
 class _Op(NamedTuple):
-    """One op of a table bound by :func:`ops_call`: the kind of entry
-    (one of ``_OP_KINDS``), its checked arguments by the names of the C
-    parameters (arrays, numbers or None), and its numpy twin."""
+    """One op of a table bound by :func:`ops_call`: its kind (one of
+    ``_OP_KINDS``), its checked arguments by the names of the fields of the
+    C record (arrays, numbers or None), and its numpy twin."""
 
     kind: str
     args: dict
@@ -536,11 +467,33 @@ def ops_call(*ops: _Op):
             setattr(args, name, value.ctypes.data if isinstance(value, np.ndarray) else value)
     # the records hold addresses only
     table.arrays = [a for op in ops for a in op.args.values() if isinstance(a, np.ndarray)]
-    # arguments of the entry's own types, which a call passes unconverted;
+    # arguments of run_ops's own types, which a call passes unconverted;
     # the pointer holds the table.  It points at the first record: a
     # ctypes.cast would tie the table into a reference cycle, and its
     # arrays would wait for the cyclic collector once the call is dropped
     return functools.partial(library.run_ops, ctypes.pointer(table[0]), _SIZE(len(ops)))
+
+
+# the numpy twins of the two fluxes of one periodic line
+_PERIODIC_TWINS = {"weno5_periodic": _numpy_weno5_periodic,
+                   "burgers_llf_periodic": _numpy_burgers_llf_periodic}
+
+
+def periodic_op(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray) -> _Op:
+    """The op of ``periodic_flux`` for ``entry`` (``"weno5_periodic"`` or
+    ``"burgers_llf_periodic"``) on the cells ``v`` of one periodic line: it
+    pads ``v`` into ``line`` and writes the interface values into ``out``,
+    the left-biased values or Burgers' local Lax-Friedrichs fluxes.  The
+    buffers are 1-d contiguous float64 arrays of ``m >= 3``, ``m + 6`` and
+    ``m + 1`` values, the last two writeable; others raise ``ValueError``."""
+    m = v.size
+    if (m < 3 or not (line.flags.writeable and out.flags.writeable)
+            or not _vectors(np.float64, (v, m), (line, m + 6), (out, m + 1))):
+        raise ValueError("periodic_op needs 1-d contiguous float64 buffers of m >= 3, "
+                         "m + 6 and m + 1 values, the last two writeable")
+    return _Op("periodic_flux", dict(v=v, m=m, burgers=entry == "burgers_llf_periodic",
+                                     line=line, out=out),
+               functools.partial(_PERIODIC_TWINS[entry], v, line, out))
 
 
 def stage_sum_op(store: np.ndarray, rows: np.ndarray, coeffs: np.ndarray, dt: float,
@@ -636,26 +589,37 @@ def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np
     on ``n = a1.size`` cells a side, as the header of ``_weno5.c`` gives
     it, from the row-major ``state`` and the ring values ``ghosts`` (at the
     flat indices ``ring`` of the ``(n + 6)^2`` padded frame), by the run
-    table ``(starts, counts, steps)`` over the ``2n (n + 6)`` products (see
-    :func:`runs_call`), into ``out``, every one read at every call.  The op
-    owns its frame and products.  The arrays are 1-d and contiguous:
-    ``ring`` and the table intp, the others float64 of ``n^2``, ``n``,
-    ``n``, ``ring.size`` and ``2n (n + 1)`` values, ``out`` writeable;
-    ``ring`` indexes the frame.  Others raise ``ValueError``.  The twin
+    table ``(starts, counts, steps)`` over the ``2n (n + 6)`` products (a
+    run table, see the module docstring), into ``out``, every one read at
+    every call.  The op owns its frame and products.  The arrays are 1-d
+    and contiguous: ``ring`` and the table intp (the table's three of one
+    length), the others float64 of ``n^2``, ``n``, ``n``, ``ring.size`` and
+    ``2n (n + 1)`` values, ``out`` writeable; ``ring`` indexes the frame,
+    the runs read inside the products and their counts (at least 0) sum to
+    ``out.size``.  Others raise ``ValueError``.  The twin
     reads the table once, at its first call, so a compiled bind builds no
     gather index."""
     n = a1.size
-    p = n + 6
+    p, table = n + 6, (starts, counts, steps)
     if (not out.flags.writeable
             or not _vectors(np.float64, (state, n * n), (a1, n), (a2, n), (ghosts, ring.size),
                             (out, 2 * n * (n + 1)))
-            or not _vectors(np.intp, (ring, ring.size))):
+            or not _vectors(np.intp, (ring, ring.size), *((a, starts.size) for a in table))):
         raise ValueError("rotation_flux_op needs 1-d contiguous float64 state, a1, a2, ghosts "
-                         "and a writeable out of their sizes, and an intp ring")
+                         "and a writeable out of their sizes, and an intp ring and intp "
+                         "starts, counts and steps of one length")
     if ring.size and not 0 <= ring.min() <= ring.max() < p * p:
         raise ValueError(f"rotation_flux_op: a ring index outside the {p * p} values of frame")
-    frame, src = np.zeros(p * p), np.empty(2 * n * p)
-    _check_runs("rotation_flux_op", src, starts, counts, steps, out)
+    size, faces = 2 * n * p, 0
+    for r, (start, count, step) in enumerate(zip(*(a.tolist() for a in table))):
+        low, high = sorted((start, start + 4 * step))  # the cells of its first face
+        if count < 0 or count and (low < 0 or high + count > size):
+            raise ValueError(f"rotation_flux_op: run {r} (start {start}, count {count}, step "
+                             f"{step}) reads outside the {size} values of src")
+        faces += count
+    if faces != out.size:
+        raise ValueError(f"rotation_flux_op: the runs have {faces} faces, out {out.size} values")
+    frame, src = np.zeros(p * p), np.empty(size)
     cells = functools.cache(functools.partial(_run_cells, starts, counts, steps))
     return _Op("rotation_flux", dict(state=state, n=n, a1=a1, a2=a2, ring=ring, ghosts=ghosts,
                                      nring=ring.size, frame=frame, src=src, starts=starts,
@@ -730,16 +694,18 @@ def _biased(w, steps) -> np.ndarray:
     """The values at the interfaces of the padded lines ``w``, for each
     step of ``steps`` in turn, one run per line: left-biased (+1), or
     right-biased (-1, the cells ``k+5`` down to ``k+1``, the mirror image
-    read in place).  One kernel call over a contiguous copy of ``w`` (or
-    ``w`` itself), into a fresh array of shape ``(len(steps),) +
-    w.shape[:-1] + (L - 5,)``."""
+    read in place).  One pass of the numpy twin :func:`_numpy_runs` over a
+    contiguous copy of ``w`` (or ``w`` itself), into a fresh array of shape
+    ``(len(steps),) + w.shape[:-1] + (L - 5,)``: no command reaches it, so
+    it binds no compiled call."""
     shape = np.shape(w)
     _check_line(shape)
     src = np.ascontiguousarray(w, dtype=np.float64).reshape(-1)
     out = np.empty((len(steps),) + shape[:-1] + (shape[-1] - 5,))
     steps = np.repeat(np.array(steps, dtype=np.intp), src.size // shape[-1])
     starts = np.tile(np.arange(0, src.size, shape[-1]), len(out)) + 5 * (steps < 0)
-    runs_call(src, starts, np.full(steps.size, shape[-1] - 5), steps, out.reshape(-1))()
+    _numpy_runs(src, _run_cells(starts, np.full(steps.size, shape[-1] - 5), steps),
+                out.reshape(-1))
     return out
 
 

@@ -296,3 +296,19 @@ def test_each_condition_matches_its_earlier_definition(t):
     for j in range(1, 5):
         assert simplifying_defects(t, j) == _oracle_defects(t, j), j
 
+
+def test_simplifying_defects_are_formed_once_per_tableau_and_j(monkeypatch):
+    # the W analysis asks for the same defects at every solve: a later call
+    # returns the kept tuple and does no exact arithmetic
+    t = builtin_tableau("CS2")
+    first = simplifying_defects(t, 3)
+
+    def exact_arithmetic(*args):
+        raise AssertionError("a Fraction operation")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__pow__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, exact_arithmetic)
+    assert simplifying_defects(t, 3) is first
+    monkeypatch.undo()
+    assert simplifying_defects(t, 3) == _oracle_defects(t, 3)

@@ -1,9 +1,10 @@
 """Reconstruction-kernel behavior: consistency, polynomial reproduction,
 mirror symmetry, the split-flux path, bitwise equality with the textbook
 evaluation order, input checks, fresh results, run tables checked when
-they bind, bound calls that hold their buffers, stage sums bitwise equal
-to the textbook sum, the compiled kernel bitwise equal to the numpy
-kernel, and the numpy fallback when the compiled one cannot load."""
+their op is made, bound calls that hold their buffers, stage sums
+bitwise equal to the textbook sum, the compiled kernel bitwise equal to
+the numpy kernel, a library with one entry, and the numpy fallback when
+the compiled one cannot load."""
 
 import ctypes
 import gc
@@ -380,6 +381,15 @@ def _mirror(**changes):
     return rebuilt(weno._OpRecord)
 
 
+def test_the_library_defines_run_ops_as_its_only_entry():
+    # every compiled call is a run_ops call bound by ops_call
+    library = _compiled_library()
+    assert hasattr(library, "run_ops")
+    former = ("weno5_runs", "weno5_periodic", "burgers_llf_periodic", "stage_sum", "split_parts",
+              "rotation_exponent", "rotation_flux", "lower_solve")
+    assert [name for name in former if hasattr(library, name)] == []
+
+
 @pytest.mark.parametrize("mirror, used", [
     (_mirror(), True),
     (_mirror(_OpRecord=[("args", weno._OpArgs), ("kind", ctypes.c_ssize_t)]), False),
@@ -431,11 +441,12 @@ _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
 
 
 @st.composite
-def wide_lines(draw, leads=((), (2,), (3, 2))):
-    """Padded lines of 6 to 3000 values, under one of the lead shapes
-    ``leads``, each value drawn from the chosen mix of special values,
-    integers, normal values and normal values scaled by up to 1e+-300."""
-    shape = draw(st.sampled_from(leads)) + (draw(st.integers(6, 3000)),)
+def wide_lines(draw, leads=((), (2,), (3, 2)), lengths=st.integers(6, 3000)):
+    """Padded lines of ``lengths`` values (6 to 3000), under one of the lead
+    shapes ``leads``, each value drawn from the chosen mix of special
+    values, integers, normal values and normal values scaled by up to
+    1e+-300."""
+    shape = draw(st.sampled_from(leads)) + (draw(lengths),)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sources = (rng.choice(_SPECIAL, shape),
                rng.integers(-60, 61, shape).astype(float),
@@ -449,32 +460,47 @@ def _periodic_values(entry, v):
     """The values of ``entry`` of ``_weno5.c`` over the periodic line ``v``."""
     v = np.array(v, dtype=float)
     line, out = np.empty(v.size + 6), np.empty(v.size + 1)
-    weno.periodic_call(entry, v, line, out)()
+    weno.ops_call(weno.periodic_op(entry, v, line, out))()
     return out
 
 
-def _runs_values(src, starts, counts, steps):
-    """The values of ``weno5_runs`` of ``_weno5.c`` over the run table."""
-    out = np.empty(int(counts.sum()))
-    weno.runs_call(src, starts, counts, steps, out)()
+def _runs_values(rotation):
+    """The values of ``weno5_runs`` of ``_weno5.c``, under ``rotation_flux``,
+    over the run table of the rotation flux op of the arguments
+    ``rotation``, in a fresh array."""
+    out = np.empty_like(rotation["out"])
+    weno.ops_call(weno.rotation_flux_op(**{**rotation, "out": out}))()
     return out
 
 
 @st.composite
-def run_tables(draw, w):
-    """``w`` as one source of values and a run table over it: 1 to 6 runs,
-    each with a step of +-1 or +-p (p the line length, if the source holds
-    more than four lines' worth), a count of 0 up to all the faces that fit
-    (a face subset) and a start at which it reads inside the source."""
-    src = np.ascontiguousarray(w).reshape(-1)
-    strides = [1, -1] + [w.shape[-1], -w.shape[-1]] * (4 * w.shape[-1] < src.size)
+def run_tables(draw):
+    """The arguments of a rotation flux op at unit speeds on n x n cells (n
+    = 1 to 30), whose padded frame of (n + 6)^2 values is drawn as
+    :func:`wide_lines` (the state its interior, the ghost ring the rest),
+    with a run table over its 2n (n + 6) products: 1 to 6 runs that share
+    the 2n (n + 1) faces of ``out`` at drawn cuts (a run may be empty), each
+    with a step of +-1, +-n or +-(n + 6) (+-1 where a longer one does not
+    fit) and a start at which it reads inside the products."""
+    n = draw(st.integers(1, 30))
+    p, faces = n + 6, 2 * n * (n + 1)
+    size = 2 * n * p
+    frame = draw(wide_lines(leads=((),), lengths=st.just(p * p)))
+    cuts = sorted(draw(st.lists(st.integers(0, faces), max_size=5)))
     table = []
-    for _ in range(draw(st.integers(1, 6))):
-        step = draw(st.sampled_from(strides))
-        count = draw(st.integers(0, src.size - 4 * abs(step)))
-        low = draw(st.integers(0, src.size - 4 * abs(step) - count))  # its lowest cell
+    for count in np.diff([0, *cuts, faces]).tolist():
+        step = draw(st.sampled_from([1, -1, n, -n, p, -p]))
+        if 4 * abs(step) + count > size:
+            step = 1 if step > 0 else -1  # faces + 4 <= size
+        low = draw(st.integers(0, size - 4 * abs(step) - count))  # its lowest cell
         table.append((low - min(4 * step, 0), count, step))
-    return (src, *np.array(table, dtype=np.intp).T.copy())
+    ghost = np.ones((p, p), dtype=bool)
+    ghost[3:-3, 3:-3] = False
+    ring = np.flatnonzero(ghost)
+    starts, counts, steps = np.array(table, dtype=np.intp).T.copy()
+    return dict(state=frame.reshape(p, p)[3:-3, 3:-3].flatten(), a1=np.ones(n), a2=np.ones(n),
+                ring=ring, ghosts=frame[ring], starts=starts, counts=counts, steps=steps,
+                out=np.empty(faces))
 
 
 def _oracle_runs(src, starts, counts, steps):
@@ -487,63 +513,75 @@ def _oracle_runs(src, starts, counts, steps):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_runs_kernel_bitwise_equals_textbook_oracle(each_kernel, data):
-    # +-1e300 overflows to inf and NaN, at the same faces with the same bits
-    table = data.draw(run_tables(data.draw(wide_lines())))
+    # +-1e300 overflows to inf and NaN, at the same faces with the same bits;
+    # the oracle reads the products the op formed, and adds +0 as it does
+    rotation = data.draw(run_tables())
+    op = weno.rotation_flux_op(**rotation)
     with np.errstate(all="ignore"):
-        _assert_bitwise(_runs_values(*table), _oracle_runs(*table))
+        weno.ops_call(op)()
+        want = _oracle_runs(op.args["src"], *(rotation[k] for k in ("starts", "counts", "steps")))
+        _assert_bitwise(rotation["out"], want + 0.0)
 
 
 def _table(**changes):
-    """A run table of one run over 20 values, 16 faces, with ``changes``."""
-    table = dict(src=np.empty(20), starts=np.array([0]), counts=np.array([16]),
-                 steps=np.array([1]), out=np.empty(16))
+    """A rotation flux on 2 x 2 cells whose run table is one run of its 12
+    faces over the 32 products, with ``changes``."""
+    table = dict(state=np.empty(4), a1=np.empty(2), a2=np.empty(2), ring=np.arange(0),
+                 ghosts=np.empty(0), starts=np.array([0]), counts=np.array([12]),
+                 steps=np.array([1]), out=np.empty(12))
     return {**table, **changes}
 
 
-_read_only_out = np.empty(16)
+_read_only_out = np.empty(12)
 _read_only_out.flags.writeable = False
 
 
 @pytest.mark.parametrize("table", [
     _table(starts=np.array([3]), steps=np.array([-1])),
-    _table(starts=np.array([1])),
-    _table(counts=np.array([1]), steps=np.array([5]), out=np.empty(1)),
-    _table(starts=np.array([0, 0]), counts=np.array([-1, 17]), steps=np.array([1, 1])),
-    _table(counts=np.array([15])),
-    _table(out=np.empty(17)),
-    _table(src=np.empty(20, dtype=np.float32)),
-    _table(src=np.empty(40)[::2]),
-    _table(src=np.empty((1, 20))),
+    _table(starts=np.array([17])),
+    _table(steps=np.array([6])),
+    _table(starts=np.array([0, 0]), counts=np.array([-1, 13]), steps=np.array([1, 1])),
+    _table(counts=np.array([11])),
+    _table(out=np.empty(13)),
     _table(starts=np.array([0], dtype=np.int32)),
     _table(steps=np.array([1, 1])),
     _table(out=_read_only_out),
-    _table(out=np.empty((4, 4))),
+    _table(out=np.empty((3, 4))),
 ], ids=["reads-before-src", "reads-past-src", "stride-past-src", "negative-count",
-        "fewer-faces", "more-values", "float32", "strided", "2-d-src", "int32-starts",
-        "table-lengths", "read-only-out", "2-d-out"])
+        "fewer-faces", "more-values", "int32-starts", "table-lengths", "read-only-out",
+        "2-d-out"])
 def test_runs_call_rejects_tables_the_kernel_cannot_take(each_kernel, table):
-    # the compiled entry would read or write past a wrong buffer
-    with pytest.raises(ValueError, match="^runs_call"):
-        weno.runs_call(**table)
+    # the compiled weno5_runs, under rotation_flux, would read or write past
+    # a wrong buffer
+    with pytest.raises(ValueError, match="^rotation_flux_op"):
+        weno.rotation_flux_op(**table)
 
 
 def _bound_over_fresh_arrays(entry, kernel):
     """A bound call of ``entry`` on ``kernel`` over arrays nothing else
     refers to, weak references to the arrays it must hold (the values
     last) and the values it must give.  A compiled call holds every array
-    it was given; the numpy ``weno5_runs`` reads its run table once, as it
-    binds, and holds the source and the values."""
+    it was given."""
     rng = np.random.default_rng(53)
     v = rng.standard_normal(20)
-    w = pad_periodic(v)
     if entry == "weno5_periodic":
         arrays = [v, np.empty(26), np.empty(21)]
-        call, want = weno.periodic_call(entry, *arrays), _oracle_left(w)
-    elif entry == "weno5_runs":
-        arrays = [w, np.array([0, 5]), np.array([21, 21]), np.array([1, -1]), np.empty(42)]
-        call, want = weno.runs_call(*arrays), np.concatenate([_oracle_left(w), _oracle_right(w)])
-        if kernel == "numpy":
-            arrays = [arrays[0], arrays[-1]]
+        call = weno.ops_call(weno.periodic_op(entry, *arrays))
+        want = _oracle_left(pad_periodic(v))
+    elif entry == "rotation_flux":
+        # 2 x 2 cells, their frame's interior the state and its ring the rest;
+        # a left-biased and a right-biased run over the products
+        state, a1, a2, ghosts = (rng.standard_normal(size) for size in (4, 2, 2, 60))
+        ring = np.flatnonzero(np.pad(np.zeros((2, 2), dtype=bool), 3, constant_values=True))
+        arrays = [state, a1, a2, ring, ghosts, np.array([0, 10]), np.array([6, 6]),
+                  np.array([1, -1]), np.empty(12)]
+        call = weno.ops_call(weno.rotation_flux_op(*arrays))
+        frame = np.zeros(64)
+        frame[ring] = ghosts
+        frame = frame.reshape(8, 8)
+        frame[3:-3, 3:-3] = state.reshape(2, 2)
+        src = np.concatenate([(a1[:, None] * frame[3:-3]).ravel(), (frame[:, 3:-3] * a2).ravel()])
+        want = _oracle_runs(src, *arrays[5:8]) + 0.0
     elif entry == "split_parts":
         arrays = [rng.standard_normal(21), np.ones(20), (v > 0).astype(np.intp),
                   np.array([0, 1]), np.empty((2, 20))]
@@ -577,7 +615,7 @@ def _bound_over_fresh_arrays(entry, kernel):
     return call, [weakref.ref(a) for a in arrays], want
 
 
-@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts",
+@pytest.mark.parametrize("entry", ["weno5_periodic", "rotation_flux", "stage_sum", "split_parts",
                                    "lower_solve", "rotation_exponent"])
 def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     # the compiled call reads and writes its arrays by address: freed, they
@@ -589,7 +627,7 @@ def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     _assert_bitwise(arrays[-1](), want)
 
 
-@pytest.mark.parametrize("entry", ["weno5_periodic", "weno5_runs", "stage_sum", "split_parts",
+@pytest.mark.parametrize("entry", ["weno5_periodic", "rotation_flux", "stage_sum", "split_parts",
                                    "lower_solve", "rotation_exponent"])
 def test_a_dropped_call_frees_its_buffers_at_once(each_kernel, entry):
     # a call bound for one use (the W analysis binds one per solve) must
@@ -617,9 +655,9 @@ _read_only_line.flags.writeable = False
     (np.empty(10), _read_only_line, np.empty(11)),
 ], ids=["two-cells", "short-line", "short-out", "float32", "strided", "2-d", "read-only"])
 def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, line, out):
-    # the compiled entries would read or write past a wrong buffer
-    with pytest.raises(ValueError, match="^periodic_call needs 1-d contiguous float64"):
-        weno.periodic_call("weno5_periodic", v, line, out)
+    # the compiled op would read or write past a wrong buffer
+    with pytest.raises(ValueError, match="^periodic_op needs 1-d contiguous float64"):
+        weno.periodic_op("weno5_periodic", v, line, out)
 
 
 # ----------------------------------------------------------------------
@@ -966,12 +1004,12 @@ def test_lower_solve_by_blocks_of_rows_is_one_whole_solve(each_kernel, m, w, sid
 
 
 @settings(deadline=None, max_examples=100)
-@given(wide_lines(), st.floats(0.0, 4.0), st.data())
-def test_compiled_kernel_bitwise_equals_numpy_kernel(w, alpha, data):
+@given(wide_lines(leads=((),)), st.data())
+def test_compiled_kernel_bitwise_equals_numpy_kernel(cells, data):
+    # the compiled ops against their numpy twins: the WENO5 runs under the
+    # rotation flux, and both fluxes of one periodic line of 6 to 3000 cells
     compiled = _compiled_library()
-    cells = w.reshape(-1, w.shape[-1])[0]  # one periodic line of 6 to 3000 cells
-    calls = [(edge_from_left, w), (interface_states, w), (llf_split_flux, w, w[..., ::-1], alpha),
-             (_runs_values, *data.draw(run_tables(w))),
+    calls = [(_runs_values, data.draw(run_tables())),
              *((_periodic_values, entry, cells) for entry in weno._PERIODIC_TWINS)]
     with np.errstate(all="ignore"):  # +-1e300 overflows to inf and NaN in both
         for kernel, *args in calls:
