@@ -10,7 +10,6 @@ multirate method, region 2 the refined one.
 from __future__ import annotations
 
 import ast
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .spatial import Grid1D, Grid2D, parts_op
-from .weno import ops_call
+from .weno import ops_call, threshold_regions_op
 
 __all__ = [
     "CellPartition",
@@ -153,20 +152,53 @@ class FluxPartition2D:
 # ``write(t, v, phi)`` is one call of ``F`` or the flux into the split's own
 # buffer ``phi``, and the op (see :func:`prk.weno.ops_call`) writes every
 # value of each needed row ``out[k]`` from ``phi`` and leaves the other rows
-# alone.  The stage store takes them once per run and evaluated stage, and
-# binds the op into the one compiled call it makes after each ``write``.
-# A dynamic split also has ``begin_step(u)``, which the stage store calls
-# with the state at the top of every step.  The stepper uses nothing else,
-# always passes ``needed`` (a tuple) and evaluates no stage where no part
-# is needed.  ``eval_parts(t, v, needed, out)`` makes one whole evaluation
+# alone.  ``write`` calls a flux as ``flux(t, v, phi, mask)``, with
+# the mask of the faces the needed rows read (made once per ``needed``),
+# so the compiled kernel computes only those; with every part needed, or
+# with no grid, ``F`` gets no mask.  The stage store takes the three once
+# per run and evaluated stage, and binds the op into the one compiled call
+# it makes after each ``write``.  A dynamic split also has
+# ``begin_step(u)``, which the stage store calls with the state at the top
+# of every step.  The stepper uses nothing else, always passes ``needed``
+# (a tuple) and evaluates no stage where no part is needed.  ``eval_parts(t, v, needed, out)`` makes one whole evaluation
 # of the same three; not called in prk, it stays for the tests and for
 # perfbench/child.py, which wraps it by name.
 # ----------------------------------------------------------------------
+
+# the shock-tracking partition's default threshold
+_THRESHOLD = 0.125
+
 
 def _regions(masks) -> np.ndarray:
     """The region table of disjoint covering ``masks``: the index of each
     value's region, flat."""
     return np.argmax(masks, axis=0).ravel()
+
+
+def _bounding_faces(grid, inside: np.ndarray) -> np.ndarray:
+    """The mask of the faces of ``grid`` (x-faces, then in 2D y-faces, in
+    the order of its fluxes) that bound a cell ``inside`` (flat) flags:
+    x-face j of a row bounds its cells j - 1 and j, y-face row i the cells
+    of rows i - 1 and i."""
+    rows, cols = ((1,) + grid.shape)[-2:]
+    inside = inside.reshape(rows, cols)
+    x = np.zeros((rows, cols + 1), dtype=bool)
+    x[:, :-1] = inside
+    x[:, 1:] |= inside
+    if isinstance(grid, Grid1D):
+        return x.ravel()
+    y = np.zeros((rows + 1, cols), dtype=bool)
+    y[:-1] = inside
+    y[1:] |= inside
+    return np.concatenate((x.ravel(), y.ravel()))
+
+
+def _with_faces(flux: Callable, faces: np.ndarray) -> Callable:
+    """``write(t, v, phi)``: ``flux(t, v, phi, faces)``, a closure, which a
+    call costs less than a keyword ``functools.partial``."""
+    def write(t, v, phi):
+        flux(t, v, phi, faces)
+    return write
 
 
 class _Split:
@@ -176,11 +208,13 @@ class _Split:
     ``F(t, v, out)`` is its interface flux; without one, ``F(t, v)`` is the
     whole right-hand side, of the split's ``shape`` (None: the first
     state's).  :meth:`evaluation` gives the two, and :meth:`eval_parts`
-    makes one evaluation of them."""
+    makes one evaluation of them.  The flux of a stage that needs only
+    some parts computes only the faces they read (see :meth:`_read_by`)."""
 
     def __init__(self, F: Callable, r: int, grid=None, shape=None, cells=None, faces=None):
         self.F, self.r, self.grid = F, r, grid
         self._cells, self._faces = cells, faces
+        self._read = {}  # the face mask of each needed tuple, made once
         self._fit(grid.shape if grid is not None else shape)
 
     def _fit(self, shape) -> None:
@@ -203,12 +237,31 @@ class _Split:
         split's buffer, of which ``_value`` is the state-shaped view)."""
         np.copyto(self._value, self.F(t, v))
 
+    def _read_by(self, needed) -> np.ndarray | None:
+        """The mask of the faces that the rows ``needed`` flags read: with a
+        face table the faces of their regions, with a cell table those that
+        bound a cell of their regions; None when every part is needed."""
+        if all(needed):
+            return None
+        parts = np.flatnonzero(needed)
+        if self._faces is not None:
+            return np.isin(self._faces, parts)
+        return _bounding_faces(self.grid, np.isin(self._cells, parts))
+
     def evaluation(self, out, needed):
         """``(write, phi, op)`` for the rows ``needed`` flags of ``out``:
         ``write(t, v, phi)`` computes ``F`` at ``(t, v)`` into the split's
-        buffer ``phi``, and the op writes those rows from it."""
+        buffer ``phi``, at least on the faces those rows read, and the op
+        writes those rows from it."""
         self._fit_state(out.shape[1:])
-        write = self._write_rhs if self.grid is None else self.F
+        if self.grid is None:
+            write = self._write_rhs
+        else:
+            key = tuple(bool(use) for use in needed)
+            if key not in self._read:
+                self._read[key] = self._read_by(key)
+            faces = self._read[key]
+            write = self.F if faces is None else _with_faces(self.F, faces)
         return write, self._phi, parts_op(self.grid, self._phi, np.flatnonzero(needed), out,
                                           self._cells, self._faces)
 
@@ -265,42 +318,63 @@ class TrivialParts(_Split):
 
 
 class DynamicCellSplit(_Split):
-    """Two-region cell split whose partition ``begin_step(u)`` rebuilds from
-    the state once per step, rewriting the region table in place: the
-    table exists once the split knows its state's shape, so an op of
-    :meth:`evaluation` taken before a step reads the step's partition.
-    ``eval_parts`` before the first ``begin_step`` raises.  ``F`` and
-    ``grid`` are those of :class:`CellSplitParts`."""
+    """The shock-tracking two-region cell split: ``begin_step(u)`` rebuilds
+    the partition from the state once per step, region 1 where ``u <
+    threshold`` and region 2 elsewhere (NaN too), as
+    :func:`burgers_dynamic_partition` splits it.  That is one compiled call
+    (:func:`prk.weno.threshold_regions_op`), bound for the state it is
+    given, which rewrites the region table in place and, on a 1D grid, the
+    face masks of the two single-part stages: both exist once the split
+    knows its state's shape, so an op of :meth:`evaluation` taken before a
+    step reads the step's partition.  ``eval_parts`` before the first
+    ``begin_step`` raises.  ``F`` and ``grid`` are those of
+    :class:`CellSplitParts`; a 2D or gridless split passes ``F`` no mask."""
 
-    def __init__(self, F: Callable, rule: Callable[[np.ndarray], CellPartition], grid=None):
+    def __init__(self, F: Callable, threshold: float = _THRESHOLD, grid=None):
+        self.threshold = float(threshold)
+        self._masks = self._begin = None
         super().__init__(F, 2, grid)
-        self.rule = rule
-        self.partition: CellPartition | None = None
 
     def _fit(self, shape) -> None:
         super()._fit(shape)
-        self._cells = None if shape is None else np.zeros(math.prod(shape), dtype=np.intp)
+        # new tables: the calls and masks bound over the old ones go
+        self._begin, self._read = None, {}
+        if shape is not None:
+            self._cells = np.zeros(math.prod(shape), dtype=np.intp)
+            if isinstance(self.grid, Grid1D):
+                self._masks = np.zeros((2, self.grid.flux_size), dtype=bool)
+
+    def _read_by(self, needed) -> np.ndarray | None:
+        """Row k of the masks that ``begin_step`` rewrites when part k alone
+        is needed; None otherwise, and on a 2D grid."""
+        if self._masks is None or sum(needed) != 1:
+            return None
+        return self._masks[needed.index(True)]
+
+    @property
+    def partition(self) -> CellPartition | None:
+        """The partition of the last ``begin_step``, None before the first."""
+        if self._begin is None:
+            return None
+        low = self._cells.reshape(self._shape) == 0
+        return CellPartition((low, ~low))
 
     def begin_step(self, u: np.ndarray) -> None:
-        partition = self.rule(u)
-        if partition.r != self.r:
-            raise ValueError("dynamic rule produced the wrong number of regions")
-        if partition.shape != np.shape(u):
-            raise ValueError(f"dynamic rule produced masks of shape {partition.shape} "
-                             f"for a state of shape {np.shape(u)}")
-        if partition.shape != self._shape:
-            self._fit(partition.shape)
-        # region 1 where the second mask holds: the two masks cover disjointly
-        np.copyto(self._cells.reshape(partition.shape), partition.masks[1])
-        self.partition = partition
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        if u.shape != self._shape:
+            self._fit(u.shape)
+        if self._begin is None or self._begin[0] is not u:
+            self._begin = u, ops_call(threshold_regions_op(u.reshape(-1), self.threshold,
+                                                           self._cells, self._masks))
+        self._begin[1]()
 
     def eval_parts(self, t, v, needed, out):
-        if self.partition is None:
+        if self._begin is None:
             raise ValueError("DynamicCellSplit.eval_parts called before begin_step")
         super().eval_parts(t, v, needed, out)
 
 
-def burgers_dynamic_partition(u: np.ndarray, threshold: float = 0.125) -> CellPartition:
+def burgers_dynamic_partition(u: np.ndarray, threshold: float = _THRESHOLD) -> CellPartition:
     """Shock-tracking rule: region 1 where the state is strictly below the
     threshold (small local wave speed), region 2 elsewhere."""
     low = np.asarray(u) < threshold
@@ -374,20 +448,22 @@ class PartitionSpec:
       ``abs(x-0.5)+abs(y-0.5)<=1/3``, built from numbers, ``+ - * /``,
       unary ``-`` and ``~``, ``&`` and ``|``, single (unchained)
       comparisons and calls to ``abs``, ``min`` and ``max``;
-    * ``dynamic:burgers[:threshold=0.125]`` -- the shock-tracking rule.
+    * ``dynamic:burgers[:threshold=0.125]`` -- the shock-tracking rule,
+      each option at most once.
 
     Ranges and predicates select the refined region 2; prefix with
     ``coarse:`` to make the selection region 1 instead (``refined:``
     states the default).  :meth:`cells` gives the cell partition on a
     grid, :meth:`faces` the 2D face partition of a predicate, and
-    ``rule`` the state-dependent partition of a dynamic spec.
+    ``threshold`` is that of a dynamic spec (None for the others), the
+    one parameter of a :class:`DynamicCellSplit`.
     """
 
     text: str
     ranges: tuple[tuple[int, int], ...] = ()
     predicate: Callable[[dict], object] | None = None
     coarse: bool = False
-    rule: Callable[[np.ndarray], CellPartition] | None = None
+    threshold: float | None = None
 
     @classmethod
     def parse(cls, text: str) -> "PartitionSpec":
@@ -401,13 +477,15 @@ class PartitionSpec:
                 key, _, val = opt.partition("=")
                 if key != "threshold":
                     raise ValueError(f"unknown dynamic option {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"dynamic option {key!r} given more than once")
                 try:
                     kwargs[key] = float(val)
                 except ValueError:
                     raise ValueError(f"dynamic option {key}={val!r} is not a number") from None
                 if not math.isfinite(kwargs[key]):
                     raise ValueError(f"dynamic option {key}={val} must be finite")
-            return cls(text, rule=functools.partial(burgers_dynamic_partition, **kwargs))
+            return cls(text, threshold=kwargs.get("threshold", _THRESHOLD))
         coarse = body.startswith("coarse:")
         if body.startswith(("coarse:", "refined:")):
             body = body.split(":", 1)[1]
@@ -455,7 +533,7 @@ class PartitionSpec:
 
     def cells(self, grid) -> CellPartition:
         """The two-region cell partition on a 1D or 2D grid."""
-        if self.rule is not None:
+        if self.threshold is not None:
             raise ValueError(f"dynamic partition {self.text!r} has no fixed cells")
         centres = grid.centres
         self.check_grid(len(centres))

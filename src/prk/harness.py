@@ -327,7 +327,7 @@ def parse_partition(spec: str, kind: str, problem: str) -> PartitionSpec:
     _require(kind in ("cell", "flux"), "kind", kind, "cell or flux")
     try:
         parsed = PartitionSpec.parse(spec)
-        if parsed.rule is not None and kind != "cell":
+        if parsed.threshold is not None and kind != "cell":
             raise ValueError("dynamic partitions support cell splitting only")
         parsed.check_grid(PROBLEMS[problem].ndim, kind == "flux")
     except ValueError as exc:
@@ -340,8 +340,8 @@ def make_parts(problem, kind: str, spec: PartitionSpec):
     read it; a spec that does not fit the grid raises :class:`BadArgument`."""
     grid = problem.grid
     try:
-        if spec.rule is not None:
-            return DynamicCellSplit(problem.flux, spec.rule, grid)
+        if spec.threshold is not None:
+            return DynamicCellSplit(problem.flux, spec.threshold, grid)
         if kind == "cell":
             return CellSplitParts(problem.flux, spec.cells(grid), grid)
         if len(grid.centres) == 2:  # x- and y-faces

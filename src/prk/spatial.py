@@ -1,18 +1,26 @@
 """Semi-discrete right-hand sides: upwind, WENO5 advection, Burgers, 2D rotation.
 
 Every builder returns a :class:`SemiDiscreteProblem` from its grid and
-its interface ``flux(t, v, out=None)``, which writes into ``out`` when
-given one; the problem builds ``rhs`` once from them, as the divergence
-of ``flux``.  Cell-based decompositions mask that divergence, flux-based
-ones mask ``flux`` before it, so both split the same operator, and
-:func:`parts_op` makes the divergence and every split part one compiled
-op (see :func:`prk.weno.ops_call`).  Both grids give ``centres``, ``measure`` (mass and
-norm weights), ``min_width``, ``shape`` and ``flux_size``.
+its interface ``flux(t, v, out=None, faces=None)``, which writes into
+``out`` when given one, and with a face mask ``faces`` may compute only
+the faces it marks; the problem builds ``rhs`` once from them, as the
+divergence of ``flux``.  Cell-based decompositions mask that divergence,
+flux-based ones mask ``flux`` before it, so both split the same
+operator, and :func:`parts_op` makes the divergence and every split part
+one compiled op (see :func:`prk.weno.ops_call`).  Both grids give
+``centres``, ``measure`` (mass and norm weights), ``min_width``,
+``shape`` and ``flux_size``.
 
 Every WENO5 flux makes one compiled call, of one op, over buffers it
-owns.  The advection and Burgers fluxes pad the state, reconstruct and,
-for Burgers, form the local Lax-Friedrichs flux straight into the output
-(see :func:`prk.weno.periodic_op`); the 2D rotation frames the state,
+owns, bound for the last ``out`` given, one per face mask ``faces``, at
+its first use: a split evaluates its stages into one buffer through a
+few masks, and rebinds none of them per stage.
+The compiled kernel computes only the faces ``faces`` marks (WENO5 over
+each run of marked faces) and leaves the others of ``out`` as they were;
+the numpy kernel computes every face.  The advection and Burgers fluxes
+pad the state, reconstruct and, for Burgers, form the local
+Lax-Friedrichs flux straight into the output (see
+:func:`prk.weno.periodic_op`); the 2D rotation frames the state,
 forms the speed products and reconstructs both directions through a run
 table built with the problem (see :func:`prk.weno.rotation_flux_op`).
 """
@@ -178,28 +186,48 @@ def _uniform_grid(m: int, periodic: bool) -> Grid1D:
     return Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
 
 
+# the most face masks a WENO5 flux keeps bound calls for, for one output
+_BOUND_CALLS = 8
+
+
+def _bind(calls: dict, faces, op) -> Callable:
+    """The call of ``op``, kept in ``calls`` (a flux's calls for its last
+    output) under the id of the face mask ``faces``, with the mask, so that
+    no other array takes its id while it is kept; past
+    :data:`_BOUND_CALLS` masks the flux starts over."""
+    if len(calls) >= _BOUND_CALLS:
+        calls.clear()
+    run = ops_call(op)
+    calls[id(faces)] = run, faces
+    return run
+
+
 def _periodic_flux(m: int, entry: str) -> Callable:
-    """The interface flux ``flux(t, v, out=None)`` of a periodic line of
-    ``m`` cells: one compiled call of the periodic op of ``entry``
+    """The interface flux ``flux(t, v, out=None, faces=None)`` of a periodic
+    line of ``m`` cells: one compiled call of the periodic op of ``entry``
     (``"weno5_periodic"`` or ``"burgers_llf_periodic"``, see
     :func:`prk.weno.periodic_op`) over a state and a padded line this flux
-    owns, into ``out``, or else into values it owns and then a fresh copy.
-    The call is bound for the last output given, at its first use, so that
-    building the problem loads no kernel.  A state of any shape but
+    owns, into ``out``, or else into values it owns and then a fresh copy;
+    ``faces`` is None or a bool mask of the ``m + 1`` faces.  A call is
+    bound for the last output given, one per mask, at its first use, so
+    that building the problem loads no kernel.  A state of any shape but
     ``(m,)`` raises ``ValueError``."""
     shape = (m,)
     state, line, values = np.empty(shape), np.empty(m + 6), np.empty(m + 1)
-    run = target = None
+    target, calls = None, {}
 
-    def flux(t, v, out=None):
-        nonlocal run, target
+    def flux(t, v, out=None, faces=None):
+        nonlocal target, calls
         if out is None:
-            return flux(t, v, values).copy()
+            return flux(t, v, values, faces).copy()
         if getattr(v, "shape", None) != shape:  # cheaper than np.shape(v)
             raise ValueError(f"state of shape {np.shape(v)}, need {shape}")
         np.copyto(state, v)
         if out is not target:
-            run, target = ops_call(periodic_op(entry, state, line, out)), out
+            target, calls = out, {}
+        bound = calls.get(id(faces))
+        run = bound[0] if bound is not None else _bind(
+            calls, faces, periodic_op(entry, state, line, out, faces))
         run()
         return out
 
@@ -221,7 +249,8 @@ def upwind1d(
     inflow at the left boundary, so the operator is linear;
     ``prk.analysis.linearize_parts`` reads its matrix off a split of
     ``rhs``.  ``dx`` may be a scalar (with ``m``) or one finite positive
-    width per cell (nonuniform grids).
+    width per cell (nonuniform grids).  ``flux`` computes every face,
+    whatever ``faces`` marks.
     """
     if boundary not in ("inflow", "periodic"):
         raise ValueError(f"unknown boundary rule {boundary!r}")
@@ -242,7 +271,7 @@ def upwind1d(
     x = 0.5 * (edges[:-1] + edges[1:])
     grid = Grid1D(x=x, dx=dx, edges=edges, periodic=periodic)
 
-    def flux(t, v, out=None):
+    def flux(t, v, out=None, faces=None):
         phi = np.empty(m + 1) if out is None else out
         phi[1:] = v
         phi[0] = v[-1] if periodic else 0.0
@@ -323,10 +352,11 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     ``llf_split_flux(a u, u, |a|)`` byte for byte.
 
     A flux evaluation is one compiled call (:func:`prk.weno.ops_call` of
-    :func:`prk.weno.rotation_flux_op`), bound at the first call for the
-    last output given: it writes the ghost ring and the state into the
-    padded frame, the speed products, the reconstruction and the ``+0``
-    pass.  The ring values change only with ``t``: then a second compiled
+    :func:`prk.weno.rotation_flux_op`), bound for the last ``out`` given,
+    one per face mask ``faces`` (None, or a bool mask of the
+    ``grid.flux_size`` faces), at its first use: it writes the ghost ring and the state into
+    the padded frame, the speed products, the reconstruction and the
+    ``+0`` pass.  The ring values change only with ``t``: then a second compiled
     call forms the Gaussian's exponent at the ghost cells, with numpy's
     ``cos`` and ``sin`` of the angle and ``exp`` of the exponent, in the
     operations of ``exact``, so the ring keeps ``exact``'s bits.  An
@@ -383,19 +413,22 @@ def advection2d(n: int) -> SemiDiscreteProblem:
     counts = np.concatenate([np.full(n, n + 1), np.tile([cut, n - cut], n + 1)])
     steps = np.concatenate([1 - 2 * flip, np.tile([n, -n], n + 1)])
     values = np.empty(grid.flux_size)  # fx (n, n + 1), then fy (n + 1, n)
-    run = target = exponents = ghost_t = None
+    target, calls = None, {}
+    exponents = ghost_t = None
 
-    def flux(t, v, out=None):
-        nonlocal run, target, exponents, ghost_t
+    def flux(t, v, out=None, faces=None):
+        nonlocal target, calls, exponents, ghost_t
         if np.shape(v) != (n, n):
             raise ValueError(f"state of shape {np.shape(v)}, need {(n, n)}")
         fresh = out is None
         if fresh:
             out = values
         if out is not target:
-            run = ops_call(rotation_flux_op(state, a1, a2, ring, ghosts, starts, counts, steps,
-                                            out))
-            target = out
+            target, calls = out, {}
+        bound = calls.get(id(faces))
+        run = bound[0] if bound is not None else _bind(
+            calls, faces,
+            rotation_flux_op(state, a1, a2, ring, ghosts, starts, counts, steps, out, faces))
         if t != ghost_t:
             # exact_point's operations: numpy's cos, sin and exp around
             # the compiled exponent

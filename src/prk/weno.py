@@ -29,7 +29,10 @@ biases (``"burgers_llf_periodic"``); :func:`stage_sum_op` those of
 ``stage_sum``, which writes ``u + dt * (a_0 K_0 + a_1 K_1 + ...)`` over
 rows of a stage store, summed left to right; :func:`split_parts_op`
 those of ``split_parts``, which writes the parts of a split right-hand
-side into rows of a stage store; :func:`rotation_flux_op` those of
+side into rows of a stage store; :func:`threshold_regions_op` those of
+``threshold_regions``, which writes the region table of the
+shock-tracking partition (and on a line the face masks of its two
+regions); :func:`rotation_flux_op` those of
 ``rotation_flux``, one whole flux evaluation of the 2D rotation of
 :mod:`prk.spatial` (its padded frame, the speed products and a run
 table); :func:`rotation_exponent_op` those of ``rotation_exponent``, the
@@ -42,7 +45,9 @@ place a compiled call is bound, binds a table of ops as one call of
 ``run_ops``, which runs them in order and returns whether every check
 found only finite values: a stage of the stepper writes its part rows
 and the next stage value in one call, and its last stage the new state
-and the check.  Its records are a ctypes mirror of the C ``struct op``;
+and the check.  The two flux ops take a face mask: the compiled kernel
+then computes only the faces it marks and leaves the others as they
+were.  Its records are a ctypes mirror of the C ``struct op``;
 the library exports the struct's size and field layout, and a library
 whose layout the mirror does not match is not used.  A bound compiled
 call holds the arrays it was given.
@@ -51,12 +56,13 @@ Two kernels give the same bits, and read as one program: ``_weno5.c``
 and its numpy twins (:func:`_numpy_runs`, which gathers the five operands
 of every face through an index built from the run table, the periodic
 twins, :func:`_numpy_stage_sum`, :func:`_numpy_split_parts`,
-:func:`_numpy_rotation_flux`, :func:`_numpy_rotation_exponent`,
-:func:`_numpy_lower_solve` and :func:`_numpy_ops`, which runs the ops'
-twins in order), by the same IEEE operations in the same order with the
-same helpers.  The first
-kernel call of a process builds the C one with the system ``cc -O3
--ffp-contract=off -fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
+:func:`_numpy_threshold_regions`, :func:`_numpy_rotation_flux`,
+:func:`_numpy_rotation_exponent`, :func:`_numpy_lower_solve` and
+:func:`_numpy_ops`, which runs the ops' twins in order), by the same IEEE
+operations in the same order with the same helpers; the flux twins
+compute every face, marked or not.  The first kernel call of a process
+builds the C one with the system ``cc -O3 -ffp-contract=off
+-fno-fast-math -shared -fPIC`` (no ``-march``, and no fused
 multiply-add, which rounds once where the twin rounds twice) into
 ``$XDG_CACHE_HOME/prk`` or ``~/.cache/prk`` (mode 0700), or finds it
 there, and loads it with ``ctypes`` (:func:`_kernel_library` keeps it).
@@ -84,7 +90,8 @@ import numpy as np
 
 __all__ = ["WENO_EPS", "KERNEL", "pad_periodic", "edge_from_left", "interface_states",
            "llf_split_flux", "periodic_op", "stage_sum_op", "split_parts_op",
-           "rotation_exponent_op", "rotation_flux_op", "lower_solve_op", "finite_op", "ops_call"]
+           "threshold_regions_op", "rotation_exponent_op", "rotation_flux_op", "lower_solve_op",
+           "finite_op", "ops_call"]
 
 WENO_EPS = 1e-6  # regularization in the nonlinear weights
 
@@ -208,6 +215,20 @@ def _numpy_split_parts(phi, width, dims, rows, cols, cells, faces, parts, out) -
         out[k].reshape(rows, cols)[...] = value
 
 
+def _numpy_threshold_regions(u, threshold, cells, masks) -> None:
+    """``threshold_regions`` of ``_weno5.c`` in numpy: ``cells`` gets 0
+    where ``u < threshold`` and 1 elsewhere (NaN too), and each row k of
+    ``masks`` (unless None) the faces of the line that bound a cell of
+    region k."""
+    np.copyto(cells, ~(u < threshold))
+    if masks is not None:
+        for k, mask in enumerate(masks):
+            inside = cells == k
+            mask[:-1] = inside
+            mask[-1] = False
+            mask[1:] |= inside
+
+
 def _numpy_rotation_exponent(xi, eta, trig, out) -> None:
     """``rotation_exponent`` of ``_weno5.c`` in numpy: ``out`` gets ``-10
     ((x0 - 1/2)^2 + (y0 - 1/4)^2)`` at the points ``(xi, eta)`` (less the
@@ -291,14 +312,14 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 # the ctypes mirror of `struct op` in _weno5.c, field for field; the kinds
 # are numbered as its enum
-_OP_KINDS = ("periodic_flux", "stage_sum", "split_parts", "rotation_exponent", "rotation_flux",
-             "lower_solve", "finite")
+_OP_KINDS = ("periodic_flux", "stage_sum", "split_parts", "threshold_regions",
+             "rotation_exponent", "rotation_flux", "lower_solve", "finite")
 _ADDRESS, _SIZE = ctypes.c_void_p, ctypes.c_size_t
 
 
 class _PeriodicFluxArgs(ctypes.Structure):
-    _fields_ = [("v", _ADDRESS), ("m", _SIZE), ("burgers", _SIZE), ("line", _ADDRESS),
-                ("out", _ADDRESS)]
+    _fields_ = [("v", _ADDRESS), ("m", _SIZE), ("burgers", _SIZE), ("mask", _ADDRESS),
+                ("line", _ADDRESS), ("out", _ADDRESS)]
 
 
 class _StageSumArgs(ctypes.Structure):
@@ -313,6 +334,11 @@ class _SplitPartsArgs(ctypes.Structure):
                 ("nparts", _SIZE), ("out", _ADDRESS)]
 
 
+class _ThresholdRegionsArgs(ctypes.Structure):
+    _fields_ = [("u", _ADDRESS), ("size", _SIZE), ("threshold", ctypes.c_double),
+                ("cells", _ADDRESS), ("masks", _ADDRESS)]
+
+
 class _RotationExponentArgs(ctypes.Structure):
     _fields_ = [("xi", _ADDRESS), ("eta", _ADDRESS), ("trig", _ADDRESS), ("size", _SIZE),
                 ("out", _ADDRESS)]
@@ -322,7 +348,7 @@ class _RotationFluxArgs(ctypes.Structure):
     _fields_ = [("state", _ADDRESS), ("n", _SIZE), ("a1", _ADDRESS), ("a2", _ADDRESS),
                 ("ring", _ADDRESS), ("ghosts", _ADDRESS), ("nring", _SIZE), ("frame", _ADDRESS),
                 ("src", _ADDRESS), ("starts", _ADDRESS), ("counts", _ADDRESS),
-                ("steps", _ADDRESS), ("nruns", _SIZE), ("out", _ADDRESS)]
+                ("steps", _ADDRESS), ("nruns", _SIZE), ("mask", _ADDRESS), ("out", _ADDRESS)]
 
 
 class _LowerSolveArgs(ctypes.Structure):
@@ -336,7 +362,8 @@ class _FiniteArgs(ctypes.Structure):
 
 class _OpArgs(ctypes.Union):
     _fields_ = [("periodic_flux", _PeriodicFluxArgs), ("stage_sum", _StageSumArgs),
-                ("split_parts", _SplitPartsArgs), ("rotation_exponent", _RotationExponentArgs),
+                ("split_parts", _SplitPartsArgs), ("threshold_regions", _ThresholdRegionsArgs),
+                ("rotation_exponent", _RotationExponentArgs),
                 ("rotation_flux", _RotationFluxArgs), ("lower_solve", _LowerSolveArgs),
                 ("finite", _FiniteArgs)]
 
@@ -479,20 +506,26 @@ _PERIODIC_TWINS = {"weno5_periodic": _numpy_weno5_periodic,
                    "burgers_llf_periodic": _numpy_burgers_llf_periodic}
 
 
-def periodic_op(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray) -> _Op:
+def periodic_op(entry: str, v: np.ndarray, line: np.ndarray, out: np.ndarray,
+                mask: np.ndarray | None = None) -> _Op:
     """The op of ``periodic_flux`` for ``entry`` (``"weno5_periodic"`` or
     ``"burgers_llf_periodic"``) on the cells ``v`` of one periodic line: it
     pads ``v`` into ``line`` and writes the interface values into ``out``,
-    the left-biased values or Burgers' local Lax-Friedrichs fluxes.  The
-    buffers are 1-d contiguous float64 arrays of ``m >= 3``, ``m + 6`` and
-    ``m + 1`` values, the last two writeable; others raise ``ValueError``."""
+    the left-biased values or Burgers' local Lax-Friedrichs fluxes; with a
+    face ``mask`` (read at every call) the compiled kernel writes only the
+    faces it marks.  The buffers are 1-d contiguous float64 arrays of ``m
+    >= 3``, ``m + 6`` and ``m + 1`` values, the last two writeable, and
+    ``mask`` None or a 1-d contiguous bool array of ``m + 1``; others raise
+    ``ValueError``."""
     m = v.size
     if (m < 3 or not (line.flags.writeable and out.flags.writeable)
-            or not _vectors(np.float64, (v, m), (line, m + 6), (out, m + 1))):
+            or not _vectors(np.float64, (v, m), (line, m + 6), (out, m + 1))
+            or not _mask_of(mask, m + 1)):
         raise ValueError("periodic_op needs 1-d contiguous float64 buffers of m >= 3, "
-                         "m + 6 and m + 1 values, the last two writeable")
+                         "m + 6 and m + 1 values, the last two writeable, and no mask or "
+                         "a bool one of m + 1")
     return _Op("periodic_flux", dict(v=v, m=m, burgers=entry == "burgers_llf_periodic",
-                                     line=line, out=out),
+                                     mask=mask, line=line, out=out),
                functools.partial(_PERIODIC_TWINS[entry], v, line, out))
 
 
@@ -564,6 +597,33 @@ def split_parts_op(phi: np.ndarray, width: np.ndarray | None, dims: int,
                                  faces, parts.tolist(), out))
 
 
+def threshold_regions_op(u: np.ndarray, threshold: float, cells: np.ndarray,
+                         masks: np.ndarray | None = None) -> _Op:
+    """The op of ``threshold_regions``: ``cells`` gets the region table of
+    the shock-tracking partition of ``u`` (read at every call), 0 where
+    ``u < threshold`` and 1 elsewhere, NaN included, as
+    :func:`prk.decomposition.burgers_dynamic_partition` splits it; with
+    ``masks``, ``u`` the cells of one line, row k of ``masks`` gets the
+    faces of the line that bound a cell of region k (face f bounds cells f
+    - 1 and f).  ``u`` is a 1-d contiguous float64 array, ``cells`` a
+    writeable one of intp of its size, and ``masks`` None or a writeable
+    C-contiguous bool array of shape ``(2, u.size + 1)``; others raise
+    ``ValueError``."""
+    size = u.size
+    if (not cells.flags.writeable or not _vectors(np.float64, (u, size))
+            or not _vectors(np.intp, (cells, size))
+            or masks is not None and not (masks.dtype == np.bool_ and masks.flags.writeable
+                                          and masks.flags.c_contiguous
+                                          and masks.shape == (2, size + 1))):
+        raise ValueError("threshold_regions_op needs 1-d contiguous float64 u, a writeable "
+                         "intp cells of its size, and no masks or writeable C-contiguous "
+                         "bool masks of shape (2, size + 1)")
+    threshold = float(threshold)
+    return _Op("threshold_regions", dict(u=u, size=size, threshold=threshold, cells=cells,
+                                         masks=masks),
+               functools.partial(_numpy_threshold_regions, u, threshold, cells, masks))
+
+
 def rotation_exponent_op(xi: np.ndarray, eta: np.ndarray, trig: np.ndarray,
                          out: np.ndarray) -> _Op:
     """The op of ``rotation_exponent``: ``out`` gets the exponent ``-10
@@ -584,30 +644,33 @@ def rotation_exponent_op(xi: np.ndarray, eta: np.ndarray, trig: np.ndarray,
 
 def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np.ndarray,
                      ghosts: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                     steps: np.ndarray, out: np.ndarray) -> _Op:
+                     steps: np.ndarray, out: np.ndarray, mask: np.ndarray | None = None) -> _Op:
     """The op of ``rotation_flux``: one flux evaluation of the 2D rotation
     on ``n = a1.size`` cells a side, as the header of ``_weno5.c`` gives
     it, from the row-major ``state`` and the ring values ``ghosts`` (at the
     flat indices ``ring`` of the ``(n + 6)^2`` padded frame), by the run
     table ``(starts, counts, steps)`` over the ``2n (n + 6)`` products (a
     run table, see the module docstring), into ``out``, every one read at
-    every call.  The op owns its frame and products.  The arrays are 1-d
-    and contiguous: ``ring`` and the table intp (the table's three of one
-    length), the others float64 of ``n^2``, ``n``, ``n``, ``ring.size`` and
-    ``2n (n + 1)`` values, ``out`` writeable; ``ring`` indexes the frame,
-    the runs read inside the products and their counts (at least 0) sum to
-    ``out.size``.  Others raise ``ValueError``.  The twin
-    reads the table once, at its first call, so a compiled bind builds no
-    gather index."""
+    every call; with a face ``mask`` the compiled kernel writes only the
+    values of ``out`` it marks.  The op owns its frame and products.  The
+    arrays are 1-d and contiguous: ``ring`` and the table intp (the table's
+    three of one length), ``mask`` (or None) bool of ``out.size``, the
+    others float64 of ``n^2``, ``n``, ``n``, ``ring.size`` and ``2n (n +
+    1)`` values, ``out`` writeable; ``ring`` indexes the frame, the runs
+    read inside the products and their counts (at least 0) sum to
+    ``out.size``.  Others raise ``ValueError``.  The twin reads the table
+    once, at its first call, so a compiled bind builds no gather index."""
     n = a1.size
     p, table = n + 6, (starts, counts, steps)
     if (not out.flags.writeable
             or not _vectors(np.float64, (state, n * n), (a1, n), (a2, n), (ghosts, ring.size),
                             (out, 2 * n * (n + 1)))
-            or not _vectors(np.intp, (ring, ring.size), *((a, starts.size) for a in table))):
+            or not _vectors(np.intp, (ring, ring.size), *((a, starts.size) for a in table))
+            or not _mask_of(mask, out.size)):
         raise ValueError("rotation_flux_op needs 1-d contiguous float64 state, a1, a2, ghosts "
-                         "and a writeable out of their sizes, and an intp ring and intp "
-                         "starts, counts and steps of one length")
+                         "and a writeable out of their sizes, an intp ring, intp starts, "
+                         "counts and steps of one length, and no mask or a bool one of "
+                         "out's size")
     if ring.size and not 0 <= ring.min() <= ring.max() < p * p:
         raise ValueError(f"rotation_flux_op: a ring index outside the {p * p} values of frame")
     size, faces = 2 * n * p, 0
@@ -623,7 +686,8 @@ def rotation_flux_op(state: np.ndarray, a1: np.ndarray, a2: np.ndarray, ring: np
     cells = functools.cache(functools.partial(_run_cells, starts, counts, steps))
     return _Op("rotation_flux", dict(state=state, n=n, a1=a1, a2=a2, ring=ring, ghosts=ghosts,
                                      nring=ring.size, frame=frame, src=src, starts=starts,
-                                     counts=counts, steps=steps, nruns=starts.size, out=out),
+                                     counts=counts, steps=steps, nruns=starts.size, mask=mask,
+                                     out=out),
                functools.partial(_numpy_rotation_flux, state, a1, a2, ring, ghosts, frame, src,
                                  cells, out))
 
@@ -672,6 +736,11 @@ def _vectors(dtype, *arrays) -> bool:
     array of ``dtype`` and ``size`` values."""
     return all(a.dtype == dtype and a.shape == (size,) and a.flags.c_contiguous
                for a, size in arrays)
+
+
+def _mask_of(mask, size: int) -> bool:
+    """Whether ``mask`` is None or a face mask of ``size`` faces."""
+    return mask is None or _vectors(np.bool_, (mask, size))
 
 
 class _Module(types.ModuleType):

@@ -452,6 +452,8 @@ def test_integrate_adv1d_flux_partition_ranges(runner):
     (["--problem", "adv1d", "--partition", "-" * 3000 + "x<1"], "nested deeper than 100"),
     (["--problem", "burgers", "--partition", "dynamic:burgers:threshold=nan"],
      "threshold=nan must be finite"),
+    (["--problem", "burgers", "--partition", "dynamic:burgers:threshold=0.1:threshold=0.2"],
+     "dynamic option 'threshold' given more than once"),
 ])
 def test_integrate_rejects_bad_partitions_without_a_traceback(runner, monkeypatch, args,
                                                               message):

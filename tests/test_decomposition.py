@@ -2,11 +2,12 @@
 
 import functools
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,7 +28,8 @@ from prk.harness import PROBLEMS, make_parts, parse_partition
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 from prk.stepper import IntegrationRun, integrate
 from prk.tableau import builtin_tableau, is_conservative
-from test_weno import _textbook_divergence
+from prk.weno import ops_call, threshold_regions_op
+from test_weno import _POISON, _textbook_divergence, each_kernel  # noqa: F401
 
 
 def _two_region(m, lo, hi):
@@ -244,29 +246,123 @@ def test_burgers_dynamic_partition_rule():
 
 def test_dynamic_split_rebuilds_once_per_step():
     calls = []
+    ds = DynamicCellSplit(lambda t, v: -v, 0.5)
+    begin_step = ds.begin_step
 
-    def rule(u):
+    def recording(u):
         calls.append(u.copy())
-        return burgers_dynamic_partition(u, 0.5)
+        begin_step(u)
+        assert ds.partition.masks[1].tolist() == (u >= 0.5).tolist()
 
-    ds = DynamicCellSplit(lambda t, v: -v, rule)
+    ds.begin_step = recording
     integrate(IntegrationRun(builtin_tableau("TW2"), ds, dt=0.25, t_end=1.0,
                              u0=np.array([1.0, 0.2])))
     assert len(calls) == 4  # one rebuild per step, none per stage
 
 
 def test_dynamic_split_needs_begin_step_before_eval_parts():
-    ds = DynamicCellSplit(lambda t, v: -v, burgers_dynamic_partition)
+    ds = DynamicCellSplit(lambda t, v: -v)
     out = np.full((2, 3), np.nan)
     with pytest.raises(ValueError, match="called before begin_step"):
         ds.eval_parts(0.0, np.zeros(3), (True, True), out)
     assert np.isnan(out).all()
+    assert ds.partition is None
 
 
-def test_dynamic_split_rejects_masks_of_the_wrong_shape():
-    ds = DynamicCellSplit(lambda t, v: -v, lambda u: burgers_dynamic_partition(u[:-1]))
-    with pytest.raises(ValueError, match=r"shape \(2,\) for a state of shape \(3,\)"):
-        ds.begin_step(np.zeros(3))
+# a state's values beside normal ones: signed zeros, the infinities, NaN,
+# and the shock-tracking threshold with its two neighbours
+_SPECIAL_STATE = (0.0, -0.0, np.inf, -np.inf, np.nan, 0.125, np.nextafter(0.125, 0.0),
+                  np.nextafter(0.125, 1.0))
+_on_each_kernel = settings(deadline=None, max_examples=100,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _special_states(shape):
+    return arrays(float, shape, elements=st.one_of(st.sampled_from(_SPECIAL_STATE),
+                                                   st.floats(-2.0, 2.0)))
+
+
+@_on_each_kernel
+@given(shape=st.sampled_from([(1,), (2,), (7,), (40,), (3, 5), (6, 6)]),
+       threshold=st.sampled_from([0.125, 0.0, -0.0, 0.5, -2.0]), data=st.data())
+def test_the_threshold_op_splits_as_burgers_dynamic_partition(each_kernel, shape, threshold,
+                                                               data):
+    # the op's region table against the partition it replaces, NaN in
+    # region 2; on a line also the faces that bound each region's cells
+    u = data.draw(arrays(float, shape, elements=st.sampled_from(_SPECIAL_STATE + (threshold,))))
+    line = len(shape) == 1
+    cells = np.full(u.size, -1, dtype=np.intp)
+    masks = np.ones((2, u.size + 1), dtype=bool) if line else None
+    ops_call(threshold_regions_op(u.reshape(-1), threshold, cells, masks))()
+    want = burgers_dynamic_partition(u, threshold)
+    assert cells.tolist() == want.masks[1].ravel().astype(int).tolist()
+    if line:
+        for mask, region in zip(masks, want.masks):
+            inside = region.tolist()
+            assert mask.tolist() == [f > 0 and inside[f - 1] or f < u.size and inside[f]
+                                     for f in range(u.size + 1)]
+
+
+_REGION_LOCAL_KINDS = ["cell", "flux", "dynamic", "cell2d", "flux2d", "dynamic2d"]
+
+
+def _region_local_split(kind, data):
+    """A split of ``kind`` over the flux of a WENO5 problem (1D advection
+    or Burgers, or in 2D the rotation) with 2 or 3 random regions, or the
+    dynamic split at a drawn threshold."""
+    if kind.endswith("2d"):
+        prob = advection2d(data.draw(st.integers(6, 10)))
+    else:
+        build = data.draw(st.sampled_from([advection1d_weno5, burgers_llf]))
+        prob = build(data.draw(st.integers(6, 24)))
+    grid, r = prob.grid, data.draw(st.integers(2, 3))
+
+    def masks(shape, wrap=False):
+        table = data.draw(arrays(np.intp, shape, elements=st.integers(0, r - 1)))
+        if wrap:  # a periodic line's two end faces are one
+            table[-1] = table[0]
+        return tuple(table == k for k in range(r))
+
+    if kind.startswith("dynamic"):
+        return DynamicCellSplit(prob.flux, data.draw(st.sampled_from([0.125, 0.0, -0.5])), grid)
+    if kind.startswith("cell"):
+        return CellSplitParts(prob.flux, CellPartition(masks(grid.shape)), grid)
+    if kind == "flux":
+        return FluxSplitParts(prob.flux, FluxPartition(masks(grid.m + 1, wrap=True), grid))
+    n = grid.n
+    return FluxSplit2DParts(prob.flux, FluxPartition2D(masks((n, n + 1)), masks((n + 1, n)), grid))
+
+
+@_on_each_kernel
+@given(kind=st.sampled_from(_REGION_LOCAL_KINDS), data=st.data())
+def test_region_local_evaluation_writes_the_rows_of_a_full_evaluation(each_kernel, kind, data):
+    # for every needed tuple, the rows written after the split's flux (on
+    # a stage needing some parts only, a flux of the faces they read; the
+    # others keep a poison on the compiled kernel) are those written after
+    # the whole flux, byte for byte; a 2D dynamic split passes no mask.
+    # A NaN counts as one value: where a NaN of the state meets one that
+    # inf - inf makes, the sign of the result is the operand order the
+    # compiler picked, which differs between the vectorized loop and its
+    # scalar tail, so it depends on where a face falls in its run
+    split = _region_local_split(kind, data)
+    v = data.draw(_special_states(split.grid.shape))
+    if kind.startswith("dynamic"):
+        split.begin_step(v)
+    with np.errstate(all="ignore"):
+        for needed in itertools.product((False, True), repeat=split.r):
+            if not any(needed):
+                continue
+            rows = []
+            for write_of in (lambda write: write, lambda write: split.F):
+                out = np.full((split.r,) + v.shape, np.nan)
+                write, phi, op = split.evaluation(out, needed)
+                phi.view(np.uint64)[:] = _POISON
+                write_of(write)(0.3, v, phi)
+                ops_call(op)()
+                rows.append(np.where(np.isnan(out), np.nan, out).tobytes())
+            assert rows[0] == rows[1], needed
+            masked = not all(needed) and kind != "dynamic2d"
+            assert (write is not split.F) == masked
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +415,21 @@ def test_parse_predicate_grammar():
 def test_parse_dynamic_spec():
     g = advection1d_weno5(8).grid
     spec = PartitionSpec.parse("dynamic:burgers:threshold=0.25")
-    p = spec.rule(np.array([0.0, 0.3, 0.2, 0.26, 0.1, 0.0, 0.0, 0.0]))
-    assert list(np.where(p.masks[1])[0]) == [1, 3]
+    assert spec.threshold == 0.25
+    assert PartitionSpec.parse("dynamic:burgers").threshold == 0.125
+    split = DynamicCellSplit(lambda t, v: v, spec.threshold)
+    split.begin_step(np.array([0.0, 0.3, 0.2, 0.26, 0.1, 0.0, 0.0, 0.0]))
+    assert list(np.where(split.partition.masks[1])[0]) == [1, 3]
     with pytest.raises(ValueError, match="dynamic"):
         spec.cells(g)
+
+
+@pytest.mark.parametrize("text", ["dynamic:burgers:threshold=0.1:threshold=0.2",
+                                  "dynamic:burgers:threshold=0.1:threshold=0.1"])
+def test_a_repeated_dynamic_option_is_rejected(text):
+    # the last one would otherwise win silently
+    with pytest.raises(ValueError, match="^dynamic option 'threshold' given more than once$"):
+        PartitionSpec.parse(text)
 
 
 def test_parse_errors():
@@ -396,8 +503,10 @@ def test_any_partition_text_gives_valid_masks_or_a_value_error(text):
         spec = PartitionSpec.parse(text)
     except ValueError:
         return
-    if spec.rule is not None:
-        parts = [spec.rule(u)]
+    if spec.threshold is not None:
+        split = DynamicCellSplit(lambda t, v: v, spec.threshold)
+        split.begin_step(u)
+        parts = [split.partition]
     else:
         parts = []
         for make, grid in ((spec.cells, grid1), (spec.cells, grid2), (spec.faces, grid2)):
@@ -437,10 +546,11 @@ def test_standard_specs_reproduce_the_literal_partitions(m):
                                   (faces.ymasks, want_faces.ymasks)):
         assert all(np.array_equal(a, b) for a, b in zip(got_masks, want_masks))
 
-    u = burgers_llf(m).initial
-    rule = PartitionSpec.parse(PROBLEMS["burgers"].partition).rule
+    prob = burgers_llf(m)
+    split = make_parts(prob, "cell", PartitionSpec.parse(PROBLEMS["burgers"].partition))
+    split.begin_step(prob.initial)
     assert all(np.array_equal(a, b) for a, b in
-               zip(rule(u).masks, burgers_dynamic_partition(u, 0.125).masks))
+               zip(split.partition.masks, burgers_dynamic_partition(prob.initial, 0.125).masks))
 
 
 def test_trivial_parts():
@@ -507,7 +617,7 @@ def _splits():
         "cell": (CellSplitParts(p1.rhs, cells), v1, cell),
         "flux": (FluxSplitParts(p1.flux, fp), v1, flux),
         "flux2d": (FluxSplit2DParts(p2.flux, fp2), v2, flux2d),
-        "dynamic": (DynamicCellSplit(p1.rhs, burgers_dynamic_partition), v1, dynamic),
+        "dynamic": (DynamicCellSplit(p1.rhs), v1, dynamic),
         "trivial": (TrivialParts(p1.rhs), v1, lambda k: p1.rhs(0.0, v1)),
     }
 

@@ -20,7 +20,6 @@ from prk.decomposition import (
     FluxSplit2DParts,
     FluxSplitParts,
     TrivialParts,
-    burgers_dynamic_partition,
 )
 from prk.spatial import advection1d_weno5, advection2d, burgers_llf, upwind1d
 from prk.stepper import (
@@ -255,7 +254,7 @@ def _random_split(split, scheme, m, data):
             prob = advection2d(m)
             return FluxSplit2DParts(prob.flux, FluxPartition2D(*faces, prob.grid))
         if split == "dynamic":
-            return DynamicCellSplit(burgers_llf(m).rhs, burgers_dynamic_partition)
+            return DynamicCellSplit(burgers_llf(m).rhs)
         prob = advection1d_weno5(m)
         if split == "trivial":
             return TrivialParts(prob.rhs)
@@ -329,10 +328,10 @@ def test_prk_step_loop_tracks_the_shock_as_integrate_does(scheme):
     # the first step would leave the loop 0.18 to 0.23 away in the max norm
     prob, tab, dt = burgers_llf(64), builtin_tableau(scheme), 1.0 / 64
     u = prob.initial
-    parts = DynamicCellSplit(prob.rhs, burgers_dynamic_partition)
+    parts = DynamicCellSplit(prob.rhs)
     for n in range(20):
         u = prk_step(tab, parts, n * dt, dt, u)
-    run = integrate(IntegrationRun(tab, DynamicCellSplit(prob.rhs, burgers_dynamic_partition),
+    run = integrate(IntegrationRun(tab, DynamicCellSplit(prob.rhs),
                                    dt=dt, t_end=20 * dt, u0=prob.initial))
     assert u.tobytes() == run.u.tobytes()
 

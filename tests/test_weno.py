@@ -523,6 +523,54 @@ def test_runs_kernel_bitwise_equals_textbook_oracle(each_kernel, data):
         _assert_bitwise(rotation["out"], want + 0.0)
 
 
+# a quiet NaN no kernel computes: a face still holding it was not written
+_POISON = 0x7FF8DEADBEEF0001
+
+
+@st.composite
+def face_masks(draw, size):
+    """A face mask of ``size`` faces: none, all, or runs of marked faces
+    at random cuts."""
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=8)))
+    marked = draw(st.booleans())
+    mask = np.zeros(size, dtype=bool)
+    for lo, hi in zip([0, *cuts], [*cuts, size]):
+        mask[lo:hi] = marked
+        marked = not marked
+    return mask
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entry=st.sampled_from(["weno5_periodic", "burgers_llf_periodic", "rotation_flux"]),
+       data=st.data())
+def test_a_masked_flux_op_gives_the_full_op_bits_on_every_marked_face(each_kernel, entry, data):
+    # both biases of a periodic line, and a rotation flux of several runs
+    # with steps of +-1, +-n and +-(n + 6): a marked face gets the bits of
+    # the unmasked op; the compiled kernel leaves every other face as it
+    # was, the numpy kernel computes it too
+    with np.errstate(all="ignore"):  # +-1e300 overflows to inf and NaN
+        if entry == "rotation_flux":
+            rotation = data.draw(run_tables())
+            full = _runs_values(rotation)
+            out = np.empty_like(full)
+            mask = data.draw(face_masks(out.size))
+            bind = lambda: weno.rotation_flux_op(**{**rotation, "out": out, "mask": mask})
+        else:
+            v = data.draw(wide_lines(leads=((),), lengths=st.integers(3, 300)))
+            full = _periodic_values(entry, v)
+            out = np.empty_like(full)
+            mask = data.draw(face_masks(out.size))
+            bind = lambda: weno.periodic_op(entry, v, np.empty(v.size + 6), out, mask)
+        out.view(np.uint64)[:] = _POISON
+        weno.ops_call(bind())()
+    _assert_bitwise(out[mask], full[mask])
+    if each_kernel == "c":
+        assert (out[~mask].view(np.uint64) == _POISON).all()
+    else:
+        _assert_bitwise(out, full)
+
+
 def _table(**changes):
     """A rotation flux on 2 x 2 cells whose run table is one run of its 12
     faces over the 32 products, with ``changes``."""
@@ -600,6 +648,12 @@ def _bound_over_fresh_arrays(entry, kernel):
                 below = want[i][c] - arrays[0][1, i] * want[i - 1][c] if i else want[i][c]
                 want[i][c] = below / arrays[0][0, i]
         want = np.array(want)
+    elif entry == "threshold_regions":
+        arrays = [v, np.empty(20, dtype=np.intp), np.empty((2, 21), dtype=bool)]
+        call = weno.ops_call(weno.threshold_regions_op(v, 0.125, *arrays[1:]))
+        low = (v < 0.125).tolist()
+        want = np.array([[f > 0 and low[f - 1] == side or f < 20 and low[f] == side
+                          for f in range(21)] for side in (True, False)])
     elif entry == "rotation_exponent":
         arrays = [rng.standard_normal(20), rng.standard_normal(20), np.array([0.6, 0.8]),
                   np.empty(20)]
@@ -616,7 +670,7 @@ def _bound_over_fresh_arrays(entry, kernel):
 
 
 @pytest.mark.parametrize("entry", ["weno5_periodic", "rotation_flux", "stage_sum", "split_parts",
-                                   "lower_solve", "rotation_exponent"])
+                                   "lower_solve", "rotation_exponent", "threshold_regions"])
 def test_a_bound_call_holds_its_buffers(each_kernel, entry):
     # the compiled call reads and writes its arrays by address: freed, they
     # would be memory the process reuses
@@ -628,7 +682,7 @@ def test_a_bound_call_holds_its_buffers(each_kernel, entry):
 
 
 @pytest.mark.parametrize("entry", ["weno5_periodic", "rotation_flux", "stage_sum", "split_parts",
-                                   "lower_solve", "rotation_exponent"])
+                                   "lower_solve", "rotation_exponent", "threshold_regions"])
 def test_a_dropped_call_frees_its_buffers_at_once(each_kernel, entry):
     # a call bound for one use (the W analysis binds one per solve) must
     # not keep its arrays until the cyclic collector runs
@@ -645,19 +699,53 @@ _read_only_line = np.empty(16)
 _read_only_line.flags.writeable = False
 
 
-@pytest.mark.parametrize("v, line, out", [
-    (np.empty(2), np.empty(8), np.empty(3)),
-    (np.empty(10), np.empty(15), np.empty(11)),
-    (np.empty(10), np.empty(16), np.empty(10)),
-    (np.empty(10, dtype=np.float32), np.empty(16), np.empty(11)),
-    (np.empty(20)[::2], np.empty(16), np.empty(11)),
-    (np.empty((1, 10)), np.empty(16), np.empty(11)),
-    (np.empty(10), _read_only_line, np.empty(11)),
-], ids=["two-cells", "short-line", "short-out", "float32", "strided", "2-d", "read-only"])
-def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, line, out):
+@pytest.mark.parametrize("v, line, out, mask", [
+    (np.empty(2), np.empty(8), np.empty(3), None),
+    (np.empty(10), np.empty(15), np.empty(11), None),
+    (np.empty(10), np.empty(16), np.empty(10), None),
+    (np.empty(10, dtype=np.float32), np.empty(16), np.empty(11), None),
+    (np.empty(20)[::2], np.empty(16), np.empty(11), None),
+    (np.empty((1, 10)), np.empty(16), np.empty(11), None),
+    (np.empty(10), _read_only_line, np.empty(11), None),
+    (np.empty(10), np.empty(16), np.empty(11), np.ones(10, dtype=bool)),
+    (np.empty(10), np.empty(16), np.empty(11), np.ones(11, dtype=np.intp)),
+    (np.empty(10), np.empty(16), np.empty(11), np.ones((1, 11), dtype=bool)),
+], ids=["two-cells", "short-line", "short-out", "float32", "strided", "2-d", "read-only",
+        "short-mask", "intp-mask", "2-d-mask"])
+def test_periodic_call_rejects_buffers_the_kernel_cannot_take(each_kernel, v, line, out, mask):
     # the compiled op would read or write past a wrong buffer
     with pytest.raises(ValueError, match="^periodic_op needs 1-d contiguous float64"):
-        weno.periodic_op("weno5_periodic", v, line, out)
+        weno.periodic_op("weno5_periodic", v, line, out, mask)
+
+
+_read_only_cells = np.zeros(8, dtype=np.intp)
+_read_only_cells.flags.writeable = False
+_read_only_masks = np.zeros((2, 9), dtype=bool)
+_read_only_masks.flags.writeable = False
+
+
+@pytest.mark.parametrize("u, cells, masks", [
+    (np.empty(8, dtype=np.float32), np.empty(8, dtype=np.intp), None),
+    (np.empty((2, 4)), np.empty(8, dtype=np.intp), None),
+    (np.empty(16)[::2], np.empty(8, dtype=np.intp), None),
+    (np.empty(8), np.empty(7, dtype=np.intp), None),
+    (np.empty(8), np.empty(8, dtype=np.int32), None),
+    (np.empty(8), np.empty(8), None),
+    (np.empty(8), _read_only_cells, None),
+    (np.empty(8), np.empty(8, dtype=np.intp), np.empty((2, 8), dtype=bool)),
+    (np.empty(8), np.empty(8, dtype=np.intp), np.empty(18, dtype=bool)),
+    (np.empty(8), np.empty(8, dtype=np.intp), np.empty((2, 9), dtype=np.uint8)),
+    (np.empty(8), np.empty(8, dtype=np.intp), np.empty((2, 18), dtype=bool)[:, ::2]),
+    (np.empty(8), np.empty(8, dtype=np.intp), _read_only_masks),
+], ids=["float32-u", "2-d-u", "strided-u", "short-cells", "int32-cells", "float-cells",
+        "read-only-cells", "short-masks", "flat-masks", "uint8-masks", "strided-masks",
+        "read-only-masks"])
+def test_threshold_regions_op_rejects_buffers_the_kernel_cannot_take(each_kernel, u, cells,
+                                                                     masks):
+    # the compiled op would read or write past a wrong buffer, or write a
+    # table that is not meant to change
+    with pytest.raises(ValueError, match="^threshold_regions_op needs"):
+        weno.threshold_regions_op(u, 0.125, cells, masks)
 
 
 # ----------------------------------------------------------------------
@@ -921,10 +1009,13 @@ _read_only_flux.flags.writeable = False
     (_rotation(ring=np.arange(-1, 11)), "ring index outside the 144 values"),
     (_rotation(starts=np.array([61])), "run 0 .* reads outside the 144 values of src"),
     (_rotation(counts=np.array([83])), "the runs have 83 faces, out 84 values"),
+    (_rotation(mask=np.ones(83, dtype=bool)), "needs"),
+    (_rotation(mask=np.ones(84, dtype=np.uint8)), "needs"),
+    (_rotation(mask=np.ones(168, dtype=bool)[::2]), "needs"),
 ], ids=["float32-state", "short-state", "2-d-state", "long-a2", "short-ghosts",
         "short-out", "float32-out", "strided-out",
         "read-only-out", "int32-ring", "ring-past-frame", "negative-ring", "run-past-src",
-        "fewer-faces"])
+        "fewer-faces", "short-mask", "uint8-mask", "strided-mask"])
 def test_rotation_flux_op_rejects_buffers_the_kernel_cannot_take(each_kernel, rotation,
                                                                  message):
     # the compiled entry would read or write past a wrong buffer
