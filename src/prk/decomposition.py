@@ -160,8 +160,9 @@ class FluxPartition2D:
 # it makes after each ``write``.  A dynamic split also has
 # ``begin_step(u)``, which the stage store calls with the state at the top
 # of every step.  The stepper uses nothing else, always passes ``needed``
-# (a tuple) and evaluates no stage where no part is needed.  ``eval_parts(t, v, needed, out)`` makes one whole evaluation
-# of the same three; not called in prk, it stays for the tests and for
+# (a tuple) and evaluates no stage where no part is needed.
+# ``eval_parts(t, v, needed, out)`` makes one whole evaluation of the same
+# three; not called in prk, it stays for the tests and for
 # perfbench/child.py, which wraps it by name.
 # ----------------------------------------------------------------------
 
@@ -194,8 +195,8 @@ def _bounding_faces(grid, inside: np.ndarray) -> np.ndarray:
 
 
 def _with_faces(flux: Callable, faces: np.ndarray) -> Callable:
-    """``write(t, v, phi)``: ``flux(t, v, phi, faces)``, a closure, which a
-    call costs less than a keyword ``functools.partial``."""
+    """``flux(t, v, phi, faces)`` as ``write(t, v, phi)``: a closure,
+    cheaper to call than a keyword ``functools.partial``."""
     def write(t, v, phi):
         flux(t, v, phi, faces)
     return write
